@@ -21,9 +21,13 @@ import numpy as np
 
 from .catalog import CATALOG, catalog_names, example_manifest
 from .engine import first_return_map, sample_boundary, sweep_to_json
-from .jacobi import assemble_index_form, index_form_spectrum, integrate_jacobi_frame
 from .manifest import ManifestError, RunManifest, load_manifold
-from .verifier import ALL_ANALYSES, Tolerances, build_soul, certify
+from .verifier import ALL_ANALYSES, Tolerances, certify
+
+# Not called here: bench/spans.py looks these names up on this module to time
+# any recomputation the CLI does after certify (it does none).
+from .jacobi import assemble_index_form, index_form_spectrum, integrate_jacobi_frame  # noqa: F401
+from .verifier import build_soul  # noqa: F401
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -88,23 +92,15 @@ def run(manifest: RunManifest, analyses=None, out_dir=None, tol: Tolerances = No
         with open(os.path.join(out, "sweep.json"), "w", encoding="utf-8") as f:
             json.dump(sweep_to_json(sweep), f, indent=2)
             f.write("\n")
-        if "soul" in analyses and report.verdict != "refuted":
-            try:
-                cloud = build_soul(spec, sweep, tol)
-                with open(os.path.join(out, "soul.csv"), "w", encoding="utf-8") as f:
-                    f.write(",".join(f"x{i + 1}" for i in range(spec.dimension)) + "\n")
-                    for p in cloud.points:
-                        f.write(",".join(f"{c:.17g}" for c in p) + "\n")
-            except ValueError:
-                pass
-        if "jacobi" in analyses and report.verdict != "refuted" and sweep.ok_records:
-            r = sweep.ok_records[0]
-            frame = integrate_jacobi_frame(spec, r.path, rtol=tol.rtol, atol=tol.atol)
-            mat = assemble_index_form(spec, r.path, manifest.mesh_size, frame=frame)
-            eigs = index_form_spectrum(mat, n_lowest=mat.stiffness.shape[0])
+        if report.soul_cloud is not None:
+            with open(os.path.join(out, "soul.csv"), "w", encoding="utf-8") as f:
+                f.write(",".join(f"x{i + 1}" for i in range(spec.dimension)) + "\n")
+                for p in report.soul_cloud.points:
+                    f.write(",".join(f"{c:.17g}" for c in p) + "\n")
+        if report.index_spectrum is not None:
             with open(os.path.join(out, "spectrum.csv"), "w", encoding="utf-8") as f:
                 f.write("index,eigenvalue\n")
-                for i, ev in enumerate(np.sort(eigs)):
+                for i, ev in enumerate(report.index_spectrum):
                     f.write(f"{i},{ev:.17g}\n")
 
     if not quiet:

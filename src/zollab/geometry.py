@@ -12,7 +12,6 @@ from typing import Callable, Optional
 import numpy as np
 
 BOUNDARY_EPS = 1e-12
-DECK_ISOMETRY_TOL = 1e-10
 
 
 class ChartDomainError(ValueError):
@@ -364,14 +363,6 @@ def boundary_tangent_basis(spec: ManifoldSpec, p):
     if basis.shape[0] != n - 1:
         raise ValueError(f"failed to build boundary tangent basis at {p}")
     return basis
-
-
-def shape_operator_matrix(spec: ManifoldSpec, p, basis=None):
-    """Second fundamental form in a boundary tangent basis ((n-1) x (n-1))."""
-    if basis is None:
-        basis = boundary_tangent_basis(spec, p)
-    S = second_fundamental_form(spec, p)
-    return basis @ S @ basis.T
 
 
 def normalize_into_domain(spec: ManifoldSpec, x, v=None, max_steps=None):

@@ -9,11 +9,13 @@ linear second-order system with symmetric coefficient matrix.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import cython_lapack
 from scipy.optimize import brentq, minimize_scalar
 
 from .engine import GeodesicPath, integrate_flow, project_to_boundary
@@ -264,15 +266,72 @@ def morse_index_focal(record: FocalRecord, return_time=None):
 # ---------------------------------------------------------------------------
 # discretized index form
 
+def _band_to_dense(band):
+    """Symmetric dense matrix from LAPACK upper band storage."""
+    kd, dof = band.shape[0] - 1, band.shape[1]
+    dense = np.zeros((dof, dof))
+    for d in range(kd + 1):
+        diag = band[kd - d, d:]
+        dense[np.arange(dof - d), np.arange(d, dof)] = diag
+        dense[np.arange(d, dof), np.arange(dof - d)] = diag
+    return dense
+
+
 @dataclass
 class IndexFormMatrix:
-    stiffness: np.ndarray
-    mass: np.ndarray
+    """Discretized index form, stiffness and mass in LAPACK upper band storage.
+
+    Entry (i, j) with ``j - kd <= i <= j`` sits at ``band[kd + i - j, j]``,
+    where ``kd = band.shape[0] - 1`` is the half-bandwidth.  Assembly makes
+    the bands read-only, because ``eigenvalues`` is solved once and kept.
+    """
+
+    stiffness_band: np.ndarray
+    mass_band: np.ndarray
     mesh_size: int
     dimension: int
     return_time: float
     boundary_block_launch: np.ndarray
     boundary_block_arrival: np.ndarray
+
+    @property
+    def stiffness(self):
+        """Dense copy of the stiffness matrix, for inspection and reference solves."""
+        return _band_to_dense(self.stiffness_band)
+
+    @property
+    def mass(self):
+        """Dense copy of the mass matrix, for inspection and reference solves."""
+        return _band_to_dense(self.mass_band)
+
+    @cached_property
+    def eigenvalues(self):
+        """Full ascending generalized spectrum (read-only), solved on first use."""
+        eigs = index_form_eigenvalues(self)
+        eigs.flags.writeable = False
+        return eigs
+
+
+def _element_band(local, n, N):
+    """Scatter per-element (2n x 2n) matrices into the band of the reduced form.
+
+    Element e couples nodes e and e + 1, i.e. full indices e*n .. e*n + 2n - 1.
+    The two velocity-direction endpoint values (full indices 0 and n*N) are
+    dropped, which keeps the ordering, so local p <= q maps to i <= j.  Each
+    element contributes its symmetric part.
+    """
+    kd = 2 * n - 1
+    full = n * np.arange(N)[:, None] + np.arange(2 * n)[None, :]
+    kept = (full != 0) & (full != n * N)
+    reduced = full - (full > 0) - (full > n * N)
+    p, q = np.triu_indices(2 * n)
+    used = kept[:, p] & kept[:, q]
+    i, j = reduced[:, p][used], reduced[:, q][used]
+    vals = (0.5 * (local + local.transpose(0, 2, 1)))[:, p, q][used]
+    band = np.zeros((kd + 1, n * (N + 1) - 2))
+    np.add.at(band, (kd + i - j, j), vals)
+    band.flags.writeable = False
+    return band
 
 
 def assemble_index_form(spec: ManifoldSpec, path: GeodesicPath, mesh_size=256,
@@ -282,7 +341,9 @@ def assemble_index_form(spec: ManifoldSpec, path: GeodesicPath, mesh_size=256,
     The geodesic is parametrized on [0, 1]; basis fields live in the parallel
     frame with endpoint values constrained tangent to the boundary, and the
     shape-operator terms of both endpoints enter with the sign that makes a
-    flat-disk diameter have exactly one negative direction.
+    flat-disk diameter have exactly one negative direction.  The P1 basis
+    makes both matrices block-tridiagonal with n x n blocks, so they are
+    stored as bands of half-bandwidth 2n - 1.
     """
     if mesh_size < 16:
         raise ValueError("mesh_size must be at least 16")
@@ -292,38 +353,23 @@ def assemble_index_form(spec: ManifoldSpec, path: GeodesicPath, mesh_size=256,
     N = int(mesh_size)
     R = path.return_time
     h = 1.0 / N
-    dof = n * (N + 1)
-
-    S = np.zeros((dof, dof))
-    M = np.zeros((dof, dof))
     eye = np.eye(n)
 
+    # gradient term int phi' phi' dt and consistent mass int phi phi dt
+    stiffness = np.repeat(np.kron([[1.0, -1.0], [-1.0, 1.0]], eye / h)[None], N, axis=0)
+    mass = np.repeat(np.kron([[h / 3.0, h / 6.0], [h / 6.0, h / 3.0]], eye)[None], N, axis=0)
+
+    # curvature term int phi_A phi_B Khat dt, 2-point Gauss
     gauss_nodes = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
     gauss_w = np.array([0.5, 0.5])
-
+    K = np.empty((N, 2, n, n))
     for e in range(N):
-        i0, i1 = e * n, (e + 1) * n
-        # gradient term int phi' phi' dt
-        S[i0:i0 + n, i0:i0 + n] += eye / h
-        S[i1:i1 + n, i1:i1 + n] += eye / h
-        S[i0:i0 + n, i1:i1 + n] += -eye / h
-        S[i1:i1 + n, i0:i0 + n] += -eye / h
-        # consistent mass int phi phi dt
-        M[i0:i0 + n, i0:i0 + n] += eye * (h / 3.0)
-        M[i1:i1 + n, i1:i1 + n] += eye * (h / 3.0)
-        M[i0:i0 + n, i1:i1 + n] += eye * (h / 6.0)
-        M[i1:i1 + n, i0:i0 + n] += eye * (h / 6.0)
-        # curvature term int phi_A phi_B Khat dt, 2-point Gauss
-        for xi, w in zip(gauss_nodes, gauss_w):
-            t_param = (e + xi) * h
-            x, v, E, _, _ = frame.blocks_at(t_param * R)
-            K = curvature_frame_matrix(spec.metric, x, v, E) * (R * R)
-            n1, n2 = 1.0 - xi, xi
-            wh = w * h
-            S[i0:i0 + n, i0:i0 + n] += wh * n1 * n1 * K
-            S[i1:i1 + n, i1:i1 + n] += wh * n2 * n2 * K
-            S[i0:i0 + n, i1:i1 + n] += wh * n1 * n2 * K
-            S[i1:i1 + n, i0:i0 + n] += wh * n1 * n2 * K
+        for g, xi in enumerate(gauss_nodes):
+            x, v, E, _, _ = frame.blocks_at((e + xi) * h * R)
+            K[e, g] = curvature_frame_matrix(spec.metric, x, v, E) * (R * R)
+    shapes = np.stack([1.0 - gauss_nodes, gauss_nodes])        # shapes[a, g]
+    weights = np.einsum("g,ag,bg->gab", gauss_w * h, shapes, shapes)
+    stiffness += np.einsum("gab,egij->eaibj", weights, K).reshape(N, 2 * n, 2 * n)
 
     # shape-operator boundary terms (launch and arrival both contribute -R*S)
     B0 = -R * _padded_shape_matrix(frame.shape_launch, n)
@@ -331,19 +377,11 @@ def assemble_index_form(spec: ManifoldSpec, path: GeodesicPath, mesh_size=256,
     basis_q = _arrival_tangent_frame(spec, frame, q)
     shape_q = basis_q @ second_fundamental_form(spec, q) @ basis_q.T
     B1 = -R * _padded_shape_matrix(shape_q, n)
-    S[:n, :n] += B0
-    S[-n:, -n:] += B1
+    stiffness[0, :n, :n] += B0
+    stiffness[-1, n:, n:] += B1
 
-    # endpoint values constrained tangent to the boundary: drop the two
-    # velocity-direction endpoint degrees of freedom
-    keep = np.ones(dof, dtype=bool)
-    keep[0] = False
-    keep[n * N] = False
-    S = S[np.ix_(keep, keep)]
-    M = M[np.ix_(keep, keep)]
-    S = 0.5 * (S + S.T)
-    M = 0.5 * (M + M.T)
-    return IndexFormMatrix(S, M, N, n, R, B0, B1)
+    return IndexFormMatrix(_element_band(stiffness, n, N), _element_band(mass, n, N),
+                           N, n, R, B0, B1)
 
 
 def _arrival_tangent_frame(spec, frame, q):
@@ -359,20 +397,64 @@ def _arrival_tangent_frame(spec, frame, q):
     return gram_schmidt(g, np.array(rows))
 
 
+def _bind_dsbgv():
+    """LAPACK dsbgv from the function table scipy exports for Cython callers."""
+    capsule = cython_lapack.__pyx_capi__["dsbgv"]
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.argtypes = [ctypes.py_object]
+    get_name.restype = ctypes.c_char_p
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    get_pointer.restype = ctypes.c_void_p
+    address = get_pointer(capsule, get_name(capsule))
+    int_p = ctypes.POINTER(ctypes.c_int)
+    double_p = ctypes.POINTER(ctypes.c_double)
+    # jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info
+    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, int_p, int_p, int_p,
+                                 double_p, int_p, double_p, int_p, double_p, double_p,
+                                 int_p, double_p, int_p)
+    return prototype(address)
+
+
+_DSBGV = _bind_dsbgv()
+
+
+def index_form_eigenvalues(mat: IndexFormMatrix):
+    """Full ascending spectrum of stiffness x = lambda mass x (LAPACK dsbgv)."""
+    rows, dof = mat.stiffness_band.shape
+    if mat.mass_band.shape != (rows, dof):
+        raise ValueError(f"mass band shape {mat.mass_band.shape} does not match "
+                         f"stiffness band shape {mat.stiffness_band.shape}")
+    # dsbgv overwrites both bands; Fortran order makes column j the j-th column
+    ab = np.array(mat.stiffness_band, dtype=np.float64, order="F")
+    bb = np.array(mat.mass_band, dtype=np.float64, order="F")
+    w = np.empty(dof)
+    z = np.empty(1)                  # eigenvectors are not computed
+    work = np.empty(3 * dof)
+    size, kd, ld, ldz, info = (ctypes.c_int(v) for v in (dof, rows - 1, rows, 1, 0))
+
+    def ptr(a):
+        return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+
+    _DSBGV(b"N", b"U", ctypes.byref(size), ctypes.byref(kd), ctypes.byref(kd),
+           ptr(ab), ctypes.byref(ld), ptr(bb), ctypes.byref(ld), ptr(w), ptr(z),
+           ctypes.byref(ldz), ptr(work), ctypes.byref(info))
+    if info.value != 0:
+        raise RuntimeError(f"indefinite assembly error (dsbgv info={info.value})")
+    return w
+
+
 def morse_index_quadratic(mat: IndexFormMatrix, neg_tol=NEG_EIG_TOL):
     """Index and nullity estimate of the discretized form (mass-normalized)."""
-    try:
-        eigs = sla.eigh(mat.stiffness, mat.mass, eigvals_only=True)
-    except sla.LinAlgError as exc:
-        raise RuntimeError("indefinite assembly error") from exc
+    eigs = mat.eigenvalues
     k = int(np.sum(eigs < -neg_tol))
     nullity = int(np.sum(np.abs(eigs) <= neg_tol))
     return k, nullity
 
 
 def index_form_spectrum(mat: IndexFormMatrix, n_lowest=8):
-    eigs = sla.eigh(mat.stiffness, mat.mass, eigvals_only=True)
-    return np.sort(eigs)[:n_lowest]
+    """The ``n_lowest`` smallest generalized eigenvalues, ascending."""
+    return mat.eigenvalues[:n_lowest]
 
 
 # ---------------------------------------------------------------------------

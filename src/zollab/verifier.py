@@ -609,6 +609,10 @@ class ZollReport:
     ground_truth: Optional[dict]
     diagnostics: list
     tolerances: dict
+    # intermediates kept for the artifacts, not part of report.json: the full
+    # index-form spectrum of the first returned geodesic and the soul cloud
+    index_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    soul_cloud: Optional[SoulCloud] = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         return {
@@ -713,6 +717,7 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
             inter_dist = intercomponent_distance(spec, launch_set, comp_result.labels)
 
     index_focal_val = index_quad_val = agreement = nullity = None
+    index_spectrum = None
     endpoint_warnings = 0
     arrival_norm = None
     focal_resid = None
@@ -748,6 +753,8 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
             kq, nq = morse_index_quadratic(mat, neg_tol=tol.neg_eig)
             quad_vals.append(kq)
             nullities.append(nq)
+            if index_spectrum is None:
+                index_spectrum = mat.eigenvalues
         if quad_vals:
             index_quad_val = int(quad_vals[0])
             nullity = int(min(nullities))
@@ -867,4 +874,6 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
         ground_truth=ground_truth,
         diagnostics=diagnostics,
         tolerances=tol.to_dict(),
+        index_spectrum=index_spectrum,
+        soul_cloud=soul_cloud,
     )

@@ -1,0 +1,113 @@
+"""Band storage and the LAPACK band solve of the discretized index form.
+
+The dense generalized ``scipy.linalg.eigh`` on the expanded matrices is the
+reference; it lives here only.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+from scipy import linalg as sla
+
+from zollab.jacobi import (
+    NEG_EIG_TOL,
+    _band_to_dense,
+    _element_band,
+    assemble_index_form,
+    index_form_eigenvalues,
+    index_form_spectrum,
+    integrate_jacobi_frame,
+    morse_index_quadratic,
+)
+
+CERTIFIED_KEYS = ["flat_disk", "flat_band", "flat_moebius", "spherical_cap",
+                  "spherical_band", "euclidean_ball3", "solid_torus"]
+
+
+@pytest.fixture(scope="module")
+def frames(specs, sweeps):
+    return {key: integrate_jacobi_frame(specs[key], sweeps[key].ok_records[0].path)
+            for key in CERTIFIED_KEYS}
+
+
+def _assemble(key, mesh, specs, sweeps, frames):
+    path = sweeps[key].ok_records[0].path
+    return assemble_index_form(specs[key], path, mesh, frame=frames[key])
+
+
+def _dense_eigenvalues(mat):
+    return sla.eigh(mat.stiffness, mat.mass, eigvals_only=True)
+
+
+def test_element_band_matches_dense_scatter(rng):
+    # reference: dense assembly of the element matrices, the two velocity
+    # endpoint values dropped, then symmetrized
+    n, N = 3, 5
+    local = rng.standard_normal((N, 2 * n, 2 * n))
+    dof = n * (N + 1)
+    dense = np.zeros((dof, dof))
+    for e in range(N):
+        dense[e * n:e * n + 2 * n, e * n:e * n + 2 * n] += local[e]
+    keep = np.ones(dof, dtype=bool)
+    keep[0] = keep[n * N] = False
+    dense = dense[np.ix_(keep, keep)]
+    dense = 0.5 * (dense + dense.T)
+
+    band = _element_band(local, n, N)
+    assert band.shape == (2 * n, dof - 2)
+    assert not band.flags.writeable
+    i, j = np.nonzero(dense)
+    assert np.max(j - i) == 2 * n - 1          # every block-tridiagonal entry is kept
+    assert np.abs(_band_to_dense(band) - dense).max() <= 1e-15 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("key", ["flat_disk", "spherical_cap", "euclidean_ball3"])
+def test_band_spectrum_matches_dense(key, specs, sweeps, frames):
+    mat = _assemble(key, 128, specs, sweeps, frames)
+    band = index_form_eigenvalues(mat)
+    dense = _dense_eigenvalues(mat)
+    assert band.shape == dense.shape == (mat.stiffness_band.shape[1],)
+    assert np.all(np.diff(band) >= 0.0)
+    assert np.abs(band - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.array_equal(index_form_spectrum(mat, 8), band[:8])
+
+
+@pytest.mark.parametrize("key", CERTIFIED_KEYS)
+def test_index_counts_match_dense(key, specs, sweeps, frames):
+    mat = _assemble(key, 256, specs, sweeps, frames)
+    dense = _dense_eigenvalues(mat)
+    expected = (int(np.sum(dense < -NEG_EIG_TOL)), int(np.sum(np.abs(dense) <= NEG_EIG_TOL)))
+    assert morse_index_quadratic(mat) == expected
+
+
+def test_spectrum_solved_once_and_read_only(specs, sweeps, frames):
+    mat = _assemble("flat_disk", 64, specs, sweeps, frames)
+    morse_index_quadratic(mat)
+    assert mat.eigenvalues is mat.eigenvalues
+    assert not mat.eigenvalues.flags.writeable
+    assert not mat.stiffness_band.flags.writeable
+
+
+def test_mass_not_positive_definite_raises(specs, sweeps, frames):
+    mat = _assemble("flat_disk", 64, specs, sweeps, frames)
+    broken = dataclasses.replace(mat, mass_band=-mat.mass_band)
+    with pytest.raises(RuntimeError, match="indefinite assembly error"):
+        morse_index_quadratic(broken)
+
+
+def test_mismatched_band_shapes_rejected(specs, sweeps, frames):
+    mat = _assemble("flat_disk", 64, specs, sweeps, frames)
+    with pytest.raises(ValueError, match="band shape"):
+        index_form_eigenvalues(dataclasses.replace(mat, mass_band=mat.mass_band[1:]))
+
+
+def test_cap_mesh_convergence(specs, sweeps, frames):
+    # P1 elements: the low eigenvalues converge at O(h^2), and the cap's
+    # kernel eigenvalue reaches the 1e-6 window only at mesh 512
+    eigs = {mesh: np.array(index_form_spectrum(
+                _assemble("spherical_cap", mesh, specs, sweeps, frames), 8))
+            for mesh in (128, 256, 512)}
+    order = np.log2(np.abs(eigs[128] - eigs[256]) / np.abs(eigs[256] - eigs[512]))
+    assert np.all((order >= 1.9) & (order <= 2.1)), order
+    assert np.min(np.abs(eigs[256])) > NEG_EIG_TOL
+    assert np.min(np.abs(eigs[512])) <= NEG_EIG_TOL

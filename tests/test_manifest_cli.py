@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from zollab.cli import main, run, theorem_rows
-from zollab.engine import shoot
+from zollab.engine import first_return_map, sample_boundary, shoot
+from zollab.jacobi import assemble_index_form, index_form_spectrum, integrate_jacobi_frame
 from zollab.manifest import (
     ManifestError,
     RunManifest,
     expression_metric,
     load_manifold,
 )
-from zollab.verifier import Tolerances, certify
+from zollab.verifier import Tolerances, build_soul, certify
 
 INLINE_ELLIPSE = {
     "inline": {
@@ -141,6 +142,29 @@ class TestCLI:
         assert (tmp_path / "spectrum.csv").exists()
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["soul"]["dimension"] == 1
+
+    def test_artifacts_hold_what_a_fresh_computation_gives(self, tmp_path):
+        manifest = RunManifest(manifold={"catalog": "flat_disk", "params": {}},
+                               launches=64, analyses=("all",))
+        code, _ = run(manifest, out_dir=str(tmp_path), quiet=True)
+        assert code == 0
+        spec = load_manifold(manifest.manifold)
+        tol = Tolerances()
+        launches = sample_boundary(spec, manifest.launches, strategy=manifest.strategy,
+                                   seed=manifest.seed)
+        sweep = first_return_map(spec, launches, rtol=tol.rtol, atol=tol.atol)
+        path = sweep.ok_records[0].path
+        frame = integrate_jacobi_frame(spec, path, rtol=tol.rtol, atol=tol.atol)
+        mat = assemble_index_form(spec, path, manifest.mesh_size, frame=frame)
+        dof = mat.stiffness_band.shape[1]
+
+        rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (dof, 2)
+        assert np.array_equal(rows[:, 0], np.arange(dof))
+        assert np.all(np.diff(rows[:, 1]) >= 0.0)
+        assert np.array_equal(rows[:, 1], index_form_spectrum(mat, n_lowest=dof))
+        soul = np.loadtxt(tmp_path / "soul.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(soul, build_soul(spec, sweep, tol).points)
 
     def test_expected_refutation_exits_zero(self, tmp_path):
         assert main(["certify", "--example", "ellipse", "--out", str(tmp_path)]) == 0
