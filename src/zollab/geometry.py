@@ -215,8 +215,90 @@ class ManifoldSpec:
 
     def chart_distance(self, x, y):
         """Chart distance modulo deck identifications."""
-        y = np.asarray(y, dtype=float)
-        return min(float(np.linalg.norm(img - y)) for img in self.deck_images(x))
+        return float(QuotientCloud(self, x).nearest(y)[1][0])
+
+
+# numbers in one block of difference vectors taken by a QuotientCloud query
+_BLOCK_NUMBERS = 1 << 16
+
+
+def _norm(diff):
+    """Norms of difference vectors on the last axis, bit for bit the value of a
+    1-d ``np.linalg.norm`` call: both take one BLAS dot per vector, whose last
+    bits differ from ``np.linalg.norm(diff, axis=-1)``."""
+    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+
+
+def _axis_norm(diff):
+    return np.linalg.norm(diff, axis=-1)
+
+
+class QuotientCloud:
+    """Point cloud in the chart with the deck images of every point, taken once.
+
+    ``images[i, j]`` is the j-th entry of ``spec.deck_images(points[i])``, so
+    ``images[i, 0]`` is the point itself; shorter image lists are padded with
+    the point. The distance from cloud point i to a chart point y is the
+    smallest chart distance from an image of i to y. Queries against q chart
+    points are vectorized over blocks of cloud points, one image slot at a
+    time, so they take O(m k n + m q) memory.
+
+    ``pairwise`` and ``nearest`` reduce with ``np.linalg.norm(..., axis=-1)``,
+    ``nearest_image`` and ``hausdorff`` with 1-d norms (see ``_norm``). The
+    two differ in the last bits, and on uniform launch grids some pairs sit
+    exactly at the linking radius, so each query keeps one fixed expression.
+    """
+
+    def __init__(self, spec: ManifoldSpec, points):
+        pts = np.asarray(points, dtype=float)
+        self.points = pts.reshape(1, -1) if pts.ndim == 1 else pts
+        lists = [spec.deck_images(p) for p in self.points]
+        k = max((len(imgs) for imgs in lists), default=1)
+        self.images = np.repeat(self.points[:, None, :], k, axis=1)
+        for i, imgs in enumerate(lists):
+            self.images[i, :len(imgs)] = imgs
+
+    def __len__(self):
+        return len(self.points)
+
+    def _distances(self, queries, norm):
+        """(m, q) smallest distance from any image of each point to each query."""
+        q = np.asarray(queries, dtype=float).reshape(-1, self.points.shape[1])
+        D = np.full((len(self), len(q)), np.inf)
+        rows = max(1, _BLOCK_NUMBERS // max(q.size, 1))
+        for lo in range(0, len(self), rows):
+            block = D[lo:lo + rows]
+            for j in range(self.images.shape[1]):
+                diff = self.images[lo:lo + rows, j, None, :] - q[None, :, :]
+                np.minimum(block, norm(diff), out=block)
+        return D
+
+    def nearest_image(self, center, index=slice(None)):
+        """Image of each selected point that lies nearest to ``center``.
+
+        ``center`` is one chart point or one per selected point; a scalar
+        ``index`` gives one image, otherwise an array of them.
+        """
+        imgs = self.images[index]
+        d = _norm(imgs - np.expand_dims(np.asarray(center, dtype=float), -2))
+        j = np.argmin(d, axis=-1)
+        return np.take_along_axis(imgs, j[..., None, None], axis=-2)[..., 0, :]
+
+    def pairwise(self):
+        """Symmetric (m, m) matrix of quotient distances between cloud points."""
+        D = self._distances(self.points, _axis_norm)
+        return np.minimum(D, D.T)
+
+    def nearest(self, queries):
+        """Index of the cloud point nearest to each query point, and its distance."""
+        D = self._distances(queries, _axis_norm)
+        idx = np.argmin(D, axis=0)
+        return idx, D[idx, np.arange(D.shape[1])]
+
+    def hausdorff(self, other):
+        """Hausdorff distance between this cloud and the chart points ``other``."""
+        D = self._distances(other, _norm)
+        return max(float(D.min(axis=1).max()), float(D.min(axis=0).max()))
 
 
 # ---------------------------------------------------------------------------

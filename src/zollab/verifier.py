@@ -8,7 +8,7 @@ along the geodesic flow, and the symmetry of equidistant slices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,13 @@ from .engine import (
     first_return_map,
     sample_boundary,
 )
-from .geometry import ManifoldSpec, boundary_tangent_basis, metric_inner, metric_norm
+from .geometry import (
+    ManifoldSpec,
+    QuotientCloud,
+    boundary_tangent_basis,
+    metric_inner,
+    metric_norm,
+)
 from .jacobi import (
     arrival_degeneracy_form,
     assemble_index_form,
@@ -58,40 +64,12 @@ class Tolerances:
 
 
 # ---------------------------------------------------------------------------
-# deck-aware point-cloud helpers
-
-def _deck_images(spec, x):
-    return [np.asarray(im, dtype=float) for im in spec.deck_images(x)]
-
-
-def _pairwise_distance(spec, pts):
-    m = len(pts)
-    D = np.zeros((m, m))
-    image_sets = [np.array(_deck_images(spec, p)) for p in pts]
-    for i in range(m):
-        diffs = image_sets[i][:, None, :] - np.asarray(pts)[None, :, :]
-        D[i] = np.min(np.linalg.norm(diffs, axis=2), axis=0)
-    return np.minimum(D, D.T)
-
-
-def _nearest_image(spec, x, center):
-    imgs = _deck_images(spec, x)
-    dists = [np.linalg.norm(im - center) for im in imgs]
-    return imgs[int(np.argmin(dists))]
-
-
-def _hausdorff(spec, A, B):
-    DA = np.array([[min(np.linalg.norm(im - b) for im in _deck_images(spec, a)) for b in B]
-                   for a in A])
-    return max(float(DA.min(axis=1).max()), float(DA.min(axis=0).max()))
-
+# point-cloud clustering modulo deck maps
 
 def _cluster_points(spec, pts, radius):
     """Union-find clustering of a point cloud at the given linking radius."""
-    m = len(pts)
-    D = _pairwise_distance(spec, pts)
-    adj = csr_matrix(D <= radius)
-    _, labels = connected_components(adj, directed=False)
+    D = QuotientCloud(spec, pts).pairwise()
+    _, labels = connected_components(csr_matrix(D <= radius), directed=False)
     return labels
 
 
@@ -119,11 +97,10 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
     parametrized piece by construction (point linking alone fragments
     anisotropic launch grids).
     """
-    pts = launch_set.points
-    D = _pairwise_distance(spec, pts)
-    m = len(pts)
-    nn = np.array([np.min(D[i][np.arange(m) != i]) for i in range(m)])
-    h_link = link_factor * float(np.median(nn))
+    cloud = QuotientCloud(spec, launch_set.points)
+    D = cloud.pairwise()
+    np.fill_diagonal(D, np.inf)  # a sample is no neighbour of itself
+    h_link = link_factor * float(np.median(D.min(axis=1)))
     adj = (D <= h_link)
     same_patch = launch_set.patch_ids[:, None] == launch_set.patch_ids[None, :]
     adj = csr_matrix(adj | same_patch)
@@ -138,18 +115,15 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
     pairing = {}
     pairing_ok = True
     if arrivals is not None:
+        # each arrival goes to the component of the launch sample nearest to it;
+        # launches without a return (arrival None) are skipped
+        live = np.array([q is not None for q in arrivals], dtype=bool)
+        targets = np.zeros(len(live), dtype=int)
+        nearest, _ = cloud.nearest(np.array([q for q in arrivals if q is not None]))
+        targets[live] = labels[nearest]
         for c in range(count):
-            targets = set()
-            for i in np.flatnonzero(labels == c):
-                q = arrivals[i]
-                if q is None:
-                    continue
-                d_to = [min(np.linalg.norm(im - p) for im in _deck_images(spec, q))
-                        for p in pts]
-                targets.add(int(labels[int(np.argmin(d_to))]))
-            if len(targets) > 1:
-                pairing_ok = False
-            pairing[c] = sorted(targets)
+            pairing[c] = np.unique(targets[live & (labels == c)]).tolist()
+            pairing_ok = pairing_ok and len(pairing[c]) <= 1
     return BoundaryComponents(labels, int(count), sizes, h_link, pairing_ok,
                               pairing, diagnostics)
 
@@ -163,14 +137,12 @@ def intercomponent_distance(spec: ManifoldSpec, launch_set: LaunchSet,
     measures the distance between the components independently of shooting.
     """
     pts = launch_set.points
-    idx0 = np.flatnonzero(labels == 0)
-    idx1 = np.flatnonzero(labels == 1)
+    far_side = QuotientCloud(spec, pts[labels == 1]).images
     nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
     best = np.inf
-    for i in idx0:
-        for j in idx1:
-            for b in _deck_images(spec, pts[j]):
-                a = pts[i]
+    for a in pts[labels == 0]:
+        for images in far_side:
+            for b in images:
                 seg = b - a
                 if not spec.in_domain(a + 0.5 * seg, margin=1e-9):
                     continue
@@ -226,13 +198,14 @@ def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances,
         if len(reps) < k_neighbors + 1:
             raise ValueError(
                 f"undersampled soul: {len(reps)} distinct midpoints < k+1 = {k_neighbors + 1}")
-        D = _pairwise_distance(spec, reps)
+        cloud = QuotientCloud(spec, reps)
+        D = cloud.pairwise()
         floor = tol.pca_floor_rel * L
         local_dims = []
         for i, p in enumerate(reps):
             order = np.argsort(D[i])
             neigh = [i] + [int(j) for j in order if j != i][:k_neighbors]
-            coords = np.array([_nearest_image(spec, reps[j], p) for j in neigh])
+            coords = cloud.nearest_image(p, neigh)
             dim, s = _local_pca(coords, tol.pca_rel, floor)
             local_dims.append(dim)
             spectra.append(s)
@@ -265,21 +238,17 @@ def nearest_boundary_distance(spec: ManifoldSpec, sweep: SweepResult, x,
     L = float(np.mean([r.return_time for r in recs]) / 2.0)
     pass_tol = tol.passage_rel * L
     best = None
-    images = _deck_images(spec, x)
-    for r in recs:
+    cloud = QuotientCloud(spec, x)
+    _, dist = cloud.nearest(np.concatenate([r.path.points for r in recs]))
+    ends = np.cumsum([len(r.path.points) for r in recs])
+    for r, d in zip(recs, np.split(dist, ends[:-1])):
         path = r.path
-        coarse = np.inf
-        t_coarse = None
-        img_best = None
-        for img in images:
-            d = np.linalg.norm(path.points - img, axis=1)
-            j = int(np.argmin(d))
-            if d[j] < coarse:
-                coarse = d[j]
-                t_coarse = path.times[j]
-                img_best = img
+        j = int(np.argmin(d))
+        coarse = d[j]
         if coarse > 20.0 * pass_tol and coarse > 0.05 * L:
             continue
+        t_coarse = path.times[j]
+        img_best = cloud.nearest_image(path.points[j], 0)
         lo = max(0.0, t_coarse - 0.1 * L)
         hi = min(r.return_time, t_coarse + 0.1 * L)
         res = minimize_scalar(
@@ -289,28 +258,6 @@ def nearest_boundary_distance(spec: ManifoldSpec, sweep: SweepResult, x,
             t_star = float(res.x)
             cand = min(t_star, r.return_time - t_star)
             best = cand if best is None else min(best, cand)
-    return best
-
-
-def min_geodesic_separation(spec: ManifoldSpec, sweep: SweepResult, stride=4):
-    """Smallest chart distance between dense samples of distinct geodesics.
-
-    Strictly positive separation witnesses that the swept geodesics are
-    pairwise disjoint (expected exactly when the index is zero).
-    """
-    recs = sweep.ok_records
-    clouds = [r.path.points[::stride] for r in recs]
-    transforms = [lambda P: P]
-    for deck in spec.deck_maps:
-        transforms.append(lambda P, _d=deck: np.array([_d.apply_point(x) for x in P]))
-    best = np.inf
-    for i in range(len(clouds)):
-        for j in range(i + 1, len(clouds)):
-            A = clouds[i]
-            for tf in transforms:
-                B = tf(clouds[j])
-                d = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2).min()
-                best = min(best, float(d))
     return best
 
 
@@ -357,17 +304,15 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
         bad = [s for s in sizes if s != 2]
         if bad:
             diagnostics.append(f"cluster sizes {sorted(set(bad))} differ from 2 with index 0")
-        partner_residual = 0.0
-        for c in range(n_clusters):
-            members = np.flatnonzero(labels == c)
-            if len(members) != 2:
-                continue
-            i, j = members
-            d_ij = min(np.linalg.norm(im - recs[j].launch)
-                       for im in _deck_images(spec, recs[i].arrival))
-            d_ji = min(np.linalg.norm(im - recs[i].launch)
-                       for im in _deck_images(spec, recs[j].arrival))
-            partner_residual = max(partner_residual, d_ij, d_ji)
+        # each member of a two-point cluster returns to the launch of the other
+        pairs = [m for m in (np.flatnonzero(labels == c) for c in range(n_clusters))
+                 if len(m) == 2]
+        src = np.array([i for pair in pairs for i in pair], dtype=int)
+        dst = np.array([j for pair in pairs for j in pair[::-1]], dtype=int)
+        launches = np.array([r.launch for r in recs])[dst]
+        images = QuotientCloud(spec, [r.arrival for r in recs]).nearest_image(launches, src)
+        partner_residual = max((float(np.linalg.norm(y - p)) for y, p in zip(images, launches)),
+                               default=0.0)
         nontrivial, used_walk = _covering_nontrivial(spec, sweep, labels, components)
         return FiberSummary("two-fold-cover", sizes, partner_residual, nontrivial,
                             used_walk, None, int(n_clusters), diagnostics)
@@ -382,15 +327,14 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
             continue
         pts = np.array([recs[i].launch for i in members])
         kf = min(max(index + 2, len(members) // 8), 12, len(members) - 1)
-        D = _pairwise_distance(spec, pts)
+        cloud = QuotientCloud(spec, pts)
+        D = cloud.pairwise()
         cluster_dims = []
         for a, p in enumerate(pts):
             order = np.argsort(D[a])
             neigh = [a] + [int(b) for b in order if b != a][:kf]
-            basis = boundary_tangent_basis(spec, p)
-            g = spec.metric.matrix(p)
-            coords = np.array([
-                basis @ g @ (_nearest_image(spec, pts[b], p) - p) for b in neigh])
+            to_tangent = boundary_tangent_basis(spec, p) @ spec.metric.matrix(p)
+            coords = np.array([to_tangent @ (y - p) for y in cloud.nearest_image(p, neigh)])
             cluster_dims.append(_local_pca(coords, tol.pca_rel, floor)[0])
         dims.append(int(round(float(np.median(cluster_dims)))))
     fiber_dim = int(round(float(np.median(dims)))) if dims else None
@@ -480,17 +424,14 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
         n_launch += len(recs)
         L = float(np.mean([r.return_time for r in recs]) / 2.0)
         periodic = getattr(patch, "periodic", None) or (True,) * patch.param_dim
-        grid = np.array([r.index for r in recs]).reshape(shape)
-        # map flattened index -> record
-        rec_of = {r.index: r for r in recs}
+        # records come in the C order of the launch grid
         for t_frac in t_fracs:
             t = t_frac * L
             t_used.append(t)
-            it = np.ndindex(*shape)
-            for idx in it:
-                r = rec_of[int(grid[idx])]
-                x = r.path.position_at(t)
-                v = r.path.velocity_at(t)
+            slice_t = QuotientCloud(spec, [r.path.position_at(t) for r in recs])
+            for flat, idx in enumerate(np.ndindex(*shape)):
+                x = slice_t.points[flat]
+                v = recs[flat].path.velocity_at(t)
                 g = spec.metric.matrix(x)
                 unit_res = max(unit_res, abs(metric_inner(g, v, v) - 1.0))
                 for axis in range(len(shape)):
@@ -503,10 +444,8 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
                         im[axis] %= shape[axis]
                     elif ip[axis] >= shape[axis] or im[axis] < 0:
                         continue
-                    rp = rec_of[int(grid[tuple(ip)])]
-                    rm = rec_of[int(grid[tuple(im)])]
-                    yp = _nearest_image(spec, rp.path.position_at(t), x)
-                    ym = _nearest_image(spec, rm.path.position_at(t), x)
+                    yp = slice_t.nearest_image(x, np.ravel_multi_index(ip, shape))
+                    ym = slice_t.nearest_image(x, np.ravel_multi_index(im, shape))
                     dvec = 0.5 * (yp - ym)
                     norm = metric_norm(g, dvec)
                     if norm < 1e-14:
@@ -530,12 +469,9 @@ def slice_circumference(spec: ManifoldSpec, t, n_side=64, tol: Optional[Toleranc
     recs = sweep.ok_records
     du = 1.0 / n_side
     total = 0.0
-    for i, r in enumerate(recs):
-        x = r.path.position_at(t)
-        rp = recs[(i + 1) % n_side]
-        rm = recs[(i - 1) % n_side]
-        yp = _nearest_image(spec, rp.path.position_at(t), x)
-        ym = _nearest_image(spec, rm.path.position_at(t), x)
+    slice_t = QuotientCloud(spec, [r.path.position_at(t) for r in recs])
+    for i, x in enumerate(slice_t.points):
+        yp, ym = slice_t.nearest_image(x, [(i + 1) % n_side, (i - 1) % n_side])
         dvec = (yp - ym) / (2.0 * du)
         total += metric_norm(spec.metric.matrix(x), dvec) * du
     return float(total)
@@ -563,7 +499,7 @@ def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
         raise ValueError("slice parameter must lie in (0, L]")
     A = np.array([r.path.position_at(t) for r in recs])
     B = np.array([r.path.position_at(r.return_time - t) for r in recs])
-    hausdorff = _hausdorff(spec, A, B)
+    hausdorff = QuotientCloud(spec, A).hausdorff(B)
 
     worst = 0.0
     for i in np.linspace(0, len(recs) - 1, min(6, len(recs))).astype(int):
@@ -611,42 +547,15 @@ class ZollReport:
     tolerances: dict
     # intermediates kept for the artifacts, not part of report.json: the full
     # index-form spectrum of the first returned geodesic and the soul cloud
-    index_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    soul_cloud: Optional[SoulCloud] = field(default=None, repr=False, compare=False)
+    index_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False,
+                                                 metadata={"artifact": True})
+    soul_cloud: Optional[SoulCloud] = field(default=None, repr=False, compare=False,
+                                            metadata={"artifact": True})
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "n_launches": self.n_launches,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "half_length": self.half_length,
-            "length_mean": self.length_mean,
-            "length_spread_rel": self.length_spread_rel,
-            "orthogonality_max": self.orthogonality_max,
-            "grazing_count": self.grazing_count,
-            "component_count": self.component_count,
-            "component_sizes": self.component_sizes,
-            "component_pairing_ok": self.component_pairing_ok,
-            "intercomponent_distance": self.intercomponent_distance,
-            "index_focal": self.index_focal,
-            "index_quadratic": self.index_quadratic,
-            "index_agreement": self.index_agreement,
-            "nullity_estimate": self.nullity_estimate,
-            "endpoint_focal_warnings": self.endpoint_focal_warnings,
-            "arrival_form_norm": self.arrival_form_norm,
-            "focal_midpoint_residual": self.focal_midpoint_residual,
-            "focal_multiplicities": self.focal_multiplicities,
-            "soul": self.soul,
-            "fibers": self.fibers,
-            "splitting": self.splitting,
-            "slices": self.slices,
-            "ground_truth": self.ground_truth,
-            "diagnostics": self.diagnostics,
-            "tolerances": self.tolerances,
-        }
+        """report.json content: every field in declaration order but the artifacts."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if not f.metadata.get("artifact")}
 
 
 def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] = None,

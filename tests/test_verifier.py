@@ -3,6 +3,7 @@ import pytest
 
 from zollab.catalog import make_example
 from zollab.engine import first_return_map, sample_boundary
+from zollab.geometry import QuotientCloud
 from zollab.verifier import (
     Tolerances,
     boundary_components,
@@ -74,6 +75,36 @@ class TestBoundaryComponents:
         arrivals = [r.arrival for r in sweep.records]
         comp = boundary_components(specs["flat_band"], sweep.launch_set, arrivals)
         assert comp.pairing == {0: [1], 1: [0]}
+
+    def test_arrival_in_its_own_component_breaks_pairing(self, specs, sweeps):
+        sweep = sweeps["flat_band"]
+        arrivals = [r.arrival for r in sweep.records]
+        own = boundary_components(specs["flat_band"], sweep.launch_set).labels
+        i = 5
+        same = int(np.flatnonzero((own == own[i]) & (np.arange(len(own)) != i))[0])
+        arrivals[i] = sweep.launch_set.points[same].copy()
+        comp = boundary_components(specs["flat_band"], sweep.launch_set, arrivals)
+        assert comp.pairing_ok is False
+        assert comp.pairing[int(own[i])] == [0, 1]
+        assert comp.pairing[int(1 - own[i])] == [int(own[i])]
+
+    def test_launches_without_arrival_are_skipped(self, specs, sweeps):
+        sweep = sweeps["flat_band"]
+        arrivals = [r.arrival for r in sweep.records]
+        labels = boundary_components(specs["flat_band"], sweep.launch_set).labels
+        for i in np.flatnonzero(labels == 0)[::2]:
+            arrivals[i] = None
+        comp = boundary_components(specs["flat_band"], sweep.launch_set, arrivals)
+        assert comp.pairing_ok is True
+        assert comp.pairing == {0: [1], 1: [0]}
+        # a component none of whose launches returned pairs with nothing
+        arrivals = [None if labels[i] == 1 else q for i, q in enumerate(arrivals)]
+        comp = boundary_components(specs["flat_band"], sweep.launch_set, arrivals)
+        assert comp.pairing_ok is True
+        assert comp.pairing == {0: [1], 1: []}
+        comp = boundary_components(specs["flat_band"], sweep.launch_set, [None] * len(labels))
+        assert comp.pairing_ok is True
+        assert comp.pairing == {0: [], 1: []}
 
     def test_intercomponent_distance_spherical(self, specs, sweeps):
         sweep = sweeps["spherical_band"]
@@ -221,15 +252,27 @@ class TestReportStructure:
         assert list(doc)[:4] == ["name", "verdict", "reason", "n_launches"]
 
 
+def min_geodesic_separation(spec, sweep, stride=4):
+    """Smallest quotient distance between dense samples of distinct geodesics.
+
+    Strictly positive separation witnesses that the swept geodesics are
+    pairwise disjoint (expected exactly when the index is zero).
+    """
+    clouds = [r.path.points[::stride] for r in sweep.ok_records]
+    best = np.inf
+    for j in range(1, len(clouds)):
+        _, dist = QuotientCloud(spec, clouds[j]).nearest(np.concatenate(clouds[:j]))
+        best = min(best, float(dist.min()))
+    return best
+
+
 class TestGeodesicDisjointness:
     def test_index_zero_examples_have_disjoint_geodesics(self, specs, sweeps):
-        from zollab.verifier import min_geodesic_separation
         for key in ["flat_moebius", "flat_band", "spherical_band"]:
             sep = min_geodesic_separation(specs[key], sweeps[key])
             assert sep > 1e-3, (key, sep)
 
     def test_disk_geodesics_meet_at_the_center(self, specs, sweeps):
-        from zollab.verifier import min_geodesic_separation
         sep = min_geodesic_separation(specs["flat_disk"], sweeps["flat_disk"], stride=1)
         assert sep < 1e-6
 
