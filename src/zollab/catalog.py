@@ -33,7 +33,10 @@ class ExampleParameterError(ValueError):
 def euclidean_metric(n):
     eye = np.eye(n)
     zeros = np.zeros((n, n, n))
-    return MetricField(n, lambda x: eye, lambda x: zeros, name="euclidean")
+    jet = np.concatenate((eye[None], zeros))
+    jet.flags.writeable = False
+    return MetricField(n, lambda x: eye, lambda x: zeros, name="euclidean",
+                       jet_fn=lambda x: jet)
 
 
 def stereographic_sphere_metric(n):
@@ -51,7 +54,14 @@ def stereographic_sphere_metric(n):
             dg[l] = (-2.0 * lam ** 3 * x[l]) * eye
         return dg
 
-    return MetricField(n, matrix, derivative, name="stereographic-sphere")
+    def jet(x):
+        lam = 2.0 / (1.0 + float(x @ x))
+        out = np.empty((n + 1, n, n))
+        out[0] = lam * lam * eye
+        np.multiply((-2.0 * lam ** 3 * x)[:, None, None], eye, out=out[1:])
+        return out
+
+    return MetricField(n, matrix, derivative, name="stereographic-sphere", jet_fn=jet)
 
 
 def latitude_band_metric():
@@ -65,7 +75,14 @@ def latitude_band_metric():
         dg[0, 1, 1] = -np.sin(2.0 * x[0])
         return dg
 
-    return MetricField(2, matrix, derivative, name="latitude-band")
+    def jet(x):
+        out = np.zeros((3, 2, 2))
+        out[0, 0, 0] = 1.0
+        out[0, 1, 1] = np.cos(x[0]) ** 2
+        out[1, 1, 1] = -np.sin(2.0 * x[0])
+        return out
+
+    return MetricField(2, matrix, derivative, name="latitude-band", jet_fn=jet)
 
 
 def ball_boundary(n, radius):
@@ -444,7 +461,13 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
         dg[:_n, :_n, :_n] = dbase
         return dg
 
-    metric = MetricField(m, matrix, derivative, name=f"{base.metric.name}+dt^2")
+    def jet(x, _bm=base_metric, _n=n):
+        out = np.zeros((_n + 2, _n + 1, _n + 1))
+        out[0, _n, _n] = 1.0
+        out[:_n + 1, :_n, :_n] = _bm.jet(x[:_n])
+        return out
+
+    metric = MetricField(m, matrix, derivative, name=f"{base.metric.name}+dt^2", jet_fn=jet)
 
     base_boundary = base.boundary
     boundary = BoundaryChart(

@@ -20,7 +20,14 @@ import sys
 import numpy as np
 
 from .catalog import CATALOG, catalog_names, example_manifest
-from .engine import first_return_map, sample_boundary, sweep_to_json
+from .engine import (
+    first_return_map,
+    launch_count,
+    nearest_exact_launch_counts,
+    sample_boundary,
+    sweep_to_csv,
+    sweep_to_json,
+)
 from .manifest import ManifestError, RunManifest, load_manifold
 from .verifier import ALL_ANALYSES, Tolerances, certify
 
@@ -31,6 +38,7 @@ from .verifier import build_soul  # noqa: F401
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+MIN_LAUNCHES = 32
 
 
 def _tolerances_from(manifest: RunManifest, args=None):
@@ -47,20 +55,40 @@ def _tolerances_from(manifest: RunManifest, args=None):
     return tol
 
 
+def _load_spec(manifest: RunManifest):
+    """The manifest's manifold, or None after printing why it cannot be built."""
+    try:
+        return load_manifold(manifest.manifold)
+    except (KeyError, ManifestError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def run(manifest: RunManifest, analyses=None, out_dir=None, tol: Tolerances = None,
         quiet=False):
     """Execute one manifest; writes report.json and CSV artifacts.
 
     Returns (exit_code, report).
     """
-    try:
-        spec = load_manifold(manifest.manifold)
-    except (KeyError, ManifestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    spec = _load_spec(manifest)
+    if spec is None:
         return USAGE_ERROR, None
-    if manifest.launches < 32:
-        print("error: N below certification minimum (need at least 32 launches)",
+    return _run_spec(spec, manifest, analyses, out_dir, tol, quiet)
+
+
+def _run_spec(spec, manifest: RunManifest, analyses, out_dir, tol, quiet):
+    if manifest.launches < MIN_LAUNCHES:
+        print(f"error: N below certification minimum (need at least {MIN_LAUNCHES} launches)",
               file=sys.stderr)
+        return USAGE_ERROR, None
+    got = launch_count(spec, manifest.launches, manifest.strategy)
+    if got != manifest.launches:
+        near = [c for c in nearest_exact_launch_counts(spec, manifest.launches,
+                                                       manifest.strategy)
+                if c is not None and c >= MIN_LAUNCHES]
+        print(f"error: {manifest.strategy} sampling of {spec.name} gives {got} launches "
+              f"when asked for {manifest.launches}; nearest counts it gives exactly: "
+              + (", ".join(map(str, near)) or "none"), file=sys.stderr)
         return USAGE_ERROR, None
     tol = tol or _tolerances_from(manifest)
     analyses = tuple(analyses or manifest.analyses)
@@ -82,13 +110,7 @@ def run(manifest: RunManifest, analyses=None, out_dir=None, tol: Tolerances = No
             json.dump(report.to_dict(), f, indent=2)
             f.write("\n")
         with open(os.path.join(out, "geodesics.csv"), "w", encoding="utf-8", newline="") as f:
-            f.write("launch," + ",".join(
-                ["t"] + [f"x{i + 1}" for i in range(spec.dimension)]
-                + [f"v{i + 1}" for i in range(spec.dimension)]) + "\n")
-            for r in sweep.ok_records:
-                for t, x, v in zip(r.path.times, r.path.points, r.path.velocities):
-                    f.write(f"{r.index}," + ",".join(
-                        f"{c:.17g}" for c in [t, *x, *v]) + "\n")
+            sweep_to_csv(sweep, f)
         with open(os.path.join(out, "sweep.json"), "w", encoding="utf-8") as f:
             json.dump(sweep_to_json(sweep), f, indent=2)
             f.write("\n")
@@ -238,9 +260,11 @@ def theorem_matrix(manifests, out_dir=None, quiet=False):
         return USAGE_ERROR, []
     all_rows = []
     for m in manifests:
-        spec = load_manifold(m.manifold)
+        spec = _load_spec(m)
+        if spec is None:
+            return USAGE_ERROR, []
         tol = _tolerances_from(m)
-        code, report = run(m, analyses=("all",), out_dir="", tol=tol, quiet=True)
+        code, report = _run_spec(spec, m, ("all",), "", tol, True)
         if report is None:
             return USAGE_ERROR, []
         rows = theorem_rows(report, spec, tol)

@@ -64,11 +64,14 @@ def geodesic_rhs(spec: ManifoldSpec):
     n = spec.dimension
 
     def rhs(t, y):
-        x = y[:n]
         v = y[n:2 * n]
-        gamma = christoffel_raw(metric, x)
-        acc = -np.einsum("kij,i,j->k", gamma, v, v)
-        return np.concatenate([v, acc])
+        # the module-level name is looked up on every call, so rebinding
+        # christoffel_raw (as a call counter does) reaches this closure
+        gamma = christoffel_raw(metric, y[:n])
+        out = np.empty(2 * n)
+        out[:n] = v
+        np.negative(np.einsum("kij,i,j->k", gamma, v, v), out=out[n:])
+        return out
 
     return rhs
 
@@ -331,30 +334,76 @@ class LaunchSet:
     count: int
 
 
+def _grid_sides(m, d):
+    """Sides of the grid ``_uniform_grid`` lays on a patch of dimension d >= 2
+    when asked for m points; their product need not be m."""
+    sides = [max(1, int(round(m ** (1.0 / d))))] * d
+    # adjust the last side so the product lands near m
+    prod = int(np.prod(sides[:-1]))
+    sides[-1] = max(1, m // prod)
+    return sides
+
+
 def _uniform_grid(m, d):
     if d == 0:
         return np.zeros((1, 0))
     if d == 1:
         return ((np.arange(m) + 0.5) / m).reshape(-1, 1)
-    sides = [max(1, int(round(m ** (1.0 / d))))] * d
-    # adjust the last side so the product lands near m
-    prod = int(np.prod(sides[:-1]))
-    sides[-1] = max(1, m // prod)
-    axes = [(np.arange(s) + 0.5) / s for s in sides]
+    axes = [(np.arange(s) + 0.5) / s for s in _grid_sides(m, d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([a.ravel() for a in mesh], axis=1)
 
 
-def sample_boundary(spec: ManifoldSpec, count, strategy="uniform", seed=0):
-    """Sample launch points across the boundary patches of the spec."""
-    if not spec.boundary_patches:
-        raise ValueError(f"{spec.name!r} has no boundary sampler")
+def _patch_shares(spec: ManifoldSpec, count):
+    """Launches asked of each boundary patch: ``count`` split as evenly as possible."""
     n_patches = len(spec.boundary_patches)
+    if n_patches == 0:
+        return []
     per = [count // n_patches] * n_patches
     for i in range(count - sum(per)):
         per[i] += 1
+    return per
+
+
+def launch_count(spec: ManifoldSpec, count, strategy="uniform"):
+    """Number of launches ``sample_boundary`` gives when asked for ``count``.
+
+    It differs from ``count`` where a uniform grid cannot hold a patch's share
+    exactly (patches of dimension >= 2) and where a patch is a single point.
+    """
+    total = 0
+    for patch, m in zip(spec.boundary_patches, _patch_shares(spec, count)):
+        if m == 0:
+            continue
+        if patch.param_dim == 0:
+            total += 1
+        elif strategy == "uniform" and patch.param_dim >= 2:
+            total += int(np.prod(_grid_sides(m, patch.param_dim)))
+        else:
+            total += m
+    return total
+
+
+def nearest_exact_launch_counts(spec: ManifoldSpec, count, strategy="uniform"):
+    """Nearest counts below and above ``count`` that ``sample_boundary`` gives
+    exactly, each None where there is none (above: up to twice ``count``)."""
+    below = next((c for c in range(count - 1, 0, -1)
+                  if launch_count(spec, c, strategy) == c), None)
+    above = next((c for c in range(count + 1, 2 * count + 2)
+                  if launch_count(spec, c, strategy) == c), None)
+    return below, above
+
+
+def sample_boundary(spec: ManifoldSpec, count, strategy="uniform", seed=0):
+    """Sample launch points across the boundary patches of the spec.
+
+    The launch set can hold fewer (or more) points than ``count``; see
+    ``launch_count``.
+    """
+    if not spec.boundary_patches:
+        raise ValueError(f"{spec.name!r} has no boundary sampler")
     pts, ids, params = [], [], []
-    for pid, (patch, m) in enumerate(zip(spec.boundary_patches, per)):
+    for pid, (patch, m) in enumerate(zip(spec.boundary_patches, _patch_shares(spec, count))):
         if m == 0:
             continue
         if patch.param_dim == 0:
@@ -458,6 +507,16 @@ def path_to_csv(path: GeodesicPath, stream):
     writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)])
     for t, x, v in zip(path.times, path.points, path.velocities):
         writer.writerow([f"{t:.17g}"] + [f"{c:.17g}" for c in x] + [f"{c:.17g}" for c in v])
+
+
+def sweep_to_csv(sweep: SweepResult, stream):
+    """Every returned path of the sweep as ``launch,t,x1..,v1..`` rows."""
+    n = sweep.spec.dimension
+    stream.write("launch," + ",".join(
+        ["t"] + [f"x{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)]) + "\n")
+    for r in sweep.ok_records:
+        for t, x, v in zip(r.path.times, r.path.points, r.path.velocities):
+            stream.write(f"{r.index}," + ",".join(f"{c:.17g}" for c in [t, *x, *v]) + "\n")
 
 
 def path_to_polyline(path: GeodesicPath):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 BOUNDARY_EPS = 1e-12
 
@@ -47,12 +48,18 @@ class MetricField:
     derivative_fn : callable, optional
         Maps a chart point to the array d[l, i, j] = d g_ij / d x^l.  When
         absent, central finite differences of ``matrix_fn`` are used.
+    jet_fn : callable, optional
+        Maps a chart point to the (n + 1, n, n) stack ``[g, d_0 g, ...]``,
+        already symmetric and bit-equal to what ``matrix`` and ``derivative``
+        return; ``jet`` hands it out as is.  When absent, ``jet`` stacks
+        ``matrix`` and ``derivative``.
     """
 
-    def __init__(self, dimension, matrix_fn, derivative_fn=None, name=""):
+    def __init__(self, dimension, matrix_fn, derivative_fn=None, name="", jet_fn=None):
         self.dimension = int(dimension)
         self._matrix_fn = matrix_fn
         self._derivative_fn = derivative_fn
+        self._jet_fn = jet_fn
         self.name = name
         self.provenance = "analytic" if derivative_fn is not None else "finite-difference"
 
@@ -75,6 +82,12 @@ class MetricField:
                 xm[l] -= h[l]
                 dg[l] = (self.matrix(xp) - self.matrix(xm)) / (2.0 * h[l])
         return 0.5 * (dg + np.swapaxes(dg, 1, 2))
+
+    def jet(self, x):
+        """The (n + 1, n, n) stack ``[g, d_0 g, ..., d_{n-1} g]`` at a chart point."""
+        if self._jet_fn is not None:
+            return self._jet_fn(np.asarray(x, dtype=float))
+        return np.concatenate((self.matrix(x)[None], self.derivative(x)))
 
 
 class BoundaryChart:
@@ -328,15 +341,28 @@ def gram_schmidt(g_matrix, vectors):
 # ---------------------------------------------------------------------------
 # core differential-geometry operations
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` for float (n, n) and (n, k) arrays: the same
+    LAPACK gufunc under the same floating-point error state, without the
+    wrapper's type and shape checks.  A singular ``a`` raises ``LinAlgError``."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
 def christoffel_raw(metric: MetricField, x):
     """Christoffel symbols Gamma[k, i, j] without domain validation."""
-    g = metric.matrix(x)
-    dg = metric.derivative(x)  # dg[l, i, j] = d_l g_ij
+    jet = metric.jet(x)
+    dg = jet[1:]  # dg[l, i, j] = d_l g_ij
     n = metric.dimension
     # A[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, symmetric in (i, j)
     A = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
     try:
-        gamma = 0.5 * np.linalg.solve(g, A.reshape(n, n * n)).reshape(n, n, n)
+        gamma = 0.5 * _solve(jet[0], A.reshape(n, n * n)).reshape(n, n, n)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(f"degenerate metric at {np.asarray(x)}") from exc
     return gamma

@@ -10,11 +10,14 @@ from zollab.engine import (
     arrival_orthogonality,
     boundary_involution,
     first_return_map,
+    launch_count,
+    nearest_exact_launch_counts,
     path_to_csv,
     path_to_polyline,
     project_to_boundary,
     sample_boundary,
     shoot,
+    sweep_to_csv,
     sweep_to_json,
 )
 from zollab.geometry import BoundaryChart, ManifoldSpec, MetricField, BoundaryPatch
@@ -283,6 +286,25 @@ class TestLaunchSets:
         with pytest.raises(ValueError, match="strategy"):
             sample_boundary(specs["flat_disk"], 32, strategy="bogus")
 
+    def test_launch_count_is_what_sample_boundary_gives(self, specs):
+        ball1 = make_example("euclidean_ball", n=1)
+        for spec in (specs["euclidean_ball3"], specs["solid_torus"], specs["flat_band"],
+                     make_example("index_ladder", n=4, k=1), ball1):
+            for count in range(1, 140, 3):
+                for strategy in ("uniform", "low-discrepancy"):
+                    got = sample_boundary(spec, count, strategy=strategy).count
+                    assert launch_count(spec, count, strategy) == got
+
+    def test_uniform_grid_shrinks_on_two_parameter_patches(self, specs):
+        ball = specs["euclidean_ball3"]
+        for asked, got, near in ((32, 30, (30, 36)), (48, 42, (42, 49)),
+                                 (130, 121, (121, 132))):
+            assert launch_count(ball, asked) == got
+            assert nearest_exact_launch_counts(ball, asked) == near
+            assert launch_count(ball, asked, "low-discrepancy") == asked
+        # a pair of point patches gives two launches whatever is asked
+        assert nearest_exact_launch_counts(make_example("euclidean_ball", n=1), 40) == (2, None)
+
     def test_newton_projection(self, specs):
         disk = specs["flat_disk"]
         p = project_to_boundary(disk, np.array([1.0 + 3e-9, 1e-9]))
@@ -300,6 +322,19 @@ class TestExports:
         poly = path_to_polyline(path)
         assert poly["return_time"] == pytest.approx(2.0, abs=1e-9)
         assert len(poly["points"]) == len(path.times)
+
+    def test_sweep_csv_header_and_rows(self, sweeps):
+        sweep = sweeps["euclidean_ball3"]
+        buf = io.StringIO()
+        sweep_to_csv(sweep, buf)
+        lines = buf.getvalue().split("\n")
+        assert lines[0] == "launch,t,x1,x2,x3,v1,v2,v3"
+        assert lines[-1] == ""
+        rows = lines[1:-1]
+        assert len(rows) == sum(len(r.path.times) for r in sweep.ok_records)
+        first = sweep.ok_records[0]
+        assert rows[0].split(",")[0] == str(first.index)
+        assert float(rows[0].split(",")[1]) == first.path.times[0]
 
     def test_sweep_json_roundtrip(self, sweeps):
         doc = sweep_to_json(sweeps["flat_band"])

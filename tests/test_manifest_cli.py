@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from zollab.cli import main, run, theorem_rows
+import zollab.cli
+from zollab.cli import main, run, theorem_matrix, theorem_rows
 from zollab.engine import first_return_map, sample_boundary, shoot
 from zollab.jacobi import assemble_index_form, index_form_spectrum, integrate_jacobi_frame
 from zollab.manifest import (
@@ -183,6 +184,23 @@ class TestCLI:
     def test_low_launch_count_usage_error(self):
         assert main(["certify", "--example", "flat_disk", "--launches", "8"]) == 2
 
+    def test_inexact_launch_count_usage_error(self, capsys):
+        # a uniform grid on the 3-ball's sphere holds 30 of 32 launches
+        manifest = RunManifest(manifold={"catalog": "euclidean_ball", "params": {"n": 3}},
+                               launches=32)
+        code, report = run(manifest, out_dir="", quiet=True)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "gives 30 launches when asked for 32" in err
+        assert "nearest counts it gives exactly: 36" in err
+        assert main(["certify", "--example", "euclidean_ball", "--launches", "130"]) == 2
+        assert "121, 132" in capsys.readouterr().err
+        # an inline chart without boundary patches has no launches to give
+        doc = json.loads(json.dumps(INLINE_ELLIPSE))
+        del doc["inline"]["boundary_patches"]
+        assert run(RunManifest(manifold=doc), out_dir="", quiet=True) == (2, None)
+        assert "gives 0 launches when asked for 64" in capsys.readouterr().err
+
     def test_unknown_example_usage_error(self):
         assert main(["certify", "--example", "wormhole"]) == 2
 
@@ -192,6 +210,20 @@ class TestCLI:
 
     def test_empty_matrix_usage_error(self):
         assert main(["matrix"]) == 2
+
+    def test_matrix_unknown_catalog_usage_error(self, capsys):
+        manifests = [RunManifest(manifold={"catalog": "wormhole", "params": {}})]
+        assert theorem_matrix(manifests, quiet=True) == (2, [])
+        assert "wormhole" in capsys.readouterr().err
+
+    def test_matrix_builds_each_manifold_once(self, monkeypatch):
+        calls = []
+        load = zollab.cli.load_manifold
+        monkeypatch.setattr(zollab.cli, "load_manifold", lambda doc: calls.append(doc) or load(doc))
+        manifests = [RunManifest(manifold={"catalog": "flat_disk", "params": {}}, launches=32,
+                                 analyses=("certify",))]
+        _, rows = theorem_matrix(manifests, quiet=True)
+        assert rows and len(calls) == 1
 
     def test_matrix_rows_and_exit(self, tmp_path):
         manifest = {"manifold": {"catalog": "flat_moebius", "params": {}},
