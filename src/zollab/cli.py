@@ -29,7 +29,7 @@ from .engine import (
     sweep_to_json,
 )
 from .manifest import ManifestError, RunManifest, load_manifold
-from .verifier import ALL_ANALYSES, Tolerances, certify
+from .verifier import ALL_ANALYSES, MIN_LAUNCHES, Tolerances, certify
 
 # Not called here: bench/spans.py looks these names up on this module to time
 # any recomputation the CLI does after certify (it does none).
@@ -38,7 +38,6 @@ from .verifier import build_soul  # noqa: F401
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-MIN_LAUNCHES = 32
 
 
 def _tolerances_from(manifest: RunManifest, args=None):

@@ -39,6 +39,7 @@ from .jacobi import (
 )
 
 ALL_ANALYSES = ("certify", "jacobi", "soul", "fibers", "splitting", "slices")
+MIN_LAUNCHES = 32
 
 
 @dataclass
@@ -562,8 +563,8 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
             seed=0, strategy="uniform", analyses=("certify",), mesh_size=256,
             n_index_spots=6, sweep: Optional[SweepResult] = None) -> ZollReport:
     """Run the certification sweep and the requested structure analyses."""
-    if n_launches < 32:
-        raise ValueError("N below certification minimum (need at least 32 launches)")
+    if n_launches < MIN_LAUNCHES:
+        raise ValueError(f"N below certification minimum (need at least {MIN_LAUNCHES} launches)")
     tol = tolerances or Tolerances()
     if "all" in analyses:
         analyses = ALL_ANALYSES
