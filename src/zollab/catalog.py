@@ -31,28 +31,15 @@ class ExampleParameterError(ValueError):
 # metric and boundary building blocks
 
 def euclidean_metric(n):
-    eye = np.eye(n)
-    zeros = np.zeros((n, n, n))
-    jet = np.concatenate((eye[None], zeros))
+    jet = np.zeros((n + 1, n, n))
+    jet[0] = np.eye(n)
     jet.flags.writeable = False
-    return MetricField(n, lambda x: eye, lambda x: zeros, name="euclidean",
-                       jet_fn=lambda x: jet)
+    return MetricField(n, lambda x: jet, name="euclidean")
 
 
 def stereographic_sphere_metric(n):
     """Round unit sphere S^n in the stereographic chart: g = (2/(1+|u|^2))^2 I."""
     eye = np.eye(n)
-
-    def matrix(x):
-        lam = 2.0 / (1.0 + float(x @ x))
-        return lam * lam * eye
-
-    def derivative(x):
-        lam = 2.0 / (1.0 + float(x @ x))
-        dg = np.zeros((n, n, n))
-        for l in range(n):
-            dg[l] = (-2.0 * lam ** 3 * x[l]) * eye
-        return dg
 
     def jet(x):
         lam = 2.0 / (1.0 + float(x @ x))
@@ -61,19 +48,11 @@ def stereographic_sphere_metric(n):
         np.multiply((-2.0 * lam ** 3 * x)[:, None, None], eye, out=out[1:])
         return out
 
-    return MetricField(n, matrix, derivative, name="stereographic-sphere", jet_fn=jet)
+    return MetricField(n, jet, name="stereographic-sphere")
 
 
 def latitude_band_metric():
     """Unit S^2 in (latitude, longitude): g = d(lat)^2 + cos^2(lat) d(lon)^2."""
-
-    def matrix(x):
-        return np.diag([1.0, np.cos(x[0]) ** 2])
-
-    def derivative(x):
-        dg = np.zeros((2, 2, 2))
-        dg[0, 1, 1] = -np.sin(2.0 * x[0])
-        return dg
 
     def jet(x):
         out = np.zeros((3, 2, 2))
@@ -82,7 +61,7 @@ def latitude_band_metric():
         out[1, 1, 1] = -np.sin(2.0 * x[0])
         return out
 
-    return MetricField(2, matrix, derivative, name="latitude-band", jet_fn=jet)
+    return MetricField(2, jet, name="latitude-band")
 
 
 def ball_boundary(n, radius):
@@ -450,24 +429,13 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
     m = n + 1
     base_metric = base.metric
 
-    def matrix(x, _bm=base_metric, _n=n):
-        g = np.eye(_n + 1)
-        g[:_n, :_n] = _bm.matrix(x[:_n])
-        return g
-
-    def derivative(x, _bm=base_metric, _n=n):
-        dg = np.zeros((_n + 1, _n + 1, _n + 1))
-        dbase = _bm.derivative(x[:_n])
-        dg[:_n, :_n, :_n] = dbase
-        return dg
-
     def jet(x, _bm=base_metric, _n=n):
         out = np.zeros((_n + 2, _n + 1, _n + 1))
         out[0, _n, _n] = 1.0
         out[:_n + 1, :_n, :_n] = _bm.jet(x[:_n])
         return out
 
-    metric = MetricField(m, matrix, derivative, name=f"{base.metric.name}+dt^2", jet_fn=jet)
+    metric = MetricField(m, jet, name=f"{base.metric.name}+dt^2")
 
     base_boundary = base.boundary
     boundary = BoundaryChart(

@@ -16,20 +16,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .catalog import CATALOG, catalog_names, example_manifest
-from .engine import (
-    first_return_map,
-    launch_count,
-    nearest_exact_launch_counts,
-    sample_boundary,
-    sweep_to_csv,
-    sweep_to_json,
-)
+from .catalog import CATALOG, ExampleParameterError, catalog_names, example_manifest
+from .engine import sweep_to_csv, sweep_to_json
 from .manifest import ManifestError, RunManifest, load_manifold
-from .verifier import ALL_ANALYSES, MIN_LAUNCHES, Tolerances, certify
+from .verifier import LaunchCountError, Tolerances, certify
 
 # Not called here: bench/spans.py looks these names up on this module to time
 # any recomputation the CLI does after certify (it does none).
@@ -42,8 +36,9 @@ CHECK_FAILED = 1
 
 def _tolerances_from(manifest: RunManifest, args=None):
     tol = Tolerances()
+    known = {f.name for f in fields(Tolerances)}
     for key, val in manifest.tolerances.items():
-        if not hasattr(tol, key):
+        if key not in known:
             raise ManifestError(f"unknown tolerance {key!r}")
         setattr(tol, key, float(val))
     if args is not None:
@@ -58,7 +53,7 @@ def _load_spec(manifest: RunManifest):
     """The manifest's manifold, or None after printing why it cannot be built."""
     try:
         return load_manifold(manifest.manifold)
-    except (KeyError, ManifestError) as exc:
+    except (KeyError, ManifestError, ExampleParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
 
@@ -76,30 +71,15 @@ def run(manifest: RunManifest, analyses=None, out_dir=None, tol: Tolerances = No
 
 
 def _run_spec(spec, manifest: RunManifest, analyses, out_dir, tol, quiet):
-    if manifest.launches < MIN_LAUNCHES:
-        print(f"error: N below certification minimum (need at least {MIN_LAUNCHES} launches)",
-              file=sys.stderr)
-        return USAGE_ERROR, None
-    got = launch_count(spec, manifest.launches, manifest.strategy)
-    if got != manifest.launches:
-        near = [c for c in nearest_exact_launch_counts(spec, manifest.launches,
-                                                       manifest.strategy)
-                if c is not None and c >= MIN_LAUNCHES]
-        print(f"error: {manifest.strategy} sampling of {spec.name} gives {got} launches "
-              f"when asked for {manifest.launches}; nearest counts it gives exactly: "
-              + (", ".join(map(str, near)) or "none"), file=sys.stderr)
-        return USAGE_ERROR, None
     tol = tol or _tolerances_from(manifest)
     analyses = tuple(analyses or manifest.analyses)
-    if "all" in analyses:
-        analyses = ALL_ANALYSES
-
-    launch_set = sample_boundary(spec, manifest.launches,
-                                 strategy=manifest.strategy, seed=manifest.seed)
-    sweep = first_return_map(spec, launch_set, rtol=tol.rtol, atol=tol.atol)
-    report = certify(spec, manifest.launches, tol, seed=manifest.seed,
-                     strategy=manifest.strategy, analyses=analyses,
-                     mesh_size=manifest.mesh_size, sweep=sweep)
+    try:
+        report = certify(spec, manifest.launches, tol, seed=manifest.seed,
+                         strategy=manifest.strategy, analyses=analyses,
+                         mesh_size=manifest.mesh_size)
+    except LaunchCountError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR, None
 
     # None defers to the manifest; an empty string suppresses artifacts
     out = manifest.out_dir if out_dir is None else out_dir
@@ -109,9 +89,9 @@ def _run_spec(spec, manifest: RunManifest, analyses, out_dir, tol, quiet):
             json.dump(report.to_dict(), f, indent=2)
             f.write("\n")
         with open(os.path.join(out, "geodesics.csv"), "w", encoding="utf-8", newline="") as f:
-            sweep_to_csv(sweep, f)
+            sweep_to_csv(report.sweep, f)
         with open(os.path.join(out, "sweep.json"), "w", encoding="utf-8") as f:
-            json.dump(sweep_to_json(sweep), f, indent=2)
+            json.dump(sweep_to_json(report.sweep), f, indent=2)
             f.write("\n")
         if report.soul_cloud is not None:
             with open(os.path.join(out, "soul.csv"), "w", encoding="utf-8") as f:

@@ -276,8 +276,12 @@ def project_to_boundary(spec: ManifoldSpec, p):
     return p - b * db / float(db @ db)
 
 
-def shoot(spec: ManifoldSpec, p, t_max=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Integrate the orthogonal geodesic from boundary point p to first return."""
+def shoot(spec: ManifoldSpec, p, t_max=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+          grazing_tol=GRAZING_TOL):
+    """Integrate the orthogonal geodesic from boundary point p to first return.
+
+    A tangential approach counts as grazing where b dips below ``grazing_tol``.
+    """
     p = project_to_boundary(spec, np.asarray(p, dtype=float))
     if abs(spec.boundary.value(p)) > spec.boundary.eps:
         raise ValueError(f"launch point {p} not on the boundary of {spec.name!r}")
@@ -287,7 +291,8 @@ def shoot(spec: ManifoldSpec, p, t_max=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATO
     n = spec.dimension
     y0 = np.concatenate([p, v0])
     flow = integrate_flow(spec, geodesic_rhs(spec), y0, t_max,
-                          vector_blocks=[(n, n, 1)], rtol=rtol, atol=atol)
+                          vector_blocks=[(n, n, 1)], rtol=rtol, atol=atol,
+                          grazing_tol=grazing_tol)
     if flow.status != "boundary":
         raise NoReturnError(
             f"no return (not Zoll or t_max too small): {spec.name!r} from {p}")
@@ -480,12 +485,14 @@ class SweepResult:
 
 
 def first_return_map(spec: ManifoldSpec, launch_set: LaunchSet, t_max=None,
-                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_paths=True):
+                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_paths=True,
+                     grazing_tol=GRAZING_TOL):
     """Shoot every launch point; per-launch errors are recorded, not raised."""
     records = []
     for i, (p, pid) in enumerate(zip(launch_set.points, launch_set.patch_ids)):
         try:
-            path = shoot(spec, p, t_max=t_max, rtol=rtol, atol=atol)
+            path = shoot(spec, p, t_max=t_max, rtol=rtol, atol=atol,
+                         grazing_tol=grazing_tol)
         except NoReturnError as exc:
             records.append(ShootRecord(i, int(pid), launch_set.params[i], p,
                                        None, None, None, None, False, str(exc), None))

@@ -36,58 +36,65 @@ def _fd_step(x):
     return np.maximum(1e-5, 1e-5 * np.abs(x))
 
 
+def _central_difference(f, x):
+    """Central differences ``[d_0 f, ..., d_{n-1} f]`` of ``f`` at the chart point x."""
+    h = _fd_step(x)
+    diffs = []
+    for l in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[l] += h[l]
+        xm[l] -= h[l]
+        diffs.append((f(xp) - f(xm)) / (2.0 * h[l]))
+    return np.array(diffs)
+
+
 class MetricField:
-    """Field of symmetric positive-definite matrices over a chart.
+    """Field of symmetric positive-definite matrices over a chart, given by its jet.
 
     Parameters
     ----------
     dimension : int
         Chart dimension n >= 2 (1 allowed internally for interval factors).
-    matrix_fn : callable
-        Maps a chart point (n,) to the metric matrix (n, n).
-    derivative_fn : callable, optional
-        Maps a chart point to the array d[l, i, j] = d g_ij / d x^l.  When
-        absent, central finite differences of ``matrix_fn`` are used.
-    jet_fn : callable, optional
-        Maps a chart point to the (n + 1, n, n) stack ``[g, d_0 g, ...]``,
-        already symmetric and bit-equal to what ``matrix`` and ``derivative``
-        return; ``jet`` hands it out as is.  When absent, ``jet`` stacks
-        ``matrix`` and ``derivative``.
+    jet_fn : callable
+        Maps a chart point (a float array (n,)) to the (n + 1, n, n) stack
+        ``[g, d_0 g, ..., d_{n-1} g]``, d_l g[i, j] = d g_ij / d x^l, with every
+        slice symmetric.
     """
 
-    def __init__(self, dimension, matrix_fn, derivative_fn=None, name="", jet_fn=None):
+    def __init__(self, dimension, jet_fn, name=""):
         self.dimension = int(dimension)
-        self._matrix_fn = matrix_fn
-        self._derivative_fn = derivative_fn
         self._jet_fn = jet_fn
         self.name = name
-        self.provenance = "analytic" if derivative_fn is not None else "finite-difference"
 
-    def matrix(self, x):
-        g = np.asarray(self._matrix_fn(np.asarray(x, dtype=float)), dtype=float)
-        return 0.5 * (g + g.T)
+    @classmethod
+    def from_matrix(cls, dimension, matrix, derivative=None, name=""):
+        """Metric given by its matrix function and, optionally, the function of
+        its derivative array d[l, i, j] = d g_ij / d x^l; without one, the
+        derivative is taken by central differences of the matrix.  Both are
+        symmetrized."""
+        def sym_matrix(x):
+            g = np.asarray(matrix(x), dtype=float)
+            return 0.5 * (g + g.T)
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        n = self.dimension
-        if self._derivative_fn is not None:
-            dg = np.asarray(self._derivative_fn(x), dtype=float)
-        else:
-            dg = np.empty((n, n, n))
-            h = _fd_step(x)
-            for l in range(n):
-                xp = x.copy()
-                xm = x.copy()
-                xp[l] += h[l]
-                xm[l] -= h[l]
-                dg[l] = (self.matrix(xp) - self.matrix(xm)) / (2.0 * h[l])
-        return 0.5 * (dg + np.swapaxes(dg, 1, 2))
+        def jet(x):
+            if derivative is None:
+                dg = _central_difference(sym_matrix, x)
+            else:
+                dg = np.asarray(derivative(x), dtype=float)
+            return np.concatenate((sym_matrix(x)[None], 0.5 * (dg + np.swapaxes(dg, 1, 2))))
+
+        return cls(dimension, jet, name)
 
     def jet(self, x):
         """The (n + 1, n, n) stack ``[g, d_0 g, ..., d_{n-1} g]`` at a chart point."""
-        if self._jet_fn is not None:
-            return self._jet_fn(np.asarray(x, dtype=float))
-        return np.concatenate((self.matrix(x)[None], self.derivative(x)))
+        return self._jet_fn(np.asarray(x, dtype=float))
+
+    def matrix(self, x):
+        return self.jet(x)[0]
+
+    def derivative(self, x):
+        return self.jet(x)[1:]
 
 
 class BoundaryChart:
@@ -110,15 +117,7 @@ class BoundaryChart:
         if self._hessian_fn is not None:
             h = np.asarray(self._hessian_fn(x), dtype=float)
         else:
-            n = x.size
-            h = np.empty((n, n))
-            step = _fd_step(x)
-            for l in range(n):
-                xp = x.copy()
-                xm = x.copy()
-                xp[l] += step[l]
-                xm[l] -= step[l]
-                h[l] = (self.gradient(xp) - self.gradient(xm)) / (2.0 * step[l])
+            h = _central_difference(self.gradient, x)
         return 0.5 * (h + h.T)
 
     def on_boundary(self, x):
@@ -382,16 +381,10 @@ def curvature_operator_raw(metric: MetricField, x, v):
     R(X, Y) = [nabla_X, nabla_Y] - nabla_[X, Y]."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = metric.dimension
     gamma = christoffel_raw(metric, x)
-    dgamma = np.empty((n, n, n, n))  # dgamma[l] = d_l Gamma
-    h = _fd_step(x)
-    for l in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[l] += h[l]
-        xm[l] -= h[l]
-        dgamma[l] = (christoffel_raw(metric, xp) - christoffel_raw(metric, xm)) / (2.0 * h[l])
+    # dgamma[l] = d_l Gamma; christoffel_raw is looked up at each call, so a
+    # rebound module global (a call counter) sees every evaluation
+    dgamma = _central_difference(lambda y: christoffel_raw(metric, y), x)
     # R^k_{l i j} = d_i Gamma^k_{j l} - d_j Gamma^k_{i l}
     #              + Gamma^k_{i m} Gamma^m_{j l} - Gamma^k_{j m} Gamma^m_{i l}
     # operator entries M[k, j] = R^k_{l i j} v^i v^l

@@ -54,23 +54,15 @@ def expression_metric(entries, n):
     if not mat.is_symmetric():
         mat = (mat + mat.T) / 2
     dmats = [mat.diff(x) for x in xs]
-    g_fn = _lambdify_point(mat, xs)
-    d_fns = [_lambdify_point(d, xs) for d in dmats]
     # every entry of g and of its n derivatives in one nested list; no cse,
     # which would regroup subexpressions and change the rounding
-    jet_fn = _lambdify_point([m.tolist() for m in [mat] + dmats], xs)
-
-    def matrix(x):
-        return np.asarray(g_fn(*x), dtype=float)
-
-    def derivative(x):
-        return np.stack([np.asarray(d(*x), dtype=float) for d in d_fns])
+    entries = _lambdify_point([m.tolist() for m in [mat] + dmats], xs)
 
     def jet(x):
-        J = np.array(jet_fn(*x), dtype=float)
+        J = np.array(entries(*x), dtype=float)
         return 0.5 * (J + J.transpose(0, 2, 1))
 
-    return MetricField(n, matrix, derivative, name="expression", jet_fn=jet)
+    return MetricField(n, jet, name="expression")
 
 
 def expression_boundary(expr_str, n, eps=1e-12):

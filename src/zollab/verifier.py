@@ -20,6 +20,8 @@ from .engine import (
     LaunchSet,
     SweepResult,
     first_return_map,
+    launch_count,
+    nearest_exact_launch_counts,
     sample_boundary,
 )
 from .geometry import (
@@ -40,6 +42,11 @@ from .jacobi import (
 
 ALL_ANALYSES = ("certify", "jacobi", "soul", "fibers", "splitting", "slices")
 MIN_LAUNCHES = 32
+
+
+class LaunchCountError(ValueError):
+    """Raised for a launch count below the certification minimum or one the
+    boundary sampling cannot give exactly."""
 
 
 @dataclass
@@ -396,7 +403,8 @@ def _structured_sweep(spec: ManifoldSpec, n_side, tol: Tolerances):
         pts = patch.points(params)
         ls = LaunchSet(pts, np.full(len(pts), pid), [u.copy() for u in params],
                        "uniform", len(pts))
-        sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol)
+        sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol,
+                                 grazing_tol=tol.grazing)
         sweeps.append((patch, shape, sweep))
     return sweeps
 
@@ -466,7 +474,7 @@ def slice_circumference(spec: ManifoldSpec, t, n_side=64, tol: Optional[Toleranc
     pts = patch.points(params)
     ls = LaunchSet(pts, np.zeros(len(pts), dtype=int), [u.copy() for u in params],
                    "uniform", len(pts))
-    sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol)
+    sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol, grazing_tol=tol.grazing)
     recs = sweep.ok_records
     du = 1.0 / n_side
     total = 0.0
@@ -547,11 +555,14 @@ class ZollReport:
     diagnostics: list
     tolerances: dict
     # intermediates kept for the artifacts, not part of report.json: the full
-    # index-form spectrum of the first returned geodesic and the soul cloud
+    # index-form spectrum of the first returned geodesic, the soul cloud and
+    # the launch sweep
     index_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False,
                                                  metadata={"artifact": True})
     soul_cloud: Optional[SoulCloud] = field(default=None, repr=False, compare=False,
                                             metadata={"artifact": True})
+    sweep: Optional[SweepResult] = field(default=None, repr=False, compare=False,
+                                         metadata={"artifact": True})
 
     def to_dict(self):
         """report.json content: every field in declaration order but the artifacts."""
@@ -562,9 +573,23 @@ class ZollReport:
 def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] = None,
             seed=0, strategy="uniform", analyses=("certify",), mesh_size=256,
             n_index_spots=6, sweep: Optional[SweepResult] = None) -> ZollReport:
-    """Run the certification sweep and the requested structure analyses."""
+    """Run the certification sweep and the requested structure analyses.
+
+    ``n_launches`` must be at least ``MIN_LAUNCHES`` and a count that
+    ``sample_boundary`` gives exactly with ``strategy``; otherwise
+    ``LaunchCountError`` names the nearest counts it gives.
+    """
     if n_launches < MIN_LAUNCHES:
-        raise ValueError(f"N below certification minimum (need at least {MIN_LAUNCHES} launches)")
+        raise LaunchCountError(
+            f"N below certification minimum (need at least {MIN_LAUNCHES} launches)")
+    got = launch_count(spec, n_launches, strategy)
+    if got != n_launches:
+        near = [c for c in nearest_exact_launch_counts(spec, n_launches, strategy)
+                if c is not None and c >= MIN_LAUNCHES]
+        raise LaunchCountError(
+            f"{strategy} sampling of {spec.name} gives {got} launches when asked for "
+            f"{n_launches}; nearest counts it gives exactly: "
+            + (", ".join(map(str, near)) or "none"))
     tol = tolerances or Tolerances()
     if "all" in analyses:
         analyses = ALL_ANALYSES
@@ -572,7 +597,8 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
 
     if sweep is None:
         launch_set = sample_boundary(spec, n_launches, strategy=strategy, seed=seed)
-        sweep = first_return_map(spec, launch_set, rtol=tol.rtol, atol=tol.atol)
+        sweep = first_return_map(spec, launch_set, rtol=tol.rtol, atol=tol.atol,
+                                 grazing_tol=tol.grazing)
     else:
         launch_set = sweep.launch_set
 
@@ -786,4 +812,5 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
         tolerances=tol.to_dict(),
         index_spectrum=index_spectrum,
         soul_cloud=soul_cloud,
+        sweep=sweep,
     )

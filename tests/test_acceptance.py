@@ -11,7 +11,7 @@ import pytest
 
 from zollab.catalog import make_example
 from zollab.cli import run as cli_run
-from zollab.engine import first_return_map, sample_boundary
+from zollab.engine import first_return_map, nearest_exact_launch_counts, sample_boundary
 from zollab.jacobi import (
     arrival_degeneracy_form,
     assemble_index_form,
@@ -22,6 +22,7 @@ from zollab.jacobi import (
 )
 from zollab.manifest import RunManifest
 from zollab.verifier import (
+    MIN_LAUNCHES,
     Tolerances,
     boundary_components,
     build_soul,
@@ -254,7 +255,9 @@ def test_c11_mapping_torus_and_index_ladder(specs):
     for n in range(2, 5):
         for k in range(n):
             spec = make_example("index_ladder", n=n, k=k)
-            rep = certify(spec, 32, TOL, analyses=("certify", "jacobi"),
+            # smallest count >= 32 that the uniform grid gives exactly
+            launches = nearest_exact_launch_counts(spec, MIN_LAUNCHES - 1)[1]
+            rep = certify(spec, launches, TOL, analyses=("certify", "jacobi"),
                           n_index_spots=2)
             assert rep.verdict == "certified", (n, k)
             assert rep.index_focal == k, (n, k, rep.index_focal)

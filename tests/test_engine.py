@@ -21,12 +21,13 @@ from zollab.engine import (
     sweep_to_json,
 )
 from zollab.geometry import BoundaryChart, ManifoldSpec, MetricField, BoundaryPatch
+from zollab.verifier import Tolerances, certify
 
 
 def flat_metric(n):
     eye = np.eye(n)
     zeros = np.zeros((n, n, n))
-    return MetricField(n, lambda x: eye, lambda x: zeros)
+    return MetricField.from_matrix(n, lambda x: eye, lambda x: zeros)
 
 
 class TestShootClosedForms:
@@ -228,34 +229,38 @@ class TestDeckCrossing:
         assert spec.chart_distance(back.event_state[:2], p) <= 1e-7
 
 
+def eccentric_annulus():
+    # region between circle radius 3 at the origin and radius 0.3 at (0.5, 0);
+    # the radial chord launched where sin(theta) = 0.6 is exactly tangent to
+    # the inner circle
+    c = np.array([0.5, 0.0])
+    r_in = 0.3
+
+    def b_value(x):
+        return (9.0 - x @ x) * ((x - c) @ (x - c) - r_in ** 2) / 18.0
+
+    def b_grad(x):
+        inner = (x - c) @ (x - c) - r_in ** 2
+        outer = 9.0 - x @ x
+        return (-2.0 * x * inner + outer * 2.0 * (x - c)) / 18.0
+
+    def rim(u):
+        th = 2.0 * np.pi * np.atleast_2d(u)[:, 0]
+        return 3.0 * np.stack([np.cos(th), np.sin(th)], axis=1)
+
+    return ManifoldSpec(
+        name="eccentric-annulus",
+        metric=flat_metric(2),
+        boundary=BoundaryChart(b_value, b_grad),
+        domain=np.array([[-4.0, 4.0], [-4.0, 4.0]]),
+        boundary_patches=[BoundaryPatch("outer", 1, rim, (True,))],
+        scale_hint=6.0,
+    )
+
+
 class TestGrazing:
     def test_tangent_chord_flagged(self):
-        # region between circle radius 3 at the origin and radius 0.3 at
-        # (0.5, 0); the radial chord launched where sin(theta) = 0.6 is
-        # exactly tangent to the inner circle
-        c = np.array([0.5, 0.0])
-        r_in = 0.3
-
-        def b_value(x):
-            return (9.0 - x @ x) * ((x - c) @ (x - c) - r_in ** 2) / 18.0
-
-        def b_grad(x):
-            inner = (x - c) @ (x - c) - r_in ** 2
-            outer = 9.0 - x @ x
-            return (-2.0 * x * inner + outer * 2.0 * (x - c)) / 18.0
-
-        def rim(u):
-            th = 2.0 * np.pi * np.atleast_2d(u)[:, 0]
-            return 3.0 * np.stack([np.cos(th), np.sin(th)], axis=1)
-
-        spec = ManifoldSpec(
-            name="eccentric-annulus",
-            metric=flat_metric(2),
-            boundary=BoundaryChart(b_value, b_grad),
-            domain=np.array([[-4.0, 4.0], [-4.0, 4.0]]),
-            boundary_patches=[BoundaryPatch("outer", 1, rim, (True,))],
-            scale_hint=6.0,
-        )
+        spec = eccentric_annulus()
         theta_star = np.arcsin(0.6)
         path = shoot(spec, 3.0 * np.array([np.cos(theta_star), np.sin(theta_star)]),
                      t_max=30.0)
@@ -263,6 +268,17 @@ class TestGrazing:
         # a chord well clear of the inner circle is not flagged
         path2 = shoot(spec, 3.0 * np.array([np.cos(2.5), np.sin(2.5)]), t_max=30.0)
         assert not path2.grazing
+
+    def test_grazing_tolerance_reaches_the_flow(self):
+        # the chords of a 32-launch sweep that miss the inner circle pass it
+        # where b is above 5e-3: grazing at a threshold of 0.1, not at 1e-6
+        spec = eccentric_annulus()
+        default = certify(spec, 32)
+        assert default.grazing_count == 0
+        assert default.reason == "length spread beyond 10x tolerance"
+        loose = certify(spec, 32, Tolerances(grazing=0.1))
+        assert loose.grazing_count > 0
+        assert loose.reason == "tangential approach to the boundary"
 
 
 class TestLaunchSets:

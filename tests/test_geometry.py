@@ -23,7 +23,7 @@ from zollab.geometry import (
 
 def sphere_polar_metric():
     # round unit sphere, polar chart g = dr^2 + sin^2(r) dtheta^2
-    return MetricField(
+    return MetricField.from_matrix(
         2,
         lambda x: np.diag([1.0, np.sin(x[0]) ** 2]),
         lambda x: np.array([[[0.0, 0.0], [0.0, np.sin(2.0 * x[0])]],
@@ -49,13 +49,13 @@ class TestChristoffel:
 
     def test_product_metric_time_row(self):
         # g = dt^2 + (1 + t^2) dx^2: Gamma^0_11 = -t vanishes at t = 0
-        met = MetricField(2, lambda x: np.diag([1.0, 1.0 + x[0] ** 2]))
+        met = MetricField.from_matrix(2, lambda x: np.diag([1.0, 1.0 + x[0] ** 2]))
         gam = christoffel_raw(met, np.array([0.0, 0.7]))
         assert abs(gam[0, 1, 1]) < 1e-11
 
     def test_symmetry_exact_and_fd_agreement(self, rng):
         cap = make_example("spherical_cap", radius=np.pi / 3)
-        fd_metric = MetricField(2, cap.metric.matrix)  # finite-difference derivatives
+        fd_metric = MetricField.from_matrix(2, cap.metric.matrix)  # finite-difference derivatives
         for _ in range(100):
             x = rng.uniform(-0.3, 0.3, size=2)
             gam = christoffel_raw(cap.metric, x)
@@ -64,7 +64,7 @@ class TestChristoffel:
             assert np.allclose(gam_fd, gam, atol=1e-6 * max(1.0, np.abs(gam).max()))
 
     def test_degenerate_metric_raises(self):
-        met = MetricField(2, lambda x: np.diag([1.0, 0.0]))
+        met = MetricField.from_matrix(2, lambda x: np.diag([1.0, 0.0]))
         with pytest.raises(DegenerateMetricError, match="degenerate metric"):
             christoffel_raw(met, np.array([0.0, 0.0]))
 
@@ -99,8 +99,8 @@ class TestCurvature:
     def test_scaling_by_radius(self):
         # metric scaled by c^2 scales the operator (at unit-speed data) by 1/c^2
         cap = make_example("spherical_cap", radius=np.pi / 3)
-        met2 = MetricField(2, lambda x: 4.0 * cap.metric.matrix(x),
-                           lambda x: 4.0 * cap.metric.derivative(x))
+        met2 = MetricField.from_matrix(2, lambda x: 4.0 * cap.metric.matrix(x),
+                                       lambda x: 4.0 * cap.metric.derivative(x))
         x = np.array([0.15, 0.1])
         g1 = cap.metric.matrix(x)
         v = np.array([1.0, 0.4])
@@ -133,7 +133,8 @@ class TestSecondFundamentalForm:
         # straight boundary x0 = 0 of the upper half plane
         spec = ManifoldSpec(
             name="half-plane",
-            metric=MetricField(2, lambda x: np.eye(2), lambda x: np.zeros((2, 2, 2))),
+            metric=MetricField.from_matrix(2, lambda x: np.eye(2),
+                                           lambda x: np.zeros((2, 2, 2))),
             boundary=BoundaryChart(lambda x: x[0], lambda x: np.array([1.0, 0.0]),
                                    lambda x: np.zeros((2, 2))),
             domain=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
@@ -261,7 +262,7 @@ class TestMetricFieldInvariants:
     @pytest.mark.parametrize("key", ["spherical_cap", "spherical_band", "solid_torus"])
     def test_fd_and_analytic_christoffel_agree(self, key, specs, rng):
         spec = specs[key]
-        fd_metric = MetricField(spec.dimension, spec.metric.matrix)
+        fd_metric = MetricField.from_matrix(spec.dimension, spec.metric.matrix)
         interior = []
         lo, hi = spec.domain[:, 0], spec.domain[:, 1]
         while len(interior) < 100:

@@ -204,6 +204,30 @@ class TestCLI:
     def test_unknown_example_usage_error(self):
         assert main(["certify", "--example", "wormhole"]) == 2
 
+    @pytest.mark.parametrize("params,message", [
+        ({"radius": -1.0}, "radius must be > 0"),
+        ({"diameter": 2.0}, "unknown parameters ['diameter']"),
+    ])
+    def test_bad_example_parameters_usage_error(self, params, message, tmp_path, capsys):
+        manifold = {"catalog": "flat_disk", "params": params}
+        assert run(RunManifest(manifold=manifold), out_dir="", quiet=True) == (2, None)
+        assert message in capsys.readouterr().err
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"manifold": manifold, "out_dir": ""}))
+        assert main(["certify", "--manifest", str(mpath)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_tolerance_names_are_fields(self, tmp_path, capsys):
+        # a method of Tolerances is not a tolerance
+        doc = {"manifold": {"catalog": "flat_disk", "params": {}},
+               "tolerances": {"to_dict": 1.0}, "out_dir": ""}
+        with pytest.raises(ManifestError, match="unknown tolerance 'to_dict'"):
+            run(RunManifest.from_dict(doc), quiet=True)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        assert main(["certify", "--manifest", str(mpath)]) == 2
+        assert "unknown tolerance 'to_dict'" in capsys.readouterr().err
+
     def test_no_arguments_usage_error(self, capsys):
         assert main([]) == 2
         assert main(["certify"]) == 2

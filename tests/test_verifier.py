@@ -5,6 +5,7 @@ from zollab.catalog import make_example
 from zollab.engine import first_return_map, sample_boundary
 from zollab.geometry import QuotientCloud
 from zollab.verifier import (
+    LaunchCountError,
     Tolerances,
     boundary_components,
     build_soul,
@@ -52,6 +53,14 @@ class TestCertifyVerdicts:
     def test_minimum_launch_count(self, specs):
         with pytest.raises(ValueError, match="certification minimum"):
             certify(specs["flat_disk"], 16)
+
+    def test_inexact_launch_count_refused(self):
+        # the 4-d index ladder of index 0 gives 18 launches when asked for 32
+        ladder = make_example("index_ladder", n=4, k=0)
+        with pytest.raises(LaunchCountError,
+                           match="gives 18 launches when asked for 32; "
+                                 "nearest counts it gives exactly: 36"):
+            certify(ladder, 32)
 
     def test_deterministic_report(self, specs):
         rep1 = certify(specs["flat_moebius"], 32, seed=7, analyses=("certify",))
