@@ -8,13 +8,11 @@ deck faces of the fundamental domain are handled by teleporting the state.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.stats import qmc
 
 from .geometry import (
     ManifoldSpec,
@@ -77,8 +75,7 @@ def geodesic_rhs(spec: ManifoldSpec):
 
 
 def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
-                   rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, max_step=None,
-                   grazing_tol=GRAZING_TOL):
+                   rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, grazing_tol=GRAZING_TOL):
     """Integrate ``rhs`` with boundary-return and deck-face events.
 
     ``vector_blocks`` lists (offset, rows, cols) slices of the state that
@@ -89,8 +86,7 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
     boundary = spec.boundary
     y = np.asarray(y0, dtype=float).copy()
     t = 0.0
-    if max_step is None:
-        max_step = 0.25 * spec.scale_hint
+    max_step = 0.25 * spec.scale_hint
 
     seg_times, seg_states, segments = [], [], []
     grazing_times: list[float] = []
@@ -416,6 +412,7 @@ def sample_boundary(spec: ManifoldSpec, count, strategy="uniform", seed=0):
         elif strategy == "uniform":
             u = _uniform_grid(m, patch.param_dim)
         elif strategy == "low-discrepancy":
+            from scipy.stats import qmc  # slow to import, and only this strategy uses it
             sampler = qmc.Halton(d=patch.param_dim, seed=seed + 7919 * pid)
             u = sampler.random(m)
         else:
@@ -436,7 +433,6 @@ def sample_boundary(spec: ManifoldSpec, count, strategy="uniform", seed=0):
 class ShootRecord:
     index: int
     patch_id: int
-    param: np.ndarray
     launch: np.ndarray
     return_time: Optional[float]
     arrival: Optional[np.ndarray]
@@ -462,6 +458,17 @@ class SweepResult:
         return np.array([r.return_time for r in self.ok_records])
 
     @property
+    def half_length(self):
+        """Half the mean return time of the returned launches (None if none returned)."""
+        rt = self.return_times
+        return float(rt.mean() / 2.0) if rt.size else None
+
+    @property
+    def midpoints(self):
+        """Position of each returned geodesic at half its return time."""
+        return np.array([r.path.position_at(r.return_time / 2.0) for r in self.ok_records])
+
+    @property
     def errors(self):
         return [(r.index, r.error) for r in self.records if r.error is not None]
 
@@ -485,8 +492,7 @@ class SweepResult:
 
 
 def first_return_map(spec: ManifoldSpec, launch_set: LaunchSet, t_max=None,
-                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_paths=True,
-                     grazing_tol=GRAZING_TOL):
+                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, grazing_tol=GRAZING_TOL):
     """Shoot every launch point; per-launch errors are recorded, not raised."""
     records = []
     for i, (p, pid) in enumerate(zip(launch_set.points, launch_set.patch_ids)):
@@ -494,14 +500,12 @@ def first_return_map(spec: ManifoldSpec, launch_set: LaunchSet, t_max=None,
             path = shoot(spec, p, t_max=t_max, rtol=rtol, atol=atol,
                          grazing_tol=grazing_tol)
         except NoReturnError as exc:
-            records.append(ShootRecord(i, int(pid), launch_set.params[i], p,
-                                       None, None, None, None, False, str(exc), None))
+            records.append(ShootRecord(i, int(pid), p, None, None, None, None, False,
+                                       str(exc), None))
             continue
         records.append(ShootRecord(
-            i, int(pid), launch_set.params[i], path.launch_point,
-            path.return_time, path.arrival_point, path.arrival_velocity,
-            path.normal_deviation, path.grazing, None,
-            path if keep_paths else None))
+            i, int(pid), path.launch_point, path.return_time, path.arrival_point,
+            path.arrival_velocity, path.normal_deviation, path.grazing, None, path))
     return SweepResult(spec, launch_set, records)
 
 
@@ -536,8 +540,8 @@ def path_to_polyline(path: GeodesicPath):
     }
 
 
-def sweep_to_json(sweep: SweepResult, stream=None):
-    doc = {
+def sweep_to_json(sweep: SweepResult):
+    return {
         "manifold": sweep.spec.name,
         "strategy": sweep.launch_set.strategy,
         "summary": sweep.summary(),
@@ -555,6 +559,3 @@ def sweep_to_json(sweep: SweepResult, stream=None):
             for r in sweep.records
         ],
     }
-    if stream is not None:
-        json.dump(doc, stream, indent=2)
-    return doc

@@ -207,12 +207,12 @@ class ManifoldSpec:
         if not self.in_domain(x):
             raise ChartDomainError(f"chart violation: {np.asarray(x)} outside {self.name!r} domain")
 
-    def deck_images(self, x, depth=2):
-        """Point together with its images under up to ``depth`` deck applications."""
+    def deck_images(self, x):
+        """Point together with its images under up to two deck applications."""
         x = np.asarray(x, dtype=float)
         images = [x]
         frontier = [x]
-        for _ in range(depth):
+        for _ in range(2):
             new = []
             for y in frontier:
                 for d in self.deck_maps:

@@ -31,6 +31,8 @@ from .geometry import (
 )
 
 RANK_DROP_TOL = 1e-7
+FOCAL_SCAN = 512               # sample parameters of the focal scan
+MIN_MESH_SIZE = 16
 ISOLATION_WINDOW = 1e-4
 ENDPOINT_WINDOW = 1e-6
 NEG_EIG_TOL = 1e-6
@@ -62,7 +64,6 @@ class JacobiFrame:
     """
 
     path: GeodesicPath
-    times: np.ndarray
     flow: object
     shape_launch: np.ndarray    # (n-1, n-1) in the launch tangent frame
     frame0: np.ndarray          # (n, n) initial frame, columns = vectors
@@ -151,7 +152,7 @@ def integrate_jacobi_frame(spec: ManifoldSpec, path: GeodesicPath,
         spec, rhs, y0, R,
         vector_blocks=[(n, n, 1), (2 * n, n, n)],
         detect_boundary=False, rtol=rtol, atol=atol)
-    return JacobiFrame(path, flow.times, flow, shape_sub, E0)
+    return JacobiFrame(path, flow, shape_sub, E0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +171,6 @@ class FocalRecord:
     instants: list[FocalInstant] = field(default_factory=list)
     endpoint_instants: list[FocalInstant] = field(default_factory=list)
 
-    @property
-    def times(self):
-        return [f.time for f in self.instants]
-
 
 def _scaled_block(frame: JacobiFrame, t):
     """J-block with the t*gamma' column rescaled by 1/t (rank unchanged)."""
@@ -184,14 +181,13 @@ def _scaled_block(frame: JacobiFrame, t):
     return Y
 
 
-def focal_instants(frame: JacobiFrame, n_scan=512, rank_tol=RANK_DROP_TOL) -> FocalRecord:
+def focal_instants(frame: JacobiFrame) -> FocalRecord:
     """Locate parameters where the Jacobi evaluation map loses rank."""
     R = frame.return_time
-    n = frame.dimension
-    ts = np.linspace(1e-6 * R, R, n_scan)
-    dets = np.empty(n_scan)
-    smin = np.empty(n_scan)
-    smax = np.empty(n_scan)
+    ts = np.linspace(1e-6 * R, R, FOCAL_SCAN)
+    dets = np.empty(FOCAL_SCAN)
+    smin = np.empty(FOCAL_SCAN)
+    smax = np.empty(FOCAL_SCAN)
     for i, t in enumerate(ts):
         Y = _scaled_block(frame, t)
         s = np.linalg.svd(Y, compute_uv=False)
@@ -200,7 +196,7 @@ def focal_instants(frame: JacobiFrame, n_scan=512, rank_tol=RANK_DROP_TOL) -> Fo
         smax[i] = s[0]
 
     # sustained rank loss violates isolation of focal instants
-    below = smin < rank_tol * np.maximum(smax, 1e-300)
+    below = smin < RANK_DROP_TOL * np.maximum(smax, 1e-300)
     run = 0
     for flag in below:
         run = run + 1 if flag else 0
@@ -208,11 +204,11 @@ def focal_instants(frame: JacobiFrame, n_scan=512, rank_tol=RANK_DROP_TOL) -> Fo
             raise DegenerateFamilyError("degenerate family (violates isolation)")
 
     candidates = []
-    for i in range(n_scan - 1):
+    for i in range(FOCAL_SCAN - 1):
         if dets[i] == 0.0 or np.sign(dets[i]) != np.sign(dets[i + 1]):
-            candidates.append((max(i - 1, 0), min(i + 1, n_scan - 1), "det"))
+            candidates.append((max(i - 1, 0), min(i + 1, FOCAL_SCAN - 1), "det"))
     gate = 0.05
-    for i in range(1, n_scan - 1):
+    for i in range(1, FOCAL_SCAN - 1):
         if smin[i] <= smin[i - 1] and smin[i] <= smin[i + 1] and smin[i] < gate * smax[i]:
             candidates.append((i - 1, i + 1, "min"))
 
@@ -233,7 +229,7 @@ def focal_instants(frame: JacobiFrame, n_scan=512, rank_tol=RANK_DROP_TOL) -> Fo
                 options={"xatol": 1e-13 * R})
             t_star = float(res.x)
         s = np.linalg.svd(_scaled_block(frame, t_star), compute_uv=False)
-        if s[-1] < rank_tol * s[0]:
+        if s[-1] < RANK_DROP_TOL * s[0]:
             refined.append((t_star, s))
 
     refined.sort(key=lambda item: item[0])
@@ -247,7 +243,7 @@ def focal_instants(frame: JacobiFrame, n_scan=512, rank_tol=RANK_DROP_TOL) -> Fo
 
     record = FocalRecord(return_time=R)
     for t_star, s in merged:
-        mult = int(np.sum(s < rank_tol * s[0]))
+        mult = int(np.sum(s < RANK_DROP_TOL * s[0]))
         inst = FocalInstant(float(t_star), mult, s)
         if abs(t_star - R) <= ENDPOINT_WINDOW * R:
             record.endpoint_instants.append(inst)
@@ -345,8 +341,8 @@ def assemble_index_form(spec: ManifoldSpec, path: GeodesicPath, mesh_size=256,
     makes both matrices block-tridiagonal with n x n blocks, so they are
     stored as bands of half-bandwidth 2n - 1.
     """
-    if mesh_size < 16:
-        raise ValueError("mesh_size must be at least 16")
+    if mesh_size < MIN_MESH_SIZE:
+        raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
     if frame is None:
         frame = integrate_jacobi_frame(spec, path)
     n = spec.dimension
@@ -460,17 +456,15 @@ def index_form_spectrum(mat: IndexFormMatrix, n_lowest=8):
 # ---------------------------------------------------------------------------
 # degeneracy form at the arrival endpoint
 
-def arrival_degeneracy_form(spec: ManifoldSpec, frame: JacobiFrame, return_time=None,
-                            strict=True):
+def arrival_degeneracy_form(spec: ManifoldSpec, frame: JacobiFrame):
     """Bilinear form measuring failure of the arrival boundary condition.
 
     Restricted to Jacobi solutions whose value at the return time is tangent
     to the boundary; it vanishes identically when every such solution also
     satisfies the arrival slope condition (maximal degeneracy).
     """
-    R = frame.return_time if return_time is None else float(return_time)
     n = frame.dimension
-    x, v, E, Y, Yp = frame.blocks_at(R)
+    x, v, E, Y, Yp = frame.blocks_at(frame.return_time)
     q = project_to_boundary(spec, x)
     g = spec.metric.matrix(q)
     nu = inward_unit_normal(spec, q)
@@ -481,20 +475,16 @@ def arrival_degeneracy_form(spec: ManifoldSpec, frame: JacobiFrame, return_time=
     row = c @ Y
     norm_row = np.linalg.norm(row)
     if norm_row < 1e-8 * max(np.linalg.norm(Y), 1.0):
-        if strict:
-            raise MaximalDegeneracyError("contradiction with maximal degeneracy")
-        basis = np.eye(n)
-    else:
-        _, _, vt = np.linalg.svd(row.reshape(1, -1))
-        basis = vt[1:].T          # (n, n-1) null-space basis
+        raise MaximalDegeneracyError("contradiction with maximal degeneracy")
+    _, _, vt = np.linalg.svd(row.reshape(1, -1))
+    basis = vt[1:].T              # (n, n-1) null-space basis
 
-    dim_par = basis.shape[1]
-    A = np.zeros((dim_par, dim_par))
+    A = np.zeros((n - 1, n - 1))
     J = E @ (Y @ basis)           # chart values at R, columns
     Jp = E @ (Yp @ basis)
-    for i in range(dim_par):
+    for i in range(n - 1):
         Ji = J[:, i] - metric_inner(g, J[:, i], nu) * nu
-        for j in range(dim_par):
+        for j in range(n - 1):
             Jj = J[:, j] - metric_inner(g, J[:, j], nu) * nu
             # arrival velocity is the outward normal: S_{gamma'(R)} = -S_nu
             A[i, j] = -float(Ji @ S_full @ Jj) + metric_inner(g, Jp[:, i], J[:, j])

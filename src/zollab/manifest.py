@@ -5,6 +5,9 @@ describes an inline chart: metric entries and boundary function as symbolic
 expressions in x0..x{n-1} (differentiated analytically), deck maps of
 translation or flip-translation kind, and parametric boundary patches in
 u0..u{d-1}.
+
+Sympy is imported only where an inline chart is built, so runs of catalog
+examples never load it.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .catalog import (
     euclidean_metric,
@@ -28,6 +30,7 @@ from .geometry import (
     ManifoldSpec,
     MetricField,
 )
+from .jacobi import MIN_MESH_SIZE
 
 _ALLOWED_ANALYSES = {"certify", "jacobi", "soul", "fibers", "splitting", "slices", "all"}
 
@@ -36,27 +39,38 @@ class ManifestError(ValueError):
     pass
 
 
-def _chart_symbols(n):
-    return sp.symbols(f"x0:{n}", real=True)
-
-
-def _lambdify_point(expr, symbols):
-    fn = sp.lambdify(symbols, expr, modules="numpy")
-    return fn
+def _parse(text, symbols):
+    """Sympy expression of manifest text in the given symbols (and pi)."""
+    import sympy as sp
+    local = {str(s): s for s in symbols}
+    local["pi"] = sp.pi
+    try:
+        expr = sp.sympify(text, locals=local)
+    except (sp.SympifyError, TypeError, AttributeError) as exc:
+        # sympify evaluates the parsed text, so a call or attribute it cannot
+        # resolve surfaces as TypeError or AttributeError
+        raise ManifestError(f"cannot parse expression {text!r}") from exc
+    if (not isinstance(expr, sp.Expr) or not expr.free_symbols <= set(symbols)
+            or expr.atoms(sp.core.function.AppliedUndef)):
+        raise ManifestError(f"{text!r} is not an expression in "
+                            + ", ".join(map(str, symbols)))
+    return expr
 
 
 def expression_metric(entries, n):
     """MetricField from an n x n nested list of expressions in x0..x{n-1}."""
-    xs = _chart_symbols(n)
-    local = {str(s): s for s in xs}
-    mat = sp.Matrix([[sp.sympify(entries[i][j], locals=local) for j in range(n)]
-                     for i in range(n)])
+    import sympy as sp
+    if not (isinstance(entries, list) and len(entries) == n
+            and all(isinstance(row, list) and len(row) == n for row in entries)):
+        raise ManifestError(f"metric entries must be a {n} x {n} nested list")
+    xs = sp.symbols(f"x0:{n}", real=True)
+    mat = sp.Matrix([[_parse(entries[i][j], xs) for j in range(n)] for i in range(n)])
     if not mat.is_symmetric():
         mat = (mat + mat.T) / 2
     dmats = [mat.diff(x) for x in xs]
     # every entry of g and of its n derivatives in one nested list; no cse,
     # which would regroup subexpressions and change the rounding
-    entries = _lambdify_point([m.tolist() for m in [mat] + dmats], xs)
+    entries = sp.lambdify(xs, [m.tolist() for m in [mat] + dmats], modules="numpy")
 
     def jet(x):
         J = np.array(entries(*x), dtype=float)
@@ -67,14 +81,14 @@ def expression_metric(entries, n):
 
 def expression_boundary(expr_str, n, eps=1e-12):
     """BoundaryChart from one expression in x0..x{n-1} (b > 0 inside)."""
-    xs = _chart_symbols(n)
-    local = {str(s): s for s in xs}
-    b = sp.sympify(expr_str, locals=local)
+    import sympy as sp
+    xs = sp.symbols(f"x0:{n}", real=True)
+    b = _parse(expr_str, xs)
     grad = [b.diff(x) for x in xs]
     hess = sp.Matrix([[b.diff(xi).diff(xj) for xj in xs] for xi in xs])
-    b_fn = _lambdify_point(b, xs)
-    g_fn = _lambdify_point(sp.Matrix(grad), xs)
-    h_fn = _lambdify_point(hess, xs)
+    b_fn = sp.lambdify(xs, b, modules="numpy")
+    g_fn = sp.lambdify(xs, sp.Matrix(grad), modules="numpy")
+    h_fn = sp.lambdify(xs, hess, modules="numpy")
     return BoundaryChart(
         lambda x: float(b_fn(*x)),
         lambda x: np.asarray(g_fn(*x), dtype=float).ravel(),
@@ -85,11 +99,9 @@ def expression_boundary(expr_str, n, eps=1e-12):
 
 def expression_patch(point_exprs, dim, name="patch", periodic=None):
     """BoundaryPatch from chart-coordinate expressions in u0..u{dim-1}."""
+    import sympy as sp
     us = sp.symbols(f"u0:{max(dim, 1)}", real=True)
-    local = {str(s): s for s in us}
-    local.update({"pi": sp.pi})
-    exprs = [sp.sympify(e, locals=local) for e in point_exprs]
-    fns = [sp.lambdify(us, e, modules="numpy") for e in exprs]
+    fns = [sp.lambdify(us, _parse(e, us), modules="numpy") for e in point_exprs]
 
     def sample(params):
         params = np.atleast_2d(np.asarray(params, dtype=float))
@@ -190,14 +202,20 @@ class RunManifest:
             raise ManifestError(f"unknown analyses {sorted(bad)}")
         m = cls(
             manifold=doc["manifold"],
-            launches=int(doc.get("launches", 64)),
-            seed=int(doc.get("seed", 0)),
+            launches=doc.get("launches", 64),
+            seed=doc.get("seed", 0),
             strategy=doc.get("strategy", "uniform"),
             analyses=analyses,
-            mesh_size=int(doc.get("mesh_size", 256)),
+            mesh_size=doc.get("mesh_size", 256),
             tolerances=dict(doc.get("tolerances", {})),
             out_dir=doc.get("out_dir", "out"),
         )
+        for key in ("launches", "seed", "mesh_size"):
+            val = getattr(m, key)
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ManifestError(f"{key} must be an integer, not {val!r}")
+        if m.mesh_size < MIN_MESH_SIZE:
+            raise ManifestError(f"mesh_size must be at least {MIN_MESH_SIZE}")
         for key, val in m.tolerances.items():
             if not (isinstance(val, (int, float)) and val > 0):
                 raise ManifestError(f"tolerance {key!r} must be positive")

@@ -1,10 +1,11 @@
 """Certification of the boundary-return property and its structure checks.
 
-``certify`` aggregates a launch sweep into a verdict (certified, refuted or
-inconclusive) and, on request, verifies the global structure: boundary
-component count, index agreement between the two Morse index computations,
-soul geometry, fiber structure of the midpoint projection, metric splitting
-along the geodesic flow, and the symmetry of equidistant slices.
+``certify`` makes one launch sweep and, in ordered stages over it, reads off a
+verdict (certified, refuted or inconclusive) and, on request, the global
+structure: boundary component count, index agreement between the two Morse
+index computations, soul geometry, fiber structure of the midpoint projection,
+metric splitting along the geodesic flow, and the symmetry of equidistant
+slices.
 """
 from __future__ import annotations
 
@@ -42,6 +43,9 @@ from .jacobi import (
 
 ALL_ANALYSES = ("certify", "jacobi", "soul", "fibers", "splitting", "slices")
 MIN_LAUNCHES = 32
+SOUL_NEIGHBORS = 12          # neighbours of each soul point in its local PCA
+SLICE_HAUSDORFF_REL = 1e-6   # slice checks, relative to the half-length L
+SLICE_DISTANCE_REL = 1e-5
 
 
 class LaunchCountError(ValueError):
@@ -136,8 +140,7 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
                               pairing, diagnostics)
 
 
-def intercomponent_distance(spec: ManifoldSpec, launch_set: LaunchSet,
-                            labels, n_gauss=32):
+def intercomponent_distance(spec: ManifoldSpec, launch_set: LaunchSet, labels):
     """Shortest g-length of straight chart segments joining the two components.
 
     On the built-in two-component examples the minimizing free boundary
@@ -146,7 +149,7 @@ def intercomponent_distance(spec: ManifoldSpec, launch_set: LaunchSet,
     """
     pts = launch_set.points
     far_side = QuotientCloud(spec, pts[labels == 1]).images
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
     best = np.inf
     for a in pts[labels == 0]:
         for images in far_side:
@@ -175,7 +178,6 @@ class SoulCloud:
     dimension_estimate: int
     diameter: float
     distance_residual: float      # worst | dist-to-boundary - L | over spot checks
-    k_neighbors: int
 
 
 def _local_pca(coords, rel, floor):
@@ -186,14 +188,13 @@ def _local_pca(coords, rel, floor):
     return int(np.sum(s > rel * s[0])), s
 
 
-def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances,
-               k_neighbors=12, n_distance_checks=8):
+def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances, n_distance_checks=8):
     """Midpoint cloud with a local-PCA dimension estimate."""
     recs = sweep.ok_records
     if not recs:
         raise ValueError("undersampled soul")
-    L = float(np.mean([r.return_time for r in recs]) / 2.0)
-    mids = np.array([r.path.position_at(r.return_time / 2.0) for r in recs])
+    L = sweep.half_length
+    mids = sweep.midpoints
     labels = _cluster_points(spec, mids, tol.cluster_radius_rel * L)
     reps = np.array([mids[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
 
@@ -203,16 +204,16 @@ def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances,
         d_hat = 0
         diameter = float(np.max(np.linalg.norm(mids - reps[0], axis=1))) if len(mids) else 0.0
     else:
-        if len(reps) < k_neighbors + 1:
-            raise ValueError(
-                f"undersampled soul: {len(reps)} distinct midpoints < k+1 = {k_neighbors + 1}")
+        if len(reps) < SOUL_NEIGHBORS + 1:
+            raise ValueError(f"undersampled soul: {len(reps)} distinct midpoints "
+                             f"< k+1 = {SOUL_NEIGHBORS + 1}")
         cloud = QuotientCloud(spec, reps)
         D = cloud.pairwise()
         floor = tol.pca_floor_rel * L
         local_dims = []
         for i, p in enumerate(reps):
             order = np.argsort(D[i])
-            neigh = [i] + [int(j) for j in order if j != i][:k_neighbors]
+            neigh = [i] + [int(j) for j in order if j != i][:SOUL_NEIGHBORS]
             coords = cloud.nearest_image(p, neigh)
             dim, s = _local_pca(coords, tol.pca_rel, floor)
             local_dims.append(dim)
@@ -223,13 +224,10 @@ def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances,
     residual = 0.0
     spot = np.linspace(0, len(recs) - 1, min(n_distance_checks, len(recs))).astype(int)
     for i in spot:
-        r = recs[i]
-        x = r.path.position_at(r.return_time / 2.0)
-        d_est = nearest_boundary_distance(spec, sweep, x, tol)
+        d_est = nearest_boundary_distance(spec, sweep, mids[i], tol)
         if d_est is not None:
             residual = max(residual, abs(d_est - L))
-    return SoulCloud(reps, mids, spectra, local_dims, d_hat, diameter, residual,
-                     k_neighbors)
+    return SoulCloud(reps, mids, spectra, local_dims, d_hat, diameter, residual)
 
 
 def nearest_boundary_distance(spec: ManifoldSpec, sweep: SweepResult, x,
@@ -243,7 +241,7 @@ def nearest_boundary_distance(spec: ManifoldSpec, sweep: SweepResult, x,
     recs = sweep.ok_records
     if not recs:
         return None
-    L = float(np.mean([r.return_time for r in recs]) / 2.0)
+    L = sweep.half_length
     pass_tol = tol.passage_rel * L
     best = None
     cloud = QuotientCloud(spec, x)
@@ -301,9 +299,8 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
                    tol: Tolerances, components: Optional[BoundaryComponents] = None):
     """Cluster launches by midpoint and test the structure of the fibers."""
     recs = sweep.ok_records
-    L = float(np.mean([r.return_time for r in recs]) / 2.0)
-    mids = np.array([r.path.position_at(r.return_time / 2.0) for r in recs])
-    labels = _cluster_points(spec, mids, tol.cluster_radius_rel * L)
+    L = sweep.half_length
+    labels = _cluster_points(spec, sweep.midpoints, tol.cluster_radius_rel * L)
     n_clusters = labels.max() + 1
     sizes = [int(np.sum(labels == c)) for c in range(n_clusters)]
     diagnostics = []
@@ -385,7 +382,6 @@ def _covering_nontrivial(spec, sweep, labels, components):
 class SplittingResult:
     max_unit_residual: float
     max_cross_residual: float
-    t_values: list[float]
     n_launches: int
 
 
@@ -424,19 +420,17 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
     sweeps = _structured_sweep(spec, n_side, tol)
     unit_res = 0.0
     cross_res = 0.0
-    t_used = []
     n_launch = 0
     for patch, shape, sweep in sweeps:
         recs = sweep.ok_records
         if len(recs) != int(np.prod(shape)):
             raise RuntimeError(f"splitting sweep failed on {spec.name!r}")
         n_launch += len(recs)
-        L = float(np.mean([r.return_time for r in recs]) / 2.0)
+        L = sweep.half_length
         periodic = getattr(patch, "periodic", None) or (True,) * patch.param_dim
         # records come in the C order of the launch grid
         for t_frac in t_fracs:
             t = t_frac * L
-            t_used.append(t)
             slice_t = QuotientCloud(spec, [r.path.position_at(t) for r in recs])
             for flat, idx in enumerate(np.ndindex(*shape)):
                 x = slice_t.points[flat]
@@ -460,14 +454,13 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
                     if norm < 1e-14:
                         continue
                     cross_res = max(cross_res, abs(metric_inner(g, v, dvec)) / norm)
-    return SplittingResult(unit_res, cross_res, sorted(set(t_used)), n_launch)
+    return SplittingResult(unit_res, cross_res, n_launch)
 
 
-def slice_circumference(spec: ManifoldSpec, t, n_side=64, tol: Optional[Tolerances] = None,
-                        patch_index=0):
-    """Length of the image of one boundary component at flow parameter t."""
+def slice_circumference(spec: ManifoldSpec, t, n_side=64, tol: Optional[Tolerances] = None):
+    """Length of the image of the first boundary patch at flow parameter t."""
     tol = tol or Tolerances()
-    patch = spec.boundary_patches[patch_index]
+    patch = spec.boundary_patches[0]
     if patch.param_dim != 1:
         raise ValueError("slice circumference needs a one-parameter boundary patch")
     params = ((np.arange(n_side) + 0.5) / n_side).reshape(-1, 1)
@@ -498,12 +491,11 @@ class SliceCheck:
 
 
 def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
-                         tol: Optional[Tolerances] = None,
-                         hausdorff_rel=1e-6, distance_rel=1e-5):
+                         tol: Optional[Tolerances] = None):
     """Verify the forward and mirrored slices coincide and sit at distance t."""
     tol = tol or Tolerances()
     recs = sweep.ok_records
-    L = float(np.mean([r.return_time for r in recs]) / 2.0)
+    L = sweep.half_length
     if not (0.0 < t <= L + 1e-12):
         raise ValueError("slice parameter must lie in (0, L]")
     A = np.array([r.path.position_at(t) for r in recs])
@@ -515,7 +507,7 @@ def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
         d_est = nearest_boundary_distance(spec, sweep, A[i], tol)
         if d_est is not None:
             worst = max(worst, abs(d_est - t))
-    passed = hausdorff <= hausdorff_rel * L and worst <= distance_rel * L
+    passed = hausdorff <= SLICE_HAUSDORFF_REL * L and worst <= SLICE_DISTANCE_REL * L
     return SliceCheck(float(t), float(hausdorff), float(worst), bool(passed))
 
 
@@ -524,36 +516,39 @@ def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
 
 @dataclass
 class ZollReport:
+    """What one ``certify`` run found; ``to_dict`` gives ``report.json``. Each
+    field after ``name`` defaults to what a stage that does not run leaves."""
+
     name: str
-    verdict: str
-    reason: str
-    n_launches: int
-    seed: int
-    strategy: str
-    half_length: Optional[float]
-    length_mean: Optional[float]
-    length_spread_rel: Optional[float]
-    orthogonality_max: Optional[float]
-    grazing_count: int
-    component_count: Optional[int]
-    component_sizes: Optional[list]
-    component_pairing_ok: Optional[bool]
-    intercomponent_distance: Optional[float]
-    index_focal: Optional[int]
-    index_quadratic: Optional[int]
-    index_agreement: Optional[bool]
-    nullity_estimate: Optional[int]
-    endpoint_focal_warnings: int
-    arrival_form_norm: Optional[float]
-    focal_midpoint_residual: Optional[float]
-    focal_multiplicities: Optional[list]
-    soul: Optional[dict]
-    fibers: Optional[dict]
-    splitting: Optional[dict]
-    slices: Optional[list]
-    ground_truth: Optional[dict]
-    diagnostics: list
-    tolerances: dict
+    verdict: str = ""
+    reason: str = ""
+    n_launches: int = 0
+    seed: int = 0
+    strategy: str = ""
+    half_length: Optional[float] = None
+    length_mean: Optional[float] = None
+    length_spread_rel: Optional[float] = None
+    orthogonality_max: Optional[float] = None
+    grazing_count: int = 0
+    component_count: Optional[int] = None
+    component_sizes: Optional[list] = None
+    component_pairing_ok: Optional[bool] = None
+    intercomponent_distance: Optional[float] = None
+    index_focal: Optional[int] = None
+    index_quadratic: Optional[int] = None
+    index_agreement: Optional[bool] = None
+    nullity_estimate: Optional[int] = None
+    endpoint_focal_warnings: int = 0
+    arrival_form_norm: Optional[float] = None
+    focal_midpoint_residual: Optional[float] = None
+    focal_multiplicities: Optional[list] = None
+    soul: Optional[dict] = None
+    fibers: Optional[dict] = None
+    splitting: Optional[dict] = None
+    slices: Optional[list] = None
+    ground_truth: Optional[dict] = None
+    diagnostics: list = field(default_factory=list)
+    tolerances: dict = field(default_factory=dict)
     # intermediates kept for the artifacts, not part of report.json: the full
     # index-form spectrum of the first returned geodesic, the soul cloud and
     # the launch sweep
@@ -572,12 +567,13 @@ class ZollReport:
 
 def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] = None,
             seed=0, strategy="uniform", analyses=("certify",), mesh_size=256,
-            n_index_spots=6, sweep: Optional[SweepResult] = None) -> ZollReport:
-    """Run the certification sweep and the requested structure analyses.
+            n_index_spots=6) -> ZollReport:
+    """Sweep the boundary-orthogonal geodesics once and read every check off it.
 
-    ``n_launches`` must be at least ``MIN_LAUNCHES`` and a count that
-    ``sample_boundary`` gives exactly with ``strategy``; otherwise
-    ``LaunchCountError`` names the nearest counts it gives.
+    Stages run in order, each filling its own fields of the report. ``n_launches``
+    must be at least ``MIN_LAUNCHES`` and a count that ``sample_boundary`` gives
+    exactly with ``strategy``; otherwise ``LaunchCountError`` names the nearest
+    counts it gives.
     """
     if n_launches < MIN_LAUNCHES:
         raise LaunchCountError(
@@ -591,226 +587,215 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
             f"{n_launches}; nearest counts it gives exactly: "
             + (", ".join(map(str, near)) or "none"))
     tol = tolerances or Tolerances()
-    if "all" in analyses:
-        analyses = ALL_ANALYSES
-    analyses = set(analyses)
+    analyses = set(ALL_ANALYSES if "all" in analyses else analyses)
 
-    if sweep is None:
-        launch_set = sample_boundary(spec, n_launches, strategy=strategy, seed=seed)
-        sweep = first_return_map(spec, launch_set, rtol=tol.rtol, atol=tol.atol,
-                                 grazing_tol=tol.grazing)
-    else:
-        launch_set = sweep.launch_set
+    launch_set = sample_boundary(spec, n_launches, strategy=strategy, seed=seed)
+    sweep = first_return_map(spec, launch_set, rtol=tol.rtol, atol=tol.atol,
+                             grazing_tol=tol.grazing)
+    report = ZollReport(spec.name, n_launches=len(sweep.records), seed=int(seed),
+                        strategy=strategy, tolerances=tol.to_dict(), sweep=sweep)
+    _verdict(report, tol)
+    # the sweep has one record per launch, so without a returned launch the
+    # verdict is already refuted
+    if sweep.ok_records:
+        components = _components(report, spec, tol)
+        if report.verdict != "refuted":
+            if "jacobi" in analyses:
+                _jacobi(report, spec, tol, mesh_size, n_index_spots)
+            if "soul" in analyses:
+                _soul(report, spec, tol)
+            if "fibers" in analyses and report.index_focal is not None:
+                _fibers(report, spec, tol, components)
+            if "splitting" in analyses:
+                _splitting(report, spec, tol)
+            if "slices" in analyses:
+                _slices(report, spec, tol)
+    _ground_truth(report, spec)
+    return report
 
-    diagnostics: list[str] = []
+
+def _verdict(report: ZollReport, tol: Tolerances):
+    """Refuted for lost launches or grazing; otherwise the return-time spread and
+    the arrival angles, against their tolerances, decide."""
+    sweep = report.sweep
     recs = sweep.ok_records
-    grazing_count = int(sum(r.grazing for r in sweep.records))
-
-    verdict = "certified"
-    reason = ""
-    L = length_mean = spread_rel = orth_max = None
+    report.grazing_count = int(sum(r.grazing for r in sweep.records))
+    report.verdict = "certified"
     if sweep.errors:
-        verdict = "refuted"
-        reason = f"{len(sweep.errors)} launches without boundary return"
-    if recs:
-        rt = sweep.return_times
-        length_mean = float(rt.mean())
-        spread_rel = float((rt.max() - rt.min()) / length_mean)
-        orth_max = float(max(r.normal_deviation for r in recs))
-        L = length_mean / 2.0
-        if verdict != "refuted":
-            ratios = [spread_rel / tol.length_rel, orth_max / tol.orthogonality]
-            if grazing_count:
-                verdict = "refuted"
-                reason = "tangential approach to the boundary"
-            elif max(ratios) <= 1.0:
-                verdict = "certified"
-            elif max(ratios) > tol.refute_factor:
-                verdict = "refuted"
-                reason = ("length spread" if ratios[0] >= ratios[1]
-                          else "non-orthogonal arrival") + " beyond 10x tolerance"
-            else:
-                verdict = "inconclusive"
-                reason = "violations within 10x tolerance band"
-    elif not sweep.errors:
-        verdict = "refuted"
-        reason = "no usable launches"
+        report.verdict = "refuted"
+        report.reason = f"{len(sweep.errors)} launches without boundary return"
+    if not recs:
+        return
+    rt = sweep.return_times
+    report.length_mean = float(rt.mean())
+    report.length_spread_rel = float((rt.max() - rt.min()) / report.length_mean)
+    report.orthogonality_max = float(max(r.normal_deviation for r in recs))
+    report.half_length = sweep.half_length
+    if report.verdict == "refuted":
+        return
+    ratios = [report.length_spread_rel / tol.length_rel,
+              report.orthogonality_max / tol.orthogonality]
+    if report.grazing_count:
+        report.verdict = "refuted"
+        report.reason = "tangential approach to the boundary"
+    elif max(ratios) > max(1.0, tol.refute_factor):
+        report.verdict = "refuted"
+        report.reason = ("length spread" if ratios[0] >= ratios[1]
+                         else "non-orthogonal arrival") + " beyond 10x tolerance"
+    elif max(ratios) > 1.0:
+        report.verdict = "inconclusive"
+        report.reason = "violations within 10x tolerance band"
 
-    comps = comp_sizes = pairing_ok = None
-    inter_dist = None
-    comp_result = None
-    if recs:
-        arrivals = [r.arrival for r in sweep.records]
-        comp_result = boundary_components(spec, launch_set, arrivals,
-                                          link_factor=tol.link_factor)
-        comps = comp_result.count
-        comp_sizes = comp_result.sizes
-        pairing_ok = comp_result.pairing_ok
-        diagnostics.extend(comp_result.diagnostics)
-        if verdict == "certified" and comps > 2:
-            diagnostics.append("certified verdict with more than two boundary components")
-        if comps == 2:
-            inter_dist = intercomponent_distance(spec, launch_set, comp_result.labels)
 
-    index_focal_val = index_quad_val = agreement = nullity = None
-    index_spectrum = None
-    endpoint_warnings = 0
-    arrival_norm = None
-    focal_resid = None
-    focal_mults = None
-    if "jacobi" in analyses and recs and verdict != "refuted":
-        spots = np.linspace(0, len(recs) - 1, min(n_index_spots, len(recs))).astype(int)
-        focal_indices = []
-        focal_resid = 0.0
-        focal_mults = []
-        arrival_norm = 0.0
-        frames = {}
-        for i in spots:
-            r = recs[int(i)]
-            frame = integrate_jacobi_frame(spec, r.path, rtol=tol.rtol, atol=tol.atol)
-            frames[int(i)] = frame
-            record = focal_instants(frame)
-            focal_indices.append(morse_index_focal(record))
-            endpoint_warnings += len(record.endpoint_instants)
-            for inst in record.instants:
-                focal_resid = max(focal_resid, abs(inst.time - r.return_time / 2.0))
-                focal_mults.append(inst.multiplicity)
-            A = arrival_degeneracy_form(spec, frame)
-            arrival_norm = max(arrival_norm, float(np.linalg.norm(A)))
-        if len(set(focal_indices)) > 1:
-            diagnostics.append(f"focal index differs across launches: {sorted(set(focal_indices))}")
-        index_focal_val = int(focal_indices[0]) if focal_indices else None
+def _components(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
+    """Boundary components, arrival pairing and, for two components, their distance."""
+    sweep = report.sweep
+    comps = boundary_components(spec, sweep.launch_set, [r.arrival for r in sweep.records],
+                                link_factor=tol.link_factor)
+    report.component_count = comps.count
+    report.component_sizes = comps.sizes
+    report.component_pairing_ok = comps.pairing_ok
+    report.diagnostics.extend(comps.diagnostics)
+    if report.verdict == "certified" and comps.count > 2:
+        report.diagnostics.append("certified verdict with more than two boundary components")
+    if comps.count == 2:
+        report.intercomponent_distance = intercomponent_distance(spec, sweep.launch_set,
+                                                                 comps.labels)
+    return comps
 
-        quad_vals = []
-        nullities = []
-        for i in list(spots)[:3]:
-            r = recs[int(i)]
-            mat = assemble_index_form(spec, r.path, mesh_size, frame=frames[int(i)])
-            kq, nq = morse_index_quadratic(mat, neg_tol=tol.neg_eig)
-            quad_vals.append(kq)
-            nullities.append(nq)
-            if index_spectrum is None:
-                index_spectrum = mat.eigenvalues
-        if quad_vals:
-            index_quad_val = int(quad_vals[0])
-            nullity = int(min(nullities))
-            if len(set(quad_vals)) > 1:
-                diagnostics.append(f"quadratic index differs across launches: {sorted(set(quad_vals))}")
-        agreement = (index_focal_val == index_quad_val
-                     if index_focal_val is not None and index_quad_val is not None else None)
 
-    soul_doc = None
-    soul_cloud = None
-    if "soul" in analyses and recs and verdict != "refuted":
-        try:
-            soul_cloud = build_soul(spec, sweep, tol)
-            soul_doc = {
-                "count": int(len(soul_cloud.points)),
-                "dimension": int(soul_cloud.dimension_estimate),
-                "diameter": float(soul_cloud.diameter),
-                "distance_residual": float(soul_cloud.distance_residual),
-            }
-            if index_focal_val is not None:
-                check = soul_dimension_check(soul_cloud, spec.dimension, index_focal_val)
-                soul_doc["dimension_check"] = check
-                if not check["passed"]:
-                    diagnostics.append("soul dimension mismatch: "
-                                       f"estimated {check['estimated']}, expected {check['expected']}")
-        except ValueError as exc:
-            soul_doc = {"error": str(exc)}
-            diagnostics.append(str(exc))
+def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, n_spots):
+    """Morse index two ways: focal instants on up to ``n_spots`` evenly spaced
+    returned geodesics, the index form on the first three of them."""
+    recs = report.sweep.ok_records
+    spots = np.linspace(0, len(recs) - 1, min(n_spots, len(recs))).astype(int)
+    focal_indices = []
+    focal_resid = 0.0
+    focal_mults = []
+    arrival_norm = 0.0
+    frames = []
+    for i in spots:
+        r = recs[int(i)]
+        frame = integrate_jacobi_frame(spec, r.path, rtol=tol.rtol, atol=tol.atol)
+        frames.append(frame)
+        record = focal_instants(frame)
+        focal_indices.append(morse_index_focal(record))
+        report.endpoint_focal_warnings += len(record.endpoint_instants)
+        for inst in record.instants:
+            focal_resid = max(focal_resid, abs(inst.time - r.return_time / 2.0))
+            focal_mults.append(inst.multiplicity)
+        A = arrival_degeneracy_form(spec, frame)
+        arrival_norm = max(arrival_norm, float(np.linalg.norm(A)))
+    if len(set(focal_indices)) > 1:
+        report.diagnostics.append(
+            f"focal index differs across launches: {sorted(set(focal_indices))}")
+    report.index_focal = int(focal_indices[0]) if focal_indices else None
+    report.focal_midpoint_residual = focal_resid
+    report.focal_multiplicities = focal_mults
+    report.arrival_form_norm = arrival_norm
 
-    fiber_doc = None
-    if "fibers" in analyses and recs and verdict != "refuted" and index_focal_val is not None:
-        fib = fiber_analysis(spec, sweep, index_focal_val, tol, comp_result)
-        fiber_doc = {
-            "kind": fib.kind,
-            "cluster_count": fib.cluster_count,
-            "cluster_sizes_minmax": [int(min(fib.cluster_sizes)), int(max(fib.cluster_sizes))],
-            "partner_residual": fib.partner_residual,
-            "nontrivial_cover": fib.nontrivial,
-            "loop_transport_used": fib.loop_transport_used,
-            "fiber_dimension": fib.fiber_dimension,
-        }
-        diagnostics.extend(fib.diagnostics)
+    quad_vals = []
+    nullities = []
+    for i, frame in zip(spots[:3], frames):
+        mat = assemble_index_form(spec, recs[int(i)].path, mesh_size, frame=frame)
+        kq, nq = morse_index_quadratic(mat, neg_tol=tol.neg_eig)
+        quad_vals.append(kq)
+        nullities.append(nq)
+        if report.index_spectrum is None:
+            report.index_spectrum = mat.eigenvalues
+    if quad_vals:
+        report.index_quadratic = int(quad_vals[0])
+        report.nullity_estimate = int(min(nullities))
+        if len(set(quad_vals)) > 1:
+            report.diagnostics.append(
+                f"quadratic index differs across launches: {sorted(set(quad_vals))}")
+    if report.index_focal is not None and report.index_quadratic is not None:
+        report.index_agreement = report.index_focal == report.index_quadratic
 
-    splitting_doc = None
-    if "splitting" in analyses and recs and verdict != "refuted":
-        n_side = 16 if spec.dimension <= 2 else 8
-        split = splitting_residual(spec, n_side=n_side, tol=tol)
-        splitting_doc = {
-            "max_unit_residual": float(split.max_unit_residual),
-            "max_cross_residual": float(split.max_cross_residual),
-            "n_launches": int(split.n_launches),
-        }
 
-    slices_doc = None
-    # the slice at t and its mirror at 2L - t coincide as clouds because the
-    # launch set covers every boundary component
-    if "slices" in analyses and recs and verdict != "refuted" and L is not None:
-        slices_doc = []
-        for frac in (0.25, 0.5, 0.75):
-            check = slice_distance_check(spec, sweep, frac * L, tol)
-            slices_doc.append({
-                "t_over_L": frac,
-                "hausdorff": check.hausdorff,
-                "max_distance_residual": check.max_distance_residual,
-                "passed": check.passed,
-            })
+def _soul(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
+    """Soul cloud of the midpoints, checked against the focal index if known."""
+    try:
+        cloud = build_soul(spec, report.sweep, tol)
+    except ValueError as exc:
+        report.soul = {"error": str(exc)}
+        report.diagnostics.append(str(exc))
+        return
+    report.soul_cloud = cloud
+    report.soul = {
+        "count": int(len(cloud.points)),
+        "dimension": int(cloud.dimension_estimate),
+        "diameter": float(cloud.diameter),
+        "distance_residual": float(cloud.distance_residual),
+    }
+    if report.index_focal is not None:
+        check = soul_dimension_check(cloud, spec.dimension, report.index_focal)
+        report.soul["dimension_check"] = check
+        if not check["passed"]:
+            report.diagnostics.append("soul dimension mismatch: "
+                                      f"estimated {check['estimated']}, "
+                                      f"expected {check['expected']}")
 
-    ground_truth = None
+
+def _fibers(report: ZollReport, spec: ManifoldSpec, tol: Tolerances,
+            components: BoundaryComponents):
+    """Fiber structure of the midpoint projection at the focal index."""
+    fib = fiber_analysis(spec, report.sweep, report.index_focal, tol, components)
+    report.fibers = {
+        "kind": fib.kind,
+        "cluster_count": fib.cluster_count,
+        "cluster_sizes_minmax": [int(min(fib.cluster_sizes)), int(max(fib.cluster_sizes))],
+        "partner_residual": fib.partner_residual,
+        "nontrivial_cover": fib.nontrivial,
+        "loop_transport_used": fib.loop_transport_used,
+        "fiber_dimension": fib.fiber_dimension,
+    }
+    report.diagnostics.extend(fib.diagnostics)
+
+
+def _splitting(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
+    """Metric splitting along the flow, on its own structured launch grids."""
+    split = splitting_residual(spec, n_side=16 if spec.dimension <= 2 else 8, tol=tol)
+    report.splitting = {
+        "max_unit_residual": float(split.max_unit_residual),
+        "max_cross_residual": float(split.max_cross_residual),
+        "n_launches": int(split.n_launches),
+    }
+
+
+def _slices(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
+    """Slices at t = L/4, L/2, 3L/4 against their mirrors at 2L - t, which coincide
+    as clouds because the launch set covers every boundary component."""
+    report.slices = []
+    for frac in (0.25, 0.5, 0.75):
+        check = slice_distance_check(spec, report.sweep, frac * report.half_length, tol)
+        report.slices.append({
+            "t_over_L": frac,
+            "hausdorff": check.hausdorff,
+            "max_distance_residual": check.max_distance_residual,
+            "passed": check.passed,
+        })
+
+
+def _ground_truth(report: ZollReport, spec: ManifoldSpec):
+    """Compare the report with the example's annotations, where it has any."""
     ann = spec.annotations
-    if ann:
-        ground_truth = {"expected_zoll": bool(ann.get("zoll", True))}
-        checks = {}
-        if verdict in ("certified", "refuted"):
-            checks["verdict"] = (verdict == "certified") == bool(ann.get("zoll", True))
-        if ann.get("zoll", True):
-            if L is not None and ann.get("half_length") is not None:
-                checks["half_length"] = bool(abs(L - ann["half_length"])
-                                             <= 1e-6 * max(1.0, ann["half_length"]))
-            if index_focal_val is not None and ann.get("index") is not None:
-                checks["index"] = index_focal_val == ann["index"]
-            if comps is not None and ann.get("components") is not None:
-                checks["components"] = comps == ann["components"]
-            if (soul_doc and "dimension" in soul_doc
-                    and ann.get("soul_dim") is not None):
-                checks["soul_dim"] = soul_doc["dimension"] == ann["soul_dim"]
-        ground_truth["checks"] = checks
-        ground_truth["all_match"] = all(checks.values()) if checks else True
-
-    return ZollReport(
-        name=spec.name,
-        verdict=verdict,
-        reason=reason,
-        n_launches=len(sweep.records),
-        seed=int(seed),
-        strategy=strategy,
-        half_length=L,
-        length_mean=length_mean,
-        length_spread_rel=spread_rel,
-        orthogonality_max=orth_max,
-        grazing_count=grazing_count,
-        component_count=comps,
-        component_sizes=comp_sizes,
-        component_pairing_ok=pairing_ok,
-        intercomponent_distance=inter_dist,
-        index_focal=index_focal_val,
-        index_quadratic=index_quad_val,
-        index_agreement=agreement,
-        nullity_estimate=nullity,
-        endpoint_focal_warnings=endpoint_warnings,
-        arrival_form_norm=arrival_norm,
-        focal_midpoint_residual=focal_resid,
-        focal_multiplicities=focal_mults,
-        soul=soul_doc,
-        fibers=fiber_doc,
-        splitting=splitting_doc,
-        slices=slices_doc,
-        ground_truth=ground_truth,
-        diagnostics=diagnostics,
-        tolerances=tol.to_dict(),
-        index_spectrum=index_spectrum,
-        soul_cloud=soul_cloud,
-        sweep=sweep,
-    )
+    if not ann:
+        return
+    zoll = bool(ann.get("zoll", True))
+    checks = {}
+    if report.verdict in ("certified", "refuted"):
+        checks["verdict"] = (report.verdict == "certified") == zoll
+    if zoll:
+        L = report.half_length
+        if L is not None and ann.get("half_length") is not None:
+            checks["half_length"] = bool(abs(L - ann["half_length"])
+                                         <= 1e-6 * max(1.0, ann["half_length"]))
+        if report.index_focal is not None and ann.get("index") is not None:
+            checks["index"] = report.index_focal == ann["index"]
+        if report.component_count is not None and ann.get("components") is not None:
+            checks["components"] = report.component_count == ann["components"]
+        if report.soul and "dimension" in report.soul and ann.get("soul_dim") is not None:
+            checks["soul_dim"] = report.soul["dimension"] == ann["soul_dim"]
+    report.ground_truth = {"expected_zoll": zoll, "checks": checks,
+                           "all_match": all(checks.values()) if checks else True}

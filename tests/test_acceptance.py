@@ -85,7 +85,7 @@ def test_c02_orthogonal_arrival(sweeps):
     for key in CERTIFIED_KEYS:
         dev = max(r.normal_deviation for r in sweeps[key].ok_records)
         assert dev <= 1e-7, (key, dev)
-    ell = certify(make_example("ellipse"), 64, TOL, sweep=sweeps["ellipse"])
+    ell = certify(make_example("ellipse"), 64, TOL)
     assert ell.verdict == "refuted"
     assert ell.orthogonality_max >= 1e-3
     _announce(2, "orthogonal arrival; ellipse control refuted", True,

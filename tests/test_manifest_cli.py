@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,6 +230,31 @@ class TestCLI:
         assert main(["certify", "--manifest", str(mpath)]) == 2
         assert "unknown tolerance 'to_dict'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"mesh_size": 8, "analyses": ["jacobi"]}, "mesh_size must be at least 16"),
+        ({"mesh_size": "abc"}, "mesh_size must be an integer, not 'abc'"),
+        ({"launches": 32.7}, "launches must be an integer, not 32.7"),
+        ({"seed": True}, "seed must be an integer, not True"),
+        ({"boundary": "(1 - x0**2 - "}, "cannot parse expression '(1 - x0**2 - '"),
+        ({"boundary": "x0*(2 - x2)/2"}, "'x0*(2 - x2)/2' is not an expression in x0, x1"),
+        ({"point": "u0(2)"}, "cannot parse expression 'u0(2)'"),
+        ({"point": "f(u0)"}, "'f(u0)' is not an expression in u0"),
+        ({"entries": [["1", "0"]]}, "metric entries must be a 2 x 2 nested list"),
+    ])
+    def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
+        inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))
+        if "boundary" in edit:
+            inline["boundary"]["expression"] = edit.pop("boundary")
+        if "point" in edit:
+            inline["boundary_patches"][0]["point"][0] = edit.pop("point")
+        if "entries" in edit:
+            inline["metric"]["entries"] = edit.pop("entries")
+        doc = dict({"manifold": {"inline": inline}, "launches": 32, "out_dir": ""}, **edit)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        assert main(["analyze", "--manifest", str(mpath)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_no_arguments_usage_error(self, capsys):
         assert main([]) == 2
         assert main(["certify"]) == 2
@@ -312,3 +339,18 @@ class TestBuiltinMetricKinds:
                           "domain": {"lo": [-2, -2], "hi": [2, 2]}}}
         with pytest.raises(ManifestError, match="unknown builtin metric"):
             load_manifold(doc)
+
+
+def test_catalog_run_loads_neither_sympy_nor_scipy_stats():
+    # sympy is needed only for inline charts, scipy.stats only for
+    # low-discrepancy sampling; both are slow to import
+    code = ("import sys, zollab.cli\n"
+            "from zollab.manifest import load_manifold\n"
+            "load_manifold({'catalog': 'solid_torus', 'params': {}})\n"
+            "print([m for m in ('sympy', 'scipy.stats') if m in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(zollab.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout == "[]\n"

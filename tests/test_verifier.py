@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,8 @@ from zollab.verifier import (
 
 
 class TestCertifyVerdicts:
-    def test_disk_certified(self, specs, sweeps):
-        rep = certify(specs["flat_disk"], 64, sweep=sweeps["flat_disk"])
+    def test_disk_certified(self, specs):
+        rep = certify(specs["flat_disk"], 64)
         assert rep.verdict == "certified"
         assert rep.half_length == pytest.approx(1.0, abs=1e-9)
         assert rep.component_count == 1
@@ -30,24 +32,24 @@ class TestCertifyVerdicts:
         assert rep.orthogonality_max <= rep.tolerances["orthogonality"]
         assert rep.grazing_count == 0
 
-    def test_band_certified_two_components(self, specs, sweeps):
-        rep = certify(specs["flat_band"], 64, sweep=sweeps["flat_band"])
+    def test_band_certified_two_components(self, specs):
+        rep = certify(specs["flat_band"], 64)
         assert rep.verdict == "certified"
         assert rep.half_length == pytest.approx(1.0, abs=1e-9)
         assert rep.component_count == 2
         assert rep.component_pairing_ok
         assert rep.intercomponent_distance == pytest.approx(2.0, abs=1e-7)
 
-    def test_ellipse_refuted(self, specs, sweeps):
-        rep = certify(specs["ellipse"], 64, sweep=sweeps["ellipse"])
+    def test_ellipse_refuted(self, specs):
+        rep = certify(specs["ellipse"], 64)
         assert rep.verdict == "refuted"
         assert rep.orthogonality_max > 1e-3
         assert rep.ground_truth["all_match"]
 
-    def test_inconclusive_band_between_tolerances(self, specs, sweeps):
+    def test_inconclusive_band_between_tolerances(self, specs):
         # loosen tolerances so the ellipse violations fall inside the 10x band
         tol = Tolerances(length_rel=0.2, orthogonality=0.2)
-        rep = certify(specs["ellipse"], 64, tolerances=tol, sweep=sweeps["ellipse"])
+        rep = certify(specs["ellipse"], 64, tolerances=tol)
         assert rep.verdict == "inconclusive"
 
     def test_minimum_launch_count(self, specs):
@@ -66,6 +68,32 @@ class TestCertifyVerdicts:
         rep1 = certify(specs["flat_moebius"], 32, seed=7, analyses=("certify",))
         rep2 = certify(specs["flat_moebius"], 32, seed=7, analyses=("certify",))
         assert rep1.to_dict() == rep2.to_dict()
+
+    # the ellipse's longest chord is 4; t_max is 50 x scale_hint
+    @pytest.mark.parametrize("scale_hint,lost", [(0.06, 8), (0.01, 64)])
+    def test_launches_without_return_refute(self, scale_hint, lost):
+        spec = dataclasses.replace(make_example("ellipse"), scale_hint=scale_hint)
+        rep = certify(spec, 64, analyses=("all",))
+        assert rep.verdict == "refuted"
+        assert rep.reason == f"{lost} launches without boundary return"
+        assert rep.n_launches == 64
+        analysis_fields = ("index_focal", "index_quadratic", "index_agreement",
+                           "nullity_estimate", "arrival_form_norm", "focal_midpoint_residual",
+                           "focal_multiplicities", "soul", "fibers", "splitting", "slices",
+                           "index_spectrum", "soul_cloud")
+        assert all(getattr(rep, name) is None for name in analysis_fields)
+        assert rep.endpoint_focal_warnings == 0
+        if lost < 64:
+            assert rep.component_count == 1
+            assert rep.half_length is not None
+        else:
+            assert rep.half_length is None and rep.component_count is None
+            assert rep.length_mean is None and rep.orthogonality_max is None
+
+    def test_orthogonality_alone_refutes(self, specs):
+        rep = certify(specs["ellipse"], 64, Tolerances(length_rel=10.0, orthogonality=1e-3))
+        assert rep.verdict == "refuted"
+        assert rep.reason == "non-orthogonal arrival beyond 10x tolerance"
 
 
 class TestBoundaryComponents:
@@ -246,9 +274,8 @@ class TestSlices:
 
 
 class TestReportStructure:
-    def test_full_report_fields(self, specs, sweeps):
-        rep = certify(specs["flat_moebius"], 64, analyses=("all",),
-                      sweep=sweeps["flat_moebius"])
+    def test_full_report_fields(self, specs):
+        rep = certify(specs["flat_moebius"], 64, analyses=("all",))
         doc = rep.to_dict()
         assert doc["verdict"] == "certified"
         assert doc["index_focal"] == 0 and doc["index_agreement"]
