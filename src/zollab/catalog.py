@@ -18,6 +18,7 @@ from .geometry import (
     ManifoldSpec,
     MetricField,
     link_inverses,
+    scalar_pow,
 )
 
 DECK_ISO_TOL = 1e-10
@@ -34,7 +35,9 @@ def euclidean_metric(n):
     jet = np.zeros((n + 1, n, n))
     jet[0] = np.eye(n)
     jet.flags.writeable = False
-    return MetricField(n, lambda x: jet, name="euclidean")
+    # read-only views: one array at a point, a broadcast of it over a stack
+    return MetricField(n, lambda x: np.broadcast_to(jet, x.shape[:-1] + jet.shape)
+                       if x.ndim > 1 else jet, name="euclidean")
 
 
 def stereographic_sphere_metric(n):
@@ -42,10 +45,12 @@ def stereographic_sphere_metric(n):
     eye = np.eye(n)
 
     def jet(x):
-        lam = 2.0 / (1.0 + float(x @ x))
-        out = np.empty((n + 1, n, n))
-        out[0] = lam * lam * eye
-        np.multiply((-2.0 * lam ** 3 * x)[:, None, None], eye, out=out[1:])
+        # |x|^2 as one dot per point, as a 1-d ``x @ x`` takes it
+        lam = 2.0 / (1.0 + np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
+        out = np.empty(x.shape[:-1] + (n + 1, n, n))
+        out[..., 0, :, :] = (lam * lam)[..., None, None] * eye
+        np.multiply(((-2.0 * scalar_pow(lam, 3))[..., None] * x)[..., None, None], eye,
+                    out=out[..., 1:, :, :])
         return out
 
     return MetricField(n, jet, name="stereographic-sphere")
@@ -55,10 +60,10 @@ def latitude_band_metric():
     """Unit S^2 in (latitude, longitude): g = d(lat)^2 + cos^2(lat) d(lon)^2."""
 
     def jet(x):
-        out = np.zeros((3, 2, 2))
-        out[0, 0, 0] = 1.0
-        out[0, 1, 1] = np.cos(x[0]) ** 2
-        out[1, 1, 1] = -np.sin(2.0 * x[0])
+        out = np.zeros(x.shape[:-1] + (3, 2, 2))
+        out[..., 0, 0, 0] = 1.0
+        out[..., 0, 1, 1] = scalar_pow(np.cos(x[..., 0]), 2)
+        out[..., 1, 1, 1] = -np.sin(2.0 * x[..., 0])
         return out
 
     return MetricField(2, jet, name="latitude-band")
@@ -430,9 +435,9 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
     base_metric = base.metric
 
     def jet(x, _bm=base_metric, _n=n):
-        out = np.zeros((_n + 2, _n + 1, _n + 1))
-        out[0, _n, _n] = 1.0
-        out[:_n + 1, :_n, :_n] = _bm.jet(x[:_n])
+        out = np.zeros(x.shape[:-1] + (_n + 2, _n + 1, _n + 1))
+        out[..., 0, _n, _n] = 1.0
+        out[..., :_n + 1, :_n, :_n] = _bm.jet(x[..., :_n])
         return out
 
     metric = MetricField(m, jet, name=f"{base.metric.name}+dt^2")

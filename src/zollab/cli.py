@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -284,14 +284,10 @@ def _manifests_from_args(args, default_analyses):
                                      analyses=default_analyses))
     for path in args.manifest or []:
         manifests.append(RunManifest.load(path))
-    for m in manifests:
-        if args.launches is not None:
-            m.launches = args.launches
-        if args.seed is not None:
-            m.seed = args.seed
-        if args.out is not None:
-            m.out_dir = args.out
-    return manifests
+    # replace() builds each manifest anew, so the flags pass its checks
+    flags = {key: val for key, val in (("launches", args.launches), ("seed", args.seed),
+                                       ("out_dir", args.out)) if val is not None}
+    return [replace(m, **flags) for m in manifests]
 
 
 def main(argv=None):

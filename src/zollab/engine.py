@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -48,13 +49,47 @@ class FlowResult:
     grazing: bool
     deck_crossings: list[tuple[float, str]]
 
+    @cached_property
+    def _steps(self):
+        """The ``RkDenseOutput`` pieces Q, y_old, t_old, h of every integration
+        step, stacked in time order."""
+        pieces = [p for _, _, sol in self.segments for p in sol.interpolants]
+        return tuple(np.array([getattr(p, name) for p in pieces])
+                     for name in ("Q", "y_old", "t_old", "h"))
+
+    def _pieces(self, t):
+        """Pieces of the step each time of t (k,) falls in, and t clipped to the flow.
+
+        ``state_at`` used to take the first segment that reaches t, clip t to it
+        and call the segment's ``OdeSolution``, which takes the last step that
+        starts before t (the first step if none does). Segments are contiguous
+        and each step starts where the one before it ended, so that is the last
+        step of the whole flow that starts before t clipped to the flow.
+        """
+        Q, y_old, t_old, h = self._steps
+        t = np.minimum(np.maximum(t, self.segments[0][0]), self.segments[-1][1])
+        step = np.maximum(np.searchsorted(t_old, t) - 1, 0)
+        return Q[step], y_old[step], t_old[step], h[step], t
+
     def state_at(self, t):
-        t = float(t)
-        for t_lo, t_hi, sol in self.segments:
-            if t <= t_hi or sol is self.segments[-1][2]:
-                return sol(np.clip(t, t_lo, t_hi))
-        t_lo, t_hi, sol = self.segments[-1]
-        return sol(np.clip(t, t_lo, t_hi))
+        """State at time t, or the (k, len(y)) states at the times of an array (k,).
+
+        Each state is bit-equal to one scalar call of its segment's
+        ``OdeSolution``; an ``OdeSolution`` called on a time array rounds
+        differently, so the step polynomials are evaluated here.
+        """
+        t = np.asarray(t, dtype=float)
+        return _dense_states(*self._pieces(t.reshape(-1))).reshape(t.shape + (-1,))
+
+
+def _dense_states(Q, y_old, t_old, h, t):
+    """Row i: the ``RkDenseOutput`` (Q[i], y_old[i], t_old[i], h[i]) at t[i], with
+    its arithmetic (``np.dot`` of one row becomes a stacked ``matmul``)."""
+    x = (t - t_old) / h
+    p = np.cumprod(np.repeat(x[:, None], Q.shape[-1], axis=1), axis=1)
+    y = h[:, None] * np.matmul(Q, p[:, :, None])[:, :, 0]
+    y += y_old
+    return y
 
 
 def geodesic_rhs(spec: ManifoldSpec):
@@ -231,37 +266,16 @@ class GeodesicPath:
         return self.return_time is not None
 
     def state_at(self, t):
+        """Position and velocity at time t, or their (k, n) stacks at times (k,)."""
         n = self.spec.dimension
         y = self.flow.state_at(t)
-        return y[:n], y[n:2 * n]
+        return y[..., :n], y[..., n:2 * n]
 
     def position_at(self, t):
         return self.state_at(t)[0]
 
     def velocity_at(self, t):
         return self.state_at(t)[1]
-
-    def unit_speed_drift(self):
-        worst = 0.0
-        for x, v in zip(self.points, self.velocities):
-            g = self.spec.metric.matrix(x)
-            worst = max(worst, abs(metric_inner(g, v, v) - 1.0))
-        return worst
-
-    def arc_length(self, n_gauss=4):
-        """Quadrature arc length of the dense output up to the return time."""
-        nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-        total = 0.0
-        t_hi_cap = self.return_time if self.returned else self.times[-1]
-        for i in range(len(self.times) - 1):
-            a, b = self.times[i], min(self.times[i + 1], t_hi_cap)
-            if b <= a:
-                continue
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            for z, w in zip(nodes, weights):
-                x, v = self.state_at(mid + half * z)
-                total += w * half * metric_norm(self.spec.metric.matrix(x), v)
-        return total
 
 
 def project_to_boundary(spec: ManifoldSpec, p):
@@ -463,10 +477,20 @@ class SweepResult:
         rt = self.return_times
         return float(rt.mean() / 2.0) if rt.size else None
 
+    def states_at(self, t):
+        """(m, 2n) position and velocity of each returned geodesic at t, a time or
+        one time per returned launch; row i is bit-equal to its own ``state_at``."""
+        recs = self.ok_records
+        times = np.broadcast_to(np.asarray(t, dtype=float), (len(recs),))
+        parts = [r.path.flow._pieces(tr.reshape(1)) for r, tr in zip(recs, times)]
+        if not parts:
+            return np.empty((0, 2 * self.spec.dimension))
+        return _dense_states(*map(np.concatenate, zip(*parts)))
+
     @property
     def midpoints(self):
         """Position of each returned geodesic at half its return time."""
-        return np.array([r.path.position_at(r.return_time / 2.0) for r in self.ok_records])
+        return self.states_at(self.return_times / 2.0)[:, :self.spec.dimension]
 
     @property
     def errors(self):

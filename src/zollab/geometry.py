@@ -37,16 +37,30 @@ def _fd_step(x):
 
 
 def _central_difference(f, x):
-    """Central differences ``[d_0 f, ..., d_{n-1} f]`` of ``f`` at the chart point x."""
+    """Central differences ``[d_0 f, ..., d_{n-1} f]`` of ``f`` at the chart point
+    x (n,), or their (m, n, ...) stack at each point of x (m, n); ``f`` is called
+    with arrays shaped like x, one coordinate step at a time."""
     h = _fd_step(x)
     diffs = []
-    for l in range(x.size):
+    for l in range(x.shape[-1]):
         xp = x.copy()
         xm = x.copy()
-        xp[l] += h[l]
-        xm[l] -= h[l]
-        diffs.append((f(xp) - f(xm)) / (2.0 * h[l]))
-    return np.array(diffs)
+        xp[..., l] += h[..., l]
+        xm[..., l] -= h[..., l]
+        d = f(xp) - f(xm)
+        step = 2.0 * h[..., l]
+        diffs.append(d / step.reshape(step.shape + (1,) * (d.ndim - step.ndim)))
+    return np.stack(diffs, axis=x.ndim - 1)
+
+
+# numpy scalar ``**`` calls C pow once per value; an array ``**`` takes other
+# paths (squaring, SIMD pow) whose last bits differ
+_SCALAR_POW = np.frompyfunc(lambda a, b: np.float64(a) ** b, 2, 1)
+
+
+def scalar_pow(a, b):
+    """``a ** b`` elementwise, bit for bit what a numpy scalar ``**`` gives per value."""
+    return _SCALAR_POW(a, b).astype(float)
 
 
 class MetricField:
@@ -59,7 +73,8 @@ class MetricField:
     jet_fn : callable
         Maps a chart point (a float array (n,)) to the (n + 1, n, n) stack
         ``[g, d_0 g, ..., d_{n-1} g]``, d_l g[i, j] = d g_ij / d x^l, with every
-        slice symmetric.
+        slice symmetric, and a stack of points (m, n) to the (m, n + 1, n, n)
+        stack of their jets, each bit-equal to the jet of its point alone.
     """
 
     def __init__(self, dimension, jet_fn, name=""):
@@ -77,24 +92,32 @@ class MetricField:
             g = np.asarray(matrix(x), dtype=float)
             return 0.5 * (g + g.T)
 
-        def jet(x):
+        def point_jet(x):
             if derivative is None:
                 dg = _central_difference(sym_matrix, x)
             else:
                 dg = np.asarray(derivative(x), dtype=float)
             return np.concatenate((sym_matrix(x)[None], 0.5 * (dg + np.swapaxes(dg, 1, 2))))
 
+        def jet(x):
+            if x.ndim == 1:
+                return point_jet(x)
+            # the callables take one point at a time
+            n = int(dimension)
+            return np.array([point_jet(p) for p in x]).reshape(len(x), n + 1, n, n)
+
         return cls(dimension, jet, name)
 
     def jet(self, x):
-        """The (n + 1, n, n) stack ``[g, d_0 g, ..., d_{n-1} g]`` at a chart point."""
+        """The (n + 1, n, n) stack ``[g, d_0 g, ..., d_{n-1} g]`` at a chart point
+        (n,), or the (m, n + 1, n, n) stack of them at a stack of points (m, n)."""
         return self._jet_fn(np.asarray(x, dtype=float))
 
     def matrix(self, x):
-        return self.jet(x)[0]
+        return self.jet(x)[..., 0, :, :]
 
     def derivative(self, x):
-        return self.jet(x)[1:]
+        return self.jet(x)[..., 1:, :, :]
 
 
 class BoundaryChart:
@@ -192,6 +215,9 @@ class ManifoldSpec:
     scale_hint: float = 1.0
     annotations: dict = field(default_factory=dict)
     chart_notes: str = ""
+    # built from an inline manifest: the chart carries no facts beyond the
+    # manifest, e.g. which curves are minimizing geodesics
+    inline: bool = False
 
     @property
     def dimension(self):
@@ -317,11 +343,21 @@ class QuotientCloud:
 # metric algebra helpers
 
 def metric_inner(g_matrix, u, w):
-    return float(np.asarray(u) @ g_matrix @ np.asarray(w))
+    """g(u, w) at a point; for stacks g (m, n, n), u and w (m, n), the (m,) array
+    of them, each bit-equal to its point's (stacked ``matmul``, not ``einsum``)."""
+    u = np.asarray(u)
+    w = np.asarray(w)
+    if u.ndim == 1:
+        return float(u @ g_matrix @ w)
+    return (u[..., None, :] @ g_matrix @ w[..., :, None])[..., 0, 0]
 
 
 def metric_norm(g_matrix, u):
-    return float(np.sqrt(max(metric_inner(g_matrix, u, u), 0.0)))
+    """g-norm of u at a point, or the (m,) array of them for stacks."""
+    q = metric_inner(g_matrix, u, u)
+    if np.ndim(q):
+        return np.sqrt(np.maximum(q, 0.0))
+    return float(np.sqrt(max(q, 0.0)))
 
 
 def gram_schmidt(g_matrix, vectors):
@@ -354,15 +390,29 @@ def _solve(a, b):
 
 
 def christoffel_raw(metric: MetricField, x):
-    """Christoffel symbols Gamma[k, i, j] without domain validation."""
+    """Christoffel symbols Gamma[k, i, j] at a chart point (n,), or their
+    (m, n, n, n) stack at a stack of points (m, n), without domain validation.
+
+    A singular metric raises ``DegenerateMetricError`` naming the point; in a
+    stack, the first singular point.
+    """
     jet = metric.jet(x)
-    dg = jet[1:]  # dg[l, i, j] = d_l g_ij
     n = metric.dimension
+    # g, dg[l, i, j] = d_l g_ij, the axes that take dg to d_i g_jl and to
+    # d_j g_il, and the shape of the right-hand sides of the solve
+    if jet.ndim == 3:
+        g, dg, axes, rows = jet[0], jet[1:], ((2, 0, 1), (2, 1, 0)), (n, n * n)
+    else:
+        g, dg = jet[:, 0], jet[:, 1:]
+        axes, rows = ((0, 3, 1, 2), (0, 3, 2, 1)), (len(jet), n, n * n)
     # A[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, symmetric in (i, j)
-    A = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
+    A = dg.transpose(axes[0]) + dg.transpose(axes[1]) - dg
     try:
-        gamma = 0.5 * _solve(jet[0], A.reshape(n, n * n)).reshape(n, n, n)
+        gamma = 0.5 * _solve(g, A.reshape(rows)).reshape(A.shape)
     except np.linalg.LinAlgError as exc:
+        if jet.ndim == 4:
+            for p in np.asarray(x, dtype=float):
+                christoffel_raw(metric, p)  # raises for the first singular point
         raise DegenerateMetricError(f"degenerate metric at {np.asarray(x)}") from exc
     return gamma
 
@@ -378,7 +428,8 @@ def christoffel(spec: ManifoldSpec, x):
 
 def curvature_operator_raw(metric: MetricField, x, v):
     """Matrix of w -> R(v, w)v in chart coordinates, sign convention
-    R(X, Y) = [nabla_X, nabla_Y] - nabla_[X, Y]."""
+    R(X, Y) = [nabla_X, nabla_Y] - nabla_[X, Y]; the (m, n, n) stack of them for
+    stacks of points and vectors (m, n)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     gamma = christoffel_raw(metric, x)
@@ -387,13 +438,15 @@ def curvature_operator_raw(metric: MetricField, x, v):
     dgamma = _central_difference(lambda y: christoffel_raw(metric, y), x)
     # R^k_{l i j} = d_i Gamma^k_{j l} - d_j Gamma^k_{i l}
     #              + Gamma^k_{i m} Gamma^m_{j l} - Gamma^k_{j m} Gamma^m_{i l}
-    # operator entries M[k, j] = R^k_{l i j} v^i v^l
-    termA = np.einsum("i,ikjl,l->kj", v, dgamma, v)
-    termB = np.einsum("jkil,i,l->kj", dgamma, v, v)
-    P = np.einsum("kim,i->km", gamma, v)
-    Q = np.einsum("mjl,l->mj", gamma, v)
-    r = np.einsum("mil,i,l->m", gamma, v, v)
-    termD = np.einsum("kjm,m->kj", gamma, r)
+    # operator entries M[k, j] = R^k_{l i j} v^i v^l; a stack adds the batch
+    # index b to every operand (no einsum optimize, which reorders the sums)
+    b = "b" if x.ndim == 2 else ""
+    termA = np.einsum(f"{b}i,{b}ikjl,{b}l->{b}kj", v, dgamma, v)
+    termB = np.einsum(f"{b}jkil,{b}i,{b}l->{b}kj", dgamma, v, v)
+    P = np.einsum(f"{b}kim,{b}i->{b}km", gamma, v)
+    Q = np.einsum(f"{b}mjl,{b}l->{b}mj", gamma, v)
+    r = np.einsum(f"{b}mil,{b}i,{b}l->{b}m", gamma, v, v)
+    termD = np.einsum(f"{b}kjm,{b}m->{b}kj", gamma, r)
     return termA - termB + P @ Q - termD
 
 
@@ -492,12 +545,3 @@ def normalize_into_domain(spec: ManifoldSpec, x, v=None, max_steps=None):
         if not spec.deck_maps:
             raise AtlasError(f"left atlas: {x} outside domain of {spec.name!r}")
     return (x, v) if v is not None else (x, None)
-
-
-def deck_isometry_residual(spec: ManifoldSpec, deck: DeckMap, x):
-    """|| dpsi^T g(psi(x)) dpsi - g(x) || for the isometry invariant."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(deck.differential(x), dtype=float)
-    g_here = spec.metric.matrix(x)
-    g_there = spec.metric.matrix(deck.apply_point(x))
-    return float(np.linalg.norm(d.T @ g_there @ d - g_here))

@@ -47,11 +47,12 @@ class MaximalDegeneracyError(RuntimeError):
 
 
 def curvature_frame_matrix(metric, x, v, E):
-    """Tidal operator in a g-orthonormal frame: K[a,b] = g(R(v,E_b)v, E_a)."""
+    """Tidal operator in a g-orthonormal frame: K[a,b] = g(R(v,E_b)v, E_a); the
+    (m, n, n) stack of them for stacks x, v (m, n) and frames E (m, n, n)."""
     g = metric.matrix(x)
     M = curvature_operator_raw(metric, x, v)
-    K = E.T @ g @ M @ E
-    return 0.5 * (K + K.T)
+    K = E.swapaxes(-1, -2) @ g @ M @ E
+    return 0.5 * (K + K.swapaxes(-1, -2))
 
 
 @dataclass
@@ -81,26 +82,20 @@ class JacobiFrame:
         return self.path.return_time
 
     def blocks_at(self, t):
+        """x, v, E, Y, Y' at time t, or stacked along the leading axis for an
+        array of times."""
         n = self.dimension
         y = self.flow.state_at(t)
-        x = y[:n]
-        v = y[n:2 * n]
-        E = y[2 * n:2 * n + n * n].reshape(n, n)
-        Y = y[2 * n + n * n:2 * n + 2 * n * n].reshape(n, n)
-        Yp = y[2 * n + 2 * n * n:].reshape(n, n)
+        lead = y.shape[:-1]
+        x = y[..., :n]
+        v = y[..., n:2 * n]
+        E = y[..., 2 * n:2 * n + n * n].reshape(lead + (n, n))
+        Y = y[..., 2 * n + n * n:2 * n + 2 * n * n].reshape(lead + (n, n))
+        Yp = y[..., 2 * n + 2 * n * n:].reshape(lead + (n, n))
         return x, v, E, Y, Yp
 
     def jacobi_block(self, t):
         return self.blocks_at(t)[3]
-
-    def wronskian_drift(self, n_check=64):
-        """Max drift of Y'^T Y - Y^T Y' (zero for exact Jacobi frames)."""
-        worst = 0.0
-        for t in np.linspace(0.0, self.return_time, n_check):
-            _, _, _, Y, Yp = self.blocks_at(t)
-            W = Yp.T @ Y - Y.T @ Yp
-            worst = max(worst, float(np.abs(W).max()))
-        return worst
 
 
 def _padded_shape_matrix(shape_sub, n):
@@ -173,11 +168,12 @@ class FocalRecord:
 
 
 def _scaled_block(frame: JacobiFrame, t):
-    """J-block with the t*gamma' column rescaled by 1/t (rank unchanged)."""
+    """J-block with the t*gamma' column rescaled by 1/t (rank unchanged), at a
+    time or stacked for an array of times."""
     Y = frame.jacobi_block(t)
     Y = Y.copy()
-    scale = max(abs(t), 1e-12 * frame.return_time)
-    Y[:, -1] /= scale
+    scale = np.maximum(np.abs(t), 1e-12 * frame.return_time)
+    Y[..., :, -1] /= np.expand_dims(scale, -1)
     return Y
 
 
@@ -185,15 +181,11 @@ def focal_instants(frame: JacobiFrame) -> FocalRecord:
     """Locate parameters where the Jacobi evaluation map loses rank."""
     R = frame.return_time
     ts = np.linspace(1e-6 * R, R, FOCAL_SCAN)
-    dets = np.empty(FOCAL_SCAN)
-    smin = np.empty(FOCAL_SCAN)
-    smax = np.empty(FOCAL_SCAN)
-    for i, t in enumerate(ts):
-        Y = _scaled_block(frame, t)
-        s = np.linalg.svd(Y, compute_uv=False)
-        dets[i] = np.linalg.det(Y)
-        smin[i] = s[-1]
-        smax[i] = s[0]
+    Y = _scaled_block(frame, ts)
+    s = np.linalg.svd(Y, compute_uv=False)
+    dets = np.linalg.det(Y)
+    smin = s[:, -1]
+    smax = s[:, 0]
 
     # sustained rank loss violates isolation of focal instants
     below = smin < RANK_DROP_TOL * np.maximum(smax, 1e-300)
@@ -358,11 +350,8 @@ def assemble_index_form(spec: ManifoldSpec, path: GeodesicPath, mesh_size=256,
     # curvature term int phi_A phi_B Khat dt, 2-point Gauss
     gauss_nodes = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
     gauss_w = np.array([0.5, 0.5])
-    K = np.empty((N, 2, n, n))
-    for e in range(N):
-        for g, xi in enumerate(gauss_nodes):
-            x, v, E, _, _ = frame.blocks_at((e + xi) * h * R)
-            K[e, g] = curvature_frame_matrix(spec.metric, x, v, E) * (R * R)
+    x, v, E, _, _ = frame.blocks_at(((np.arange(N)[:, None] + gauss_nodes) * h * R).ravel())
+    K = (curvature_frame_matrix(spec.metric, x, v, E) * (R * R)).reshape(N, 2, n, n)
     shapes = np.stack([1.0 - gauss_nodes, gauss_nodes])        # shapes[a, g]
     weights = np.einsum("g,ag,bg->gab", gauss_w * h, shapes, shapes)
     stiffness += np.einsum("gab,egij->eaibj", weights, K).reshape(N, 2 * n, 2 * n)

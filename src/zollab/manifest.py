@@ -29,6 +29,7 @@ from .geometry import (
     BoundaryPatch,
     ManifoldSpec,
     MetricField,
+    scalar_pow,
 )
 from .jacobi import MIN_MESH_SIZE
 
@@ -57,6 +58,29 @@ def _parse(text, symbols):
     return expr
 
 
+def _scalar_pow_printer():
+    """Numpy code printer that writes each power as ``scalar_pow(base, exp)``.
+
+    Code printed by it computes on arrays what the plain numpy printer's code
+    computes on scalars: the same operations in the same order, with each
+    ``**`` through ``scalar_pow``, since an array ``**`` rounds differently.
+    """
+    import sympy as sp
+    from sympy.printing.numpy import NumPyPrinter
+
+    class ScalarPowPrinter(NumPyPrinter):
+        def _hprint_Pow(self, expr, rational=False, sqrt="math.sqrt"):
+            # the branches of the parent that print sqrt and reciprocals
+            if not rational and (expr.exp == sp.S.Half or (expr.is_commutative and (
+                    -expr.exp is sp.S.Half or expr.exp is sp.S.NegativeOne))):
+                return super()._hprint_Pow(expr, rational=rational, sqrt=sqrt)
+            return f"scalar_pow({self._print(expr.base)}, {self._print(expr.exp)})"
+
+    # the settings lambdify gives the printer it picks for modules="numpy"
+    return ScalarPowPrinter({"fully_qualified_modules": False, "inline": True,
+                             "allow_unknown_functions": True, "user_functions": {}})
+
+
 def expression_metric(entries, n):
     """MetricField from an n x n nested list of expressions in x0..x{n-1}."""
     import sympy as sp
@@ -68,13 +92,25 @@ def expression_metric(entries, n):
     if not mat.is_symmetric():
         mat = (mat + mat.T) / 2
     dmats = [mat.diff(x) for x in xs]
-    # every entry of g and of its n derivatives in one nested list; no cse,
-    # which would regroup subexpressions and change the rounding
-    entries = sp.lambdify(xs, [m.tolist() for m in [mat] + dmats], modules="numpy")
+    # every entry of g and of its n derivatives in one flat row-major list; no
+    # cse, which would regroup subexpressions and change the rounding. The
+    # same list is lambdified twice: plainly for one point, which is the
+    # fastest form there, and with scalar_pow for stacks of points.
+    flat = [e for m in [mat] + dmats for e in m]
+    point_entries = sp.lambdify(xs, flat, modules="numpy")
+    stack_entries = sp.lambdify(xs, flat, modules=[{"scalar_pow": scalar_pow}, "numpy"],
+                                printer=_scalar_pow_printer())
+    shape = (n + 1, n, n)
 
     def jet(x):
-        J = np.array(entries(*x), dtype=float)
-        return 0.5 * (J + J.transpose(0, 2, 1))
+        if x.ndim == 1:
+            J = np.array(point_entries(*x), dtype=float).reshape(shape)
+        else:
+            # contiguous coordinate columns in; constant entries broadcast
+            entries = stack_entries(*np.ascontiguousarray(x.T))
+            J = np.array([np.broadcast_to(e, len(x)) for e in entries],
+                         dtype=float).T.reshape((len(x),) + shape)
+        return 0.5 * (J + J.swapaxes(-1, -2))
 
     return MetricField(n, jet, name="expression")
 
@@ -116,19 +152,38 @@ def expression_patch(point_exprs, dim, name="patch", periodic=None):
     return patch
 
 
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _chart_axis(doc, key, n):
+    """The chart axis ``doc[key]``: an integer in 0..n-1."""
+    axis = doc.get(key)
+    if not (_is_integer(axis) and 0 <= axis < n):
+        raise ManifestError(f"deck map {key} must be an integer in 0..{n - 1}, not {axis!r}")
+    return axis
+
+
 def _build_deck_maps(docs, n):
     decks = []
     for doc in docs:
         kind = doc.get("kind")
-        axis = int(doc["axis"])
-        period = float(doc["period"])
-        if kind == "translation":
-            decks.extend(translation_decks(n, axis, period, doc.get("name", f"t{axis}")))
-        elif kind == "flip_translation":
-            decks.extend(flip_translation_decks(n, axis, period, int(doc["flip_axis"]),
-                                                doc.get("name", f"ft{axis}")))
-        else:
+        if kind not in ("translation", "flip_translation"):
             raise ManifestError(f"unknown deck map kind {kind!r}")
+        axis = _chart_axis(doc, "axis", n)
+        period = doc.get("period")
+        if not (_is_number(period) and period > 0):
+            raise ManifestError(f"deck map period must be a positive number, not {period!r}")
+        if kind == "translation":
+            decks.extend(translation_decks(n, axis, float(period), doc.get("name", f"t{axis}")))
+        else:
+            decks.extend(flip_translation_decks(n, axis, float(period),
+                                                _chart_axis(doc, "flip_axis", n),
+                                                doc.get("name", f"ft{axis}")))
     return decks
 
 
@@ -139,7 +194,9 @@ def load_manifold(doc) -> ManifoldSpec:
     if "inline" not in doc:
         raise ManifestError("manifold manifest needs a 'catalog' or 'inline' key")
     inline = doc["inline"]
-    n = int(inline["dimension"])
+    n = inline.get("dimension")
+    if not (_is_integer(n) and n >= 1):
+        raise ManifestError(f"dimension must be a positive integer, not {n!r}")
     metric_doc = inline["metric"]
     kind = metric_doc.get("kind")
     if kind == "expression":
@@ -160,14 +217,26 @@ def load_manifold(doc) -> ManifoldSpec:
         raise ManifestError("inline metric kind must be 'expression' or 'builtin'")
     boundary = expression_boundary(inline["boundary"]["expression"], n)
     dom = inline["domain"]
+    for key in ("lo", "hi"):
+        if not (isinstance(dom[key], list) and len(dom[key]) == n
+                and all(map(_is_number, dom[key]))):
+            raise ManifestError(f"domain {key} must be a list of {n} numbers")
     domain = np.stack([np.asarray(dom["lo"], dtype=float),
                        np.asarray(dom["hi"], dtype=float)], axis=1)
     decks = _build_deck_maps(inline.get("deck_maps", []), n)
     patches = []
     for i, pdoc in enumerate(inline.get("boundary_patches", [])):
+        dim = pdoc.get("dim", 1)
+        if not (_is_integer(dim) and 0 <= dim < n):
+            raise ManifestError(f"patch dim must be an integer in 0..{n - 1}, not {dim!r}")
+        if not (isinstance(pdoc["point"], list) and len(pdoc["point"]) == n):
+            raise ManifestError(f"patch point must be a list of {n} expressions")
         patches.append(expression_patch(
-            pdoc["point"], int(pdoc.get("dim", 1)),
-            name=pdoc.get("name", f"patch{i}"), periodic=pdoc.get("periodic")))
+            pdoc["point"], dim, name=pdoc.get("name", f"patch{i}"),
+            periodic=pdoc.get("periodic")))
+    scale_hint = inline.get("scale_hint", 1.0)
+    if not (_is_number(scale_hint) and scale_hint > 0):
+        raise ManifestError(f"scale_hint must be a positive number, not {scale_hint!r}")
     return ManifoldSpec(
         name=inline.get("name", "inline"),
         metric=metric,
@@ -175,9 +244,10 @@ def load_manifold(doc) -> ManifoldSpec:
         domain=domain,
         deck_maps=decks,
         boundary_patches=patches,
-        scale_hint=float(inline.get("scale_hint", 1.0)),
+        scale_hint=float(scale_hint),
         annotations=inline.get("annotations", {}),
         chart_notes=inline.get("chart_notes", "inline manifest chart"),
+        inline=True,
     )
 
 
@@ -194,34 +264,37 @@ class RunManifest:
     tolerances: dict = field(default_factory=dict)
     out_dir: str = "out"
 
-    @classmethod
-    def from_dict(cls, doc):
-        analyses = tuple(doc.get("analyses", ["certify"]))
-        bad = set(analyses) - _ALLOWED_ANALYSES
+    def __post_init__(self):
+        # every construction is checked, from_dict's and dataclasses.replace's
+        bad = set(self.analyses) - _ALLOWED_ANALYSES
         if bad:
             raise ManifestError(f"unknown analyses {sorted(bad)}")
-        m = cls(
+        for key in ("launches", "seed", "mesh_size"):
+            val = getattr(self, key)
+            if not _is_integer(val):
+                raise ManifestError(f"{key} must be an integer, not {val!r}")
+        if self.seed < 0:
+            raise ManifestError(f"seed must be non-negative, not {self.seed}")
+        if self.mesh_size < MIN_MESH_SIZE:
+            raise ManifestError(f"mesh_size must be at least {MIN_MESH_SIZE}")
+        for key, val in self.tolerances.items():
+            if not (_is_number(val) and val > 0):
+                raise ManifestError(f"tolerance {key!r} must be a positive number, not {val!r}")
+        if self.strategy not in ("uniform", "low-discrepancy"):
+            raise ManifestError(f"unknown strategy {self.strategy!r}")
+
+    @classmethod
+    def from_dict(cls, doc):
+        return cls(
             manifold=doc["manifold"],
             launches=doc.get("launches", 64),
             seed=doc.get("seed", 0),
             strategy=doc.get("strategy", "uniform"),
-            analyses=analyses,
+            analyses=tuple(doc.get("analyses", ["certify"])),
             mesh_size=doc.get("mesh_size", 256),
             tolerances=dict(doc.get("tolerances", {})),
             out_dir=doc.get("out_dir", "out"),
         )
-        for key in ("launches", "seed", "mesh_size"):
-            val = getattr(m, key)
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ManifestError(f"{key} must be an integer, not {val!r}")
-        if m.mesh_size < MIN_MESH_SIZE:
-            raise ManifestError(f"mesh_size must be at least {MIN_MESH_SIZE}")
-        for key, val in m.tolerances.items():
-            if not (isinstance(val, (int, float)) and val > 0):
-                raise ManifestError(f"tolerance {key!r} must be positive")
-        if m.strategy not in ("uniform", "low-discrepancy"):
-            raise ManifestError(f"unknown strategy {m.strategy!r}")
-        return m
 
     @classmethod
     def load(cls, path):

@@ -46,6 +46,7 @@ MIN_LAUNCHES = 32
 SOUL_NEIGHBORS = 12          # neighbours of each soul point in its local PCA
 SLICE_HAUSDORFF_REL = 1e-6   # slice checks, relative to the half-length L
 SLICE_DISTANCE_REL = 1e-5
+_BLOCK_SEGMENTS = 1 << 14    # chart segments per metric call in intercomponent_distance
 
 
 class LaunchCountError(ValueError):
@@ -83,6 +84,14 @@ def _cluster_points(spec, pts, radius):
     D = QuotientCloud(spec, pts).pairwise()
     _, labels = connected_components(csr_matrix(D <= radius), directed=False)
     return labels
+
+
+def midpoint_clusters(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances):
+    """Midpoints of the returned geodesics and their cluster labels, clustered
+    modulo deck maps at ``cluster_radius_rel * L``; the soul and the fibers
+    both read them."""
+    mids = sweep.midpoints
+    return mids, _cluster_points(spec, mids, tol.cluster_radius_rel * sweep.half_length)
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +155,34 @@ def intercomponent_distance(spec: ManifoldSpec, launch_set: LaunchSet, labels):
     On the built-in two-component examples the minimizing free boundary
     geodesics are straight chart segments, so the minimum over sampled pairs
     measures the distance between the components independently of shooting.
+    Each segment runs from a sample of component 0 to a deck image of one of
+    component 1 and counts when its chart midpoint lies in the domain. Its
+    32-node Gauss-Legendre length is summed node by node, each node one
+    metric call over a block of segments.
     """
     pts = launch_set.points
-    far_side = QuotientCloud(spec, pts[labels == 1]).images
+    n = spec.dimension
+    far = QuotientCloud(spec, pts[labels == 1]).images.reshape(-1, n)
+    lo = spec.domain[:, 0] - 1e-9
+    hi = spec.domain[:, 1] + 1e-9
     nodes, weights = np.polynomial.legendre.leggauss(32)
     best = np.inf
-    for a in pts[labels == 0]:
-        for images in far_side:
-            for b in images:
-                seg = b - a
-                if not spec.in_domain(a + 0.5 * seg, margin=1e-9):
-                    continue
-                length = 0.0
-                for z, w in zip(nodes, weights):
-                    x = a + 0.5 * (z + 1.0) * seg
-                    g = spec.metric.matrix(x)
-                    length += 0.5 * w * metric_norm(g, seg)
-                best = min(best, length)
+    near_side = pts[labels == 0]
+    rows = max(1, _BLOCK_SEGMENTS // max(len(far), 1))
+    for start in range(0, len(near_side), rows):
+        near = near_side[start:start + rows]
+        seg = far[None, :, :] - near[:, None, :]
+        a = np.broadcast_to(near[:, None, :], seg.shape)
+        mid = a + 0.5 * seg
+        inside = np.all((mid >= lo) & (mid <= hi), axis=-1)
+        a, seg = a[inside], seg[inside]
+        if not len(seg):
+            continue
+        length = np.zeros(len(seg))
+        for z, w in zip(nodes, weights):
+            g = spec.metric.matrix(a + 0.5 * (z + 1.0) * seg)
+            length += 0.5 * w * metric_norm(g, seg)
+        best = min(best, float(length.min()))
     return float(best)
 
 
@@ -188,14 +208,15 @@ def _local_pca(coords, rel, floor):
     return int(np.sum(s > rel * s[0])), s
 
 
-def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances, n_distance_checks=8):
-    """Midpoint cloud with a local-PCA dimension estimate."""
+def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances, n_distance_checks=8,
+               clusters=None):
+    """Midpoint cloud with a local-PCA dimension estimate; ``clusters`` defaults
+    to ``midpoint_clusters`` of the sweep."""
     recs = sweep.ok_records
     if not recs:
         raise ValueError("undersampled soul")
     L = sweep.half_length
-    mids = sweep.midpoints
-    labels = _cluster_points(spec, mids, tol.cluster_radius_rel * L)
+    mids, labels = clusters or midpoint_clusters(spec, sweep, tol)
     reps = np.array([mids[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
 
     spectra = []
@@ -296,11 +317,13 @@ class FiberSummary:
 
 
 def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
-                   tol: Tolerances, components: Optional[BoundaryComponents] = None):
-    """Cluster launches by midpoint and test the structure of the fibers."""
+                   tol: Tolerances, components: Optional[BoundaryComponents] = None,
+                   clusters=None):
+    """Cluster launches by midpoint and test the structure of the fibers;
+    ``clusters`` defaults to ``midpoint_clusters`` of the sweep."""
     recs = sweep.ok_records
     L = sweep.half_length
-    labels = _cluster_points(spec, sweep.midpoints, tol.cluster_radius_rel * L)
+    _, labels = clusters or midpoint_clusters(spec, sweep, tol)
     n_clusters = labels.max() + 1
     sizes = [int(np.sum(labels == c)) for c in range(n_clusters)]
     diagnostics = []
@@ -418,6 +441,7 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
     if t_fracs is None:
         t_fracs = [0.05, 0.2, 0.4, 0.6, 0.8, 0.95]
     sweeps = _structured_sweep(spec, n_side, tol)
+    n = spec.dimension
     unit_res = 0.0
     cross_res = 0.0
     n_launch = 0
@@ -429,31 +453,34 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
         L = sweep.half_length
         periodic = getattr(patch, "periodic", None) or (True,) * patch.param_dim
         # records come in the C order of the launch grid
+        idx = np.indices(shape).reshape(len(shape), -1)
         for t_frac in t_fracs:
             t = t_frac * L
-            slice_t = QuotientCloud(spec, [r.path.position_at(t) for r in recs])
-            for flat, idx in enumerate(np.ndindex(*shape)):
-                x = slice_t.points[flat]
-                v = recs[flat].path.velocity_at(t)
-                g = spec.metric.matrix(x)
-                unit_res = max(unit_res, abs(metric_inner(g, v, v) - 1.0))
-                for axis in range(len(shape)):
-                    ip = list(idx)
-                    im = list(idx)
-                    ip[axis] += 1
-                    im[axis] -= 1
-                    if periodic[axis]:
-                        ip[axis] %= shape[axis]
-                        im[axis] %= shape[axis]
-                    elif ip[axis] >= shape[axis] or im[axis] < 0:
-                        continue
-                    yp = slice_t.nearest_image(x, np.ravel_multi_index(ip, shape))
-                    ym = slice_t.nearest_image(x, np.ravel_multi_index(im, shape))
-                    dvec = 0.5 * (yp - ym)
-                    norm = metric_norm(g, dvec)
-                    if norm < 1e-14:
-                        continue
-                    cross_res = max(cross_res, abs(metric_inner(g, v, dvec)) / norm)
+            states = sweep.states_at(t)
+            slice_t = QuotientCloud(spec, states[:, :n])
+            x = slice_t.points
+            v = states[:, n:]
+            g = spec.metric.matrix(x)
+            unit_res = max(unit_res, float(np.max(np.abs(metric_inner(g, v, v) - 1.0))))
+            for axis in range(len(shape)):
+                ip = idx.copy()
+                im = idx.copy()
+                ip[axis] += 1
+                im[axis] -= 1
+                if periodic[axis]:
+                    ip[axis] %= shape[axis]
+                    im[axis] %= shape[axis]
+                    has = np.ones(len(x), dtype=bool)
+                else:
+                    has = (ip[axis] < shape[axis]) & (im[axis] >= 0)
+                yp = slice_t.nearest_image(x[has], np.ravel_multi_index(ip[:, has], shape))
+                ym = slice_t.nearest_image(x[has], np.ravel_multi_index(im[:, has], shape))
+                dvec = 0.5 * (yp - ym)
+                norm = metric_norm(g[has], dvec)
+                ok = norm >= 1e-14
+                if ok.any():
+                    cross = np.abs(metric_inner(g[has][ok], v[has][ok], dvec[ok])) / norm[ok]
+                    cross_res = max(cross_res, float(cross.max()))
     return SplittingResult(unit_res, cross_res, n_launch)
 
 
@@ -498,8 +525,9 @@ def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
     L = sweep.half_length
     if not (0.0 < t <= L + 1e-12):
         raise ValueError("slice parameter must lie in (0, L]")
-    A = np.array([r.path.position_at(t) for r in recs])
-    B = np.array([r.path.position_at(r.return_time - t) for r in recs])
+    n = spec.dimension
+    A = sweep.states_at(t)[:, :n]
+    B = sweep.states_at(sweep.return_times - t)[:, :n]
     hausdorff = QuotientCloud(spec, A).hausdorff(B)
 
     worst = 0.0
@@ -602,10 +630,13 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
         if report.verdict != "refuted":
             if "jacobi" in analyses:
                 _jacobi(report, spec, tol, mesh_size, n_index_spots)
+            fibers = "fibers" in analyses and report.index_focal is not None
+            clusters = (midpoint_clusters(spec, sweep, tol)
+                        if "soul" in analyses or fibers else None)
             if "soul" in analyses:
-                _soul(report, spec, tol)
-            if "fibers" in analyses and report.index_focal is not None:
-                _fibers(report, spec, tol, components)
+                _soul(report, spec, tol, clusters)
+            if fibers:
+                _fibers(report, spec, tol, components, clusters)
             if "splitting" in analyses:
                 _splitting(report, spec, tol)
             if "slices" in analyses:
@@ -659,8 +690,13 @@ def _components(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
     if report.verdict == "certified" and comps.count > 2:
         report.diagnostics.append("certified verdict with more than two boundary components")
     if comps.count == 2:
-        report.intercomponent_distance = intercomponent_distance(spec, sweep.launch_set,
-                                                                 comps.labels)
+        if spec.inline:
+            report.diagnostics.append(
+                "intercomponent distance not applicable: straight chart segments are "
+                "minimizing only on the built-in charts, not on an inline chart")
+        else:
+            report.intercomponent_distance = intercomponent_distance(spec, sweep.launch_set,
+                                                                     comps.labels)
     return comps
 
 
@@ -713,10 +749,10 @@ def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, 
         report.index_agreement = report.index_focal == report.index_quadratic
 
 
-def _soul(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
+def _soul(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, clusters):
     """Soul cloud of the midpoints, checked against the focal index if known."""
     try:
-        cloud = build_soul(spec, report.sweep, tol)
+        cloud = build_soul(spec, report.sweep, tol, clusters=clusters)
     except ValueError as exc:
         report.soul = {"error": str(exc)}
         report.diagnostics.append(str(exc))
@@ -738,9 +774,9 @@ def _soul(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
 
 
 def _fibers(report: ZollReport, spec: ManifoldSpec, tol: Tolerances,
-            components: BoundaryComponents):
+            components: BoundaryComponents, clusters):
     """Fiber structure of the midpoint projection at the focal index."""
-    fib = fiber_analysis(spec, report.sweep, report.index_focal, tol, components)
+    fib = fiber_analysis(spec, report.sweep, report.index_focal, tol, components, clusters)
     report.fibers = {
         "kind": fib.kind,
         "cluster_count": fib.cluster_count,

@@ -14,11 +14,20 @@ from zollab.geometry import (
     christoffel_raw,
     curvature_operator,
     curvature_operator_raw,
-    deck_isometry_residual,
     inward_unit_normal,
     normalize_into_domain,
     second_fundamental_form,
 )
+
+
+def deck_isometry_residual(spec, deck, x):
+    """|| dpsi^T g(psi(x)) dpsi - g(x) || at each point of the stack x (m, n),
+    the metric taken as one stacked call on each side."""
+    d = np.array([deck.differential(p) for p in x], dtype=float)
+    images = np.array([deck.apply_point(p) for p in x])
+    g_here = spec.metric.matrix(x)
+    g_there = spec.metric.matrix(images)
+    return np.linalg.norm(d.swapaxes(-1, -2) @ g_there @ d - g_here, axis=(-2, -1))
 
 
 def sphere_polar_metric():
@@ -188,9 +197,9 @@ class TestNormalsAndDecks:
         hi = spec.domain[:, 1]
         for deck in spec.deck_maps:
             assert deck.inverse is not None
-            for _ in range(100):
-                x = lo + rng.random(spec.dimension) * (hi - lo)
-                assert deck_isometry_residual(spec, deck, x) <= 1e-10
+            xs = lo + rng.random((100, spec.dimension)) * (hi - lo)
+            assert np.all(deck_isometry_residual(spec, deck, xs) <= 1e-10)
+            for x in xs:
                 back = deck.inverse.apply_point(deck.apply_point(x))
                 assert np.linalg.norm(back - x) <= 1e-12
 

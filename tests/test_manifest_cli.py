@@ -75,6 +75,12 @@ class TestExpressionManifolds:
         assert rep.component_count == 2
         assert rep.index_focal == 0
         assert rep.ground_truth["all_match"]
+        # straight chart segments measure the distance only on built-in charts;
+        # the component bound then rests on the component count
+        assert rep.intercomponent_distance is None
+        assert any("intercomponent distance not applicable" in d for d in rep.diagnostics)
+        rows = {r["check"]: r for r in theorem_rows(rep, spec, Tolerances())}
+        assert rows["component_bound"]["passed"]
 
     def test_expression_metric_derivative(self):
         met = expression_metric([["1 + x1**2", "0"], ["0", "1"]], 2)
@@ -240,9 +246,29 @@ class TestCLI:
         ({"point": "u0(2)"}, "cannot parse expression 'u0(2)'"),
         ({"point": "f(u0)"}, "'f(u0)' is not an expression in u0"),
         ({"entries": [["1", "0"]]}, "metric entries must be a 2 x 2 nested list"),
+        ({"inline": {"dimension": "abc"}}, "dimension must be a positive integer, not 'abc'"),
+        ({"inline": {"dimension": 2.5}}, "dimension must be a positive integer, not 2.5"),
+        ({"inline": {"domain": {"lo": [-1.0], "hi": [3.0, 1.5]}}},
+         "domain lo must be a list of 2 numbers"),
+        ({"inline": {"deck_maps": [{"kind": "translation", "axis": 5, "period": 1.0}]}},
+         "deck map axis must be an integer in 0..1, not 5"),
+        ({"inline": {"deck_maps": [{"kind": "flip_translation", "axis": 1, "period": 1.0,
+                                    "flip_axis": -1}]}},
+         "deck map flip_axis must be an integer in 0..1, not -1"),
+        ({"inline": {"deck_maps": [{"kind": "translation", "axis": 1, "period": "one"}]}},
+         "deck map period must be a positive number, not 'one'"),
+        ({"seed": -1, "strategy": "low-discrepancy"}, "seed must be non-negative, not -1"),
+        ({"inline": {"scale_hint": "abc"}}, "scale_hint must be a positive number, not 'abc'"),
+        ({"inline": {"boundary_patches": [{"dim": "abc", "point": ["0", "u0"]}]}},
+         "patch dim must be an integer in 0..1, not 'abc'"),
+        ({"inline": {"boundary_patches": [{"dim": 1, "point": ["u0"]}]}},
+         "patch point must be a list of 2 expressions"),
+        ({"tolerances": {"length_rel": True}},
+         "tolerance 'length_rel' must be a positive number, not True"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))
+        inline.update(edit.pop("inline", {}))
         if "boundary" in edit:
             inline["boundary"]["expression"] = edit.pop("boundary")
         if "point" in edit:
@@ -253,6 +279,17 @@ class TestCLI:
         mpath = tmp_path / "m.json"
         mpath.write_text(json.dumps(doc))
         assert main(["analyze", "--manifest", str(mpath)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "seed must be non-negative, not -1"),
+    ])
+    def test_flags_pass_the_manifest_checks(self, flags, message, tmp_path, capsys):
+        doc = {"manifold": {"catalog": "flat_disk", "params": {}},
+               "strategy": "low-discrepancy", "out_dir": ""}
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        assert main(["certify", "--manifest", str(mpath)] + flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_no_arguments_usage_error(self, capsys):

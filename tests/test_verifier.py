@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import zollab.verifier as verifier
 from zollab.catalog import make_example
 from zollab.engine import first_return_map, sample_boundary
 from zollab.geometry import QuotientCloud
@@ -274,8 +275,14 @@ class TestSlices:
 
 
 class TestReportStructure:
-    def test_full_report_fields(self, specs):
+    def test_full_report_fields(self, specs, monkeypatch):
+        # the soul and the fibers share one clustering of the midpoints
+        calls = []
+        cluster = verifier._cluster_points
+        monkeypatch.setattr(verifier, "_cluster_points",
+                            lambda *args: calls.append(args) or cluster(*args))
         rep = certify(specs["flat_moebius"], 64, analyses=("all",))
+        assert len(calls) == 1
         doc = rep.to_dict()
         assert doc["verdict"] == "certified"
         assert doc["index_focal"] == 0 and doc["index_agreement"]
