@@ -34,18 +34,13 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _tolerances_from(manifest: RunManifest, args=None):
+def _tolerances_from(manifest: RunManifest):
     tol = Tolerances()
     known = {f.name for f in fields(Tolerances)}
     for key, val in manifest.tolerances.items():
         if key not in known:
             raise ManifestError(f"unknown tolerance {key!r}")
         setattr(tol, key, float(val))
-    if args is not None:
-        if getattr(args, "tol_len", None) is not None:
-            tol.length_rel = args.tol_len
-        if getattr(args, "tol_orth", None) is not None:
-            tol.orthogonality = args.tol_orth
     return tol
 
 
@@ -287,7 +282,9 @@ def _manifests_from_args(args, default_analyses):
     # replace() builds each manifest anew, so the flags pass its checks
     flags = {key: val for key, val in (("launches", args.launches), ("seed", args.seed),
                                        ("out_dir", args.out)) if val is not None}
-    return [replace(m, **flags) for m in manifests]
+    tols = {key: val for key, val in (("length_rel", args.tol_len),
+                                      ("orthogonality", args.tol_orth)) if val is not None}
+    return [replace(m, tolerances={**m.tolerances, **tols}, **flags) for m in manifests]
 
 
 def main(argv=None):
@@ -350,7 +347,7 @@ def main(argv=None):
             return USAGE_ERROR
         worst = 0
         for m in manifests:
-            tol = _tolerances_from(m, args)
+            tol = _tolerances_from(m)
             analyses = default_analyses if args.verb == "certify" else m.analyses
             code, _ = run(m, analyses=analyses, out_dir=m.out_dir, tol=tol)
             worst = max(worst, code)

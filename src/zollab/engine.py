@@ -46,8 +46,11 @@ class FlowResult:
     event_time: Optional[float]
     event_state: Optional[np.ndarray]
     grazing_times: list[float]
-    grazing: bool
     deck_crossings: list[tuple[float, str]]
+
+    @property
+    def grazing(self):
+        return bool(self.grazing_times)
 
     @cached_property
     def _steps(self):
@@ -124,7 +127,7 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
     max_step = 0.25 * spec.scale_hint
 
     seg_times, seg_states, segments = [], [], []
-    grazing_times: list[float] = []
+    candidates: list[float] = []
     crossings: list[tuple[float, str]] = []
 
     for _ in range(MAX_CHUNKS):
@@ -171,15 +174,11 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
 
         for idx, (kind, _) in enumerate(tags):
             if kind == "graze":
-                for tg in sol.t_events[idx]:
-                    grazing_times.append(float(tg))
+                candidates.extend(float(tg) for tg in sol.t_events[idx])
 
         if sol.status == 0:
-            times = np.concatenate(seg_times)
-            states = np.vstack(seg_states)
-            grazes = _confirm_grazing(spec, segments, grazing_times, n, grazing_tol)
-            return FlowResult(times, states, segments, "t_end", None, None,
-                              grazes, bool(grazes), crossings)
+            status, t_event, y_event = "t_end", None, None
+            break
 
         # terminal event: identify which one fired at the stopping time
         t_stop = sol.t[-1]
@@ -196,11 +195,8 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
         kind, deck, idx = fired
         y_stop = sol.y_events[idx][-1].copy()
         if kind == "boundary":
-            times = np.concatenate(seg_times)
-            states = np.vstack(seg_states)
-            grazes = _confirm_grazing(spec, segments, grazing_times, n, grazing_tol)
-            return FlowResult(times, states, segments, "boundary", float(t_stop),
-                              y_stop, grazes, bool(grazes), crossings)
+            status, t_event, y_event = "boundary", float(t_stop), y_stop
+            break
 
         # deck exit: teleport the state and continue; corner exits may need
         # a second application, transported the same way
@@ -213,8 +209,17 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
             y_new = _apply_deck_to_state(offending, y_new, n, vector_blocks)
         crossings.append((float(t_stop), deck.name))
         t, y = float(t_stop), y_new
+    else:
+        raise RuntimeError(f"too many deck crossings on {spec.name!r} (runaway trajectory?)")
 
-    raise RuntimeError(f"too many deck crossings on {spec.name!r} (runaway trajectory?)")
+    flow = FlowResult(np.concatenate(seg_times), np.vstack(seg_states), segments, status,
+                      t_event, y_event, [], crossings)
+    # a tangency counts as grazing where b dips below the threshold there; a flow
+    # without candidates does not stack its steps for state_at
+    if candidates:
+        flow.grazing_times = [tg for tg, y_g in zip(candidates, flow.state_at(candidates))
+                              if abs(boundary.value(y_g[:n])) < grazing_tol]
+    return flow
 
 
 def _apply_deck_to_state(deck, y, n, vector_blocks):
@@ -225,19 +230,6 @@ def _apply_deck_to_state(deck, y, n, vector_blocks):
     for off, rows, cols in vector_blocks:
         block = y[off:off + rows * cols].reshape(rows, cols)
         out[off:off + rows * cols] = (d_mat @ block).ravel()
-    return out
-
-
-def _confirm_grazing(spec, segments, candidate_times, n, tol):
-    """Keep only boundary-tangency minima where b dips below the threshold."""
-    out = []
-    for tg in candidate_times:
-        for t_lo, t_hi, sol in segments:
-            if t_lo - 1e-12 <= tg <= t_hi + 1e-12:
-                b = spec.boundary.value(sol(tg)[:n])
-                if abs(b) < tol:
-                    out.append(tg)
-                break
     return out
 
 

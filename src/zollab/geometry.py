@@ -83,6 +83,19 @@ class MetricField:
         self.name = name
 
     @classmethod
+    def from_point_jet(cls, dimension, point_jet, name=""):
+        """Metric given by the jet of one point, ``point_jet`` (n,) -> (n + 1, n, n);
+        a stack of points is evaluated row by row."""
+        n = int(dimension)
+
+        def jet(x):
+            if x.ndim == 1:
+                return point_jet(x)
+            return np.array([point_jet(p) for p in x]).reshape(len(x), n + 1, n, n)
+
+        return cls(dimension, jet, name)
+
+    @classmethod
     def from_matrix(cls, dimension, matrix, derivative=None, name=""):
         """Metric given by its matrix function and, optionally, the function of
         its derivative array d[l, i, j] = d g_ij / d x^l; without one, the
@@ -99,14 +112,7 @@ class MetricField:
                 dg = np.asarray(derivative(x), dtype=float)
             return np.concatenate((sym_matrix(x)[None], 0.5 * (dg + np.swapaxes(dg, 1, 2))))
 
-        def jet(x):
-            if x.ndim == 1:
-                return point_jet(x)
-            # the callables take one point at a time
-            n = int(dimension)
-            return np.array([point_jet(p) for p in x]).reshape(len(x), n + 1, n, n)
-
-        return cls(dimension, jet, name)
+        return cls.from_point_jet(dimension, point_jet, name)
 
     def jet(self, x):
         """The (n + 1, n, n) stack ``[g, d_0 g, ..., d_{n-1} g]`` at a chart point
@@ -343,21 +349,14 @@ class QuotientCloud:
 # metric algebra helpers
 
 def metric_inner(g_matrix, u, w):
-    """g(u, w) at a point; for stacks g (m, n, n), u and w (m, n), the (m,) array
-    of them, each bit-equal to its point's (stacked ``matmul``, not ``einsum``)."""
-    u = np.asarray(u)
-    w = np.asarray(w)
-    if u.ndim == 1:
-        return float(u @ g_matrix @ w)
+    """g(u, w) at a point, or the (m,) array of them for stacks g (m, n, n) and
+    u, w (m, n), each bit-equal to its point's (stacked ``matmul``, not ``einsum``)."""
     return (u[..., None, :] @ g_matrix @ w[..., :, None])[..., 0, 0]
 
 
 def metric_norm(g_matrix, u):
     """g-norm of u at a point, or the (m,) array of them for stacks."""
-    q = metric_inner(g_matrix, u, u)
-    if np.ndim(q):
-        return np.sqrt(np.maximum(q, 0.0))
-    return float(np.sqrt(max(q, 0.0)))
+    return np.sqrt(np.maximum(metric_inner(g_matrix, u, u), 0.0))
 
 
 def gram_schmidt(g_matrix, vectors):
@@ -389,6 +388,10 @@ def _solve(a, b):
     return _umath_linalg.solve(a, b, signature="dd->d")
 
 
+# g and d g of a jet or a stack of jets; prebuilt, as the hot path pays for the index
+_G, _DG = np.s_[..., 0, :, :], np.s_[..., 1:, :, :]
+
+
 def christoffel_raw(metric: MetricField, x):
     """Christoffel symbols Gamma[k, i, j] at a chart point (n,), or their
     (m, n, n, n) stack at a stack of points (m, n), without domain validation.
@@ -398,17 +401,14 @@ def christoffel_raw(metric: MetricField, x):
     """
     jet = metric.jet(x)
     n = metric.dimension
-    # g, dg[l, i, j] = d_l g_ij, the axes that take dg to d_i g_jl and to
-    # d_j g_il, and the shape of the right-hand sides of the solve
-    if jet.ndim == 3:
-        g, dg, axes, rows = jet[0], jet[1:], ((2, 0, 1), (2, 1, 0)), (n, n * n)
-    else:
-        g, dg = jet[:, 0], jet[:, 1:]
-        axes, rows = ((0, 3, 1, 2), (0, 3, 2, 1)), (len(jet), n, n * n)
+    # g and dg[..., l, i, j] = d_l g_ij; B[..., l, i, j] = d_j g_il and its
+    # (i, j) swap d_i g_jl are views
+    g, dg = jet[_G], jet[_DG]
+    B = dg.swapaxes(-1, -3)
     # A[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, symmetric in (i, j)
-    A = dg.transpose(axes[0]) + dg.transpose(axes[1]) - dg
+    A = B.swapaxes(-1, -2) + B - dg
     try:
-        gamma = 0.5 * _solve(g, A.reshape(rows)).reshape(A.shape)
+        gamma = 0.5 * _solve(g, A.reshape(A.shape[:-3] + (n, n * n))).reshape(A.shape)
     except np.linalg.LinAlgError as exc:
         if jet.ndim == 4:
             for p in np.asarray(x, dtype=float):
@@ -438,15 +438,14 @@ def curvature_operator_raw(metric: MetricField, x, v):
     dgamma = _central_difference(lambda y: christoffel_raw(metric, y), x)
     # R^k_{l i j} = d_i Gamma^k_{j l} - d_j Gamma^k_{i l}
     #              + Gamma^k_{i m} Gamma^m_{j l} - Gamma^k_{j m} Gamma^m_{i l}
-    # operator entries M[k, j] = R^k_{l i j} v^i v^l; a stack adds the batch
-    # index b to every operand (no einsum optimize, which reorders the sums)
-    b = "b" if x.ndim == 2 else ""
-    termA = np.einsum(f"{b}i,{b}ikjl,{b}l->{b}kj", v, dgamma, v)
-    termB = np.einsum(f"{b}jkil,{b}i,{b}l->{b}kj", dgamma, v, v)
-    P = np.einsum(f"{b}kim,{b}i->{b}km", gamma, v)
-    Q = np.einsum(f"{b}mjl,{b}l->{b}mj", gamma, v)
-    r = np.einsum(f"{b}mil,{b}i,{b}l->{b}m", gamma, v, v)
-    termD = np.einsum(f"{b}kjm,{b}m->{b}kj", gamma, r)
+    # operator entries M[k, j] = R^k_{l i j} v^i v^l; a stack adds its batch
+    # axes to every operand (no einsum optimize, which reorders the sums)
+    termA = np.einsum("...i,...ikjl,...l->...kj", v, dgamma, v)
+    termB = np.einsum("...jkil,...i,...l->...kj", dgamma, v, v)
+    P = np.einsum("...kim,...i->...km", gamma, v)
+    Q = np.einsum("...mjl,...l->...mj", gamma, v)
+    r = np.einsum("...mil,...i,...l->...m", gamma, v, v)
+    termD = np.einsum("...kjm,...m->...kj", gamma, r)
     return termA - termB + P @ Q - termD
 
 

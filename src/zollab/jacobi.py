@@ -18,7 +18,13 @@ import numpy as np
 from scipy.linalg import cython_lapack
 from scipy.optimize import brentq, minimize_scalar
 
-from .engine import GeodesicPath, integrate_flow, project_to_boundary
+from .engine import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    GeodesicPath,
+    integrate_flow,
+    project_to_boundary,
+)
 from .geometry import (
     ManifoldSpec,
     boundary_tangent_basis,
@@ -105,7 +111,7 @@ def _padded_shape_matrix(shape_sub, n):
 
 
 def integrate_jacobi_frame(spec: ManifoldSpec, path: GeodesicPath,
-                           rtol=None, atol=None) -> JacobiFrame:
+                           rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> JacobiFrame:
     """Integrate the parallel frame and the fundamental Jacobi solutions."""
     if not path.returned:
         raise ValueError("Jacobi frame needs a returned geodesic")
@@ -114,8 +120,6 @@ def integrate_jacobi_frame(spec: ManifoldSpec, path: GeodesicPath,
     p = path.launch_point
     v0 = path.launch_velocity
     R = path.return_time
-    rtol = 1e-10 if rtol is None else rtol
-    atol = 1e-12 if atol is None else atol
 
     tangent = boundary_tangent_basis(spec, p)          # rows (n-1, n)
     E0 = np.column_stack([v0] + [tangent[i] for i in range(n - 1)])

@@ -12,6 +12,7 @@ examples never load it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ from .geometry import (
     BoundaryPatch,
     ManifoldSpec,
     MetricField,
-    scalar_pow,
 )
 from .jacobi import MIN_MESH_SIZE
 
@@ -58,29 +58,6 @@ def _parse(text, symbols):
     return expr
 
 
-def _scalar_pow_printer():
-    """Numpy code printer that writes each power as ``scalar_pow(base, exp)``.
-
-    Code printed by it computes on arrays what the plain numpy printer's code
-    computes on scalars: the same operations in the same order, with each
-    ``**`` through ``scalar_pow``, since an array ``**`` rounds differently.
-    """
-    import sympy as sp
-    from sympy.printing.numpy import NumPyPrinter
-
-    class ScalarPowPrinter(NumPyPrinter):
-        def _hprint_Pow(self, expr, rational=False, sqrt="math.sqrt"):
-            # the branches of the parent that print sqrt and reciprocals
-            if not rational and (expr.exp == sp.S.Half or (expr.is_commutative and (
-                    -expr.exp is sp.S.Half or expr.exp is sp.S.NegativeOne))):
-                return super()._hprint_Pow(expr, rational=rational, sqrt=sqrt)
-            return f"scalar_pow({self._print(expr.base)}, {self._print(expr.exp)})"
-
-    # the settings lambdify gives the printer it picks for modules="numpy"
-    return ScalarPowPrinter({"fully_qualified_modules": False, "inline": True,
-                             "allow_unknown_functions": True, "user_functions": {}})
-
-
 def expression_metric(entries, n):
     """MetricField from an n x n nested list of expressions in x0..x{n-1}."""
     import sympy as sp
@@ -93,26 +70,15 @@ def expression_metric(entries, n):
         mat = (mat + mat.T) / 2
     dmats = [mat.diff(x) for x in xs]
     # every entry of g and of its n derivatives in one flat row-major list; no
-    # cse, which would regroup subexpressions and change the rounding. The
-    # same list is lambdified twice: plainly for one point, which is the
-    # fastest form there, and with scalar_pow for stacks of points.
-    flat = [e for m in [mat] + dmats for e in m]
-    point_entries = sp.lambdify(xs, flat, modules="numpy")
-    stack_entries = sp.lambdify(xs, flat, modules=[{"scalar_pow": scalar_pow}, "numpy"],
-                                printer=_scalar_pow_printer())
+    # cse, which would regroup subexpressions and change the rounding
+    jet_entries = sp.lambdify(xs, [e for m in [mat] + dmats for e in m], modules="numpy")
     shape = (n + 1, n, n)
 
-    def jet(x):
-        if x.ndim == 1:
-            J = np.array(point_entries(*x), dtype=float).reshape(shape)
-        else:
-            # contiguous coordinate columns in; constant entries broadcast
-            entries = stack_entries(*np.ascontiguousarray(x.T))
-            J = np.array([np.broadcast_to(e, len(x)) for e in entries],
-                         dtype=float).T.reshape((len(x),) + shape)
+    def point_jet(x):
+        J = np.array(jet_entries(*x), dtype=float).reshape(shape)
         return 0.5 * (J + J.swapaxes(-1, -2))
 
-    return MetricField(n, jet, name="expression")
+    return MetricField.from_point_jet(n, point_jet, name="expression")
 
 
 def expression_boundary(expr_str, n, eps=1e-12):
@@ -147,9 +113,7 @@ def expression_patch(point_exprs, dim, name="patch", periodic=None):
             cols.append(np.broadcast_to(np.asarray(vals, dtype=float), (params.shape[0],)))
         return np.stack(cols, axis=1)
 
-    patch = BoundaryPatch(name, dim, sample)
-    patch.periodic = tuple(periodic) if periodic is not None else (True,) * dim
-    return patch
+    return BoundaryPatch(name, dim, sample, None if periodic is None else tuple(periodic))
 
 
 def _is_integer(value):
@@ -280,11 +244,15 @@ class RunManifest:
         for key, val in self.tolerances.items():
             if not (_is_number(val) and val > 0):
                 raise ManifestError(f"tolerance {key!r} must be a positive number, not {val!r}")
+            if not math.isfinite(val):
+                raise ManifestError(f"tolerance {key!r} must be finite, not {val!r}")
         if self.strategy not in ("uniform", "low-discrepancy"):
             raise ManifestError(f"unknown strategy {self.strategy!r}")
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ManifestError(f"run manifest must be a JSON object, not {type(doc).__name__}")
         return cls(
             manifold=doc["manifold"],
             launches=doc.get("launches", 64),
@@ -299,7 +267,11 @@ class RunManifest:
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ManifestError(f"run manifest is not valid JSON: {exc}") from exc
+        return cls.from_dict(doc)
 
     def to_dict(self):
         return {

@@ -18,6 +18,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .engine import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    GRAZING_TOL,
     LaunchSet,
     SweepResult,
     first_return_map,
@@ -60,10 +63,10 @@ class Tolerances:
 
     length_rel: float = 1e-8          # relative spread of return times
     orthogonality: float = 1e-7       # max tangential arrival component
-    rtol: float = 1e-10               # integrator relative tolerance
-    atol: float = 1e-12
+    rtol: float = DEFAULT_RTOL        # integrator relative tolerance
+    atol: float = DEFAULT_ATOL
     refute_factor: float = 10.0       # failures beyond this multiple refute
-    grazing: float = 1e-6
+    grazing: float = GRAZING_TOL
     neg_eig: float = 1e-6
     cluster_radius_rel: float = 1e-4  # midpoint clustering, relative to L
     pca_rel: float = 0.2
@@ -451,7 +454,7 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
             raise RuntimeError(f"splitting sweep failed on {spec.name!r}")
         n_launch += len(recs)
         L = sweep.half_length
-        periodic = getattr(patch, "periodic", None) or (True,) * patch.param_dim
+        periodic = patch.axis_periodic()
         # records come in the C order of the launch grid
         idx = np.indices(shape).reshape(len(shape), -1)
         for t_frac in t_fracs:

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from zollab.catalog import make_example
+import zollab.engine
+from zollab.catalog import catalog_names, make_example
 from zollab.engine import (
     NoReturnError,
     arrival_orthogonality,
@@ -305,6 +306,48 @@ class TestGrazing:
         loose = certify(spec, 32, Tolerances(grazing=0.1))
         assert loose.grazing_count > 0
         assert loose.reason == "tangential approach to the boundary"
+
+
+def reference_grazing_times(spec, segments, candidates, grazing_tol):
+    """Tangency candidates confirmed one at a time: each through a scalar call
+    of the ``OdeSolution`` of the first segment that holds it."""
+    n = spec.dimension
+    out = []
+    for tg in candidates:
+        for t_lo, t_hi, sol in segments:
+            if t_lo - 1e-12 <= tg <= t_hi + 1e-12:
+                if abs(spec.boundary.value(sol(tg)[:n])) < grazing_tol:
+                    out.append(tg)
+                break
+    return out
+
+
+# |b| at the annulus's 54 tangencies runs from 6e-4 to 0.08: 0.03 keeps 18 of them
+@pytest.mark.parametrize("grazing_tol", [1e-6, 0.03, 0.1])
+@pytest.mark.parametrize("name", catalog_names() + ["eccentric_annulus"])
+def test_grazing_times_match_the_segment_reference(name, grazing_tol, monkeypatch):
+    spec = eccentric_annulus() if name == "eccentric_annulus" else make_example(name)
+    candidates = {}  # id of each solve's OdeSolution -> its tangency event times
+    solve_ivp = zollab.engine.solve_ivp
+
+    def recording_solve_ivp(fun, t_span, y0, events=(), **kwargs):
+        sol = solve_ivp(fun, t_span, y0, events=events, **kwargs)
+        candidates[id(sol.sol)] = [float(t) for ev, times in zip(events, sol.t_events)
+                                   if ev.__name__ == "graze" for t in times]
+        return sol
+
+    monkeypatch.setattr(zollab.engine, "solve_ivp", recording_solve_ivp)
+    sweep = first_return_map(spec, sample_boundary(spec, 64), grazing_tol=grazing_tol)
+    flows = [r.path.flow for r in sweep.ok_records]
+    assert flows
+    for flow in flows:
+        segment_candidates = [t for _, _, sol in flow.segments for t in candidates[id(sol)]]
+        reference = reference_grazing_times(spec, flow.segments, segment_candidates,
+                                            grazing_tol)
+        assert flow.grazing_times == reference
+        assert flow.grazing == bool(reference)
+    if name == "eccentric_annulus" and grazing_tol > 1e-6:
+        assert any(flow.grazing for flow in flows)
 
 
 class TestLaunchSets:

@@ -265,6 +265,11 @@ class TestCLI:
          "patch point must be a list of 2 expressions"),
         ({"tolerances": {"length_rel": True}},
          "tolerance 'length_rel' must be a positive number, not True"),
+        ({"tolerances": {"orthogonality": float("inf")}},
+         "tolerance 'orthogonality' must be finite, not inf"),
+        ({"text": "manifold: flat_disk"},
+         "run manifest is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ({"text": "[1]"}, "run manifest must be a JSON object, not list"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))
@@ -275,14 +280,22 @@ class TestCLI:
             inline["boundary_patches"][0]["point"][0] = edit.pop("point")
         if "entries" in edit:
             inline["metric"]["entries"] = edit.pop("entries")
+        text = edit.pop("text", None)
         doc = dict({"manifold": {"inline": inline}, "launches": 32, "out_dir": ""}, **edit)
         mpath = tmp_path / "m.json"
-        mpath.write_text(json.dumps(doc))
+        # json writes an infinite float as Infinity, which json reads back
+        mpath.write_text(json.dumps(doc) if text is None else text)
         assert main(["analyze", "--manifest", str(mpath)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flags,message", [
         (["--seed", "-1"], "seed must be non-negative, not -1"),
+        (["--tol-len", "0", "--tol-orth", "0"],
+         "tolerance 'length_rel' must be a positive number, not 0.0"),
+        (["--tol-len", "-1", "--tol-orth", "-1"],
+         "tolerance 'length_rel' must be a positive number, not -1.0"),
+        (["--tol-orth", "nan"], "tolerance 'orthogonality' must be a positive number, not nan"),
+        (["--tol-len", "inf"], "tolerance 'length_rel' must be finite, not inf"),
     ])
     def test_flags_pass_the_manifest_checks(self, flags, message, tmp_path, capsys):
         doc = {"manifold": {"catalog": "flat_disk", "params": {}},
@@ -312,6 +325,14 @@ class TestCLI:
                                  analyses=("certify",))]
         _, rows = theorem_matrix(manifests, quiet=True)
         assert rows and len(calls) == 1
+
+    def test_matrix_takes_the_tolerance_flags(self, capsys):
+        # loose enough to certify the non-Zoll ellipse, which its control row refuses
+        assert main(["matrix", "--example", "ellipse", "--launches", "32",
+                     "--tol-len", "10", "--tol-orth", "10"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        assert len(fails) == 1 and "refutation_control" in fails[0]
 
     def test_matrix_rows_and_exit(self, tmp_path):
         manifest = {"manifold": {"catalog": "flat_moebius", "params": {}},
