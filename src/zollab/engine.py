@@ -4,6 +4,11 @@ Geodesics are launched along the inward unit normal and integrated with an
 adaptive embedded Runge-Kutta pair (dense output); boundary returns are
 located by bracketed root refinement on the dense output, and exits through
 deck faces of the fundamental domain are handled by teleporting the state.
+
+``integrate_flow`` integrates one state with ``solve_ivp``. A sweep of
+launches goes through ``lockstep_flows``, which steps all its geodesics
+together and reproduces, geodesic by geodesic, every bit ``integrate_flow``
+computes for it.
 """
 from __future__ import annotations
 
@@ -14,6 +19,10 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+# solve_ivp's own pieces, so lockstep shooting takes the steps it takes
+from scipy.integrate._ivp.common import OdeSolution, select_initial_step, validate_tol
+from scipy.integrate._ivp.ivp import find_active_events, handle_events, prepare_events
+from scipy.integrate._ivp.rk import RK45, RkDenseOutput
 
 from .geometry import (
     ManifoldSpec,
@@ -22,6 +31,7 @@ from .geometry import (
     metric_inner,
     metric_norm,
     normalize_into_domain,
+    scalar_pow,
 )
 
 DEFAULT_RTOL = 1e-10
@@ -47,6 +57,8 @@ class FlowResult:
     event_state: Optional[np.ndarray]
     grazing_times: list[float]
     deck_crossings: list[tuple[float, str]]
+    nfev: int                    # right-hand-side evaluations, as solve_ivp counts them
+    n_steps: int                 # accepted steps: len(t) - 1 of every segment
 
     @property
     def grazing(self):
@@ -96,107 +108,104 @@ def _dense_states(Q, y_old, t_old, h, t):
 
 
 def geodesic_rhs(spec: ManifoldSpec):
+    """Right-hand side of the geodesic equation for a state (2n,) or a stack of
+    states (m, 2n), each row bit-equal to its state alone."""
     metric = spec.metric
     n = spec.dimension
 
     def rhs(t, y):
-        v = y[n:2 * n]
+        v = y[..., n:2 * n]
         # the module-level name is looked up on every call, so rebinding
         # christoffel_raw (as a call counter does) reaches this closure
-        gamma = christoffel_raw(metric, y[:n])
-        out = np.empty(2 * n)
-        out[:n] = v
-        np.negative(np.einsum("kij,i,j->k", gamma, v, v), out=out[n:])
+        gamma = christoffel_raw(metric, y[..., :n])
+        out = np.empty_like(y)
+        out[..., :n] = v
+        # a batch index on every operand, no einsum optimize
+        np.negative(np.einsum("...kij,...i,...j->...k", gamma, v, v), out=out[..., n:])
         return out
 
     return rhs
 
 
-def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
-                   rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, grazing_tol=GRAZING_TOL):
-    """Integrate ``rhs`` with boundary-return and deck-face events.
-
-    ``vector_blocks`` lists (offset, rows, cols) slices of the state that
-    transform as matrices of tangent vectors under deck differentials; the
-    leading n entries of the state are always the chart position.
-    """
+def _chunk_events(spec, y, detect_boundary):
+    """Event functions of a chunk that starts at state y, and their tags."""
     n = spec.dimension
     boundary = spec.boundary
-    y = np.asarray(y0, dtype=float).copy()
-    t = 0.0
-    max_step = 0.25 * spec.scale_hint
+    events = []
+    tags = []
+    if detect_boundary:
+        def hit(t_, y_):
+            return boundary.value(y_[:n])
+        hit.terminal = True
+        hit.direction = -1
+        events.append(hit)
+        tags.append(("boundary", None))
 
-    seg_times, seg_states, segments = [], [], []
-    candidates: list[float] = []
-    crossings: list[tuple[float, str]] = []
+        def graze(t_, y_):
+            return float(boundary.gradient(y_[:n]) @ y_[n:2 * n])
+        graze.terminal = False
+        graze.direction = 1
+        events.append(graze)
+        tags.append(("graze", None))
 
-    for _ in range(MAX_CHUNKS):
-        events = []
-        tags = []
-        if detect_boundary:
-            def hit(t_, y_):
-                return boundary.value(y_[:n])
-            hit.terminal = True
-            hit.direction = -1
-            events.append(hit)
-            tags.append(("boundary", None))
+    for deck in spec.deck_maps:
+        f0 = deck.face_value(y[:n])
+        # skip faces the trajectory is riding (face ~ 0, no transversal motion)
+        if abs(f0) < 1e-12:
+            probe = y[:n] + 1e-6 * spec.scale_hint * y[n:2 * n]
+            if abs(deck.face_value(probe) - f0) < 1e-10:
+                continue
 
-            def graze(t_, y_):
-                return float(boundary.gradient(y_[:n]) @ y_[n:2 * n])
-            graze.terminal = False
-            graze.direction = 1
-            events.append(graze)
-            tags.append(("graze", None))
+        def face_ev(t_, y_, _d=deck):
+            return _d.face_value(y_[:n])
+        face_ev.terminal = True
+        face_ev.direction = -1
+        events.append(face_ev)
+        tags.append(("deck", deck))
+    return events, tags
 
-        for deck in spec.deck_maps:
-            f0 = deck.face_value(y[:n])
-            # skip faces the trajectory is riding (face ~ 0, no transversal motion)
-            if abs(f0) < 1e-12:
-                probe = y[:n] + 1e-6 * spec.scale_hint * y[n:2 * n]
-                if abs(deck.face_value(probe) - f0) < 1e-10:
-                    continue
 
-            def face_ev(t_, y_, _d=deck):
-                return _d.face_value(y_[:n])
-            face_ev.terminal = True
-            face_ev.direction = -1
-            events.append(face_ev)
-            tags.append(("deck", deck))
+class _Chunks:
+    """What a flow keeps across its chunks: one chunk per ``solve_ivp`` call,
+    ended by t_end, a boundary return or a deck crossing."""
 
-        sol = solve_ivp(rhs, (t, t_end), y, method="RK45", events=events,
-                        dense_output=True, rtol=rtol, atol=atol, max_step=max_step)
-        if sol.status == -1:
-            raise RuntimeError(f"integration failed on {spec.name!r}: {sol.message}")
+    def __init__(self):
+        self.times, self.states, self.segments = [], [], []
+        self.candidates: list[float] = []
+        self.crossings: list[tuple[float, str]] = []
+        self.nfev = self.n_steps = 0
 
-        seg_times.append(sol.t)
-        seg_states.append(sol.y.T)
-        segments.append((sol.t[0], sol.t[-1], sol.sol))
-
-        for idx, (kind, _) in enumerate(tags):
+    def add(self, t, states, ode_solution, tags, t_events, nfev):
+        self.times.append(t)
+        self.states.append(states)
+        self.segments.append((t[0], t[-1], ode_solution))
+        self.nfev += nfev
+        self.n_steps += len(t) - 1
+        for (kind, _), times in zip(tags, t_events):
             if kind == "graze":
-                candidates.extend(float(tg) for tg in sol.t_events[idx])
+                self.candidates.extend(float(tg) for tg in times)
 
-        if sol.status == 0:
-            status, t_event, y_event = "t_end", None, None
-            break
-
-        # terminal event: identify which one fired at the stopping time
-        t_stop = sol.t[-1]
+    def stop(self, spec, tags, t_events, y_events, vector_blocks):
+        """Deck crossed by a chunk that a terminal event stopped, and the state to
+        go on from; no deck (None) and the event state for a boundary return."""
+        n = spec.dimension
+        t_stop = self.times[-1][-1]
         fired = None
         for idx, (kind, deck) in enumerate(tags):
-            if kind == "graze" or len(sol.t_events[idx]) == 0:
+            if kind == "graze" or len(t_events[idx]) == 0:
                 continue
-            if abs(sol.t_events[idx][-1] - t_stop) <= 1e-12 * max(1.0, abs(t_stop)):
+            if abs(t_events[idx][-1] - t_stop) <= 1e-12 * max(1.0, abs(t_stop)):
                 fired = (kind, deck, idx)
                 break
         if fired is None:
             raise RuntimeError(f"terminal event bookkeeping failed on {spec.name!r}")
 
         kind, deck, idx = fired
-        y_stop = sol.y_events[idx][-1].copy()
+        y_stop = y_events[idx][-1].copy()
         if kind == "boundary":
-            status, t_event, y_event = "boundary", float(t_stop), y_stop
-            break
+            return None, y_stop
+        if len(self.crossings) + 1 == MAX_CHUNKS:
+            raise RuntimeError(f"too many deck crossings on {spec.name!r} (runaway trajectory?)")
 
         # deck exit: teleport the state and continue; corner exits may need
         # a second application, transported the same way
@@ -207,19 +216,275 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
             if offending is None:
                 break
             y_new = _apply_deck_to_state(offending, y_new, n, vector_blocks)
-        crossings.append((float(t_stop), deck.name))
-        t, y = float(t_stop), y_new
-    else:
-        raise RuntimeError(f"too many deck crossings on {spec.name!r} (runaway trajectory?)")
+        self.crossings.append((float(t_stop), deck.name))
+        return deck, y_new
 
-    flow = FlowResult(np.concatenate(seg_times), np.vstack(seg_states), segments, status,
-                      t_event, y_event, [], crossings)
-    # a tangency counts as grazing where b dips below the threshold there; a flow
-    # without candidates does not stack its steps for state_at
-    if candidates:
-        flow.grazing_times = [tg for tg, y_g in zip(candidates, flow.state_at(candidates))
-                              if abs(boundary.value(y_g[:n])) < grazing_tol]
-    return flow
+    def flow(self, spec, status, t_event, y_event, grazing_tol):
+        n = spec.dimension
+        flow = FlowResult(np.concatenate(self.times), np.vstack(self.states), self.segments,
+                          status, t_event, y_event, [], self.crossings, self.nfev,
+                          self.n_steps)
+        # a tangency counts as grazing where b dips below the threshold there; a
+        # flow without candidates does not stack its steps for state_at
+        if self.candidates:
+            flow.grazing_times = [
+                tg for tg, y_g in zip(self.candidates, flow.state_at(self.candidates))
+                if abs(spec.boundary.value(y_g[:n])) < grazing_tol]
+        return flow
+
+
+def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
+                   rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, grazing_tol=GRAZING_TOL):
+    """Integrate ``rhs`` with boundary-return and deck-face events.
+
+    ``vector_blocks`` lists (offset, rows, cols) slices of the state that
+    transform as matrices of tangent vectors under deck differentials; the
+    leading n entries of the state are always the chart position.
+    """
+    y = np.asarray(y0, dtype=float).copy()
+    t = 0.0
+    max_step = 0.25 * spec.scale_hint
+    chunks = _Chunks()
+    while True:
+        events, tags = _chunk_events(spec, y, detect_boundary)
+        sol = solve_ivp(rhs, (t, t_end), y, method="RK45", events=events,
+                        dense_output=True, rtol=rtol, atol=atol, max_step=max_step)
+        if sol.status == -1:
+            raise RuntimeError(f"integration failed on {spec.name!r}: {sol.message}")
+        chunks.add(sol.t, sol.y.T, sol.sol, tags, sol.t_events, sol.nfev)
+        if sol.status == 0:
+            return chunks.flow(spec, "t_end", None, None, grazing_tol)
+        deck, y = chunks.stop(spec, tags, sol.t_events, sol.y_events, vector_blocks)
+        if deck is None:
+            return chunks.flow(spec, "boundary", float(sol.t[-1]), y, grazing_tol)
+        t = float(sol.t[-1])
+
+
+# ---------------------------------------------------------------------------
+# lockstep shooting: scipy's RK45 over a stack of geodesics
+
+_RK_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_STAGES = RK45.n_stages
+
+
+def _rk45_try(rhs, y, f, h, rtol, atol):
+    """``rk_step`` and the error norm of ``RK45._step_impl`` for states y (m, N)
+    with derivatives f over steps h (m,): each ``np.dot`` of one state is a
+    stacked ``matmul``, the RMS norm the square root of a stacked dot.
+
+    Returns the new states, the stages K (m, 7, N) and the error norms. The
+    geodesic equation is autonomous, so ``rhs`` gets no stage times.
+    """
+    K = np.empty((len(y), _STAGES + 1, y.shape[1]))
+    K[:, 0] = f
+    for s in range(1, _STAGES):
+        dy = np.matmul(K[:, :s].swapaxes(1, 2), RK45.A[s, :s]) * h[:, None]
+        K[:, s] = rhs(None, y + dy)
+    y_new = y + h[:, None] * np.matmul(K[:, :-1].swapaxes(1, 2), RK45.B)
+    K[:, -1] = rhs(None, y_new)
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    err = np.matmul(K.swapaxes(1, 2), RK45.E) * h[:, None] / scale
+    error_norm = np.sqrt(np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0]) / y.shape[1] ** 0.5
+    return y_new, K, error_norm
+
+
+def _step_factor(error_norm, rejected):
+    """Factor ``RK45._step_impl`` scales each step size by after a try: Python's
+    min(a, x) is x where x < a, and max(a, x) is x where x > a."""
+    zero = error_norm == 0
+    grow = np.full(len(error_norm), np.nan)
+    grow[~zero] = _SAFETY * scalar_pow(error_norm[~zero], _RK_EXPONENT)
+    accepted = np.where(zero, _MAX_FACTOR, np.where(grow < _MAX_FACTOR, grow, _MAX_FACTOR))
+    accepted = np.where(rejected & ~(accepted < 1), 1, accepted)
+    return np.where(error_norm < 1, accepted, np.where(grow > _MIN_FACTOR, grow, _MIN_FACTOR))
+
+
+class _Launch:
+    """One geodesic of a lockstep sweep: what ``solve_ivp`` keeps for the chunk
+    it is in (events, samples, step interpolants) and what ``integrate_flow``
+    keeps across its chunks."""
+
+    def __init__(self):
+        self.chunks = _Chunks()
+        self.flow = None
+        self.error = None
+
+    def start(self, spec, rhs, t, y, f, t_end, max_step, rtol, atol):
+        """Open a chunk at (t, y), where the right-hand side is f; returns the
+        initial step size, from scipy's ``select_initial_step``."""
+        self.events, self.tags = _chunk_events(spec, y, True)
+        _, self.max_events, self.direction = prepare_events(self.events)
+        self.event_count = np.zeros(len(self.events))
+        self.g = [event(t, y) for event in self.events]
+        self.t_events = [[] for _ in self.events]
+        self.y_events = [[] for _ in self.events]
+        self.ts, self.ys, self.interpolants = [t], [y], []
+        self.nfev = 1  # f
+
+        def fun(t_, y_):
+            self.nfev += 1
+            return rhs(t_, y_)
+
+        direction = np.sign(t_end - t) if t_end != t else 1
+        return select_initial_step(fun, t, y, t_end, max_step, f, direction,
+                                   RK45.error_estimator_order, rtol, atol)
+
+    def accept(self, t_old, t, y_old, y, Q, finished, g_new, active):
+        """Take one accepted step as ``solve_ivp`` does: interpolant, events,
+        sample. ``g_new`` holds the event values at (t, y), and ``active`` the
+        events ``find_active_events`` finds between them and the last ones.
+        Returns the chunk's status: None while it runs, 0 at t_end and 1 where
+        a terminal event stopped it."""
+        sol = RkDenseOutput(t_old, t, y_old, Q)
+        self.interpolants.append(sol)
+        status = 0 if finished else None
+        if active.size > 0:
+            self.event_count[active] += 1
+            root_indices, roots, terminate = handle_events(
+                sol, self.events, active, self.event_count, self.max_events, t_old, t)
+            for e, te in zip(root_indices, roots):
+                self.t_events[e].append(te)
+                self.y_events[e].append(sol(te))
+            if terminate:
+                status = 1
+                t = roots[-1]
+                y = sol(t)
+        self.g = g_new
+        if len(self.ts) > 1 and self.ts[-1] == t:
+            self.interpolants.pop()
+        else:
+            self.ts.append(t)
+            self.ys.append(y)
+        return status
+
+    def close(self, spec, status, grazing_tol):
+        """End the chunk; returns the time and state a deck crossing restarts
+        from, else None."""
+        ts = np.array(self.ts)
+        self.chunks.add(ts, np.vstack(self.ys), OdeSolution(ts, self.interpolants),
+                        self.tags, self.t_events, self.nfev)
+        if status == 0:
+            self.flow = self.chunks.flow(spec, "t_end", None, None, grazing_tol)
+            return None
+        n = spec.dimension
+        deck, y = self.chunks.stop(spec, self.tags, self.t_events, self.y_events,
+                                   [(n, n, 1)])
+        if deck is None:
+            self.flow = self.chunks.flow(spec, "boundary", float(ts[-1]), y, grazing_tol)
+            return None
+        return float(ts[-1]), y
+
+
+def lockstep_flows(spec: ManifoldSpec, y0, t_end, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+                   grazing_tol=GRAZING_TOL):
+    """Geodesic flows from the states y0 (m, 2n), integrated together.
+
+    Flow i is bit for bit ``integrate_flow(spec, geodesic_rhs(spec), y0[i],
+    t_end, vector_blocks=[(n, n, 1)], ...)``: every geodesic keeps its own
+    time, step size and state, and takes the steps and events scipy's RK45
+    takes for it alone, while the right-hand side of each stage is evaluated
+    on the stack of geodesics that are still running. A geodesic whose
+    integration fails does not stop the others; the error of the first such
+    geodesic is raised at the end.
+    """
+    if not t_end > 0:
+        # solve_ivp would integrate backwards, or take one step of length 0
+        raise ValueError(f"t_end must be positive, not {t_end!r}")
+    rhs = geodesic_rhs(spec)
+    Y = np.array(y0, dtype=float).reshape(-1, 2 * spec.dimension)
+    m, N = Y.shape
+    max_step = 0.25 * spec.scale_hint
+    rtol, atol = validate_tol(rtol, atol, N)
+
+    launches = [_Launch() for _ in range(m)]
+    T = np.zeros(m)
+    F = rhs(None, Y)
+    H = np.array([launch.start(spec, rhs, 0.0, Y[i].copy(), F[i], t_end, max_step, rtol, atol)
+                  for i, launch in enumerate(launches)])
+    min_step = np.empty(m)
+    attempts = np.zeros(m, dtype=int)  # steps tried in the current chunk
+    rejected = np.zeros(m, dtype=bool)
+    fresh = np.ones(m, dtype=bool)      # about to start a step
+    run = np.arange(m)
+    while run.size:
+        # RK45._step_impl, one try for every running geodesic at once
+        new = run[fresh[run]]
+        if new.size:
+            t = T[new]
+            min_step[new] = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            h_abs = H[new]
+            H[new] = np.where(h_abs > max_step, max_step,
+                              np.where(h_abs < min_step[new], min_step[new], h_abs))
+            rejected[new] = False
+            fresh[new] = False
+        too_small = H[run] < min_step[run]
+        for i in run[too_small]:
+            launches[i].error = RuntimeError(
+                f"integration failed on {spec.name!r}: {RK45.TOO_SMALL_STEP}")
+        run = run[~too_small]
+        if not run.size:
+            break
+
+        t = T[run]
+        t_new = t + H[run]
+        t_new = np.where(t_new - t_end > 0, t_end, t_new)
+        h = t_new - t
+        y = Y[run]
+        y_new, K, error_norm = _rk45_try(rhs, y, F[run], h, rtol, atol)
+        attempts[run] += 1
+        H[run] = np.abs(h) * _step_factor(error_norm, rejected[run])
+        ok = error_norm < 1
+        rejected[run[~ok]] = True
+        if not ok.any():
+            continue
+
+        acc = run[ok]
+        t, t_new, y, y_new = t[ok], t_new[ok], y[ok], y_new[ok]
+        T[acc] = t_new
+        Y[acc] = y_new
+        F[acc] = K[ok, -1]
+        fresh[acc] = True
+        Q = np.matmul(K[ok].swapaxes(1, 2), RK45.P)
+        # every event of every accepted geodesic in one find_active_events call
+        g_new = [[event(t_i, y_i) for event in launches[i].events]
+                 for i, t_i, y_i in zip(acc, t_new, y_new)]
+        counts = [len(g) for g in g_new]
+        active = find_active_events(
+            np.concatenate([launches[i].g for i in acc]), np.concatenate(g_new),
+            np.concatenate([launches[i].direction for i in acc]))
+        bounds = np.cumsum([0] + counts)
+        fired = {}
+        for j, e in zip(np.searchsorted(bounds, active, side="right") - 1, active):
+            fired.setdefault(j, []).append(e - bounds[j])
+        finished = t_new - t_end >= 0
+        done = []
+        for j, i in enumerate(acc):
+            launch = launches[i]
+            status = launch.accept(t[j], t_new[j], y[j], y_new[j], Q[j], finished[j], g_new[j],
+                                   np.array(fired.get(j, ()), dtype=np.intp))
+            if status is None:
+                continue
+            launch.nfev += _STAGES * int(attempts[i])
+            attempts[i] = 0
+            try:
+                restart = launch.close(spec, status, grazing_tol)
+            except RuntimeError as exc:
+                launch.error = exc
+                restart = None
+            if restart is None:
+                done.append(i)
+                continue
+            t_start, y_start = restart
+            T[i], Y[i], F[i] = t_start, y_start, rhs(t_start, y_start)
+            H[i] = launch.start(spec, rhs, t_start, y_start, F[i], t_end, max_step, rtol, atol)
+        if done:
+            run = np.setdiff1d(run, done)
+
+    for launch in launches:
+        if launch.error is not None:
+            raise launch.error
+    return [launch.flow for launch in launches]
 
 
 def _apply_deck_to_state(deck, y, n, vector_blocks):
@@ -278,34 +543,48 @@ def project_to_boundary(spec: ManifoldSpec, p):
     return p - b * db / float(db @ db)
 
 
+def _launch_state(spec: ManifoldSpec, p):
+    """Boundary point p, projected onto b = 0, and the state (p, inward unit normal)."""
+    p = project_to_boundary(spec, np.asarray(p, dtype=float))
+    if abs(spec.boundary.value(p)) > spec.boundary.eps:
+        raise ValueError(f"launch point {p} not on the boundary of {spec.name!r}")
+    return p, np.concatenate([p, inward_unit_normal(spec, p)])
+
+
+def _shoot_all(spec: ManifoldSpec, points, t_max, rtol, atol, grazing_tol):
+    """The geodesic path from each boundary point, or the ``NoReturnError`` of
+    a geodesic that does not come back before t_max."""
+    if t_max is None:
+        t_max = 50.0 * spec.scale_hint
+    n = spec.dimension
+    if not len(points):
+        return []
+    launch_points, y0 = zip(*(_launch_state(spec, p) for p in points))
+    flows = lockstep_flows(spec, np.array(y0), t_max, rtol=rtol, atol=atol,
+                           grazing_tol=grazing_tol)
+    out = []
+    for p, y, flow in zip(launch_points, y0, flows):
+        if flow.status != "boundary":
+            out.append(NoReturnError(
+                f"no return (not Zoll or t_max too small): {spec.name!r} from {p}"))
+            continue
+        path = GeodesicPath(spec, p, y[n:], flow.times, flow.states[:, :n],
+                            flow.states[:, n:2 * n], flow.event_time, flow.event_state[:n],
+                            flow.event_state[n:2 * n], None, flow.grazing, flow)
+        path.normal_deviation = arrival_orthogonality(path)
+        out.append(path)
+    return out
+
+
 def shoot(spec: ManifoldSpec, p, t_max=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
           grazing_tol=GRAZING_TOL):
     """Integrate the orthogonal geodesic from boundary point p to first return.
 
     A tangential approach counts as grazing where b dips below ``grazing_tol``.
     """
-    p = project_to_boundary(spec, np.asarray(p, dtype=float))
-    if abs(spec.boundary.value(p)) > spec.boundary.eps:
-        raise ValueError(f"launch point {p} not on the boundary of {spec.name!r}")
-    if t_max is None:
-        t_max = 50.0 * spec.scale_hint
-    v0 = inward_unit_normal(spec, p)
-    n = spec.dimension
-    y0 = np.concatenate([p, v0])
-    flow = integrate_flow(spec, geodesic_rhs(spec), y0, t_max,
-                          vector_blocks=[(n, n, 1)], rtol=rtol, atol=atol,
-                          grazing_tol=grazing_tol)
-    if flow.status != "boundary":
-        raise NoReturnError(
-            f"no return (not Zoll or t_max too small): {spec.name!r} from {p}")
-    times = flow.times
-    pts = flow.states[:, :n]
-    vels = flow.states[:, n:2 * n]
-    q = flow.event_state[:n]
-    v_arr = flow.event_state[n:2 * n]
-    path = GeodesicPath(spec, p, v0, times, pts, vels, flow.event_time,
-                        q, v_arr, None, flow.grazing, flow)
-    path.normal_deviation = arrival_orthogonality(path)
+    path, = _shoot_all(spec, [p], t_max, rtol, atol, grazing_tol)
+    if isinstance(path, NoReturnError):
+        raise path
     return path
 
 
@@ -509,15 +788,14 @@ class SweepResult:
 
 def first_return_map(spec: ManifoldSpec, launch_set: LaunchSet, t_max=None,
                      rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, grazing_tol=GRAZING_TOL):
-    """Shoot every launch point; per-launch errors are recorded, not raised."""
+    """Shoot every launch point, all in one lockstep integration; per-launch
+    errors are recorded, not raised."""
+    paths = _shoot_all(spec, launch_set.points, t_max, rtol, atol, grazing_tol)
     records = []
-    for i, (p, pid) in enumerate(zip(launch_set.points, launch_set.patch_ids)):
-        try:
-            path = shoot(spec, p, t_max=t_max, rtol=rtol, atol=atol,
-                         grazing_tol=grazing_tol)
-        except NoReturnError as exc:
+    for i, (p, pid, path) in enumerate(zip(launch_set.points, launch_set.patch_ids, paths)):
+        if isinstance(path, NoReturnError):
             records.append(ShootRecord(i, int(pid), p, None, None, None, None, False,
-                                       str(exc), None))
+                                       str(path), None))
             continue
         records.append(ShootRecord(
             i, int(pid), path.launch_point, path.return_time, path.arrival_point,

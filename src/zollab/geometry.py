@@ -6,6 +6,7 @@ set of deck identifications gluing faces of the fundamental domain.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -54,13 +55,23 @@ def _central_difference(f, x):
 
 
 # numpy scalar ``**`` calls C pow once per value; an array ``**`` takes other
-# paths (squaring, SIMD pow) whose last bits differ
+# paths (squaring, SIMD pow) whose last bits differ. ``math.pow`` calls the same
+# C pow on finite values, faster, but raises where pow overflows or has no
+# real value, and handles non-finite values itself.
 _SCALAR_POW = np.frompyfunc(lambda a, b: np.float64(a) ** b, 2, 1)
+_LIBM_POW = np.frompyfunc(math.pow, 2, 1)
 
 
 def scalar_pow(a, b):
     """``a ** b`` elementwise, bit for bit what a numpy scalar ``**`` gives per value."""
-    return _SCALAR_POW(a, b).astype(float)
+    if isinstance(a, float) and isinstance(b, (int, float)):
+        return np.float64(a) ** b
+    if np.isfinite(a).all() and np.isfinite(b).all():
+        try:
+            return np.asarray(_LIBM_POW(a, b), dtype=float)
+        except (ValueError, OverflowError):
+            pass
+    return np.asarray(_SCALAR_POW(a, b), dtype=float)
 
 
 class MetricField:

@@ -30,6 +30,7 @@ from .geometry import (
     BoundaryPatch,
     ManifoldSpec,
     MetricField,
+    scalar_pow,
 )
 from .jacobi import MIN_MESH_SIZE
 
@@ -58,6 +59,29 @@ def _parse(text, symbols):
     return expr
 
 
+def _scalar_pow_printer():
+    """Numpy code printer that writes each power as ``scalar_pow(base, exp)``.
+
+    Code printed by it computes on arrays what the plain numpy printer's code
+    computes on scalars: the same operations in the same order, with each
+    ``**`` through ``scalar_pow``, since an array ``**`` rounds differently.
+    """
+    import sympy as sp
+    from sympy.printing.numpy import NumPyPrinter
+
+    class ScalarPowPrinter(NumPyPrinter):
+        def _hprint_Pow(self, expr, rational=False, sqrt="math.sqrt"):
+            # the branches of the parent that print sqrt and reciprocals
+            if not rational and (expr.exp == sp.S.Half or (expr.is_commutative and (
+                    -expr.exp is sp.S.Half or expr.exp is sp.S.NegativeOne))):
+                return super()._hprint_Pow(expr, rational=rational, sqrt=sqrt)
+            return f"scalar_pow({self._print(expr.base)}, {self._print(expr.exp)})"
+
+    # the settings lambdify gives the printer it picks for modules="numpy"
+    return ScalarPowPrinter({"fully_qualified_modules": False, "inline": True,
+                             "allow_unknown_functions": True, "user_functions": {}})
+
+
 def expression_metric(entries, n):
     """MetricField from an n x n nested list of expressions in x0..x{n-1}."""
     import sympy as sp
@@ -69,16 +93,28 @@ def expression_metric(entries, n):
     if not mat.is_symmetric():
         mat = (mat + mat.T) / 2
     dmats = [mat.diff(x) for x in xs]
-    # every entry of g and of its n derivatives in one flat row-major list; no
-    # cse, which would regroup subexpressions and change the rounding
-    jet_entries = sp.lambdify(xs, [e for m in [mat] + dmats for e in m], modules="numpy")
+    # every entry of g and of its n derivatives in one flat row-major list,
+    # evaluated on coordinate columns; no cse, which would regroup
+    # subexpressions and change the rounding
+    jet_entries = sp.lambdify(xs, [e for m in [mat] + dmats for e in m],
+                              modules=[{"scalar_pow": scalar_pow}, "numpy"],
+                              printer=_scalar_pow_printer())
     shape = (n + 1, n, n)
 
-    def point_jet(x):
-        J = np.array(jet_entries(*x), dtype=float).reshape(shape)
+    def jet(x):
+        if x.ndim == 1:
+            # numpy scalars in: each power is a numpy scalar ``**``
+            J = np.array(jet_entries(*x), dtype=float).reshape(shape)
+        else:
+            # coordinate columns in, the same operations on each; constant
+            # entries broadcast
+            J = np.empty(((n + 1) * n * n, len(x)))
+            for row, entry in zip(J, jet_entries(*np.ascontiguousarray(x.T))):
+                row[...] = entry
+            J = J.T.reshape((len(x),) + shape)
         return 0.5 * (J + J.swapaxes(-1, -2))
 
-    return MetricField.from_point_jet(n, point_jet, name="expression")
+    return MetricField(n, jet, name="expression")
 
 
 def expression_boundary(expr_str, n, eps=1e-12):
@@ -124,6 +160,20 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _require_object(key, value):
+    """``value``, the entry ``key`` of a manifest, if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ManifestError(f"{key} must be a JSON object, not {value!r}")
+    return value
+
+
+def _entry(doc, key, where):
+    """``doc[key]`` of the manifest object ``where``, which must have it."""
+    if key not in doc:
+        raise ManifestError(f"{where} needs a {key!r} entry")
+    return doc[key]
+
+
 def _chart_axis(doc, key, n):
     """The chart axis ``doc[key]``: an integer in 0..n-1."""
     axis = doc.get(key)
@@ -153,18 +203,19 @@ def _build_deck_maps(docs, n):
 
 def load_manifold(doc) -> ManifoldSpec:
     """Build a ManifoldSpec from a manifest fragment (catalog or inline)."""
+    _require_object("manifold", doc)
     if "catalog" in doc:
-        return make_example(doc["catalog"], **doc.get("params", {}))
+        return make_example(doc["catalog"], **_require_object("params", doc.get("params", {})))
     if "inline" not in doc:
         raise ManifestError("manifold manifest needs a 'catalog' or 'inline' key")
-    inline = doc["inline"]
+    inline = _require_object("inline", doc["inline"])
     n = inline.get("dimension")
     if not (_is_integer(n) and n >= 1):
         raise ManifestError(f"dimension must be a positive integer, not {n!r}")
-    metric_doc = inline["metric"]
+    metric_doc = _require_object("metric", _entry(inline, "metric", "inline"))
     kind = metric_doc.get("kind")
     if kind == "expression":
-        metric = expression_metric(metric_doc["entries"], n)
+        metric = expression_metric(_entry(metric_doc, "entries", "metric"), n)
     elif kind == "builtin":
         builders = {"euclidean": lambda: euclidean_metric(n),
                     "stereographic_sphere": lambda: stereographic_sphere_metric(n),
@@ -179,10 +230,11 @@ def load_manifold(doc) -> ManifoldSpec:
                                 f"{metric.dimension}, manifest says {n}")
     else:
         raise ManifestError("inline metric kind must be 'expression' or 'builtin'")
-    boundary = expression_boundary(inline["boundary"]["expression"], n)
-    dom = inline["domain"]
+    boundary_doc = _require_object("boundary", _entry(inline, "boundary", "inline"))
+    boundary = expression_boundary(_entry(boundary_doc, "expression", "boundary"), n)
+    dom = _require_object("domain", _entry(inline, "domain", "inline"))
     for key in ("lo", "hi"):
-        if not (isinstance(dom[key], list) and len(dom[key]) == n
+        if not (isinstance(_entry(dom, key, "domain"), list) and len(dom[key]) == n
                 and all(map(_is_number, dom[key]))):
             raise ManifestError(f"domain {key} must be a list of {n} numbers")
     domain = np.stack([np.asarray(dom["lo"], dtype=float),
@@ -190,10 +242,12 @@ def load_manifold(doc) -> ManifoldSpec:
     decks = _build_deck_maps(inline.get("deck_maps", []), n)
     patches = []
     for i, pdoc in enumerate(inline.get("boundary_patches", [])):
+        _require_object("boundary patch", pdoc)
         dim = pdoc.get("dim", 1)
         if not (_is_integer(dim) and 0 <= dim < n):
             raise ManifestError(f"patch dim must be an integer in 0..{n - 1}, not {dim!r}")
-        if not (isinstance(pdoc["point"], list) and len(pdoc["point"]) == n):
+        if not (isinstance(_entry(pdoc, "point", "boundary patch"), list)
+                and len(pdoc["point"]) == n):
             raise ManifestError(f"patch point must be a list of {n} expressions")
         patches.append(expression_patch(
             pdoc["point"], dim, name=pdoc.get("name", f"patch{i}"),
@@ -230,6 +284,14 @@ class RunManifest:
 
     def __post_init__(self):
         # every construction is checked, from_dict's and dataclasses.replace's
+        _require_object("manifold", self.manifold)
+        self.tolerances = dict(_require_object("tolerances", self.tolerances))
+        if not (isinstance(self.analyses, (list, tuple))
+                and all(isinstance(a, str) for a in self.analyses)):
+            raise ManifestError(f"analyses must be a list of names, not {self.analyses!r}")
+        self.analyses = tuple(self.analyses)
+        if not isinstance(self.out_dir, str):
+            raise ManifestError(f"out_dir must be a string, not {self.out_dir!r}")
         bad = set(self.analyses) - _ALLOWED_ANALYSES
         if bad:
             raise ManifestError(f"unknown analyses {sorted(bad)}")
@@ -253,14 +315,16 @@ class RunManifest:
     def from_dict(cls, doc):
         if not isinstance(doc, dict):
             raise ManifestError(f"run manifest must be a JSON object, not {type(doc).__name__}")
+        if "manifold" not in doc:
+            raise ManifestError("run manifest needs a 'manifold' object")
         return cls(
             manifold=doc["manifold"],
             launches=doc.get("launches", 64),
             seed=doc.get("seed", 0),
             strategy=doc.get("strategy", "uniform"),
-            analyses=tuple(doc.get("analyses", ["certify"])),
+            analyses=doc.get("analyses", ["certify"]),
             mesh_size=doc.get("mesh_size", 256),
-            tolerances=dict(doc.get("tolerances", {})),
+            tolerances=doc.get("tolerances", {}),
             out_dir=doc.get("out_dir", "out"),
         )
 

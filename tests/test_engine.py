@@ -1,17 +1,25 @@
 import io
 import json
+import os
+import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
 import zollab.engine
+from test_manifest_cli import INLINE_CYLINDER
 from zollab.catalog import catalog_names, make_example
 from zollab.engine import (
+    GRAZING_TOL,
     NoReturnError,
     arrival_orthogonality,
     boundary_involution,
     first_return_map,
+    geodesic_rhs,
+    integrate_flow,
     launch_count,
+    lockstep_flows,
     nearest_exact_launch_counts,
     path_to_csv,
     path_to_polyline,
@@ -26,10 +34,15 @@ from zollab.geometry import (
     BoundaryPatch,
     ManifoldSpec,
     MetricField,
+    inward_unit_normal,
     metric_inner,
     metric_norm,
 )
+from zollab.manifest import load_manifold
 from zollab.verifier import Tolerances, certify
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+from workloads import generate  # noqa: E402
 
 
 def unit_speed_drift(path):
@@ -237,8 +250,6 @@ class TestDeckCrossing:
         )
 
     def test_straight_line_continues_through_seam(self):
-        from zollab.engine import geodesic_rhs, integrate_flow
-
         spec = self._wavy_cylinder()
         p = np.array([0.3 * np.sin(2.0 * np.pi * 0.8), 0.8])
         path = shoot(spec, p, t_max=30.0)
@@ -326,6 +337,9 @@ def reference_grazing_times(spec, segments, candidates, grazing_tol):
 @pytest.mark.parametrize("grazing_tol", [1e-6, 0.03, 0.1])
 @pytest.mark.parametrize("name", catalog_names() + ["eccentric_annulus"])
 def test_grazing_times_match_the_segment_reference(name, grazing_tol, monkeypatch):
+    # the sweep's grazing times against its geodesics integrated one at a time
+    # by integrate_flow, each tangency confirmed on the solve_ivp segment
+    # that found it
     spec = eccentric_annulus() if name == "eccentric_annulus" else make_example(name)
     candidates = {}  # id of each solve's OdeSolution -> its tangency event times
     solve_ivp = zollab.engine.solve_ivp
@@ -338,16 +352,94 @@ def test_grazing_times_match_the_segment_reference(name, grazing_tol, monkeypatc
 
     monkeypatch.setattr(zollab.engine, "solve_ivp", recording_solve_ivp)
     sweep = first_return_map(spec, sample_boundary(spec, 64), grazing_tol=grazing_tol)
+    assert not candidates  # the sweep does not go through solve_ivp
+    n = spec.dimension
     flows = [r.path.flow for r in sweep.ok_records]
     assert flows
-    for flow in flows:
-        segment_candidates = [t for _, _, sol in flow.segments for t in candidates[id(sol)]]
-        reference = reference_grazing_times(spec, flow.segments, segment_candidates,
+    for r in sweep.ok_records:
+        y0 = np.concatenate([r.path.launch_point, r.path.launch_velocity])
+        ref = integrate_flow(spec, geodesic_rhs(spec), y0, 50.0 * spec.scale_hint,
+                             vector_blocks=[(n, n, 1)], grazing_tol=grazing_tol)
+        segment_candidates = [t for _, _, sol in ref.segments for t in candidates[id(sol)]]
+        reference = reference_grazing_times(spec, ref.segments, segment_candidates,
                                             grazing_tol)
-        assert flow.grazing_times == reference
-        assert flow.grazing == bool(reference)
+        assert r.path.flow.grazing_times == reference
+        assert r.path.flow.grazing == bool(reference)
     if name == "eccentric_annulus" and grazing_tol > 1e-6:
         assert any(flow.grazing for flow in flows)
+
+
+def lockstep_case(name):
+    """(spec, launch states (m, 2n), t_end, grazing_tol) of one lockstep case."""
+    grazing_tol, t_end = GRAZING_TOL, None
+    if name == "inline_cap":
+        spec = load_manifold(generate("inline-cap-sweep", 1)[0]["manifold"])
+    elif name == "inline_cylinder":
+        spec = load_manifold(INLINE_CYLINDER)
+    elif name == "eccentric_annulus":
+        spec, grazing_tol = eccentric_annulus(), 0.03
+    elif name == "ellipse_short":
+        spec, t_end = make_example("ellipse"), 3.0  # chords from 2 to 4 long
+    else:
+        spec = make_example(name.removesuffix("_tilted"))
+    n = spec.dimension
+    y0 = np.array([np.concatenate([p, inward_unit_normal(spec, p)])
+                   for p in map(partial(project_to_boundary, spec),
+                                sample_boundary(spec, 64).points)])
+    if name.endswith("_tilted"):
+        # flat chart: turn each normal by its own angle, across the deck faces
+        angle = np.linspace(-1.4, 1.4, len(y0))
+        c, s = np.cos(angle), np.sin(angle)
+        vx, vy = y0[:, n].copy(), y0[:, n + 1].copy()
+        y0[:, n], y0[:, n + 1] = c * vx - s * vy, s * vx + c * vy
+    return spec, y0, 50.0 * spec.scale_hint if t_end is None else t_end, grazing_tol
+
+
+LOCKSTEP_CASES = catalog_names() + ["flat_band_tilted", "inline_cap", "inline_cylinder",
+                                    "eccentric_annulus", "ellipse_short"]
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_lockstep_flows_bit_equal_to_integrate_flow(name):
+    spec, y0, t_end, grazing_tol = lockstep_case(name)
+    n = spec.dimension
+    flows = lockstep_flows(spec, y0, t_end, grazing_tol=grazing_tol)
+    assert len(flows) == len(y0)
+    rejected = 0
+    for y, got in zip(y0, flows):
+        want = integrate_flow(spec, geodesic_rhs(spec), y, t_end, vector_blocks=[(n, n, 1)],
+                              grazing_tol=grazing_tol)
+        assert got.status == want.status
+        for field in ("times", "states", "event_time", "event_state"):
+            assert np.asarray(getattr(got, field)).tobytes() == \
+                np.asarray(getattr(want, field)).tobytes(), field
+        for got_piece, want_piece in zip(got._steps, want._steps):
+            assert got_piece.tobytes() == want_piece.tobytes()
+        assert [tuple(s[:2]) for s in got.segments] == [tuple(s[:2]) for s in want.segments]
+        assert np.array(got.grazing_times).tobytes() == np.array(want.grazing_times).tobytes()
+        assert got.deck_crossings == want.deck_crossings
+        assert (got.nfev, got.n_steps) == (want.nfev, want.n_steps)
+        # per chunk: one evaluation for f, one for the initial step, six per try
+        rejected += (got.nfev - 2 * len(got.segments)) // 6 - got.n_steps
+    if name in ("spherical_cap", "inline_cap"):
+        assert rejected > 0
+    if name == "flat_band_tilted":
+        assert sum(len(f.deck_crossings) for f in flows) > 0
+    if name == "ellipse_short":
+        assert {f.status for f in flows} == {"boundary", "t_end"}
+
+
+def test_no_return_recorded_with_its_launch_point():
+    el = make_example("ellipse")
+    launches = sample_boundary(el, 8)
+    sweep = first_return_map(el, launches, t_max=1.5)
+    assert sweep.errors
+    for i, msg in sweep.errors:
+        p = project_to_boundary(el, launches.points[i])
+        assert msg == f"no return (not Zoll or t_max too small): {el.name!r} from {p}"
+    with pytest.raises(NoReturnError) as info:
+        shoot(el, launches.points[sweep.errors[0][0]], t_max=1.5)
+    assert str(info.value) == sweep.errors[0][1]
 
 
 class TestLaunchSets:
@@ -433,6 +525,13 @@ def test_no_return_raises():
     el = make_example("ellipse")
     with pytest.raises(NoReturnError, match="no return"):
         shoot(el, np.array([2.0, 0.0]), t_max=1.0)
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan")])
+def test_nonpositive_t_max_rejected(t_max):
+    disk = make_example("flat_disk")
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        shoot(disk, np.array([1.0, 0.0]), t_max=t_max)
 
 
 def test_bad_launch_point_rejected():

@@ -270,6 +270,23 @@ class TestCLI:
         ({"text": "manifold: flat_disk"},
          "run manifest is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
         ({"text": "[1]"}, "run manifest must be a JSON object, not list"),
+        ({"tolerances": [1]}, "tolerances must be a JSON object, not [1]"),
+        ({"manifold": {"catalog": "flat_disk", "params": []}},
+         "params must be a JSON object, not []"),
+        ({"manifold": {"inline": 5}}, "inline must be a JSON object, not 5"),
+        ({"manifold": 5}, "manifold must be a JSON object, not 5"),
+        ({"out_dir": 5}, "out_dir must be a string, not 5"),
+        ({"text": '{"launches": 32}'}, "run manifest needs a 'manifold' object"),
+        ({"analyses": "certify"}, "analyses must be a list of names, not 'certify'"),
+        ({"text": json.dumps({"manifold": {"inline": {
+            k: v for k, v in INLINE_CYLINDER["inline"].items() if k != "metric"}}})},
+         "inline needs a 'metric' entry"),
+        ({"text": json.dumps({"manifold": {"inline": {
+            k: v for k, v in INLINE_CYLINDER["inline"].items() if k != "domain"}}})},
+         "inline needs a 'domain' entry"),
+        ({"inline": {"boundary": "x0*(2 - x0)/2"}},
+         "boundary must be a JSON object, not 'x0*(2 - x0)/2'"),
+        ({"inline": {"boundary_patches": [{"dim": 1}]}}, "boundary patch needs a 'point' entry"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))

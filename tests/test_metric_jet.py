@@ -162,11 +162,14 @@ def reference_christoffel(parts, x):
 
 
 def reference_rhs(parts):
-    """A ``geodesic_rhs`` replacement that evaluates ``reference_christoffel``."""
+    """A ``geodesic_rhs`` replacement that evaluates ``reference_christoffel``, one
+    state at a time (a stack of states row by row)."""
     def build(spec):
         n = spec.dimension
 
         def rhs(t, y):
+            if y.ndim == 2:
+                return np.array([rhs(t, row) for row in y]).reshape(y.shape)
             x = y[:n]
             v = y[n:2 * n]
             gamma = reference_christoffel(parts, x)

@@ -26,6 +26,7 @@ from zollab.geometry import (
     curvature_operator_raw,
     metric_inner,
     metric_norm,
+    scalar_pow,
 )
 from zollab.jacobi import curvature_frame_matrix, integrate_jacobi_frame
 from zollab.manifest import expression_metric, load_manifold
@@ -67,6 +68,20 @@ def point_kernels(metric, rng, points):
         (metric_inner, (g, u, v)),
         (metric_norm, (g, u)),
     ]
+
+
+@pytest.mark.parametrize("exponent", [2, 3, -1, -2, 7, 0.5, -0.2, 1.5, 2.5])
+def test_scalar_pow_is_the_numpy_scalar_power(exponent, rng):
+    finite = np.concatenate([rng.uniform(-3.0, 3.0, 400), rng.lognormal(0.0, 30.0, 400),
+                             [0.0, -0.0, 1e300, -1e300, 1e-300, 5e-324]])
+    special = np.array([np.inf, -np.inf, np.nan, 2.0])
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for base in (finite, np.abs(finite), special):
+            want = np.array([np.float64(a) ** exponent for a in base])
+            assert scalar_pow(base, exponent).tobytes() == want.tobytes()
+            for a, w in zip(base[::37], want[::37]):
+                assert np.float64(scalar_pow(np.float64(a), exponent)).tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("name,params", CATALOG_CASES,
