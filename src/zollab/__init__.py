@@ -7,10 +7,7 @@ from .geometry import (
     DeckMap,
     ManifoldSpec,
     MetricField,
-    christoffel,
-    curvature_operator,
     inward_unit_normal,
-    normalize_into_domain,
     second_fundamental_form,
 )
 from .engine import (
@@ -18,7 +15,6 @@ from .engine import (
     LaunchSet,
     NoReturnError,
     arrival_orthogonality,
-    boundary_involution,
     first_return_map,
     sample_boundary,
     shoot,

@@ -16,14 +16,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .catalog import CATALOG, ExampleParameterError, catalog_names, example_manifest
 from .engine import sweep_to_csv, sweep_to_json
 from .manifest import ManifestError, RunManifest, load_manifold
-from .verifier import LaunchCountError, Tolerances, certify
+from .verifier import LaunchCountError, Tolerances, annotation_checks, certify
 
 # Not called here: bench/spans.py looks these names up on this module to time
 # any recomputation the CLI does after certify (it does none).
@@ -32,16 +32,6 @@ from .verifier import build_soul  # noqa: F401
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-def _tolerances_from(manifest: RunManifest):
-    tol = Tolerances()
-    known = {f.name for f in fields(Tolerances)}
-    for key, val in manifest.tolerances.items():
-        if key not in known:
-            raise ManifestError(f"unknown tolerance {key!r}")
-        setattr(tol, key, float(val))
-    return tol
 
 
 def _load_spec(manifest: RunManifest):
@@ -53,8 +43,7 @@ def _load_spec(manifest: RunManifest):
         return None
 
 
-def run(manifest: RunManifest, analyses=None, out_dir=None, tol: Tolerances = None,
-        quiet=False):
+def run(manifest: RunManifest, analyses=None, out_dir=None, quiet=False):
     """Execute one manifest; writes report.json and CSV artifacts.
 
     Returns (exit_code, report).
@@ -62,11 +51,11 @@ def run(manifest: RunManifest, analyses=None, out_dir=None, tol: Tolerances = No
     spec = _load_spec(manifest)
     if spec is None:
         return USAGE_ERROR, None
-    return _run_spec(spec, manifest, analyses, out_dir, tol, quiet)
+    return _run_spec(spec, manifest, analyses, out_dir, quiet)
 
 
-def _run_spec(spec, manifest: RunManifest, analyses, out_dir, tol, quiet):
-    tol = tol or _tolerances_from(manifest)
+def _run_spec(spec, manifest: RunManifest, analyses, out_dir, quiet):
+    tol = Tolerances(**{key: float(val) for key, val in manifest.tolerances.items()})
     analyses = tuple(analyses or manifest.analyses)
     try:
         report = certify(spec, manifest.launches, tol, seed=manifest.seed,
@@ -132,12 +121,12 @@ def theorem_rows(report, spec, tol: Tolerances):
         return rows
 
     L = report.half_length
+    truth = annotation_checks(report, ann)
     add("constant_length",
         report.verdict == "certified"
         and report.length_spread_rel is not None
         and report.length_spread_rel <= tol.length_rel
-        and (ann.get("half_length") is None
-             or abs(L - ann["half_length"]) <= 1e-6 * max(1.0, ann["half_length"])),
+        and truth.get("half_length", True),
         f"spread_rel={report.length_spread_rel}")
     add("orthogonal_arrival",
         report.orthogonality_max is not None and report.orthogonality_max <= tol.orthogonality,
@@ -145,8 +134,7 @@ def theorem_rows(report, spec, tol: Tolerances):
 
     comp_ok = (report.component_count is not None and report.component_count <= 2
                and report.component_pairing_ok
-               and (ann.get("components") is None
-                    or report.component_count == ann["components"]))
+               and truth.get("components", True))
     if report.component_count == 2:
         comp_ok = comp_ok and report.index_focal in (0, None)
         if report.intercomponent_distance is not None and L is not None:
@@ -156,8 +144,7 @@ def theorem_rows(report, spec, tol: Tolerances):
 
     if report.index_focal is not None:
         add("index_two_ways",
-            report.index_agreement
-            and (ann.get("index") is None or report.index_focal == ann["index"]),
+            report.index_agreement and truth.get("index", True),
             f"focal={report.index_focal}, quadratic={report.index_quadratic}")
 
         k = report.index_focal
@@ -237,11 +224,10 @@ def theorem_matrix(manifests, out_dir=None, quiet=False):
         spec = _load_spec(m)
         if spec is None:
             return USAGE_ERROR, []
-        tol = _tolerances_from(m)
-        code, report = _run_spec(spec, m, ("all",), "", tol, True)
+        code, report = _run_spec(spec, m, ("all",), "", True)
         if report is None:
             return USAGE_ERROR, []
-        rows = theorem_rows(report, spec, tol)
+        rows = theorem_rows(report, spec, Tolerances(**report.tolerances))
         all_rows.extend(rows)
         if not quiet:
             for row in rows:
@@ -347,9 +333,8 @@ def main(argv=None):
             return USAGE_ERROR
         worst = 0
         for m in manifests:
-            tol = _tolerances_from(m)
             analyses = default_analyses if args.verb == "certify" else m.analyses
-            code, _ = run(m, analyses=analyses, out_dir=m.out_dir, tol=tol)
+            code, _ = run(m, analyses=analyses, out_dir=m.out_dir)
             worst = max(worst, code)
         return worst
     except (ManifestError, FileNotFoundError, KeyError) as exc:

@@ -12,7 +12,6 @@ computes for it.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -30,7 +29,6 @@ from .geometry import (
     inward_unit_normal,
     metric_inner,
     metric_norm,
-    normalize_into_domain,
     scalar_pow,
 )
 
@@ -531,9 +529,6 @@ class GeodesicPath:
     def position_at(self, t):
         return self.state_at(t)[0]
 
-    def velocity_at(self, t):
-        return self.state_at(t)[1]
-
 
 def project_to_boundary(spec: ManifoldSpec, p):
     """One Newton step onto b = 0 (cleans up manifest round-off)."""
@@ -546,7 +541,7 @@ def project_to_boundary(spec: ManifoldSpec, p):
 def _launch_state(spec: ManifoldSpec, p):
     """Boundary point p, projected onto b = 0, and the state (p, inward unit normal)."""
     p = project_to_boundary(spec, np.asarray(p, dtype=float))
-    if abs(spec.boundary.value(p)) > spec.boundary.eps:
+    if not spec.boundary.on_boundary(p):
         raise ValueError(f"launch point {p} not on the boundary of {spec.name!r}")
     return p, np.concatenate([p, inward_unit_normal(spec, p)])
 
@@ -599,13 +594,6 @@ def arrival_orthogonality(path: GeodesicPath):
     nu = inward_unit_normal(spec, q)
     tangential = v - metric_inner(g, v, nu) * nu
     return metric_norm(g, tangential)
-
-
-def boundary_involution(spec: ManifoldSpec, p, t_max=None):
-    """Far endpoint of the orthogonal geodesic from p, in the fundamental domain."""
-    path = shoot(spec, p, t_max=t_max)
-    q, _ = normalize_into_domain(spec, path.arrival_point)
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +693,7 @@ def sample_boundary(spec: ManifoldSpec, count, strategy="uniform", seed=0):
         raw = patch.points(u)
         for row, prm in zip(raw, u):
             p = project_to_boundary(spec, row)
-            if abs(spec.boundary.value(p)) > spec.boundary.eps:
+            if not spec.boundary.on_boundary(p):
                 p = project_to_boundary(spec, p)
             pts.append(p)
             ids.append(pid)
@@ -806,14 +794,6 @@ def first_return_map(spec: ManifoldSpec, launch_set: LaunchSet, t_max=None,
 # ---------------------------------------------------------------------------
 # exports
 
-def path_to_csv(path: GeodesicPath, stream):
-    n = path.spec.dimension
-    writer = csv.writer(stream)
-    writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)])
-    for t, x, v in zip(path.times, path.points, path.velocities):
-        writer.writerow([f"{t:.17g}"] + [f"{c:.17g}" for c in x] + [f"{c:.17g}" for c in v])
-
-
 def sweep_to_csv(sweep: SweepResult, stream):
     """Every returned path of the sweep as ``launch,t,x1..,v1..`` rows."""
     n = sweep.spec.dimension
@@ -822,16 +802,6 @@ def sweep_to_csv(sweep: SweepResult, stream):
     for r in sweep.ok_records:
         for t, x, v in zip(r.path.times, r.path.points, r.path.velocities):
             stream.write(f"{r.index}," + ",".join(f"{c:.17g}" for c in [t, *x, *v]) + "\n")
-
-
-def path_to_polyline(path: GeodesicPath):
-    return {
-        "manifold": path.spec.name,
-        "return_time": path.return_time,
-        "grazing": path.grazing,
-        "times": [float(t) for t in path.times],
-        "points": [[float(c) for c in x] for x in path.points],
-    }
 
 
 def sweep_to_json(sweep: SweepResult):

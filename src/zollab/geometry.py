@@ -16,20 +16,12 @@ from numpy.linalg import _umath_linalg
 BOUNDARY_EPS = 1e-12
 
 
-class ChartDomainError(ValueError):
-    """Raised when a point leaves the chart domain ("chart violation")."""
-
-
 class DegenerateMetricError(ValueError):
     """Raised when the metric matrix is singular at a queried point."""
 
 
 class NotBoundaryPointError(ValueError):
     """Raised when a boundary-only operation is queried off the boundary."""
-
-
-class AtlasError(ValueError):
-    """Raised when no deck map applies and the point is outside the domain."""
 
 
 def _fd_step(x):
@@ -186,10 +178,6 @@ class DeckMap:
     def apply_point(self, x):
         return np.asarray(self.apply(np.asarray(x, dtype=float)), dtype=float)
 
-    def apply_vector(self, x, v):
-        d = np.asarray(self.differential(np.asarray(x, dtype=float)), dtype=float)
-        return d @ np.asarray(v, dtype=float)
-
 
 def link_inverses(a: DeckMap, b: DeckMap):
     a.inverse = b
@@ -240,16 +228,6 @@ class ManifoldSpec:
     def dimension(self):
         return self.metric.dimension
 
-    def in_domain(self, x, margin=0.0):
-        x = np.asarray(x, dtype=float)
-        lo = self.domain[:, 0] - margin
-        hi = self.domain[:, 1] + margin
-        return bool(np.all(x >= lo) and np.all(x <= hi))
-
-    def require_in_domain(self, x):
-        if not self.in_domain(x):
-            raise ChartDomainError(f"chart violation: {np.asarray(x)} outside {self.name!r} domain")
-
     def deck_images(self, x):
         """Point together with its images under up to two deck applications."""
         x = np.asarray(x, dtype=float)
@@ -267,10 +245,6 @@ class ManifoldSpec:
             if not frontier:
                 break
         return images
-
-    def chart_distance(self, x, y):
-        """Chart distance modulo deck identifications."""
-        return float(QuotientCloud(self, x).nearest(y)[1][0])
 
 
 # numbers in one block of difference vectors taken by a QuotientCloud query
@@ -428,15 +402,6 @@ def christoffel_raw(metric: MetricField, x):
     return gamma
 
 
-def christoffel(spec: ManifoldSpec, x):
-    """Christoffel symbols of the Levi-Civita connection at a chart point."""
-    x = np.asarray(x, dtype=float)
-    spec.require_in_domain(x)
-    if spec.boundary.value(x) < -spec.boundary.eps:
-        raise ChartDomainError(f"chart violation: {x} lies outside the manifold (b < 0)")
-    return christoffel_raw(spec.metric, x)
-
-
 def curvature_operator_raw(metric: MetricField, x, v):
     """Matrix of w -> R(v, w)v in chart coordinates, sign convention
     R(X, Y) = [nabla_X, nabla_Y] - nabla_[X, Y]; the (m, n, n) stack of them for
@@ -458,18 +423,6 @@ def curvature_operator_raw(metric: MetricField, x, v):
     r = np.einsum("...mil,...i,...l->...m", gamma, v, v)
     termD = np.einsum("...kjm,...m->...kj", gamma, r)
     return termA - termB + P @ Q - termD
-
-
-def curvature_operator(spec: ManifoldSpec, x, v):
-    """Curvature operator along a unit vector v (the tidal operator of v)."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    spec.require_in_domain(x)
-    g = spec.metric.matrix(x)
-    speed = metric_inner(g, v, v)
-    if abs(speed - 1.0) > 1e-8:
-        raise ValueError(f"curvature_operator expects a unit vector, got g(v,v)={speed}")
-    return curvature_operator_raw(spec.metric, x, v)
 
 
 def gradient_vector(spec: ManifoldSpec, x):
@@ -528,30 +481,3 @@ def boundary_tangent_basis(spec: ManifoldSpec, p):
         raise ValueError(f"failed to build boundary tangent basis at {p}")
     return basis
 
-
-def normalize_into_domain(spec: ManifoldSpec, x, v=None, max_steps=None):
-    """Apply deck maps until the point lies in the fundamental domain.
-
-    The tangent vector, when given, is transported by the deck differentials.
-    """
-    x = np.asarray(x, dtype=float).copy()
-    v = None if v is None else np.asarray(v, dtype=float).copy()
-    if max_steps is None:
-        max_steps = 4 * max(len(spec.deck_maps), 1) + 4
-    for _ in range(max_steps):
-        offending = None
-        for d in spec.deck_maps:
-            if d.face_value(x) < -1e-13:
-                offending = d
-                break
-        if offending is None:
-            break
-        if v is not None:
-            v = offending.apply_vector(x, v)
-        x = offending.apply_point(x)
-    else:
-        raise AtlasError(f"left atlas: {x} cannot be normalized into {spec.name!r}")
-    if not spec.in_domain(x, margin=1e-9):
-        if not spec.deck_maps:
-            raise AtlasError(f"left atlas: {x} outside domain of {spec.name!r}")
-    return (x, v) if v is not None else (x, None)

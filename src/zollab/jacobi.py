@@ -73,7 +73,6 @@ class JacobiFrame:
     path: GeodesicPath
     flow: object
     shape_launch: np.ndarray    # (n-1, n-1) in the launch tangent frame
-    frame0: np.ndarray          # (n, n) initial frame, columns = vectors
 
     @property
     def spec(self):
@@ -151,7 +150,7 @@ def integrate_jacobi_frame(spec: ManifoldSpec, path: GeodesicPath,
         spec, rhs, y0, R,
         vector_blocks=[(n, n, 1), (2 * n, n, n)],
         detect_boundary=False, rtol=rtol, atol=atol)
-    return JacobiFrame(path, flow, shape_sub, E0)
+    return JacobiFrame(path, flow, shape_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +247,8 @@ def focal_instants(frame: JacobiFrame) -> FocalRecord:
     return record
 
 
-def morse_index_focal(record: FocalRecord, return_time=None):
+def morse_index_focal(record: FocalRecord):
     """Morse index as the number of interior focal instants with multiplicity."""
-    if return_time is not None and abs(return_time - record.return_time) > 1e-9 * record.return_time:
-        raise ValueError("return_time disagrees with the focal record")
     return int(sum(f.multiplicity for f in record.instants))
 
 

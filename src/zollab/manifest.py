@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .geometry import (
     scalar_pow,
 )
 from .jacobi import MIN_MESH_SIZE
+from .verifier import Tolerances
 
 _ALLOWED_ANALYSES = {"certify", "jacobi", "soul", "fibers", "splitting", "slices", "all"}
 
@@ -167,6 +168,14 @@ def _require_object(key, value):
     return value
 
 
+def _known_keys(doc, keys, where):
+    """``doc``, the manifest object ``where``, if it has no key outside ``keys``."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ManifestError(f"{where} has unknown keys {unknown}")
+    return doc
+
+
 def _entry(doc, key, where):
     """``doc[key]`` of the manifest object ``where``, which must have it."""
     if key not in doc:
@@ -182,10 +191,18 @@ def _chart_axis(doc, key, n):
     return axis
 
 
+_DECK_KEYS = ("kind", "axis", "period", "name")
+_PATCH_KEYS = ("name", "dim", "point", "periodic")
+_INLINE_KEYS = ("name", "dimension", "metric", "boundary", "domain", "deck_maps",
+                "boundary_patches", "scale_hint", "annotations", "chart_notes")
+
+
 def _build_deck_maps(docs, n):
     decks = []
     for doc in docs:
-        kind = doc.get("kind")
+        kind = _require_object("deck map", doc).get("kind")
+        _known_keys(doc, _DECK_KEYS + (("flip_axis",) if kind == "flip_translation" else ()),
+                    "deck map")
         if kind not in ("translation", "flip_translation"):
             raise ManifestError(f"unknown deck map kind {kind!r}")
         axis = _chart_axis(doc, "axis", n)
@@ -205,15 +222,19 @@ def load_manifold(doc) -> ManifoldSpec:
     """Build a ManifoldSpec from a manifest fragment (catalog or inline)."""
     _require_object("manifold", doc)
     if "catalog" in doc:
+        _known_keys(doc, ("catalog", "params"), "catalog manifold")
         return make_example(doc["catalog"], **_require_object("params", doc.get("params", {})))
     if "inline" not in doc:
-        raise ManifestError("manifold manifest needs a 'catalog' or 'inline' key")
-    inline = _require_object("inline", doc["inline"])
+        raise ManifestError("manifold manifest needs a 'catalog' or 'inline' key, "
+                            f"not {sorted(doc)}")
+    _known_keys(doc, ("inline",), "inline manifold")
+    inline = _known_keys(_require_object("inline", doc["inline"]), _INLINE_KEYS, "inline chart")
     n = inline.get("dimension")
     if not (_is_integer(n) and n >= 1):
         raise ManifestError(f"dimension must be a positive integer, not {n!r}")
     metric_doc = _require_object("metric", _entry(inline, "metric", "inline"))
     kind = metric_doc.get("kind")
+    _known_keys(metric_doc, ("kind", "name" if kind == "builtin" else "entries"), "metric")
     if kind == "expression":
         metric = expression_metric(_entry(metric_doc, "entries", "metric"), n)
     elif kind == "builtin":
@@ -230,9 +251,11 @@ def load_manifold(doc) -> ManifoldSpec:
                                 f"{metric.dimension}, manifest says {n}")
     else:
         raise ManifestError("inline metric kind must be 'expression' or 'builtin'")
-    boundary_doc = _require_object("boundary", _entry(inline, "boundary", "inline"))
+    boundary_doc = _known_keys(_require_object("boundary", _entry(inline, "boundary", "inline")),
+                               ("expression",), "boundary")
     boundary = expression_boundary(_entry(boundary_doc, "expression", "boundary"), n)
-    dom = _require_object("domain", _entry(inline, "domain", "inline"))
+    dom = _known_keys(_require_object("domain", _entry(inline, "domain", "inline")),
+                      ("lo", "hi"), "domain")
     for key in ("lo", "hi"):
         if not (isinstance(_entry(dom, key, "domain"), list) and len(dom[key]) == n
                 and all(map(_is_number, dom[key]))):
@@ -242,7 +265,7 @@ def load_manifold(doc) -> ManifoldSpec:
     decks = _build_deck_maps(inline.get("deck_maps", []), n)
     patches = []
     for i, pdoc in enumerate(inline.get("boundary_patches", [])):
-        _require_object("boundary patch", pdoc)
+        _known_keys(_require_object("boundary patch", pdoc), _PATCH_KEYS, "boundary patch")
         dim = pdoc.get("dim", 1)
         if not (_is_integer(dim) and 0 <= dim < n):
             raise ManifestError(f"patch dim must be an integer in 0..{n - 1}, not {dim!r}")
@@ -303,7 +326,10 @@ class RunManifest:
             raise ManifestError(f"seed must be non-negative, not {self.seed}")
         if self.mesh_size < MIN_MESH_SIZE:
             raise ManifestError(f"mesh_size must be at least {MIN_MESH_SIZE}")
+        known = {f.name for f in fields(Tolerances)}
         for key, val in self.tolerances.items():
+            if key not in known:
+                raise ManifestError(f"unknown tolerance {key!r}")
             if not (_is_number(val) and val > 0):
                 raise ManifestError(f"tolerance {key!r} must be a positive number, not {val!r}")
             if not math.isfinite(val):
@@ -317,16 +343,8 @@ class RunManifest:
             raise ManifestError(f"run manifest must be a JSON object, not {type(doc).__name__}")
         if "manifold" not in doc:
             raise ManifestError("run manifest needs a 'manifold' object")
-        return cls(
-            manifold=doc["manifold"],
-            launches=doc.get("launches", 64),
-            seed=doc.get("seed", 0),
-            strategy=doc.get("strategy", "uniform"),
-            analyses=doc.get("analyses", ["certify"]),
-            mesh_size=doc.get("mesh_size", 256),
-            tolerances=doc.get("tolerances", {}),
-            out_dir=doc.get("out_dir", "out"),
-        )
+        # keys not given take the defaults of the fields
+        return cls(**_known_keys(doc, [f.name for f in fields(cls)], "run manifest"))
 
     @classmethod
     def load(cls, path):
@@ -338,13 +356,4 @@ class RunManifest:
         return cls.from_dict(doc)
 
     def to_dict(self):
-        return {
-            "manifold": self.manifold,
-            "launches": self.launches,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "analyses": list(self.analyses),
-            "mesh_size": self.mesh_size,
-            "tolerances": self.tolerances,
-            "out_dir": self.out_dir,
-        }
+        return dict(asdict(self), analyses=list(self.analyses))

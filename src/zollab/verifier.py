@@ -23,6 +23,7 @@ from .engine import (
     GRAZING_TOL,
     LaunchSet,
     SweepResult,
+    _uniform_grid,
     first_return_map,
     launch_count,
     nearest_exact_launch_counts,
@@ -105,7 +106,6 @@ class BoundaryComponents:
     labels: np.ndarray
     count: int
     sizes: list[int]
-    link_distance: float
     pairing_ok: bool
     pairing: dict
     diagnostics: list[str] = field(default_factory=list)
@@ -148,7 +148,7 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
         for c in range(count):
             pairing[c] = np.unique(targets[live & (labels == c)]).tolist()
             pairing_ok = pairing_ok and len(pairing[c]) <= 1
-    return BoundaryComponents(labels, int(count), sizes, h_link, pairing_ok,
+    return BoundaryComponents(labels, int(count), sizes, pairing_ok,
                               pairing, diagnostics)
 
 
@@ -419,9 +419,7 @@ def _structured_sweep(spec: ManifoldSpec, n_side, tol: Tolerances):
         if d == 0:
             continue
         shape = (n_side,) * d
-        axes = [(np.arange(s) + 0.5) / s for s in shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        params = np.stack([a.ravel() for a in mesh], axis=1)
+        params = _uniform_grid(n_side ** d, d)
         pts = patch.points(params)
         ls = LaunchSet(pts, np.full(len(pts), pid), [u.copy() for u in params],
                        "uniform", len(pts))
@@ -493,7 +491,7 @@ def slice_circumference(spec: ManifoldSpec, t, n_side=64, tol: Optional[Toleranc
     patch = spec.boundary_patches[0]
     if patch.param_dim != 1:
         raise ValueError("slice circumference needs a one-parameter boundary patch")
-    params = ((np.arange(n_side) + 0.5) / n_side).reshape(-1, 1)
+    params = _uniform_grid(n_side, 1)
     pts = patch.points(params)
     ls = LaunchSet(pts, np.zeros(len(pts), dtype=int), [u.copy() for u in params],
                    "uniform", len(pts))
@@ -816,6 +814,20 @@ def _slices(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
         })
 
 
+def annotation_checks(report: ZollReport, annotations):
+    """The report's half-length (within 1e-6 max(1, L)), component count and
+    focal index against the annotated ones, each where both are known."""
+    checks = {}
+    L, ann_L = report.half_length, annotations.get("half_length")
+    if L is not None and ann_L is not None:
+        checks["half_length"] = bool(abs(L - ann_L) <= 1e-6 * max(1.0, ann_L))
+    if report.index_focal is not None and annotations.get("index") is not None:
+        checks["index"] = report.index_focal == annotations["index"]
+    if report.component_count is not None and annotations.get("components") is not None:
+        checks["components"] = report.component_count == annotations["components"]
+    return checks
+
+
 def _ground_truth(report: ZollReport, spec: ManifoldSpec):
     """Compare the report with the example's annotations, where it has any."""
     ann = spec.annotations
@@ -826,14 +838,7 @@ def _ground_truth(report: ZollReport, spec: ManifoldSpec):
     if report.verdict in ("certified", "refuted"):
         checks["verdict"] = (report.verdict == "certified") == zoll
     if zoll:
-        L = report.half_length
-        if L is not None and ann.get("half_length") is not None:
-            checks["half_length"] = bool(abs(L - ann["half_length"])
-                                         <= 1e-6 * max(1.0, ann["half_length"]))
-        if report.index_focal is not None and ann.get("index") is not None:
-            checks["index"] = report.index_focal == ann["index"]
-        if report.component_count is not None and ann.get("components") is not None:
-            checks["components"] = report.component_count == ann["components"]
+        checks.update(annotation_checks(report, ann))
         if report.soul and "dimension" in report.soul and ann.get("soul_dim") is not None:
             checks["soul_dim"] = report.soul["dimension"] == ann["soul_dim"]
     report.ground_truth = {"expected_zoll": zoll, "checks": checks,

@@ -14,15 +14,12 @@ from zollab.engine import (
     GRAZING_TOL,
     NoReturnError,
     arrival_orthogonality,
-    boundary_involution,
     first_return_map,
     geodesic_rhs,
     integrate_flow,
     launch_count,
     lockstep_flows,
     nearest_exact_launch_counts,
-    path_to_csv,
-    path_to_polyline,
     project_to_boundary,
     sample_boundary,
     shoot,
@@ -34,6 +31,7 @@ from zollab.geometry import (
     BoundaryPatch,
     ManifoldSpec,
     MetricField,
+    QuotientCloud,
     inward_unit_normal,
     metric_inner,
     metric_norm,
@@ -148,7 +146,7 @@ class TestPathInvariants:
         spec = specs[key]
         for r in sweeps[key].ok_records[::16]:
             back = shoot(spec, r.arrival)
-            assert spec.chart_distance(back.arrival_point, r.launch) <= 1e-7
+            assert QuotientCloud(spec, back.arrival_point).nearest(r.launch)[1][0] <= 1e-7
 
     @pytest.mark.parametrize("key,expected", [("flat_disk", 2.0),
                                               ("spherical_cap", np.pi / 3),
@@ -192,25 +190,31 @@ class TestFirstReturnMap:
         assert len(sweep.records) == 8
 
 
+def involution(spec, p):
+    """Far endpoint of the orthogonal geodesic from p, as the deck image of its
+    arrival point nearest to p."""
+    return QuotientCloud(spec, shoot(spec, p).arrival_point).nearest_image(p, 0)
+
+
 class TestInvolution:
     def test_disk_antipodal(self):
         disk = make_example("flat_disk")
         p = np.array([np.cos(0.4), np.sin(0.4)])
-        q = boundary_involution(disk, p)
+        q = involution(disk, p)
         assert np.allclose(q, -p, atol=1e-9)
-        assert np.allclose(boundary_involution(disk, q), p, atol=1e-9)
+        assert np.allclose(involution(disk, q), p, atol=1e-9)
 
     def test_moebius_involution_squares_to_identity(self, specs):
         mo = specs["flat_moebius"]
         p = np.array([1.0, 1.3])
-        q = boundary_involution(mo, p)
+        q = involution(mo, p)
         assert np.allclose(q, [-1.0, 1.3], atol=1e-9)
-        back = boundary_involution(mo, q)
-        assert mo.chart_distance(back, p) <= 1e-7
+        back = involution(mo, q)
+        assert QuotientCloud(mo, back).nearest(p)[1][0] <= 1e-7
 
     def test_band_involution_swaps_components(self, specs):
         band = specs["flat_band"]
-        q = boundary_involution(band, np.array([0.0, 2.5]))
+        q = involution(band, np.array([0.0, 2.5]))
         assert q[0] == pytest.approx(2.0, abs=1e-9)
         assert q[1] == pytest.approx(2.5, abs=1e-9)
 
@@ -264,7 +268,7 @@ class TestDeckCrossing:
                               vector_blocks=[(2, 2, 1)])
         assert back.status == "boundary"
         assert back.event_time == pytest.approx(path.return_time, abs=1e-8)
-        assert spec.chart_distance(back.event_state[:2], p) <= 1e-7
+        assert QuotientCloud(spec, back.event_state[:2]).nearest(p)[1][0] <= 1e-7
 
 
 def eccentric_annulus():
@@ -489,17 +493,6 @@ class TestLaunchSets:
 
 
 class TestExports:
-    def test_csv_and_polyline(self, sweeps):
-        path = sweeps["flat_disk"].ok_records[0].path
-        buf = io.StringIO()
-        path_to_csv(path, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,x1,x2,v1,v2"
-        assert len(lines) == len(path.times) + 1
-        poly = path_to_polyline(path)
-        assert poly["return_time"] == pytest.approx(2.0, abs=1e-9)
-        assert len(poly["points"]) == len(path.times)
-
     def test_sweep_csv_header_and_rows(self, sweeps):
         sweep = sweeps["euclidean_ball3"]
         buf = io.StringIO()

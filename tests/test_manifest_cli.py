@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from zollab.manifest import (
     expression_metric,
     load_manifold,
 )
-from zollab.verifier import Tolerances, build_soul, certify
+from zollab.verifier import Tolerances, ZollReport, build_soul, certify
 
 INLINE_ELLIPSE = {
     "inline": {
@@ -287,6 +288,31 @@ class TestCLI:
         ({"inline": {"boundary": "x0*(2 - x0)/2"}},
          "boundary must be a JSON object, not 'x0*(2 - x0)/2'"),
         ({"inline": {"boundary_patches": [{"dim": 1}]}}, "boundary patch needs a 'point' entry"),
+        # a misspelled or misplaced key would otherwise be ignored, and the run
+        # would differ from the one asked for
+        ({"launch": 128, "analysis": ["all"]},
+         "run manifest has unknown keys ['analysis', 'launch']"),
+        ({"manifold": {"catalog": "flat_disk", "params": {}, "inline": INLINE_CYLINDER["inline"]}},
+         "catalog manifold has unknown keys ['inline']"),
+        ({"manifold": {"inline": INLINE_CYLINDER["inline"], "params": {}}},
+         "inline manifold has unknown keys ['params']"),
+        ({"manifold": {"catalg": "flat_disk"}},
+         "manifold manifest needs a 'catalog' or 'inline' key, not ['catalg']"),
+        ({"inline": {"deck_map": [{"kind": "translation", "axis": 1, "period": 1.0}]}},
+         "inline chart has unknown keys ['deck_map']"),
+        ({"inline": {"deck_maps": [{"kind": "translation", "axis": 1, "period": 1.0,
+                                    "flip_axis": 0}]}},
+         "deck map has unknown keys ['flip_axis']"),
+        ({"inline": {"deck_maps": [{"knd": "translation", "axis": 1, "period": 1.0}]}},
+         "deck map has unknown keys ['knd']"),
+        ({"inline": {"boundary_patches": [{"dim": 1, "point": ["0", "u0"], "periodc": [True]}]}},
+         "boundary patch has unknown keys ['periodc']"),
+        ({"inline": {"metric": {"kind": "builtin", "name": "euclidean", "entries": []}}},
+         "metric has unknown keys ['entries']"),
+        ({"inline": {"boundary": {"expression": "x0*(2 - x0)/2", "eps": 1e-9}}},
+         "boundary has unknown keys ['eps']"),
+        ({"inline": {"domain": {"lo": [-1.0, -0.5], "hi": [3.0, 1.5], "periodic": [1]}}},
+         "domain has unknown keys ['periodic']"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))
@@ -364,6 +390,20 @@ class TestCLI:
                 "index_two_ways", "soul_dimension", "fiber_structure",
                 "metric_splitting", "slice_symmetry"} <= checks
         assert all(r["passed"] for r in rows)
+
+    @pytest.mark.parametrize("example", ["flat_moebius", "ellipse"])
+    def test_theorem_rows_from_the_written_report(self, example, tmp_path):
+        # a reader of report.json (the benchmark gate) gets the rows of the live
+        # run back with a spec that has only a name, annotations and a dimension
+        manifest = RunManifest(manifold={"catalog": example, "params": {}}, analyses=("all",))
+        spec = load_manifold(manifest.manifold)
+        _, report = run(manifest, out_dir=str(tmp_path), quiet=True)
+        live = theorem_rows(report, spec, Tolerances())
+        doc = json.loads((tmp_path / "report.json").read_text())
+        bare = SimpleNamespace(name=doc["name"], annotations=spec.annotations,
+                               dimension=spec.dimension)
+        assert theorem_rows(ZollReport(**doc), bare, Tolerances(**doc["tolerances"])) == live
+        assert len(live) == (10 if example == "flat_moebius" else 1)
 
 
 class TestDeterminism:

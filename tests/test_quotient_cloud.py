@@ -86,9 +86,6 @@ def check_all_queries(spec, pts, queries):
     expected = max(Q.min(axis=1).max(), Q.min(axis=0).max())
     assert cloud.hausdorff(queries) == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
-    assert spec.chart_distance(pts[0], queries[0]) == pytest.approx(
-        brute_distance(spec, pts[0], queries[0]), rel=1e-13, abs=1e-15)
-
 
 @pytest.mark.parametrize("key", sorted(EXAMPLES))
 def test_queries_match_brute_force(key, examples):
