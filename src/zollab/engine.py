@@ -5,10 +5,11 @@ adaptive embedded Runge-Kutta pair (dense output); boundary returns are
 located by bracketed root refinement on the dense output, and exits through
 deck faces of the fundamental domain are handled by teleporting the state.
 
-``integrate_flow`` integrates one state with ``solve_ivp``. A sweep of
-launches goes through ``lockstep_flows``, which steps all its geodesics
-together and reproduces, geodesic by geodesic, every bit ``integrate_flow``
-computes for it.
+Every run integrates through ``lockstep_flows``, which steps a stack of
+states together: the launches of a sweep, or the Jacobi frames of the
+``jacobi`` analysis. ``integrate_flow`` integrates one state with
+``solve_ivp``; it is the one-state reference the tests compare
+``lockstep_flows`` against, flow by flow and bit for bit.
 """
 from __future__ import annotations
 
@@ -308,10 +309,10 @@ class _Launch:
         self.flow = None
         self.error = None
 
-    def start(self, spec, rhs, t, y, f, t_end, max_step, rtol, atol):
+    def start(self, spec, rhs, t, y, f, t_end, max_step, rtol, atol, detect_boundary):
         """Open a chunk at (t, y), where the right-hand side is f; returns the
         initial step size, from scipy's ``select_initial_step``."""
-        self.events, self.tags = _chunk_events(spec, y, True)
+        self.events, self.tags = _chunk_events(spec, y, detect_boundary)
         _, self.max_events, self.direction = prepare_events(self.events)
         self.event_count = np.zeros(len(self.events))
         self.g = [event(t, y) for event in self.events]
@@ -356,7 +357,7 @@ class _Launch:
             self.ys.append(y)
         return status
 
-    def close(self, spec, status, grazing_tol):
+    def close(self, spec, status, grazing_tol, vector_blocks):
         """End the chunk; returns the time and state a deck crossing restarts
         from, else None."""
         ts = np.array(self.ts)
@@ -365,40 +366,44 @@ class _Launch:
         if status == 0:
             self.flow = self.chunks.flow(spec, "t_end", None, None, grazing_tol)
             return None
-        n = spec.dimension
         deck, y = self.chunks.stop(spec, self.tags, self.t_events, self.y_events,
-                                   [(n, n, 1)])
+                                   vector_blocks)
         if deck is None:
             self.flow = self.chunks.flow(spec, "boundary", float(ts[-1]), y, grazing_tol)
             return None
         return float(ts[-1]), y
 
 
-def lockstep_flows(spec: ManifoldSpec, y0, t_end, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                   grazing_tol=GRAZING_TOL):
-    """Geodesic flows from the states y0 (m, 2n), integrated together.
+def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
+                   rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, grazing_tol=GRAZING_TOL):
+    """Flows of ``rhs`` from the states y0 (m, N), integrated together up to
+    t_end, one time or one per state.
 
-    Flow i is bit for bit ``integrate_flow(spec, geodesic_rhs(spec), y0[i],
-    t_end, vector_blocks=[(n, n, 1)], ...)``: every geodesic keeps its own
-    time, step size and state, and takes the steps and events scipy's RK45
-    takes for it alone, while the right-hand side of each stage is evaluated
-    on the stack of geodesics that are still running. A geodesic whose
-    integration fails does not stop the others; the error of the first such
-    geodesic is raised at the end.
+    Flow i is bit for bit ``integrate_flow(spec, rhs, y0[i], t_end[i],
+    vector_blocks=vector_blocks, detect_boundary=detect_boundary, ...)``:
+    every flow keeps its own time, step size and state, and takes the steps
+    and events scipy's RK45 takes for it alone, while the right-hand side of
+    each stage is evaluated on the stack of flows that are still running.
+    ``rhs`` must take such a stack (m, N) and give each row what it gives
+    that state alone; it gets no stage times, so the equation must be
+    autonomous. A flow whose integration fails does not stop the others; the
+    error of the first such flow is raised at the end.
     """
-    if not t_end > 0:
+    Y = np.array(y0, dtype=float)
+    Y = Y.reshape(-1, Y.shape[-1])
+    m, N = Y.shape
+    T_end = np.broadcast_to(np.asarray(t_end, dtype=float), (m,))
+    if not np.all(T_end > 0):
         # solve_ivp would integrate backwards, or take one step of length 0
         raise ValueError(f"t_end must be positive, not {t_end!r}")
-    rhs = geodesic_rhs(spec)
-    Y = np.array(y0, dtype=float).reshape(-1, 2 * spec.dimension)
-    m, N = Y.shape
     max_step = 0.25 * spec.scale_hint
     rtol, atol = validate_tol(rtol, atol, N)
 
     launches = [_Launch() for _ in range(m)]
     T = np.zeros(m)
     F = rhs(None, Y)
-    H = np.array([launch.start(spec, rhs, 0.0, Y[i].copy(), F[i], t_end, max_step, rtol, atol)
+    H = np.array([launch.start(spec, rhs, 0.0, Y[i].copy(), F[i], T_end[i], max_step, rtol,
+                               atol, detect_boundary)
                   for i, launch in enumerate(launches)])
     min_step = np.empty(m)
     attempts = np.zeros(m, dtype=int)  # steps tried in the current chunk
@@ -426,7 +431,7 @@ def lockstep_flows(spec: ManifoldSpec, y0, t_end, rtol=DEFAULT_RTOL, atol=DEFAUL
 
         t = T[run]
         t_new = t + H[run]
-        t_new = np.where(t_new - t_end > 0, t_end, t_new)
+        t_new = np.where(t_new - T_end[run] > 0, T_end[run], t_new)
         h = t_new - t
         y = Y[run]
         y_new, K, error_norm = _rk45_try(rhs, y, F[run], h, rtol, atol)
@@ -455,7 +460,7 @@ def lockstep_flows(spec: ManifoldSpec, y0, t_end, rtol=DEFAULT_RTOL, atol=DEFAUL
         fired = {}
         for j, e in zip(np.searchsorted(bounds, active, side="right") - 1, active):
             fired.setdefault(j, []).append(e - bounds[j])
-        finished = t_new - t_end >= 0
+        finished = t_new - T_end[acc] >= 0
         done = []
         for j, i in enumerate(acc):
             launch = launches[i]
@@ -466,7 +471,7 @@ def lockstep_flows(spec: ManifoldSpec, y0, t_end, rtol=DEFAULT_RTOL, atol=DEFAUL
             launch.nfev += _STAGES * int(attempts[i])
             attempts[i] = 0
             try:
-                restart = launch.close(spec, status, grazing_tol)
+                restart = launch.close(spec, status, grazing_tol, vector_blocks)
             except RuntimeError as exc:
                 launch.error = exc
                 restart = None
@@ -475,7 +480,8 @@ def lockstep_flows(spec: ManifoldSpec, y0, t_end, rtol=DEFAULT_RTOL, atol=DEFAUL
                 continue
             t_start, y_start = restart
             T[i], Y[i], F[i] = t_start, y_start, rhs(t_start, y_start)
-            H[i] = launch.start(spec, rhs, t_start, y_start, F[i], t_end, max_step, rtol, atol)
+            H[i] = launch.start(spec, rhs, t_start, y_start, F[i], T_end[i], max_step, rtol, atol,
+                                detect_boundary)
         if done:
             run = np.setdiff1d(run, done)
 
@@ -555,8 +561,8 @@ def _shoot_all(spec: ManifoldSpec, points, t_max, rtol, atol, grazing_tol):
     if not len(points):
         return []
     launch_points, y0 = zip(*(_launch_state(spec, p) for p in points))
-    flows = lockstep_flows(spec, np.array(y0), t_max, rtol=rtol, atol=atol,
-                           grazing_tol=grazing_tol)
+    flows = lockstep_flows(spec, geodesic_rhs(spec), y0, t_max, vector_blocks=[(n, n, 1)],
+                           rtol=rtol, atol=atol, grazing_tol=grazing_tol)
     out = []
     for p, y, flow in zip(launch_points, y0, flows):
         if flow.status != "boundary":
@@ -799,9 +805,13 @@ def sweep_to_csv(sweep: SweepResult, stream):
     n = sweep.spec.dimension
     stream.write("launch," + ",".join(
         ["t"] + [f"x{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)]) + "\n")
+    # %.17g of a float writes what {:.17g} writes, nan, inf and -0 included
+    values = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
     for r in sweep.ok_records:
-        for t, x, v in zip(r.path.times, r.path.points, r.path.velocities):
-            stream.write(f"{r.index}," + ",".join(f"{c:.17g}" for c in [t, *x, *v]) + "\n")
+        row = f"{r.index}," + values
+        path = r.path
+        stream.write("".join(row % tuple(vals) for vals in np.column_stack(
+            [path.times, path.points, path.velocities]).tolist()))
 
 
 def sweep_to_json(sweep: SweepResult):

@@ -22,11 +22,12 @@ from .engine import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     GeodesicPath,
-    integrate_flow,
+    lockstep_flows,
     project_to_boundary,
 )
 from .geometry import (
     ManifoldSpec,
+    _solve,
     boundary_tangent_basis,
     christoffel_raw,
     curvature_operator_raw,
@@ -109,16 +110,48 @@ def _padded_shape_matrix(shape_sub, n):
     return S
 
 
-def integrate_jacobi_frame(spec: ManifoldSpec, path: GeodesicPath,
-                           rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> JacobiFrame:
-    """Integrate the parallel frame and the fundamental Jacobi solutions."""
+def frame_vector_blocks(n):
+    """The blocks of a Jacobi-frame state that deck differentials transport:
+    the velocity and the frame E; Y and Y' are frame coordinates."""
+    return [(n, n, 1), (2 * n, n, n)]
+
+
+def jacobi_rhs(spec: ManifoldSpec):
+    """Right-hand side of the geodesic, parallel-transport and Jacobi equations
+    for a state (x, v, E, Y, Y') of length 2n + 3n^2, or a stack of them,
+    each row bit-equal to its state alone."""
+    metric = spec.metric
+    n = spec.dimension
+
+    def rhs(t, y):
+        lead = y.shape[:-1]
+        x = y[..., :n]
+        v = y[..., n:2 * n]
+        E = y[..., 2 * n:2 * n + n * n].reshape(lead + (n, n))
+        Y = y[..., 2 * n + n * n:2 * n + 2 * n * n].reshape(lead + (n, n))
+        gamma = christoffel_raw(metric, x)
+        K = curvature_frame_matrix(metric, x, v, E)
+        out = np.empty_like(y)
+        out[..., :n] = v
+        # a batch index on every operand, no einsum optimize
+        np.negative(np.einsum("...kij,...i,...j->...k", gamma, v, v), out=out[..., n:2 * n])
+        dE = np.einsum("...kij,...i,...ja->...ka", gamma, v, E)
+        out[..., 2 * n:2 * n + n * n] = np.negative(dE).reshape(lead + (n * n,))
+        out[..., 2 * n + n * n:2 * n + 2 * n * n] = y[..., 2 * n + 2 * n * n:]
+        out[..., 2 * n + 2 * n * n:] = (K @ Y).reshape(lead + (n * n,))
+        return out
+
+    return rhs
+
+
+def _frame_start(spec: ManifoldSpec, path: GeodesicPath):
+    """Initial state of the frame along a returned path, and the launch shape
+    operator in the boundary tangent frame."""
     if not path.returned:
         raise ValueError("Jacobi frame needs a returned geodesic")
     n = spec.dimension
-    metric = spec.metric
     p = path.launch_point
     v0 = path.launch_velocity
-    R = path.return_time
 
     tangent = boundary_tangent_basis(spec, p)          # rows (n-1, n)
     E0 = np.column_stack([v0] + [tangent[i] for i in range(n - 1)])
@@ -131,26 +164,28 @@ def integrate_jacobi_frame(spec: ManifoldSpec, path: GeodesicPath,
         Y0[a + 1, a] = 1.0
         Yp0[:, a] = -S0[:, a + 1]
     Yp0[0, n - 1] = 1.0
+    return np.concatenate([p, v0, E0.ravel(), Y0.ravel(), Yp0.ravel()]), shape_sub
 
-    y0 = np.concatenate([p, v0, E0.ravel(), Y0.ravel(), Yp0.ravel()])
 
-    def rhs(t, y):
-        x = y[:n]
-        v = y[n:2 * n]
-        E = y[2 * n:2 * n + n * n].reshape(n, n)
-        Y = y[2 * n + n * n:2 * n + 2 * n * n].reshape(n, n)
-        Yp = y[2 * n + 2 * n * n:].reshape(n, n)
-        gamma = christoffel_raw(metric, x)
-        acc = -np.einsum("kij,i,j->k", gamma, v, v)
-        dE = -np.einsum("kij,i,ja->ka", gamma, v, E)
-        K = curvature_frame_matrix(metric, x, v, E)
-        return np.concatenate([v, acc, dE.ravel(), Yp.ravel(), (K @ Y).ravel()])
+def integrate_jacobi_frames(spec: ManifoldSpec, paths, rtol=DEFAULT_RTOL,
+                            atol=DEFAULT_ATOL) -> list[JacobiFrame]:
+    """The parallel frame and the fundamental Jacobi solutions along each path,
+    all frames stepped together up to their own return times."""
+    if not paths:
+        return []
+    y0, shapes = zip(*(_frame_start(spec, path) for path in paths))
+    flows = lockstep_flows(spec, jacobi_rhs(spec), y0, [path.return_time for path in paths],
+                           vector_blocks=frame_vector_blocks(spec.dimension),
+                           detect_boundary=False, rtol=rtol, atol=atol)
+    return [JacobiFrame(path, flow, shape_sub)
+            for path, flow, shape_sub in zip(paths, flows, shapes)]
 
-    flow = integrate_flow(
-        spec, rhs, y0, R,
-        vector_blocks=[(n, n, 1), (2 * n, n, n)],
-        detect_boundary=False, rtol=rtol, atol=atol)
-    return JacobiFrame(path, flow, shape_sub)
+
+def integrate_jacobi_frame(spec: ManifoldSpec, path: GeodesicPath,
+                           rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> JacobiFrame:
+    """Integrate the parallel frame and the fundamental Jacobi solutions."""
+    frame, = integrate_jacobi_frames(spec, [path], rtol, atol)
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +200,6 @@ class FocalInstant:
 
 @dataclass
 class FocalRecord:
-    return_time: float
     instants: list[FocalInstant] = field(default_factory=list)
     endpoint_instants: list[FocalInstant] = field(default_factory=list)
 
@@ -236,7 +270,7 @@ def focal_instants(frame: JacobiFrame) -> FocalRecord:
             continue
         merged.append((t_star, s))
 
-    record = FocalRecord(return_time=R)
+    record = FocalRecord()
     for t_star, s in merged:
         mult = int(np.sum(s < RANK_DROP_TOL * s[0]))
         inst = FocalInstant(float(t_star), mult, s)
@@ -383,9 +417,10 @@ def _arrival_tangent_frame(spec, frame, q):
     return gram_schmidt(g, np.array(rows))
 
 
-def _bind_dsbgv():
-    """LAPACK dsbgv from the function table scipy exports for Cython callers."""
-    capsule = cython_lapack.__pyx_capi__["dsbgv"]
+def _bind_lapack(name, *argtypes):
+    """LAPACK routine ``name`` from the function table scipy exports for Cython
+    callers, called with ``argtypes``."""
+    capsule = cython_lapack.__pyx_capi__[name]
     get_name = ctypes.pythonapi.PyCapsule_GetName
     get_name.argtypes = [ctypes.py_object]
     get_name.restype = ctypes.c_char_p
@@ -393,24 +428,35 @@ def _bind_dsbgv():
     get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
     get_pointer.restype = ctypes.c_void_p
     address = get_pointer(capsule, get_name(capsule))
-    int_p = ctypes.POINTER(ctypes.c_int)
-    double_p = ctypes.POINTER(ctypes.c_double)
-    # jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info
-    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, int_p, int_p, int_p,
-                                 double_p, int_p, double_p, int_p, double_p, double_p,
-                                 int_p, double_p, int_p)
-    return prototype(address)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
 
-_DSBGV = _bind_dsbgv()
+_CHAR = ctypes.c_char_p
+_INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+# jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info
+_DSBGV = _bind_lapack("dsbgv", _CHAR, _CHAR, _INT, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT,
+                      _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT)
+# uplo, n, kd, ab, ldab, info
+_DPBTRF = _bind_lapack("dpbtrf", _CHAR, _INT, _INT, _DOUBLE, _INT, _INT)
 
 
-def index_form_eigenvalues(mat: IndexFormMatrix):
-    """Full ascending spectrum of stiffness x = lambda mass x (LAPACK dsbgv)."""
+def _band_shape(mat: IndexFormMatrix):
+    """(rows, dof) of the stiffness band, which the mass band must share."""
     rows, dof = mat.stiffness_band.shape
     if mat.mass_band.shape != (rows, dof):
         raise ValueError(f"mass band shape {mat.mass_band.shape} does not match "
                          f"stiffness band shape {mat.stiffness_band.shape}")
+    return rows, dof
+
+
+def _ptr(a):
+    return a.ctypes.data_as(_DOUBLE)
+
+
+def index_form_eigenvalues(mat: IndexFormMatrix):
+    """Full ascending spectrum of stiffness x = lambda mass x (LAPACK dsbgv)."""
+    rows, dof = _band_shape(mat)
     # dsbgv overwrites both bands; Fortran order makes column j the j-th column
     ab = np.array(mat.stiffness_band, dtype=np.float64, order="F")
     bb = np.array(mat.mass_band, dtype=np.float64, order="F")
@@ -418,24 +464,111 @@ def index_form_eigenvalues(mat: IndexFormMatrix):
     z = np.empty(1)                  # eigenvectors are not computed
     work = np.empty(3 * dof)
     size, kd, ld, ldz, info = (ctypes.c_int(v) for v in (dof, rows - 1, rows, 1, 0))
-
-    def ptr(a):
-        return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
     _DSBGV(b"N", b"U", ctypes.byref(size), ctypes.byref(kd), ctypes.byref(kd),
-           ptr(ab), ctypes.byref(ld), ptr(bb), ctypes.byref(ld), ptr(w), ptr(z),
-           ctypes.byref(ldz), ptr(work), ctypes.byref(info))
+           _ptr(ab), ctypes.byref(ld), _ptr(bb), ctypes.byref(ld), _ptr(w), _ptr(z),
+           ctypes.byref(ldz), _ptr(work), ctypes.byref(info))
     if info.value != 0:
         raise RuntimeError(f"indefinite assembly error (dsbgv info={info.value})")
     return w
 
 
+def _check_mass_definite(mat: IndexFormMatrix):
+    """Raise the assembly error unless the mass band has a Cholesky factor
+    (LAPACK dpbtrf), which Sylvester's law of inertia needs."""
+    rows, dof = _band_shape(mat)
+    cb = np.array(mat.mass_band, dtype=np.float64, order="F")
+    size, kd, ld, info = (ctypes.c_int(v) for v in (dof, rows - 1, rows, 0))
+    _DPBTRF(b"U", ctypes.byref(size), ctypes.byref(kd), _ptr(cb), ctypes.byref(ld),
+            ctypes.byref(info))
+    if info.value != 0:
+        raise RuntimeError(f"indefinite assembly error (dpbtrf info={info.value})")
+
+
+def _node_blocks(band, n):
+    """Diagonal (N + 1, n, n) and superdiagonal (N, n, n) node blocks of the
+    upper bands ``band`` (..., 2n, dof) of the reduced form, stacked over the
+    leading axes. The two velocity-direction endpoint values that the reduced
+    form drops come back as decoupled unit rows, which add 1 to the count of
+    positive eigenvalues and change no other count."""
+    kd, dof = band.shape[-2] - 1, band.shape[-1]
+    nodes = (dof + 2) // n
+    last = n * (nodes - 1)
+    full = np.arange(nodes * n).reshape(nodes, n)
+    kept = (full != 0) & (full != last)
+    reduced = full - (full > 0) - (full > last)
+
+    def gather(i, j, used):
+        # entries i <= j of the reduced form where used, zero elsewhere
+        return np.where(used, band[..., kd + np.where(used, i - j, 0), np.where(used, j, 0)], 0.0)
+
+    i, j = reduced[:, :, None], reduced[:, None, :]
+    diag = gather(np.minimum(i, j), np.maximum(i, j), kept[:, :, None] & kept[:, None, :])
+    diag[..., [0, -1], 0, 0] = 1.0
+    off = gather(reduced[:-1, :, None], reduced[1:, None, :],
+                 kept[:-1, :, None] & kept[1:, None, :])
+    return diag, off
+
+
+def _inertia_counts(mats, neg_tol):
+    """``(k, nullity)`` of each form by Sylvester's law of inertia, M positive
+    definite: k = #neg(S + tol M) and nullity = #nonpos(S - tol M) - k.
+
+    Each inertia comes from an unpivoted block LDL^T of the block-tridiagonal
+    form over its n x n node blocks, O(dof n^2), with the eigenvalues of the
+    pivot blocks taken at the end; the forms, of one band shape, and both
+    shifts are factored together. A form gets None where one of its pivot
+    blocks is singular to rounding or not finite, which leaves its count
+    undecided.
+    """
+    shifted = np.stack([mat.stiffness_band + shift * mat.mass_band
+                        for mat in mats for shift in (neg_tol, -neg_tol)])
+    diag, off = (b.swapaxes(0, 1) for b in _node_blocks(shifted, mats[0].dimension))
+    pivots = np.empty_like(diag)
+    pivot = pivots[0] = diag[0]
+    try:
+        for e, (b, bt) in enumerate(zip(off, off.swapaxes(-1, -2))):
+            pivot = pivots[e + 1] = diag[e + 1] - bt @ _solve(pivot, b)
+    except np.linalg.LinAlgError:
+        # a singular pivot block: count each form alone, so only its own falls back
+        if len(mats) == 1:
+            return [None]
+        return [_inertia_counts([mat], neg_tol)[0] for mat in mats]
+    counts = []
+    for form, bands in zip(np.split(pivots, len(mats), axis=1), np.split(shifted, len(mats))):
+        floor = bands.shape[-1] * np.finfo(float).eps * np.abs(bands).max()
+        eigs = np.linalg.eigvalsh(form) if np.all(np.isfinite(form)) else None  # (nodes, 2, n)
+        if eigs is None or np.any(np.abs(eigs) <= floor):
+            counts.append(None)
+        else:
+            k = int(np.sum(eigs[:, 0] < 0))
+            counts.append((k, int(np.sum(eigs[:, 1] < 0)) - k))
+    return counts
+
+
+def morse_indices_quadratic(mats, neg_tol=NEG_EIG_TOL):
+    """Index and nullity estimate of each discretized form (mass-normalized):
+    its generalized eigenvalues below -neg_tol and those within neg_tol of 0.
+
+    The forms must share one band shape. They are counted together by
+    inertia, without the spectrum; where the pivots leave a count undecided,
+    the full spectrum of that form counts it.
+    """
+    if len({_band_shape(mat) for mat in mats}) > 1:
+        raise ValueError("forms counted together must share one band shape")
+    for mat in mats:
+        _check_mass_definite(mat)
+    counts = _inertia_counts(mats, neg_tol) if mats else []
+    for i, mat in enumerate(mats):
+        if counts[i] is None:
+            eigs = mat.eigenvalues
+            counts[i] = int(np.sum(eigs < -neg_tol)), int(np.sum(np.abs(eigs) <= neg_tol))
+    return counts
+
+
 def morse_index_quadratic(mat: IndexFormMatrix, neg_tol=NEG_EIG_TOL):
-    """Index and nullity estimate of the discretized form (mass-normalized)."""
-    eigs = mat.eigenvalues
-    k = int(np.sum(eigs < -neg_tol))
-    nullity = int(np.sum(np.abs(eigs) <= neg_tol))
-    return k, nullity
+    """Index and nullity estimate of one discretized form; see
+    ``morse_indices_quadratic``."""
+    return morse_indices_quadratic([mat], neg_tol)[0]
 
 
 def index_form_spectrum(mat: IndexFormMatrix, n_lowest=8):

@@ -168,6 +168,22 @@ def _require_object(key, value):
     return value
 
 
+def _list(doc, key, where):
+    """``doc[key]`` of the manifest object ``where``, a JSON array; [] if absent."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ManifestError(f"{where} {key} must be a list, not {value!r}")
+    return value
+
+
+def _string(doc, key, default, where):
+    """``doc[key]`` of the manifest object ``where``, a string; ``default`` if absent."""
+    value = doc.get(key, default)
+    if not isinstance(value, str):
+        raise ManifestError(f"{where} {key} must be a string, not {value!r}")
+    return value
+
+
 def _known_keys(doc, keys, where):
     """``doc``, the manifest object ``where``, if it has no key outside ``keys``."""
     unknown = sorted(set(doc) - set(keys))
@@ -210,11 +226,12 @@ def _build_deck_maps(docs, n):
         if not (_is_number(period) and period > 0):
             raise ManifestError(f"deck map period must be a positive number, not {period!r}")
         if kind == "translation":
-            decks.extend(translation_decks(n, axis, float(period), doc.get("name", f"t{axis}")))
+            decks.extend(translation_decks(n, axis, float(period),
+                                           _string(doc, "name", f"t{axis}", "deck map")))
         else:
             decks.extend(flip_translation_decks(n, axis, float(period),
                                                 _chart_axis(doc, "flip_axis", n),
-                                                doc.get("name", f"ft{axis}")))
+                                                _string(doc, "name", f"ft{axis}", "deck map")))
     return decks
 
 
@@ -262,9 +279,9 @@ def load_manifold(doc) -> ManifoldSpec:
             raise ManifestError(f"domain {key} must be a list of {n} numbers")
     domain = np.stack([np.asarray(dom["lo"], dtype=float),
                        np.asarray(dom["hi"], dtype=float)], axis=1)
-    decks = _build_deck_maps(inline.get("deck_maps", []), n)
+    decks = _build_deck_maps(_list(inline, "deck_maps", "inline chart"), n)
     patches = []
-    for i, pdoc in enumerate(inline.get("boundary_patches", [])):
+    for i, pdoc in enumerate(_list(inline, "boundary_patches", "inline chart")):
         _known_keys(_require_object("boundary patch", pdoc), _PATCH_KEYS, "boundary patch")
         dim = pdoc.get("dim", 1)
         if not (_is_integer(dim) and 0 <= dim < n):
@@ -272,22 +289,27 @@ def load_manifold(doc) -> ManifoldSpec:
         if not (isinstance(_entry(pdoc, "point", "boundary patch"), list)
                 and len(pdoc["point"]) == n):
             raise ManifestError(f"patch point must be a list of {n} expressions")
+        periodic = pdoc.get("periodic")
+        if periodic is not None and not (isinstance(periodic, list) and len(periodic) == dim
+                                         and all(isinstance(p, bool) for p in periodic)):
+            raise ManifestError(f"patch periodic must be a list of {dim} booleans, "
+                                f"not {periodic!r}")
         patches.append(expression_patch(
-            pdoc["point"], dim, name=pdoc.get("name", f"patch{i}"),
-            periodic=pdoc.get("periodic")))
+            pdoc["point"], dim, name=_string(pdoc, "name", f"patch{i}", "boundary patch"),
+            periodic=periodic))
     scale_hint = inline.get("scale_hint", 1.0)
     if not (_is_number(scale_hint) and scale_hint > 0):
         raise ManifestError(f"scale_hint must be a positive number, not {scale_hint!r}")
     return ManifoldSpec(
-        name=inline.get("name", "inline"),
+        name=_string(inline, "name", "inline", "inline chart"),
         metric=metric,
         boundary=boundary,
         domain=domain,
         deck_maps=decks,
         boundary_patches=patches,
         scale_hint=float(scale_hint),
-        annotations=inline.get("annotations", {}),
-        chart_notes=inline.get("chart_notes", "inline manifest chart"),
+        annotations=_require_object("annotations", inline.get("annotations", {})),
+        chart_notes=_string(inline, "chart_notes", "inline manifest chart", "inline chart"),
         inline=True,
     )
 

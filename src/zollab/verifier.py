@@ -40,9 +40,9 @@ from .jacobi import (
     arrival_degeneracy_form,
     assemble_index_form,
     focal_instants,
-    integrate_jacobi_frame,
+    integrate_jacobi_frames,
     morse_index_focal,
-    morse_index_quadratic,
+    morse_indices_quadratic,
 )
 
 ALL_ANALYSES = ("certify", "jacobi", "soul", "fibers", "splitting", "slices")
@@ -710,11 +710,10 @@ def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, 
     focal_resid = 0.0
     focal_mults = []
     arrival_norm = 0.0
-    frames = []
-    for i in spots:
+    frames = integrate_jacobi_frames(spec, [recs[int(i)].path for i in spots],
+                                     rtol=tol.rtol, atol=tol.atol)
+    for i, frame in zip(spots, frames):
         r = recs[int(i)]
-        frame = integrate_jacobi_frame(spec, r.path, rtol=tol.rtol, atol=tol.atol)
-        frames.append(frame)
         record = focal_instants(frame)
         focal_indices.append(morse_index_focal(record))
         report.endpoint_focal_warnings += len(record.endpoint_instants)
@@ -731,16 +730,14 @@ def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, 
     report.focal_multiplicities = focal_mults
     report.arrival_form_norm = arrival_norm
 
-    quad_vals = []
-    nullities = []
-    for i, frame in zip(spots[:3], frames):
-        mat = assemble_index_form(spec, recs[int(i)].path, mesh_size, frame=frame)
-        kq, nq = morse_index_quadratic(mat, neg_tol=tol.neg_eig)
-        quad_vals.append(kq)
-        nullities.append(nq)
-        if report.index_spectrum is None:
-            report.index_spectrum = mat.eigenvalues
-    if quad_vals:
+    mats = [assemble_index_form(spec, recs[int(i)].path, mesh_size, frame=frame)
+            for i, frame in zip(spots[:3], frames)]
+    counts = morse_indices_quadratic(mats, neg_tol=tol.neg_eig)
+    quad_vals = [kq for kq, _ in counts]
+    nullities = [nq for _, nq in counts]
+    if mats:
+        # the one full spectrum of the run, for spectrum.csv
+        report.index_spectrum = mats[0].eigenvalues
         report.index_quadratic = int(quad_vals[0])
         report.nullity_estimate = int(min(nullities))
         if len(set(quad_vals)) > 1:

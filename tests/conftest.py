@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zollab import make_example
+from zollab.catalog import catalog_names
 from zollab.engine import first_return_map, sample_boundary
 from zollab.verifier import Tolerances
 
@@ -32,6 +33,16 @@ def sweeps(specs):
         spec = specs[key]
         launches = sample_boundary(spec, n_launches, seed=0)
         out[key] = first_return_map(spec, launches, rtol=tol.rtol, atol=tol.atol)
+    return out
+
+
+@pytest.fixture(scope="session")
+def catalog_sweeps():
+    """Every catalog example at its default parameters and its 64-launch sweep."""
+    out = {}
+    for name in catalog_names():
+        spec = make_example(name)
+        out[name] = spec, first_return_map(spec, sample_boundary(spec, 64))
     return out
 
 

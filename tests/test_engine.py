@@ -3,12 +3,14 @@ import json
 import os
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import zollab.engine
 from test_manifest_cli import INLINE_CYLINDER
+from zollab import cli
 from zollab.catalog import catalog_names, make_example
 from zollab.engine import (
     GRAZING_TOL,
@@ -36,7 +38,7 @@ from zollab.geometry import (
     metric_inner,
     metric_norm,
 )
-from zollab.manifest import load_manifold
+from zollab.manifest import RunManifest, load_manifold
 from zollab.verifier import Tolerances, certify
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
@@ -407,7 +409,8 @@ LOCKSTEP_CASES = catalog_names() + ["flat_band_tilted", "inline_cap", "inline_cy
 def test_lockstep_flows_bit_equal_to_integrate_flow(name):
     spec, y0, t_end, grazing_tol = lockstep_case(name)
     n = spec.dimension
-    flows = lockstep_flows(spec, y0, t_end, grazing_tol=grazing_tol)
+    flows = lockstep_flows(spec, geodesic_rhs(spec), y0, t_end, vector_blocks=[(n, n, 1)],
+                           grazing_tol=grazing_tol)
     assert len(flows) == len(y0)
     rejected = 0
     for y, got in zip(y0, flows):
@@ -431,6 +434,20 @@ def test_lockstep_flows_bit_equal_to_integrate_flow(name):
         assert sum(len(f.deck_crossings) for f in flows) > 0
     if name == "ellipse_short":
         assert {f.status for f in flows} == {"boundary", "t_end"}
+
+
+@pytest.mark.parametrize("name", ["euclidean_ball", "flat_moebius"])
+def test_no_run_calls_solve_ivp(name, monkeypatch, tmp_path):
+    # sweeps and Jacobi frames go through lockstep_flows; on the Moebius band
+    # the frames' blocks are transported across the flip
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    monkeypatch.setattr(zollab.engine, "solve_ivp", refuse)
+    code, report = cli.run(RunManifest(manifold={"catalog": name, "params": {}}),
+                           analyses=("all",), out_dir=str(tmp_path), quiet=True)
+    assert code == 0
+    assert report.index_quadratic is not None and report.index_focal is not None
 
 
 def test_no_return_recorded_with_its_launch_point():
@@ -505,6 +522,24 @@ class TestExports:
         first = sweep.ok_records[0]
         assert rows[0].split(",")[0] == str(first.index)
         assert float(rows[0].split(",")[1]) == first.path.times[0]
+
+    def test_sweep_csv_special_values(self):
+        # each row through one %-format keeps what one f-string per value wrote
+        values = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 0.1, 1 / 3, 1e22,
+                           -123456789.123456789, 2.0 ** 60, 0.0])
+        times, points, velocities = values[:4], values[4:12].reshape(4, 2), \
+            values[::-1][:8].reshape(4, 2)
+        path = SimpleNamespace(times=times, points=points, velocities=velocities)
+        sweep = SimpleNamespace(spec=SimpleNamespace(dimension=2),
+                                ok_records=[SimpleNamespace(index=7, path=path)])
+        buf = io.StringIO()
+        sweep_to_csv(sweep, buf)
+        want = "launch,t,x1,x2,v1,v2\n" + "".join(
+            "7," + ",".join(f"{c:.17g}" for c in [t, *x, *v]) + "\n"
+            for t, x, v in zip(times, points, velocities))
+        assert buf.getvalue() == want
+        assert want.split("\n")[1] == "7,-0,4.9406564584124654e-324,1e-300,0,1.152921504606847e+18"
+        assert {"nan", "inf", "-inf", "-0"} <= set(want.replace("\n", ",").split(","))
 
     def test_sweep_json_roundtrip(self, sweeps):
         doc = sweep_to_json(sweeps["flat_band"])

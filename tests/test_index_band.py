@@ -13,11 +13,13 @@ from zollab.jacobi import (
     NEG_EIG_TOL,
     _band_to_dense,
     _element_band,
+    _inertia_counts,
     assemble_index_form,
     index_form_eigenvalues,
     index_form_spectrum,
     integrate_jacobi_frame,
     morse_index_quadratic,
+    morse_indices_quadratic,
 )
 
 CERTIFIED_KEYS = ["flat_disk", "flat_band", "flat_moebius", "spherical_cap",
@@ -78,6 +80,53 @@ def test_index_counts_match_dense(key, specs, sweeps, frames):
     dense = _dense_eigenvalues(mat)
     expected = (int(np.sum(dense < -NEG_EIG_TOL)), int(np.sum(np.abs(dense) <= NEG_EIG_TOL)))
     assert morse_index_quadratic(mat) == expected
+
+
+def _spectrum_counts(mat):
+    eigs = index_form_eigenvalues(mat)
+    return int(np.sum(eigs < -NEG_EIG_TOL)), int(np.sum(np.abs(eigs) <= NEG_EIG_TOL))
+
+
+@pytest.mark.parametrize("mesh", [64, 256, 512])
+def test_inertia_counts_match_dsbgv(mesh, catalog_sweeps):
+    # the unpivoted block LDL^T counts, not their fallback, on the first
+    # returned geodesic of every certified catalog example, one form at a
+    # time and the forms of one band shape together
+    groups = {}
+    for name, (spec, sweep) in catalog_sweeps.items():
+        if not spec.annotations.get("zoll"):
+            continue
+        mat = assemble_index_form(spec, sweep.ok_records[0].path, mesh)
+        expected = _spectrum_counts(mat)
+        assert _inertia_counts([mat], NEG_EIG_TOL) == [expected], name
+        groups.setdefault(mat.stiffness_band.shape, []).append((mat, expected))
+    assert len(groups) == 2                     # dimensions 2 and 3
+    for group in groups.values():
+        mats, expected = map(list, zip(*group))
+        assert len(mats) > 1
+        assert _inertia_counts(mats, NEG_EIG_TOL) == expected
+        assert morse_indices_quadratic(mats) == expected
+        assert [morse_index_quadratic(mat) for mat in mats] == expected
+        assert not any("eigenvalues" in vars(mat) for mat in mats)  # no spectrum solved
+
+
+def test_singular_pivot_falls_back_to_the_spectrum(specs, sweeps, frames):
+    # S = -tol M makes S + tol M vanish: every pivot of that form is singular,
+    # and only that form of a batch is counted from its spectrum
+    mat = _assemble("flat_disk", 64, specs, sweeps, frames)
+    shifted = dataclasses.replace(mat, stiffness_band=-NEG_EIG_TOL * mat.mass_band)
+    assert _inertia_counts([shifted], NEG_EIG_TOL) == [None]
+    assert _inertia_counts([mat, shifted], NEG_EIG_TOL) == [_spectrum_counts(mat), None]
+    assert morse_indices_quadratic([mat, shifted]) == [_spectrum_counts(mat),
+                                                       _spectrum_counts(shifted)]
+    assert "eigenvalues" in vars(shifted)
+
+
+def test_forms_counted_together_share_a_shape(specs, sweeps, frames):
+    small = _assemble("flat_disk", 64, specs, sweeps, frames)
+    large = _assemble("flat_disk", 128, specs, sweeps, frames)
+    with pytest.raises(ValueError, match="one band shape"):
+        morse_indices_quadratic([small, large])
 
 
 def test_spectrum_solved_once_and_read_only(specs, sweeps, frames):

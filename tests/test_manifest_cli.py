@@ -313,6 +313,25 @@ class TestCLI:
          "boundary has unknown keys ['eps']"),
         ({"inline": {"domain": {"lo": [-1.0, -0.5], "hi": [3.0, 1.5], "periodic": [1]}}},
          "domain has unknown keys ['periodic']"),
+        # a field of the wrong type would otherwise end in a traceback, or run
+        # under a name, a set of flags or notes the manifest did not give
+        ({"inline": {"deck_maps": 5}}, "inline chart deck_maps must be a list, not 5"),
+        ({"inline": {"boundary_patches": 5}},
+         "inline chart boundary_patches must be a list, not 5"),
+        ({"inline": {"annotations": 5}}, "annotations must be a JSON object, not 5"),
+        ({"inline": {"name": 5}}, "inline chart name must be a string, not 5"),
+        ({"inline": {"chart_notes": ["flat"]}},
+         "inline chart chart_notes must be a string, not ['flat']"),
+        ({"inline": {"boundary_patches": [{"dim": 1, "point": ["0", "u0"], "periodic": "yes"}]}},
+         "patch periodic must be a list of 1 booleans, not 'yes'"),
+        ({"inline": {"boundary_patches": [{"dim": 1, "point": ["0", "u0"],
+                                           "periodic": [True, False]}]}},
+         "patch periodic must be a list of 1 booleans, not [True, False]"),
+        ({"inline": {"boundary_patches": [{"dim": 1, "point": ["0", "u0"], "name": 5}]}},
+         "boundary patch name must be a string, not 5"),
+        ({"inline": {"deck_maps": [{"kind": "translation", "axis": 1, "period": 1.0,
+                                    "name": None}]}},
+         "deck map name must be a string, not None"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))
