@@ -1,9 +1,11 @@
 """Geodesic shooting from the boundary with first-return event detection.
 
 Geodesics are launched along the inward unit normal and integrated with an
-adaptive embedded Runge-Kutta pair (dense output); boundary returns are
-located by bracketed root refinement on the dense output, and exits through
-deck faces of the fundamental domain are handled by teleporting the state.
+adaptive embedded Runge-Kutta pair, whose dense output a flow keeps once, as
+the table of its steps' polynomials (``FlowResult.steps``). Boundary returns
+are located by bracketed root refinement on them, a tangency inside a step
+where b < 0 cuts the flow at the exit it proves, and exits through deck
+faces of the fundamental domain are handled by teleporting the state.
 
 Every run integrates through ``lockstep_flows``, which steps a stack of
 states together: the launches of a sweep, or the Jacobi frames of the
@@ -13,16 +15,16 @@ states together: the launches of a sweep, or the Jacobi frames of the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 # solve_ivp's own pieces, so lockstep shooting takes the steps it takes
-from scipy.integrate._ivp.common import OdeSolution, select_initial_step, validate_tol
+from scipy.integrate._ivp.common import EPS, select_initial_step, validate_tol
 from scipy.integrate._ivp.ivp import find_active_events, handle_events, prepare_events
 from scipy.integrate._ivp.rk import RK45, RkDenseOutput
+from scipy.optimize import brentq
 
 from .geometry import (
     ManifoldSpec,
@@ -48,49 +50,44 @@ class NoReturnError(RuntimeError):
 
 @dataclass
 class FlowResult:
+    """A flow's samples, step table and events, its chunks stitched in time
+    order. ``nfev`` and ``n_steps`` count all the integration done, past the
+    exit of a flow cut at a boundary crossing (``_Chunks.flow``) too."""
+
     times: np.ndarray            # stitched sample times
     states: np.ndarray           # (k, len(y)) stitched samples
-    segments: list               # [(t_lo, t_hi, OdeSolution)]
+    steps: tuple                 # RkDenseOutput (Q, y_old, t_old, h) of every step, stacked
     status: str                  # "boundary" | "t_end"
     event_time: Optional[float]
     event_state: Optional[np.ndarray]
     grazing_times: list[float]
     deck_crossings: list[tuple[float, str]]
     nfev: int                    # right-hand-side evaluations, as solve_ivp counts them
-    n_steps: int                 # accepted steps: len(t) - 1 of every segment
+    n_steps: int                 # accepted steps: len(t) - 1 of every solve_ivp chunk
 
     @property
     def grazing(self):
         return bool(self.grazing_times)
 
-    @cached_property
-    def _steps(self):
-        """The ``RkDenseOutput`` pieces Q, y_old, t_old, h of every integration
-        step, stacked in time order."""
-        pieces = [p for _, _, sol in self.segments for p in sol.interpolants]
-        return tuple(np.array([getattr(p, name) for p in pieces])
-                     for name in ("Q", "y_old", "t_old", "h"))
-
     def _pieces(self, t):
         """Pieces of the step each time of t (k,) falls in, and t clipped to the flow.
 
-        ``state_at`` used to take the first segment that reaches t, clip t to it
-        and call the segment's ``OdeSolution``, which takes the last step that
-        starts before t (the first step if none does). Segments are contiguous
-        and each step starts where the one before it ended, so that is the last
-        step of the whole flow that starts before t clipped to the flow.
+        scipy's dense output of a chunk takes the last step that starts before
+        t (the first step if none does). Chunks are contiguous and each step
+        starts where the one before it ended, so that is the last step of the
+        whole flow that starts before t clipped to the flow.
         """
-        Q, y_old, t_old, h = self._steps
-        t = np.minimum(np.maximum(t, self.segments[0][0]), self.segments[-1][1])
+        Q, y_old, t_old, h = self.steps
+        t = np.minimum(np.maximum(t, self.times[0]), self.times[-1])
         step = np.maximum(np.searchsorted(t_old, t) - 1, 0)
         return Q[step], y_old[step], t_old[step], h[step], t
 
     def state_at(self, t):
         """State at time t, or the (k, len(y)) states at the times of an array (k,).
 
-        Each state is bit-equal to one scalar call of its segment's
-        ``OdeSolution``; an ``OdeSolution`` called on a time array rounds
-        differently, so the step polynomials are evaluated here.
+        Each state is bit-equal to one scalar call of scipy's dense output of
+        its chunk; a call on a time array rounds differently, so the step
+        polynomials are evaluated here.
         """
         t = np.asarray(t, dtype=float)
         return _dense_states(*self._pieces(t.reshape(-1))).reshape(t.shape + (-1,))
@@ -169,15 +166,16 @@ class _Chunks:
     ended by t_end, a boundary return or a deck crossing."""
 
     def __init__(self):
-        self.times, self.states, self.segments = [], [], []
+        self.times, self.states = [], []
+        self.steps: list[tuple] = []  # (Q, y_old, t_old, h) of each step
         self.candidates: list[float] = []
         self.crossings: list[tuple[float, str]] = []
         self.nfev = self.n_steps = 0
 
-    def add(self, t, states, ode_solution, tags, t_events, nfev):
+    def add(self, t, states, steps, tags, t_events, nfev):
         self.times.append(t)
         self.states.append(states)
-        self.segments.append((t[0], t[-1], ode_solution))
+        self.steps.extend(steps)
         self.nfev += nfev
         self.n_steps += len(t) - 1
         for (kind, _), times in zip(tags, t_events):
@@ -219,17 +217,48 @@ class _Chunks:
         return deck, y_new
 
     def flow(self, spec, status, t_event, y_event, grazing_tol):
+        """The flow of the chunks. A tangency candidate (a local minimum of b)
+        is grazing where |b| < grazing_tol. The first where b < 0 proves that
+        the flow left M inside its step, and ends it there: its samples, steps,
+        deck crossings and grazing times stop at the exit, a boundary return."""
         n = spec.dimension
-        flow = FlowResult(np.concatenate(self.times), np.vstack(self.states), self.segments,
-                          status, t_event, y_event, [], self.crossings, self.nfev,
-                          self.n_steps)
-        # a tangency counts as grazing where b dips below the threshold there; a
-        # flow without candidates does not stack its steps for state_at
-        if self.candidates:
-            flow.grazing_times = [
-                tg for tg, y_g in zip(self.candidates, flow.state_at(self.candidates))
-                if abs(spec.boundary.value(y_g[:n])) < grazing_tol]
-        return flow
+        flow = FlowResult(np.concatenate(self.times), np.vstack(self.states),
+                          tuple(map(np.array, zip(*self.steps))), status, t_event, y_event,
+                          [], self.crossings, self.nfev, self.n_steps)
+        if not self.candidates:
+            return flow
+        dips = [spec.boundary.value(y[:n]) for y in flow.state_at(self.candidates)]
+        exits = [i for i, b in enumerate(dips) if b < 0]
+        # the exit's own tangency counts, whichever side of b = 0 rounding puts it
+        last = exits[0] + 1 if exits else len(dips)
+        flow.grazing_times = [tg for tg, b in zip(self.candidates[:last], dips)
+                              if abs(b) < grazing_tol]
+        return _cut_at_exit(flow, spec, self.candidates[exits[0]]) if exits else flow
+
+
+def _cut_at_exit(flow, spec, t_dip):
+    """The flow cut where b first vanishes on the step of the candidate t_dip,
+    between the step's start and t_dip, found on the step polynomial as scipy's
+    ``solve_event_equation`` finds an event."""
+    n = spec.dimension
+    step = flow._pieces(np.array([t_dip]))[:4]
+
+    def state(t):
+        return _dense_states(*step, np.array([t]))[0]
+
+    start = float(step[2][0])
+    if not spec.boundary.value(state(start)[:n]) > 0:
+        # only a launch step starts on the boundary
+        raise RuntimeError(f"geodesic leaves {spec.name!r} within its first step")
+    t_exit = brentq(lambda t: spec.boundary.value(state(t)[:n]), start, t_dip,
+                    xtol=4 * EPS, rtol=4 * EPS)
+    y_exit = state(t_exit)
+    kept = flow.times < t_exit
+    return replace(flow, times=np.append(flow.times[kept], t_exit),
+                   states=np.vstack([flow.states[kept], y_exit]),
+                   steps=tuple(a[flow.steps[2] < t_exit] for a in flow.steps),
+                   status="boundary", event_time=t_exit, event_state=y_exit,
+                   deck_crossings=[c for c in flow.deck_crossings if c[0] < t_exit])
 
 
 def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
@@ -250,7 +279,9 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
                         dense_output=True, rtol=rtol, atol=atol, max_step=max_step)
         if sol.status == -1:
             raise RuntimeError(f"integration failed on {spec.name!r}: {sol.message}")
-        chunks.add(sol.t, sol.y.T, sol.sol, tags, sol.t_events, sol.nfev)
+        # the one place scipy's interpolants are read
+        chunks.add(sol.t, sol.y.T, [(p.Q, p.y_old, p.t_old, p.h) for p in sol.sol.interpolants],
+                   tags, sol.t_events, sol.nfev)
         if sol.status == 0:
             return chunks.flow(spec, "t_end", None, None, grazing_tol)
         deck, y = chunks.stop(spec, tags, sol.t_events, sol.y_events, vector_blocks)
@@ -301,8 +332,8 @@ def _step_factor(error_norm, rejected):
 
 class _Launch:
     """One geodesic of a lockstep sweep: what ``solve_ivp`` keeps for the chunk
-    it is in (events, samples, step interpolants) and what ``integrate_flow``
-    keeps across its chunks."""
+    it is in (events, samples, step table) and what ``integrate_flow`` keeps
+    across its chunks."""
 
     def __init__(self):
         self.chunks = _Chunks()
@@ -318,7 +349,7 @@ class _Launch:
         self.g = [event(t, y) for event in self.events]
         self.t_events = [[] for _ in self.events]
         self.y_events = [[] for _ in self.events]
-        self.ts, self.ys, self.interpolants = [t], [y], []
+        self.ts, self.ys, self.steps = [t], [y], []
         self.nfev = 1  # f
 
         def fun(t_, y_):
@@ -335,10 +366,10 @@ class _Launch:
         events ``find_active_events`` finds between them and the last ones.
         Returns the chunk's status: None while it runs, 0 at t_end and 1 where
         a terminal event stopped it."""
-        sol = RkDenseOutput(t_old, t, y_old, Q)
-        self.interpolants.append(sol)
+        self.steps.append((Q, y_old, t_old, t - t_old))
         status = 0 if finished else None
         if active.size > 0:
+            sol = RkDenseOutput(t_old, t, y_old, Q)
             self.event_count[active] += 1
             root_indices, roots, terminate = handle_events(
                 sol, self.events, active, self.event_count, self.max_events, t_old, t)
@@ -351,7 +382,7 @@ class _Launch:
                 y = sol(t)
         self.g = g_new
         if len(self.ts) > 1 and self.ts[-1] == t:
-            self.interpolants.pop()
+            self.steps.pop()
         else:
             self.ts.append(t)
             self.ys.append(y)
@@ -361,8 +392,7 @@ class _Launch:
         """End the chunk; returns the time and state a deck crossing restarts
         from, else None."""
         ts = np.array(self.ts)
-        self.chunks.add(ts, np.vstack(self.ys), OdeSolution(ts, self.interpolants),
-                        self.tags, self.t_events, self.nfev)
+        self.chunks.add(ts, np.vstack(self.ys), self.steps, self.tags, self.t_events, self.nfev)
         if status == 0:
             self.flow = self.chunks.flow(spec, "t_end", None, None, grazing_tol)
             return None
@@ -507,7 +537,7 @@ def _apply_deck_to_state(deck, y, n, vector_blocks):
 
 @dataclass
 class GeodesicPath:
-    """Unit-speed geodesic launched orthogonally from the boundary."""
+    """Unit-speed geodesic launched orthogonally from the boundary, up to its return."""
 
     spec: ManifoldSpec
     launch_point: np.ndarray
@@ -515,16 +545,12 @@ class GeodesicPath:
     times: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
-    return_time: Optional[float]
-    arrival_point: Optional[np.ndarray]
-    arrival_velocity: Optional[np.ndarray]
+    return_time: float
+    arrival_point: np.ndarray
+    arrival_velocity: np.ndarray
     normal_deviation: Optional[float]
     grazing: bool
     flow: FlowResult
-
-    @property
-    def returned(self):
-        return self.return_time is not None
 
     def state_at(self, t):
         """Position and velocity at time t, or their (k, n) stacks at times (k,)."""
@@ -591,8 +617,6 @@ def shoot(spec: ManifoldSpec, p, t_max=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATO
 
 def arrival_orthogonality(path: GeodesicPath):
     """g-norm of the boundary-tangential component of the arrival velocity."""
-    if not path.returned:
-        raise ValueError("path has no boundary return")
     spec = path.spec
     q = path.arrival_point
     v = path.arrival_velocity

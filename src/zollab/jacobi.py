@@ -12,10 +12,9 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
-from scipy.linalg import cython_lapack
+from scipy.linalg import cython_lapack, lapack
 from scipy.optimize import brentq, minimize_scalar
 
 from .engine import (
@@ -145,10 +144,8 @@ def jacobi_rhs(spec: ManifoldSpec):
 
 
 def _frame_start(spec: ManifoldSpec, path: GeodesicPath):
-    """Initial state of the frame along a returned path, and the launch shape
-    operator in the boundary tangent frame."""
-    if not path.returned:
-        raise ValueError("Jacobi frame needs a returned geodesic")
+    """Initial state of the frame along a path, and the launch shape operator
+    in the boundary tangent frame."""
     n = spec.dimension
     p = path.launch_point
     v0 = path.launch_velocity
@@ -357,8 +354,7 @@ def _element_band(local, n, N):
     return band
 
 
-def assemble_index_form(spec: ManifoldSpec, path: GeodesicPath, mesh_size=256,
-                        frame: Optional[JacobiFrame] = None) -> IndexFormMatrix:
+def assemble_index_form(spec: ManifoldSpec, frame: JacobiFrame, mesh_size) -> IndexFormMatrix:
     """Piecewise-linear discretization of the second variation of energy.
 
     The geodesic is parametrized on [0, 1]; basis fields live in the parallel
@@ -370,11 +366,9 @@ def assemble_index_form(spec: ManifoldSpec, path: GeodesicPath, mesh_size=256,
     """
     if mesh_size < MIN_MESH_SIZE:
         raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
-    if frame is None:
-        frame = integrate_jacobi_frame(spec, path)
     n = spec.dimension
     N = int(mesh_size)
-    R = path.return_time
+    R = frame.return_time
     h = 1.0 / N
     eye = np.eye(n)
 
@@ -434,11 +428,10 @@ def _bind_lapack(name, *argtypes):
 _CHAR = ctypes.c_char_p
 _INT = ctypes.POINTER(ctypes.c_int)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
-# jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info
+# jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info; scipy does
+# not wrap dsbgv
 _DSBGV = _bind_lapack("dsbgv", _CHAR, _CHAR, _INT, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT,
                       _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT)
-# uplo, n, kd, ab, ldab, info
-_DPBTRF = _bind_lapack("dpbtrf", _CHAR, _INT, _INT, _DOUBLE, _INT, _INT)
 
 
 def _band_shape(mat: IndexFormMatrix):
@@ -474,14 +467,11 @@ def index_form_eigenvalues(mat: IndexFormMatrix):
 
 def _check_mass_definite(mat: IndexFormMatrix):
     """Raise the assembly error unless the mass band has a Cholesky factor
-    (LAPACK dpbtrf), which Sylvester's law of inertia needs."""
-    rows, dof = _band_shape(mat)
-    cb = np.array(mat.mass_band, dtype=np.float64, order="F")
-    size, kd, ld, info = (ctypes.c_int(v) for v in (dof, rows - 1, rows, 0))
-    _DPBTRF(b"U", ctypes.byref(size), ctypes.byref(kd), _ptr(cb), ctypes.byref(ld),
-            ctypes.byref(info))
-    if info.value != 0:
-        raise RuntimeError(f"indefinite assembly error (dpbtrf info={info.value})")
+    (LAPACK dpbtrf, on a copy of the read-only band), which Sylvester's law of
+    inertia needs."""
+    _, info = lapack.dpbtrf(mat.mass_band)
+    if info != 0:
+        raise RuntimeError(f"indefinite assembly error (dpbtrf info={info})")
 
 
 def _node_blocks(band, n):

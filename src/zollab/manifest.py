@@ -207,6 +207,26 @@ def _chart_axis(doc, key, n):
     return axis
 
 
+# the annotations the report is checked against, and the values each may take
+_ANNOTATION_TYPES = {
+    "zoll": ("a boolean", lambda v: isinstance(v, bool)),
+    "half_length": ("a positive number",
+                    lambda v: _is_number(v) and v > 0 and math.isfinite(v)),
+    **{key: ("a non-negative integer", lambda v: _is_integer(v) and v >= 0)
+       for key in ("index", "components", "soul_dim", "dimension")},
+}
+
+
+def _annotations(doc):
+    """An inline chart's annotations, if each one the report is checked
+    against has a value of its type."""
+    for key, value in _require_object("annotations", doc).items():
+        if key in _ANNOTATION_TYPES and not _ANNOTATION_TYPES[key][1](value):
+            raise ManifestError(f"annotation {key!r} must be {_ANNOTATION_TYPES[key][0]}, "
+                                f"not {value!r}")
+    return doc
+
+
 _DECK_KEYS = ("kind", "axis", "period", "name")
 _PATCH_KEYS = ("name", "dim", "point", "periodic")
 _INLINE_KEYS = ("name", "dimension", "metric", "boundary", "domain", "deck_maps",
@@ -308,7 +328,7 @@ def load_manifold(doc) -> ManifoldSpec:
         deck_maps=decks,
         boundary_patches=patches,
         scale_hint=float(scale_hint),
-        annotations=_require_object("annotations", inline.get("annotations", {})),
+        annotations=_annotations(inline.get("annotations", {})),
         chart_notes=_string(inline, "chart_notes", "inline manifest chart", "inline chart"),
         inline=True,
     )

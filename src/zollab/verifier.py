@@ -730,8 +730,7 @@ def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, 
     report.focal_multiplicities = focal_mults
     report.arrival_form_norm = arrival_norm
 
-    mats = [assemble_index_form(spec, recs[int(i)].path, mesh_size, frame=frame)
-            for i, frame in zip(spots[:3], frames)]
+    mats = [assemble_index_form(spec, frame, mesh_size) for frame in frames[:3]]
     counts = morse_indices_quadratic(mats, neg_tol=tol.neg_eig)
     quad_vals = [kq for kq, _ in counts]
     nullities = [nq for _, nq in counts]

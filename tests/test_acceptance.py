@@ -118,7 +118,7 @@ def test_c04_morse_index_two_ways(specs, sweeps):
         rec = sweeps[key].ok_records[0]
         frame = integrate_jacobi_frame(spec, rec.path)
         k_focal = morse_index_focal(focal_instants(frame))
-        mat = assemble_index_form(spec, rec.path, 256, frame=frame)
+        mat = assemble_index_form(spec, frame, 256)
         k_quad, _ = morse_index_quadratic(mat, neg_tol=1e-6)
         elapsed = time.perf_counter() - t0
         assert k_focal == k_quad == EXPECTED_INDEX[key], (key, k_focal, k_quad)
@@ -155,7 +155,7 @@ def test_c06_maximal_degeneracy(specs, frames):
         spec = specs[key]
         n = spec.dimension
         for rec, frame in frames[key]:
-            mat = assemble_index_form(spec, rec.path, 512, frame=frame)
+            mat = assemble_index_form(spec, frame, 512)
             _, nullity = morse_index_quadratic(mat, neg_tol=1e-6)
             assert nullity >= n - 1, (key, nullity, n - 1)
             worst_null[key] = nullity

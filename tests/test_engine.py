@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import zollab.engine
 from test_manifest_cli import INLINE_CYLINDER
@@ -55,8 +56,7 @@ def arc_length(path, n_gauss=4):
     """Gauss-Legendre arc length of the dense output up to the return time, all
     nodes of all steps in one stacked ``state_at`` and metric call."""
     nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-    t_cap = path.return_time if path.returned else path.times[-1]
-    a, b = path.times[:-1], np.minimum(path.times[1:], t_cap)
+    a, b = path.times[:-1], path.times[1:]
     a, b = a[b > a], b[b > a]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x, v = path.state_at((mid[:, None] + half[:, None] * nodes).ravel())
@@ -325,54 +325,143 @@ class TestGrazing:
         assert loose.reason == "tangential approach to the boundary"
 
 
-def reference_grazing_times(spec, segments, candidates, grazing_tol):
-    """Tangency candidates confirmed one at a time: each through a scalar call
-    of the ``OdeSolution`` of the first segment that holds it."""
+def concentric_annulus(r, scale_hint):
+    """Inline flat annulus between the circles of radius 3 and r about the
+    origin. Every orthogonal geodesic is radial, of length 3 - r."""
+    ring = ["cos(2*pi*u0)", "sin(2*pi*u0)"]
+    return {"inline": {
+        "name": f"concentric-annulus(r={r!r})",
+        "dimension": 2,
+        "metric": {"kind": "expression", "entries": [["1", "0"], ["0", "1"]]},
+        "boundary": {"expression": f"(9 - x0**2 - x1**2)*(x0**2 + x1**2 - {r!r}**2)/18"},
+        "domain": {"lo": [-4.0, -4.0], "hi": [4.0, 4.0]},
+        "boundary_patches": [
+            {"name": "outer", "dim": 1, "point": [f"3*{c}" for c in ring], "periodic": [True]},
+            {"name": "inner", "dim": 1, "point": [f"{r!r}*{c}" for c in ring],
+             "periodic": [True]},
+        ],
+        "scale_hint": scale_hint,
+        "annotations": {"zoll": True, "half_length": (3 - r) / 2, "index": 0, "components": 2},
+    }}
+
+
+# at scale_hint 12 the RK45 steps reach 3: the step from about 0.59 to 3.59
+# spans the crest of b at t = 0.86 as well as the hole's centre at t = 3, so
+# db/dt changes sign twice in it and no tangency candidate is found
+HIDDEN_CROSSING = pytest.mark.xfail(strict=True, reason="a step hides both a crest and a dip of b")
+
+
+@pytest.mark.parametrize("scale_hint", [1, 2, 4, 6, 12])
+@pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 1.0])
+def test_concentric_annulus_certifies(r, scale_hint, request):
+    # steps that jump the hole used to carry the outer launches on to the far
+    # side of the outer circle, which refuted this Zoll annulus with L near 2.2
+    if scale_hint == 12 and r < 1.0:
+        request.applymarker(HIDDEN_CROSSING)
+    # the focal index of the radial chords too, at one scale
+    analyses = ("certify", "jacobi") if scale_hint == 6 else ("certify",)
+    rep = certify(load_manifold(concentric_annulus(r, scale_hint)), 64, analyses=analyses)
+    assert rep.verdict == "certified"
+    assert rep.ground_truth["all_match"]
+    assert set(rep.ground_truth["checks"]) == {"verdict", "half_length", "components"} | (
+        {"index"} if scale_hint == 6 else set())
+
+
+def test_hole_crossings_return_as_arrivals():
+    # the radial chord from 3 (cos, sin)(theta) meets the inner circle, of
+    # radius 0.3 about c, at the smaller root s of |p - s p / 3 - c| = 0.3
+    # where there is one, and the outer circle at s = 6 where there is not
+    spec = eccentric_annulus()
+    sweep = first_return_map(spec, sample_boundary(spec, 64))
+    c = np.array([0.5, 0.0])
+    inner = 0
+    for r in sweep.ok_records:
+        p = r.launch
+        u = -p / 3.0
+        half_b, cc = u @ (p - c), (p - c) @ (p - c) - 0.09
+        disc = half_b ** 2 - cc
+        expected = -half_b - np.sqrt(disc) if disc > 0 else 6.0
+        inner += disc > 0
+        assert r.return_time == pytest.approx(expected, abs=1e-9)
+        assert abs(spec.boundary.value(r.arrival)) <= 1e-12
+    assert inner == 28  # 18 of them step across the hole
+    assert len(sweep.ok_records) == 64
+
+
+def reference_grazing_and_exit(spec, chunks, grazing_tol):
+    """Grazing times and exit time of a flow from its ``solve_ivp`` chunks.
+    Each tangency candidate is checked through a scalar call of the
+    ``OdeSolution`` of the chunk that found it, in time order up to the first
+    where b < 0; the exit is the root of b on that step's interpolant,
+    between its start and the candidate."""
     n = spec.dimension
-    out = []
-    for tg in candidates:
-        for t_lo, t_hi, sol in segments:
-            if t_lo - 1e-12 <= tg <= t_hi + 1e-12:
-                if abs(spec.boundary.value(sol(tg)[:n])) < grazing_tol:
-                    out.append(tg)
-                break
-    return out
+    grazing = []
+    for sol, candidates in chunks:
+        for tg in candidates:
+            b = spec.boundary.value(sol(tg)[:n])
+            if abs(b) < grazing_tol:
+                grazing.append(tg)
+            if b < 0:
+                step = next(p for p in sol.interpolants if p.t_old < tg <= p.t)
+                eps = np.finfo(float).eps
+                return grazing, brentq(lambda t: spec.boundary.value(step(t)[:n]), step.t_old,
+                                       tg, xtol=4 * eps, rtol=4 * eps)
+    return grazing, None
 
 
-# |b| at the annulus's 54 tangencies runs from 6e-4 to 0.08: 0.03 keeps 18 of them
+# |b| at the eccentric annulus's 54 tangencies runs from 6e-4 to 0.08: 0.03
+# keeps 18 of them; 18 are exits, where b < 0
 @pytest.mark.parametrize("grazing_tol", [1e-6, 0.03, 0.1])
-@pytest.mark.parametrize("name", catalog_names() + ["eccentric_annulus"])
+@pytest.mark.parametrize("name", catalog_names() + ["eccentric_annulus", "concentric_annulus"])
 def test_grazing_times_match_the_segment_reference(name, grazing_tol, monkeypatch):
-    # the sweep's grazing times against its geodesics integrated one at a time
-    # by integrate_flow, each tangency confirmed on the solve_ivp segment
-    # that found it
-    spec = eccentric_annulus() if name == "eccentric_annulus" else make_example(name)
-    candidates = {}  # id of each solve's OdeSolution -> its tangency event times
+    # the sweep's grazing times and exits against its geodesics integrated
+    # one at a time by integrate_flow, each tangency confirmed on the
+    # solve_ivp chunk that found it
+    if name == "eccentric_annulus":
+        spec = eccentric_annulus()
+    elif name == "concentric_annulus":
+        spec = load_manifold(concentric_annulus(0.5, 6.0))
+    else:
+        spec = make_example(name)
+    chunks = []  # (OdeSolution, tangency event times) of each solve_ivp call
     solve_ivp = zollab.engine.solve_ivp
 
     def recording_solve_ivp(fun, t_span, y0, events=(), **kwargs):
         sol = solve_ivp(fun, t_span, y0, events=events, **kwargs)
-        candidates[id(sol.sol)] = [float(t) for ev, times in zip(events, sol.t_events)
-                                   if ev.__name__ == "graze" for t in times]
+        chunks.append((sol.sol, [float(t) for ev, times in zip(events, sol.t_events)
+                                 if ev.__name__ == "graze" for t in times]))
         return sol
 
     monkeypatch.setattr(zollab.engine, "solve_ivp", recording_solve_ivp)
     sweep = first_return_map(spec, sample_boundary(spec, 64), grazing_tol=grazing_tol)
-    assert not candidates  # the sweep does not go through solve_ivp
+    assert not chunks  # the sweep does not go through solve_ivp
     n = spec.dimension
     flows = [r.path.flow for r in sweep.ok_records]
     assert flows
+    exits = 0
     for r in sweep.ok_records:
         y0 = np.concatenate([r.path.launch_point, r.path.launch_velocity])
-        ref = integrate_flow(spec, geodesic_rhs(spec), y0, 50.0 * spec.scale_hint,
-                             vector_blocks=[(n, n, 1)], grazing_tol=grazing_tol)
-        segment_candidates = [t for _, _, sol in ref.segments for t in candidates[id(sol)]]
-        reference = reference_grazing_times(spec, ref.segments, segment_candidates,
-                                            grazing_tol)
-        assert r.path.flow.grazing_times == reference
-        assert r.path.flow.grazing == bool(reference)
+        chunks.clear()
+        integrate_flow(spec, geodesic_rhs(spec), y0, 50.0 * spec.scale_hint,
+                       vector_blocks=[(n, n, 1)], grazing_tol=grazing_tol)
+        grazing, t_exit = reference_grazing_and_exit(spec, chunks, grazing_tol)
+        assert r.path.flow.grazing_times == grazing
+        assert r.path.flow.grazing == bool(grazing)
+        if t_exit is not None:
+            exits += 1
+            assert r.return_time == t_exit
     if name == "eccentric_annulus" and grazing_tol > 1e-6:
         assert any(flow.grazing for flow in flows)
+    assert exits == {"concentric_annulus": 32, "eccentric_annulus": 18}.get(name, 0)
+
+
+def assert_steps_bit_equal(got, want):
+    """Step tables, and deck crossings (which start the chunks), of two flows."""
+    for got_piece, want_piece in zip(got.steps, want.steps):
+        assert got_piece.tobytes() == want_piece.tobytes()
+    assert np.array([t for t, _ in got.deck_crossings]).tobytes() == \
+        np.array([t for t, _ in want.deck_crossings]).tobytes()
+    assert got.deck_crossings == want.deck_crossings
 
 
 def lockstep_case(name):
@@ -384,6 +473,8 @@ def lockstep_case(name):
         spec = load_manifold(INLINE_CYLINDER)
     elif name == "eccentric_annulus":
         spec, grazing_tol = eccentric_annulus(), 0.03
+    elif name == "concentric_annulus":
+        spec = load_manifold(concentric_annulus(0.5, 6.0))
     elif name == "ellipse_short":
         spec, t_end = make_example("ellipse"), 3.0  # chords from 2 to 4 long
     else:
@@ -402,7 +493,7 @@ def lockstep_case(name):
 
 
 LOCKSTEP_CASES = catalog_names() + ["flat_band_tilted", "inline_cap", "inline_cylinder",
-                                    "eccentric_annulus", "ellipse_short"]
+                                    "eccentric_annulus", "concentric_annulus", "ellipse_short"]
 
 
 @pytest.mark.parametrize("name", LOCKSTEP_CASES)
@@ -420,20 +511,21 @@ def test_lockstep_flows_bit_equal_to_integrate_flow(name):
         for field in ("times", "states", "event_time", "event_state"):
             assert np.asarray(getattr(got, field)).tobytes() == \
                 np.asarray(getattr(want, field)).tobytes(), field
-        for got_piece, want_piece in zip(got._steps, want._steps):
-            assert got_piece.tobytes() == want_piece.tobytes()
-        assert [tuple(s[:2]) for s in got.segments] == [tuple(s[:2]) for s in want.segments]
+        assert_steps_bit_equal(got, want)
         assert np.array(got.grazing_times).tobytes() == np.array(want.grazing_times).tobytes()
-        assert got.deck_crossings == want.deck_crossings
         assert (got.nfev, got.n_steps) == (want.nfev, want.n_steps)
-        # per chunk: one evaluation for f, one for the initial step, six per try
-        rejected += (got.nfev - 2 * len(got.segments)) // 6 - got.n_steps
+        # per chunk (a deck crossing starts one): one evaluation for f, one for
+        # the initial step, six per try
+        rejected += (got.nfev - 2 * (len(got.deck_crossings) + 1)) // 6 - got.n_steps
     if name in ("spherical_cap", "inline_cap"):
         assert rejected > 0
     if name == "flat_band_tilted":
         assert sum(len(f.deck_crossings) for f in flows) > 0
     if name == "ellipse_short":
         assert {f.status for f in flows} == {"boundary", "t_end"}
+    if name == "concentric_annulus":
+        # flows cut at a hole crossing were integrated past it
+        assert sum(f.n_steps > len(f.steps[0]) for f in flows) == 32
 
 
 @pytest.mark.parametrize("name", ["euclidean_ball", "flat_moebius"])

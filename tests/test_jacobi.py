@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from test_engine import assert_steps_bit_equal
 from zollab.catalog import catalog_names, make_example
 from zollab.engine import integrate_flow, lockstep_flows, shoot
 from zollab.jacobi import (
@@ -38,15 +39,11 @@ def frames(specs, sweeps):
 
 
 def assert_flows_bit_equal(got, want):
-    """Samples, step interpolants, chunks, crossings and counters of two flows."""
+    """Samples, step tables, crossings and counters of two flows."""
     assert got.status == want.status
     assert got.times.tobytes() == want.times.tobytes()
     assert got.states.tobytes() == want.states.tobytes()
-    assert len(got._steps[0]) == len(want._steps[0])
-    for got_piece, want_piece in zip(got._steps, want._steps):
-        assert got_piece.tobytes() == want_piece.tobytes()
-    assert [tuple(s[:2]) for s in got.segments] == [tuple(s[:2]) for s in want.segments]
-    assert got.deck_crossings == want.deck_crossings
+    assert_steps_bit_equal(got, want)
     assert (got.nfev, got.n_steps) == (want.nfev, want.n_steps)
 
 
@@ -178,46 +175,39 @@ class TestFocalInstants:
 
 
 class TestIndexForm:
-    def test_symmetry_and_boundary_blocks(self, specs, sweeps, frames):
-        disk = specs["flat_disk"]
-        path = sweeps["flat_disk"].ok_records[0].path
-        mat = assemble_index_form(disk, path, 64, frame=frames["flat_disk"])
+    def test_symmetry_and_boundary_blocks(self, specs, frames):
+        mat = assemble_index_form(specs["flat_disk"], frames["flat_disk"], 64)
         assert np.abs(mat.stiffness - mat.stiffness.T).max() <= 1e-12
         assert np.abs(mat.mass - mat.mass.T).max() <= 1e-12
         # boundary blocks carry -R * shape operator; disk: S = 1/L = 1, R = 2
         assert mat.boundary_block_launch[1, 1] == pytest.approx(-2.0, abs=1e-9)
         assert mat.boundary_block_arrival[1, 1] == pytest.approx(-2.0, abs=1e-9)
 
-    def test_mesh_minimum(self, specs, sweeps):
+    def test_mesh_minimum(self, specs, frames):
         with pytest.raises(ValueError, match="mesh_size"):
-            assemble_index_form(specs["flat_disk"],
-                                sweeps["flat_disk"].ok_records[0].path, 8)
+            assemble_index_form(specs["flat_disk"], frames["flat_disk"], 8)
 
-    def test_disk_exactly_one_negative_eigenvalue(self, specs, sweeps, frames):
-        disk = specs["flat_disk"]
-        path = sweeps["flat_disk"].ok_records[0].path
-        mat = assemble_index_form(disk, path, 256, frame=frames["flat_disk"])
+    def test_disk_exactly_one_negative_eigenvalue(self, specs, frames):
+        mat = assemble_index_form(specs["flat_disk"], frames["flat_disk"], 256)
         eigs = index_form_spectrum(mat, 4)
         assert int(np.sum(eigs < -1e-6)) == 1
         k, nullity = morse_index_quadratic(mat)
         assert k == 1 and nullity >= 1
 
-    def test_band_positive_semidefinite_with_kernel(self, specs, sweeps, frames):
+    def test_band_positive_semidefinite_with_kernel(self, specs, frames):
         band = specs["flat_band"]
-        path = sweeps["flat_band"].ok_records[0].path
         for mesh in [64, 128]:
-            mat = assemble_index_form(band, path, mesh, frame=frames["flat_band"])
+            mat = assemble_index_form(band, frames["flat_band"], mesh)
             k, nullity = morse_index_quadratic(mat)
             assert k == 0
             assert nullity >= band.dimension - 1
 
-    def test_mesh_doubling_stabilizes_low_spectrum(self, specs, sweeps, frames):
+    def test_mesh_doubling_stabilizes_low_spectrum(self, specs, frames):
         # the five smallest eigenvalues move by < 1e-3 relative when the mesh
         # doubles (scale set by the spectral range)
         cap = specs["spherical_cap"]
-        path = sweeps["spherical_cap"].ok_records[0].path
-        m1 = assemble_index_form(cap, path, 128, frame=frames["spherical_cap"])
-        m2 = assemble_index_form(cap, path, 256, frame=frames["spherical_cap"])
+        m1 = assemble_index_form(cap, frames["spherical_cap"], 128)
+        m2 = assemble_index_form(cap, frames["spherical_cap"], 256)
         e1 = index_form_spectrum(m1, 5)
         e2 = index_form_spectrum(m2, 5)
         scale = max(abs(e2[0]), abs(e2[-1]))
@@ -226,12 +216,10 @@ class TestIndexForm:
     @pytest.mark.parametrize("key,expected", [("flat_band", 0), ("flat_moebius", 0),
                                               ("flat_disk", 1), ("spherical_cap", 1),
                                               ("euclidean_ball3", 2), ("solid_torus", 1)])
-    def test_two_index_computations_agree(self, key, expected, specs, sweeps, frames):
-        spec = specs[key]
-        path = sweeps[key].ok_records[0].path
+    def test_two_index_computations_agree(self, key, expected, specs, frames):
         rec = focal_instants(frames[key])
         k_f = morse_index_focal(rec)
-        mat = assemble_index_form(spec, path, 128, frame=frames[key])
+        mat = assemble_index_form(specs[key], frames[key], 128)
         k_q, _ = morse_index_quadratic(mat)
         assert k_f == k_q == expected
 

@@ -165,7 +165,7 @@ class TestCLI:
         sweep = first_return_map(spec, launches, rtol=tol.rtol, atol=tol.atol)
         path = sweep.ok_records[0].path
         frame = integrate_jacobi_frame(spec, path, rtol=tol.rtol, atol=tol.atol)
-        mat = assemble_index_form(spec, path, manifest.mesh_size, frame=frame)
+        mat = assemble_index_form(spec, frame, manifest.mesh_size)
         dof = mat.stiffness_band.shape[1]
 
         rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
@@ -332,6 +332,27 @@ class TestCLI:
         ({"inline": {"deck_maps": [{"kind": "translation", "axis": 1, "period": 1.0,
                                     "name": None}]}},
          "deck map name must be a string, not None"),
+        # an annotation of the wrong type would end in a traceback from the
+        # comparison with the report, or be read as another value
+        ({"inline": {"annotations": {"zoll": "no"}}},
+         "annotation 'zoll' must be a boolean, not 'no'"),
+        ({"inline": {"annotations": {"zoll": 1}}}, "annotation 'zoll' must be a boolean, not 1"),
+        ({"inline": {"annotations": {"half_length": "1.0"}}},
+         "annotation 'half_length' must be a positive number, not '1.0'"),
+        ({"inline": {"annotations": {"half_length": 0}}},
+         "annotation 'half_length' must be a positive number, not 0"),
+        ({"inline": {"annotations": {"half_length": float("inf")}}},
+         "annotation 'half_length' must be a positive number, not inf"),
+        ({"inline": {"annotations": {"half_length": True}}},
+         "annotation 'half_length' must be a positive number, not True"),
+        ({"inline": {"annotations": {"index": 1.0}}},
+         "annotation 'index' must be a non-negative integer, not 1.0"),
+        ({"inline": {"annotations": {"components": -1}}},
+         "annotation 'components' must be a non-negative integer, not -1"),
+        ({"inline": {"annotations": {"soul_dim": None}}},
+         "annotation 'soul_dim' must be a non-negative integer, not None"),
+        ({"inline": {"annotations": {"dimension": "2"}}},
+         "annotation 'dimension' must be a non-negative integer, not '2'"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import zollab.engine
 from test_metric_jet import CATALOG_CASES, INLINE_METRICS, interior_points
 from zollab.catalog import make_example
 from zollab.engine import (
@@ -28,7 +29,13 @@ from zollab.geometry import (
     metric_norm,
     scalar_pow,
 )
-from zollab.jacobi import curvature_frame_matrix, integrate_jacobi_frame
+from zollab.jacobi import (
+    _frame_start,
+    curvature_frame_matrix,
+    frame_vector_blocks,
+    integrate_jacobi_frame,
+    jacobi_rhs,
+)
 from zollab.manifest import expression_metric, load_manifold
 
 
@@ -133,20 +140,41 @@ def test_singular_point_of_stack_is_named():
         curvature_operator_raw(metric, points, np.ones((4, 2)))
 
 
-def reference_state_at(flow, t):
-    """A flow's state as one scalar call of its segment's ``OdeSolution`` gives it:
-    the first segment that reaches t, with t clipped to that segment."""
+@pytest.fixture
+def chunks_of(monkeypatch):
+    """``integrate_flow`` that also gives (t_lo, t_hi, OdeSolution) of each of
+    its ``solve_ivp`` calls."""
+    chunks = []
+    solve_ivp = zollab.engine.solve_ivp
+
+    def recording_solve_ivp(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        chunks.append((sol.t[0], sol.t[-1], sol.sol))
+        return sol
+
+    monkeypatch.setattr(zollab.engine, "solve_ivp", recording_solve_ivp)
+
+    def run(*args, **kwargs):
+        chunks.clear()
+        return integrate_flow(*args, **kwargs), list(chunks)
+
+    return run
+
+
+def reference_state_at(chunks, t):
+    """A flow's state as one scalar call of its chunk's ``OdeSolution`` gives it:
+    the first chunk that reaches t, with t clipped to that chunk."""
     t = float(t)
-    for t_lo, t_hi, sol in flow.segments:
-        if t <= t_hi or sol is flow.segments[-1][2]:
+    for t_lo, t_hi, sol in chunks:
+        if t <= t_hi or sol is chunks[-1][2]:
             return sol(np.clip(t, t_lo, t_hi))
 
 
-def probe_times(flow, rng):
-    """Step times (ties between steps), segment ends, times past both ends and
+def probe_times(flow, chunks, rng):
+    """Step times (ties between steps), chunk ends, times past both ends and
     random times."""
     R = flow.times[-1]
-    ends = [t for t_lo, t_hi, _ in flow.segments for t in (t_lo, t_hi)]
+    ends = [t for t_lo, t_hi, _ in chunks for t in (t_lo, t_hi)]
     return np.concatenate([flow.times, ends, [-0.3 * R, 1.2 * R], rng.uniform(0.0, R, 200)])
 
 
@@ -156,31 +184,40 @@ def probe_times(flow, rng):
     ("solid_torus", {"rotation": 2 * np.pi / 5}, [0.6, 0.8, 0.9]),
     ("flat_moebius", {}, [1.0, 2.7]),
 ])
-def test_dense_output_stacks(name, params, launch, rng):
+def test_dense_output_stacks(name, params, launch, rng, chunks_of):
     spec = make_example(name, **params)
+    n = spec.dimension
     p = spec.boundary_patches[0].points([[0.3] * spec.boundary_patches[0].param_dim])[0] \
         if launch is None else np.array(launch)
     path = shoot(spec, p)
     frame = integrate_jacobi_frame(spec, path)
-    for flow in (path.flow, frame.flow):
-        ts = probe_times(flow, rng)
+    # the chunks of the same flows integrated by integrate_flow, which the
+    # lockstep flows equal bit for bit
+    _, path_chunks = chunks_of(spec, geodesic_rhs(spec),
+                               np.concatenate([path.launch_point, path.launch_velocity]),
+                               50.0 * spec.scale_hint, vector_blocks=[(n, n, 1)])
+    _, frame_chunks = chunks_of(spec, jacobi_rhs(spec), _frame_start(spec, path)[0],
+                                path.return_time, vector_blocks=frame_vector_blocks(n),
+                                detect_boundary=False)
+    for flow, chunks in ((path.flow, path_chunks), (frame.flow, frame_chunks)):
+        ts = probe_times(flow, chunks, rng)
         for t in ts:
-            assert flow.state_at(t).tobytes() == reference_state_at(flow, t).tobytes()
+            assert flow.state_at(t).tobytes() == reference_state_at(chunks, t).tobytes()
         assert_stack_matches_points(flow.state_at, ts)
-    ts = probe_times(frame.flow, rng)
+    ts = probe_times(frame.flow, frame_chunks, rng)
     for block in range(5):
         assert_stack_matches_points(lambda t: frame.blocks_at(t)[block], ts)
 
 
-def test_dense_output_stacks_across_deck_crossings(rng):
+def test_dense_output_stacks_across_deck_crossings(rng, chunks_of):
     spec = make_example("flat_band")
     y0 = np.array([1.0, 6.0, 0.05, 1.0])
-    flow = integrate_flow(spec, geodesic_rhs(spec), y0, 20.0, vector_blocks=[(2, 2, 1)],
-                          detect_boundary=False)
+    flow, chunks = chunks_of(spec, geodesic_rhs(spec), y0, 20.0, vector_blocks=[(2, 2, 1)],
+                             detect_boundary=False)
     assert len(flow.deck_crossings) >= 3
-    ts = probe_times(flow, rng)
+    ts = probe_times(flow, chunks, rng)
     for t in ts:
-        assert flow.state_at(t).tobytes() == reference_state_at(flow, t).tobytes()
+        assert flow.state_at(t).tobytes() == reference_state_at(chunks, t).tobytes()
     assert_stack_matches_points(flow.state_at, ts)
 
 

@@ -96,6 +96,19 @@ class TestCertifyVerdicts:
         assert rep.verdict == "refuted"
         assert rep.reason == "non-orthogonal arrival beyond 10x tolerance"
 
+    # the detection floor: the ellipse a = 1 + eps, b = 1 has a length spread
+    # of about eps and arrival angles of about 2 eps, so at the default
+    # tolerances (1e-8, 1e-7) it is refuted from 3e-7 up and certified from 1e-8
+    # down, and the verdict falls monotonically with eps
+    @pytest.mark.parametrize("eps,verdict", [(1e-6, "refuted"), (3e-7, "refuted"),
+                                             (1e-7, "inconclusive"), (3e-8, "inconclusive"),
+                                             (1e-8, "certified"), (3e-9, "certified")])
+    def test_ellipse_refutation_floor(self, eps, verdict):
+        rep = certify(make_example("ellipse", a=1.0 + eps, b=1.0), 64)
+        assert rep.verdict == verdict
+        assert rep.length_spread_rel == pytest.approx(eps, rel=0.01)
+        assert rep.orthogonality_max == pytest.approx(2 * eps, rel=0.01)
+
 
 class TestBoundaryComponents:
     @pytest.mark.parametrize("key,expected", [("flat_disk", 1), ("flat_moebius", 1),
