@@ -3,19 +3,25 @@
 Geodesics are launched along the inward unit normal and integrated with an
 adaptive embedded Runge-Kutta pair, whose dense output a flow keeps once, as
 the table of its steps' polynomials (``FlowResult.steps``). Boundary returns
-are located by bracketed root refinement on them, a tangency inside a step
-where b < 0 cuts the flow at the exit it proves, and exits through deck
-faces of the fundamental domain are handled by teleporting the state.
+are located by bracketed root refinement on them. A local minimum of b where
+b < 0 inside a step, found by a tangency event or, in a step whose ends do
+not show it, on the step polynomial, cuts the flow at the exit it proves.
+Exits through deck faces of the fundamental domain are handled by
+teleporting the state.
 
 Every run integrates through ``lockstep_flows``, which steps a stack of
 states together: the launches of a sweep, or the Jacobi frames of the
 ``jacobi`` analysis. ``integrate_flow`` integrates one state with
 ``solve_ivp``; it is the one-state reference the tests compare
 ``lockstep_flows`` against, flow by flow and bit for bit.
+
+A sweep (``first_return_map``) keeps one record per returned geodesic, its
+``GeodesicPath``, which reads everything it reports off its flow; a launch
+that does not return keeps only its index and error message.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -24,7 +30,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.common import EPS, select_initial_step, validate_tol
 from scipy.integrate._ivp.ivp import find_active_events, handle_events, prepare_events
 from scipy.integrate._ivp.rk import RK45, RkDenseOutput
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import (
     ManifoldSpec,
@@ -39,6 +45,7 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 GRAZING_TOL = 1e-6
 MAX_CHUNKS = 400
+DIP_SAMPLES = 32             # samples of a step polynomial that may hide a dip of b
 
 
 class NoReturnError(RuntimeError):
@@ -172,15 +179,20 @@ class _Chunks:
         self.crossings: list[tuple[float, str]] = []
         self.nfev = self.n_steps = 0
 
-    def add(self, t, states, steps, tags, t_events, nfev):
+    def add(self, spec, t, states, steps, tags, t_events, nfev, hidden, stopped):
+        """Keep a chunk: its samples t (k,) and states, its k - 1 steps, and its
+        tangency candidates in time order. ``hidden`` indexes the steps that
+        may hide a dip of b (``_hides_dip``); ``stopped`` tells that a terminal
+        event cut the last step short, so its end values do not count."""
         self.times.append(t)
         self.states.append(states)
         self.steps.extend(steps)
         self.nfev += nfev
         self.n_steps += len(t) - 1
-        for (kind, _), times in zip(tags, t_events):
-            if kind == "graze":
-                self.candidates.extend(float(tg) for tg in times)
+        candidates = [float(tg) for (kind, _), times in zip(tags, t_events)
+                      if kind == "graze" for tg in times]
+        candidates += _hidden_dips(spec, [steps[k] for k in hidden if k < len(steps) - stopped])
+        self.candidates.extend(sorted(candidates))
 
     def stop(self, spec, tags, t_events, y_events, vector_blocks):
         """Deck crossed by a chunk that a terminal event stopped, and the state to
@@ -236,6 +248,38 @@ class _Chunks:
         return _cut_at_exit(flow, spec, self.candidates[exits[0]]) if exits else flow
 
 
+def _hides_dip(g0, g1):
+    """Whether a step can hide a dip of b from the tangency event: db/dt has one
+    sign at both of its ends and b changes the other way, so b has a local
+    minimum inside it. g0 and g1, the event values at the step's ends, start
+    with b and db/dt."""
+    return g0[1] * g1[1] > 0 and (g1[0] - g0[0]) * g0[1] < 0
+
+
+def _hidden_dips(spec, steps):
+    """Times where b < 0 at the local minimum of b inside each step, sought on
+    the step polynomial: the least b of ``DIP_SAMPLES`` + 1 even samples,
+    refined by bounded Brent between the samples next to it."""
+    n = spec.dimension
+    dips = []
+    for piece in steps:
+        # C-ordered, so both steppers' copies of a step give the same bits
+        step = [np.array(a, dtype=float, order="C")[None] for a in piece]
+
+        def b_at(t):
+            y = _dense_states(*step, np.atleast_1d(t))
+            return np.array([spec.boundary.value(x) for x in y[:, :n]])
+
+        ts = step[2][0] + step[3][0] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
+        j = int(np.argmin(b_at(ts)))
+        res = minimize_scalar(lambda t: b_at(t)[0], method="bounded",
+                              bounds=(ts[max(j - 1, 0)], ts[min(j + 1, DIP_SAMPLES)]),
+                              options={"xatol": 4 * EPS * max(1.0, ts[-1])})
+        if res.fun < 0:
+            dips.append(float(res.x))
+    return dips
+
+
 def _cut_at_exit(flow, spec, t_dip):
     """The flow cut where b first vanishes on the step of the candidate t_dip,
     between the step's start and t_dip, found on the step polynomial as scipy's
@@ -279,9 +323,15 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
                         dense_output=True, rtol=rtol, atol=atol, max_step=max_step)
         if sol.status == -1:
             raise RuntimeError(f"integration failed on {spec.name!r}: {sol.message}")
+        hidden = []
+        if detect_boundary:
+            # b and db/dt at each sample, as the lockstep stepper has them
+            g = [[event(t_, y_) for event in events[:2]] for t_, y_ in zip(sol.t, sol.y.T)]
+            hidden = [k for k in range(len(g) - 1) if _hides_dip(g[k], g[k + 1])]
         # the one place scipy's interpolants are read
-        chunks.add(sol.t, sol.y.T, [(p.Q, p.y_old, p.t_old, p.h) for p in sol.sol.interpolants],
-                   tags, sol.t_events, sol.nfev)
+        chunks.add(spec, sol.t, sol.y.T,
+                   [(p.Q, p.y_old, p.t_old, p.h) for p in sol.sol.interpolants],
+                   tags, sol.t_events, sol.nfev, hidden, sol.status == 1)
         if sol.status == 0:
             return chunks.flow(spec, "t_end", None, None, grazing_tol)
         deck, y = chunks.stop(spec, tags, sol.t_events, sol.y_events, vector_blocks)
@@ -347,6 +397,8 @@ class _Launch:
         _, self.max_events, self.direction = prepare_events(self.events)
         self.event_count = np.zeros(len(self.events))
         self.g = [event(t, y) for event in self.events]
+        self.detect_boundary = detect_boundary
+        self.hidden = []  # steps that can hide a dip of b
         self.t_events = [[] for _ in self.events]
         self.y_events = [[] for _ in self.events]
         self.ts, self.ys, self.steps = [t], [y], []
@@ -380,6 +432,8 @@ class _Launch:
                 status = 1
                 t = roots[-1]
                 y = sol(t)
+        if status != 1 and self.detect_boundary and _hides_dip(self.g, g_new):
+            self.hidden.append(len(self.steps) - 1)
         self.g = g_new
         if len(self.ts) > 1 and self.ts[-1] == t:
             self.steps.pop()
@@ -392,7 +446,8 @@ class _Launch:
         """End the chunk; returns the time and state a deck crossing restarts
         from, else None."""
         ts = np.array(self.ts)
-        self.chunks.add(ts, np.vstack(self.ys), self.steps, self.tags, self.t_events, self.nfev)
+        self.chunks.add(spec, ts, np.vstack(self.ys), self.steps, self.tags, self.t_events,
+                        self.nfev, self.hidden, status == 1)
         if status == 0:
             self.flow = self.chunks.flow(spec, "t_end", None, None, grazing_tol)
             return None
@@ -537,20 +592,27 @@ def _apply_deck_to_state(deck, y, n, vector_blocks):
 
 @dataclass
 class GeodesicPath:
-    """Unit-speed geodesic launched orthogonally from the boundary, up to its return."""
+    """Unit-speed geodesic launched orthogonally from the boundary, up to its
+    return: launch ``index`` of its sweep, read off its flow."""
 
     spec: ManifoldSpec
-    launch_point: np.ndarray
-    launch_velocity: np.ndarray
-    times: np.ndarray
-    points: np.ndarray
-    velocities: np.ndarray
-    return_time: float
-    arrival_point: np.ndarray
-    arrival_velocity: np.ndarray
-    normal_deviation: Optional[float]
-    grazing: bool
-    flow: FlowResult
+    index: int
+    flow: FlowResult             # a flow that returned to the boundary
+    normal_deviation: float = field(init=False)
+
+    def __post_init__(self):
+        self.normal_deviation = arrival_orthogonality(self)
+
+    # views of the flow: its samples, first state and boundary return
+    times = property(lambda self: self.flow.times)
+    points = property(lambda self: self.flow.states[:, :self.spec.dimension])
+    velocities = property(lambda self: self.flow.states[:, self.spec.dimension:])
+    launch_point = property(lambda self: self.flow.states[0, :self.spec.dimension])
+    launch_velocity = property(lambda self: self.flow.states[0, self.spec.dimension:])
+    return_time = property(lambda self: self.flow.event_time)
+    arrival_point = property(lambda self: self.flow.event_state[:self.spec.dimension])
+    arrival_velocity = property(lambda self: self.flow.event_state[self.spec.dimension:])
+    grazing = property(lambda self: self.flow.grazing)
 
     def state_at(self, t):
         """Position and velocity at time t, or their (k, n) stacks at times (k,)."""
@@ -579,28 +641,22 @@ def _launch_state(spec: ManifoldSpec, p):
 
 
 def _shoot_all(spec: ManifoldSpec, points, t_max, rtol, atol, grazing_tol):
-    """The geodesic path from each boundary point, or the ``NoReturnError`` of
-    a geodesic that does not come back before t_max."""
+    """The geodesic paths from the boundary points that come back before t_max,
+    and (index, message) of each one that does not."""
     if t_max is None:
         t_max = 50.0 * spec.scale_hint
     n = spec.dimension
     if not len(points):
-        return []
+        return [], []
     launch_points, y0 = zip(*(_launch_state(spec, p) for p in points))
     flows = lockstep_flows(spec, geodesic_rhs(spec), y0, t_max, vector_blocks=[(n, n, 1)],
                            rtol=rtol, atol=atol, grazing_tol=grazing_tol)
-    out = []
-    for p, y, flow in zip(launch_points, y0, flows):
-        if flow.status != "boundary":
-            out.append(NoReturnError(
-                f"no return (not Zoll or t_max too small): {spec.name!r} from {p}"))
-            continue
-        path = GeodesicPath(spec, p, y[n:], flow.times, flow.states[:, :n],
-                            flow.states[:, n:2 * n], flow.event_time, flow.event_state[:n],
-                            flow.event_state[n:2 * n], None, flow.grazing, flow)
-        path.normal_deviation = arrival_orthogonality(path)
-        out.append(path)
-    return out
+    paths = [GeodesicPath(spec, i, flow) for i, flow in enumerate(flows)
+             if flow.status == "boundary"]
+    errors = [(i, f"no return (not Zoll or t_max too small): {spec.name!r} from {p}")
+              for i, (p, flow) in enumerate(zip(launch_points, flows))
+              if flow.status != "boundary"]
+    return paths, errors
 
 
 def shoot(spec: ManifoldSpec, p, t_max=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
@@ -609,10 +665,10 @@ def shoot(spec: ManifoldSpec, p, t_max=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATO
 
     A tangential approach counts as grazing where b dips below ``grazing_tol``.
     """
-    path, = _shoot_all(spec, [p], t_max, rtol, atol, grazing_tol)
-    if isinstance(path, NoReturnError):
-        raise path
-    return path
+    paths, errors = _shoot_all(spec, [p], t_max, rtol, atol, grazing_tol)
+    if errors:
+        raise NoReturnError(errors[0][1])
+    return paths[0]
 
 
 def arrival_orthogonality(path: GeodesicPath):
@@ -635,7 +691,6 @@ class LaunchSet:
     patch_ids: np.ndarray        # (N,)
     params: list                 # per-launch parameter vectors
     strategy: str
-    count: int
 
 
 def _grid_sides(m, d):
@@ -729,36 +784,19 @@ def sample_boundary(spec: ManifoldSpec, count, strategy="uniform", seed=0):
             ids.append(pid)
             params.append(prm.copy())
     pts = np.array(pts)
-    return LaunchSet(pts, np.array(ids), params, strategy, len(pts))
-
-
-@dataclass
-class ShootRecord:
-    index: int
-    patch_id: int
-    launch: np.ndarray
-    return_time: Optional[float]
-    arrival: Optional[np.ndarray]
-    arrival_velocity: Optional[np.ndarray]
-    normal_deviation: Optional[float]
-    grazing: bool
-    error: Optional[str]
-    path: Optional[GeodesicPath]
+    return LaunchSet(pts, np.array(ids), params, strategy)
 
 
 @dataclass
 class SweepResult:
     spec: ManifoldSpec
     launch_set: LaunchSet
-    records: list[ShootRecord]
-
-    @property
-    def ok_records(self):
-        return [r for r in self.records if r.error is None]
+    paths: list[GeodesicPath]        # the launches that returned, in launch order
+    errors: list[tuple[int, str]]    # (launch index, message) of those that did not
 
     @property
     def return_times(self):
-        return np.array([r.return_time for r in self.ok_records])
+        return np.array([p.return_time for p in self.paths])
 
     @property
     def half_length(self):
@@ -769,9 +807,8 @@ class SweepResult:
     def states_at(self, t):
         """(m, 2n) position and velocity of each returned geodesic at t, a time or
         one time per returned launch; row i is bit-equal to its own ``state_at``."""
-        recs = self.ok_records
-        times = np.broadcast_to(np.asarray(t, dtype=float), (len(recs),))
-        parts = [r.path.flow._pieces(tr.reshape(1)) for r, tr in zip(recs, times)]
+        times = np.broadcast_to(np.asarray(t, dtype=float), (len(self.paths),))
+        parts = [p.flow._pieces(tp.reshape(1)) for p, tp in zip(self.paths, times)]
         if not parts:
             return np.empty((0, 2 * self.spec.dimension))
         return _dense_states(*map(np.concatenate, zip(*parts)))
@@ -781,17 +818,15 @@ class SweepResult:
         """Position of each returned geodesic at half its return time."""
         return self.states_at(self.return_times / 2.0)[:, :self.spec.dimension]
 
-    @property
-    def errors(self):
-        return [(r.index, r.error) for r in self.records if r.error is not None]
-
     def summary(self):
+        """Launch counts, grazing count and, where any launch returned, the
+        return-time statistics and the worst arrival angle."""
         rt = self.return_times
         out = {
-            "n_launches": len(self.records),
-            "n_returned": len(self.ok_records),
+            "n_launches": len(self.launch_set.points),
+            "n_returned": len(self.paths),
             "n_errors": len(self.errors),
-            "grazing_count": int(sum(r.grazing for r in self.records)),
+            "grazing_count": int(sum(p.grazing for p in self.paths)),
         }
         if rt.size:
             out.update({
@@ -799,26 +834,17 @@ class SweepResult:
                 "return_time_max": float(rt.max()),
                 "return_time_mean": float(rt.mean()),
                 "return_time_spread": float(rt.max() - rt.min()),
-                "max_normal_deviation": float(max(r.normal_deviation for r in self.ok_records)),
+                "max_normal_deviation": float(max(p.normal_deviation for p in self.paths)),
             })
         return out
 
 
 def first_return_map(spec: ManifoldSpec, launch_set: LaunchSet, t_max=None,
                      rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, grazing_tol=GRAZING_TOL):
-    """Shoot every launch point, all in one lockstep integration; per-launch
-    errors are recorded, not raised."""
-    paths = _shoot_all(spec, launch_set.points, t_max, rtol, atol, grazing_tol)
-    records = []
-    for i, (p, pid, path) in enumerate(zip(launch_set.points, launch_set.patch_ids, paths)):
-        if isinstance(path, NoReturnError):
-            records.append(ShootRecord(i, int(pid), p, None, None, None, None, False,
-                                       str(path), None))
-            continue
-        records.append(ShootRecord(
-            i, int(pid), path.launch_point, path.return_time, path.arrival_point,
-            path.arrival_velocity, path.normal_deviation, path.grazing, None, path))
-    return SweepResult(spec, launch_set, records)
+    """Shoot every launch point, all in one lockstep integration; a launch that
+    does not return is recorded, not raised."""
+    return SweepResult(spec, launch_set,
+                       *_shoot_all(spec, launch_set.points, t_max, rtol, atol, grazing_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -831,29 +857,29 @@ def sweep_to_csv(sweep: SweepResult, stream):
         ["t"] + [f"x{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)]) + "\n")
     # %.17g of a float writes what {:.17g} writes, nan, inf and -0 included
     values = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
-    for r in sweep.ok_records:
-        row = f"{r.index}," + values
-        path = r.path
+    for path in sweep.paths:
+        row = f"{path.index}," + values
         stream.write("".join(row % tuple(vals) for vals in np.column_stack(
             [path.times, path.points, path.velocities]).tolist()))
 
 
 def sweep_to_json(sweep: SweepResult):
+    """The sweep's summary and one entry per launch in launch order; a launch
+    that did not return has its launch-set point and its error message."""
+    ls = sweep.launch_set
+    entries = {i: {"launch": [float(c) for c in ls.points[i]], "return_time": None,
+                   "arrival": None, "normal_deviation": None, "grazing": False, "error": msg}
+               for i, msg in sweep.errors}
+    entries.update((p.index, {"launch": [float(c) for c in p.launch_point],
+                              "return_time": float(p.return_time),
+                              "arrival": [float(c) for c in p.arrival_point],
+                              "normal_deviation": float(p.normal_deviation),
+                              "grazing": p.grazing, "error": None})
+                   for p in sweep.paths)
     return {
         "manifold": sweep.spec.name,
-        "strategy": sweep.launch_set.strategy,
+        "strategy": ls.strategy,
         "summary": sweep.summary(),
-        "launches": [
-            {
-                "index": r.index,
-                "patch": r.patch_id,
-                "launch": [float(c) for c in r.launch],
-                "return_time": None if r.return_time is None else float(r.return_time),
-                "arrival": None if r.arrival is None else [float(c) for c in r.arrival],
-                "normal_deviation": None if r.normal_deviation is None else float(r.normal_deviation),
-                "grazing": bool(r.grazing),
-                "error": r.error,
-            }
-            for r in sweep.records
-        ],
+        "launches": [{"index": i, "patch": int(ls.patch_ids[i]), **entries[i]}
+                     for i in range(len(ls.points))],
     }

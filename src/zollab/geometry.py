@@ -402,13 +402,15 @@ def christoffel_raw(metric: MetricField, x):
     return gamma
 
 
-def curvature_operator_raw(metric: MetricField, x, v):
+def curvature_operator_raw(metric: MetricField, x, v, gamma=None):
     """Matrix of w -> R(v, w)v in chart coordinates, sign convention
     R(X, Y) = [nabla_X, nabla_Y] - nabla_[X, Y]; the (m, n, n) stack of them for
-    stacks of points and vectors (m, n)."""
+    stacks of points and vectors (m, n). ``gamma`` is ``christoffel_raw`` at x,
+    where the caller has it already."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    gamma = christoffel_raw(metric, x)
+    if gamma is None:
+        gamma = christoffel_raw(metric, x)
     # dgamma[l] = d_l Gamma; christoffel_raw is looked up at each call, so a
     # rebound module global (a call counter) sees every evaluation
     dgamma = _central_difference(lambda y: christoffel_raw(metric, y), x)

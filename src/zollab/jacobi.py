@@ -52,11 +52,13 @@ class MaximalDegeneracyError(RuntimeError):
     """Raised when the boundary-parallel Jacobi space is too small."""
 
 
-def curvature_frame_matrix(metric, x, v, E):
+def curvature_frame_matrix(metric, x, v, E, gamma=None):
     """Tidal operator in a g-orthonormal frame: K[a,b] = g(R(v,E_b)v, E_a); the
-    (m, n, n) stack of them for stacks x, v (m, n) and frames E (m, n, n)."""
+    (m, n, n) stack of them for stacks x, v (m, n) and frames E (m, n, n).
+    ``gamma``, the Christoffel symbols at x, is passed on to
+    ``curvature_operator_raw``."""
     g = metric.matrix(x)
-    M = curvature_operator_raw(metric, x, v)
+    M = curvature_operator_raw(metric, x, v, gamma)
     K = E.swapaxes(-1, -2) @ g @ M @ E
     return 0.5 * (K + K.swapaxes(-1, -2))
 
@@ -129,7 +131,7 @@ def jacobi_rhs(spec: ManifoldSpec):
         E = y[..., 2 * n:2 * n + n * n].reshape(lead + (n, n))
         Y = y[..., 2 * n + n * n:2 * n + 2 * n * n].reshape(lead + (n, n))
         gamma = christoffel_raw(metric, x)
-        K = curvature_frame_matrix(metric, x, v, E)
+        K = curvature_frame_matrix(metric, x, v, E, gamma)
         out = np.empty_like(y)
         out[..., :n] = v
         # a batch index on every operand, no einsum optimize

@@ -113,7 +113,9 @@ class BoundaryComponents:
 
 def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
                         arrivals=None, link_factor=3.0):
-    """Partition boundary samples into connected components.
+    """Partition boundary samples into connected components, and pair each
+    component with those that ``arrivals``, {launch index: arrival point} of
+    the launches that returned, reach.
 
     Samples are linked when within chart distance h_link (a multiple of the
     median nearest-neighbor spacing); in addition, samples from the same
@@ -139,14 +141,12 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
     pairing = {}
     pairing_ok = True
     if arrivals is not None:
-        # each arrival goes to the component of the launch sample nearest to it;
-        # launches without a return (arrival None) are skipped
-        live = np.array([q is not None for q in arrivals], dtype=bool)
-        targets = np.zeros(len(live), dtype=int)
-        nearest, _ = cloud.nearest(np.array([q for q in arrivals if q is not None]))
-        targets[live] = labels[nearest]
+        # each arrival goes to the component of the launch sample nearest to it
+        sources = labels[np.fromiter(arrivals, dtype=int, count=len(arrivals))]
+        nearest, _ = cloud.nearest(np.array(list(arrivals.values())))
+        targets = labels[nearest]
         for c in range(count):
-            pairing[c] = np.unique(targets[live & (labels == c)]).tolist()
+            pairing[c] = np.unique(targets[sources == c]).tolist()
             pairing_ok = pairing_ok and len(pairing[c]) <= 1
     return BoundaryComponents(labels, int(count), sizes, pairing_ok,
                               pairing, diagnostics)
@@ -215,8 +215,7 @@ def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances, n_distan
                clusters=None):
     """Midpoint cloud with a local-PCA dimension estimate; ``clusters`` defaults
     to ``midpoint_clusters`` of the sweep."""
-    recs = sweep.ok_records
-    if not recs:
+    if not sweep.paths:
         raise ValueError("undersampled soul")
     L = sweep.half_length
     mids, labels = clusters or midpoint_clusters(spec, sweep, tol)
@@ -246,7 +245,8 @@ def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances, n_distan
         diameter = float(D.max())
 
     residual = 0.0
-    spot = np.linspace(0, len(recs) - 1, min(n_distance_checks, len(recs))).astype(int)
+    m = len(sweep.paths)
+    spot = np.linspace(0, m - 1, min(n_distance_checks, m)).astype(int)
     for i in spot:
         d_est = nearest_boundary_distance(spec, sweep, mids[i], tol)
         if d_est is not None:
@@ -262,17 +262,16 @@ def nearest_boundary_distance(spec: ManifoldSpec, sweep: SweepResult, x,
     and the minimizers to the boundary are among them, so the estimate is the
     smallest arc-length parameter at which any swept geodesic passes through x.
     """
-    recs = sweep.ok_records
-    if not recs:
+    paths = sweep.paths
+    if not paths:
         return None
     L = sweep.half_length
     pass_tol = tol.passage_rel * L
     best = None
     cloud = QuotientCloud(spec, x)
-    _, dist = cloud.nearest(np.concatenate([r.path.points for r in recs]))
-    ends = np.cumsum([len(r.path.points) for r in recs])
-    for r, d in zip(recs, np.split(dist, ends[:-1])):
-        path = r.path
+    _, dist = cloud.nearest(np.concatenate([path.points for path in paths]))
+    ends = np.cumsum([len(path.times) for path in paths])
+    for path, d in zip(paths, np.split(dist, ends[:-1])):
         j = int(np.argmin(d))
         coarse = d[j]
         if coarse > 20.0 * pass_tol and coarse > 0.05 * L:
@@ -280,13 +279,13 @@ def nearest_boundary_distance(spec: ManifoldSpec, sweep: SweepResult, x,
         t_coarse = path.times[j]
         img_best = cloud.nearest_image(path.points[j], 0)
         lo = max(0.0, t_coarse - 0.1 * L)
-        hi = min(r.return_time, t_coarse + 0.1 * L)
+        hi = min(path.return_time, t_coarse + 0.1 * L)
         res = minimize_scalar(
             lambda t: float(np.linalg.norm(path.position_at(t) - img_best)),
             bounds=(lo, hi), method="bounded", options={"xatol": 1e-12 * L})
         if res.fun < pass_tol:
             t_star = float(res.x)
-            cand = min(t_star, r.return_time - t_star)
+            cand = min(t_star, path.return_time - t_star)
             best = cand if best is None else min(best, cand)
     return best
 
@@ -322,9 +321,11 @@ class FiberSummary:
 def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
                    tol: Tolerances, components: Optional[BoundaryComponents] = None,
                    clusters=None):
-    """Cluster launches by midpoint and test the structure of the fibers;
-    ``clusters`` defaults to ``midpoint_clusters`` of the sweep."""
-    recs = sweep.ok_records
+    """Cluster the returned launches by midpoint and test the structure of the
+    fibers; ``clusters`` defaults to ``midpoint_clusters`` of the sweep."""
+    paths = sweep.paths
+    if not paths:
+        raise ValueError("no fibers: no launch returned")
     L = sweep.half_length
     _, labels = clusters or midpoint_clusters(spec, sweep, tol)
     n_clusters = labels.max() + 1
@@ -340,8 +341,8 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
                  if len(m) == 2]
         src = np.array([i for pair in pairs for i in pair], dtype=int)
         dst = np.array([j for pair in pairs for j in pair[::-1]], dtype=int)
-        launches = np.array([r.launch for r in recs])[dst]
-        images = QuotientCloud(spec, [r.arrival for r in recs]).nearest_image(launches, src)
+        launches = np.array([p.launch_point for p in paths])[dst]
+        images = QuotientCloud(spec, [p.arrival_point for p in paths]).nearest_image(launches, src)
         partner_residual = max((float(np.linalg.norm(y - p)) for y, p in zip(images, launches)),
                                default=0.0)
         nontrivial, used_walk = _covering_nontrivial(spec, sweep, labels, components)
@@ -356,7 +357,7 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
         if len(members) < index + 2:
             diagnostics.append(f"cluster {c} too small ({len(members)}) to estimate dimension")
             continue
-        pts = np.array([recs[i].launch for i in members])
+        pts = np.array([paths[i].launch_point for i in members])
         kf = min(max(index + 2, len(members) // 8), 12, len(members) - 1)
         cloud = QuotientCloud(spec, pts)
         D = cloud.pairwise()
@@ -380,18 +381,19 @@ def _covering_nontrivial(spec, sweep, labels, components):
     a sheet exchange (nontrivial two-fold cover); falls back to the component
     count criterion when the boundary is not one-parameter walkable.
     """
-    recs = sweep.ok_records
-    patch_ids = np.array([sweep.launch_set.patch_ids[r.index] for r in recs])
-    params = [sweep.launch_set.params[r.index] for r in recs]
+    index = [p.index for p in sweep.paths]
+    patch_ids = sweep.launch_set.patch_ids[index]
+    params = [sweep.launch_set.params[i] for i in index]
     if not all(len(p) == 1 for p in params):
         if components is None:
             return None, False
         return components.count == 1, False
 
-    comp_labels = (components.labels if components is not None
-                   else np.zeros(len(recs), dtype=int))
-    for comp in sorted(set(int(comp_labels[r.index]) for r in recs)):
-        member_idx = [i for i, r in enumerate(recs) if comp_labels[r.index] == comp]
+    # the component of each returned launch; one component where none are given
+    comp_labels = (components.labels[index] if components is not None
+                   else np.zeros(len(index), dtype=int))
+    for comp in sorted(set(comp_labels.tolist())):
+        member_idx = [i for i, c in enumerate(comp_labels) if c == comp]
         if len(member_idx) < 3:
             continue
         member_idx.sort(key=lambda i: (patch_ids[i], float(params[i][0])))
@@ -421,8 +423,7 @@ def _structured_sweep(spec: ManifoldSpec, n_side, tol: Tolerances):
         shape = (n_side,) * d
         params = _uniform_grid(n_side ** d, d)
         pts = patch.points(params)
-        ls = LaunchSet(pts, np.full(len(pts), pid), [u.copy() for u in params],
-                       "uniform", len(pts))
+        ls = LaunchSet(pts, np.full(len(pts), pid), [u.copy() for u in params], "uniform")
         sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol,
                                  grazing_tol=tol.grazing)
         sweeps.append((patch, shape, sweep))
@@ -447,13 +448,12 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
     cross_res = 0.0
     n_launch = 0
     for patch, shape, sweep in sweeps:
-        recs = sweep.ok_records
-        if len(recs) != int(np.prod(shape)):
+        if len(sweep.paths) != int(np.prod(shape)):
             raise RuntimeError(f"splitting sweep failed on {spec.name!r}")
-        n_launch += len(recs)
+        n_launch += len(sweep.paths)
         L = sweep.half_length
         periodic = patch.axis_periodic()
-        # records come in the C order of the launch grid
+        # paths come in the C order of the launch grid
         idx = np.indices(shape).reshape(len(shape), -1)
         for t_frac in t_fracs:
             t = t_frac * L
@@ -493,13 +493,11 @@ def slice_circumference(spec: ManifoldSpec, t, n_side=64, tol: Optional[Toleranc
         raise ValueError("slice circumference needs a one-parameter boundary patch")
     params = _uniform_grid(n_side, 1)
     pts = patch.points(params)
-    ls = LaunchSet(pts, np.zeros(len(pts), dtype=int), [u.copy() for u in params],
-                   "uniform", len(pts))
+    ls = LaunchSet(pts, np.zeros(len(pts), dtype=int), [u.copy() for u in params], "uniform")
     sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol, grazing_tol=tol.grazing)
-    recs = sweep.ok_records
     du = 1.0 / n_side
     total = 0.0
-    slice_t = QuotientCloud(spec, [r.path.position_at(t) for r in recs])
+    slice_t = QuotientCloud(spec, [p.position_at(t) for p in sweep.paths])
     for i, x in enumerate(slice_t.points):
         yp, ym = slice_t.nearest_image(x, [(i + 1) % n_side, (i - 1) % n_side])
         dvec = (yp - ym) / (2.0 * du)
@@ -522,7 +520,6 @@ def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
                          tol: Optional[Tolerances] = None):
     """Verify the forward and mirrored slices coincide and sit at distance t."""
     tol = tol or Tolerances()
-    recs = sweep.ok_records
     L = sweep.half_length
     if not (0.0 < t <= L + 1e-12):
         raise ValueError("slice parameter must lie in (0, L]")
@@ -532,7 +529,7 @@ def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
     hausdorff = QuotientCloud(spec, A).hausdorff(B)
 
     worst = 0.0
-    for i in np.linspace(0, len(recs) - 1, min(6, len(recs))).astype(int):
+    for i in np.linspace(0, len(A) - 1, min(6, len(A))).astype(int):
         d_est = nearest_boundary_distance(spec, sweep, A[i], tol)
         if d_est is not None:
             worst = max(worst, abs(d_est - t))
@@ -621,12 +618,11 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
     launch_set = sample_boundary(spec, n_launches, strategy=strategy, seed=seed)
     sweep = first_return_map(spec, launch_set, rtol=tol.rtol, atol=tol.atol,
                              grazing_tol=tol.grazing)
-    report = ZollReport(spec.name, n_launches=len(sweep.records), seed=int(seed),
+    report = ZollReport(spec.name, n_launches=len(launch_set.points), seed=int(seed),
                         strategy=strategy, tolerances=tol.to_dict(), sweep=sweep)
     _verdict(report, tol)
-    # the sweep has one record per launch, so without a returned launch the
-    # verdict is already refuted
-    if sweep.ok_records:
+    # without a returned launch the verdict is already refuted
+    if sweep.paths:
         components = _components(report, spec, tol)
         if report.verdict != "refuted":
             if "jacobi" in analyses:
@@ -650,18 +646,17 @@ def _verdict(report: ZollReport, tol: Tolerances):
     """Refuted for lost launches or grazing; otherwise the return-time spread and
     the arrival angles, against their tolerances, decide."""
     sweep = report.sweep
-    recs = sweep.ok_records
-    report.grazing_count = int(sum(r.grazing for r in sweep.records))
+    stats = sweep.summary()
+    report.grazing_count = stats["grazing_count"]
     report.verdict = "certified"
     if sweep.errors:
         report.verdict = "refuted"
         report.reason = f"{len(sweep.errors)} launches without boundary return"
-    if not recs:
+    if not sweep.paths:
         return
-    rt = sweep.return_times
-    report.length_mean = float(rt.mean())
-    report.length_spread_rel = float((rt.max() - rt.min()) / report.length_mean)
-    report.orthogonality_max = float(max(r.normal_deviation for r in recs))
+    report.length_mean = stats["return_time_mean"]
+    report.length_spread_rel = stats["return_time_spread"] / report.length_mean
+    report.orthogonality_max = stats["max_normal_deviation"]
     report.half_length = sweep.half_length
     if report.verdict == "refuted":
         return
@@ -682,7 +677,8 @@ def _verdict(report: ZollReport, tol: Tolerances):
 def _components(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
     """Boundary components, arrival pairing and, for two components, their distance."""
     sweep = report.sweep
-    comps = boundary_components(spec, sweep.launch_set, [r.arrival for r in sweep.records],
+    comps = boundary_components(spec, sweep.launch_set,
+                                {p.index: p.arrival_point for p in sweep.paths},
                                 link_factor=tol.link_factor)
     report.component_count = comps.count
     report.component_sizes = comps.sizes
@@ -704,21 +700,20 @@ def _components(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
 def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, n_spots):
     """Morse index two ways: focal instants on up to ``n_spots`` evenly spaced
     returned geodesics, the index form on the first three of them."""
-    recs = report.sweep.ok_records
-    spots = np.linspace(0, len(recs) - 1, min(n_spots, len(recs))).astype(int)
+    paths = report.sweep.paths
+    spots = np.linspace(0, len(paths) - 1, min(n_spots, len(paths))).astype(int)
     focal_indices = []
     focal_resid = 0.0
     focal_mults = []
     arrival_norm = 0.0
-    frames = integrate_jacobi_frames(spec, [recs[int(i)].path for i in spots],
+    frames = integrate_jacobi_frames(spec, [paths[int(i)] for i in spots],
                                      rtol=tol.rtol, atol=tol.atol)
-    for i, frame in zip(spots, frames):
-        r = recs[int(i)]
+    for frame in frames:
         record = focal_instants(frame)
         focal_indices.append(morse_index_focal(record))
         report.endpoint_focal_warnings += len(record.endpoint_instants)
         for inst in record.instants:
-            focal_resid = max(focal_resid, abs(inst.time - r.return_time / 2.0))
+            focal_resid = max(focal_resid, abs(inst.time - frame.return_time / 2.0))
             focal_mults.append(inst.multiplicity)
         A = arrival_degeneracy_form(spec, frame)
         arrival_norm = max(arrival_norm, float(np.linalg.norm(A)))

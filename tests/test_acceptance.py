@@ -56,9 +56,9 @@ def _announce(num, label, passed, detail=""):
 def frames(specs, sweeps):
     out = {}
     for key in CERTIFIED_KEYS:
-        recs = sweeps[key].ok_records
-        spots = np.linspace(0, len(recs) - 1, 3).astype(int)
-        out[key] = [(recs[i], integrate_jacobi_frame(specs[key], recs[i].path))
+        paths = sweeps[key].paths
+        spots = np.linspace(0, len(paths) - 1, 3).astype(int)
+        out[key] = [(paths[i], integrate_jacobi_frame(specs[key], paths[i]))
                     for i in spots]
     return out
 
@@ -83,7 +83,7 @@ def test_c01_constant_length(specs):
 
 def test_c02_orthogonal_arrival(sweeps):
     for key in CERTIFIED_KEYS:
-        dev = max(r.normal_deviation for r in sweeps[key].ok_records)
+        dev = max(p.normal_deviation for p in sweeps[key].paths)
         assert dev <= 1e-7, (key, dev)
     ell = certify(make_example("ellipse"), 64, TOL)
     assert ell.verdict == "refuted"
@@ -99,7 +99,7 @@ def test_c03_component_bound(specs, sweeps):
     for key, want in expected.items():
         sweep = sweeps[key]
         comp = boundary_components(specs[key], sweep.launch_set,
-                                   [r.arrival for r in sweep.records])
+                                   {p.index: p.arrival_point for p in sweep.paths})
         assert comp.count == want, (key, comp.count)
         assert comp.pairing_ok, key
         if want == 2:
@@ -115,8 +115,7 @@ def test_c04_morse_index_two_ways(specs, sweeps):
     for key in CERTIFIED_KEYS:
         t0 = time.perf_counter()
         spec = specs[key]
-        rec = sweeps[key].ok_records[0]
-        frame = integrate_jacobi_frame(spec, rec.path)
+        frame = integrate_jacobi_frame(spec, sweeps[key].paths[0])
         k_focal = morse_index_focal(focal_instants(frame))
         mat = assemble_index_form(spec, frame, 256)
         k_quad, _ = morse_index_quadratic(mat, neg_tol=1e-6)

@@ -28,7 +28,7 @@ CERTIFIED_KEYS = ["flat_disk", "flat_band", "flat_moebius", "spherical_cap",
 
 @pytest.fixture(scope="module")
 def frames(specs, sweeps):
-    return {key: integrate_jacobi_frame(specs[key], sweeps[key].ok_records[0].path)
+    return {key: integrate_jacobi_frame(specs[key], sweeps[key].paths[0])
             for key in CERTIFIED_KEYS}
 
 
@@ -95,7 +95,7 @@ def test_inertia_counts_match_dsbgv(mesh, catalog_sweeps):
     for name, (spec, sweep) in catalog_sweeps.items():
         if not spec.annotations.get("zoll"):
             continue
-        mat = assemble_index_form(spec, integrate_jacobi_frame(spec, sweep.ok_records[0].path),
+        mat = assemble_index_form(spec, integrate_jacobi_frame(spec, sweep.paths[0]),
                                   mesh)
         expected = _spectrum_counts(mat)
         assert _inertia_counts([mat], NEG_EIG_TOL) == [expected], name

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import zollab.geometry
+import zollab.jacobi
 from test_engine import assert_steps_bit_equal
 from zollab.catalog import catalog_names, make_example
 from zollab.engine import integrate_flow, lockstep_flows, shoot
@@ -33,8 +35,7 @@ def frames(specs, sweeps):
     out = {}
     for key in ["flat_disk", "flat_band", "flat_moebius", "spherical_cap",
                 "spherical_band", "euclidean_ball3", "solid_torus", "ellipse"]:
-        rec = sweeps[key].ok_records[0]
-        out[key] = integrate_jacobi_frame(specs[key], rec.path)
+        out[key] = integrate_jacobi_frame(specs[key], sweeps[key].paths[0])
     return out
 
 
@@ -51,9 +52,8 @@ def assert_flows_bit_equal(got, want):
 def test_lockstep_frames_bit_equal_to_integrate_flow(name, catalog_sweeps):
     # the frames of a jacobi run, stepped together, against each one alone
     spec, sweep = catalog_sweeps[name]
-    recs = sweep.ok_records
-    spots = np.linspace(0, len(recs) - 1, min(6, len(recs))).astype(int)
-    paths = [recs[i].path for i in spots]
+    spots = np.linspace(0, len(sweep.paths) - 1, min(6, len(sweep.paths))).astype(int)
+    paths = [sweep.paths[i] for i in spots]
     frames = integrate_jacobi_frames(spec, paths)
     for path, frame in zip(paths, frames):
         y0, shape_sub = _frame_start(spec, path)
@@ -90,6 +90,31 @@ def test_lockstep_frames_transported_across_the_flip():
                                                    detect_boundary=False))
     assert sum(len(f.deck_crossings) for f in flows) >= len(flows)
     assert all(d.differential(p[0])[0, 0] == -1.0 for d in spec.deck_maps)
+
+
+@pytest.mark.parametrize("name", ["spherical_cap", "euclidean_ball"])
+def test_jacobi_rhs_evaluates_christoffel_once(name, monkeypatch):
+    # one Christoffel evaluation for the geodesic and transport terms, which
+    # the curvature operator reuses, and 2n for its central differences
+    spec = make_example(name)
+    n = spec.dimension
+    y = np.array([_frame_start(spec, shoot(spec, q))[0]
+                  for q in spec.boundary_patches[0].points([[0.2] * (n - 1), [0.7] * (n - 1)])])
+    calls = {"christoffel_raw": 0, "curvature_operator_raw": 0}
+
+    def count(module, fname):
+        original = getattr(module, fname)
+
+        def counted(*args, **kwargs):
+            calls[fname] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, fname, counted)
+
+    for module in (zollab.geometry, zollab.jacobi):
+        count(module, "christoffel_raw")
+    count(zollab.jacobi, "curvature_operator_raw")
+    jacobi_rhs(spec)(None, y)
+    assert calls == {"christoffel_raw": 2 * n + 1, "curvature_operator_raw": 1}
 
 
 class TestFrameClosedForms:
@@ -242,8 +267,7 @@ class TestArrivalDegeneracyForm:
     def test_ellipse_generic_chord_nonzero(self, specs, sweeps):
         # generic non-axis chord: the form does not vanish
         el = specs["ellipse"]
-        rec = sweeps["ellipse"].ok_records[3]
-        frame = integrate_jacobi_frame(el, rec.path)
+        frame = integrate_jacobi_frame(el, sweeps["ellipse"].paths[3])
         A = arrival_degeneracy_form(el, frame)
         assert np.linalg.norm(A) > 1e-4
 
@@ -258,8 +282,8 @@ class TestIndexEqualityAcrossLaunches:
     def test_sweep_has_single_index(self, key, expected, specs, sweeps):
         spec = specs[key]
         indices = set()
-        for r in sweeps[key].ok_records:
-            frame = integrate_jacobi_frame(spec, r.path)
+        for path in sweeps[key].paths:
+            frame = integrate_jacobi_frame(spec, path)
             indices.add(morse_index_focal(focal_instants(frame)))
         assert indices == {expected}
 
@@ -267,10 +291,10 @@ class TestIndexEqualityAcrossLaunches:
         # every focal instant of a one-boundary example sits at the midpoint
         for key in ["flat_disk", "spherical_cap"]:
             spec = specs[key]
-            for r in sweeps[key].ok_records[::8]:
-                frame = integrate_jacobi_frame(spec, r.path)
+            for path in sweeps[key].paths[::8]:
+                frame = integrate_jacobi_frame(spec, path)
                 rec = focal_instants(frame)
-                L = r.return_time / 2.0
+                L = path.return_time / 2.0
                 for inst in rec.instants:
                     assert abs(inst.time - L) <= 1e-6 * L
 

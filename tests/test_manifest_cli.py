@@ -163,7 +163,7 @@ class TestCLI:
         launches = sample_boundary(spec, manifest.launches, strategy=manifest.strategy,
                                    seed=manifest.seed)
         sweep = first_return_map(spec, launches, rtol=tol.rtol, atol=tol.atol)
-        path = sweep.ok_records[0].path
+        path = sweep.paths[0]
         frame = integrate_jacobi_frame(spec, path, rtol=tol.rtol, atol=tol.atol)
         mat = assemble_index_form(spec, frame, manifest.mesh_size)
         dof = mat.stiffness_band.shape[1]

@@ -224,14 +224,13 @@ def test_dense_output_stacks_across_deck_crossings(rng, chunks_of):
 def test_sweep_states_stack(rng):
     spec = make_example("solid_torus", rotation=2 * np.pi / 5)
     sweep = first_return_map(spec, sample_boundary(spec, 40))
-    recs = sweep.ok_records
-    times = rng.uniform(0.0, 2.0, len(recs))
+    times = rng.uniform(0.0, 2.0, len(sweep.paths))
     got = sweep.states_at(times)
-    for r, t, row in zip(recs, times, got):
-        assert row.tobytes() == r.path.flow.state_at(t).tobytes()
+    for path, t, row in zip(sweep.paths, times, got):
+        assert row.tobytes() == path.flow.state_at(t).tobytes()
     mids = sweep.midpoints
-    for r, row in zip(recs, mids):
-        assert row.tobytes() == r.path.position_at(r.return_time / 2.0).tobytes()
+    for path, row in zip(sweep.paths, mids):
+        assert row.tobytes() == path.position_at(path.return_time / 2.0).tobytes()
 
 
 def test_inline_cap_stacks_match_along_a_geodesic():

@@ -116,20 +116,20 @@ class TestBoundaryComponents:
                                               ("euclidean_ball3", 1), ("solid_torus", 1)])
     def test_component_counts(self, key, expected, specs, sweeps):
         sweep = sweeps[key]
-        arrivals = [r.arrival for r in sweep.records]
+        arrivals = {p.index: p.arrival_point for p in sweep.paths}
         comp = boundary_components(specs[key], sweep.launch_set, arrivals)
         assert comp.count == expected
         assert comp.pairing_ok
 
     def test_band_involution_swaps_classes(self, specs, sweeps):
         sweep = sweeps["flat_band"]
-        arrivals = [r.arrival for r in sweep.records]
+        arrivals = {p.index: p.arrival_point for p in sweep.paths}
         comp = boundary_components(specs["flat_band"], sweep.launch_set, arrivals)
         assert comp.pairing == {0: [1], 1: [0]}
 
     def test_arrival_in_its_own_component_breaks_pairing(self, specs, sweeps):
         sweep = sweeps["flat_band"]
-        arrivals = [r.arrival for r in sweep.records]
+        arrivals = {p.index: p.arrival_point for p in sweep.paths}
         own = boundary_components(specs["flat_band"], sweep.launch_set).labels
         i = 5
         same = int(np.flatnonzero((own == own[i]) & (np.arange(len(own)) != i))[0])
@@ -141,19 +141,19 @@ class TestBoundaryComponents:
 
     def test_launches_without_arrival_are_skipped(self, specs, sweeps):
         sweep = sweeps["flat_band"]
-        arrivals = [r.arrival for r in sweep.records]
+        arrivals = {p.index: p.arrival_point for p in sweep.paths}
         labels = boundary_components(specs["flat_band"], sweep.launch_set).labels
         for i in np.flatnonzero(labels == 0)[::2]:
-            arrivals[i] = None
+            del arrivals[i]
         comp = boundary_components(specs["flat_band"], sweep.launch_set, arrivals)
         assert comp.pairing_ok is True
         assert comp.pairing == {0: [1], 1: [0]}
         # a component none of whose launches returned pairs with nothing
-        arrivals = [None if labels[i] == 1 else q for i, q in enumerate(arrivals)]
+        arrivals = {i: q for i, q in arrivals.items() if labels[i] != 1}
         comp = boundary_components(specs["flat_band"], sweep.launch_set, arrivals)
         assert comp.pairing_ok is True
         assert comp.pairing == {0: [1], 1: []}
-        comp = boundary_components(specs["flat_band"], sweep.launch_set, [None] * len(labels))
+        comp = boundary_components(specs["flat_band"], sweep.launch_set, {})
         assert comp.pairing_ok is True
         assert comp.pairing == {0: [], 1: []}
 
@@ -207,13 +207,31 @@ class TestSoul:
                                              Tolerances())
         assert d_center == pytest.approx(1.0, abs=1e-7)
         # a mid-radius point on a swept geodesic
-        r = sweep.ok_records[0]
-        x = r.path.position_at(0.5)
+        x = sweep.paths[0].position_at(0.5)
         assert nearest_boundary_distance(disk, sweep, x, Tolerances()) == \
             pytest.approx(0.5, abs=1e-7)
 
 
 class TestFibers:
+    def test_lost_launches(self, specs):
+        # 12 of the 64 ellipse chords are longer than 2.5; the fibers are those
+        # of the 52 that return, whether or not the components are given
+        el = specs["ellipse"]
+        sweep = first_return_map(el, sample_boundary(el, 64), t_max=2.5)
+        assert (len(sweep.paths), len(sweep.errors)) == (52, 12)
+        comps = boundary_components(el, sweep.launch_set,
+                                    {p.index: p.arrival_point for p in sweep.paths})
+        assert comps.count == 1
+        fibs = [fiber_analysis(el, sweep, 0, Tolerances(), components)
+                for components in (None, comps)]
+        assert fibs[0] == fibs[1]
+        assert fibs[0].cluster_count == sum(fibs[0].cluster_sizes) == 52
+        assert fibs[0].loop_transport_used and fibs[0].nontrivial is False
+        lost = first_return_map(el, sample_boundary(el, 8), t_max=1.5)
+        assert not lost.paths
+        with pytest.raises(ValueError, match="no launch returned"):
+            fiber_analysis(el, lost, 0, Tolerances())
+
     def test_moebius_pairs(self, specs, sweeps):
         fib = fiber_analysis(specs["flat_moebius"], sweeps["flat_moebius"], 0,
                              Tolerances())
@@ -227,7 +245,7 @@ class TestFibers:
     def test_band_pairs_trivial_cover(self, specs, sweeps):
         sweep = sweeps["flat_band"]
         comp = boundary_components(specs["flat_band"], sweep.launch_set,
-                                   [r.arrival for r in sweep.records])
+                                   {p.index: p.arrival_point for p in sweep.paths})
         fib = fiber_analysis(specs["flat_band"], sweep, 0, Tolerances(), comp)
         assert set(fib.cluster_sizes) == {2}
         assert fib.nontrivial is False
@@ -314,7 +332,7 @@ def min_geodesic_separation(spec, sweep, stride=4):
     Strictly positive separation witnesses that the swept geodesics are
     pairwise disjoint (expected exactly when the index is zero).
     """
-    clouds = [r.path.points[::stride] for r in sweep.ok_records]
+    clouds = [p.points[::stride] for p in sweep.paths]
     best = np.inf
     for j in range(1, len(clouds)):
         _, dist = QuotientCloud(spec, clouds[j]).nearest(np.concatenate(clouds[:j]))
