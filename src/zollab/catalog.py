@@ -18,6 +18,7 @@ from .geometry import (
     ManifoldSpec,
     MetricField,
     link_inverses,
+    row_dot,
     scalar_pow,
 )
 
@@ -46,7 +47,7 @@ def stereographic_sphere_metric(n):
 
     def jet(x):
         # |x|^2 as one dot per point, as a 1-d ``x @ x`` takes it
-        lam = 2.0 / (1.0 + np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
+        lam = 2.0 / (1.0 + row_dot(x, x))
         out = np.empty(x.shape[:-1] + (n + 1, n, n))
         out[..., 0, :, :] = (lam * lam)[..., None, None] * eye
         np.multiply(((-2.0 * scalar_pow(lam, 3))[..., None] * x)[..., None, None], eye,
@@ -72,10 +73,17 @@ def latitude_band_metric():
 def ball_boundary(n, radius):
     r = float(radius)
     return BoundaryChart(
-        lambda x: (r * r - float(x @ x)) / (2.0 * r),
-        lambda x: -np.asarray(x, dtype=float) / r,
+        lambda x: (r * r - row_dot(x, x)) / (2.0 * r),
+        lambda x: -x / r,
         lambda x: -np.eye(n) / r,
     )
+
+
+def _axis_gradient(x, axis, value):
+    """Gradient array shaped like the point or stack x, ``value`` on one axis."""
+    g = np.zeros(x.shape)
+    g[..., axis] = value
+    return g
 
 
 def slab_boundary(n, axis, length):
@@ -83,13 +91,11 @@ def slab_boundary(n, axis, length):
     L = float(length)
 
     def value(x):
-        t = x[axis]
+        t = x[..., axis]
         return t * (L - t) / L
 
     def gradient(x):
-        g = np.zeros(n)
-        g[axis] = 1.0 - 2.0 * x[axis] / L
-        return g
+        return _axis_gradient(x, axis, 1.0 - 2.0 * x[..., axis] / L)
 
     def hessian(x):
         h = np.zeros((n, n))
@@ -104,12 +110,10 @@ def symmetric_slab_boundary(n, axis, half_width):
     w = float(half_width)
 
     def value(x):
-        return (w * w - x[axis] ** 2) / (2.0 * w)
+        return (w * w - scalar_pow(x[..., axis], 2)) / (2.0 * w)
 
     def gradient(x):
-        g = np.zeros(n)
-        g[axis] = -x[axis] / w
-        return g
+        return _axis_gradient(x, axis, -x[..., axis] / w)
 
     def hessian(x):
         h = np.zeros((n, n))
@@ -124,10 +128,10 @@ def translation_decks(n, axis, period, name):
     e = np.zeros(n)
     e[axis] = period
     eye = np.eye(n)
-    hi = DeckMap(f"{name}+", lambda x, _a=axis, _p=period: _p - x[_a],
+    hi = DeckMap(f"{name}+", lambda x, _a=axis, _p=period: _p - x[..., _a],
                  lambda x, _e=e: np.asarray(x, dtype=float) - _e,
                  lambda x, _i=eye: _i)
-    lo = DeckMap(f"{name}-", lambda x, _a=axis: float(x[_a]),
+    lo = DeckMap(f"{name}-", lambda x, _a=axis: x[..., _a],
                  lambda x, _e=e: np.asarray(x, dtype=float) + _e,
                  lambda x, _i=eye: _i)
     return list(link_inverses(hi, lo))
@@ -150,9 +154,9 @@ def flip_translation_decks(n, axis, period, flip_axis, name):
         y[_f] = -y[_f]
         return y + _e
 
-    hi = DeckMap(f"{name}+", lambda x, _a=axis, _p=period: _p - x[_a], fwd,
+    hi = DeckMap(f"{name}+", lambda x, _a=axis, _p=period: _p - x[..., _a], fwd,
                  lambda x, _d=d: _d)
-    lo = DeckMap(f"{name}-", lambda x, _a=axis: float(x[_a]), bwd,
+    lo = DeckMap(f"{name}-", lambda x, _a=axis: x[..., _a], bwd,
                  lambda x, _d=d: _d)
     return list(link_inverses(hi, lo))
 
@@ -337,10 +341,10 @@ def ellipse(a=2.0, b=1.0):
     a, b = float(a), float(b)
 
     def value(x):
-        return (1.0 - (x[0] / a) ** 2 - (x[1] / b) ** 2) / 2.0
+        return (1.0 - scalar_pow(x[..., 0] / a, 2) - scalar_pow(x[..., 1] / b, 2)) / 2.0
 
     def gradient(x):
-        return np.array([-x[0] / a ** 2, -x[1] / b ** 2])
+        return np.stack([-x[..., 0] / a ** 2, -x[..., 1] / b ** 2], axis=-1)
 
     def hessian(x):
         return np.diag([-1.0 / a ** 2, -1.0 / b ** 2])
@@ -444,8 +448,9 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
 
     base_boundary = base.boundary
     boundary = BoundaryChart(
-        lambda x: base_boundary.value(x[:n]),
-        lambda x: np.concatenate([base_boundary.gradient(x[:n]), [0.0]]),
+        lambda x: base_boundary.value(x[..., :n]),
+        lambda x: np.concatenate([base_boundary.gradient(x[..., :n]),
+                                  np.zeros(x.shape[:-1] + (1,))], axis=-1),
         lambda x: _lift_hessian(base_boundary, x[:n], n),
         eps=base_boundary.eps,
     )
@@ -482,8 +487,8 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
         d[:_n, :_n] = _iso.differential(np.asarray(x, dtype=float)[:_n])
         return d
 
-    hi = DeckMap("torus+", lambda x, _n=n: 1.0 - x[_n], tau_hi_apply, tau_hi_diff)
-    lo = DeckMap("torus-", lambda x, _n=n: float(x[_n]), tau_lo_apply, tau_lo_diff)
+    hi = DeckMap("torus+", lambda x, _n=n: 1.0 - x[..., _n], tau_hi_apply, tau_hi_diff)
+    lo = DeckMap("torus-", lambda x, _n=n: x[..., _n], tau_lo_apply, tau_lo_diff)
     decks.extend(link_inverses(hi, lo))
 
     # crossing the tau seam composes with the gluing isometry, so the tau
@@ -535,7 +540,7 @@ def _lift_deck(d: DeckMap, n):
         out[:_n, :_n] = np.asarray(_d.differential(np.asarray(x, dtype=float)[:_n]))
         return out
 
-    return DeckMap(d.name, lambda x, _d=d, _n=n: _d.face_value(x[:_n]), apply, diff)
+    return DeckMap(d.name, lambda x, _d=d, _n=n: _d.face_value(x[..., :_n]), apply, diff)
 
 
 def solid_torus(radius=1.0, rotation=0.0):

@@ -38,6 +38,7 @@ from .geometry import (
     inward_unit_normal,
     metric_inner,
     metric_norm,
+    row_dot,
     scalar_pow,
 )
 
@@ -130,8 +131,10 @@ def geodesic_rhs(spec: ManifoldSpec):
     return rhs
 
 
-def _chunk_events(spec, y, detect_boundary):
-    """Event functions of a chunk that starts at state y, and their tags."""
+def _event_functions(spec, detect_boundary):
+    """Event functions of a flow at one state, and their tags: b and db/dt
+    where boundary returns are detected, then every deck face. They are the
+    columns of ``_event_values``, in its order."""
     n = spec.dimension
     boundary = spec.boundary
     events = []
@@ -152,13 +155,6 @@ def _chunk_events(spec, y, detect_boundary):
         tags.append(("graze", None))
 
     for deck in spec.deck_maps:
-        f0 = deck.face_value(y[:n])
-        # skip faces the trajectory is riding (face ~ 0, no transversal motion)
-        if abs(f0) < 1e-12:
-            probe = y[:n] + 1e-6 * spec.scale_hint * y[n:2 * n]
-            if abs(deck.face_value(probe) - f0) < 1e-10:
-                continue
-
         def face_ev(t_, y_, _d=deck):
             return _d.face_value(y_[:n])
         face_ev.terminal = True
@@ -166,6 +162,33 @@ def _chunk_events(spec, y, detect_boundary):
         events.append(face_ev)
         tags.append(("deck", deck))
     return events, tags
+
+
+def _event_values(spec, Y, detect_boundary):
+    """(m, k) values of the k ``_event_functions`` at the states Y (m, N), one
+    stacked call per function; row i is bit for bit the functions at Y[i]."""
+    n = spec.dimension
+    X = Y[:, :n]
+    columns = []
+    if detect_boundary:
+        columns += [spec.boundary.value(X), row_dot(spec.boundary.gradient(X), Y[:, n:2 * n])]
+    columns += [deck.face_value(X) for deck in spec.deck_maps]
+    return np.stack(columns, axis=1) if columns else np.empty((len(Y), 0))
+
+
+def _watched_events(spec, y, g, tags):
+    """Indices of the events a chunk that starts at state y, where the event
+    values are g, watches: all but the deck faces the trajectory is riding
+    (face ~ 0, no transversal motion)."""
+    n = spec.dimension
+    watched = []
+    for k, (kind, deck) in enumerate(tags):
+        if kind == "deck" and abs(g[k]) < 1e-12:
+            probe = y[:n] + 1e-6 * spec.scale_hint * y[n:2 * n]
+            if abs(deck.face_value(probe) - g[k]) < 1e-10:
+                continue
+        watched.append(k)
+    return np.array(watched, dtype=np.intp)
 
 
 class _Chunks:
@@ -239,7 +262,7 @@ class _Chunks:
                           [], self.crossings, self.nfev, self.n_steps)
         if not self.candidates:
             return flow
-        dips = [spec.boundary.value(y[:n]) for y in flow.state_at(self.candidates)]
+        dips = spec.boundary.value(flow.state_at(self.candidates)[:, :n])
         exits = [i for i, b in enumerate(dips) if b < 0]
         # the exit's own tangency counts, whichever side of b = 0 rounding puts it
         last = exits[0] + 1 if exits else len(dips)
@@ -252,8 +275,8 @@ def _hides_dip(g0, g1):
     """Whether a step can hide a dip of b from the tangency event: db/dt has one
     sign at both of its ends and b changes the other way, so b has a local
     minimum inside it. g0 and g1, the event values at the step's ends, start
-    with b and db/dt."""
-    return g0[1] * g1[1] > 0 and (g1[0] - g0[0]) * g0[1] < 0
+    with b and db/dt; for stacks of them, (b, db/dt) columns, one flag per step."""
+    return (g0[1] * g1[1] > 0) & ((g1[0] - g0[0]) * g0[1] < 0)
 
 
 def _hidden_dips(spec, steps):
@@ -267,8 +290,7 @@ def _hidden_dips(spec, steps):
         step = [np.array(a, dtype=float, order="C")[None] for a in piece]
 
         def b_at(t):
-            y = _dense_states(*step, np.atleast_1d(t))
-            return np.array([spec.boundary.value(x) for x in y[:, :n]])
+            return spec.boundary.value(_dense_states(*step, np.atleast_1d(t))[:, :n])
 
         ts = step[2][0] + step[3][0] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
         j = int(np.argmin(b_at(ts)))
@@ -317,8 +339,11 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
     t = 0.0
     max_step = 0.25 * spec.scale_hint
     chunks = _Chunks()
+    all_events, all_tags = _event_functions(spec, detect_boundary)
     while True:
-        events, tags = _chunk_events(spec, y, detect_boundary)
+        watched = _watched_events(spec, y, [event(t, y) for event in all_events], all_tags)
+        events = [all_events[k] for k in watched]
+        tags = [all_tags[k] for k in watched]
         sol = solve_ivp(rhs, (t, t_end), y, method="RK45", events=events,
                         dense_output=True, rtol=rtol, atol=atol, max_step=max_step)
         if sol.status == -1:
@@ -390,14 +415,16 @@ class _Launch:
         self.flow = None
         self.error = None
 
-    def start(self, spec, rhs, t, y, f, t_end, max_step, rtol, atol, detect_boundary):
-        """Open a chunk at (t, y), where the right-hand side is f; returns the
-        initial step size, from scipy's ``select_initial_step``."""
-        self.events, self.tags = _chunk_events(spec, y, detect_boundary)
-        _, self.max_events, self.direction = prepare_events(self.events)
+    def start(self, spec, rhs, t, y, f, g, events, tags, t_end, max_step, rtol, atol):
+        """Open a chunk at (t, y), where the right-hand side is f and the values
+        of the flow's event functions ``events`` are g; the chunk watches those
+        ``_watched_events`` gives. Returns the initial step size, from scipy's
+        ``select_initial_step``."""
+        self.watched = _watched_events(spec, y, g, tags)
+        self.events = [events[k] for k in self.watched]
+        self.tags = [tags[k] for k in self.watched]
+        _, self.max_events, _ = prepare_events(self.events)
         self.event_count = np.zeros(len(self.events))
-        self.g = [event(t, y) for event in self.events]
-        self.detect_boundary = detect_boundary
         self.hidden = []  # steps that can hide a dip of b
         self.t_events = [[] for _ in self.events]
         self.y_events = [[] for _ in self.events]
@@ -412,12 +439,12 @@ class _Launch:
         return select_initial_step(fun, t, y, t_end, max_step, f, direction,
                                    RK45.error_estimator_order, rtol, atol)
 
-    def accept(self, t_old, t, y_old, y, Q, finished, g_new, active):
+    def accept(self, t_old, t, y_old, y, Q, finished, hides_dip, active):
         """Take one accepted step as ``solve_ivp`` does: interpolant, events,
-        sample. ``g_new`` holds the event values at (t, y), and ``active`` the
-        events ``find_active_events`` finds between them and the last ones.
-        Returns the chunk's status: None while it runs, 0 at t_end and 1 where
-        a terminal event stopped it."""
+        sample. ``active`` holds the events ``find_active_events`` finds between
+        the event values at the step's ends, and ``hides_dip`` whether
+        ``_hides_dip`` holds for them (never where no boundary is watched). Returns the chunk's status: None while it
+        runs, 0 at t_end and 1 where a terminal event stopped it."""
         self.steps.append((Q, y_old, t_old, t - t_old))
         status = 0 if finished else None
         if active.size > 0:
@@ -432,9 +459,8 @@ class _Launch:
                 status = 1
                 t = roots[-1]
                 y = sol(t)
-        if status != 1 and self.detect_boundary and _hides_dip(self.g, g_new):
+        if status != 1 and hides_dip:
             self.hidden.append(len(self.steps) - 1)
-        self.g = g_new
         if len(self.ts) > 1 and self.ts[-1] == t:
             self.steps.pop()
         else:
@@ -468,7 +494,8 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     vector_blocks=vector_blocks, detect_boundary=detect_boundary, ...)``:
     every flow keeps its own time, step size and state, and takes the steps
     and events scipy's RK45 takes for it alone, while the right-hand side of
-    each stage is evaluated on the stack of flows that are still running.
+    each stage, and the event values at the ends of the accepted steps, are
+    evaluated on the stack of flows that are still running.
     ``rhs`` must take such a stack (m, N) and give each row what it gives
     that state alone; it gets no stage times, so the equation must be
     autonomous. A flow whose integration fails does not stop the others; the
@@ -484,12 +511,29 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     max_step = 0.25 * spec.scale_hint
     rtol, atol = validate_tol(rtol, atol, N)
 
+    # the flows' event functions, their values at each flow's last step end
+    # (G), and the place of each among the events the flow's chunk watches
+    # (slot; -1 for one it does not watch)
+    events, tags = _event_functions(spec, detect_boundary)
+    direction = np.array([event.direction for event in events], dtype=float)
+    slot = np.full((m, len(events)), -1)
     launches = [_Launch() for _ in range(m)]
     T = np.zeros(m)
     F = rhs(None, Y)
-    H = np.array([launch.start(spec, rhs, 0.0, Y[i].copy(), F[i], T_end[i], max_step, rtol,
-                               atol, detect_boundary)
-                  for i, launch in enumerate(launches)])
+    G = _event_values(spec, Y, detect_boundary)
+    H = np.empty(m)
+
+    def start(i, t):
+        """Open a chunk of flow i at time t and state Y[i], where F[i] and G[i]
+        hold the right-hand side and the event values."""
+        launch = launches[i]
+        H[i] = launch.start(spec, rhs, t, Y[i].copy(), F[i], G[i], events, tags, T_end[i],
+                            max_step, rtol, atol)
+        slot[i] = -1
+        slot[i, launch.watched] = np.arange(len(launch.watched))
+
+    for i in range(m):
+        start(i, 0.0)
     min_step = np.empty(m)
     attempts = np.zeros(m, dtype=int)  # steps tried in the current chunk
     rejected = np.zeros(m, dtype=bool)
@@ -534,23 +578,24 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         F[acc] = K[ok, -1]
         fresh[acc] = True
         Q = np.matmul(K[ok].swapaxes(1, 2), RK45.P)
-        # every event of every accepted geodesic in one find_active_events call
-        g_new = [[event(t_i, y_i) for event in launches[i].events]
-                 for i, t_i, y_i in zip(acc, t_new, y_new)]
-        counts = [len(g) for g in g_new]
-        active = find_active_events(
-            np.concatenate([launches[i].g for i in acc]), np.concatenate(g_new),
-            np.concatenate([launches[i].direction for i in acc]))
-        bounds = np.cumsum([0] + counts)
+        # the events of every accepted geodesic at its step end, and the
+        # watched ones find_active_events finds, in one call each
+        g, g_new = G[acc], _event_values(spec, y_new, detect_boundary)
+        G[acc] = g_new
+        hides_dip = _hides_dip(g.T, g_new.T) if detect_boundary else np.zeros(len(acc), bool)
+        rows, columns = np.divmod(
+            find_active_events(g.ravel(), g_new.ravel(), np.tile(direction, len(acc))),
+            len(events))
         fired = {}
-        for j, e in zip(np.searchsorted(bounds, active, side="right") - 1, active):
-            fired.setdefault(j, []).append(e - bounds[j])
+        for j, e in zip(rows, slot[acc[rows], columns]):
+            if e >= 0:
+                fired.setdefault(j, []).append(e)
         finished = t_new - T_end[acc] >= 0
         done = []
         for j, i in enumerate(acc):
             launch = launches[i]
-            status = launch.accept(t[j], t_new[j], y[j], y_new[j], Q[j], finished[j], g_new[j],
-                                   np.array(fired.get(j, ()), dtype=np.intp))
+            status = launch.accept(t[j], t_new[j], y[j], y_new[j], Q[j], finished[j],
+                                   hides_dip[j], np.array(fired.get(j, ()), dtype=np.intp))
             if status is None:
                 continue
             launch.nfev += _STAGES * int(attempts[i])
@@ -565,8 +610,8 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
                 continue
             t_start, y_start = restart
             T[i], Y[i], F[i] = t_start, y_start, rhs(t_start, y_start)
-            H[i] = launch.start(spec, rhs, t_start, y_start, F[i], T_end[i], max_step, rtol, atol,
-                                detect_boundary)
+            G[i] = _event_values(spec, y_start[None], detect_boundary)[0]
+            start(i, t_start)
         if done:
             run = np.setdiff1d(run, done)
 

@@ -130,7 +130,12 @@ class MetricField:
 
 
 class BoundaryChart:
-    """Defining function of the boundary: b > 0 inside, b = 0 on the boundary."""
+    """Defining function of the boundary: b > 0 inside, b = 0 on the boundary.
+
+    ``value_fn`` and ``gradient_fn`` map a chart point (n,) to b and its
+    gradient (n,), and a stack of points (m, n) to the (m,) and (m, n) stacks
+    of them, each row bit-equal to its point's; ``hessian_fn`` takes a point.
+    """
 
     def __init__(self, value_fn, gradient_fn, hessian_fn=None, eps=BOUNDARY_EPS):
         self._value_fn = value_fn
@@ -139,9 +144,13 @@ class BoundaryChart:
         self.eps = float(eps)
 
     def value(self, x):
-        return float(self._value_fn(np.asarray(x, dtype=float)))
+        """b at a chart point (a float), or the (m,) array of it at a stack of points."""
+        x = np.asarray(x, dtype=float)
+        b = self._value_fn(x)
+        return float(b) if x.ndim == 1 else np.asarray(b, dtype=float)
 
     def gradient(self, x):
+        """Gradient of b at a chart point (n,), or the (m, n) stack of them."""
         return np.asarray(self._gradient_fn(np.asarray(x, dtype=float)), dtype=float)
 
     def hessian(self, x):
@@ -161,9 +170,11 @@ class DeckMap:
     """Isometric face identification of the fundamental domain.
 
     ``face`` is a signed scalar: positive strictly inside the fundamental
-    domain, zero on the face glued by this map.  ``apply`` teleports a point
-    that crossed the face back into the domain; ``differential`` transports
-    tangent vectors.  Each map is registered together with its inverse.
+    domain, zero on the face glued by this map; it takes a point (n,) or a
+    stack of points (m, n), row by row bit-equal to its points.  ``apply``
+    teleports a point that crossed the face back into the domain;
+    ``differential`` transports tangent vectors.  Each map is registered
+    together with its inverse.
     """
 
     name: str
@@ -173,7 +184,11 @@ class DeckMap:
     inverse: Optional["DeckMap"] = None
 
     def face_value(self, x):
-        return float(self.face(np.asarray(x, dtype=float)))
+        """Face value at a chart point (a float), or the (m,) array of them at a
+        stack of points."""
+        x = np.asarray(x, dtype=float)
+        f = self.face(x)
+        return float(f) if x.ndim == 1 else np.asarray(f, dtype=float)
 
     def apply_point(self, x):
         return np.asarray(self.apply(np.asarray(x, dtype=float)), dtype=float)
@@ -251,11 +266,18 @@ class ManifoldSpec:
 _BLOCK_NUMBERS = 1 << 16
 
 
+def row_dot(a, b):
+    """Dot products of the vectors on the last axes of a and b, each bit for bit
+    the 1-d ``a @ b`` of its pair: one BLAS dot per vector, as a stacked
+    ``matmul`` takes it, whose last bits differ from ``(a * b).sum(-1)``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _norm(diff):
     """Norms of difference vectors on the last axis, bit for bit the value of a
     1-d ``np.linalg.norm`` call: both take one BLAS dot per vector, whose last
     bits differ from ``np.linalg.norm(diff, axis=-1)``."""
-    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+    return np.sqrt(row_dot(diff, diff))
 
 
 def _axis_norm(diff):

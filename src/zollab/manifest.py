@@ -61,26 +61,76 @@ def _parse(text, symbols):
 
 
 def _scalar_pow_printer():
-    """Numpy code printer that writes each power as ``scalar_pow(base, exp)``.
+    """Numpy code printer that writes each power as ``scalar_pow(base, exp)``,
+    each distinct one once.
 
     Code printed by it computes on arrays what the plain numpy printer's code
     computes on scalars: the same operations in the same order, with each
     ``**`` through ``scalar_pow``, since an array ``**`` rounds differently.
+    A power is printed as the name ``_pow<k>`` of the k-th distinct text
+    ``scalar_pow(base, exp)`` printed; ``powers`` maps each text to its name,
+    in the order first printed, so a power comes after the powers in its base.
     """
     import sympy as sp
     from sympy.printing.numpy import NumPyPrinter
 
     class ScalarPowPrinter(NumPyPrinter):
+        powers: dict
+
         def _hprint_Pow(self, expr, rational=False, sqrt="math.sqrt"):
             # the branches of the parent that print sqrt and reciprocals
             if not rational and (expr.exp == sp.S.Half or (expr.is_commutative and (
                     -expr.exp is sp.S.Half or expr.exp is sp.S.NegativeOne))):
                 return super()._hprint_Pow(expr, rational=rational, sqrt=sqrt)
-            return f"scalar_pow({self._print(expr.base)}, {self._print(expr.exp)})"
+            text = f"scalar_pow({self._print(expr.base)}, {self._print(expr.exp)})"
+            return self.powers.setdefault(text, f"_pow{len(self.powers)}")
 
     # the settings lambdify gives the printer it picks for modules="numpy"
-    return ScalarPowPrinter({"fully_qualified_modules": False, "inline": True,
-                             "allow_unknown_functions": True, "user_functions": {}})
+    printer = ScalarPowPrinter({"fully_qualified_modules": False, "inline": True,
+                                "allow_unknown_functions": True, "user_functions": {}})
+    printer.powers = {}
+    return printer
+
+
+def _entries_function(xs, exprs):
+    """Function of a point (n,) or a stack of points (m, n) in the coordinates
+    xs giving the expressions ``exprs`` at it: an array (k,), or (m, k) whose
+    rows are bit-equal to their points'.
+
+    The expressions are printed by ``_scalar_pow_printer`` into one function of
+    the coordinates, which computes each distinct power once and compiles in
+    the namespace lambdify gives ``modules=[{"scalar_pow": ...}, "numpy"]``.
+    No cse or substitution of the powers: both regroup sums and products, so
+    the rounding changes.
+    """
+    from sympy.utilities.lambdify import _get_namespace
+    printer = _scalar_pow_printer()
+    values = [printer.doprint(e) for e in exprs]
+    args = ", ".join(map(str, xs))
+    source = "\n".join([f"def entries({args}):"]
+                       + [f"    {name} = {text}" for text, name in printer.powers.items()]
+                       + [f"    return [{', '.join(values)}]"])
+    namespace = dict(_get_namespace("numpy"), scalar_pow=scalar_pow)
+    for module, names in printer.module_imports.items():
+        for name in names:
+            if name not in namespace:
+                exec(f"from {module} import {name}", {}, namespace)
+    exec(compile(source, "<zollab inline entries>", "exec"), namespace)
+    fn = namespace["entries"]
+    k = len(values)
+
+    def entries(x):
+        if x.ndim == 1:
+            # numpy scalars in: each power is a numpy scalar ``**``
+            return np.array(fn(*x), dtype=float)
+        # coordinate columns in, the same operations on each; constant
+        # entries broadcast
+        out = np.empty((k, len(x)))
+        for row, entry in zip(out, fn(*np.ascontiguousarray(x.T))):
+            row[...] = entry
+        return out.T
+
+    return entries
 
 
 def expression_metric(entries, n):
@@ -94,46 +144,28 @@ def expression_metric(entries, n):
     if not mat.is_symmetric():
         mat = (mat + mat.T) / 2
     dmats = [mat.diff(x) for x in xs]
-    # every entry of g and of its n derivatives in one flat row-major list,
-    # evaluated on coordinate columns; no cse, which would regroup
-    # subexpressions and change the rounding
-    jet_entries = sp.lambdify(xs, [e for m in [mat] + dmats for e in m],
-                              modules=[{"scalar_pow": scalar_pow}, "numpy"],
-                              printer=_scalar_pow_printer())
+    # every entry of g and of its n derivatives in one flat row-major list
+    jet_entries = _entries_function(xs, [e for m in [mat] + dmats for e in m])
     shape = (n + 1, n, n)
 
     def jet(x):
-        if x.ndim == 1:
-            # numpy scalars in: each power is a numpy scalar ``**``
-            J = np.array(jet_entries(*x), dtype=float).reshape(shape)
-        else:
-            # coordinate columns in, the same operations on each; constant
-            # entries broadcast
-            J = np.empty(((n + 1) * n * n, len(x)))
-            for row, entry in zip(J, jet_entries(*np.ascontiguousarray(x.T))):
-                row[...] = entry
-            J = J.T.reshape((len(x),) + shape)
+        J = jet_entries(x).reshape(x.shape[:-1] + shape)
         return 0.5 * (J + J.swapaxes(-1, -2))
 
     return MetricField(n, jet, name="expression")
 
 
 def expression_boundary(expr_str, n, eps=1e-12):
-    """BoundaryChart from one expression in x0..x{n-1} (b > 0 inside)."""
+    """BoundaryChart from one expression in x0..x{n-1} (b > 0 inside); its
+    value and gradient take a point or a stack of points."""
     import sympy as sp
     xs = sp.symbols(f"x0:{n}", real=True)
     b = _parse(expr_str, xs)
-    grad = [b.diff(x) for x in xs]
-    hess = sp.Matrix([[b.diff(xi).diff(xj) for xj in xs] for xi in xs])
-    b_fn = sp.lambdify(xs, b, modules="numpy")
-    g_fn = sp.lambdify(xs, sp.Matrix(grad), modules="numpy")
-    h_fn = sp.lambdify(xs, hess, modules="numpy")
-    return BoundaryChart(
-        lambda x: float(b_fn(*x)),
-        lambda x: np.asarray(g_fn(*x), dtype=float).ravel(),
-        lambda x: np.asarray(h_fn(*x), dtype=float),
-        eps=eps,
-    )
+    value = _entries_function(xs, [b])
+    gradient = _entries_function(xs, [b.diff(x) for x in xs])
+    hessian = _entries_function(xs, [b.diff(xi).diff(xj) for xi in xs for xj in xs])
+    return BoundaryChart(lambda x: value(x)[..., 0], gradient,
+                         lambda x: hessian(x).reshape(n, n), eps=eps)
 
 
 def expression_patch(point_exprs, dim, name="patch", periodic=None):

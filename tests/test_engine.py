@@ -38,12 +38,13 @@ from zollab.geometry import (
     inward_unit_normal,
     metric_inner,
     metric_norm,
+    row_dot,
 )
 from zollab.manifest import RunManifest, load_manifold
 from zollab.verifier import Tolerances, certify
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
-from workloads import generate  # noqa: E402
+from workloads import _inline_cap, generate  # noqa: E402
 
 
 def unit_speed_drift(path):
@@ -232,14 +233,14 @@ class TestDeckCrossing:
             return 0.3 * np.sin(2.0 * np.pi * s)
 
         def b_value(x):
-            return (x[0] - wave(x[1])) * (2.0 - x[0]) / 2.0
+            return (x[..., 0] - wave(x[..., 1])) * (2.0 - x[..., 0]) / 2.0
 
         def b_grad(x):
-            dwave = 0.6 * np.pi * np.cos(2.0 * np.pi * x[1])
-            return np.array([
-                ((2.0 - x[0]) - (x[0] - wave(x[1]))) / 2.0,
-                -dwave * (2.0 - x[0]) / 2.0,
-            ])
+            dwave = 0.6 * np.pi * np.cos(2.0 * np.pi * x[..., 1])
+            return np.stack([
+                ((2.0 - x[..., 0]) - (x[..., 0] - wave(x[..., 1]))) / 2.0,
+                -dwave * (2.0 - x[..., 0]) / 2.0,
+            ], axis=-1)
 
         def rim(u):
             u = np.atleast_2d(u)[:, 0]
@@ -281,11 +282,11 @@ def eccentric_annulus():
     r_in = 0.3
 
     def b_value(x):
-        return (9.0 - x @ x) * ((x - c) @ (x - c) - r_in ** 2) / 18.0
+        return (9.0 - row_dot(x, x)) * (row_dot(x - c, x - c) - r_in ** 2) / 18.0
 
     def b_grad(x):
-        inner = (x - c) @ (x - c) - r_in ** 2
-        outer = 9.0 - x @ x
+        inner = (row_dot(x - c, x - c) - r_in ** 2)[..., None]
+        outer = (9.0 - row_dot(x, x))[..., None]
         return (-2.0 * x * inner + outer * 2.0 * (x - c)) / 18.0
 
     def rim(u):
@@ -361,6 +362,22 @@ def test_concentric_annulus_certifies(r, scale_hint):
     assert rep.ground_truth["all_match"]
     assert set(rep.ground_truth["checks"]) == {"verdict", "half_length", "components"} | (
         {"index"} if scale_hint == 6 else set())
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("strategy", ["uniform", "low-discrepancy"])
+@pytest.mark.parametrize("seed", range(4))
+def test_inline_cap_verdict_invariant(seed, strategy, scale):
+    # neither the seed, the sampling strategy nor the step scale changes what
+    # the sweep of the workload cap finds: its geodesics are the great-circle
+    # arcs of length 2L
+    L = 0.52
+    manifold = _inline_cap(L)
+    manifold["inline"]["scale_hint"] *= scale
+    rep = certify(load_manifold(manifold), 128, seed=seed, strategy=strategy)
+    assert rep.verdict == "certified"
+    assert rep.component_count == 1
+    assert abs(rep.half_length - L) <= 1e-9 * L
 
 
 def test_hole_crossings_return_as_arrivals():

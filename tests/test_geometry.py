@@ -135,7 +135,8 @@ class TestSecondFundamentalForm:
             name="half-plane",
             metric=MetricField.from_matrix(2, lambda x: np.eye(2),
                                            lambda x: np.zeros((2, 2, 2))),
-            boundary=BoundaryChart(lambda x: x[0], lambda x: np.array([1.0, 0.0]),
+            boundary=BoundaryChart(lambda x: x[..., 0],
+                                   lambda x: np.broadcast_to([1.0, 0.0], x.shape),
                                    lambda x: np.zeros((2, 2))),
             domain=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         )

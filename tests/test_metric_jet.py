@@ -7,6 +7,8 @@ metrics) are kept here as references, together with the Christoffel formula
 that called them and ``np.linalg.solve``. The jets must give the same bits,
 not merely close values, so every comparison here is exact.
 """
+import ast
+import inspect
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 import sympy as sp
 
 import zollab.engine as engine
+import zollab.manifest as manifest
 from zollab.catalog import CATALOG, make_example
 from zollab.engine import shoot
 from zollab.geometry import (
@@ -22,6 +25,7 @@ from zollab.geometry import (
     MetricField,
     christoffel_raw,
     curvature_operator_raw,
+    scalar_pow,
 )
 from zollab.manifest import expression_metric, load_manifold
 
@@ -238,6 +242,39 @@ def test_inline_jet_and_christoffel_bit_equal(key, rng):
         x = rng.uniform(-1.5, 1.5, size=n)
         assert same_bits(metric.jet(x), reference_jet(parts, x))
         assert same_bits(christoffel_raw(metric, x), reference_christoffel(parts, x))
+
+
+def distinct_powers(entries, n):
+    """Number of distinct powers in the plain numpy printer's code for the jet
+    entries of an inline metric: the ``**`` nodes of different text, which the
+    scalar_pow printer writes as ``scalar_pow`` calls."""
+    xs = sp.symbols(f"x0:{n}", real=True)
+    local = {str(s): s for s in xs}
+    mat = sp.Matrix([[sp.sympify(entries[i][j], locals=local) for j in range(n)]
+                     for i in range(n)])
+    if not mat.is_symmetric():
+        mat = (mat + mat.T) / 2
+    fn = sp.lambdify(xs, [e for m in [mat] + [mat.diff(x) for x in xs] for e in m],
+                     modules="numpy")
+    return len({ast.dump(node) for node in ast.walk(ast.parse(inspect.getsource(fn)))
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)})
+
+
+@pytest.mark.parametrize("key", sorted(INLINE_METRICS))
+def test_inline_jet_evaluates_each_distinct_power_once(key, rng, monkeypatch):
+    n, entries = INLINE_METRICS[key]
+    powers = []
+    monkeypatch.setattr(manifest, "scalar_pow",
+                        lambda a, b: powers.append(b) or scalar_pow(a, b))
+    metric = expression_metric(entries, n)
+    want = distinct_powers(entries, n)
+    if key == "rational":
+        # the cap: x0**2, x1**2 and (x0**2 + x1**2 + 1) squared and cubed
+        assert want == 4
+    for x in (rng.uniform(-1.5, 1.5, size=n), rng.uniform(-1.5, 1.5, size=(16, n))):
+        powers.clear()
+        metric.jet(x)
+        assert len(powers) == want
 
 
 def test_metric_without_jet_stacks_matrix_and_derivative(rng):

@@ -14,6 +14,8 @@ import zollab.engine
 from test_metric_jet import CATALOG_CASES, INLINE_METRICS, interior_points
 from zollab.catalog import make_example
 from zollab.engine import (
+    _event_functions,
+    _event_values,
     first_return_map,
     geodesic_rhs,
     integrate_flow,
@@ -27,6 +29,7 @@ from zollab.geometry import (
     curvature_operator_raw,
     metric_inner,
     metric_norm,
+    row_dot,
     scalar_pow,
 )
 from zollab.jacobi import (
@@ -36,7 +39,7 @@ from zollab.jacobi import (
     integrate_jacobi_frame,
     jacobi_rhs,
 )
-from zollab.manifest import expression_metric, load_manifold
+from zollab.manifest import expression_boundary, expression_metric, load_manifold
 
 
 def assert_stack_matches_points(kernel, *stacks):
@@ -106,6 +109,65 @@ def test_inline_kernels_stack(key, rng):
     metric = expression_metric(entries, n)
     for kernel, stacks in point_kernels(metric, rng, rng.uniform(-1.5, 1.5, size=(64, n))):
         assert_stack_matches_points(kernel, *stacks)
+
+
+def boundary_kernels(boundary, deck_maps, rng, points):
+    """(kernel, stacks) pairs for the boundary value, its gradient, the gradient
+    along vectors and every deck face at the points. Along vectors, a point
+    takes the 1-d ``@`` of the graze event and a stack the ``row_dot`` of
+    lockstep shooting."""
+    def along(x, v):
+        grad = boundary.gradient(x)
+        return grad @ v if x.ndim == 1 else row_dot(grad, v)
+
+    v = rng.normal(size=points.shape)
+    return ([(boundary.value, (points,)), (boundary.gradient, (points,)), (along, (points, v))]
+            + [(deck.face_value, (points,)) for deck in deck_maps])
+
+
+# inline boundaries: the workload cap, a polynomial with a constant gradient
+# entry (d/dx1 of x0*(2 - x0) is 0, broadcast over the stack), the concentric
+# annulus and a transcendental one in three dimensions
+INLINE_BOUNDARIES = {
+    "cap": (2, f"({float(np.tan(0.26))!r}**2 - x0**2 - x1**2)/(2*{float(np.tan(0.26))!r})"),
+    "constant_gradient_entry": (2, "x0*(2 - x0)"),
+    "annulus": (2, "(9 - x0**2 - x1**2)*(x0**2 + x1**2 - 0.5**2)/18"),
+    "trig_3d": (3, "1 - x0**2/4 - sin(x1)**2 - exp(x2/3)/(1 + x0**2)"),
+}
+
+
+@pytest.mark.parametrize("name,params", CATALOG_CASES,
+                         ids=[f"{n}{p or ''}" for n, p in CATALOG_CASES])
+def test_catalog_boundary_and_faces_stack(name, params, rng):
+    spec = make_example(name, **params)
+    points = rng.uniform(spec.domain[:, 0], spec.domain[:, 1], size=(24, spec.dimension))
+    for kernel, stacks in boundary_kernels(spec.boundary, spec.deck_maps, rng, points):
+        assert_stack_matches_points(kernel, *stacks)
+
+
+@pytest.mark.parametrize("key", sorted(INLINE_BOUNDARIES))
+def test_inline_boundary_stacks(key, rng):
+    n, expr = INLINE_BOUNDARIES[key]
+    boundary = expression_boundary(expr, n)
+    for kernel, stacks in boundary_kernels(boundary, [], rng, rng.uniform(-3, 3, size=(64, n))):
+        assert_stack_matches_points(kernel, *stacks)
+
+
+@pytest.mark.parametrize("name,params", CATALOG_CASES,
+                         ids=[f"{n}{p or ''}" for n, p in CATALOG_CASES])
+def test_event_values_are_the_event_functions(name, params, rng):
+    # each row of the stacked event values holds the bytes of the event
+    # functions solve_ivp and handle_events call at its state
+    spec = make_example(name, **params)
+    n = spec.dimension
+    points = rng.uniform(spec.domain[:, 0], spec.domain[:, 1], size=(24, n))
+    for detect_boundary in (True, False):
+        Y = np.concatenate([points, rng.normal(size=(24, n))], axis=1)
+        events, _ = _event_functions(spec, detect_boundary)
+        values = _event_values(spec, Y, detect_boundary)
+        assert values.shape == (24, len(events))
+        for y, row in zip(Y, values):
+            assert row.tobytes() == np.array([event(0.0, y) for event in events]).tobytes()
 
 
 def test_from_matrix_kernels_stack(rng):
