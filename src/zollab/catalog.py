@@ -146,12 +146,12 @@ def flip_translation_decks(n, axis, period, flip_axis, name):
 
     def fwd(x, _e=e, _f=flip_axis):
         y = np.asarray(x, dtype=float).copy()
-        y[_f] = -y[_f]
+        y[..., _f] = -y[..., _f]
         return y - _e
 
     def bwd(x, _e=e, _f=flip_axis):
         y = np.asarray(x, dtype=float).copy()
-        y[_f] = -y[_f]
+        y[..., _f] = -y[..., _f]
         return y + _e
 
     hi = DeckMap(f"{name}+", lambda x, _a=axis, _p=period: _p - x[..., _a], fwd,
@@ -371,7 +371,8 @@ def ellipse(a=2.0, b=1.0):
 
 @dataclass
 class Isometry:
-    """Point map with differential and registered inverse."""
+    """Point map with differential and registered inverse; the map and its
+    inverse take a point (n,) or a stack (m, n), the differentials a point."""
 
     name: str
     apply: Callable[[np.ndarray], np.ndarray]
@@ -388,15 +389,16 @@ def identity_isometry(n):
 
 
 def rotation_isometry(alpha):
-    """Rotation of a planar chart about the origin."""
+    """Rotation of a planar chart about the origin; a stack of points turns as
+    column vectors, row by row bit-equal to ``rot @ x`` (``x @ rot.T`` is not)."""
     c, s = np.cos(alpha), np.sin(alpha)
     rot = np.array([[c, -s], [s, c]])
     inv = rot.T
     return Isometry(
         f"rotation({alpha:g})",
-        lambda x: rot @ np.asarray(x, dtype=float),
+        lambda x: np.matmul(rot, np.asarray(x, dtype=float)[..., None])[..., 0],
         lambda x: rot,
-        lambda x: inv @ np.asarray(x, dtype=float),
+        lambda x: np.matmul(inv, np.asarray(x, dtype=float)[..., None])[..., 0],
         lambda x: inv,
     )
 
@@ -467,14 +469,14 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
 
     def tau_hi_apply(x, _iso=iso, _n=n):
         y = np.asarray(x, dtype=float).copy()
-        y[:_n] = _iso.inverse_apply(y[:_n])
-        y[_n] -= 1.0
+        y[..., :_n] = _iso.inverse_apply(y[..., :_n])
+        y[..., _n] -= 1.0
         return y
 
     def tau_lo_apply(x, _iso=iso, _n=n):
         y = np.asarray(x, dtype=float).copy()
-        y[:_n] = _iso.apply(y[:_n])
-        y[_n] += 1.0
+        y[..., :_n] = _iso.apply(y[..., :_n])
+        y[..., _n] += 1.0
         return y
 
     def tau_hi_diff(x, _iso=iso, _n=n):
@@ -532,7 +534,7 @@ def _lift_hessian(base_boundary, x, n):
 def _lift_deck(d: DeckMap, n):
     def apply(x, _d=d, _n=n):
         y = np.asarray(x, dtype=float).copy()
-        y[:_n] = _d.apply_point(y[:_n])
+        y[..., :_n] = _d.apply_point(y[..., :_n])
         return y
 
     def diff(x, _d=d, _n=n):

@@ -21,7 +21,7 @@ that does not return keeps only its index and error message.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -643,10 +643,7 @@ class GeodesicPath:
     spec: ManifoldSpec
     index: int
     flow: FlowResult             # a flow that returned to the boundary
-    normal_deviation: float = field(init=False)
-
-    def __post_init__(self):
-        self.normal_deviation = arrival_orthogonality(self)
+    normal_deviation: float      # arrival_orthogonality at its return
 
     # views of the flow: its samples, first state and boundary return
     times = property(lambda self: self.flow.times)
@@ -670,34 +667,32 @@ class GeodesicPath:
 
 
 def project_to_boundary(spec: ManifoldSpec, p):
-    """One Newton step onto b = 0 (cleans up manifest round-off)."""
+    """One Newton step onto b = 0 from a point (n,) or each row of a stack (cleans up round-off)."""
     p = np.asarray(p, dtype=float)
-    b = spec.boundary.value(p)
     db = spec.boundary.gradient(p)
-    return p - b * db / float(db @ db)
-
-
-def _launch_state(spec: ManifoldSpec, p):
-    """Boundary point p, projected onto b = 0, and the state (p, inward unit normal)."""
-    p = project_to_boundary(spec, np.asarray(p, dtype=float))
-    if not spec.boundary.on_boundary(p):
-        raise ValueError(f"launch point {p} not on the boundary of {spec.name!r}")
-    return p, np.concatenate([p, inward_unit_normal(spec, p)])
+    return p - np.asarray(spec.boundary.value(p))[..., None] * db / row_dot(db, db)[..., None]
 
 
 def _shoot_all(spec: ManifoldSpec, points, t_max, rtol, atol, grazing_tol):
-    """The geodesic paths from the boundary points that come back before t_max,
-    and (index, message) of each one that does not."""
+    """The geodesic paths from the boundary points (m, n), projected onto b = 0, that come
+    back before t_max, and (index, message) of each one that does not."""
     if t_max is None:
         t_max = 50.0 * spec.scale_hint
     n = spec.dimension
     if not len(points):
         return [], []
-    launch_points, y0 = zip(*(_launch_state(spec, p) for p in points))
+    launch_points = project_to_boundary(spec, points)
+    off = ~spec.boundary.on_boundary(launch_points)
+    if off.any():
+        raise ValueError(f"launch point {launch_points[np.argmax(off)]} "
+                         f"not on the boundary of {spec.name!r}")
+    y0 = np.concatenate([launch_points, inward_unit_normal(spec, launch_points)], axis=1)
     flows = lockstep_flows(spec, geodesic_rhs(spec), y0, t_max, vector_blocks=[(n, n, 1)],
                            rtol=rtol, atol=atol, grazing_tol=grazing_tol)
-    paths = [GeodesicPath(spec, i, flow) for i, flow in enumerate(flows)
-             if flow.status == "boundary"]
+    returned = [i for i, flow in enumerate(flows) if flow.status == "boundary"]
+    arrivals = np.array([flows[i].event_state for i in returned]).reshape(-1, 2 * n)
+    deviations = arrival_orthogonality(spec, arrivals[:, :n], arrivals[:, n:])
+    paths = [GeodesicPath(spec, i, flows[i], dev) for i, dev in zip(returned, deviations)]
     errors = [(i, f"no return (not Zoll or t_max too small): {spec.name!r} from {p}")
               for i, (p, flow) in enumerate(zip(launch_points, flows))
               if flow.status != "boundary"]
@@ -716,14 +711,13 @@ def shoot(spec: ManifoldSpec, p, t_max=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATO
     return paths[0]
 
 
-def arrival_orthogonality(path: GeodesicPath):
-    """g-norm of the boundary-tangential component of the arrival velocity."""
-    spec = path.spec
-    q = path.arrival_point
-    v = path.arrival_velocity
-    g = spec.metric.matrix(q)
-    nu = inward_unit_normal(spec, q)
-    tangential = v - metric_inner(g, v, nu) * nu
+def arrival_orthogonality(spec: ManifoldSpec, points, velocities):
+    """g-norm of the boundary-tangential component of the arrival velocity at
+    a boundary point (n,), or the (m,) array of them for stacks of arrival
+    points and velocities (m, n)."""
+    g = spec.metric.matrix(points)
+    nu = inward_unit_normal(spec, points)
+    tangential = velocities - metric_inner(g, velocities, nu)[..., None] * nu
     return metric_norm(g, tangential)
 
 
@@ -820,16 +814,13 @@ def sample_boundary(spec: ManifoldSpec, count, strategy="uniform", seed=0):
             u = sampler.random(m)
         else:
             raise ValueError(f"unknown sampling strategy {strategy!r}")
-        raw = patch.points(u)
-        for row, prm in zip(raw, u):
-            p = project_to_boundary(spec, row)
-            if not spec.boundary.on_boundary(p):
-                p = project_to_boundary(spec, p)
-            pts.append(p)
-            ids.append(pid)
-            params.append(prm.copy())
-    pts = np.array(pts)
-    return LaunchSet(pts, np.array(ids), params, strategy)
+        p = project_to_boundary(spec, patch.points(u))
+        off = ~spec.boundary.on_boundary(p)
+        p[off] = project_to_boundary(spec, p[off])
+        pts.extend(p)
+        ids.extend([pid] * len(p))
+        params.extend(u.copy())
+    return LaunchSet(np.array(pts), np.array(ids), params, strategy)
 
 
 @dataclass

@@ -162,7 +162,8 @@ class BoundaryChart:
         return 0.5 * (h + h.T)
 
     def on_boundary(self, x):
-        return abs(self.value(x)) <= self.eps
+        """Whether |b| <= eps at a chart point, or the (m,) array of it at a stack."""
+        return np.abs(self.value(x)) <= self.eps
 
 
 @dataclass
@@ -170,11 +171,11 @@ class DeckMap:
     """Isometric face identification of the fundamental domain.
 
     ``face`` is a signed scalar: positive strictly inside the fundamental
-    domain, zero on the face glued by this map; it takes a point (n,) or a
-    stack of points (m, n), row by row bit-equal to its points.  ``apply``
-    teleports a point that crossed the face back into the domain;
-    ``differential`` transports tangent vectors.  Each map is registered
-    together with its inverse.
+    domain, zero on the face glued by this map.  ``apply`` teleports a point
+    that crossed the face back into the domain.  Both take a point (n,) or a
+    stack of points (m, n), row by row bit-equal to its points.
+    ``differential`` transports tangent vectors at a point.  Each map is
+    registered together with its inverse.
     """
 
     name: str
@@ -244,22 +245,29 @@ class ManifoldSpec:
         return self.metric.dimension
 
     def deck_images(self, x):
-        """Point together with its images under up to two deck applications."""
+        """A chart point (n,) and its images under up to two deck applications,
+        (k, n), in the order first reached and each more than 1e-13 from those
+        before it; at a stack (m, n), every row's as an (m, k, n) array, k the
+        most any row has and shorter rows padded with their point.  Slot s of
+        ``images`` holds row i's image where ``found[s][i]``, else its point."""
         x = np.asarray(x, dtype=float)
-        images = [x]
-        frontier = [x]
+        images, found = [x], [np.ones(x.shape[:-1], dtype=bool)]
+        level = range(1)  # the slots found by the last application
         for _ in range(2):
-            new = []
-            for y in frontier:
+            start = len(images)
+            for s in level:
                 for d in self.deck_maps:
-                    z = d.apply_point(y)
-                    if all(np.linalg.norm(z - w) > 1e-13 for w in images):
-                        images.append(z)
-                        new.append(z)
-            frontier = new
-            if not frontier:
-                break
-        return images
+                    z = d.apply_point(images[s])
+                    far = _norm(z[..., None, :] - np.stack(images, axis=-2)) > 1e-13
+                    fresh = found[s] & np.all(far, axis=-1)
+                    if fresh.any():
+                        images.append(np.where(fresh[..., None], z, x))
+                        found.append(fresh)
+            level = range(start, len(images))
+        # each row's images to the front, in slot order
+        found = np.stack(found, axis=-1)
+        order = np.argsort(~found, axis=-1, kind="stable")[..., :found.sum(axis=-1).max(initial=1)]
+        return np.take_along_axis(np.stack(images, axis=-2), order[..., None], axis=-2)
 
 
 # numbers in one block of difference vectors taken by a QuotientCloud query
@@ -280,34 +288,26 @@ def _norm(diff):
     return np.sqrt(row_dot(diff, diff))
 
 
-def _axis_norm(diff):
-    return np.linalg.norm(diff, axis=-1)
-
-
 class QuotientCloud:
     """Point cloud in the chart with the deck images of every point, taken once.
 
-    ``images[i, j]`` is the j-th entry of ``spec.deck_images(points[i])``, so
-    ``images[i, 0]`` is the point itself; shorter image lists are padded with
-    the point. The distance from cloud point i to a chart point y is the
-    smallest chart distance from an image of i to y. Queries against q chart
-    points are vectorized over blocks of cloud points, one image slot at a
-    time, so they take O(m k n + m q) memory.
+    ``images`` is ``spec.deck_images(points)``, one call for the cloud, so
+    ``images[i, 0]`` is point i itself. The distance from cloud point i to a
+    chart point y is the smallest chart distance from an image of i to y.
+    Queries against q chart points are vectorized over blocks of cloud points,
+    one image slot at a time, so they take O(m k n + m q) memory.
 
-    ``pairwise`` and ``nearest`` reduce with ``np.linalg.norm(..., axis=-1)``,
-    ``nearest_image`` and ``hausdorff`` with 1-d norms (see ``_norm``). The
-    two differ in the last bits, and on uniform launch grids some pairs sit
-    exactly at the linking radius, so each query keeps one fixed expression.
+    ``distances``, ``pairwise`` and ``nearest`` reduce with
+    ``np.linalg.norm(..., axis=-1)``, ``nearest_image`` and ``hausdorff`` with
+    1-d norms (see ``_norm``). The two differ in the last bits, and on uniform
+    launch grids some pairs sit exactly at the linking radius, so each query
+    keeps one fixed expression.
     """
 
     def __init__(self, spec: ManifoldSpec, points):
         pts = np.asarray(points, dtype=float)
         self.points = pts.reshape(1, -1) if pts.ndim == 1 else pts
-        lists = [spec.deck_images(p) for p in self.points]
-        k = max((len(imgs) for imgs in lists), default=1)
-        self.images = np.repeat(self.points[:, None, :], k, axis=1)
-        for i, imgs in enumerate(lists):
-            self.images[i, :len(imgs)] = imgs
+        self.images = spec.deck_images(self.points)
 
     def __len__(self):
         return len(self.points)
@@ -335,14 +335,18 @@ class QuotientCloud:
         j = np.argmin(d, axis=-1)
         return np.take_along_axis(imgs, j[..., None, None], axis=-2)[..., 0, :]
 
+    def distances(self, queries):
+        """(m, q) quotient distance from each cloud point to each query point."""
+        return self._distances(queries, lambda diff: np.linalg.norm(diff, axis=-1))
+
     def pairwise(self):
         """Symmetric (m, m) matrix of quotient distances between cloud points."""
-        D = self._distances(self.points, _axis_norm)
+        D = self.distances(self.points)
         return np.minimum(D, D.T)
 
     def nearest(self, queries):
         """Index of the cloud point nearest to each query point, and its distance."""
-        D = self._distances(queries, _axis_norm)
+        D = self.distances(queries)
         idx = np.argmin(D, axis=0)
         return idx, D[idx, np.arange(D.shape[1])]
 
@@ -449,22 +453,20 @@ def curvature_operator_raw(metric: MetricField, x, v, gamma=None):
     return termA - termB + P @ Q - termD
 
 
-def gradient_vector(spec: ManifoldSpec, x):
-    """Metric gradient of the boundary defining function."""
-    g = spec.metric.matrix(x)
-    db = spec.boundary.gradient(x)
-    return np.linalg.solve(g, db)
-
-
 def inward_unit_normal(spec: ManifoldSpec, p):
-    """Unit inward-pointing normal at a boundary point."""
+    """Unit inward-pointing normal at a boundary point (n,), or the (m, n)
+    stack of them at a stack of points: the metric gradient of b over its
+    g-norm, with one metric evaluation. Where the gradient vanishes it raises
+    ``ValueError`` naming the point; in a stack, the first such point."""
     p = np.asarray(p, dtype=float)
     g = spec.metric.matrix(p)
-    grad = gradient_vector(spec, p)
+    grad = np.linalg.solve(g, spec.boundary.gradient(p)[..., None])[..., 0]
     nrm = metric_norm(g, grad)
-    if nrm <= 1e-12:
-        raise ValueError(f"boundary gradient vanishes at {p} (not a regular value)")
-    return grad / nrm
+    vanishes = nrm <= 1e-12
+    if np.any(vanishes):
+        raise ValueError(f"boundary gradient vanishes at "
+                         f"{p.reshape(-1, p.shape[-1])[np.argmax(vanishes)]} (not a regular value)")
+    return grad / nrm[..., None]
 
 
 def second_fundamental_form(spec: ManifoldSpec, p):

@@ -310,9 +310,7 @@ class IndexFormMatrix:
 
     stiffness_band: np.ndarray
     mass_band: np.ndarray
-    mesh_size: int
     dimension: int
-    return_time: float
     boundary_block_launch: np.ndarray
     boundary_block_arrival: np.ndarray
 
@@ -397,7 +395,7 @@ def assemble_index_form(spec: ManifoldSpec, frame: JacobiFrame, mesh_size) -> In
     stiffness[-1, n:, n:] += B1
 
     return IndexFormMatrix(_element_band(stiffness, n, N), _element_band(mass, n, N),
-                           N, n, R, B0, B1)
+                           n, B0, B1)
 
 
 def _arrival_tangent_frame(spec, frame, q):

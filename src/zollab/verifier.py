@@ -244,49 +244,49 @@ def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances, n_distan
         d_hat = int(round(float(np.median(local_dims))))
         diameter = float(D.max())
 
-    residual = 0.0
     m = len(sweep.paths)
     spot = np.linspace(0, m - 1, min(n_distance_checks, m)).astype(int)
-    for i in spot:
-        d_est = nearest_boundary_distance(spec, sweep, mids[i], tol)
-        if d_est is not None:
-            residual = max(residual, abs(d_est - L))
+    estimates = nearest_boundary_distance(spec, sweep, mids[spot], tol)
+    residual = max([0.0] + [abs(d - L) for d in estimates if d is not None])
     return SoulCloud(reps, mids, spectra, local_dims, d_hat, diameter, residual)
 
 
-def nearest_boundary_distance(spec: ManifoldSpec, sweep: SweepResult, x,
+def nearest_boundary_distance(spec: ManifoldSpec, sweep: SweepResult, points,
                               tol: Tolerances):
-    """Distance from x to the boundary, estimated along the swept geodesics.
+    """Distance to the boundary from each chart point of ``points`` (q, n),
+    estimated along the swept geodesics: a list of q floats, None where no
+    swept geodesic passes through the point.
 
     Every point of a certified manifold lies on boundary-orthogonal geodesics
     and the minimizers to the boundary are among them, so the estimate is the
-    smallest arc-length parameter at which any swept geodesic passes through x.
+    smallest arc-length parameter at which a swept geodesic passes through it.
     """
     paths = sweep.paths
+    best = [None] * len(points)
     if not paths:
-        return None
+        return best
     L = sweep.half_length
     pass_tol = tol.passage_rel * L
-    best = None
-    cloud = QuotientCloud(spec, x)
-    _, dist = cloud.nearest(np.concatenate([path.points for path in paths]))
+    cloud = QuotientCloud(spec, points)
     ends = np.cumsum([len(path.times) for path in paths])
-    for path, d in zip(paths, np.split(dist, ends[:-1])):
-        j = int(np.argmin(d))
-        coarse = d[j]
-        if coarse > 20.0 * pass_tol and coarse > 0.05 * L:
-            continue
-        t_coarse = path.times[j]
-        img_best = cloud.nearest_image(path.points[j], 0)
-        lo = max(0.0, t_coarse - 0.1 * L)
-        hi = min(path.return_time, t_coarse + 0.1 * L)
-        res = minimize_scalar(
-            lambda t: float(np.linalg.norm(path.position_at(t) - img_best)),
-            bounds=(lo, hi), method="bounded", options={"xatol": 1e-12 * L})
-        if res.fun < pass_tol:
-            t_star = float(res.x)
-            cand = min(t_star, path.return_time - t_star)
-            best = cand if best is None else min(best, cand)
+    dists = cloud.distances(np.concatenate([path.points for path in paths]))
+    for i, dist in enumerate(dists):
+        for path, d in zip(paths, np.split(dist, ends[:-1])):
+            j = int(np.argmin(d))
+            coarse = d[j]
+            if coarse > 20.0 * pass_tol and coarse > 0.05 * L:
+                continue
+            t_coarse = path.times[j]
+            img_best = cloud.nearest_image(path.points[j], i)
+            lo = max(0.0, t_coarse - 0.1 * L)
+            hi = min(path.return_time, t_coarse + 0.1 * L)
+            res = minimize_scalar(
+                lambda t: float(np.linalg.norm(path.position_at(t) - img_best)),
+                bounds=(lo, hi), method="bounded", options={"xatol": 1e-12 * L})
+            if res.fun < pass_tol:
+                t_star = float(res.x)
+                cand = min(t_star, path.return_time - t_star)
+                best[i] = cand if best[i] is None else min(best[i], cand)
     return best
 
 
@@ -486,7 +486,8 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
 
 
 def slice_circumference(spec: ManifoldSpec, t, n_side=64, tol: Optional[Tolerances] = None):
-    """Length of the image of the first boundary patch at flow parameter t."""
+    """Length of the image of the first boundary patch at flow parameter t, from
+    a grid of ``n_side`` launches that must all return."""
     tol = tol or Tolerances()
     patch = spec.boundary_patches[0]
     if patch.param_dim != 1:
@@ -495,14 +496,15 @@ def slice_circumference(spec: ManifoldSpec, t, n_side=64, tol: Optional[Toleranc
     pts = patch.points(params)
     ls = LaunchSet(pts, np.zeros(len(pts), dtype=int), [u.copy() for u in params], "uniform")
     sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol, grazing_tol=tol.grazing)
+    if len(sweep.paths) != n_side:
+        raise RuntimeError(f"slice circumference sweep failed on {spec.name!r}")
     du = 1.0 / n_side
-    total = 0.0
-    slice_t = QuotientCloud(spec, [p.position_at(t) for p in sweep.paths])
-    for i, x in enumerate(slice_t.points):
-        yp, ym = slice_t.nearest_image(x, [(i + 1) % n_side, (i - 1) % n_side])
-        dvec = (yp - ym) / (2.0 * du)
-        total += metric_norm(spec.metric.matrix(x), dvec) * du
-    return float(total)
+    x = sweep.states_at(t)[:, :spec.dimension]
+    slice_t = QuotientCloud(spec, x)
+    i = np.arange(n_side)
+    dvec = (slice_t.nearest_image(x, (i + 1) % n_side)
+            - slice_t.nearest_image(x, (i - 1) % n_side)) / (2.0 * du)
+    return float(sum(metric_norm(spec.metric.matrix(x), dvec) * du))
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +530,9 @@ def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
     B = sweep.states_at(sweep.return_times - t)[:, :n]
     hausdorff = QuotientCloud(spec, A).hausdorff(B)
 
-    worst = 0.0
-    for i in np.linspace(0, len(A) - 1, min(6, len(A))).astype(int):
-        d_est = nearest_boundary_distance(spec, sweep, A[i], tol)
-        if d_est is not None:
-            worst = max(worst, abs(d_est - t))
+    spot = np.linspace(0, len(A) - 1, min(6, len(A))).astype(int)
+    estimates = nearest_boundary_distance(spec, sweep, A[spot], tol)
+    worst = max([0.0] + [abs(d - t) for d in estimates if d is not None])
     passed = hausdorff <= SLICE_HAUSDORFF_REL * L and worst <= SLICE_DISTANCE_REL * L
     return SliceCheck(float(t), float(hausdorff), float(worst), bool(passed))
 

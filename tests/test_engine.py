@@ -15,6 +15,7 @@ from zollab import cli
 from zollab.catalog import catalog_names, make_example
 from zollab.engine import (
     GRAZING_TOL,
+    LaunchSet,
     NoReturnError,
     arrival_orthogonality,
     first_return_map,
@@ -119,6 +120,15 @@ class TestShootClosedForms:
         assert np.allclose(path.arrival_point, q, atol=1e-8)
         assert path.normal_deviation == pytest.approx(dperp_expected, abs=1e-8)
         assert path.normal_deviation > 1e-3
+
+        # the arrival check on the stack of a sweep's arrivals and this one
+        # gives each path its own normal deviation, and each arrival alone too
+        paths = first_return_map(el, sample_boundary(el, 16)).paths + [path]
+        arrivals = np.array([p.flow.event_state for p in paths])
+        stacked = arrival_orthogonality(el, arrivals[:, :2], arrivals[:, 2:])
+        for p, dev, y in zip(paths, stacked, arrivals):
+            assert dev.tobytes() == np.float64(p.normal_deviation).tobytes()
+            assert np.float64(arrival_orthogonality(el, y[:2], y[2:])).tobytes() == dev.tobytes()
 
     def test_moebius_chord(self):
         mo = make_example("flat_moebius", width=1.0, twist_length=3.0)
@@ -559,6 +569,24 @@ def test_no_run_calls_solve_ivp(name, monkeypatch, tmp_path):
     assert report.index_quadratic is not None and report.index_focal is not None
 
 
+def test_sweep_evaluates_the_metric_at_one_point_only_for_initial_steps(monkeypatch):
+    # launch normals, arrival checks and steps are stacked; what is left is
+    # scipy's select_initial_step, which probes one state per launch
+    spec = load_manifold(generate("inline-cap-sweep", 1)[0]["manifold"])
+    launches = sample_boundary(spec, 512)
+    one_point = []
+    jet = MetricField.jet
+
+    def counted_jet(self, x):
+        one_point.append(np.ndim(x) == 1)
+        return jet(self, x)
+
+    monkeypatch.setattr(MetricField, "jet", counted_jet)
+    sweep = first_return_map(spec, launches)
+    assert len(sweep.paths) == 512
+    assert sum(one_point) == 512
+
+
 def test_no_return_recorded_with_its_launch_point():
     el = make_example("ellipse")
     launches = sample_boundary(el, 8)
@@ -701,6 +729,12 @@ def test_bad_launch_point_rejected():
     disk = make_example("flat_disk")
     with pytest.raises(ValueError, match="not on the boundary"):
         shoot(disk, np.array([0.2, 0.0]))
+    # a sweep names its first launch off the boundary, as projected
+    points = np.array([[1.0, 0.0], [0.2, 0.0], [0.0, 0.3]])
+    with pytest.raises(ValueError) as info:
+        first_return_map(disk, LaunchSet(points, np.zeros(3, dtype=int), [], "uniform"))
+    assert str(info.value) == (f"launch point {project_to_boundary(disk, points[1])} "
+                               f"not on the boundary of {disk.name!r}")
 
 
 class TestTrajectoryStaysInside:

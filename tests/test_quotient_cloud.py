@@ -1,4 +1,5 @@
-"""QuotientCloud queries against brute-force loops over ``spec.deck_images``."""
+"""``spec.deck_images`` and QuotientCloud queries against brute-force loops
+over the deck maps, one point and one pair at a time."""
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from zollab.catalog import make_example
 from zollab import geometry
-from zollab.geometry import DeckMap, QuotientCloud
+from zollab.geometry import DeckMap, ManifoldSpec, QuotientCloud
+from zollab.verifier import certify
 
 EXAMPLES = {
     "flat_disk": ("flat_disk", {}),
@@ -38,14 +40,31 @@ def _cloud(spec, m, seed):
     return _in_domain(spec, np.random.default_rng(seed).random((m, spec.dimension)))
 
 
-# brute force: one pair at a time, straight from spec.deck_images
+# brute force: one point and one pair at a time
+
+def brute_images(spec, x):
+    """x and its images under up to two deck applications, in the order first
+    reached, each one more than 1e-13 away from those before it."""
+    images = [x]
+    frontier = [x]
+    for _ in range(2):
+        new = []
+        for y in frontier:
+            for d in spec.deck_maps:
+                z = d.apply_point(y)
+                if all(np.linalg.norm(z - w) > 1e-13 for w in images):
+                    images.append(z)
+                    new.append(z)
+        frontier = new
+    return np.array(images)
+
 
 def brute_distance(spec, x, y):
-    return min(float(np.linalg.norm(img - y)) for img in spec.deck_images(x))
+    return min(float(np.linalg.norm(img - y)) for img in brute_images(spec, x))
 
 
 def brute_nearest_image(spec, x, center):
-    imgs = spec.deck_images(x)
+    imgs = brute_images(spec, x)
     return imgs[int(np.argmin([np.linalg.norm(img - center) for img in imgs]))]
 
 
@@ -58,8 +77,9 @@ def check_all_queries(spec, pts, queries):
     assert len(cloud) == len(pts)
 
     for i, p in enumerate(pts):
-        imgs = np.array(spec.deck_images(p))
-        assert np.array_equal(cloud.images[i, :len(imgs)], imgs)
+        imgs = brute_images(spec, p)
+        assert spec.deck_images(p).tobytes() == imgs.tobytes()
+        assert cloud.images[i, :len(imgs)].tobytes() == imgs.tobytes()
         assert np.array_equal(cloud.images[i, len(imgs):],
                               np.broadcast_to(p, cloud.images[i, len(imgs):].shape))
 
@@ -144,3 +164,27 @@ def test_random_clouds_match_brute_force(key, data):
     pts = data.draw(arrays(float, (data.draw(st.integers(1, 8)), n), elements=unit))
     queries = data.draw(arrays(float, (data.draw(st.integers(1, 6)), n), elements=unit))
     check_all_queries(spec, _in_domain(spec, pts), _in_domain(spec, queries))
+
+
+def test_a_cloud_takes_its_deck_images_in_one_call(monkeypatch):
+    # a twisted solid torus with soul and slices builds its clouds (arrival
+    # pairing, midpoint clusters, soul, distances to the boundary, slices)
+    # with one deck_images call each
+    calls = {"clouds": 0, "deck_images": 0}
+    init, deck_images = QuotientCloud.__init__, ManifoldSpec.deck_images
+
+    def counted_init(self, *args):
+        calls["clouds"] += 1
+        init(self, *args)
+
+    def counted_deck_images(self, x):
+        calls["deck_images"] += 1
+        return deck_images(self, x)
+
+    monkeypatch.setattr(QuotientCloud, "__init__", counted_init)
+    monkeypatch.setattr(ManifoldSpec, "deck_images", counted_deck_images)
+    report = certify(make_example("solid_torus", rotation=2 * np.pi / 5), 156,
+                     analyses=("certify", "soul", "slices"))
+    assert report.verdict == "certified" and "error" not in report.soul
+    assert all(check["passed"] for check in report.slices)
+    assert calls["deck_images"] == calls["clouds"] >= 6

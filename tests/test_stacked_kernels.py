@@ -12,21 +12,24 @@ import pytest
 
 import zollab.engine
 from test_metric_jet import CATALOG_CASES, INLINE_METRICS, interior_points
-from zollab.catalog import make_example
+from zollab.catalog import make_example, stereographic_sphere_metric
 from zollab.engine import (
     _event_functions,
     _event_values,
     first_return_map,
     geodesic_rhs,
     integrate_flow,
+    project_to_boundary,
     sample_boundary,
     shoot,
 )
 from zollab.geometry import (
     DegenerateMetricError,
+    ManifoldSpec,
     MetricField,
     christoffel_raw,
     curvature_operator_raw,
+    inward_unit_normal,
     metric_inner,
     metric_norm,
     row_dot,
@@ -111,18 +114,30 @@ def test_inline_kernels_stack(key, rng):
         assert_stack_matches_points(kernel, *stacks)
 
 
-def boundary_kernels(boundary, deck_maps, rng, points):
+def boundary_kernels(spec, rng, points):
     """(kernel, stacks) pairs for the boundary value, its gradient, the gradient
-    along vectors and every deck face at the points. Along vectors, a point
-    takes the 1-d ``@`` of the graze event and a stack the ``row_dot`` of
-    lockstep shooting."""
+    along vectors, the inward unit normal, the Newton projection onto b = 0 and
+    the boundary test, and every deck face and deck map, at the points and at
+    their projections. Along vectors, a point takes the 1-d ``@`` of the
+    graze event and a stack the ``row_dot`` of lockstep shooting."""
+    boundary = spec.boundary
+
     def along(x, v):
         grad = boundary.gradient(x)
         return grad @ v if x.ndim == 1 else row_dot(grad, v)
 
+    # Newton steps put some of the points on the boundary
+    near = points[:8]
+    for _ in range(8):
+        near = project_to_boundary(spec, near)
+    points = np.concatenate([points, near])
     v = rng.normal(size=points.shape)
-    return ([(boundary.value, (points,)), (boundary.gradient, (points,)), (along, (points, v))]
-            + [(deck.face_value, (points,)) for deck in deck_maps])
+    return ([(boundary.value, (points,)), (boundary.gradient, (points,)), (along, (points, v)),
+             (lambda x: inward_unit_normal(spec, x), (points,)),
+             (lambda x: project_to_boundary(spec, x), (points,)),
+             (boundary.on_boundary, (points,))]
+            + [(deck.face_value, (points,)) for deck in spec.deck_maps]
+            + [(deck.apply, (points,)) for deck in spec.deck_maps])
 
 
 # inline boundaries: the workload cap, a polynomial with a constant gradient
@@ -141,15 +156,17 @@ INLINE_BOUNDARIES = {
 def test_catalog_boundary_and_faces_stack(name, params, rng):
     spec = make_example(name, **params)
     points = rng.uniform(spec.domain[:, 0], spec.domain[:, 1], size=(24, spec.dimension))
-    for kernel, stacks in boundary_kernels(spec.boundary, spec.deck_maps, rng, points):
+    for kernel, stacks in boundary_kernels(spec, rng, points):
         assert_stack_matches_points(kernel, *stacks)
 
 
 @pytest.mark.parametrize("key", sorted(INLINE_BOUNDARIES))
 def test_inline_boundary_stacks(key, rng):
     n, expr = INLINE_BOUNDARIES[key]
-    boundary = expression_boundary(expr, n)
-    for kernel, stacks in boundary_kernels(boundary, [], rng, rng.uniform(-3, 3, size=(64, n))):
+    # the inward unit normal takes a metric, a positive definite one here
+    spec = ManifoldSpec(key, stereographic_sphere_metric(n), expression_boundary(expr, n),
+                        np.array([[-3.0, 3.0]] * n))
+    for kernel, stacks in boundary_kernels(spec, rng, rng.uniform(-3, 3, size=(64, n))):
         assert_stack_matches_points(kernel, *stacks)
 
 

@@ -203,13 +203,14 @@ class TestSoul:
     def test_nearest_boundary_distance_disk(self, specs, sweeps):
         disk = specs["flat_disk"]
         sweep = sweeps["flat_disk"]
-        d_center = nearest_boundary_distance(disk, sweep, np.array([0.0, 0.0]),
-                                             Tolerances())
-        assert d_center == pytest.approx(1.0, abs=1e-7)
-        # a mid-radius point on a swept geodesic
-        x = sweep.paths[0].position_at(0.5)
-        assert nearest_boundary_distance(disk, sweep, x, Tolerances()) == \
-            pytest.approx(0.5, abs=1e-7)
+        # the centre and a mid-radius point on a swept geodesic, in one call
+        queries = np.array([[0.0, 0.0], sweep.paths[0].position_at(0.5)])
+        estimates = nearest_boundary_distance(disk, sweep, queries, Tolerances())
+        assert estimates[0] == pytest.approx(1.0, abs=1e-7)
+        assert estimates[1] == pytest.approx(0.5, abs=1e-7)
+        # each query of the stack gets what it gets alone
+        for x, d in zip(queries, estimates):
+            assert nearest_boundary_distance(disk, sweep, x[None], Tolerances()) == [d]
 
 
 class TestFibers:
@@ -287,6 +288,15 @@ class TestSplitting:
             lat = -th + t
             circ = slice_circumference(specs["spherical_band"], t, n_side=64)
             assert abs(circ - 2.0 * np.pi * np.cos(lat)) <= 1e-5
+
+    def test_circumference_needs_every_launch_back(self):
+        # the ellipse's chords are 2 to 4 long, and scale_hint 0.05 ends the
+        # sweep at t_max = 2.5, so the launches near the major axis are lost
+        ellipse = dataclasses.replace(make_example("ellipse"), scale_hint=0.05)
+        sweep = first_return_map(ellipse, sample_boundary(ellipse, 16))
+        assert 0 < len(sweep.errors) < 16
+        with pytest.raises(RuntimeError, match="slice circumference sweep failed"):
+            slice_circumference(ellipse, 0.5, n_side=16)
 
 
 class TestSlices:
