@@ -11,7 +11,9 @@ teleporting the state.
 
 Every run integrates through ``lockstep_flows``, which steps a stack of
 states together: the launches of a sweep, or the Jacobi frames of the
-``jacobi`` analysis. ``integrate_flow`` integrates one state with
+``jacobi`` analysis. Its events are rows of stacked arrays too: which events
+a chunk watches, which fire in a step, and one root per fired event, found
+on the step polynomial. ``integrate_flow`` integrates one state with
 ``solve_ivp``; it is the one-state reference the tests compare
 ``lockstep_flows`` against, flow by flow and bit for bit.
 
@@ -28,8 +30,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 # solve_ivp's own pieces, so lockstep shooting takes the steps it takes
 from scipy.integrate._ivp.common import EPS, select_initial_step, validate_tol
-from scipy.integrate._ivp.ivp import find_active_events, handle_events, prepare_events
-from scipy.integrate._ivp.rk import RK45, RkDenseOutput
+from scipy.integrate._ivp.rk import RK45
 from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import (
@@ -64,7 +65,7 @@ class FlowResult:
 
     times: np.ndarray            # stitched sample times
     states: np.ndarray           # (k, len(y)) stitched samples
-    steps: tuple                 # RkDenseOutput (Q, y_old, t_old, h) of every step, stacked
+    steps: tuple                 # (Q, y_old, t_old, h) polynomial of every step, stacked
     status: str                  # "boundary" | "t_end"
     event_time: Optional[float]
     event_state: Optional[np.ndarray]
@@ -176,24 +177,24 @@ def _event_values(spec, Y, detect_boundary):
     return np.stack(columns, axis=1) if columns else np.empty((len(Y), 0))
 
 
-def _watched_events(spec, y, g, tags):
-    """Indices of the events a chunk that starts at state y, where the event
-    values are g, watches: all but the deck faces the trajectory is riding
-    (face ~ 0, no transversal motion)."""
+def _watched_events(spec, Y, G, tags):
+    """(m, k) flags of the events watched by chunks that start at the states Y
+    (m, N), where the event values are G (m, k): all but the deck faces a
+    trajectory is riding (face ~ 0, no transversal motion)."""
     n = spec.dimension
-    watched = []
+    watched = np.ones(G.shape, dtype=bool)
+    probe = Y[:, :n] + 1e-6 * spec.scale_hint * Y[:, n:2 * n]
     for k, (kind, deck) in enumerate(tags):
-        if kind == "deck" and abs(g[k]) < 1e-12:
-            probe = y[:n] + 1e-6 * spec.scale_hint * y[n:2 * n]
-            if abs(deck.face_value(probe) - g[k]) < 1e-10:
-                continue
-        watched.append(k)
-    return np.array(watched, dtype=np.intp)
+        if kind == "deck":
+            watched[:, k] = ~((np.abs(G[:, k]) < 1e-12)
+                              & (np.abs(deck.face_value(probe) - G[:, k]) < 1e-10))
+    return watched
 
 
 class _Chunks:
-    """What a flow keeps across its chunks: one chunk per ``solve_ivp`` call,
-    ended by t_end, a boundary return or a deck crossing."""
+    """A flow's record across its chunks, each ended by t_end, a boundary
+    return or a deck crossing: one ``solve_ivp`` call of ``integrate_flow``, or
+    the steps ``lockstep_flows`` takes between two ``open`` calls."""
 
     def __init__(self):
         self.times, self.states = [], []
@@ -201,41 +202,52 @@ class _Chunks:
         self.candidates: list[float] = []
         self.crossings: list[tuple[float, str]] = []
         self.nfev = self.n_steps = 0
+        self.result = self.error = None  # the flow, once ended, or why it failed
 
-    def add(self, spec, t, states, steps, tags, t_events, nfev, hidden, stopped):
+    def open(self, t, y):
+        """Open a lockstep chunk at time t and state y."""
+        self.ts, self.ys, self.chunk, self.grazes, self.hidden = [t], [y], [], [], []
+
+    def accept(self, piece, t, y, hides_dip, stopped):
+        """Take an accepted step of the open chunk as ``solve_ivp`` does: its
+        polynomial ``piece``, and (t, y), its end or the event that ``stopped``
+        it. A step that ends where the one before it did is dropped."""
+        self.chunk.append(piece)
+        if hides_dip and not stopped:
+            self.hidden.append(len(self.chunk) - 1)
+        if len(self.ts) > 1 and self.ts[-1] == t:
+            self.chunk.pop()
+        else:
+            self.ts.append(t)
+            self.ys.append(y)
+
+    def add(self, spec, t, states, steps, grazes, hidden, stopped):
         """Keep a chunk: its samples t (k,) and states, its k - 1 steps, and its
-        tangency candidates in time order. ``hidden`` indexes the steps that
-        may hide a dip of b (``_hides_dip``); ``stopped`` tells that a terminal
-        event cut the last step short, so its end values do not count."""
+        tangency candidates in time order, the roots ``grazes`` of db/dt and the
+        dips of the steps ``hidden`` indexes (``_hides_dip``); ``stopped`` tells
+        that a terminal event cut the last step short, so its end values do not
+        count."""
         self.times.append(t)
         self.states.append(states)
         self.steps.extend(steps)
-        self.nfev += nfev
         self.n_steps += len(t) - 1
-        candidates = [float(tg) for (kind, _), times in zip(tags, t_events)
-                      if kind == "graze" for tg in times]
+        candidates = [float(tg) for tg in grazes]
         candidates += _hidden_dips(spec, [steps[k] for k in hidden if k < len(steps) - stopped])
         self.candidates.extend(sorted(candidates))
 
-    def stop(self, spec, tags, t_events, y_events, vector_blocks):
-        """Deck crossed by a chunk that a terminal event stopped, and the state to
-        go on from; no deck (None) and the event state for a boundary return."""
+    def end(self, spec, fired, grazing_tol, vector_blocks):
+        """End the last chunk kept, at t_end (fired None) or at the terminal event
+        fired = (tag, state). Returns the time and state to go on from after a
+        deck crossing; otherwise None, and the flow is ``result``."""
         n = spec.dimension
-        t_stop = self.times[-1][-1]
-        fired = None
-        for idx, (kind, deck) in enumerate(tags):
-            if kind == "graze" or len(t_events[idx]) == 0:
-                continue
-            if abs(t_events[idx][-1] - t_stop) <= 1e-12 * max(1.0, abs(t_stop)):
-                fired = (kind, deck, idx)
-                break
+        t_stop = float(self.times[-1][-1])
         if fired is None:
-            raise RuntimeError(f"terminal event bookkeeping failed on {spec.name!r}")
-
-        kind, deck, idx = fired
-        y_stop = y_events[idx][-1].copy()
+            self.result = self.flow(spec, "t_end", None, None, grazing_tol)
+            return None
+        (kind, deck), y_stop = fired
         if kind == "boundary":
-            return None, y_stop
+            self.result = self.flow(spec, "boundary", t_stop, y_stop, grazing_tol)
+            return None
         if len(self.crossings) + 1 == MAX_CHUNKS:
             raise RuntimeError(f"too many deck crossings on {spec.name!r} (runaway trajectory?)")
 
@@ -248,8 +260,8 @@ class _Chunks:
             if offending is None:
                 break
             y_new = _apply_deck_to_state(offending, y_new, n, vector_blocks)
-        self.crossings.append((float(t_stop), deck.name))
-        return deck, y_new
+        self.crossings.append((t_stop, deck.name))
+        return t_stop, y_new
 
     def flow(self, spec, status, t_event, y_event, grazing_tol):
         """The flow of the chunks. A tangency candidate (a local minimum of b)
@@ -279,6 +291,49 @@ def _hides_dip(g0, g1):
     return (g0[1] * g1[1] > 0) & ((g1[0] - g0[0]) * g0[1] < 0)
 
 
+def _step_state(piece):
+    """The polynomial of one step, piece = (Q, y_old, t_old, h): the state (N,)
+    at a time, or the states (k, N) at the times of an array (k,)."""
+    # C-ordered, so both steppers' copies of a step give the same bits
+    step = [np.array(a, dtype=float, order="C")[None] for a in piece]
+
+    def state(t):
+        t = np.asarray(t, dtype=float)
+        return _dense_states(*step, t.reshape(-1)).reshape(t.shape + (-1,))
+
+    return state
+
+
+def _event_root(event, state, lo, hi):
+    """The time in [lo, hi] where ``event(t, state(t))`` vanishes on a step
+    polynomial ``state``, found as scipy's ``solve_event_equation`` finds it."""
+    return brentq(lambda t: event(t, state(t)), lo, hi, xtol=4 * EPS, rtol=4 * EPS)
+
+
+def _active_events(g, g_new, direction):
+    """(m, k) flags of the events whose values change sign from g to g_new
+    (m, k) in their direction, 1 or -1 each: row by row, the events scipy's
+    ``find_active_events`` finds (a value 0 at either end counts)."""
+    up = (g <= 0) & (g_new >= 0)
+    down = (g >= 0) & (g_new <= 0)
+    return np.where(direction > 0, up, down)
+
+
+def _kept_events(events, terminal, active, state, t_old, t):
+    """The events ``active`` (indices, ascending) that fire in a step from t_old
+    to t with polynomial ``state``, and their roots, as scipy's
+    ``handle_events`` keeps them: all of them where none is terminal, else in
+    time order up to the first terminal one. (A terminal event ends its chunk,
+    so it has reached its count exactly where it is active.)"""
+    roots = np.array([_event_root(events[e], state, t_old, t) for e in active])
+    if not terminal[active].any():
+        return active, roots
+    order = np.argsort(roots)
+    active, roots = active[order], roots[order]
+    stop = np.flatnonzero(terminal[active])[0] + 1
+    return active[:stop], roots[:stop]
+
+
 def _hidden_dips(spec, steps):
     """Times where b < 0 at the local minimum of b inside each step, sought on
     the step polynomial: the least b of ``DIP_SAMPLES`` + 1 even samples,
@@ -286,13 +341,12 @@ def _hidden_dips(spec, steps):
     n = spec.dimension
     dips = []
     for piece in steps:
-        # C-ordered, so both steppers' copies of a step give the same bits
-        step = [np.array(a, dtype=float, order="C")[None] for a in piece]
+        state = _step_state(piece)
 
         def b_at(t):
-            return spec.boundary.value(_dense_states(*step, np.atleast_1d(t))[:, :n])
+            return spec.boundary.value(state(np.atleast_1d(t))[:, :n])
 
-        ts = step[2][0] + step[3][0] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
+        ts = piece[2] + piece[3] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
         j = int(np.argmin(b_at(ts)))
         res = minimize_scalar(lambda t: b_at(t)[0], method="bounded",
                               bounds=(ts[max(j - 1, 0)], ts[min(j + 1, DIP_SAMPLES)]),
@@ -304,20 +358,15 @@ def _hidden_dips(spec, steps):
 
 def _cut_at_exit(flow, spec, t_dip):
     """The flow cut where b first vanishes on the step of the candidate t_dip,
-    between the step's start and t_dip, found on the step polynomial as scipy's
-    ``solve_event_equation`` finds an event."""
+    between the step's start and t_dip (``_event_root``)."""
     n = spec.dimension
-    step = flow._pieces(np.array([t_dip]))[:4]
-
-    def state(t):
-        return _dense_states(*step, np.array([t]))[0]
-
-    start = float(step[2][0])
+    piece = [a[0] for a in flow._pieces(np.array([t_dip]))[:4]]
+    state = _step_state(piece)
+    start = float(piece[2])
     if not spec.boundary.value(state(start)[:n]) > 0:
         # only a launch step starts on the boundary
         raise RuntimeError(f"geodesic leaves {spec.name!r} within its first step")
-    t_exit = brentq(lambda t: spec.boundary.value(state(t)[:n]), start, t_dip,
-                    xtol=4 * EPS, rtol=4 * EPS)
+    t_exit = _event_root(lambda t, y: spec.boundary.value(y[:n]), state, start, t_dip)
     y_exit = state(t_exit)
     kept = flow.times < t_exit
     return replace(flow, times=np.append(flow.times[kept], t_exit),
@@ -341,28 +390,32 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
     chunks = _Chunks()
     all_events, all_tags = _event_functions(spec, detect_boundary)
     while True:
-        watched = _watched_events(spec, y, [event(t, y) for event in all_events], all_tags)
+        watched = np.flatnonzero(_watched_events(
+            spec, y[None], _event_values(spec, y[None], detect_boundary), all_tags)[0])
         events = [all_events[k] for k in watched]
         tags = [all_tags[k] for k in watched]
         sol = solve_ivp(rhs, (t, t_end), y, method="RK45", events=events,
                         dense_output=True, rtol=rtol, atol=atol, max_step=max_step)
         if sol.status == -1:
             raise RuntimeError(f"integration failed on {spec.name!r}: {sol.message}")
-        hidden = []
+        hidden, grazes = [], []
         if detect_boundary:
             # b and db/dt at each sample, as the lockstep stepper has them
             g = [[event(t_, y_) for event in events[:2]] for t_, y_ in zip(sol.t, sol.y.T)]
             hidden = [k for k in range(len(g) - 1) if _hides_dip(g[k], g[k + 1])]
+            grazes = sol.t_events[1]
         # the one place scipy's interpolants are read
         chunks.add(spec, sol.t, sol.y.T,
                    [(p.Q, p.y_old, p.t_old, p.h) for p in sol.sol.interpolants],
-                   tags, sol.t_events, sol.nfev, hidden, sol.status == 1)
-        if sol.status == 0:
-            return chunks.flow(spec, "t_end", None, None, grazing_tol)
-        deck, y = chunks.stop(spec, tags, sol.t_events, sol.y_events, vector_blocks)
-        if deck is None:
-            return chunks.flow(spec, "boundary", float(sol.t[-1]), y, grazing_tol)
-        t = float(sol.t[-1])
+                   grazes, hidden, sol.status == 1)
+        chunks.nfev += sol.nfev
+        # a terminal event ends its chunk, so only the one that fired has a root
+        fired = next(((tag, y_e[-1].copy()) for tag, y_e in zip(tags, sol.y_events)
+                      if tag[0] != "graze" and len(y_e)), None)
+        restart = chunks.end(spec, fired, grazing_tol, vector_blocks)
+        if restart is None:
+            return chunks.result
+        t, y = restart
 
 
 # ---------------------------------------------------------------------------
@@ -405,86 +458,6 @@ def _step_factor(error_norm, rejected):
     return np.where(error_norm < 1, accepted, np.where(grow > _MIN_FACTOR, grow, _MIN_FACTOR))
 
 
-class _Launch:
-    """One geodesic of a lockstep sweep: what ``solve_ivp`` keeps for the chunk
-    it is in (events, samples, step table) and what ``integrate_flow`` keeps
-    across its chunks."""
-
-    def __init__(self):
-        self.chunks = _Chunks()
-        self.flow = None
-        self.error = None
-
-    def start(self, spec, rhs, t, y, f, g, events, tags, t_end, max_step, rtol, atol):
-        """Open a chunk at (t, y), where the right-hand side is f and the values
-        of the flow's event functions ``events`` are g; the chunk watches those
-        ``_watched_events`` gives. Returns the initial step size, from scipy's
-        ``select_initial_step``."""
-        self.watched = _watched_events(spec, y, g, tags)
-        self.events = [events[k] for k in self.watched]
-        self.tags = [tags[k] for k in self.watched]
-        _, self.max_events, _ = prepare_events(self.events)
-        self.event_count = np.zeros(len(self.events))
-        self.hidden = []  # steps that can hide a dip of b
-        self.t_events = [[] for _ in self.events]
-        self.y_events = [[] for _ in self.events]
-        self.ts, self.ys, self.steps = [t], [y], []
-        self.nfev = 1  # f
-
-        def fun(t_, y_):
-            self.nfev += 1
-            return rhs(t_, y_)
-
-        direction = np.sign(t_end - t) if t_end != t else 1
-        return select_initial_step(fun, t, y, t_end, max_step, f, direction,
-                                   RK45.error_estimator_order, rtol, atol)
-
-    def accept(self, t_old, t, y_old, y, Q, finished, hides_dip, active):
-        """Take one accepted step as ``solve_ivp`` does: interpolant, events,
-        sample. ``active`` holds the events ``find_active_events`` finds between
-        the event values at the step's ends, and ``hides_dip`` whether
-        ``_hides_dip`` holds for them (never where no boundary is watched). Returns the chunk's status: None while it
-        runs, 0 at t_end and 1 where a terminal event stopped it."""
-        self.steps.append((Q, y_old, t_old, t - t_old))
-        status = 0 if finished else None
-        if active.size > 0:
-            sol = RkDenseOutput(t_old, t, y_old, Q)
-            self.event_count[active] += 1
-            root_indices, roots, terminate = handle_events(
-                sol, self.events, active, self.event_count, self.max_events, t_old, t)
-            for e, te in zip(root_indices, roots):
-                self.t_events[e].append(te)
-                self.y_events[e].append(sol(te))
-            if terminate:
-                status = 1
-                t = roots[-1]
-                y = sol(t)
-        if status != 1 and hides_dip:
-            self.hidden.append(len(self.steps) - 1)
-        if len(self.ts) > 1 and self.ts[-1] == t:
-            self.steps.pop()
-        else:
-            self.ts.append(t)
-            self.ys.append(y)
-        return status
-
-    def close(self, spec, status, grazing_tol, vector_blocks):
-        """End the chunk; returns the time and state a deck crossing restarts
-        from, else None."""
-        ts = np.array(self.ts)
-        self.chunks.add(spec, ts, np.vstack(self.ys), self.steps, self.tags, self.t_events,
-                        self.nfev, self.hidden, status == 1)
-        if status == 0:
-            self.flow = self.chunks.flow(spec, "t_end", None, None, grazing_tol)
-            return None
-        deck, y = self.chunks.stop(spec, self.tags, self.t_events, self.y_events,
-                                   vector_blocks)
-        if deck is None:
-            self.flow = self.chunks.flow(spec, "boundary", float(ts[-1]), y, grazing_tol)
-            return None
-        return float(ts[-1]), y
-
-
 def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, grazing_tol=GRAZING_TOL):
     """Flows of ``rhs`` from the states y0 (m, N), integrated together up to
@@ -512,25 +485,33 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     rtol, atol = validate_tol(rtol, atol, N)
 
     # the flows' event functions, their values at each flow's last step end
-    # (G), and the place of each among the events the flow's chunk watches
-    # (slot; -1 for one it does not watch)
+    # (G), and the events each flow's chunk watches (W)
     events, tags = _event_functions(spec, detect_boundary)
-    direction = np.array([event.direction for event in events], dtype=float)
-    slot = np.full((m, len(events)), -1)
-    launches = [_Launch() for _ in range(m)]
+    direction = np.array([event.direction for event in events])
+    terminal = np.array([event.terminal for event in events], dtype=bool)
+    records = [_Chunks() for _ in range(m)]
     T = np.zeros(m)
     F = rhs(None, Y)
     G = _event_values(spec, Y, detect_boundary)
+    W = _watched_events(spec, Y, G, tags)
     H = np.empty(m)
 
     def start(i, t):
-        """Open a chunk of flow i at time t and state Y[i], where F[i] and G[i]
-        hold the right-hand side and the event values."""
-        launch = launches[i]
-        H[i] = launch.start(spec, rhs, t, Y[i].copy(), F[i], G[i], events, tags, T_end[i],
-                            max_step, rtol, atol)
-        slot[i] = -1
-        slot[i, launch.watched] = np.arange(len(launch.watched))
+        """Open a chunk of flow i at time t and state Y[i], where F[i] holds the
+        right-hand side, and take its initial step size from scipy's
+        ``select_initial_step``."""
+        record = records[i]
+        y = Y[i].copy()
+        record.open(t, y)
+        record.nfev += 1  # F[i]
+
+        def fun(t_, y_):
+            record.nfev += 1
+            return rhs(t_, y_)
+
+        sign = np.sign(T_end[i] - t) if T_end[i] != t else 1
+        H[i] = select_initial_step(fun, t, y, T_end[i], max_step, F[i], sign,
+                                   RK45.error_estimator_order, rtol, atol)
 
     for i in range(m):
         start(i, 0.0)
@@ -552,7 +533,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
             fresh[new] = False
         too_small = H[run] < min_step[run]
         for i in run[too_small]:
-            launches[i].error = RuntimeError(
+            records[i].error = RuntimeError(
                 f"integration failed on {spec.name!r}: {RK45.TOO_SMALL_STEP}")
         run = run[~too_small]
         if not run.size:
@@ -572,53 +553,61 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
             continue
 
         acc = run[ok]
-        t, t_new, y, y_new = t[ok], t_new[ok], y[ok], y_new[ok]
+        t, t_new, h, y, y_new = t[ok], t_new[ok], h[ok], y[ok], y_new[ok]
         T[acc] = t_new
         Y[acc] = y_new
         F[acc] = K[ok, -1]
         fresh[acc] = True
         Q = np.matmul(K[ok].swapaxes(1, 2), RK45.P)
         # the events of every accepted geodesic at its step end, and the
-        # watched ones find_active_events finds, in one call each
+        # watched ones that fire in its step
         g, g_new = G[acc], _event_values(spec, y_new, detect_boundary)
         G[acc] = g_new
         hides_dip = _hides_dip(g.T, g_new.T) if detect_boundary else np.zeros(len(acc), bool)
-        rows, columns = np.divmod(
-            find_active_events(g.ravel(), g_new.ravel(), np.tile(direction, len(acc))),
-            len(events))
-        fired = {}
-        for j, e in zip(rows, slot[acc[rows], columns]):
-            if e >= 0:
-                fired.setdefault(j, []).append(e)
+        active = _active_events(g, g_new, direction) & W[acc]
         finished = t_new - T_end[acc] >= 0
         done = []
         for j, i in enumerate(acc):
-            launch = launches[i]
-            status = launch.accept(t[j], t_new[j], y[j], y_new[j], Q[j], finished[j],
-                                   hides_dip[j], np.array(fired.get(j, ()), dtype=np.intp))
-            if status is None:
+            record = records[i]
+            piece = (Q[j], y[j], t[j], h[j])
+            t_j, y_j, fired = t_new[j], y_new[j], None
+            if active[j].any():
+                state = _step_state(piece)
+                kept, roots = _kept_events(events, terminal, np.flatnonzero(active[j]),
+                                           state, t[j], t_new[j])
+                if terminal[kept[-1]]:
+                    # the terminal event ends the chunk, at its own state
+                    t_j = roots[-1]
+                    y_j = state(t_j)
+                    fired = (tags[kept[-1]], y_j)
+                record.grazes.extend(roots[~terminal[kept]])
+            record.accept(piece, t_j, y_j, hides_dip[j], fired is not None)
+            if fired is None and not finished[j]:
                 continue
-            launch.nfev += _STAGES * int(attempts[i])
+            record.nfev += _STAGES * int(attempts[i])
             attempts[i] = 0
             try:
-                restart = launch.close(spec, status, grazing_tol, vector_blocks)
+                record.add(spec, np.array(record.ts), np.vstack(record.ys), record.chunk,
+                           record.grazes, record.hidden, fired is not None)
+                restart = record.end(spec, fired, grazing_tol, vector_blocks)
             except RuntimeError as exc:
-                launch.error = exc
+                record.error = exc
                 restart = None
             if restart is None:
                 done.append(i)
                 continue
-            t_start, y_start = restart
-            T[i], Y[i], F[i] = t_start, y_start, rhs(t_start, y_start)
-            G[i] = _event_values(spec, y_start[None], detect_boundary)[0]
-            start(i, t_start)
+            T[i], Y[i] = restart
+            F[i] = rhs(T[i], Y[i])
+            G[i] = _event_values(spec, Y[i:i + 1], detect_boundary)[0]
+            W[i] = _watched_events(spec, Y[i:i + 1], G[i:i + 1], tags)[0]
+            start(i, T[i])
         if done:
             run = np.setdiff1d(run, done)
 
-    for launch in launches:
-        if launch.error is not None:
-            raise launch.error
-    return [launch.flow for launch in launches]
+    for record in records:
+        if record.error is not None:
+            raise record.error
+    return [record.result for record in records]
 
 
 def _apply_deck_to_state(deck, y, n, vector_blocks):

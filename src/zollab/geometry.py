@@ -456,16 +456,22 @@ def curvature_operator_raw(metric: MetricField, x, v, gamma=None):
 def inward_unit_normal(spec: ManifoldSpec, p):
     """Unit inward-pointing normal at a boundary point (n,), or the (m, n)
     stack of them at a stack of points: the metric gradient of b over its
-    g-norm, with one metric evaluation. Where the gradient vanishes it raises
-    ``ValueError`` naming the point; in a stack, the first such point."""
+    g-norm, with one metric evaluation. Where g(grad, grad) < 0 (the metric is
+    not positive definite) or the gradient vanishes it raises ``ValueError``
+    naming the point; in a stack, the first such point."""
     p = np.asarray(p, dtype=float)
+    points = p.reshape(-1, p.shape[-1])
     g = spec.metric.matrix(p)
     grad = np.linalg.solve(g, spec.boundary.gradient(p)[..., None])[..., 0]
-    nrm = metric_norm(g, grad)
+    sq = metric_inner(g, grad, grad)
+    if np.any(sq < 0):
+        raise ValueError(f"metric of {spec.name!r} is not positive definite at "
+                         f"{points[np.argmax(sq < 0)]}")
+    nrm = np.sqrt(sq)
     vanishes = nrm <= 1e-12
     if np.any(vanishes):
         raise ValueError(f"boundary gradient vanishes at "
-                         f"{p.reshape(-1, p.shape[-1])[np.argmax(vanishes)]} (not a regular value)")
+                         f"{points[np.argmax(vanishes)]} (not a regular value)")
     return grad / nrm[..., None]
 
 

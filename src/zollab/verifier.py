@@ -32,6 +32,7 @@ from .engine import (
 from .geometry import (
     ManifoldSpec,
     QuotientCloud,
+    _norm,
     boundary_tangent_basis,
     metric_inner,
     metric_norm,
@@ -203,12 +204,24 @@ class SoulCloud:
     distance_residual: float      # worst | dist-to-boundary - L | over spot checks
 
 
+def _neighbourhoods(cloud, k):
+    """Each point of a cloud with its k nearest others by quotient distance, as
+    the (m, k + 1, n) images of them nearest to the point, and the pairwise
+    distances (m, m)."""
+    D = cloud.pairwise()
+    m = len(cloud)
+    own = np.arange(m)[:, None]
+    order = np.argsort(D, axis=1)
+    others = order[order != own].reshape(m, m - 1)[:, :k]
+    return cloud.nearest_image(cloud.points[:, None], np.concatenate([own, others], axis=1)), D
+
+
 def _local_pca(coords, rel, floor):
-    centered = coords - coords.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    if s.size == 0 or s[0] < floor:
-        return 0, s
-    return int(np.sum(s > rel * s[0])), s
+    """Singular values of each centred neighbourhood of a stack (m, k + 1, d),
+    and its local dimension: the count of them above rel times the largest,
+    0 where the largest is below floor."""
+    s = np.linalg.svd(coords - coords.mean(axis=-2, keepdims=True), compute_uv=False)
+    return np.where(s[:, 0] < floor, 0, np.sum(s > rel * s[:, :1], axis=1)), s
 
 
 def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances, n_distance_checks=8,
@@ -221,26 +234,17 @@ def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances, n_distan
     mids, labels = clusters or midpoint_clusters(spec, sweep, tol)
     reps = np.array([mids[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
 
-    spectra = []
     if len(reps) == 1:
-        local_dims = [0]
+        local_dims, spectra = [0], []
         d_hat = 0
         diameter = float(np.max(np.linalg.norm(mids - reps[0], axis=1))) if len(mids) else 0.0
     else:
         if len(reps) < SOUL_NEIGHBORS + 1:
             raise ValueError(f"undersampled soul: {len(reps)} distinct midpoints "
                              f"< k+1 = {SOUL_NEIGHBORS + 1}")
-        cloud = QuotientCloud(spec, reps)
-        D = cloud.pairwise()
-        floor = tol.pca_floor_rel * L
-        local_dims = []
-        for i, p in enumerate(reps):
-            order = np.argsort(D[i])
-            neigh = [i] + [int(j) for j in order if j != i][:SOUL_NEIGHBORS]
-            coords = cloud.nearest_image(p, neigh)
-            dim, s = _local_pca(coords, tol.pca_rel, floor)
-            local_dims.append(dim)
-            spectra.append(s)
+        images, D = _neighbourhoods(QuotientCloud(spec, reps), SOUL_NEIGHBORS)
+        dims, s = _local_pca(images, tol.pca_rel, tol.pca_floor_rel * L)
+        local_dims, spectra = dims.tolist(), list(s)
         d_hat = int(round(float(np.median(local_dims))))
         diameter = float(D.max())
 
@@ -343,8 +347,7 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
         dst = np.array([j for pair in pairs for j in pair[::-1]], dtype=int)
         launches = np.array([p.launch_point for p in paths])[dst]
         images = QuotientCloud(spec, [p.arrival_point for p in paths]).nearest_image(launches, src)
-        partner_residual = max((float(np.linalg.norm(y - p)) for y, p in zip(images, launches)),
-                               default=0.0)
+        partner_residual = float(np.max(_norm(images - launches), initial=0.0))
         nontrivial, used_walk = _covering_nontrivial(spec, sweep, labels, components)
         return FiberSummary("two-fold-cover", sizes, partner_residual, nontrivial,
                             used_walk, None, int(n_clusters), diagnostics)
@@ -359,16 +362,11 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
             continue
         pts = np.array([paths[i].launch_point for i in members])
         kf = min(max(index + 2, len(members) // 8), 12, len(members) - 1)
-        cloud = QuotientCloud(spec, pts)
-        D = cloud.pairwise()
-        cluster_dims = []
-        for a, p in enumerate(pts):
-            order = np.argsort(D[a])
-            neigh = [a] + [int(b) for b in order if b != a][:kf]
-            to_tangent = boundary_tangent_basis(spec, p) @ spec.metric.matrix(p)
-            coords = np.array([to_tangent @ (y - p) for y in cloud.nearest_image(p, neigh)])
-            cluster_dims.append(_local_pca(coords, tol.pca_rel, floor)[0])
-        dims.append(int(round(float(np.median(cluster_dims)))))
+        images, _ = _neighbourhoods(QuotientCloud(spec, pts), kf)
+        to_tangent = np.array([boundary_tangent_basis(spec, p) @ g
+                               for p, g in zip(pts, spec.metric.matrix(pts))])
+        coords = np.matmul(to_tangent[:, None], (images - pts[:, None])[..., None])[..., 0]
+        dims.append(int(round(float(np.median(_local_pca(coords, tol.pca_rel, floor)[0])))))
     fiber_dim = int(round(float(np.median(dims)))) if dims else None
     return FiberSummary("sphere-bundle", sizes, None, None, False, fiber_dim,
                         int(n_clusters), diagnostics)
@@ -413,21 +411,18 @@ class SplittingResult:
     n_launches: int
 
 
-def _structured_sweep(spec: ManifoldSpec, n_side, tol: Tolerances):
-    """Launch grids with known neighbor structure, per boundary patch."""
-    sweeps = []
-    for pid, patch in enumerate(spec.boundary_patches):
-        d = patch.param_dim
-        if d == 0:
-            continue
-        shape = (n_side,) * d
-        params = _uniform_grid(n_side ** d, d)
-        pts = patch.points(params)
-        ls = LaunchSet(pts, np.full(len(pts), pid), [u.copy() for u in params], "uniform")
-        sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol,
-                                 grazing_tol=tol.grazing)
-        sweeps.append((patch, shape, sweep))
-    return sweeps
+def _structured_sweep(spec: ManifoldSpec, pid, n_side, tol: Tolerances, check):
+    """The sweep of a uniform grid of n_side ** d launches on boundary patch
+    ``pid`` (of dimension d >= 1), its paths in the C order of the grid; the
+    ``check`` that needs every launch back fails where one does not return."""
+    patch = spec.boundary_patches[pid]
+    params = _uniform_grid(n_side ** patch.param_dim, patch.param_dim)
+    pts = patch.points(params)
+    ls = LaunchSet(pts, np.full(len(pts), pid), [u.copy() for u in params], "uniform")
+    sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol, grazing_tol=tol.grazing)
+    if len(sweep.paths) != len(pts):
+        raise RuntimeError(f"{check} sweep failed on {spec.name!r}")
+    return sweep
 
 
 def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
@@ -442,14 +437,15 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
     tol = tol or Tolerances()
     if t_fracs is None:
         t_fracs = [0.05, 0.2, 0.4, 0.6, 0.8, 0.95]
-    sweeps = _structured_sweep(spec, n_side, tol)
     n = spec.dimension
     unit_res = 0.0
     cross_res = 0.0
     n_launch = 0
-    for patch, shape, sweep in sweeps:
-        if len(sweep.paths) != int(np.prod(shape)):
-            raise RuntimeError(f"splitting sweep failed on {spec.name!r}")
+    for pid, patch in enumerate(spec.boundary_patches):
+        if patch.param_dim == 0:
+            continue
+        shape = (n_side,) * patch.param_dim
+        sweep = _structured_sweep(spec, pid, n_side, tol, "splitting")
         n_launch += len(sweep.paths)
         L = sweep.half_length
         periodic = patch.axis_periodic()
@@ -489,15 +485,9 @@ def slice_circumference(spec: ManifoldSpec, t, n_side=64, tol: Optional[Toleranc
     """Length of the image of the first boundary patch at flow parameter t, from
     a grid of ``n_side`` launches that must all return."""
     tol = tol or Tolerances()
-    patch = spec.boundary_patches[0]
-    if patch.param_dim != 1:
+    if spec.boundary_patches[0].param_dim != 1:
         raise ValueError("slice circumference needs a one-parameter boundary patch")
-    params = _uniform_grid(n_side, 1)
-    pts = patch.points(params)
-    ls = LaunchSet(pts, np.zeros(len(pts), dtype=int), [u.copy() for u in params], "uniform")
-    sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol, grazing_tol=tol.grazing)
-    if len(sweep.paths) != n_side:
-        raise RuntimeError(f"slice circumference sweep failed on {spec.name!r}")
+    sweep = _structured_sweep(spec, 0, n_side, tol, "slice circumference")
     du = 1.0 / n_side
     x = sweep.states_at(t)[:, :spec.dimension]
     slice_t = QuotientCloud(spec, x)

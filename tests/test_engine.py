@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp.ivp import find_active_events, handle_events, prepare_events
+from scipy.integrate._ivp.rk import RkDenseOutput
 from scipy.optimize import brentq
 
 import zollab.engine
@@ -17,6 +19,10 @@ from zollab.engine import (
     GRAZING_TOL,
     LaunchSet,
     NoReturnError,
+    _active_events,
+    _event_functions,
+    _kept_events,
+    _step_state,
     arrival_orthogonality,
     first_return_map,
     geodesic_rhs,
@@ -553,6 +559,58 @@ def test_lockstep_flows_bit_equal_to_integrate_flow(name):
     if name.startswith("concentric_annulus"):
         # flows cut at a hole crossing were integrated past it
         assert sum(f.n_steps > len(f.steps[0]) for f in flows) == 32
+
+
+def test_active_events_are_find_active_events(rng):
+    # value pairs with exact zeros of both signs, and NaN, in every direction
+    values = np.array([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0, np.nan])
+    g, g_new = rng.choice(values, size=(2, 500, 6))
+    direction = np.array([-1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    active = _active_events(g, g_new, direction)
+    assert active.shape == g.shape
+    for row, a, b in zip(active, g, g_new):
+        assert np.flatnonzero(row).tobytes() == find_active_events(a, b, direction).tobytes()
+
+
+def test_kept_events_are_handle_events(rng):
+    # random step polynomials near the corner of flat_band where the bottom
+    # boundary (hit, graze) meets the face wrap-: on every step with two or
+    # more active events, the kept events, their roots and the stop state are
+    # those of handle_events on the step's RkDenseOutput
+    spec = make_example("flat_band")
+    events, tags = _event_functions(spec, True)
+    direction = np.array([event.direction for event in events], dtype=float)
+    terminal = np.array([event.terminal for event in events], dtype=bool)
+    _, max_events, _ = prepare_events(events)
+    seen = set()
+    for _ in range(600):
+        y_old = np.concatenate([rng.uniform(0.0, 0.2, 2), rng.normal(size=2)])
+        Q = rng.normal(scale=0.5, size=(4, 4))
+        t_old = rng.uniform(0.0, 5.0)
+        t = t_old + rng.uniform(0.05, 0.5)
+        sol = RkDenseOutput(t_old, t, y_old, Q)
+        g = np.array([event(t_old, y_old) for event in events])
+        g_new = np.array([event(t, sol(t)) for event in events])
+        want = find_active_events(g, g_new, direction)
+        if want.size < 2:
+            continue
+        # a chunk's terminal events have not fired before: each counts once
+        count = np.zeros(len(events))
+        count[want] += 1
+        want_kept, want_roots, terminate = handle_events(
+            sol, events, want, count, max_events, t_old, t)
+        state = _step_state((Q, y_old, t_old, t - t_old))
+        kept, roots = _kept_events(events, terminal, np.flatnonzero(
+            _active_events(g, g_new, direction)), state, t_old, t)
+        assert kept.tobytes() == want_kept.tobytes()
+        assert roots.tobytes() == np.asarray(want_roots).tobytes()
+        assert terminal[kept[-1]] == terminate
+        if terminate:
+            assert state(roots[-1]).tobytes() == sol(want_roots[-1]).tobytes()
+        seen.add(tuple(tags[e][0] for e in want))
+    # terminal plus graze, two terminal, and all three
+    assert {("boundary", "graze"), ("boundary", "deck"), ("graze", "deck"),
+            ("boundary", "graze", "deck")} <= seen
 
 
 @pytest.mark.parametrize("name", ["euclidean_ball", "flat_moebius"])

@@ -14,6 +14,8 @@ from zollab.geometry import (
     inward_unit_normal,
     second_fundamental_form,
 )
+from zollab.manifest import expression_boundary, load_manifold
+from zollab.verifier import certify
 
 
 def deck_isometry_residual(spec, deck, x):
@@ -181,6 +183,30 @@ class TestNormalsAndDecks:
                 g = spec.metric.matrix(p)
                 assert abs(nu @ g @ nu - 1.0) < 1e-12
                 assert spec.boundary.gradient(p) @ nu > 0.0
+
+    def test_indefinite_metric_is_named(self):
+        # a disk of radius 2 whose metric g11 = 1 - x0**2/2 is indefinite on
+        # part of the rim: the sweep stops at the first launch point there,
+        # blaming the metric, not the boundary
+        spec = load_manifold({"inline": {
+            "name": "indefinite-rim", "dimension": 2,
+            "metric": {"kind": "expression", "entries": [["1 - x0**2/2", "0"], ["0", "1"]]},
+            "boundary": {"expression": "(4 - x0**2 - x1**2)/4"},
+            "domain": {"lo": [-3.0, -3.0], "hi": [3.0, 3.0]},
+            "boundary_patches": [{"name": "rim", "dim": 1, "periodic": [True],
+                                  "point": ["2*cos(2*pi*u0)", "2*sin(2*pi*u0)"]}],
+            "scale_hint": 2.0}})
+        with pytest.raises(ValueError, match=r"^metric of 'indefinite-rim' is not positive "
+                                             r"definite at \[1\.99759091 0\.09813535\]$"):
+            certify(spec, 64)
+
+    def test_vanishing_gradient_is_named(self):
+        spec = ManifoldSpec("cone", MetricField.from_matrix(2, lambda x: np.eye(2)),
+                            expression_boundary("1 - x0**2 - x1**2", 2),
+                            np.array([[-2.0, 2.0]] * 2))
+        points = np.array([[0.6, 0.8], [0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^boundary gradient vanishes at \[0\. 0\.\] "):
+            inward_unit_normal(spec, points)
 
     @pytest.mark.parametrize("key", ["flat_band", "flat_moebius", "solid_torus"])
     def test_deck_isometry_and_inverse(self, key, specs, rng):

@@ -16,6 +16,7 @@ from zollab.catalog import make_example, stereographic_sphere_metric
 from zollab.engine import (
     _event_functions,
     _event_values,
+    _watched_events,
     first_return_map,
     geodesic_rhs,
     integrate_flow,
@@ -174,17 +175,41 @@ def test_inline_boundary_stacks(key, rng):
                          ids=[f"{n}{p or ''}" for n, p in CATALOG_CASES])
 def test_event_values_are_the_event_functions(name, params, rng):
     # each row of the stacked event values holds the bytes of the event
-    # functions solve_ivp and handle_events call at its state
+    # functions solve_ivp and _event_root call at its state, and each row of
+    # the watched flags those of its one-row call
     spec = make_example(name, **params)
     n = spec.dimension
-    points = rng.uniform(spec.domain[:, 0], spec.domain[:, 1], size=(24, n))
+    Y = np.concatenate([rng.uniform(spec.domain[:, 0], spec.domain[:, 1], size=(24, n)),
+                        rng.normal(size=(24, n))], axis=1)
+    riding = []
+    for deck in spec.deck_maps:
+        # states on the face: riding it (no velocity across it), leaving it,
+        # and 1e-13 from it
+        at = Y[:8].copy()
+        axis = int(np.argmax([abs(deck.face_value(at[0, :n] + e) - deck.face_value(at[0, :n]))
+                              for e in np.eye(n)]))
+        slope = deck.face_value(at[0, :n] + np.eye(n)[axis]) - deck.face_value(at[0, :n])
+        at[:, axis] -= deck.face_value(at[:, :n]) / slope
+        at[:4, n + axis] = 0.0
+        at[6:, axis] += 1e-13 / slope
+        riding.append(at)
+    Y = np.concatenate([Y] + riding)
     for detect_boundary in (True, False):
-        Y = np.concatenate([points, rng.normal(size=(24, n))], axis=1)
-        events, _ = _event_functions(spec, detect_boundary)
+        events, tags = _event_functions(spec, detect_boundary)
         values = _event_values(spec, Y, detect_boundary)
-        assert values.shape == (24, len(events))
+        assert values.shape == (len(Y), len(events))
         for y, row in zip(Y, values):
             assert row.tobytes() == np.array([event(0.0, y) for event in events]).tobytes()
+        watched = _watched_events(spec, Y, values, tags)
+        assert watched.shape == values.shape
+        for k in range(len(Y)):
+            assert (watched[k].tobytes()
+                    == _watched_events(spec, Y[k:k + 1], values[k:k + 1], tags)[0].tobytes())
+        faces = [k for k, (kind, _) in enumerate(tags) if kind == "deck"]
+        for d, k in enumerate(faces):
+            # each face is unwatched exactly by the states that ride it
+            rows = slice(24 + 8 * d, 32 + 8 * d)
+            assert watched[rows, k].tolist() == [False] * 4 + [True] * 4
 
 
 def test_from_matrix_kernels_stack(rng):
