@@ -8,7 +8,9 @@ Verbs:
 
 Exit codes: 0 = verdict matches the example's ground truth (certified, or
 refuted where the annotation says non-Zoll); 1 = contradiction with the
-ground truth or a failed check; 2 = usage error.
+ground truth or a failed check; 2 = usage error; 3 = the run failed (the
+chart is not a Riemannian chart where the run reached, or the integration
+failed), with no verdict.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from .catalog import CATALOG, ExampleParameterError, catalog_names, example_manifest
-from .engine import sweep_to_csv, sweep_to_json
+from .engine import IntegrationError, sweep_to_csv, sweep_to_json
+from .geometry import ChartError
 from .manifest import ManifestError, RunManifest, load_manifold
 from .verifier import LaunchCountError, Tolerances, annotation_checks, certify
 
@@ -30,6 +33,7 @@ from .verifier import LaunchCountError, Tolerances, annotation_checks, certify
 from .jacobi import assemble_index_form, index_form_spectrum, integrate_jacobi_frame  # noqa: F401
 from .verifier import build_soul  # noqa: F401
 
+RUN_FAILED = 3
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
@@ -64,6 +68,9 @@ def _run_spec(spec, manifest: RunManifest, analyses, out_dir, quiet):
     except LaunchCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR, None
+    except (ChartError, IntegrationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return RUN_FAILED, None
 
     # None defers to the manifest; an empty string suppresses artifacts
     out = manifest.out_dir if out_dir is None else out_dir
@@ -226,7 +233,7 @@ def theorem_matrix(manifests, out_dir=None, quiet=False):
             return USAGE_ERROR, []
         code, report = _run_spec(spec, m, ("all",), "", True)
         if report is None:
-            return USAGE_ERROR, []
+            return code, []
         rows = theorem_rows(report, spec, Tolerances(**report.tolerances))
         all_rows.extend(rows)
         if not quiet:

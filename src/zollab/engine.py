@@ -12,8 +12,9 @@ teleporting the state.
 Every run integrates through ``lockstep_flows``, which steps a stack of
 states together: the launches of a sweep, or the Jacobi frames of the
 ``jacobi`` analysis. Its events are rows of stacked arrays too: which events
-a chunk watches, which fire in a step, and one root per fired event, found
-on the step polynomial. ``integrate_flow`` integrates one state with
+a chunk watches, which fire in a step, and the roots of every fired event of
+an iteration, found together on the step polynomials by the stacked
+``brentq`` of ``zollab.scalar``. ``integrate_flow`` integrates one state with
 ``solve_ivp``; it is the one-state reference the tests compare
 ``lockstep_flows`` against, flow by flow and bit for bit.
 
@@ -24,6 +25,7 @@ that does not return keeps only its index and error message.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,7 +33,6 @@ from scipy.integrate import solve_ivp
 # solve_ivp's own pieces, so lockstep shooting takes the steps it takes
 from scipy.integrate._ivp.common import EPS, select_initial_step, validate_tol
 from scipy.integrate._ivp.rk import RK45
-from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import (
     ManifoldSpec,
@@ -42,6 +43,7 @@ from .geometry import (
     row_dot,
     scalar_pow,
 )
+from .scalar import brentq, minimize_bounded, require
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -54,8 +56,38 @@ class NoReturnError(RuntimeError):
     """Raised when a geodesic fails to return to the boundary before t_max."""
 
 
+class IntegrationError(RuntimeError):
+    """Raised when the integrator cannot step a flow on (its step size falls
+    below the spacing of the floating-point numbers at its time)."""
+
+
 # ---------------------------------------------------------------------------
 # chunked event-driven integration
+
+class _FlowTable:
+    """The step tables of flows, concatenated: the states of many flows, each
+    at its own time, read with one ``_dense_states`` call."""
+
+    def __init__(self, flows):
+        self.steps = tuple(map(np.concatenate, zip(*(flow.steps for flow in flows))))
+        counts = [len(flow.steps[2]) for flow in flows]
+        self.first = np.cumsum([0] + counts[:-1])
+        # each flow's step start times, padded with inf
+        self.starts = np.full((len(flows), max(counts, default=0)), np.inf)
+        for k, flow in enumerate(flows):
+            self.starts[k, :counts[k]] = flow.steps[2]
+        self.t_first = np.array([flow.times[0] for flow in flows])
+        self.t_last = np.array([flow.times[-1] for flow in flows])
+
+    def states(self, flows, t):
+        """(k, N) state of flow ``flows[i]`` at t[i], for the index and time
+        arrays (k,); row i is bit-equal to ``state_at(t[i])`` of its flow, whose
+        step it takes as ``FlowResult._pieces`` does."""
+        t = np.minimum(np.maximum(t, self.t_first[flows]), self.t_last[flows])
+        before = np.sum(self.starts[flows] < t[:, None], axis=1)
+        step = self.first[flows] + np.maximum(before - 1, 0)
+        return _dense_states(*(a[step] for a in self.steps), t)
+
 
 @dataclass
 class FlowResult:
@@ -133,23 +165,23 @@ def geodesic_rhs(spec: ManifoldSpec):
 
 
 def _event_functions(spec, detect_boundary):
-    """Event functions of a flow at one state, and their tags: b and db/dt
-    where boundary returns are detected, then every deck face. They are the
-    columns of ``_event_values``, in its order."""
+    """Event functions of a flow and their tags: b and db/dt where boundary
+    returns are detected, then every deck face. Each takes a state (N,) or a
+    stack of states (m, N), each row bit-equal to its state alone."""
     n = spec.dimension
     boundary = spec.boundary
     events = []
     tags = []
     if detect_boundary:
         def hit(t_, y_):
-            return boundary.value(y_[:n])
+            return boundary.value(y_[..., :n])
         hit.terminal = True
         hit.direction = -1
         events.append(hit)
         tags.append(("boundary", None))
 
         def graze(t_, y_):
-            return float(boundary.gradient(y_[:n]) @ y_[n:2 * n])
+            return row_dot(boundary.gradient(y_[..., :n]), y_[..., n:2 * n])
         graze.terminal = False
         graze.direction = 1
         events.append(graze)
@@ -157,7 +189,7 @@ def _event_functions(spec, detect_boundary):
 
     for deck in spec.deck_maps:
         def face_ev(t_, y_, _d=deck):
-            return _d.face_value(y_[:n])
+            return _d.face_value(y_[..., :n])
         face_ev.terminal = True
         face_ev.direction = -1
         events.append(face_ev)
@@ -168,12 +200,7 @@ def _event_functions(spec, detect_boundary):
 def _event_values(spec, Y, detect_boundary):
     """(m, k) values of the k ``_event_functions`` at the states Y (m, N), one
     stacked call per function; row i is bit for bit the functions at Y[i]."""
-    n = spec.dimension
-    X = Y[:, :n]
-    columns = []
-    if detect_boundary:
-        columns += [spec.boundary.value(X), row_dot(spec.boundary.gradient(X), Y[:, n:2 * n])]
-    columns += [deck.face_value(X) for deck in spec.deck_maps]
+    columns = [event(None, Y) for event in _event_functions(spec, detect_boundary)[0]]
     return np.stack(columns, axis=1) if columns else np.empty((len(Y), 0))
 
 
@@ -292,22 +319,40 @@ def _hides_dip(g0, g1):
 
 
 def _step_state(piece):
-    """The polynomial of one step, piece = (Q, y_old, t_old, h): the state (N,)
-    at a time, or the states (k, N) at the times of an array (k,)."""
+    """The polynomials of steps, piece = (Q, y_old, t_old, h) of one step or
+    of a stack of them (a leading axis on each): ``state(t, rows)``, the
+    states (k, N) at the times t (k,) on the steps ``rows`` (k,) of the stack,
+    or the state (N,) at a time; ``rows`` defaults to the first step."""
     # C-ordered, so both steppers' copies of a step give the same bits
-    step = [np.array(a, dtype=float, order="C")[None] for a in piece]
+    step = [np.array(a, dtype=float, order="C") for a in piece]
+    if step[2].ndim == 0:
+        step = [a[None] for a in step]
 
-    def state(t):
+    def state(t, rows=0):
         t = np.asarray(t, dtype=float)
-        return _dense_states(*step, t.reshape(-1)).reshape(t.shape + (-1,))
+        rows = np.broadcast_to(rows, t.shape).reshape(-1)
+        return _dense_states(*(a[rows] for a in step), t.reshape(-1)).reshape(t.shape + (-1,))
 
     return state
 
 
-def _event_root(event, state, lo, hi):
-    """The time in [lo, hi] where ``event(t, state(t))`` vanishes on a step
-    polynomial ``state``, found as scipy's ``solve_event_equation`` finds it."""
-    return brentq(lambda t: event(t, state(t)), lo, hi, xtol=4 * EPS, rtol=4 * EPS)
+def _event_roots(events, active, state, lo, hi, rows=0):
+    """Row i: the time in [lo[i], hi[i]] where ``events[active[i]]`` vanishes
+    on the step ``rows[i]`` of ``state`` (``_step_state``), found as scipy's
+    ``solve_event_equation`` finds it (``brentq``, xtol = rtol = 4 eps), for
+    every row at once; each event is evaluated on its rows' states together."""
+    active = np.asarray(active)
+    lo, hi, rows = (np.broadcast_to(v, active.shape) for v in (lo, hi, rows))
+
+    def f(t, i):
+        y = state(t, rows[i])
+        values = np.empty(len(i))
+        for e in np.unique(active[i]):
+            on = active[i] == e
+            values[on] = events[e](None, y[on])
+        return values
+
+    return require(*brentq(f, lo, hi, xtol=4 * EPS, rtol=4 * EPS))
 
 
 def _active_events(g, g_new, direction):
@@ -319,13 +364,12 @@ def _active_events(g, g_new, direction):
     return np.where(direction > 0, up, down)
 
 
-def _kept_events(events, terminal, active, state, t_old, t):
-    """The events ``active`` (indices, ascending) that fire in a step from t_old
-    to t with polynomial ``state``, and their roots, as scipy's
-    ``handle_events`` keeps them: all of them where none is terminal, else in
-    time order up to the first terminal one. (A terminal event ends its chunk,
-    so it has reached its count exactly where it is active.)"""
-    roots = np.array([_event_root(events[e], state, t_old, t) for e in active])
+def _first_terminal(terminal, active, roots):
+    """The events ``active`` (indices, ascending) that fire in one step, with
+    their ``roots``, as scipy's ``handle_events`` keeps them: all of them where
+    none is terminal, else in time order up to the first terminal one. (A
+    terminal event ends its chunk, so it has reached its count exactly where
+    it is active.)"""
     if not terminal[active].any():
         return active, roots
     order = np.argsort(roots)
@@ -334,31 +378,42 @@ def _kept_events(events, terminal, active, state, t_old, t):
     return active[:stop], roots[:stop]
 
 
+def _kept_events(events, terminal, active, state, t_old, t):
+    """The events ``active`` that fire in a step from t_old to t with
+    polynomial ``state``, and their roots, as scipy's ``handle_events`` keeps
+    them: ``_event_roots`` on the step, then ``_first_terminal``."""
+    return _first_terminal(terminal, active, _event_roots(events, active, state, t_old, t))
+
+
 def _hidden_dips(spec, steps):
     """Times where b < 0 at the local minimum of b inside each step, sought on
     the step polynomial: the least b of ``DIP_SAMPLES`` + 1 even samples,
-    refined by bounded Brent between the samples next to it."""
+    refined by bounded Brent (``minimize_bounded``) between the samples next
+    to it; every step at once."""
+    if not steps:
+        return []
     n = spec.dimension
-    dips = []
-    for piece in steps:
-        state = _step_state(piece)
+    stack = tuple(map(np.array, zip(*steps)))
+    state = _step_state(stack)
 
-        def b_at(t):
-            return spec.boundary.value(state(np.atleast_1d(t))[:, :n])
+    def b_at(t, rows):
+        return spec.boundary.value(state(t, rows)[:, :n])
 
-        ts = piece[2] + piece[3] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
-        j = int(np.argmin(b_at(ts)))
-        res = minimize_scalar(lambda t: b_at(t)[0], method="bounded",
-                              bounds=(ts[max(j - 1, 0)], ts[min(j + 1, DIP_SAMPLES)]),
-                              options={"xatol": 4 * EPS * max(1.0, ts[-1])})
-        if res.fun < 0:
-            dips.append(float(res.x))
-    return dips
+    m = len(steps)
+    ts = stack[2][:, None] + stack[3][:, None] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
+    j = np.argmin(b_at(ts.ravel(), np.repeat(np.arange(m), DIP_SAMPLES + 1)).reshape(ts.shape),
+                  axis=1)
+    every = np.arange(m)
+    end = ts[:, -1]
+    x, fun = minimize_bounded(b_at, ts[every, np.maximum(j - 1, 0)],
+                              ts[every, np.minimum(j + 1, DIP_SAMPLES)],
+                              xatol=4 * EPS * np.where(end > 1.0, end, 1.0))
+    return x[fun < 0].tolist()
 
 
 def _cut_at_exit(flow, spec, t_dip):
     """The flow cut where b first vanishes on the step of the candidate t_dip,
-    between the step's start and t_dip (``_event_root``)."""
+    between the step's start and t_dip, found as an event's root is."""
     n = spec.dimension
     piece = [a[0] for a in flow._pieces(np.array([t_dip]))[:4]]
     state = _step_state(piece)
@@ -366,7 +421,8 @@ def _cut_at_exit(flow, spec, t_dip):
     if not spec.boundary.value(state(start)[:n]) > 0:
         # only a launch step starts on the boundary
         raise RuntimeError(f"geodesic leaves {spec.name!r} within its first step")
-    t_exit = _event_root(lambda t, y: spec.boundary.value(y[:n]), state, start, t_dip)
+    hit = _event_functions(spec, True)[0][0]
+    t_exit = float(_event_roots([hit], [0], state, start, t_dip)[0])
     y_exit = state(t_exit)
     kept = flow.times < t_exit
     return replace(flow, times=np.append(flow.times[kept], t_exit),
@@ -397,7 +453,7 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
         sol = solve_ivp(rhs, (t, t_end), y, method="RK45", events=events,
                         dense_output=True, rtol=rtol, atol=atol, max_step=max_step)
         if sol.status == -1:
-            raise RuntimeError(f"integration failed on {spec.name!r}: {sol.message}")
+            raise IntegrationError(f"integration failed on {spec.name!r}: {sol.message}")
         hidden, grazes = [], []
         if detect_boundary:
             # b and db/dt at each sample, as the lockstep stepper has them
@@ -533,7 +589,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
             fresh[new] = False
         too_small = H[run] < min_step[run]
         for i in run[too_small]:
-            records[i].error = RuntimeError(
+            records[i].error = IntegrationError(
                 f"integration failed on {spec.name!r}: {RK45.TOO_SMALL_STEP}")
         run = run[~too_small]
         if not run.size:
@@ -566,21 +622,28 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         hides_dip = _hides_dip(g.T, g_new.T) if detect_boundary else np.zeros(len(acc), bool)
         active = _active_events(g, g_new, direction) & W[acc]
         finished = t_new - T_end[acc] >= 0
+        # the roots of every fired (geodesic, event) pair, found together
+        steps = (Q, y, t, h)
+        fired_row, fired_event = np.nonzero(active)
+        if fired_row.size:
+            state = _step_state(steps)
+            roots = _event_roots(events, fired_event, state, t[fired_row], t_new[fired_row],
+                                 fired_row)
+        bounds = np.searchsorted(fired_row, np.arange(len(acc) + 1))
         done = []
         for j, i in enumerate(acc):
             record = records[i]
-            piece = (Q[j], y[j], t[j], h[j])
+            piece = tuple(a[j] for a in steps)
             t_j, y_j, fired = t_new[j], y_new[j], None
-            if active[j].any():
-                state = _step_state(piece)
-                kept, roots = _kept_events(events, terminal, np.flatnonzero(active[j]),
-                                           state, t[j], t_new[j])
+            if bounds[j] < bounds[j + 1]:
+                own = slice(bounds[j], bounds[j + 1])
+                kept, own_roots = _first_terminal(terminal, fired_event[own], roots[own])
                 if terminal[kept[-1]]:
                     # the terminal event ends the chunk, at its own state
-                    t_j = roots[-1]
-                    y_j = state(t_j)
+                    t_j = own_roots[-1]
+                    y_j = state(t_j, j)
                     fired = (tags[kept[-1]], y_j)
-                record.grazes.extend(roots[~terminal[kept]])
+                record.grazes.extend(own_roots[~terminal[kept]])
             record.accept(piece, t_j, y_j, hides_dip[j], fired is not None)
             if fired is None and not finished[j]:
                 continue
@@ -829,14 +892,18 @@ class SweepResult:
         rt = self.return_times
         return float(rt.mean() / 2.0) if rt.size else None
 
-    def states_at(self, t):
-        """(m, 2n) position and velocity of each returned geodesic at t, a time or
-        one time per returned launch; row i is bit-equal to its own ``state_at``."""
-        times = np.broadcast_to(np.asarray(t, dtype=float), (len(self.paths),))
-        parts = [p.flow._pieces(tp.reshape(1)) for p, tp in zip(self.paths, times)]
-        if not parts:
+    @cached_property
+    def _table(self):
+        return _FlowTable([p.flow for p in self.paths])
+
+    def states_at(self, t, paths=None):
+        """(k, 2n) position and velocity of the returned geodesics of the index
+        array ``paths`` (k,), every one by default, at t, a time or one time
+        per geodesic; row i is bit-equal to its own ``state_at``."""
+        if not self.paths:
             return np.empty((0, 2 * self.spec.dimension))
-        return _dense_states(*map(np.concatenate, zip(*parts)))
+        paths = np.arange(len(self.paths)) if paths is None else np.asarray(paths)
+        return self._table.states(paths, np.broadcast_to(np.asarray(t, dtype=float), paths.shape))
 
     @property
     def midpoints(self):

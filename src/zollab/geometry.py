@@ -16,7 +16,12 @@ from numpy.linalg import _umath_linalg
 BOUNDARY_EPS = 1e-12
 
 
-class DegenerateMetricError(ValueError):
+class ChartError(ValueError):
+    """Raised where a chart is not a Riemannian chart: its metric is not
+    positive definite at a point a run reaches."""
+
+
+class DegenerateMetricError(ChartError):
     """Raised when the metric matrix is singular at a queried point."""
 
 
@@ -371,16 +376,25 @@ def metric_norm(g_matrix, u):
 
 
 def gram_schmidt(g_matrix, vectors):
-    """g-orthonormalize the rows of ``vectors`` (discarding dependent ones)."""
+    """g-orthonormalize the rows of ``vectors`` (k, n) at a point, discarding
+    dependent ones; or, for stacks g (m, n, n) and vectors (m, k, n), the rows
+    of each set at once, each set's (k, n) rows bit-equal to its point's, with
+    a dependent row left as zeros."""
+    vectors = np.asarray(vectors, dtype=float)
+    vectors = vectors.reshape((1,) * (3 - vectors.ndim) + vectors.shape)
     out = []
-    for v in np.atleast_2d(np.asarray(vectors, dtype=float)):
-        w = v.copy()
+    for k in range(vectors.shape[-2]):
+        w = vectors[..., k, :].copy()
         for e in out:
-            w -= metric_inner(g_matrix, w, e) * e
-        nw = metric_norm(g_matrix, w)
-        if nw > 1e-12:
-            out.append(w / nw)
-    return np.array(out)
+            w -= metric_inner(g_matrix, w, e)[..., None] * e
+        nw = metric_norm(g_matrix, w)[..., None]
+        kept = nw > 1e-12
+        out.append(np.divide(w, nw, out=np.zeros_like(w), where=kept))
+    basis = np.stack(out, axis=-2)
+    if np.ndim(g_matrix) == 2:
+        basis = basis[0]
+        return basis[np.any(basis != 0, axis=-1)]
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +471,20 @@ def inward_unit_normal(spec: ManifoldSpec, p):
     """Unit inward-pointing normal at a boundary point (n,), or the (m, n)
     stack of them at a stack of points: the metric gradient of b over its
     g-norm, with one metric evaluation. Where g(grad, grad) < 0 (the metric is
-    not positive definite) or the gradient vanishes it raises ``ValueError``
-    naming the point; in a stack, the first such point."""
+    not positive definite) it raises ``ChartError``, and where the gradient
+    vanishes ``ValueError``, naming the point; in a stack, the first such
+    point."""
     p = np.asarray(p, dtype=float)
+    return _unit_normal(spec, p, spec.metric.matrix(p))
+
+
+def _unit_normal(spec: ManifoldSpec, p, g):
+    """``inward_unit_normal`` at p, where the metric is g."""
     points = p.reshape(-1, p.shape[-1])
-    g = spec.metric.matrix(p)
     grad = np.linalg.solve(g, spec.boundary.gradient(p)[..., None])[..., 0]
     sq = metric_inner(g, grad, grad)
     if np.any(sq < 0):
-        raise ValueError(f"metric of {spec.name!r} is not positive definite at "
+        raise ChartError(f"metric of {spec.name!r} is not positive definite at "
                          f"{points[np.argmax(sq < 0)]}")
     nrm = np.sqrt(sq)
     vanishes = nrm <= 1e-12
@@ -497,19 +516,21 @@ def second_fundamental_form(spec: ManifoldSpec, p):
 
 
 def boundary_tangent_basis(spec: ManifoldSpec, p):
-    """g-orthonormal basis of the boundary tangent space at p, rows (n-1, n)."""
+    """g-orthonormal basis of the boundary tangent space at p, rows (n-1, n);
+    or the (m, n-1, n) stack of them at a stack of points (m, n), each bit-equal
+    to its point's, with one metric evaluation."""
     p = np.asarray(p, dtype=float)
     g = spec.metric.matrix(p)
-    nu = inward_unit_normal(spec, p)
+    nu = _unit_normal(spec, p, g)
     n = spec.dimension
-    candidates = np.eye(n)
     # drop the chart direction most aligned with the normal, project the rest
-    scores = np.abs(g @ nu)
-    order = np.argsort(scores)[::-1]
-    kept = candidates[order[1:]]
-    tang = kept - np.outer(kept @ g @ nu, nu)
-    basis = gram_schmidt(g, tang)
-    if basis.shape[0] != n - 1:
-        raise ValueError(f"failed to build boundary tangent basis at {p}")
+    scores = np.abs((g @ nu[..., None])[..., 0])
+    kept = np.eye(n)[np.argsort(scores, axis=-1)[..., ::-1][..., 1:]]
+    along = (kept @ g @ nu[..., None])[..., 0]
+    basis = gram_schmidt(g, kept - along[..., :, None] * nu[..., None, :])
+    dependent = ~np.all(np.any(basis != 0, axis=-1), axis=-1) | (basis.shape[-2] != n - 1)
+    if np.any(dependent):
+        raise ValueError(f"failed to build boundary tangent basis at "
+                         f"{p.reshape(-1, n)[np.argmax(dependent)]}")
     return basis
 

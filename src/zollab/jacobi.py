@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cython_lapack, lapack
-from scipy.optimize import brentq, minimize_scalar
 
 from .engine import (
     DEFAULT_ATOL,
@@ -35,6 +34,7 @@ from .geometry import (
     metric_inner,
     second_fundamental_form,
 )
+from .scalar import CONVERGED, brentq, minimize_bounded
 
 RANK_DROP_TOL = 1e-7
 FOCAL_SCAN = 512               # sample parameters of the focal scan
@@ -240,25 +240,26 @@ def focal_instants(frame: JacobiFrame) -> FocalRecord:
         if smin[i] <= smin[i - 1] and smin[i] <= smin[i + 1] and smin[i] < gate * smax[i]:
             candidates.append((i - 1, i + 1, "min"))
 
-    refined = []
-    for lo, hi, kind in candidates:
-        a, b = ts[lo], ts[hi]
-        t_star = None
-        if kind == "det" and np.sign(dets[lo]) != np.sign(dets[hi]) and dets[lo] != 0.0:
-            try:
-                t_star = brentq(lambda t: np.linalg.det(_scaled_block(frame, t)), a, b,
-                                xtol=1e-13 * R, maxiter=200)
-            except (RuntimeError, ValueError):
-                t_star = None  # flat high-multiplicity zero; fall through
-        if t_star is None:
-            res = minimize_scalar(
-                lambda t: np.linalg.svd(_scaled_block(frame, t), compute_uv=False)[-1] ** 2,
-                bounds=(a, b), method="bounded",
-                options={"xatol": 1e-13 * R})
-            t_star = float(res.x)
-        s = np.linalg.svd(_scaled_block(frame, t_star), compute_uv=False)
-        if s[-1] < RANK_DROP_TOL * s[0]:
-            refined.append((t_star, s))
+    # each candidate refined in its bracket: by the root of det where det
+    # changes sign across it, else (or where brentq fails on a flat
+    # high-multiplicity zero) by the least singular value; all together
+    if not candidates:
+        return FocalRecord()
+    lo, hi, kind = (np.array(c) for c in zip(*candidates))
+    a, b = ts[lo], ts[hi]
+    t_star = np.full(len(a), np.nan)
+    det = np.flatnonzero((kind == "det") & (np.sign(dets[lo]) != np.sign(dets[hi]))
+                         & (dets[lo] != 0.0))
+    roots, flag = brentq(lambda t, rows: np.linalg.det(_scaled_block(frame, t)),
+                         a[det], b[det], xtol=1e-13 * R, maxiter=200)
+    t_star[det] = np.where(flag == CONVERGED, roots, np.nan)
+    rest = np.flatnonzero(np.isnan(t_star))
+    t_star[rest] = minimize_bounded(
+        lambda t, rows: np.linalg.svd(_scaled_block(frame, t), compute_uv=False)[:, -1] ** 2,
+        a[rest], b[rest], xatol=1e-13 * R)[0]
+    singular = np.linalg.svd(_scaled_block(frame, t_star), compute_uv=False)
+    refined = [(float(t), s) for t, s in zip(t_star, singular)
+               if s[-1] < RANK_DROP_TOL * s[0]]
 
     refined.sort(key=lambda item: item[0])
     merged = []

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -45,6 +44,7 @@ from .jacobi import (
     morse_index_focal,
     morse_indices_quadratic,
 )
+from .scalar import minimize_bounded
 
 ALL_ANALYSES = ("certify", "jacobi", "soul", "fibers", "splitting", "slices")
 MIN_LAUNCHES = 32
@@ -264,34 +264,45 @@ def nearest_boundary_distance(spec: ManifoldSpec, sweep: SweepResult, points,
     Every point of a certified manifold lies on boundary-orthogonal geodesics
     and the minimizers to the boundary are among them, so the estimate is the
     smallest arc-length parameter at which a swept geodesic passes through it.
+    Each (query, path) pair whose nearest sample passes the coarse filter is
+    refined by a bounded minimization of the chart distance from the path to
+    the query image nearest that sample; all such pairs are minimized together.
     """
     paths = sweep.paths
-    best = [None] * len(points)
     if not paths:
-        return best
+        return [None] * len(points)
+    n = spec.dimension
     L = sweep.half_length
     pass_tol = tol.passage_rel * L
     cloud = QuotientCloud(spec, points)
-    ends = np.cumsum([len(path.times) for path in paths])
-    dists = cloud.distances(np.concatenate([path.points for path in paths]))
-    for i, dist in enumerate(dists):
-        for path, d in zip(paths, np.split(dist, ends[:-1])):
-            j = int(np.argmin(d))
-            coarse = d[j]
-            if coarse > 20.0 * pass_tol and coarse > 0.05 * L:
-                continue
-            t_coarse = path.times[j]
-            img_best = cloud.nearest_image(path.points[j], i)
-            lo = max(0.0, t_coarse - 0.1 * L)
-            hi = min(path.return_time, t_coarse + 0.1 * L)
-            res = minimize_scalar(
-                lambda t: float(np.linalg.norm(path.position_at(t) - img_best)),
-                bounds=(lo, hi), method="bounded", options={"xatol": 1e-12 * L})
-            if res.fun < pass_tol:
-                t_star = float(res.x)
-                cand = min(t_star, path.return_time - t_star)
-                best[i] = cand if best[i] is None else min(best[i], cand)
-    return best
+    lengths = [len(path.times) for path in paths]
+    starts = np.cumsum([0] + lengths[:-1])
+    times = np.concatenate([path.times for path in paths])
+    samples = np.concatenate([path.points for path in paths])
+    dists = cloud.distances(samples)
+    # each path's nearest sample to each query (the first, as np.argmin takes it)
+    coarse = np.minimum.reduceat(dists, starts, axis=1)
+    at_min = np.where(dists == np.repeat(coarse, lengths, axis=1), np.arange(len(times)),
+                      len(times))
+    nearest = np.minimum.reduceat(at_min, starts, axis=1)
+    query, path = np.nonzero(~((coarse > 20.0 * pass_tol) & (coarse > 0.05 * L)))
+    j = nearest[query, path]
+    image = cloud.nearest_image(samples[j], query)
+    # max(0, .) and min(return time, .) as Python's max and min take them
+    return_time = sweep.return_times[path]
+    lo, hi = times[j] - 0.1 * L, times[j] + 0.1 * L
+    lo, hi = np.where(lo > 0.0, lo, 0.0), np.where(hi < return_time, hi, return_time)
+
+    def distance(t, rows):
+        return _norm(sweep.states_at(t, path[rows])[:, :n] - image[rows])
+
+    t_star, d_star = minimize_bounded(distance, lo, hi, xatol=1e-12 * L)
+    passes = d_star < pass_tol
+    rest = return_time - t_star
+    estimate = np.where(rest < t_star, rest, t_star)
+    best = np.full(len(cloud), np.inf)
+    np.minimum.at(best, query[passes], estimate[passes])
+    return [float(b) if np.isfinite(b) else None for b in best]
 
 
 def soul_dimension_check(cloud: SoulCloud, dimension, index):
@@ -355,17 +366,19 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
     # index > 0: per-cluster dimension from tangent-projected local PCA
     dims = []
     floor = tol.pca_floor_rel * L
+    launches = np.array([path.launch_point for path in paths])
+    # the boundary tangent coframe (basis times g) at every launch, in one call
+    to_tangent = boundary_tangent_basis(spec, launches) @ spec.metric.matrix(launches)
     for c in range(n_clusters):
         members = np.flatnonzero(labels == c)
         if len(members) < index + 2:
             diagnostics.append(f"cluster {c} too small ({len(members)}) to estimate dimension")
             continue
-        pts = np.array([paths[i].launch_point for i in members])
+        pts = launches[members]
         kf = min(max(index + 2, len(members) // 8), 12, len(members) - 1)
         images, _ = _neighbourhoods(QuotientCloud(spec, pts), kf)
-        to_tangent = np.array([boundary_tangent_basis(spec, p) @ g
-                               for p, g in zip(pts, spec.metric.matrix(pts))])
-        coords = np.matmul(to_tangent[:, None], (images - pts[:, None])[..., None])[..., 0]
+        coords = np.matmul(to_tangent[members][:, None],
+                           (images - pts[:, None])[..., None])[..., 0]
         dims.append(int(round(float(np.median(_local_pca(coords, tol.pca_rel, floor)[0])))))
     fiber_dim = int(round(float(np.median(dims)))) if dims else None
     return FiberSummary("sphere-bundle", sizes, None, None, False, fiber_dim,

@@ -213,6 +213,33 @@ class TestCLI:
     def test_unknown_example_usage_error(self):
         assert main(["certify", "--example", "wormhole"]) == 2
 
+    @pytest.mark.parametrize("g11,message", [
+        # indefinite on part of the rim: the launch normals name the metric
+        ("1 - x0**2/2", "error: metric of 'radius-2-disk' is not positive definite at "
+                        "[1.99759091 0.09813535]"),
+        # definite near the rim, indefinite at the centre: the flows cannot step on
+        ("1 - 3*exp(-4*(x0**2 + x1**2))/2", "error: integration failed on 'radius-2-disk'"),
+    ])
+    def test_chart_and_integration_failures_exit_run_failed(self, g11, message, tmp_path,
+                                                            capsys):
+        # a disk of radius 2 whose metric is not positive definite everywhere
+        # the geodesics go: one error line, exit 3 (not CHECK_FAILED), no report
+        doc = {"inline": {
+            "name": "radius-2-disk", "dimension": 2,
+            "metric": {"kind": "expression", "entries": [[g11, "0"], ["0", "1"]]},
+            "boundary": {"expression": "(4 - x0**2 - x1**2)/4"},
+            "domain": {"lo": [-3.0, -3.0], "hi": [3.0, 3.0]},
+            "boundary_patches": [{"name": "rim", "dim": 1, "periodic": [True],
+                                  "point": ["2*cos(2*pi*u0)", "2*sin(2*pi*u0)"]}],
+            "scale_hint": 2.0}}
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"manifold": doc, "launches": 64,
+                                     "out_dir": str(tmp_path / "out")}))
+        assert main(["certify", "--manifest", str(mpath)]) == zollab.cli.RUN_FAILED == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("params,message", [
         ({"radius": -1.0}, "radius must be > 0"),
         ({"diameter": 2.0}, "unknown parameters ['diameter']"),

@@ -28,6 +28,7 @@ from zollab.geometry import (
     DegenerateMetricError,
     ManifoldSpec,
     MetricField,
+    boundary_tangent_basis,
     christoffel_raw,
     curvature_operator_raw,
     inward_unit_normal,
@@ -135,6 +136,7 @@ def boundary_kernels(spec, rng, points):
     v = rng.normal(size=points.shape)
     return ([(boundary.value, (points,)), (boundary.gradient, (points,)), (along, (points, v)),
              (lambda x: inward_unit_normal(spec, x), (points,)),
+             (lambda x: boundary_tangent_basis(spec, x), (points,)),
              (lambda x: project_to_boundary(spec, x), (points,)),
              (boundary.on_boundary, (points,))]
             + [(deck.face_value, (points,)) for deck in spec.deck_maps]
@@ -335,6 +337,12 @@ def test_sweep_states_stack(rng):
     mids = sweep.midpoints
     for path, row in zip(sweep.paths, mids):
         assert row.tobytes() == path.position_at(path.return_time / 2.0).tobytes()
+    # any geodesics, repeated, at times inside and outside their flows
+    paths = rng.integers(len(sweep.paths), size=200)
+    times = rng.uniform(-0.5, 3.0, 200)
+    times[:20] = [sweep.paths[i].flow.steps[2][1] for i in paths[:20]]  # step starts
+    for i, t, row in zip(paths, times, sweep.states_at(times, paths)):
+        assert row.tobytes() == sweep.paths[i].flow.state_at(t).tobytes()
 
 
 def test_inline_cap_stacks_match_along_a_geodesic():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import zollab.engine
 import zollab.verifier as verifier
 from zollab.catalog import make_example
 from zollab.engine import first_return_map, sample_boundary
@@ -211,6 +212,36 @@ class TestSoul:
         # each query of the stack gets what it gets alone
         for x, d in zip(queries, estimates):
             assert nearest_boundary_distance(disk, sweep, x[None], Tolerances()) == [d]
+
+    def test_nearest_boundary_distance_reads_all_pairs_together(self, specs, sweeps,
+                                                                monkeypatch):
+        # every diameter of the 3-ball passes its centre, so each query within
+        # the passage tolerance of it pairs with every swept geodesic; the
+        # pairs are minimized together, so the step tables are read once per
+        # solver iteration, not once per pair
+        ball = specs["euclidean_ball3"]
+        sweep = sweeps["euclidean_ball3"]
+        queries = np.linspace(0.0, 2e-5, 8)[:, None] * np.ones(3)
+        reads, evaluations, pairs = [], [], []
+        dense_states = zollab.engine._dense_states
+        minimize_bounded = verifier.minimize_bounded
+
+        def counted_reads(*args):
+            reads.append(len(args[-1]))
+            return dense_states(*args)
+
+        def counted_minimize(f, lo, hi, **kwargs):
+            pairs.append(len(lo))
+            return minimize_bounded(lambda t, rows: evaluations.append(1) or f(t, rows),
+                                    lo, hi, **kwargs)
+
+        monkeypatch.setattr(zollab.engine, "_dense_states", counted_reads)
+        monkeypatch.setattr(verifier, "minimize_bounded", counted_minimize)
+        estimates = nearest_boundary_distance(ball, sweep, queries, Tolerances())
+        assert pairs == [8 * len(sweep.paths)]
+        assert len(reads) <= len(evaluations) + 2 < pairs[0] / 8
+        assert estimates[0] == pytest.approx(1.0, abs=1e-7)
+        assert estimates == pytest.approx([1.0] * 8, abs=1e-4)
 
 
 class TestFibers:
