@@ -11,12 +11,15 @@ teleporting the state.
 
 Every run integrates through ``lockstep_flows``, which steps a stack of
 states together: the launches of a sweep, or the Jacobi frames of the
-``jacobi`` analysis. Its events are rows of stacked arrays too: which events
-a chunk watches, which fire in a step, and the roots of every fired event of
-an iteration, found together on the step polynomials by the stacked
-``brentq`` of ``zollab.scalar``. ``integrate_flow`` integrates one state with
+``jacobi`` analysis. Everything it does is done on stacks: the steps and
+initial steps of scipy's RK45; which events a chunk watches and which fire
+in a step; the roots of every fired event of an iteration, found together on
+the step polynomials by the stacked ``brentq`` of ``zollab.scalar``; and its
+record of the chunks, a log of arrays appended once per iteration and
+sorted into chunks at the end. ``integrate_flow`` integrates one state with
 ``solve_ivp``; it is the one-state reference the tests compare
-``lockstep_flows`` against, flow by flow and bit for bit.
+``lockstep_flows`` against, flow by flow and bit for bit, and shares the
+chunk record ``_Chunks`` with it.
 
 A sweep (``first_return_map``) keeps one record per returned geodesic, its
 ``GeodesicPath``, which reads everything it reports off its flow; a launch
@@ -31,7 +34,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 # solve_ivp's own pieces, so lockstep shooting takes the steps it takes
-from scipy.integrate._ivp.common import EPS, select_initial_step, validate_tol
+from scipy.integrate._ivp.common import EPS, validate_tol
 from scipy.integrate._ivp.rk import RK45
 
 from .geometry import (
@@ -57,8 +60,10 @@ class NoReturnError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrator cannot step a flow on (its step size falls
-    below the spacing of the floating-point numbers at its time)."""
+    """Raised when a flow cannot be integrated on: its step size falls below
+    the spacing of the floating-point numbers at its time, it crosses deck
+    faces ``MAX_CHUNKS`` times, or it is found outside M where its chunk
+    started."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,62 +226,42 @@ def _watched_events(spec, Y, G, tags):
 class _Chunks:
     """A flow's record across its chunks, each ended by t_end, a boundary
     return or a deck crossing: one ``solve_ivp`` call of ``integrate_flow``, or
-    the steps ``lockstep_flows`` takes between two ``open`` calls."""
+    one chunk of the step log of ``lockstep_flows`` (``_StepLog``)."""
 
     def __init__(self):
         self.times, self.states = [], []
-        self.steps: list[tuple] = []  # (Q, y_old, t_old, h) of each step
+        self.steps: list[tuple] = []  # (Q, y_old, t_old, h) of each chunk's steps, stacked
         self.candidates: list[float] = []
         self.crossings: list[tuple[float, str]] = []
         self.nfev = self.n_steps = 0
-        self.result = self.error = None  # the flow, once ended, or why it failed
+        self.ending = None            # (status, event time, event state) of the last chunk
+        self.error = None             # why the flow failed, if it did
 
-    def open(self, t, y):
-        """Open a lockstep chunk at time t and state y."""
-        self.ts, self.ys, self.chunk, self.grazes, self.hidden = [t], [y], [], [], []
-
-    def accept(self, piece, t, y, hides_dip, stopped):
-        """Take an accepted step of the open chunk as ``solve_ivp`` does: its
-        polynomial ``piece``, and (t, y), its end or the event that ``stopped``
-        it. A step that ends where the one before it did is dropped."""
-        self.chunk.append(piece)
-        if hides_dip and not stopped:
-            self.hidden.append(len(self.chunk) - 1)
-        if len(self.ts) > 1 and self.ts[-1] == t:
-            self.chunk.pop()
-        else:
-            self.ts.append(t)
-            self.ys.append(y)
-
-    def add(self, spec, t, states, steps, grazes, hidden, stopped):
+    def add(self, t, states, steps, candidates):
         """Keep a chunk: its samples t (k,) and states, its k - 1 steps, and its
-        tangency candidates in time order, the roots ``grazes`` of db/dt and the
-        dips of the steps ``hidden`` indexes (``_hides_dip``); ``stopped`` tells
-        that a terminal event cut the last step short, so its end values do not
-        count."""
+        tangency candidates, the roots of db/dt and the dips ``_hidden_dips``
+        found in it, which are kept in time order."""
         self.times.append(t)
         self.states.append(states)
-        self.steps.extend(steps)
+        self.steps.append(steps)
         self.n_steps += len(t) - 1
-        candidates = [float(tg) for tg in grazes]
-        candidates += _hidden_dips(spec, [steps[k] for k in hidden if k < len(steps) - stopped])
         self.candidates.extend(sorted(candidates))
 
-    def end(self, spec, fired, grazing_tol, vector_blocks):
-        """End the last chunk kept, at t_end (fired None) or at the terminal event
+    def end(self, spec, t_stop, fired, vector_blocks):
+        """End a chunk at t_stop, at t_end (fired None) or at the terminal event
         fired = (tag, state). Returns the time and state to go on from after a
-        deck crossing; otherwise None, and the flow is ``result``."""
+        deck crossing; otherwise None, and the flow is ``flow``."""
         n = spec.dimension
-        t_stop = float(self.times[-1][-1])
         if fired is None:
-            self.result = self.flow(spec, "t_end", None, None, grazing_tol)
+            self.ending = ("t_end", None, None)
             return None
         (kind, deck), y_stop = fired
         if kind == "boundary":
-            self.result = self.flow(spec, "boundary", t_stop, y_stop, grazing_tol)
+            self.ending = ("boundary", t_stop, y_stop)
             return None
         if len(self.crossings) + 1 == MAX_CHUNKS:
-            raise RuntimeError(f"too many deck crossings on {spec.name!r} (runaway trajectory?)")
+            raise IntegrationError(f"too many deck crossings on {spec.name!r} "
+                                   "(runaway trajectory?)")
 
         # deck exit: teleport the state and continue; corner exits may need
         # a second application, transported the same way
@@ -290,14 +275,15 @@ class _Chunks:
         self.crossings.append((t_stop, deck.name))
         return t_stop, y_new
 
-    def flow(self, spec, status, t_event, y_event, grazing_tol):
-        """The flow of the chunks. A tangency candidate (a local minimum of b)
-        is grazing where |b| < grazing_tol. The first where b < 0 proves that
-        the flow left M inside its step, and ends it there: its samples, steps,
-        deck crossings and grazing times stop at the exit, a boundary return."""
+    def flow(self, spec, grazing_tol):
+        """The flow of the chunks, once one has ended it. A tangency candidate
+        (a local minimum of b) is grazing where |b| < grazing_tol. The first
+        where b < 0 proves that the flow left M inside its step, and ends it
+        there: its samples, steps, deck crossings and grazing times stop at the
+        exit, a boundary return."""
         n = spec.dimension
         flow = FlowResult(np.concatenate(self.times), np.vstack(self.states),
-                          tuple(map(np.array, zip(*self.steps))), status, t_event, y_event,
+                          tuple(map(np.concatenate, zip(*self.steps))), *self.ending,
                           [], self.crossings, self.nfev, self.n_steps)
         if not self.candidates:
             return flow
@@ -365,42 +351,33 @@ def _active_events(g, g_new, direction):
 
 
 def _first_terminal(terminal, active, roots):
-    """The events ``active`` (indices, ascending) that fire in one step, with
-    their ``roots``, as scipy's ``handle_events`` keeps them: all of them where
-    none is terminal, else in time order up to the first terminal one. (A
-    terminal event ends its chunk, so it has reached its count exactly where
-    it is active.)"""
+    """Positions in ``active`` (event indices, ascending) of the events that
+    fire in one step, where their ``roots`` are, as scipy's ``handle_events``
+    keeps them: all of them where none is terminal, else in time order up to
+    the first terminal one. (A terminal event ends its chunk, so it has
+    reached its count exactly where it is active.)"""
     if not terminal[active].any():
-        return active, roots
+        return np.arange(len(active))
     order = np.argsort(roots)
-    active, roots = active[order], roots[order]
-    stop = np.flatnonzero(terminal[active])[0] + 1
-    return active[:stop], roots[:stop]
-
-
-def _kept_events(events, terminal, active, state, t_old, t):
-    """The events ``active`` that fire in a step from t_old to t with
-    polynomial ``state``, and their roots, as scipy's ``handle_events`` keeps
-    them: ``_event_roots`` on the step, then ``_first_terminal``."""
-    return _first_terminal(terminal, active, _event_roots(events, active, state, t_old, t))
+    return order[:np.flatnonzero(terminal[active[order]])[0] + 1]
 
 
 def _hidden_dips(spec, steps):
-    """Times where b < 0 at the local minimum of b inside each step, sought on
-    the step polynomial: the least b of ``DIP_SAMPLES`` + 1 even samples,
-    refined by bounded Brent (``minimize_bounded``) between the samples next
-    to it; every step at once."""
-    if not steps:
-        return []
+    """Where b has its local minimum inside each of the steps (Q, y_old, t_old,
+    h), stacked, and whether b < 0 there, sought on the step polynomial: the
+    least b of ``DIP_SAMPLES`` + 1 even samples, refined by bounded Brent
+    (``minimize_bounded``) between the samples next to it; every step at
+    once."""
+    m = len(steps[2])
+    if not m:
+        return np.empty(0), np.empty(0, dtype=bool)
     n = spec.dimension
-    stack = tuple(map(np.array, zip(*steps)))
-    state = _step_state(stack)
+    state = _step_state(steps)
 
     def b_at(t, rows):
         return spec.boundary.value(state(t, rows)[:, :n])
 
-    m = len(steps)
-    ts = stack[2][:, None] + stack[3][:, None] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
+    ts = steps[2][:, None] + steps[3][:, None] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
     j = np.argmin(b_at(ts.ravel(), np.repeat(np.arange(m), DIP_SAMPLES + 1)).reshape(ts.shape),
                   axis=1)
     every = np.arange(m)
@@ -408,7 +385,7 @@ def _hidden_dips(spec, steps):
     x, fun = minimize_bounded(b_at, ts[every, np.maximum(j - 1, 0)],
                               ts[every, np.minimum(j + 1, DIP_SAMPLES)],
                               xatol=4 * EPS * np.where(end > 1.0, end, 1.0))
-    return x[fun < 0].tolist()
+    return x, fun < 0
 
 
 def _cut_at_exit(flow, spec, t_dip):
@@ -420,7 +397,7 @@ def _cut_at_exit(flow, spec, t_dip):
     start = float(piece[2])
     if not spec.boundary.value(state(start)[:n]) > 0:
         # only a launch step starts on the boundary
-        raise RuntimeError(f"geodesic leaves {spec.name!r} within its first step")
+        raise IntegrationError(f"geodesic leaves {spec.name!r} within its first step")
     hit = _event_functions(spec, True)[0][0]
     t_exit = float(_event_roots([hit], [0], state, start, t_dip)[0])
     y_exit = state(t_exit)
@@ -454,23 +431,26 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
                         dense_output=True, rtol=rtol, atol=atol, max_step=max_step)
         if sol.status == -1:
             raise IntegrationError(f"integration failed on {spec.name!r}: {sol.message}")
-        hidden, grazes = [], []
-        if detect_boundary:
-            # b and db/dt at each sample, as the lockstep stepper has them
-            g = [[event(t_, y_) for event in events[:2]] for t_, y_ in zip(sol.t, sol.y.T)]
-            hidden = [k for k in range(len(g) - 1) if _hides_dip(g[k], g[k + 1])]
-            grazes = sol.t_events[1]
         # the one place scipy's interpolants are read
-        chunks.add(spec, sol.t, sol.y.T,
-                   [(p.Q, p.y_old, p.t_old, p.h) for p in sol.sol.interpolants],
-                   grazes, hidden, sol.status == 1)
+        steps = tuple(map(np.array, zip(*[(p.Q, p.y_old, p.t_old, p.h)
+                                          for p in sol.sol.interpolants])))
+        candidates = []
+        if detect_boundary:
+            # b and db/dt at each sample, as the lockstep stepper has them; a
+            # terminal event cut the last step short, so its end values do not count
+            g = [[event(t_, y_) for event in events[:2]] for t_, y_ in zip(sol.t, sol.y.T)]
+            hidden = [k for k in range(len(g) - 1 - (sol.status == 1))
+                      if _hides_dip(g[k], g[k + 1])]
+            x, dip = _hidden_dips(spec, tuple(a[hidden] for a in steps))
+            candidates = [float(tg) for tg in sol.t_events[1]] + x[dip].tolist()
+        chunks.add(sol.t, sol.y.T, steps, candidates)
         chunks.nfev += sol.nfev
         # a terminal event ends its chunk, so only the one that fired has a root
         fired = next(((tag, y_e[-1].copy()) for tag, y_e in zip(tags, sol.y_events)
                       if tag[0] != "graze" and len(y_e)), None)
-        restart = chunks.end(spec, fired, grazing_tol, vector_blocks)
+        restart = chunks.end(spec, float(sol.t[-1]), fired, vector_blocks)
         if restart is None:
-            return chunks.result
+            return chunks.flow(spec, grazing_tol)
         t, y = restart
 
 
@@ -482,10 +462,48 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _STAGES = RK45.n_stages
 
 
+def _rms(x):
+    """scipy's RMS ``norm`` of each row of x (m, N): a stacked dot, not
+    ``np.linalg.norm``'s one-row dot, bit for bit."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]) / x.shape[1] ** 0.5
+
+
+def _initial_steps(rhs, y0, f0, interval, max_step, rtol, atol):
+    """scipy's ``select_initial_step`` (Hairer, Nørsett and Wanner, *Solving
+    ODEs I*, §II.4) for forward chunks from the states y0 (m, N), where the
+    right-hand side is f0, over intervals (m,), with one stacked ``rhs``
+    call: Python's min(a, x) is x where x < a, and max(a, x) is x where x > a.
+
+    Returns the initial step sizes and the flags of the rows ``rhs`` was
+    called on: on an empty interval the step is 0 and scipy calls nothing.
+    """
+    h = np.zeros(len(y0))
+    probed = interval != 0
+    y0, f0, interval = y0[probed], f0[probed], interval[probed]
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = np.full(len(y0), 1e-6)
+    far = ~((d0 < 1e-5) | (d1 < 1e-5))
+    h0[far] = 0.01 * d0[far] / d1[far]
+    h0 = np.where(interval < h0, interval, h0)
+    f1 = rhs(None, y0 + h0[:, None] * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+
+    h1 = np.where(h0 * 1e-3 > 1e-6, h0 * 1e-3, 1e-6)
+    curved = ~((d1 <= 1e-15) & (d2 <= 1e-15))
+    d = np.where(d2 > d1, d2, d1)[curved]
+    h1[curved] = scalar_pow(0.01 / d, 1 / (RK45.error_estimator_order + 1))
+    step = 100 * h0
+    for bound in (h1, interval, max_step):
+        step = np.where(bound < step, bound, step)
+    h[probed] = step
+    return h, probed
+
+
 def _rk45_try(rhs, y, f, h, rtol, atol):
     """``rk_step`` and the error norm of ``RK45._step_impl`` for states y (m, N)
     with derivatives f over steps h (m,): each ``np.dot`` of one state is a
-    stacked ``matmul``, the RMS norm the square root of a stacked dot.
+    stacked ``matmul``, the RMS norm ``_rms``.
 
     Returns the new states, the stages K (m, 7, N) and the error norms. The
     geodesic equation is autonomous, so ``rhs`` gets no stage times.
@@ -498,8 +516,7 @@ def _rk45_try(rhs, y, f, h, rtol, atol):
     y_new = y + h[:, None] * np.matmul(K[:, :-1].swapaxes(1, 2), RK45.B)
     K[:, -1] = rhs(None, y_new)
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    err = np.matmul(K.swapaxes(1, 2), RK45.E) * h[:, None] / scale
-    error_norm = np.sqrt(np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0]) / y.shape[1] ** 0.5
+    error_norm = _rms(np.matmul(K.swapaxes(1, 2), RK45.E) * h[:, None] / scale)
     return y_new, K, error_norm
 
 
@@ -514,6 +531,70 @@ def _step_factor(error_norm, rejected):
     return np.where(error_norm < 1, accepted, np.where(grow > _MIN_FACTOR, grow, _MIN_FACTOR))
 
 
+def _by_chunk(parts):
+    """The columns of ``parts``, a list of (chunk, ...) tuples of arrays,
+    each concatenated and put in chunk order by one stable sort; ``parts`` is
+    emptied."""
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    parts.clear()
+    order = np.argsort(columns[0], kind="stable")
+    return [column[order] for column in columns]
+
+
+class _StepLog:
+    """What ``lockstep_flows`` keeps of its chunks, as arrays: the flow of
+    each chunk, numbered as they open, and per iteration the samples, steps
+    and tangency roots of the accepted rows, each row tagged with its chunk."""
+
+    def __init__(self, N):
+        self.count = 0
+        self.flows = []
+        self.samples = []             # (chunk, t, y): chunk openings and step ends
+        self.steps = [(np.empty(0, dtype=int), np.empty((0, N, RK45.P.shape[1])),
+                       np.empty((0, N)), np.empty(0), np.empty(0), np.empty(0, dtype=bool))]
+        self.grazes = [(np.empty(0, dtype=int), np.empty(0))]
+        self.stopped = [np.empty(0, dtype=int)]  # chunks a terminal event ended
+
+    def open(self, flows, t, y):
+        """Open a chunk of each of the ``flows`` at the times t and states y,
+        and return their numbers."""
+        chunks = self.count + np.arange(len(flows))
+        self.count += len(flows)
+        self.flows.append(flows)
+        self.samples.append((chunks, t, y))
+        return chunks
+
+    def chunks(self, spec):
+        """(flow, samples t, states, steps, tangency candidates) of each chunk
+        in order, as ``_Chunks.add`` takes them. The dips of all chunks are
+        sought by one ``_hidden_dips`` call; in a chunk a terminal event ended,
+        the end values of the last step do not count, so it is not searched
+        (the stopped step, or the step before it where the stopped one was
+        dropped)."""
+        flows = np.concatenate(self.flows)
+        stopped = np.zeros(self.count, dtype=bool)
+        stopped[np.concatenate(self.stopped)] = True
+        sample_chunk, times, states = _by_chunk(self.samples)
+        chunk, Q, y_old, t_old, h, hides = _by_chunk(self.steps)
+        graze_chunk, grazes = _by_chunk(self.grazes)
+        first = np.searchsorted(chunk, np.arange(self.count + 1))
+        hides[first[1:][stopped] - 1] = False
+        searched = np.flatnonzero(hides)
+        x, dip = _hidden_dips(spec, (Q[searched], y_old[searched], t_old[searched], h[searched]))
+        dip_chunk, dips = chunk[searched][dip], x[dip]
+        sample_first, graze_first, dip_first = (
+            np.searchsorted(c, np.arange(self.count + 1)).tolist()
+            for c in (sample_chunk, graze_chunk, dip_chunk))
+        first = first.tolist()
+        for c, flow in enumerate(flows.tolist()):
+            rows = slice(first[c], first[c + 1])
+            samples = slice(sample_first[c], sample_first[c + 1])
+            yield (flow, times[samples], states[samples],
+                   (Q[rows], y_old[rows], t_old[rows], h[rows]),
+                   grazes[graze_first[c]:graze_first[c + 1]].tolist()
+                   + dips[dip_first[c]:dip_first[c + 1]].tolist())
+
+
 def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, grazing_tol=GRAZING_TOL):
     """Flows of ``rhs`` from the states y0 (m, N), integrated together up to
@@ -522,11 +603,18 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     Flow i is bit for bit ``integrate_flow(spec, rhs, y0[i], t_end[i],
     vector_blocks=vector_blocks, detect_boundary=detect_boundary, ...)``:
     every flow keeps its own time, step size and state, and takes the steps
-    and events scipy's RK45 takes for it alone, while the right-hand side of
-    each stage, and the event values at the ends of the accepted steps, are
-    evaluated on the stack of flows that are still running.
-    ``rhs`` must take such a stack (m, N) and give each row what it gives
-    that state alone; it gets no stage times, so the equation must be
+    and events scipy's RK45 takes for it alone, while everything else is
+    done on stacks. Each iteration tries one step of every running flow,
+    evaluates the events at the ends of the accepted steps, locates the
+    fired ones, and appends the accepted rows to a ``_StepLog``; Python
+    loops only over rows where several events fire or a chunk ends. The
+    chunks that open together, the launches and the flows restarting after
+    deck crossings of one iteration, take their right-hand side, events and
+    initial steps (``_initial_steps``) in one call each. The log is sorted
+    into chunks once, at the end.
+
+    ``rhs`` must take a stack (m, N) and give each row what it gives that
+    state alone; it gets no stage times, so the equation must be
     autonomous. A flow whose integration fails does not stop the others; the
     error of the first such flow is raised at the end.
     """
@@ -546,31 +634,29 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     direction = np.array([event.direction for event in events])
     terminal = np.array([event.terminal for event in events], dtype=bool)
     records = [_Chunks() for _ in range(m)]
+    log = _StepLog(N)
     T = np.zeros(m)
-    F = rhs(None, Y)
-    G = _event_values(spec, Y, detect_boundary)
-    W = _watched_events(spec, Y, G, tags)
+    F = np.empty((m, N))
+    G = np.empty((m, len(events)))
+    W = np.empty((m, len(events)), dtype=bool)
     H = np.empty(m)
+    chunk = np.empty(m, dtype=int)      # each flow's open chunk
+    T_open = np.empty(m)                # and the time it opened at
+    nfev = np.zeros(m, dtype=int)
 
-    def start(i, t):
-        """Open a chunk of flow i at time t and state Y[i], where F[i] holds the
-        right-hand side, and take its initial step size from scipy's
-        ``select_initial_step``."""
-        record = records[i]
-        y = Y[i].copy()
-        record.open(t, y)
-        record.nfev += 1  # F[i]
+    def open_chunks(rows):
+        """Open a chunk of each flow of ``rows`` at its time T and state Y."""
+        y = Y[rows]
+        F[rows] = rhs(None, y)
+        G[rows] = _event_values(spec, y, detect_boundary)
+        W[rows] = _watched_events(spec, y, G[rows], tags)
+        H[rows], probed = _initial_steps(rhs, y, F[rows], T_end[rows] - T[rows], max_step,
+                                         rtol, atol)
+        nfev[rows] += 1 + probed
+        chunk[rows] = log.open(rows, T[rows], y)
+        T_open[rows] = T[rows]
 
-        def fun(t_, y_):
-            record.nfev += 1
-            return rhs(t_, y_)
-
-        sign = np.sign(T_end[i] - t) if T_end[i] != t else 1
-        H[i] = select_initial_step(fun, t, y, T_end[i], max_step, F[i], sign,
-                                   RK45.error_estimator_order, rtol, atol)
-
-    for i in range(m):
-        start(i, 0.0)
+    open_chunks(np.arange(m))
     min_step = np.empty(m)
     attempts = np.zeros(m, dtype=int)  # steps tried in the current chunk
     rejected = np.zeros(m, dtype=bool)
@@ -621,56 +707,74 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         G[acc] = g_new
         hides_dip = _hides_dip(g.T, g_new.T) if detect_boundary else np.zeros(len(acc), bool)
         active = _active_events(g, g_new, direction) & W[acc]
-        finished = t_new - T_end[acc] >= 0
-        # the roots of every fired (geodesic, event) pair, found together
-        steps = (Q, y, t, h)
+
+        # each step's sample: its end, or where the terminal event that ends
+        # its chunk fired (``stop_event``, the event's index, -1 for none)
+        t_stop, y_stop = t_new, y_new
+        stop_event = np.full(len(acc), -1)
         fired_row, fired_event = np.nonzero(active)
         if fired_row.size:
-            state = _step_state(steps)
+            # the roots of every fired (geodesic, event) pair, found together,
+            # and the ones handle_events keeps: a step's one event, or of
+            # several, those in time order up to the first terminal one
+            state = _step_state((Q, y, t, h))
             roots = _event_roots(events, fired_event, state, t[fired_row], t_new[fired_row],
                                  fired_row)
-        bounds = np.searchsorted(fired_row, np.arange(len(acc) + 1))
-        done = []
-        for j, i in enumerate(acc):
-            record = records[i]
-            piece = tuple(a[j] for a in steps)
-            t_j, y_j, fired = t_new[j], y_new[j], None
-            if bounds[j] < bounds[j + 1]:
-                own = slice(bounds[j], bounds[j + 1])
-                kept, own_roots = _first_terminal(terminal, fired_event[own], roots[own])
-                if terminal[kept[-1]]:
-                    # the terminal event ends the chunk, at its own state
-                    t_j = own_roots[-1]
-                    y_j = state(t_j, j)
-                    fired = (tags[kept[-1]], y_j)
-                record.grazes.extend(own_roots[~terminal[kept]])
-            record.accept(piece, t_j, y_j, hides_dip[j], fired is not None)
-            if fired is None and not finished[j]:
-                continue
-            record.nfev += _STAGES * int(attempts[i])
-            attempts[i] = 0
+            count = np.bincount(fired_row)
+            kept = count[fired_row] == 1
+            for j in np.flatnonzero(count > 1):
+                own = np.flatnonzero(fired_row == j)
+                kept[own[_first_terminal(terminal, fired_event[own], roots[own])]] = True
+            ends = kept & terminal[fired_event]
+            grazes = kept & ~terminal[fired_event]
+            log.grazes.append((chunk[acc[fired_row[grazes]]], roots[grazes]))
+            stops = fired_row[ends]
+            stop_event[stops] = fired_event[ends]
+            if stops.size:
+                t_stop, y_stop = t_new.copy(), y_new.copy()
+                t_stop[stops] = roots[ends]
+                y_stop[stops] = state(t_stop[stops], stops)
+        stopped = stop_event >= 0
+        # solve_ivp drops a step that ends where the one before it did
+        logged = ~(stopped & (t_stop == t) & (t != T_open[acc]))
+        log.samples.append((chunk[acc[logged]], t_stop[logged], y_stop[logged]))
+        log.steps.append((chunk[acc[logged]], Q[logged], y[logged], t[logged], h[logged],
+                          hides_dip[logged]))
+        log.stopped.append(chunk[acc[stopped]])
+
+        ending = np.flatnonzero(stopped | (t_new - T_end[acc] >= 0))
+        if not ending.size:
+            continue
+        nfev[acc[ending]] += _STAGES * attempts[acc[ending]]
+        attempts[acc[ending]] = 0
+        done, restarts = [], []
+        for j in ending:
+            i = acc[j]
+            fired = (tags[stop_event[j]], y_stop[j].copy()) if stopped[j] else None
             try:
-                record.add(spec, np.array(record.ts), np.vstack(record.ys), record.chunk,
-                           record.grazes, record.hidden, fired is not None)
-                restart = record.end(spec, fired, grazing_tol, vector_blocks)
-            except RuntimeError as exc:
-                record.error = exc
-                restart = None
+                restart = records[i].end(spec, float(t_stop[j]), fired, vector_blocks)
+            except IntegrationError as exc:
+                records[i].error, restart = exc, None
             if restart is None:
                 done.append(i)
-                continue
-            T[i], Y[i] = restart
-            F[i] = rhs(T[i], Y[i])
-            G[i] = _event_values(spec, Y[i:i + 1], detect_boundary)[0]
-            W[i] = _watched_events(spec, Y[i:i + 1], G[i:i + 1], tags)[0]
-            start(i, T[i])
+            else:
+                T[i], Y[i] = restart
+                restarts.append(i)
+        if restarts:
+            open_chunks(np.array(restarts))
         if done:
             run = np.setdiff1d(run, done)
 
-    for record in records:
+    for flow, *chunk_data in log.chunks(spec):
+        if records[flow].error is None:
+            records[flow].add(*chunk_data)
+    flows = []
+    for record, evaluations in zip(records, nfev):
         if record.error is not None:
             raise record.error
-    return [record.result for record in records]
+        record.nfev = int(evaluations)
+        flows.append(record.flow(spec, grazing_tol))
+    return flows
 
 
 def _apply_deck_to_state(deck, y, n, vector_blocks):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp.common import norm as ivp_norm, select_initial_step
 from scipy.integrate._ivp.ivp import find_active_events, handle_events, prepare_events
 from scipy.integrate._ivp.rk import RkDenseOutput
 from scipy.optimize import brentq
@@ -21,7 +22,9 @@ from zollab.engine import (
     NoReturnError,
     _active_events,
     _event_functions,
-    _kept_events,
+    _event_roots,
+    _first_terminal,
+    _initial_steps,
     _step_state,
     arrival_orthogonality,
     first_return_map,
@@ -47,6 +50,7 @@ from zollab.geometry import (
     metric_norm,
     row_dot,
 )
+from zollab.jacobi import _frame_start, frame_vector_blocks, jacobi_rhs
 from zollab.manifest import RunManifest, load_manifold
 from zollab.verifier import Tolerances, certify
 
@@ -572,6 +576,77 @@ def test_active_events_are_find_active_events(rng):
         assert np.flatnonzero(row).tobytes() == find_active_events(a, b, direction).tobytes()
 
 
+def coupled_rhs(t, y):
+    """A right-hand side of elementwise products, so that each row of a stack
+    gets what its state alone gets: 0 at y = 1, 1 at y = 0."""
+    return (y - 1.0) * (y[..., ::-1] - 1.0)
+
+
+@pytest.mark.parametrize("N", [4, 6, 33])
+def test_initial_steps_are_select_initial_step(N, rng):
+    # each row's step, and whether it calls the right-hand side, are those of
+    # scipy's select_initial_step on that row alone; the rows take every
+    # branch of the rule
+    rtol, atol = 1e-10, 1e-12
+    y0 = np.vstack([rng.normal(scale=3.0, size=(40, N)),
+                    np.zeros((2, N)),                                  # d0 < 1e-5
+                    1.0 + rng.choice([1e-8, -1e-8], size=(4, N)),      # d1 < 1e-5
+                    np.ones((2, N))])                                  # d1 = d2 = 0
+    f0 = coupled_rhs(None, y0)
+    t0 = rng.uniform(0.0, 3.0, len(y0))
+    t_bound = t0 + rng.uniform(0.5, 50.0, len(y0))
+    t_bound[:6] = t0[:6] + [1e-9, 1e-12, 0.0, 3e-7, 1e-9, 0.0]  # cap h0, or empty
+    t_bound[-3] = t0[-3] + 1e-9
+    taken = set()
+    for max_step in (0.5, 1e-7):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(len(y))
+            return coupled_rhs(t, y)
+
+        h, probed = _initial_steps(rhs, y0, f0, np.abs(t_bound - t0), max_step, rtol, atol)
+        assert calls == [int(probed.sum())]
+        for i in range(len(y0)):
+            f1 = []
+
+            def fun(t, y):
+                f1.append(coupled_rhs(t, y))
+                return f1[-1]
+
+            direction = np.sign(t_bound[i] - t0[i]) if t_bound[i] != t0[i] else 1
+            want = select_initial_step(fun, t0[i], y0[i], t_bound[i], max_step, f0[i],
+                                       direction, 4, rtol, atol)
+            assert h[i].tobytes() == np.float64(want).tobytes()
+            assert len(f1) == probed[i]
+            if not f1:
+                taken.add("empty interval")
+                continue
+            scale = atol + np.abs(y0[i]) * rtol
+            d0, d1 = ivp_norm(y0[i] / scale), ivp_norm(f0[i] / scale)
+            h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+            taken.add("d0 < 1e-5" if d0 < 1e-5 else "d1 < 1e-5" if d1 < 1e-5 else "d0/d1")
+            interval = abs(t_bound[i] - t0[i])
+            if interval < h0:
+                taken.add("h0 = interval")
+                h0 = interval
+            d2 = ivp_norm((f1[0] - f0[i]) / scale) / h0
+            taken.add("d1, d2 <= 1e-15" if d1 <= 1e-15 and d2 <= 1e-15 else "h1 from d1, d2")
+            if want == max_step:
+                taken.add("max_step")
+    assert taken == {"empty interval", "d0 < 1e-5", "d1 < 1e-5", "d0/d1", "h0 = interval",
+                     "d1, d2 <= 1e-15", "h1 from d1, d2", "max_step"}
+
+
+def _kept_events(events, terminal, active, state, t_old, t):
+    """The events ``active`` that fire in a step from t_old to t with
+    polynomial ``state``, and their roots, as the lockstep stepper keeps them
+    for one step: ``_event_roots`` on the step, then ``_first_terminal``."""
+    roots = _event_roots(events, active, state, t_old, t)
+    kept = _first_terminal(terminal, active, roots)
+    return active[kept], roots[kept]
+
+
 def test_kept_events_are_handle_events(rng):
     # random step polynomials near the corner of flat_band where the bottom
     # boundary (hit, graze) meets the face wrap-: on every step with two or
@@ -627,11 +702,11 @@ def test_no_run_calls_solve_ivp(name, monkeypatch, tmp_path):
     assert report.index_quadratic is not None and report.index_focal is not None
 
 
-def test_sweep_evaluates_the_metric_at_one_point_only_for_initial_steps(monkeypatch):
-    # launch normals, arrival checks and steps are stacked; what is left is
-    # scipy's select_initial_step, which probes one state per launch
-    spec = load_manifold(generate("inline-cap-sweep", 1)[0]["manifold"])
-    launches = sample_boundary(spec, 512)
+@pytest.mark.parametrize("case", ["inline_cap", "flat_band_tilted", "euclidean_ball_frames"])
+def test_lockstep_evaluates_the_metric_on_stacks_only(case, catalog_sweeps, monkeypatch):
+    # steps, events and initial steps are stacked, and so are a sweep's launch
+    # normals and arrival checks: a sweep, flows across deck faces and the
+    # Jacobi frames of a sweep evaluate the metric at no single point
     one_point = []
     jet = MetricField.jet
 
@@ -639,10 +714,25 @@ def test_sweep_evaluates_the_metric_at_one_point_only_for_initial_steps(monkeypa
         one_point.append(np.ndim(x) == 1)
         return jet(self, x)
 
-    monkeypatch.setattr(MetricField, "jet", counted_jet)
-    sweep = first_return_map(spec, launches)
-    assert len(sweep.paths) == 512
-    assert sum(one_point) == 512
+    if case == "inline_cap":
+        spec = load_manifold(generate("inline-cap-sweep", 1)[0]["manifold"])
+        launches = sample_boundary(spec, 512)
+        monkeypatch.setattr(MetricField, "jet", counted_jet)
+        assert len(first_return_map(spec, launches).paths) == 512
+    elif case == "flat_band_tilted":
+        spec, y0, t_end, _ = lockstep_case(case)
+        n = spec.dimension
+        monkeypatch.setattr(MetricField, "jet", counted_jet)
+        flows = lockstep_flows(spec, geodesic_rhs(spec), y0, t_end, vector_blocks=[(n, n, 1)])
+        assert sum(len(flow.deck_crossings) for flow in flows) > 0
+    else:
+        spec, sweep = catalog_sweeps["euclidean_ball"]
+        # each frame's start is taken at its launch point alone
+        y0 = [_frame_start(spec, path)[0] for path in sweep.paths]
+        monkeypatch.setattr(MetricField, "jet", counted_jet)
+        lockstep_flows(spec, jacobi_rhs(spec), y0, sweep.return_times,
+                       vector_blocks=frame_vector_blocks(spec.dimension), detect_boundary=False)
+    assert one_point and not any(one_point)
 
 
 def test_no_return_recorded_with_its_launch_point():

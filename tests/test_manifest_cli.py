@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import zollab.cli
+import zollab.engine
 from zollab.cli import main, run, theorem_matrix, theorem_rows
 from zollab.engine import first_return_map, sample_boundary, shoot
 from zollab.jacobi import assemble_index_form, index_form_spectrum, integrate_jacobi_frame
@@ -238,6 +239,42 @@ class TestCLI:
         assert main(["certify", "--manifest", str(mpath)]) == zollab.cli.RUN_FAILED == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message)
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("case,message", [
+        # a translation of period 0.02 along the tilted geodesics, which cross
+        # it about 100 times between the two sides
+        ("crossings", "error: too many deck crossings on 'tilted-strip' (runaway trajectory?)"),
+        # a flip that sends the geodesics out of M, where b has a negative
+        # minimum, cut at a step that starts outside M too
+        ("flip", "error: geodesic leaves 'tilted-strip' within its first step"),
+    ])
+    def test_runaway_and_stray_flows_exit_run_failed(self, case, message, tmp_path, capsys,
+                                                     monkeypatch):
+        # a strip 0 < x0 < 2 with a constant metric whose orthogonal
+        # geodesics are straight lines tilted along the x1 faces
+        if case == "crossings":
+            boundary, period = "x0*(2 - x0)/2", 0.02
+            deck = {"kind": "translation", "axis": 1, "period": period}
+            monkeypatch.setattr(zollab.engine, "MAX_CHUNKS", 10)
+        else:
+            boundary, period = "x0*(2 - x0)*(x0 + 1)/2", 0.5
+            deck = {"kind": "flip_translation", "axis": 1, "period": period, "flip_axis": 0}
+        doc = {"inline": {
+            "name": "tilted-strip", "dimension": 2,
+            "metric": {"kind": "expression", "entries": [["1", "0.5"], ["0.5", "1"]]},
+            "boundary": {"expression": boundary},
+            "domain": {"lo": [-3.0, -1.0], "hi": [3.0, 1.0]},
+            "deck_maps": [deck],
+            "boundary_patches": [
+                {"name": side, "dim": 1, "point": [x0, f"{period}*u0"], "periodic": [True]}
+                for side, x0 in (("bottom", "0"), ("top", "2"))],
+            "scale_hint": 2.0}}
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"manifold": doc, "launches": 32,
+                                     "out_dir": str(tmp_path / "out")}))
+        assert main(["certify", "--manifest", str(mpath)]) == zollab.cli.RUN_FAILED
+        assert capsys.readouterr().err.splitlines() == [message]
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("params,message", [
