@@ -15,11 +15,12 @@ states together: the launches of a sweep, or the Jacobi frames of the
 initial steps of scipy's RK45; which events a chunk watches and which fire
 in a step; the roots of every fired event of an iteration, found together on
 the step polynomials by the stacked ``brentq`` of ``zollab.scalar``; and its
-record of the chunks, a log of arrays appended once per iteration and
-sorted into chunks at the end. ``integrate_flow`` integrates one state with
-``solve_ivp``; it is the one-state reference the tests compare
-``lockstep_flows`` against, flow by flow and bit for bit, and shares the
-chunk record ``_Chunks`` with it.
+record of the chunks, a log of arrays appended once per iteration.
+``integrate_flow`` integrates one state with ``solve_ivp``; it is the
+one-state reference the tests compare ``lockstep_flows`` against, flow by
+flow and bit for bit. Both keep their chunks in the same record,
+``_StepLog``, which stitches every flow at the end: one sort of the log, one
+search for the dips of b hidden inside steps, and each flow's exit cut.
 
 A sweep (``first_return_map``) keeps one record per returned geodesic, its
 ``GeodesicPath``, which reads everything it reports off its flow; a launch
@@ -62,8 +63,8 @@ class NoReturnError(RuntimeError):
 class IntegrationError(RuntimeError):
     """Raised when a flow cannot be integrated on: its step size falls below
     the spacing of the floating-point numbers at its time, it crosses deck
-    faces ``MAX_CHUNKS`` times, or it is found outside M where its chunk
-    started."""
+    faces ``MAX_CHUNKS`` times, a deck map sends it out of M, or it is found
+    outside M where its chunk started."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ class _FlowTable:
 class FlowResult:
     """A flow's samples, step table and events, its chunks stitched in time
     order. ``nfev`` and ``n_steps`` count all the integration done, past the
-    exit of a flow cut at a boundary crossing (``_Chunks.flow``) too."""
+    exit of a flow cut at a boundary crossing (``_StepLog.stitch``) too."""
 
     times: np.ndarray            # stitched sample times
     states: np.ndarray           # (k, len(y)) stitched samples
@@ -223,77 +224,37 @@ def _watched_events(spec, Y, G, tags):
     return watched
 
 
-class _Chunks:
-    """A flow's record across its chunks, each ended by t_end, a boundary
-    return or a deck crossing: one ``solve_ivp`` call of ``integrate_flow``, or
-    one chunk of the step log of ``lockstep_flows`` (``_StepLog``)."""
+def _chunk_end(spec, t_stop, fired, crossings, vector_blocks, detect_boundary):
+    """End a flow's chunk at t_stop, at t_end (fired None) or at the terminal
+    event fired = (tag, state). Returns the flow's ending (status, event time,
+    event state), status "t_end" or "boundary"; or, after a deck crossing,
+    which it appends to ``crossings``, ("deck", time, state) to go on from."""
+    if fired is None:
+        return "t_end", None, None
+    (kind, deck), y_stop = fired
+    if kind == "boundary":
+        return "boundary", t_stop, y_stop
+    if len(crossings) + 1 == MAX_CHUNKS:
+        raise IntegrationError(f"too many deck crossings on {spec.name!r} "
+                               "(runaway trajectory?)")
 
-    def __init__(self):
-        self.times, self.states = [], []
-        self.steps: list[tuple] = []  # (Q, y_old, t_old, h) of each chunk's steps, stacked
-        self.candidates: list[float] = []
-        self.crossings: list[tuple[float, str]] = []
-        self.nfev = self.n_steps = 0
-        self.ending = None            # (status, event time, event state) of the last chunk
-        self.error = None             # why the flow failed, if it did
-
-    def add(self, t, states, steps, candidates):
-        """Keep a chunk: its samples t (k,) and states, its k - 1 steps, and its
-        tangency candidates, the roots of db/dt and the dips ``_hidden_dips``
-        found in it, which are kept in time order."""
-        self.times.append(t)
-        self.states.append(states)
-        self.steps.append(steps)
-        self.n_steps += len(t) - 1
-        self.candidates.extend(sorted(candidates))
-
-    def end(self, spec, t_stop, fired, vector_blocks):
-        """End a chunk at t_stop, at t_end (fired None) or at the terminal event
-        fired = (tag, state). Returns the time and state to go on from after a
-        deck crossing; otherwise None, and the flow is ``flow``."""
-        n = spec.dimension
-        if fired is None:
-            self.ending = ("t_end", None, None)
-            return None
-        (kind, deck), y_stop = fired
-        if kind == "boundary":
-            self.ending = ("boundary", t_stop, y_stop)
-            return None
-        if len(self.crossings) + 1 == MAX_CHUNKS:
-            raise IntegrationError(f"too many deck crossings on {spec.name!r} "
-                                   "(runaway trajectory?)")
-
-        # deck exit: teleport the state and continue; corner exits may need
-        # a second application, transported the same way
-        y_new = _apply_deck_to_state(deck, y_stop, n, vector_blocks)
-        for _ in range(len(spec.deck_maps) + 1):
-            offending = next((d for d in spec.deck_maps
-                              if d.face_value(y_new[:n]) < -1e-13), None)
-            if offending is None:
-                break
-            y_new = _apply_deck_to_state(offending, y_new, n, vector_blocks)
-        self.crossings.append((t_stop, deck.name))
-        return t_stop, y_new
-
-    def flow(self, spec, grazing_tol):
-        """The flow of the chunks, once one has ended it. A tangency candidate
-        (a local minimum of b) is grazing where |b| < grazing_tol. The first
-        where b < 0 proves that the flow left M inside its step, and ends it
-        there: its samples, steps, deck crossings and grazing times stop at the
-        exit, a boundary return."""
-        n = spec.dimension
-        flow = FlowResult(np.concatenate(self.times), np.vstack(self.states),
-                          tuple(map(np.concatenate, zip(*self.steps))), *self.ending,
-                          [], self.crossings, self.nfev, self.n_steps)
-        if not self.candidates:
-            return flow
-        dips = spec.boundary.value(flow.state_at(self.candidates)[:, :n])
-        exits = [i for i, b in enumerate(dips) if b < 0]
-        # the exit's own tangency counts, whichever side of b = 0 rounding puts it
-        last = exits[0] + 1 if exits else len(dips)
-        flow.grazing_times = [tg for tg, b in zip(self.candidates[:last], dips)
-                              if abs(b) < grazing_tol]
-        return _cut_at_exit(flow, spec, self.candidates[exits[0]]) if exits else flow
+    # deck exit: teleport the state and continue; corner exits may need
+    # a second application, transported the same way
+    n = spec.dimension
+    y_new = _apply_deck_to_state(deck, y_stop, n, vector_blocks)
+    for _ in range(len(spec.deck_maps) + 1):
+        offending = next((d for d in spec.deck_maps
+                          if d.face_value(y_new[:n]) < -1e-13), None)
+        if offending is None:
+            break
+        y_new = _apply_deck_to_state(offending, y_new, n, vector_blocks)
+    if detect_boundary:
+        b = float(spec.boundary.value(y_new[:n]))
+        if b < -spec.boundary.eps:
+            raise IntegrationError(f"deck map {deck.name!r} of {spec.name!r} sends a flow "
+                                   f"out of M, to {y_new[:n]} where b = {b:.3g}")
+    crossings.append((t_stop, deck.name))
+    return "deck", t_stop, y_new
 
 
 def _hides_dip(g0, g1):
@@ -416,11 +377,16 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
     ``vector_blocks`` lists (offset, rows, cols) slices of the state that
     transform as matrices of tangent vectors under deck differentials; the
     leading n entries of the state are always the chart position.
+
+    Each ``solve_ivp`` call is one chunk of a ``_StepLog``, which stitches the
+    flow as it does those of ``lockstep_flows``; its samples, steps, tangency
+    roots and the steps that may hide a dip are read off scipy's output.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = 0.0
     max_step = 0.25 * spec.scale_hint
-    chunks = _Chunks()
+    log = _StepLog(len(y))
+    crossings, nfev = [], 0
     all_events, all_tags = _event_functions(spec, detect_boundary)
     while True:
         watched = np.flatnonzero(_watched_events(
@@ -431,27 +397,32 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
                         dense_output=True, rtol=rtol, atol=atol, max_step=max_step)
         if sol.status == -1:
             raise IntegrationError(f"integration failed on {spec.name!r}: {sol.message}")
+        nfev += sol.nfev
         # the one place scipy's interpolants are read
         steps = tuple(map(np.array, zip(*[(p.Q, p.y_old, p.t_old, p.h)
                                           for p in sol.sol.interpolants])))
-        candidates = []
+        chunk = log.open(np.zeros(1, dtype=int), np.array([t]), y[None])
+        rows = np.repeat(chunk, len(sol.t) - 1)
+        hides = np.zeros(len(rows), dtype=bool)
         if detect_boundary:
             # b and db/dt at each sample, as the lockstep stepper has them; a
             # terminal event cut the last step short, so its end values do not count
-            g = [[event(t_, y_) for event in events[:2]] for t_, y_ in zip(sol.t, sol.y.T)]
-            hidden = [k for k in range(len(g) - 1 - (sol.status == 1))
-                      if _hides_dip(g[k], g[k + 1])]
-            x, dip = _hidden_dips(spec, tuple(a[hidden] for a in steps))
-            candidates = [float(tg) for tg in sol.t_events[1]] + x[dip].tolist()
-        chunks.add(sol.t, sol.y.T, steps, candidates)
-        chunks.nfev += sol.nfev
+            g = np.array([[event(t_, y_) for event in events[:2]]
+                          for t_, y_ in zip(sol.t, sol.y.T)]).T
+            hides = _hides_dip(g[:, :-1], g[:, 1:])
+            if sol.status == 1:
+                hides[-1:] = False
+            log.grazes.append((np.repeat(chunk, len(sol.t_events[1])), sol.t_events[1]))
+        log.samples.append((rows, sol.t[1:], sol.y.T[1:]))
+        log.steps.append((rows, *steps, hides))
         # a terminal event ends its chunk, so only the one that fired has a root
         fired = next(((tag, y_e[-1].copy()) for tag, y_e in zip(tags, sol.y_events)
                       if tag[0] != "graze" and len(y_e)), None)
-        restart = chunks.end(spec, float(sol.t[-1]), fired, vector_blocks)
-        if restart is None:
-            return chunks.flow(spec, grazing_tol)
-        t, y = restart
+        status, t, y = _chunk_end(spec, float(sol.t[-1]), fired, crossings, vector_blocks,
+                                  detect_boundary)
+        if status != "deck":
+            return log.stitch(spec, [(status, t, y)], [crossings], [nfev], [None],
+                              grazing_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -531,20 +502,23 @@ def _step_factor(error_norm, rejected):
     return np.where(error_norm < 1, accepted, np.where(grow > _MIN_FACTOR, grow, _MIN_FACTOR))
 
 
-def _by_chunk(parts):
-    """The columns of ``parts``, a list of (chunk, ...) tuples of arrays,
-    each concatenated and put in chunk order by one stable sort; ``parts`` is
-    emptied."""
+def _by_flow(parts, flow_of):
+    """The columns of ``parts``, a list of (chunk, ...) tuples of arrays, each
+    concatenated and put in the order of the chunks' flows ``flow_of[chunk]``
+    by one stable sort; ``parts`` is emptied."""
     columns = [np.concatenate(column) for column in zip(*parts)]
     parts.clear()
-    order = np.argsort(columns[0], kind="stable")
+    order = np.argsort(flow_of[columns[0]], kind="stable")
     return [column[order] for column in columns]
 
 
 class _StepLog:
-    """What ``lockstep_flows`` keeps of its chunks, as arrays: the flow of
-    each chunk, numbered as they open, and per iteration the samples, steps
-    and tangency roots of the accepted rows, each row tagged with its chunk."""
+    """The record of a run's flows, as arrays: the flow of each chunk,
+    numbered as they open, and the samples, steps and tangency roots of the
+    chunks, each row tagged with its chunk and appended in time order. Each
+    integrator appends to it as it goes, ``lockstep_flows`` once per iteration
+    and ``integrate_flow`` once per ``solve_ivp`` call, and ``stitch`` makes
+    the flows of it at the end."""
 
     def __init__(self, N):
         self.count = 0
@@ -564,35 +538,62 @@ class _StepLog:
         self.samples.append((chunks, t, y))
         return chunks
 
-    def chunks(self, spec):
-        """(flow, samples t, states, steps, tangency candidates) of each chunk
-        in order, as ``_Chunks.add`` takes them. The dips of all chunks are
-        sought by one ``_hidden_dips`` call; in a chunk a terminal event ended,
-        the end values of the last step do not count, so it is not searched
-        (the stopped step, or the step before it where the stopped one was
-        dropped)."""
-        flows = np.concatenate(self.flows)
+    def stitch(self, spec, endings, crossings, nfev, errors, grazing_tol):
+        """The flows of the log: flow i ends as ``endings[i]`` (status, event
+        time, event state) says, with the deck ``crossings[i]`` and ``nfev[i]``
+        right-hand-side evaluations. A stable sort by flow puts the log in
+        (flow, chunk) order, so each ``FlowResult`` is a slice of it, and one
+        ``_hidden_dips`` call searches the steps flagged as hiding a dip; in a
+        chunk a terminal event ended, the end values of the last step do not
+        count, so it is not searched (the stopped step, or the step before it
+        where the stopped one was dropped).
+
+        A tangency candidate (a root of db/dt, or a hidden dip: a local minimum
+        of b) is grazing where |b| < grazing_tol. The first where b < 0 proves
+        that the flow left M inside its step, and ``_cut_at_exit`` ends the
+        flow there; ``nfev`` and ``n_steps`` still count the integration past
+        the exit. The first error in flow order is raised: ``errors[i]``, or
+        ``_cut_at_exit``'s.
+        """
+        n = spec.dimension
+        flow_of = np.concatenate(self.flows)
+        sample_chunk, times, states = _by_flow(self.samples, flow_of)
+        chunk, Q, y_old, t_old, h, hides = _by_flow(self.steps, flow_of)
         stopped = np.zeros(self.count, dtype=bool)
         stopped[np.concatenate(self.stopped)] = True
-        sample_chunk, times, states = _by_chunk(self.samples)
-        chunk, Q, y_old, t_old, h, hides = _by_chunk(self.steps)
-        graze_chunk, grazes = _by_chunk(self.grazes)
-        first = np.searchsorted(chunk, np.arange(self.count + 1))
-        hides[first[1:][stopped] - 1] = False
+        final = np.append(chunk[1:] != chunk[:-1], True)  # each chunk's last step
+        hides[final & stopped[chunk]] = False
         searched = np.flatnonzero(hides)
         x, dip = _hidden_dips(spec, (Q[searched], y_old[searched], t_old[searched], h[searched]))
-        dip_chunk, dips = chunk[searched][dip], x[dip]
-        sample_first, graze_first, dip_first = (
-            np.searchsorted(c, np.arange(self.count + 1)).tolist()
-            for c in (sample_chunk, graze_chunk, dip_chunk))
-        first = first.tolist()
-        for c, flow in enumerate(flows.tolist()):
-            rows = slice(first[c], first[c + 1])
-            samples = slice(sample_first[c], sample_first[c + 1])
-            yield (flow, times[samples], states[samples],
-                   (Q[rows], y_old[rows], t_old[rows], h[rows]),
-                   grazes[graze_first[c]:graze_first[c + 1]].tolist()
-                   + dips[dip_first[c]:dip_first[c + 1]].tolist())
+        graze_chunk, grazes = map(np.concatenate, zip(*self.grazes))
+        candidate_flow = np.concatenate([flow_of[graze_chunk], flow_of[chunk[searched[dip]]]])
+        candidates = np.concatenate([grazes, x[dip]])
+        order = np.lexsort((candidates, candidate_flow))
+        candidate_flow, candidates = candidate_flow[order], candidates[order]
+        sample_first, step_first, candidate_first = (
+            np.searchsorted(f, np.arange(len(endings) + 1)).tolist()
+            for f in (flow_of[sample_chunk], flow_of[chunk], candidate_flow))
+
+        flows = []
+        for i, (ending, error) in enumerate(zip(endings, errors)):
+            if error is not None:
+                raise error
+            samples = slice(sample_first[i], sample_first[i + 1])
+            rows = slice(step_first[i], step_first[i + 1])
+            flow = FlowResult(times[samples], states[samples],
+                              (Q[rows], y_old[rows], t_old[rows], h[rows]), *ending, [],
+                              crossings[i], int(nfev[i]), rows.stop - rows.start)
+            tg = candidates[candidate_first[i]:candidate_first[i + 1]]
+            if tg.size:
+                b = spec.boundary.value(flow.state_at(tg)[:, :n])
+                exits = np.flatnonzero(b < 0)
+                # the exit's own tangency counts, whichever side of b = 0 rounding puts it
+                last = exits[0] + 1 if exits.size else len(b)
+                flow.grazing_times = tg[:last][np.abs(b[:last]) < grazing_tol].tolist()
+                if exits.size:
+                    flow = _cut_at_exit(flow, spec, float(tg[exits[0]]))
+            flows.append(flow)
+        return flows
 
 
 def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
@@ -610,8 +611,8 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     loops only over rows where several events fire or a chunk ends. The
     chunks that open together, the launches and the flows restarting after
     deck crossings of one iteration, take their right-hand side, events and
-    initial steps (``_initial_steps``) in one call each. The log is sorted
-    into chunks once, at the end.
+    initial steps (``_initial_steps``) in one call each. The log is
+    stitched into flows once, at the end (``_StepLog.stitch``).
 
     ``rhs`` must take a stack (m, N) and give each row what it gives that
     state alone; it gets no stage times, so the equation must be
@@ -633,8 +634,9 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     events, tags = _event_functions(spec, detect_boundary)
     direction = np.array([event.direction for event in events])
     terminal = np.array([event.terminal for event in events], dtype=bool)
-    records = [_Chunks() for _ in range(m)]
     log = _StepLog(N)
+    endings, errors = [None] * m, [None] * m
+    crossings = [[] for _ in range(m)]
     T = np.zeros(m)
     F = np.empty((m, N))
     G = np.empty((m, len(events)))
@@ -675,7 +677,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
             fresh[new] = False
         too_small = H[run] < min_step[run]
         for i in run[too_small]:
-            records[i].error = IntegrationError(
+            errors[i] = IntegrationError(
                 f"integration failed on {spec.name!r}: {RK45.TOO_SMALL_STEP}")
         run = run[~too_small]
         if not run.size:
@@ -752,29 +754,21 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
             i = acc[j]
             fired = (tags[stop_event[j]], y_stop[j].copy()) if stopped[j] else None
             try:
-                restart = records[i].end(spec, float(t_stop[j]), fired, vector_blocks)
+                endings[i] = _chunk_end(spec, float(t_stop[j]), fired, crossings[i],
+                                        vector_blocks, detect_boundary)
             except IntegrationError as exc:
-                records[i].error, restart = exc, None
-            if restart is None:
-                done.append(i)
-            else:
-                T[i], Y[i] = restart
+                errors[i] = exc
+            if errors[i] is None and endings[i][0] == "deck":
+                T[i], Y[i] = endings[i][1:]
                 restarts.append(i)
+            else:
+                done.append(i)
         if restarts:
             open_chunks(np.array(restarts))
         if done:
             run = np.setdiff1d(run, done)
 
-    for flow, *chunk_data in log.chunks(spec):
-        if records[flow].error is None:
-            records[flow].add(*chunk_data)
-    flows = []
-    for record, evaluations in zip(records, nfev):
-        if record.error is not None:
-            raise record.error
-        record.nfev = int(evaluations)
-        flows.append(record.flow(spec, grazing_tol))
-    return flows
+    return log.stitch(spec, endings, crossings, nfev, errors, grazing_tol)
 
 
 def _apply_deck_to_state(deck, y, n, vector_blocks):

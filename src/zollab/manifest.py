@@ -275,7 +275,7 @@ def _build_deck_maps(docs, n):
             raise ManifestError(f"unknown deck map kind {kind!r}")
         axis = _chart_axis(doc, "axis", n)
         period = doc.get("period")
-        if not (_is_number(period) and period > 0):
+        if not (_is_number(period) and period > 0 and math.isfinite(period)):
             raise ManifestError(f"deck map period must be a positive number, not {period!r}")
         if kind == "translation":
             decks.extend(translation_decks(n, axis, float(period),
@@ -350,7 +350,7 @@ def load_manifold(doc) -> ManifoldSpec:
             pdoc["point"], dim, name=_string(pdoc, "name", f"patch{i}", "boundary patch"),
             periodic=periodic))
     scale_hint = inline.get("scale_hint", 1.0)
-    if not (_is_number(scale_hint) and scale_hint > 0):
+    if not (_is_number(scale_hint) and scale_hint > 0 and math.isfinite(scale_hint)):
         raise ManifestError(f"scale_hint must be a positive number, not {scale_hint!r}")
     return ManifoldSpec(
         name=_string(inline, "name", "inline", "inline chart"),

@@ -13,11 +13,12 @@ from scipy.integrate._ivp.rk import RkDenseOutput
 from scipy.optimize import brentq
 
 import zollab.engine
-from test_manifest_cli import INLINE_CYLINDER
+from test_manifest_cli import INLINE_CYLINDER, tilted_strip
 from zollab import cli
 from zollab.catalog import catalog_names, make_example
 from zollab.engine import (
     GRAZING_TOL,
+    IntegrationError,
     LaunchSet,
     NoReturnError,
     _active_events,
@@ -563,6 +564,32 @@ def test_lockstep_flows_bit_equal_to_integrate_flow(name):
     if name.startswith("concentric_annulus"):
         # flows cut at a hole crossing were integrated past it
         assert sum(f.n_steps > len(f.steps[0]) for f in flows) == 32
+
+
+@pytest.mark.parametrize("case", ["crossings", "flip"])
+def test_lockstep_flows_raise_what_integrate_flow_raises(case, monkeypatch):
+    # the launches of the tilted strips that exit RUN_FAILED: lockstep_flows
+    # raises the error of the first flow that fails, which integrate_flow
+    # raises on that flow's launch alone
+    if case == "crossings":
+        monkeypatch.setattr(zollab.engine, "MAX_CHUNKS", 10)
+    spec = load_manifold(tilted_strip(case))
+    n = spec.dimension
+    points = project_to_boundary(spec, sample_boundary(spec, 32).points)
+    y0 = np.concatenate([points, inward_unit_normal(spec, points)], axis=1)
+    t_end = 50.0 * spec.scale_hint
+    rhs = geodesic_rhs(spec)
+    for y in y0:
+        try:
+            integrate_flow(spec, rhs, y, t_end, vector_blocks=[(n, n, 1)])
+        except IntegrationError as exc:
+            want = str(exc)
+            break
+    else:
+        pytest.fail("no launch fails")
+    with pytest.raises(IntegrationError) as got:
+        lockstep_flows(spec, rhs, y0, t_end, vector_blocks=[(n, n, 1)])
+    assert str(got.value) == want
 
 
 def test_active_events_are_find_active_events(rng):

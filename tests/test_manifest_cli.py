@@ -54,6 +54,29 @@ INLINE_CYLINDER = {
 }
 
 
+def tilted_strip(case):
+    """A strip 0 < x0 < 2 with a constant metric whose orthogonal geodesics
+    are straight lines tilted along the x1 faces, with the deck map of
+    ``case``: "crossings", a translation of period 0.02 along them, or
+    "flip", a flip that sends them out of M, where b has a negative minimum."""
+    if case == "crossings":
+        boundary, period = "x0*(2 - x0)/2", 0.02
+        deck = {"kind": "translation", "axis": 1, "period": period}
+    else:
+        boundary, period = "x0*(2 - x0)*(x0 + 1)/2", 0.5
+        deck = {"kind": "flip_translation", "axis": 1, "period": period, "flip_axis": 0}
+    return {"inline": {
+        "name": "tilted-strip", "dimension": 2,
+        "metric": {"kind": "expression", "entries": [["1", "0.5"], ["0.5", "1"]]},
+        "boundary": {"expression": boundary},
+        "domain": {"lo": [-3.0, -1.0], "hi": [3.0, 1.0]},
+        "deck_maps": [deck],
+        "boundary_patches": [
+            {"name": side, "dim": 1, "point": [x0, f"{period}*u0"], "periodic": [True]}
+            for side, x0 in (("bottom", "0"), ("top", "2"))],
+        "scale_hint": 2.0}}
+
+
 class TestExpressionManifolds:
     def test_inline_ellipse_matches_catalog(self):
         spec = load_manifold(INLINE_ELLIPSE)
@@ -246,32 +269,16 @@ class TestCLI:
         # it about 100 times between the two sides
         ("crossings", "error: too many deck crossings on 'tilted-strip' (runaway trajectory?)"),
         # a flip that sends the geodesics out of M, where b has a negative
-        # minimum, cut at a step that starts outside M too
-        ("flip", "error: geodesic leaves 'tilted-strip' within its first step"),
+        # minimum: named at the crossing, not where the flow is next cut
+        ("flip", "error: deck map 'ft1-' of 'tilted-strip' sends a flow out of M, "
+                 "to [-0.03125  0.5    ] where b = -0.0307"),
     ])
     def test_runaway_and_stray_flows_exit_run_failed(self, case, message, tmp_path, capsys,
                                                      monkeypatch):
-        # a strip 0 < x0 < 2 with a constant metric whose orthogonal
-        # geodesics are straight lines tilted along the x1 faces
         if case == "crossings":
-            boundary, period = "x0*(2 - x0)/2", 0.02
-            deck = {"kind": "translation", "axis": 1, "period": period}
             monkeypatch.setattr(zollab.engine, "MAX_CHUNKS", 10)
-        else:
-            boundary, period = "x0*(2 - x0)*(x0 + 1)/2", 0.5
-            deck = {"kind": "flip_translation", "axis": 1, "period": period, "flip_axis": 0}
-        doc = {"inline": {
-            "name": "tilted-strip", "dimension": 2,
-            "metric": {"kind": "expression", "entries": [["1", "0.5"], ["0.5", "1"]]},
-            "boundary": {"expression": boundary},
-            "domain": {"lo": [-3.0, -1.0], "hi": [3.0, 1.0]},
-            "deck_maps": [deck],
-            "boundary_patches": [
-                {"name": side, "dim": 1, "point": [x0, f"{period}*u0"], "periodic": [True]}
-                for side, x0 in (("bottom", "0"), ("top", "2"))],
-            "scale_hint": 2.0}}
         mpath = tmp_path / "m.json"
-        mpath.write_text(json.dumps({"manifold": doc, "launches": 32,
+        mpath.write_text(json.dumps({"manifold": tilted_strip(case), "launches": 32,
                                      "out_dir": str(tmp_path / "out")}))
         assert main(["certify", "--manifest", str(mpath)]) == zollab.cli.RUN_FAILED
         assert capsys.readouterr().err.splitlines() == [message]
@@ -417,6 +424,10 @@ class TestCLI:
          "annotation 'soul_dim' must be a non-negative integer, not None"),
         ({"inline": {"annotations": {"dimension": "2"}}},
          "annotation 'dimension' must be a non-negative integer, not '2'"),
+        # a number JSON reads back as inf would run on NaN arithmetic
+        ({"inline": {"scale_hint": float("inf")}}, "scale_hint must be a positive number, not inf"),
+        ({"inline": {"deck_maps": [{"kind": "translation", "axis": 1, "period": float("inf")}]}},
+         "deck map period must be a positive number, not inf"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))
