@@ -29,7 +29,8 @@ from .manifest import ManifestError, RunManifest, load_manifold
 from .verifier import LaunchCountError, Tolerances, annotation_checks, certify
 
 # Not called here: bench/spans.py looks these names up on this module to time
-# any recomputation the CLI does after certify (it does none).
+# any recomputation the CLI does after certify (it does none; the one spectrum
+# of a run is solved where spectrum.csv is written, from the report's form).
 from .jacobi import assemble_index_form, index_form_spectrum, integrate_jacobi_frame  # noqa: F401
 from .verifier import build_soul  # noqa: F401
 
@@ -89,10 +90,11 @@ def _run_spec(spec, manifest: RunManifest, analyses, out_dir, quiet):
                 f.write(",".join(f"x{i + 1}" for i in range(spec.dimension)) + "\n")
                 for p in report.soul_cloud.points:
                     f.write(",".join(f"{c:.17g}" for c in p) + "\n")
-        if report.index_spectrum is not None:
+        if report.index_form is not None:
+            # the one full spectrum of the run, solved here
             with open(os.path.join(out, "spectrum.csv"), "w", encoding="utf-8") as f:
                 f.write("index,eigenvalue\n")
-                for i, ev in enumerate(report.index_spectrum):
+                for i, ev in enumerate(report.index_form.eigenvalues):
                     f.write(f"{i},{ev:.17g}\n")
 
     if not quiet:

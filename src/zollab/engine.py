@@ -12,15 +12,17 @@ teleporting the state.
 Every run integrates through ``lockstep_flows``, which steps a stack of
 states together: the launches of a sweep, or the Jacobi frames of the
 ``jacobi`` analysis. Everything it does is done on stacks: the steps and
-initial steps of scipy's RK45; which events a chunk watches and which fire
-in a step; the roots of every fired event of an iteration, found together on
-the step polynomials by the stacked ``brentq`` of ``zollab.scalar``; and its
-record of the chunks, a log of arrays appended once per iteration.
-``integrate_flow`` integrates one state with ``solve_ivp``; it is the
-one-state reference the tests compare ``lockstep_flows`` against, flow by
-flow and bit for bit. Both keep their chunks in the same record,
-``_StepLog``, which stitches every flow at the end: one sort of the log, one
-search for the dips of b hidden inside steps, and each flow's exit cut.
+initial steps of scipy's RK45, as ``zollab.rk45`` copies them; which events
+a chunk watches and which fire in a step; the roots of every fired event of
+an iteration, found together on the step polynomials by the stacked
+``brentq`` of ``zollab.scalar``; and its record of the chunks, a log of
+arrays appended once per iteration. ``integrate_flow`` integrates one state
+with scipy's ``solve_ivp``, imported on its first call so that a run loads
+no scipy; it is the one-state reference the tests compare
+``lockstep_flows`` against, flow by flow and bit for bit. Both keep their
+chunks in the same record, ``_StepLog``, which stitches every flow at the
+end: one sort of the log, one search for the dips of b hidden inside steps,
+and each flow's exit cut.
 
 A sweep (``first_return_map``) keeps one record per returned geodesic, its
 ``GeodesicPath``, which reads everything it reports off its flow; a launch
@@ -33,11 +35,11 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-# solve_ivp's own pieces, so lockstep shooting takes the steps it takes
-from scipy.integrate._ivp.common import EPS, validate_tol
-from scipy.integrate._ivp.rk import RK45
+# the first call of np.unique (or np.setdiff1d) imports numpy.ma, 13 ms; at
+# import, it is set-up time, not a run's
+import numpy.ma  # noqa: F401
 
+from . import rk45
 from .geometry import (
     ManifoldSpec,
     christoffel_raw,
@@ -45,7 +47,6 @@ from .geometry import (
     metric_inner,
     metric_norm,
     row_dot,
-    scalar_pow,
 )
 from .scalar import brentq, minimize_bounded, require
 
@@ -72,7 +73,7 @@ class IntegrationError(RuntimeError):
 
 class _FlowTable:
     """The step tables of flows, concatenated: the states of many flows, each
-    at its own time, read with one ``_dense_states`` call."""
+    at its own time, read with one ``rk45.dense_states`` call."""
 
     def __init__(self, flows):
         self.steps = tuple(map(np.concatenate, zip(*(flow.steps for flow in flows))))
@@ -92,7 +93,7 @@ class _FlowTable:
         t = np.minimum(np.maximum(t, self.t_first[flows]), self.t_last[flows])
         before = np.sum(self.starts[flows] < t[:, None], axis=1)
         step = self.first[flows] + np.maximum(before - 1, 0)
-        return _dense_states(*(a[step] for a in self.steps), t)
+        return rk45.dense_states(*(a[step] for a in self.steps), t)
 
 
 @dataclass
@@ -137,17 +138,7 @@ class FlowResult:
         polynomials are evaluated here.
         """
         t = np.asarray(t, dtype=float)
-        return _dense_states(*self._pieces(t.reshape(-1))).reshape(t.shape + (-1,))
-
-
-def _dense_states(Q, y_old, t_old, h, t):
-    """Row i: the ``RkDenseOutput`` (Q[i], y_old[i], t_old[i], h[i]) at t[i], with
-    its arithmetic (``np.dot`` of one row becomes a stacked ``matmul``)."""
-    x = (t - t_old) / h
-    p = np.cumprod(np.repeat(x[:, None], Q.shape[-1], axis=1), axis=1)
-    y = h[:, None] * np.matmul(Q, p[:, :, None])[:, :, 0]
-    y += y_old
-    return y
+        return rk45.dense_states(*self._pieces(t.reshape(-1))).reshape(t.shape + (-1,))
 
 
 def geodesic_rhs(spec: ManifoldSpec):
@@ -278,7 +269,7 @@ def _step_state(piece):
     def state(t, rows=0):
         t = np.asarray(t, dtype=float)
         rows = np.broadcast_to(rows, t.shape).reshape(-1)
-        return _dense_states(*(a[rows] for a in step), t.reshape(-1)).reshape(t.shape + (-1,))
+        return rk45.dense_states(*(a[rows] for a in step), t.reshape(-1)).reshape(t.shape + (-1,))
 
     return state
 
@@ -299,7 +290,7 @@ def _event_roots(events, active, state, lo, hi, rows=0):
             values[on] = events[e](None, y[on])
         return values
 
-    return require(*brentq(f, lo, hi, xtol=4 * EPS, rtol=4 * EPS))
+    return require(*brentq(f, lo, hi, xtol=4 * rk45.EPS, rtol=4 * rk45.EPS))
 
 
 def _active_events(g, g_new, direction):
@@ -345,7 +336,7 @@ def _hidden_dips(spec, steps):
     end = ts[:, -1]
     x, fun = minimize_bounded(b_at, ts[every, np.maximum(j - 1, 0)],
                               ts[every, np.minimum(j + 1, DIP_SAMPLES)],
-                              xatol=4 * EPS * np.where(end > 1.0, end, 1.0))
+                              xatol=4 * rk45.EPS * np.where(end > 1.0, end, 1.0))
     return x, fun < 0
 
 
@@ -368,6 +359,13 @@ def _cut_at_exit(flow, spec, t_dip):
                    steps=tuple(a[flow.steps[2] < t_exit] for a in flow.steps),
                    status="boundary", event_time=t_exit, event_state=y_exit,
                    deck_crossings=[c for c in flow.deck_crossings if c[0] < t_exit])
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """scipy's ``solve_ivp``, imported on the first call: only ``integrate_flow``
+    calls it, and no run does."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
 def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
@@ -428,80 +426,6 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
 # ---------------------------------------------------------------------------
 # lockstep shooting: scipy's RK45 over a stack of geodesics
 
-_RK_EXPONENT = -1 / (RK45.error_estimator_order + 1)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_STAGES = RK45.n_stages
-
-
-def _rms(x):
-    """scipy's RMS ``norm`` of each row of x (m, N): a stacked dot, not
-    ``np.linalg.norm``'s one-row dot, bit for bit."""
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]) / x.shape[1] ** 0.5
-
-
-def _initial_steps(rhs, y0, f0, interval, max_step, rtol, atol):
-    """scipy's ``select_initial_step`` (Hairer, Nørsett and Wanner, *Solving
-    ODEs I*, §II.4) for forward chunks from the states y0 (m, N), where the
-    right-hand side is f0, over intervals (m,), with one stacked ``rhs``
-    call: Python's min(a, x) is x where x < a, and max(a, x) is x where x > a.
-
-    Returns the initial step sizes and the flags of the rows ``rhs`` was
-    called on: on an empty interval the step is 0 and scipy calls nothing.
-    """
-    h = np.zeros(len(y0))
-    probed = interval != 0
-    y0, f0, interval = y0[probed], f0[probed], interval[probed]
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = np.full(len(y0), 1e-6)
-    far = ~((d0 < 1e-5) | (d1 < 1e-5))
-    h0[far] = 0.01 * d0[far] / d1[far]
-    h0 = np.where(interval < h0, interval, h0)
-    f1 = rhs(None, y0 + h0[:, None] * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-
-    h1 = np.where(h0 * 1e-3 > 1e-6, h0 * 1e-3, 1e-6)
-    curved = ~((d1 <= 1e-15) & (d2 <= 1e-15))
-    d = np.where(d2 > d1, d2, d1)[curved]
-    h1[curved] = scalar_pow(0.01 / d, 1 / (RK45.error_estimator_order + 1))
-    step = 100 * h0
-    for bound in (h1, interval, max_step):
-        step = np.where(bound < step, bound, step)
-    h[probed] = step
-    return h, probed
-
-
-def _rk45_try(rhs, y, f, h, rtol, atol):
-    """``rk_step`` and the error norm of ``RK45._step_impl`` for states y (m, N)
-    with derivatives f over steps h (m,): each ``np.dot`` of one state is a
-    stacked ``matmul``, the RMS norm ``_rms``.
-
-    Returns the new states, the stages K (m, 7, N) and the error norms. The
-    geodesic equation is autonomous, so ``rhs`` gets no stage times.
-    """
-    K = np.empty((len(y), _STAGES + 1, y.shape[1]))
-    K[:, 0] = f
-    for s in range(1, _STAGES):
-        dy = np.matmul(K[:, :s].swapaxes(1, 2), RK45.A[s, :s]) * h[:, None]
-        K[:, s] = rhs(None, y + dy)
-    y_new = y + h[:, None] * np.matmul(K[:, :-1].swapaxes(1, 2), RK45.B)
-    K[:, -1] = rhs(None, y_new)
-    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    error_norm = _rms(np.matmul(K.swapaxes(1, 2), RK45.E) * h[:, None] / scale)
-    return y_new, K, error_norm
-
-
-def _step_factor(error_norm, rejected):
-    """Factor ``RK45._step_impl`` scales each step size by after a try: Python's
-    min(a, x) is x where x < a, and max(a, x) is x where x > a."""
-    zero = error_norm == 0
-    grow = np.full(len(error_norm), np.nan)
-    grow[~zero] = _SAFETY * scalar_pow(error_norm[~zero], _RK_EXPONENT)
-    accepted = np.where(zero, _MAX_FACTOR, np.where(grow < _MAX_FACTOR, grow, _MAX_FACTOR))
-    accepted = np.where(rejected & ~(accepted < 1), 1, accepted)
-    return np.where(error_norm < 1, accepted, np.where(grow > _MIN_FACTOR, grow, _MIN_FACTOR))
-
-
 def _by_flow(parts, flow_of):
     """The columns of ``parts``, a list of (chunk, ...) tuples of arrays, each
     concatenated and put in the order of the chunks' flows ``flow_of[chunk]``
@@ -524,7 +448,7 @@ class _StepLog:
         self.count = 0
         self.flows = []
         self.samples = []             # (chunk, t, y): chunk openings and step ends
-        self.steps = [(np.empty(0, dtype=int), np.empty((0, N, RK45.P.shape[1])),
+        self.steps = [(np.empty(0, dtype=int), np.empty((0, N, rk45.P.shape[1])),
                        np.empty((0, N)), np.empty(0), np.empty(0), np.empty(0, dtype=bool))]
         self.grazes = [(np.empty(0, dtype=int), np.empty(0))]
         self.stopped = [np.empty(0, dtype=int)]  # chunks a terminal event ended
@@ -611,7 +535,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     loops only over rows where several events fire or a chunk ends. The
     chunks that open together, the launches and the flows restarting after
     deck crossings of one iteration, take their right-hand side, events and
-    initial steps (``_initial_steps``) in one call each. The log is
+    initial steps (``rk45.initial_steps``) in one call each. The log is
     stitched into flows once, at the end (``_StepLog.stitch``).
 
     ``rhs`` must take a stack (m, N) and give each row what it gives that
@@ -627,7 +551,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         # solve_ivp would integrate backwards, or take one step of length 0
         raise ValueError(f"t_end must be positive, not {t_end!r}")
     max_step = 0.25 * spec.scale_hint
-    rtol, atol = validate_tol(rtol, atol, N)
+    rtol, atol = rk45.validate_tol(rtol, atol, N)
 
     # the flows' event functions, their values at each flow's last step end
     # (G), and the events each flow's chunk watches (W)
@@ -652,8 +576,8 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         F[rows] = rhs(None, y)
         G[rows] = _event_values(spec, y, detect_boundary)
         W[rows] = _watched_events(spec, y, G[rows], tags)
-        H[rows], probed = _initial_steps(rhs, y, F[rows], T_end[rows] - T[rows], max_step,
-                                         rtol, atol)
+        H[rows], probed = rk45.initial_steps(rhs, y, F[rows], T_end[rows] - T[rows],
+                                             max_step, rtol, atol)
         nfev[rows] += 1 + probed
         chunk[rows] = log.open(rows, T[rows], y)
         T_open[rows] = T[rows]
@@ -678,7 +602,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         too_small = H[run] < min_step[run]
         for i in run[too_small]:
             errors[i] = IntegrationError(
-                f"integration failed on {spec.name!r}: {RK45.TOO_SMALL_STEP}")
+                f"integration failed on {spec.name!r}: {rk45.TOO_SMALL_STEP}")
         run = run[~too_small]
         if not run.size:
             break
@@ -688,9 +612,9 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         t_new = np.where(t_new - T_end[run] > 0, T_end[run], t_new)
         h = t_new - t
         y = Y[run]
-        y_new, K, error_norm = _rk45_try(rhs, y, F[run], h, rtol, atol)
+        y_new, K, error_norm = rk45.try_step(rhs, y, F[run], h, rtol, atol)
         attempts[run] += 1
-        H[run] = np.abs(h) * _step_factor(error_norm, rejected[run])
+        H[run] = np.abs(h) * rk45.step_factor(error_norm, rejected[run])
         ok = error_norm < 1
         rejected[run[~ok]] = True
         if not ok.any():
@@ -702,7 +626,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         Y[acc] = y_new
         F[acc] = K[ok, -1]
         fresh[acc] = True
-        Q = np.matmul(K[ok].swapaxes(1, 2), RK45.P)
+        Q = np.matmul(K[ok].swapaxes(1, 2), rk45.P)
         # the events of every accepted geodesic at its step end, and the
         # watched ones that fire in its step
         g, g_new = G[acc], _event_values(spec, y_new, detect_boundary)
@@ -747,7 +671,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         ending = np.flatnonzero(stopped | (t_new - T_end[acc] >= 0))
         if not ending.size:
             continue
-        nfev[acc[ending]] += _STAGES * attempts[acc[ending]]
+        nfev[acc[ending]] += rk45.n_stages * attempts[acc[ending]]
         attempts[acc[ending]] = 0
         done, restarts = [], []
         for j in ending:

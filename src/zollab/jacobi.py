@@ -10,11 +10,12 @@ linear second-order system with symmetric coefficient matrix.
 from __future__ import annotations
 
 import ctypes
+import glob
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cython_lapack, lapack
 
 from .engine import (
     DEFAULT_ATOL,
@@ -412,27 +413,82 @@ def _arrival_tangent_frame(spec, frame, q):
     return gram_schmidt(g, np.array(rows))
 
 
-def _bind_lapack(name, *argtypes):
-    """LAPACK routine ``name`` from the function table scipy exports for Cython
-    callers, called with ``argtypes``."""
-    capsule = cython_lapack.__pyx_capi__[name]
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+# the arguments of the LAPACK routines used, each passed by reference: c a
+# character, i an integer, d an array of doubles; info is the last
+_ROUTINES = {
+    # jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info
+    "dsbgv": "cciiidididdidi",
+    # uplo, n, kd, ab, ldab, info
+    "dpbtrf": "ciidii",
+}
+
+
+def _numpy_openblas():
+    """{name: address} of the routines in the OpenBLAS bundled with numpy's
+    wheel, which numpy has already loaded: ILP64, with the full LAPACK as
+    ``scipy_<name>_64_``. None where it is not there (another wheel, a source
+    build) or lacks one of them."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            return {name: ctypes.cast(getattr(lib, f"scipy_{name}_64_"), ctypes.c_void_p).value
+                    for name in _ROUTINES}
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+def _scipy_cython_lapack():
+    """{name: address} of the routines in the function table scipy exports
+    for Cython callers; scipy is imported only here."""
+    from scipy.linalg import cython_lapack
+
     get_name = ctypes.pythonapi.PyCapsule_GetName
     get_name.argtypes = [ctypes.py_object]
     get_name.restype = ctypes.c_char_p
     get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
     get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
     get_pointer.restype = ctypes.c_void_p
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+    capsules = cython_lapack.__pyx_capi__
+    return {name: get_pointer(capsules[name], get_name(capsules[name])) for name in _ROUTINES}
 
 
-_CHAR = ctypes.c_char_p
-_INT = ctypes.POINTER(ctypes.c_int)
-_DOUBLE = ctypes.POINTER(ctypes.c_double)
-# jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info; scipy does
-# not wrap dsbgv
-_DSBGV = _bind_lapack("dsbgv", _CHAR, _CHAR, _INT, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT,
-                      _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT)
+def _bind_lapack():
+    """The routines from numpy's OpenBLAS where it has them, else from scipy:
+    {name: function}, their integer type, and whether the length of each
+    character argument follows the others. numpy's are the Fortran symbols,
+    which take both: 64-bit integers and the lengths; scipy's table takes
+    C ints and no lengths."""
+    addresses, integer, lengths = _numpy_openblas(), ctypes.c_int64, True
+    if addresses is None:
+        addresses, integer, lengths = _scipy_cython_lapack(), ctypes.c_int, False
+    kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer), "d": _DOUBLE}
+    functions = {}
+    for name, signature in _ROUTINES.items():
+        argtypes = [kinds[k] for k in signature]
+        if lengths:
+            argtypes += [ctypes.c_size_t] * signature.count("c")
+        functions[name] = ctypes.CFUNCTYPE(None, *argtypes)(addresses[name])
+    return functions, integer, lengths
+
+
+_LAPACK = _bind_lapack()
+
+
+def _lapack(name, *args):
+    """LAPACK routine ``name`` called on ``args``, all its arguments but
+    ``info``, which it returns: bytes for characters, Python ints for
+    integers, float64 arrays (Fortran-ordered) for arrays."""
+    functions, integer, lengths = _LAPACK
+    info = integer(0)
+    refs = [a if isinstance(a, bytes) else
+            ctypes.byref(integer(a)) if isinstance(a, int) else
+            a.ctypes.data_as(_DOUBLE) for a in args]
+    chars = [len(a) for a in args if isinstance(a, bytes)] if lengths else []
+    functions[name](*refs, ctypes.byref(info), *chars)
+    return info.value
 
 
 def _band_shape(mat: IndexFormMatrix):
@@ -444,10 +500,6 @@ def _band_shape(mat: IndexFormMatrix):
     return rows, dof
 
 
-def _ptr(a):
-    return a.ctypes.data_as(_DOUBLE)
-
-
 def index_form_eigenvalues(mat: IndexFormMatrix):
     """Full ascending spectrum of stiffness x = lambda mass x (LAPACK dsbgv)."""
     rows, dof = _band_shape(mat)
@@ -457,12 +509,10 @@ def index_form_eigenvalues(mat: IndexFormMatrix):
     w = np.empty(dof)
     z = np.empty(1)                  # eigenvectors are not computed
     work = np.empty(3 * dof)
-    size, kd, ld, ldz, info = (ctypes.c_int(v) for v in (dof, rows - 1, rows, 1, 0))
-    _DSBGV(b"N", b"U", ctypes.byref(size), ctypes.byref(kd), ctypes.byref(kd),
-           _ptr(ab), ctypes.byref(ld), _ptr(bb), ctypes.byref(ld), _ptr(w), _ptr(z),
-           ctypes.byref(ldz), _ptr(work), ctypes.byref(info))
-    if info.value != 0:
-        raise RuntimeError(f"indefinite assembly error (dsbgv info={info.value})")
+    info = _lapack("dsbgv", b"N", b"U", dof, rows - 1, rows - 1, ab, rows, bb, rows, w, z, 1,
+                   work)
+    if info != 0:
+        raise RuntimeError(f"indefinite assembly error (dsbgv info={info})")
     return w
 
 
@@ -470,7 +520,9 @@ def _check_mass_definite(mat: IndexFormMatrix):
     """Raise the assembly error unless the mass band has a Cholesky factor
     (LAPACK dpbtrf, on a copy of the read-only band), which Sylvester's law of
     inertia needs."""
-    _, info = lapack.dpbtrf(mat.mass_band)
+    rows, dof = mat.mass_band.shape
+    info = _lapack("dpbtrf", b"U", dof, rows - 1, np.array(mat.mass_band, dtype=np.float64,
+                                                           order="F"), rows)
     if info != 0:
         raise RuntimeError(f"indefinite assembly error (dpbtrf info={info})")
 

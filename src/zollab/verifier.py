@@ -13,8 +13,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .engine import (
     DEFAULT_ATOL,
@@ -37,6 +35,7 @@ from .geometry import (
     metric_norm,
 )
 from .jacobi import (
+    IndexFormMatrix,
     arrival_degeneracy_form,
     assemble_index_form,
     focal_instants,
@@ -84,11 +83,37 @@ class Tolerances:
 # ---------------------------------------------------------------------------
 # point-cloud clustering modulo deck maps
 
+def connected_components(adj):
+    """The number of connected components of the undirected graph with the
+    symmetric boolean adjacency matrix ``adj`` (m, m), and the component of
+    each node, numbered in the order of their smallest nodes, as scipy's
+    ``csgraph.connected_components`` numbers them.
+
+    Hook and compress over the edges: each round points every root at the
+    smallest root it shares an edge with, and pointer jumping then sends
+    every node to its root, until no edge joins two roots. A root points
+    only at smaller ones, so each component ends at its smallest node.
+    """
+    i, j = np.nonzero(np.triu(adj, 1))
+    root = np.arange(len(adj))
+    while True:
+        ri, rj = root[i], root[j]
+        joined = ri != rj
+        if not joined.any():
+            break
+        np.minimum.at(root, np.maximum(ri, rj)[joined], np.minimum(ri, rj)[joined])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    roots, labels = np.unique(root, return_inverse=True)
+    return len(roots), labels
+
+
 def _cluster_points(spec, pts, radius):
-    """Union-find clustering of a point cloud at the given linking radius."""
-    D = QuotientCloud(spec, pts).pairwise()
-    _, labels = connected_components(csr_matrix(D <= radius), directed=False)
-    return labels
+    """Connected components of a point cloud at the given linking radius."""
+    return connected_components(QuotientCloud(spec, pts).pairwise() <= radius)[1]
 
 
 def midpoint_clusters(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances):
@@ -130,8 +155,7 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
     h_link = link_factor * float(np.median(D.min(axis=1)))
     adj = (D <= h_link)
     same_patch = launch_set.patch_ids[:, None] == launch_set.patch_ids[None, :]
-    adj = csr_matrix(adj | same_patch)
-    count, labels = connected_components(adj, directed=False)
+    count, labels = connected_components(adj | same_patch)
     sizes = [int(np.sum(labels == c)) for c in range(count)]
 
     diagnostics = []
@@ -494,22 +518,6 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
     return SplittingResult(unit_res, cross_res, n_launch)
 
 
-def slice_circumference(spec: ManifoldSpec, t, n_side=64, tol: Optional[Tolerances] = None):
-    """Length of the image of the first boundary patch at flow parameter t, from
-    a grid of ``n_side`` launches that must all return."""
-    tol = tol or Tolerances()
-    if spec.boundary_patches[0].param_dim != 1:
-        raise ValueError("slice circumference needs a one-parameter boundary patch")
-    sweep = _structured_sweep(spec, 0, n_side, tol, "slice circumference")
-    du = 1.0 / n_side
-    x = sweep.states_at(t)[:, :spec.dimension]
-    slice_t = QuotientCloud(spec, x)
-    i = np.arange(n_side)
-    dvec = (slice_t.nearest_image(x, (i + 1) % n_side)
-            - slice_t.nearest_image(x, (i - 1) % n_side)) / (2.0 * du)
-    return float(sum(metric_norm(spec.metric.matrix(x), dvec) * du))
-
-
 # ---------------------------------------------------------------------------
 # slice symmetry and distances
 
@@ -578,11 +586,11 @@ class ZollReport:
     ground_truth: Optional[dict] = None
     diagnostics: list = field(default_factory=list)
     tolerances: dict = field(default_factory=dict)
-    # intermediates kept for the artifacts, not part of report.json: the full
-    # index-form spectrum of the first returned geodesic, the soul cloud and
-    # the launch sweep
-    index_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False,
-                                                 metadata={"artifact": True})
+    # intermediates kept for the artifacts, not part of report.json: the
+    # index form of the first returned geodesic, whose spectrum is solved
+    # only where it is written, the soul cloud and the launch sweep
+    index_form: Optional[IndexFormMatrix] = field(default=None, repr=False, compare=False,
+                                                  metadata={"artifact": True})
     soul_cloud: Optional[SoulCloud] = field(default=None, repr=False, compare=False,
                                             metadata={"artifact": True})
     sweep: Optional[SweepResult] = field(default=None, repr=False, compare=False,
@@ -733,8 +741,7 @@ def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, 
     quad_vals = [kq for kq, _ in counts]
     nullities = [nq for _, nq in counts]
     if mats:
-        # the one full spectrum of the run, for spectrum.csv
-        report.index_spectrum = mats[0].eigenvalues
+        report.index_form = mats[0]
         report.index_quadratic = int(quad_vals[0])
         report.nullity_estimate = int(min(nullities))
         if len(set(quad_vals)) > 1:

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from test_verifier import slice_circumference
 from zollab.catalog import make_example
 from zollab.cli import run as cli_run
 from zollab.engine import first_return_map, nearest_exact_launch_counts, sample_boundary
@@ -29,7 +30,6 @@ from zollab.verifier import (
     certify,
     fiber_analysis,
     intercomponent_distance,
-    slice_circumference,
     slice_distance_check,
     soul_dimension_check,
     splitting_residual,

@@ -25,7 +25,6 @@ from zollab.engine import (
     _event_functions,
     _event_roots,
     _first_terminal,
-    _initial_steps,
     _step_state,
     arrival_orthogonality,
     first_return_map,
@@ -53,6 +52,7 @@ from zollab.geometry import (
 )
 from zollab.jacobi import _frame_start, frame_vector_blocks, jacobi_rhs
 from zollab.manifest import RunManifest, load_manifold
+from zollab.rk45 import initial_steps
 from zollab.verifier import Tolerances, certify
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
@@ -632,7 +632,7 @@ def test_initial_steps_are_select_initial_step(N, rng):
             calls.append(len(y))
             return coupled_rhs(t, y)
 
-        h, probed = _initial_steps(rhs, y0, f0, np.abs(t_bound - t0), max_step, rtol, atol)
+        h, probed = initial_steps(rhs, y0, f0, np.abs(t_bound - t0), max_step, rtol, atol)
         assert calls == [int(probed.sum())]
         for i in range(len(y0)):
             f1 = []

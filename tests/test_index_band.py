@@ -3,12 +3,17 @@
 The dense generalized ``scipy.linalg.eigh`` on the expanded matrices is the
 reference; it lives here only.
 """
+import ctypes
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
+import zollab.jacobi as jacobi
+import zollab.verifier as verifier
 from zollab.jacobi import (
     NEG_EIG_TOL,
     _band_to_dense,
@@ -21,6 +26,10 @@ from zollab.jacobi import (
     morse_index_quadratic,
     morse_indices_quadratic,
 )
+from zollab.manifest import load_manifold
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+from workloads import generate  # noqa: E402
 
 CERTIFIED_KEYS = ["flat_disk", "flat_band", "flat_moebius", "spherical_cap",
                   "spherical_band", "euclidean_ball3", "solid_torus"]
@@ -160,3 +169,61 @@ def test_cap_mesh_convergence(specs, frames):
     assert np.all((order >= 1.9) & (order <= 2.1)), order
     assert np.min(np.abs(eigs[256])) > NEG_EIG_TOL
     assert np.min(np.abs(eigs[512])) <= NEG_EIG_TOL
+
+
+@pytest.fixture(scope="module")
+def ball3_index_forms():
+    """The three index forms the ball3-index workload's seed-1 run assembles."""
+    manifest, _ = generate("ball3-index", 1)
+    mats = []
+
+    def kept(*args):
+        mats.append(assemble_index_form(*args))
+        return mats[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "assemble_index_form", kept)
+        verifier.certify(load_manifold(manifest["manifold"]), manifest["launches"],
+                         analyses=("certify", "jacobi"), mesh_size=manifest["mesh_size"])
+    assert len(mats) == 3
+    return mats
+
+
+def _lapack_outcomes(mats):
+    """Each form's dsbgv spectrum, and dpbtrf's info on its mass band and on
+    the negated one, with the LAPACK routines bound now."""
+    out = []
+    for mat in mats:
+        broken = dataclasses.replace(mat, mass_band=-mat.mass_band)
+        rows, dof = mat.mass_band.shape
+        infos = [jacobi._lapack("dpbtrf", b"U", dof, rows - 1, np.asfortranarray(m.mass_band),
+                                rows) for m in (mat, broken)]
+        out.append((index_form_eigenvalues(mat).tobytes(), infos))
+    return out
+
+
+def _scipy_fallback(monkeypatch):
+    """Bind LAPACK as where numpy bundles no OpenBLAS: from scipy's table."""
+    monkeypatch.setattr(jacobi, "_numpy_openblas", lambda: None)
+    monkeypatch.setattr(jacobi, "_LAPACK", jacobi._bind_lapack())
+
+
+def test_numpy_openblas_is_the_scipy_binding_bit_for_bit(ball3_index_forms, monkeypatch):
+    if jacobi._numpy_openblas() is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    ours = _lapack_outcomes(ball3_index_forms)
+    _scipy_fallback(monkeypatch)
+    assert _lapack_outcomes(ball3_index_forms) == ours
+    assert all(infos[0] == 0 and infos[1] > 0 for _, infos in ours)
+
+
+def test_forced_fallback_gives_the_same_spectrum(ball3_index_forms, monkeypatch):
+    mat = ball3_index_forms[0]
+    want = index_form_eigenvalues(mat), morse_index_quadratic(mat)
+    _scipy_fallback(monkeypatch)
+    assert jacobi._LAPACK[1] is ctypes.c_int           # scipy's table, LP64
+    assert index_form_eigenvalues(mat).tobytes() == want[0].tobytes()
+    assert morse_index_quadratic(mat) == want[1]
+    broken = dataclasses.replace(mat, mass_band=-mat.mass_band)
+    with pytest.raises(RuntimeError, match=r"^indefinite assembly error \(dpbtrf info=1\)$"):
+        morse_index_quadratic(broken)

@@ -280,11 +280,8 @@ class TestIndexEqualityAcrossLaunches:
     @pytest.mark.parametrize("key,expected", [("flat_disk", 1), ("flat_moebius", 0),
                                               ("spherical_cap", 1)])
     def test_sweep_has_single_index(self, key, expected, specs, sweeps):
-        spec = specs[key]
-        indices = set()
-        for path in sweeps[key].paths:
-            frame = integrate_jacobi_frame(spec, path)
-            indices.add(morse_index_focal(focal_instants(frame)))
+        frames = integrate_jacobi_frames(specs[key], sweeps[key].paths)
+        indices = {morse_index_focal(focal_instants(frame)) for frame in frames}
         assert indices == {expected}
 
     def test_focal_set_in_soul(self, specs, sweeps):

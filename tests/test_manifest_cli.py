@@ -9,6 +9,7 @@ import pytest
 
 import zollab.cli
 import zollab.engine
+import zollab.jacobi
 from zollab.cli import main, run, theorem_matrix, theorem_rows
 from zollab.engine import first_return_map, sample_boundary, shoot
 from zollab.jacobi import assemble_index_form, index_form_spectrum, integrate_jacobi_frame
@@ -584,3 +585,32 @@ def test_catalog_run_loads_neither_sympy_nor_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout == "[]\n"
+
+
+def test_runs_load_no_scipy(tmp_path):
+    # a catalog analyze with every analysis and an inline certify, artifacts
+    # written, take nothing from scipy: the RK45 tableau is zollab.rk45's,
+    # the components are numpy's and LAPACK is numpy's OpenBLAS. Only
+    # low-discrepancy sampling imports scipy (scipy.stats.qmc.Halton), and
+    # LAPACK from scipy where numpy's wheel has none (zollab.jacobi._bind_lapack)
+    if zollab.jacobi._numpy_openblas() is None:
+        pytest.skip("numpy bundles no OpenBLAS here; LAPACK comes from scipy")
+    code = ("import sys, zollab.cli\n"
+            "from zollab.manifest import RunManifest\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for name, doc, analyses in [\n"
+            "        ('catalog', {'catalog': 'euclidean_ball', 'params': {'n': 3}}, ('all',)),\n"
+            f"        ('inline', {INLINE_ELLIPSE!r}, ('certify',))]:\n"
+            "    zollab.cli.run(RunManifest(doc, launches=64, analyses=analyses),\n"
+            "                   out_dir=out + '/' + name, quiet=True)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(zollab.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout == "[]\n"
+    for name, artifacts in (("catalog", {"report.json", "geodesics.csv", "sweep.json",
+                                         "soul.csv", "spectrum.csv"}),
+                            ("inline", {"report.json", "geodesics.csv", "sweep.json"})):
+        assert set(os.listdir(tmp_path / name)) == artifacts

@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
-import zollab.engine
+import zollab.rk45
 import zollab.verifier as verifier
 from zollab.catalog import make_example
 from zollab.engine import first_return_map, sample_boundary
-from zollab.geometry import QuotientCloud
+from zollab.geometry import QuotientCloud, metric_norm
 from zollab.verifier import (
     LaunchCountError,
     Tolerances,
@@ -17,7 +19,6 @@ from zollab.verifier import (
     fiber_analysis,
     intercomponent_distance,
     nearest_boundary_distance,
-    slice_circumference,
     slice_distance_check,
     soul_dimension_check,
     splitting_residual,
@@ -82,7 +83,7 @@ class TestCertifyVerdicts:
         analysis_fields = ("index_focal", "index_quadratic", "index_agreement",
                            "nullity_estimate", "arrival_form_norm", "focal_midpoint_residual",
                            "focal_multiplicities", "soul", "fibers", "splitting", "slices",
-                           "index_spectrum", "soul_cloud")
+                           "index_form", "soul_cloud")
         assert all(getattr(rep, name) is None for name in analysis_fields)
         assert rep.endpoint_focal_warnings == 0
         if lost < 64:
@@ -165,6 +166,39 @@ class TestBoundaryComponents:
         assert d == pytest.approx(np.pi / 3, abs=1e-7)
 
 
+def _graphs():
+    """Symmetric adjacency matrices: random at several densities, chains and
+    a circle in scrambled node order, patches linked a priori as
+    ``boundary_components`` links them, isolated nodes, and no nodes."""
+    rng = np.random.default_rng(7)
+    graphs = {"empty": np.zeros((0, 0), dtype=bool), "isolated": np.eye(64, dtype=bool)}
+    for density in (0.002, 0.01, 0.03, 0.2):
+        a = rng.random((200, 200)) < density
+        graphs[f"random-{density}"] = a | a.T
+    for m, closed in ((97, False), (512, True)):
+        order = rng.permutation(m)
+        a = np.eye(m, dtype=bool)
+        ends = m if closed else m - 1
+        a[order[:ends], order[np.arange(1, ends + 1) % m]] = True
+        graphs[f"{'circle' if closed else 'chain'}-{m}"] = a | a.T
+    patch = rng.integers(0, 6, 300)
+    links = rng.random((300, 300)) < 0.001
+    graphs["patches"] = (patch[:, None] == patch[None, :]) | links | links.T
+    return graphs
+
+
+GRAPHS = _graphs()
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_connected_components_are_csgraphs(name):
+    adj = GRAPHS[name]
+    count, labels = verifier.connected_components(adj)
+    want_count, want_labels = csgraph_components(csr_matrix(adj), directed=False)
+    assert count == want_count
+    assert labels.tolist() == want_labels.tolist()
+
+
 class TestSoul:
     def test_disk_point_soul(self, specs, sweeps):
         cloud = build_soul(specs["flat_disk"], sweeps["flat_disk"], Tolerances())
@@ -223,7 +257,7 @@ class TestSoul:
         sweep = sweeps["euclidean_ball3"]
         queries = np.linspace(0.0, 2e-5, 8)[:, None] * np.ones(3)
         reads, evaluations, pairs = [], [], []
-        dense_states = zollab.engine._dense_states
+        dense_states = zollab.rk45.dense_states
         minimize_bounded = verifier.minimize_bounded
 
         def counted_reads(*args):
@@ -235,7 +269,7 @@ class TestSoul:
             return minimize_bounded(lambda t, rows: evaluations.append(1) or f(t, rows),
                                     lo, hi, **kwargs)
 
-        monkeypatch.setattr(zollab.engine, "_dense_states", counted_reads)
+        monkeypatch.setattr(zollab.rk45, "dense_states", counted_reads)
         monkeypatch.setattr(verifier, "minimize_bounded", counted_minimize)
         estimates = nearest_boundary_distance(ball, sweep, queries, Tolerances())
         assert pairs == [8 * len(sweep.paths)]
@@ -301,6 +335,21 @@ class TestFibers:
                              Tolerances())
         assert fib.cluster_count == 1
         assert fib.fiber_dimension == 2
+
+
+def slice_circumference(spec, t, n_side=64):
+    """Length of the image of the first boundary patch at flow parameter t, from
+    a grid of ``n_side`` launches that must all return."""
+    if spec.boundary_patches[0].param_dim != 1:
+        raise ValueError("slice circumference needs a one-parameter boundary patch")
+    sweep = verifier._structured_sweep(spec, 0, n_side, Tolerances(), "slice circumference")
+    du = 1.0 / n_side
+    x = sweep.states_at(t)[:, :spec.dimension]
+    slice_t = QuotientCloud(spec, x)
+    i = np.arange(n_side)
+    dvec = (slice_t.nearest_image(x, (i + 1) % n_side)
+            - slice_t.nearest_image(x, (i - 1) % n_side)) / (2.0 * du)
+    return float(sum(metric_norm(spec.metric.matrix(x), dvec) * du))
 
 
 class TestSplitting:
