@@ -7,17 +7,16 @@ harness as ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .geometry import (
     BoundaryChart,
     BoundaryPatch,
-    DeckMap,
     ManifoldSpec,
     MetricField,
-    link_inverses,
+    deck_pair,
     row_dot,
     scalar_pow,
 )
@@ -123,44 +122,6 @@ def symmetric_slab_boundary(n, axis, half_width):
     return BoundaryChart(value, gradient, hessian)
 
 
-def translation_decks(n, axis, period, name):
-    """Identify chart faces x[axis]=0 and x[axis]=period by translation."""
-    e = np.zeros(n)
-    e[axis] = period
-    eye = np.eye(n)
-    hi = DeckMap(f"{name}+", lambda x, _a=axis, _p=period: _p - x[..., _a],
-                 lambda x, _e=e: np.asarray(x, dtype=float) - _e,
-                 lambda x, _i=eye: _i)
-    lo = DeckMap(f"{name}-", lambda x, _a=axis: x[..., _a],
-                 lambda x, _e=e: np.asarray(x, dtype=float) + _e,
-                 lambda x, _i=eye: _i)
-    return list(link_inverses(hi, lo))
-
-
-def flip_translation_decks(n, axis, period, flip_axis, name):
-    """Identify x[axis]=0 with x[axis]=period while negating x[flip_axis]."""
-    e = np.zeros(n)
-    e[axis] = period
-    d = np.eye(n)
-    d[flip_axis, flip_axis] = -1.0
-
-    def fwd(x, _e=e, _f=flip_axis):
-        y = np.asarray(x, dtype=float).copy()
-        y[..., _f] = -y[..., _f]
-        return y - _e
-
-    def bwd(x, _e=e, _f=flip_axis):
-        y = np.asarray(x, dtype=float).copy()
-        y[..., _f] = -y[..., _f]
-        return y + _e
-
-    hi = DeckMap(f"{name}+", lambda x, _a=axis, _p=period: _p - x[..., _a], fwd,
-                 lambda x, _d=d: _d)
-    lo = DeckMap(f"{name}-", lambda x, _a=axis: x[..., _a], bwd,
-                 lambda x, _d=d: _d)
-    return list(link_inverses(hi, lo))
-
-
 def sphere_points(u, dim, radius):
     """Map parameters in [0,1)^(dim-1) to points of the (dim-1)-sphere.
 
@@ -247,7 +208,7 @@ def flat_band(half_length=1.0, circumference=2.0 * np.pi):
         metric=euclidean_metric(2),
         boundary=slab_boundary(2, 0, 2.0 * L),
         domain=np.array([[-L, 3.0 * L], [-0.3 * C, 1.3 * C]]),
-        deck_maps=translation_decks(2, 1, C, "wrap"),
+        deck_maps=deck_pair("wrap", 1, C),
         boundary_patches=patches,
         scale_hint=2.0 * L,
         annotations={"zoll": True, "half_length": L, "index": 0,
@@ -273,7 +234,7 @@ def flat_moebius(width=1.0, twist_length=3.0):
         metric=euclidean_metric(2),
         boundary=symmetric_slab_boundary(2, 0, w),
         domain=np.array([[-1.5 * w, 1.5 * w], [-0.3 * c, 1.3 * c]]),
-        deck_maps=flip_translation_decks(2, 1, c, 0, "twist"),
+        deck_maps=deck_pair("twist", 1, c, -np.eye(1), -np.eye(1)),
         boundary_patches=[BoundaryPatch("rim", 1, rim, (True,))],
         scale_hint=2.0 * w,
         annotations={"zoll": True, "half_length": w, "index": 0,
@@ -322,7 +283,7 @@ def spherical_band(max_latitude=np.pi / 6.0):
         metric=latitude_band_metric(),
         boundary=symmetric_slab_boundary(2, 0, th),
         domain=np.array([[-lam_box, lam_box], [-2.0, 2.0 * np.pi + 2.0]]),
-        deck_maps=translation_decks(2, 1, 2.0 * np.pi, "lon"),
+        deck_maps=deck_pair("lon", 1, 2.0 * np.pi),
         boundary_patches=[
             BoundaryPatch("south", 1, lambda u, _t=th: circle(u, -_t), (True,)),
             BoundaryPatch("north", 1, lambda u, _t=th: circle(u, _t), (True,)),
@@ -371,56 +332,41 @@ def ellipse(a=2.0, b=1.0):
 
 @dataclass
 class Isometry:
-    """Point map with differential and registered inverse; the map and its
-    inverse take a point (n,) or a stack (m, n), the differentials a point."""
+    """Linear isometry x -> matrix @ x of a base chart, with its inverse matrix."""
 
     name: str
-    apply: Callable[[np.ndarray], np.ndarray]
-    differential: Callable[[np.ndarray], np.ndarray]
-    inverse_apply: Callable[[np.ndarray], np.ndarray]
-    inverse_differential: Callable[[np.ndarray], np.ndarray]
+    matrix: np.ndarray
+    inverse: np.ndarray
 
 
 def identity_isometry(n):
-    eye = np.eye(n)
-    ident = lambda x: np.asarray(x, dtype=float)
-    const = lambda x: eye
-    return Isometry("identity", ident, const, ident, const)
+    return Isometry("identity", np.eye(n), np.eye(n))
 
 
 def rotation_isometry(alpha):
-    """Rotation of a planar chart about the origin; a stack of points turns as
-    column vectors, row by row bit-equal to ``rot @ x`` (``x @ rot.T`` is not)."""
+    """Rotation of a planar chart about the origin."""
     c, s = np.cos(alpha), np.sin(alpha)
     rot = np.array([[c, -s], [s, c]])
-    inv = rot.T
-    return Isometry(
-        f"rotation({alpha:g})",
-        lambda x: np.matmul(rot, np.asarray(x, dtype=float)[..., None])[..., 0],
-        lambda x: rot,
-        lambda x: np.matmul(inv, np.asarray(x, dtype=float)[..., None])[..., 0],
-        lambda x: inv,
-    )
+    return Isometry(f"rotation({alpha:g})", rot, rot.T)
 
 
 def isometry_residual(base: ManifoldSpec, iso: Isometry):
-    """Worst deviation of dphi^T g(phi(x)) dphi from g(x) over about 40 boundary
-    points drawn with a fixed seed."""
+    """Worst deviation, over about 40 boundary points x drawn with a fixed seed,
+    of A^T g(Ax) A from g(x), of the inverse applied to Ax from x, and of b(Ax)
+    from b(x), for A = ``iso.matrix``."""
     rng = np.random.default_rng(0)
-    worst = 0.0
     pts = []
     for patch in base.boundary_patches:
         u = rng.random((max(40 // max(len(base.boundary_patches), 1), 4), patch.param_dim))
-        pts.extend(patch.points(u if patch.param_dim else np.zeros((1, 0))))
-    for x in pts:
-        x = np.asarray(x, dtype=float)
-        dphi = np.asarray(iso.differential(x), dtype=float)
-        gx = base.metric.matrix(x)
-        gphi = base.metric.matrix(iso.apply(x))
-        worst = max(worst, float(np.linalg.norm(dphi.T @ gphi @ dphi - gx)))
-        back = iso.inverse_apply(iso.apply(x))
-        worst = max(worst, float(np.linalg.norm(back - x)))
-    return worst
+        pts.append(patch.points(u if patch.param_dim else np.zeros((1, 0))))
+    x = np.concatenate(pts)
+    A = iso.matrix
+    y = np.matmul(A, x[..., None])[..., 0]
+    metric = np.linalg.norm(A.T @ base.metric.matrix(y) @ A - base.metric.matrix(x),
+                            axis=(-2, -1))
+    back = np.linalg.norm(np.matmul(iso.inverse, y[..., None])[..., 0] - x, axis=-1)
+    boundary = np.abs(base.boundary.value(y) - base.boundary.value(x))
+    return float(max(metric.max(), back.max(), boundary.max()))
 
 
 def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None):
@@ -457,51 +403,18 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
         eps=base_boundary.eps,
     )
 
-    decks = []
-    for d in base.deck_maps:
-        decks.append(_lift_deck(d, n))
-    linked = {}
-    for d, lifted in zip(base.deck_maps, decks):
-        linked[d.name] = lifted
-    for d, lifted in zip(base.deck_maps, decks):
-        if d.inverse is not None and d.inverse.name in linked:
-            lifted.inverse = linked[d.inverse.name]
-
-    def tau_hi_apply(x, _iso=iso, _n=n):
-        y = np.asarray(x, dtype=float).copy()
-        y[..., :_n] = _iso.inverse_apply(y[..., :_n])
-        y[..., _n] -= 1.0
-        return y
-
-    def tau_lo_apply(x, _iso=iso, _n=n):
-        y = np.asarray(x, dtype=float).copy()
-        y[..., :_n] = _iso.apply(y[..., :_n])
-        y[..., _n] += 1.0
-        return y
-
-    def tau_hi_diff(x, _iso=iso, _n=n):
-        d = np.eye(_n + 1)
-        d[:_n, :_n] = _iso.inverse_differential(np.asarray(x, dtype=float)[:_n])
-        return d
-
-    def tau_lo_diff(x, _iso=iso, _n=n):
-        d = np.eye(_n + 1)
-        d[:_n, :_n] = _iso.differential(np.asarray(x, dtype=float)[:_n])
-        return d
-
-    hi = DeckMap("torus+", lambda x, _n=n: 1.0 - x[..., _n], tau_hi_apply, tau_hi_diff)
-    lo = DeckMap("torus-", lambda x, _n=n: x[..., _n], tau_lo_apply, tau_lo_diff)
-    decks.extend(link_inverses(hi, lo))
-
-    # crossing the tau seam composes with the gluing isometry, so the tau
-    # parameter axis is walkable as periodic only for the identity twist
-    tau_periodic = iso.name == "identity"
+    # the base decks glue the same faces of the leading coordinates; the tau
+    # seam applies the isometry's inverse going up and the isometry going down,
+    # so the tau parameter axis is walkable as periodic only for the identity
+    identity = iso.name == "identity"
+    decks = list(base.deck_maps) + deck_pair("torus", n, 1.0, None if identity else iso.inverse,
+                                             None if identity else iso.matrix)
     patches = [
         BoundaryPatch(
             f"{p.name}*S1", p.param_dim + 1,
             lambda u, _p=p: np.column_stack([_p.points(np.atleast_2d(u)[:, :_p.param_dim]),
                                              np.atleast_2d(u)[:, _p.param_dim]]),
-            p.axis_periodic() + (tau_periodic,))
+            p.axis_periodic() + (identity,))
         for p in base.boundary_patches
     ]
 
@@ -529,20 +442,6 @@ def _lift_hessian(base_boundary, x, n):
     h = np.zeros((n + 1, n + 1))
     h[:n, :n] = base_boundary.hessian(x)
     return h
-
-
-def _lift_deck(d: DeckMap, n):
-    def apply(x, _d=d, _n=n):
-        y = np.asarray(x, dtype=float).copy()
-        y[..., :_n] = _d.apply_point(y[..., :_n])
-        return y
-
-    def diff(x, _d=d, _n=n):
-        out = np.eye(_n + 1)
-        out[:_n, :_n] = np.asarray(_d.differential(np.asarray(x, dtype=float)[:_n]))
-        return out
-
-    return DeckMap(d.name, lambda x, _d=d, _n=n: _d.face_value(x[..., :_n]), apply, diff)
 
 
 def solid_torus(radius=1.0, rotation=0.0):

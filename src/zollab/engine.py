@@ -194,10 +194,10 @@ def _event_functions(spec, detect_boundary):
     return events, tags
 
 
-def _event_values(spec, Y, detect_boundary):
-    """(m, k) values of the k ``_event_functions`` at the states Y (m, N), one
-    stacked call per function; row i is bit for bit the functions at Y[i]."""
-    columns = [event(None, Y) for event in _event_functions(spec, detect_boundary)[0]]
+def _event_values(events, Y):
+    """(m, k) values of the k event functions ``events`` at the states Y (m, N),
+    one stacked call per function; row i is bit for bit the functions at Y[i]."""
+    columns = [event(None, Y) for event in events]
     return np.stack(columns, axis=1) if columns else np.empty((len(Y), 0))
 
 
@@ -388,7 +388,7 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
     all_events, all_tags = _event_functions(spec, detect_boundary)
     while True:
         watched = np.flatnonzero(_watched_events(
-            spec, y[None], _event_values(spec, y[None], detect_boundary), all_tags)[0])
+            spec, y[None], _event_values(all_events, y[None]), all_tags)[0])
         events = [all_events[k] for k in watched]
         tags = [all_tags[k] for k in watched]
         sol = solve_ivp(rhs, (t, t_end), y, method="RK45", events=events,
@@ -574,7 +574,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         """Open a chunk of each flow of ``rows`` at its time T and state Y."""
         y = Y[rows]
         F[rows] = rhs(None, y)
-        G[rows] = _event_values(spec, y, detect_boundary)
+        G[rows] = _event_values(events, y)
         W[rows] = _watched_events(spec, y, G[rows], tags)
         H[rows], probed = rk45.initial_steps(rhs, y, F[rows], T_end[rows] - T[rows],
                                              max_step, rtol, atol)
@@ -629,7 +629,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         Q = np.matmul(K[ok].swapaxes(1, 2), rk45.P)
         # the events of every accepted geodesic at its step end, and the
         # watched ones that fire in its step
-        g, g_new = G[acc], _event_values(spec, y_new, detect_boundary)
+        g, g_new = G[acc], _event_values(events, y_new)
         G[acc] = g_new
         hides_dip = _hides_dip(g.T, g_new.T) if detect_boundary else np.zeros(len(acc), bool)
         active = _active_events(g, g_new, direction) & W[acc]

@@ -173,37 +173,62 @@ class BoundaryChart:
 
 @dataclass
 class DeckMap:
-    """Isometric face identification of the fundamental domain.
+    """Affine isometric identification of a face of the fundamental domain.
 
-    ``face`` is a signed scalar: positive strictly inside the fundamental
-    domain, zero on the face glued by this map.  ``apply`` teleports a point
-    that crossed the face back into the domain.  Both take a point (n,) or a
-    stack of points (m, n), row by row bit-equal to its points.
-    ``differential`` transports tangent vectors at a point.  Each map is
-    registered together with its inverse.
+    The glued face is x[axis] = period (``upper``) or x[axis] = 0. The map
+    applies the constant (k, k) block ``linear``, if any, to the leading k
+    coordinates of a point, then shifts x[axis] by -period (``upper``) or
+    +period, which takes a point that crossed the face back into the domain.
+    Maps come in pairs (``deck_pair``), each undoing the other.
     """
 
     name: str
-    face: Callable[[np.ndarray], float]
-    apply: Callable[[np.ndarray], np.ndarray]
-    differential: Callable[[np.ndarray], np.ndarray]
-    inverse: Optional["DeckMap"] = None
+    axis: int
+    period: float
+    upper: bool
+    linear: Optional[np.ndarray] = None
 
     def face_value(self, x):
-        """Face value at a chart point (a float), or the (m,) array of them at a
-        stack of points."""
+        """Signed offset along ``axis`` from the glued face, positive strictly
+        inside the domain: a float at a chart point, the (m,) array of them at
+        a stack of points."""
         x = np.asarray(x, dtype=float)
-        f = self.face(x)
+        f = self.period - x[..., self.axis] if self.upper else x[..., self.axis]
         return float(f) if x.ndim == 1 else np.asarray(f, dtype=float)
 
     def apply_point(self, x):
-        return np.asarray(self.apply(np.asarray(x, dtype=float)), dtype=float)
+        """Image of a chart point (n,), or of each row of a stack (m, n), bit
+        for bit its point's: the linear block multiplies the leading
+        coordinates as column vectors (``x @ linear.T`` is not bit-equal), and
+        only x[axis] is shifted."""
+        y = np.array(x, dtype=float)
+        if self.linear is not None:
+            k = len(self.linear)
+            y[..., :k] = np.matmul(self.linear, y[..., :k, None])[..., 0]
+        if self.upper:
+            y[..., self.axis] -= self.period
+        else:
+            y[..., self.axis] += self.period
+        return y
+
+    def differential(self, x):
+        """The (n, n) differential at a chart point (n,): the identity with
+        ``linear`` as its leading block."""
+        d = np.eye(np.shape(x)[-1])
+        if self.linear is not None:
+            k = len(self.linear)
+            d[:k, :k] = self.linear
+        return d
 
 
-def link_inverses(a: DeckMap, b: DeckMap):
-    a.inverse = b
-    b.inverse = a
-    return a, b
+def deck_pair(name, axis, period, upper_linear=None, lower_linear=None):
+    """The deck maps ``name+`` and ``name-`` gluing the face x[axis] = period to
+    x[axis] = 0: a translation by the period along ``axis``, composed with
+    ``upper_linear`` and ``lower_linear`` on the leading coordinates, two
+    blocks inverse to each other, or none."""
+    period = float(period)
+    return [DeckMap(f"{name}+", axis, period, True, upper_linear),
+            DeckMap(f"{name}-", axis, period, False, lower_linear)]
 
 
 @dataclass

@@ -19,17 +19,16 @@ import numpy as np
 
 from .catalog import (
     euclidean_metric,
-    flip_translation_decks,
     latitude_band_metric,
     make_example,
     stereographic_sphere_metric,
-    translation_decks,
 )
 from .geometry import (
     BoundaryChart,
     BoundaryPatch,
     ManifoldSpec,
     MetricField,
+    deck_pair,
     scalar_pow,
 )
 from .jacobi import MIN_MESH_SIZE
@@ -278,12 +277,16 @@ def _build_deck_maps(docs, n):
         if not (_is_number(period) and period > 0 and math.isfinite(period)):
             raise ManifestError(f"deck map period must be a positive number, not {period!r}")
         if kind == "translation":
-            decks.extend(translation_decks(n, axis, float(period),
-                                           _string(doc, "name", f"t{axis}", "deck map")))
-        else:
-            decks.extend(flip_translation_decks(n, axis, float(period),
-                                                _chart_axis(doc, "flip_axis", n),
-                                                _string(doc, "name", f"ft{axis}", "deck map")))
+            decks.extend(deck_pair(_string(doc, "name", f"t{axis}", "deck map"), axis, period))
+            continue
+        flip_axis = _chart_axis(doc, "flip_axis", n)
+        if flip_axis == axis:
+            raise ManifestError(f"deck map flip_axis must differ from its axis {axis}")
+        # the identity on the leading coordinates, but x[flip_axis] negated
+        flip = np.eye(flip_axis + 1)
+        flip[flip_axis, flip_axis] = -1.0
+        decks.extend(deck_pair(_string(doc, "name", f"ft{axis}", "deck map"), axis, period,
+                               flip, flip))
     return decks
 
 

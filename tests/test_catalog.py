@@ -78,15 +78,17 @@ class TestMappingTorus:
 
     def test_non_isometry_rejected(self):
         disk = make_example("flat_disk")
-        stretch = Isometry(
-            "stretch",
-            lambda x: 2.0 * np.asarray(x, dtype=float),
-            lambda x: 2.0 * np.eye(2),
-            lambda x: 0.5 * np.asarray(x, dtype=float),
-            lambda x: 0.5 * np.eye(2),
-        )
+        stretch = Isometry("stretch", 2.0 * np.eye(2), 0.5 * np.eye(2))
         with pytest.raises(ValueError, match="not an isometry"):
             mapping_torus(disk, stretch)
+
+    def test_isometry_must_keep_the_boundary(self):
+        # a rotation keeps the ellipse's flat metric but not its boundary: the
+        # torus+ deck would send the rim point (2, 0, 1) to where b = -0.62
+        with pytest.raises(ValueError, match="not an isometry of 'ellipse"):
+            mapping_torus(make_example("ellipse"), rotation_isometry(0.7))
+        assert make_example("solid_torus", rotation=0.7).dimension == 3
+        assert isometry_residual(make_example("spherical_cap"), identity_isometry(2)) == 0.0
 
     def test_annotation_lift(self):
         disk = make_example("flat_disk")

@@ -248,7 +248,7 @@ class TestDeckCrossing:
         # flat cylinder bounded by a wavy curve and a straight edge at x0 = 2;
         # orthogonal launches off the wavy side have a nonzero periodic
         # component, so geodesics cross the deck seam before returning
-        from zollab.catalog import translation_decks
+        from zollab.geometry import deck_pair
 
         def wave(s):
             return 0.3 * np.sin(2.0 * np.pi * s)
@@ -272,7 +272,7 @@ class TestDeckCrossing:
             metric=flat_metric(2),
             boundary=BoundaryChart(b_value, b_grad),
             domain=np.array([[-1.0, 3.0], [-0.5, 1.5]]),
-            deck_maps=translation_decks(2, 1, 1.0, "wrap"),
+            deck_maps=deck_pair("wrap", 1, 1.0),
             boundary_patches=[BoundaryPatch("rim", 1, rim, (True,))],
             scale_hint=2.0,
         )
@@ -514,6 +514,8 @@ def lockstep_case(name):
         spec = load_manifold(concentric_annulus(0.5, 12.0))
     elif name == "ellipse_short":
         spec, t_end = make_example("ellipse"), 3.0  # chords from 2 to 4 long
+    elif name == "solid_torus_tilted":
+        spec = make_example("solid_torus", rotation=2 * np.pi / 5)
     else:
         spec = make_example(name.removesuffix("_tilted"))
     n = spec.dimension
@@ -524,13 +526,18 @@ def lockstep_case(name):
         # flat chart: turn each normal by its own angle, across the deck faces
         angle = np.linspace(-1.4, 1.4, len(y0))
         c, s = np.cos(angle), np.sin(angle)
-        vx, vy = y0[:, n].copy(), y0[:, n + 1].copy()
-        y0[:, n], y0[:, n + 1] = c * vx - s * vy, s * vx + c * vy
+        if name == "solid_torus_tilted":
+            # towards the tau axis, along which the normals have no component
+            y0[:, n:2 * n - 1] *= c[:, None]
+            y0[:, 2 * n - 1] = s
+        else:
+            vx, vy = y0[:, n].copy(), y0[:, n + 1].copy()
+            y0[:, n], y0[:, n + 1] = c * vx - s * vy, s * vx + c * vy
     return spec, y0, 50.0 * spec.scale_hint if t_end is None else t_end, grazing_tol
 
 
-LOCKSTEP_CASES = catalog_names() + ["flat_band_tilted", "inline_cap", "inline_cylinder",
-                                    "eccentric_annulus", "concentric_annulus",
+LOCKSTEP_CASES = catalog_names() + ["flat_band_tilted", "solid_torus_tilted", "inline_cap",
+                                    "inline_cylinder", "eccentric_annulus", "concentric_annulus",
                                     "concentric_annulus_12", "ellipse_short"]
 
 
@@ -557,7 +564,7 @@ def test_lockstep_flows_bit_equal_to_integrate_flow(name):
         rejected += (got.nfev - 2 * (len(got.deck_crossings) + 1)) // 6 - got.n_steps
     if name in ("spherical_cap", "inline_cap"):
         assert rejected > 0
-    if name == "flat_band_tilted":
+    if name.endswith("_tilted"):
         assert sum(len(f.deck_crossings) for f in flows) > 0
     if name == "ellipse_short":
         assert {f.status for f in flows} == {"boundary", "t_end"}

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from zollab.catalog import make_example, sphere_points
+from test_manifest_cli import INLINE_CYLINDER
+from test_metric_jet import CATALOG_CASES
+from zollab.catalog import make_example, rotation_isometry, sphere_points
 from zollab.geometry import (
     BoundaryChart,
     DegenerateMetricError,
@@ -170,6 +172,73 @@ class TestSecondFundamentalForm:
             second_fundamental_form(disk, np.array([0.5, 0.0]))
 
 
+# a flip whose block spans the translated axis: x0 shifts, x2 flips
+INLINE_FLIP_SLAB = {"inline": {
+    "name": "inline-flip-slab", "dimension": 3,
+    "metric": {"kind": "expression",
+               "entries": [["1", "0", "0"], ["0", "2 + cos(x1)", "0"], ["0", "0", "1"]]},
+    "boundary": {"expression": "(1 - x2**2)/2"},
+    "domain": {"lo": [-0.5, -1.0, -1.5], "hi": [2.5, 1.0, 1.5]},
+    "deck_maps": [{"kind": "flip_translation", "axis": 0, "period": 2.0, "flip_axis": 2}]}}
+
+# the catalog cases with deck maps, and an inline chart of each deck kind
+DECK_CASES = {**{f"{n}{p or ''}": (n, p) for n, p in CATALOG_CASES
+                 if make_example(n, **p).deck_maps},
+              "inline_translation": INLINE_CYLINDER, "inline_flip_translation": INLINE_FLIP_SLAB}
+
+
+def deck_case(key):
+    case = DECK_CASES[key]
+    return load_manifold(case) if isinstance(case, dict) else make_example(case[0], **case[1])
+
+
+def test_deck_maps_are_the_closure_arithmetic(rng):
+    # the expressions the decks were once written as closures in, bit for bit:
+    # a translation x -/+ e, the flip's negation of a coordinate, the rotation
+    # matmul(rot, x[..., None]) of the tau seam and its shift by -/+1
+    alpha = 2 * np.pi / 5
+    rot = rotation_isometry(alpha).matrix
+
+    def flip(x, axis):
+        y = x.copy()
+        y[..., axis] = -y[..., axis]
+        return y
+
+    def tau(x, linear, step):
+        y = x.copy()
+        y[..., :2] = np.matmul(linear, y[..., :2][..., None])[..., 0]
+        y[..., 2] += step
+        return y
+
+    band, moebius = make_example("flat_band"), make_example("flat_moebius")
+    torus, slab = make_example("solid_torus", rotation=alpha), load_manifold(INLINE_FLIP_SLAB)
+    e_band, e_moebius, e_slab = np.array([0.0, 2 * np.pi]), np.array([0.0, 3.0]), 2 * np.eye(3)[0]
+    d_moebius, d_slab = np.diag([-1.0, 1.0]), np.diag([1.0, 1.0, -1.0])
+    d_up, d_down = np.eye(3), np.eye(3)
+    d_up[:2, :2], d_down[:2, :2] = rot.T, rot
+    # (spec, deck, face, image, differential)
+    cases = [
+        (band, "wrap+", lambda x: 2.0 * np.pi - x[..., 1], lambda x: x - e_band, np.eye(2)),
+        (band, "wrap-", lambda x: x[..., 1], lambda x: x + e_band, np.eye(2)),
+        (moebius, "twist+", lambda x: 3.0 - x[..., 1], lambda x: flip(x, 0) - e_moebius,
+         d_moebius),
+        (moebius, "twist-", lambda x: x[..., 1], lambda x: flip(x, 0) + e_moebius, d_moebius),
+        (torus, "torus+", lambda x: 1.0 - x[..., 2], lambda x: tau(x, rot.T, -1.0), d_up),
+        (torus, "torus-", lambda x: x[..., 2], lambda x: tau(x, rot, 1.0), d_down),
+        (slab, "ft0+", lambda x: 2.0 - x[..., 0], lambda x: flip(x, 2) - e_slab, d_slab),
+        (slab, "ft0-", lambda x: x[..., 0], lambda x: flip(x, 2) + e_slab, d_slab),
+    ]
+    for spec, name, face, image, differential in cases:
+        deck = deck_named(spec, name)
+        xs = rng.uniform(-4.0, 4.0, size=(64, spec.dimension))
+        assert deck.face_value(xs).tobytes() == face(xs).tobytes(), name
+        assert deck.apply_point(xs).tobytes() == image(xs).tobytes(), name
+        for x in xs[:8]:
+            assert deck.face_value(x) == face(x) and isinstance(deck.face_value(x), float)
+            assert deck.apply_point(x).tobytes() == image(x).tobytes(), name
+            assert deck.differential(x).tobytes() == differential.tobytes(), name
+
+
 class TestNormalsAndDecks:
     @pytest.mark.parametrize("key", ["flat_disk", "flat_band", "flat_moebius",
                                      "spherical_cap", "spherical_band",
@@ -208,30 +277,22 @@ class TestNormalsAndDecks:
         with pytest.raises(ValueError, match=r"^boundary gradient vanishes at \[0\. 0\.\] "):
             inward_unit_normal(spec, points)
 
-    @pytest.mark.parametrize("key", ["flat_band", "flat_moebius", "solid_torus"])
-    def test_deck_isometry_and_inverse(self, key, specs, rng):
-        spec = specs[key]
-        lo = spec.domain[:, 0]
-        hi = spec.domain[:, 1]
-        for deck in spec.deck_maps:
-            assert deck.inverse is not None
-            xs = lo + rng.random((100, spec.dimension)) * (hi - lo)
+    @pytest.mark.parametrize("key", sorted(DECK_CASES))
+    def test_deck_isometry_and_inverse(self, key, rng):
+        # every deck is an isometry, keeps b (identifications never cross the
+        # boundary) and is undone by its partner, the other map of its pair (a
+        # tower of mapping tori has a torus pair per level)
+        spec = deck_case(key)
+        lo, hi = spec.domain[:, 0], spec.domain[:, 1]
+        xs = lo + rng.random((100, spec.dimension)) * (hi - lo)
+        assert spec.deck_maps
+        for i, deck in enumerate(spec.deck_maps):
             assert np.all(deck_isometry_residual(spec, deck, xs) <= 1e-10)
-            for x in xs:
-                back = deck.inverse.apply_point(deck.apply_point(x))
-                assert np.linalg.norm(back - x) <= 1e-12
-
-    def test_deck_preserves_boundary_function(self, specs, rng):
-        # identifications never cross the boundary: b is deck-invariant
-        for key in ["flat_band", "flat_moebius", "solid_torus"]:
-            spec = specs[key]
-            lo, hi = spec.domain[:, 0], spec.domain[:, 1]
-            for deck in spec.deck_maps:
-                for _ in range(20):
-                    x = lo + rng.random(spec.dimension) * (hi - lo)
-                    b0 = spec.boundary.value(x)
-                    b1 = spec.boundary.value(deck.apply_point(x))
-                    assert b1 == pytest.approx(b0, abs=1e-10)
+            ys = deck.apply_point(xs)
+            assert np.all(np.abs(spec.boundary.value(ys) - spec.boundary.value(xs)) <= 1e-10)
+            partner = spec.deck_maps[i ^ 1]
+            assert partner.name == deck.name[:-1] + "+-"[deck.name.endswith("+")]
+            assert np.all(np.linalg.norm(partner.apply_point(ys) - xs, axis=-1) <= 1e-12)
 
 
 def deck_named(spec, name):

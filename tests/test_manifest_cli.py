@@ -429,6 +429,10 @@ class TestCLI:
         ({"inline": {"scale_hint": float("inf")}}, "scale_hint must be a positive number, not inf"),
         ({"inline": {"deck_maps": [{"kind": "translation", "axis": 1, "period": float("inf")}]}},
          "deck map period must be a positive number, not inf"),
+        # a flip of the translated axis would send a face point past the other face
+        ({"inline": {"deck_maps": [{"kind": "flip_translation", "axis": 1, "period": 1.0,
+                                    "flip_axis": 1}]}},
+         "deck map flip_axis must differ from its axis 1"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))

@@ -132,10 +132,9 @@ def test_queries_split_into_blocks_of_cloud_points(block, examples, monkeypatch)
 
 
 def test_short_image_lists_are_padded_with_the_point(examples):
-    # a reflection is its own inverse, and the origin is its own image
-    flip = DeckMap("flip", lambda x: 1.0, lambda x: -np.asarray(x, dtype=float),
-                   lambda x: -np.eye(2))
-    flip.inverse = flip
+    # a reflection through the origin (a deck of period 0) is its own
+    # inverse, and the origin is its own image
+    flip = DeckMap("flip", 0, 0.0, True, -np.eye(2))
     spec = replace(examples["flat_disk"], deck_maps=[flip])
     pts = np.array([[0.0, 0.0], [0.5, 0.25], [-0.1, 0.7]])
     cloud = QuotientCloud(spec, pts)

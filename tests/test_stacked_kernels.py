@@ -140,7 +140,7 @@ def boundary_kernels(spec, rng, points):
              (lambda x: project_to_boundary(spec, x), (points,)),
              (boundary.on_boundary, (points,))]
             + [(deck.face_value, (points,)) for deck in spec.deck_maps]
-            + [(deck.apply, (points,)) for deck in spec.deck_maps])
+            + [(deck.apply_point, (points,)) for deck in spec.deck_maps])
 
 
 # inline boundaries: the workload cap, a polynomial with a constant gradient
@@ -198,7 +198,7 @@ def test_event_values_are_the_event_functions(name, params, rng):
     Y = np.concatenate([Y] + riding)
     for detect_boundary in (True, False):
         events, tags = _event_functions(spec, detect_boundary)
-        values = _event_values(spec, Y, detect_boundary)
+        values = _event_values(events, Y)
         assert values.shape == (len(Y), len(events))
         for y, row in zip(Y, values):
             assert row.tobytes() == np.array([event(0.0, y) for event in events]).tobytes()
