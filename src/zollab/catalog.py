@@ -6,7 +6,9 @@ harness as ground truth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -379,7 +381,7 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
     if iso is None:
         iso = identity_isometry(n)
     res = isometry_residual(base, iso)
-    if res > DECK_ISO_TOL:
+    if not res <= DECK_ISO_TOL:          # a NaN residual is no isometry either
         raise ValueError(
             f"mapping torus rejected: {iso.name} is not an isometry of {base.name!r} "
             f"(residual {res:.3e})")
@@ -407,7 +409,8 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
     # seam applies the isometry's inverse going up and the isometry going down,
     # so the tau parameter axis is walkable as periodic only for the identity
     identity = iso.name == "identity"
-    decks = list(base.deck_maps) + deck_pair("torus", n, 1.0, None if identity else iso.inverse,
+    decks = list(base.deck_maps) + deck_pair(f"torus{n}", n, 1.0,
+                                             None if identity else iso.inverse,
                                              None if identity else iso.matrix)
     patches = [
         BoundaryPatch(
@@ -492,23 +495,35 @@ def catalog_names():
     return sorted(CATALOG)
 
 
-def make_example(name, **params):
-    """Instantiate a catalog example by name with keyword parameters."""
-    if name not in CATALOG:
-        raise KeyError(f"unknown catalog example {name!r}; known: {', '.join(catalog_names())}")
-    fn, defaults = CATALOG[name]
-    merged = dict(defaults)
+def _parameters(name, params):
+    """The example's defaults updated with ``params``, each of the type of its
+    default: an integer that is not a bool where the default is an integer,
+    a finite real number where it is a float."""
+    defaults = CATALOG[name][1]
     unknown = set(params) - set(defaults)
     if unknown:
         raise ExampleParameterError(
             f"unknown parameters {sorted(unknown)} for {name!r}; schema: {sorted(defaults)}")
-    merged.update(params)
-    return fn(**merged)
+    for key, value in params.items():
+        if isinstance(defaults[key], int):
+            kind, ok = "an integer", isinstance(value, Integral)
+        else:
+            kind, ok = "a finite number", isinstance(value, Real) and math.isfinite(value)
+        if isinstance(value, bool) or not ok:
+            raise ExampleParameterError(
+                f"parameter {key!r} of {name!r} must be {kind}, not {value!r}")
+    return dict(defaults, **params)
+
+
+def make_example(name, **params):
+    """Instantiate a catalog example by name with keyword parameters."""
+    if name not in CATALOG:
+        raise KeyError(f"unknown catalog example {name!r}; known: {', '.join(catalog_names())}")
+    return CATALOG[name][0](**_parameters(name, params))
 
 
 def example_manifest(name, **params):
     """Manifest fragment reproducing a catalog example."""
-    fn, defaults = CATALOG[name]
-    merged = dict(defaults)
-    merged.update(params)
-    return {"catalog": name, "params": {k: (float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) and k not in ("n", "k", "dim") else v) for k, v in merged.items()}}
+    defaults = CATALOG[name][1]
+    return {"catalog": name, "params": {k: float(v) if isinstance(defaults[k], float) else v
+                                        for k, v in _parameters(name, params).items()}}

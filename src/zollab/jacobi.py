@@ -303,15 +303,17 @@ def _band_to_dense(band):
 
 @dataclass
 class IndexFormMatrix:
-    """Discretized index form, stiffness and mass in LAPACK upper band storage.
+    """Discretized index form, stiffness and mass as node blocks.
 
-    Entry (i, j) with ``j - kd <= i <= j`` sits at ``band[kd + i - j, j]``,
-    where ``kd = band.shape[0] - 1`` is the half-bandwidth.  Assembly makes
-    the bands read-only, because ``eigenvalues`` is solved once and kept.
+    Each is a pair ``(diag, off)``: the (N + 1, n, n) diagonal blocks of the
+    mesh nodes and the (N, n, n) blocks coupling node e to node e + 1.  The
+    velocity-direction endpoint values (component 0 of the first and the last
+    node) are constrained out, their rows and columns zero.  Assembly makes
+    the blocks read-only, because ``eigenvalues`` is solved once and kept.
     """
 
-    stiffness_band: np.ndarray
-    mass_band: np.ndarray
+    stiffness_blocks: tuple
+    mass_blocks: tuple
     dimension: int
     boundary_block_launch: np.ndarray
     boundary_block_arrival: np.ndarray
@@ -319,12 +321,12 @@ class IndexFormMatrix:
     @property
     def stiffness(self):
         """Dense copy of the stiffness matrix, for inspection and reference solves."""
-        return _band_to_dense(self.stiffness_band)
+        return _band_to_dense(_band(self.stiffness_blocks))
 
     @property
     def mass(self):
         """Dense copy of the mass matrix, for inspection and reference solves."""
-        return _band_to_dense(self.mass_band)
+        return _band_to_dense(_band(self.mass_blocks))
 
     @cached_property
     def eigenvalues(self):
@@ -334,25 +336,41 @@ class IndexFormMatrix:
         return eigs
 
 
-def _element_band(local, n, N):
-    """Scatter per-element (2n x 2n) matrices into the band of the reduced form.
+def _node_blocks(local, n):
+    """Node blocks ``(diag, off)`` of the form assembled from the element
+    matrices ``local`` (N, 2n, 2n), each taking its symmetric part; element e
+    couples nodes e and e + 1.  The rows and columns of the two
+    velocity-direction endpoint values are zero."""
+    sym = 0.5 * (local + local.transpose(0, 2, 1))
+    diag = np.zeros((len(local) + 1, n, n))
+    off = np.zeros((len(local), n, n))
+    # sums from 0.0, as a scatter into zeros; a node's two terms commute
+    diag[:-1] += sym[:, :n, :n]
+    diag[1:] += sym[:, n:, n:]
+    off += sym[:, :n, n:]
+    diag[[0, -1], 0, :] = diag[[0, -1], :, 0] = 0.0
+    off[0, 0, :] = off[-1, :, 0] = 0.0
+    diag.flags.writeable = off.flags.writeable = False
+    return diag, off
 
-    Element e couples nodes e and e + 1, i.e. full indices e*n .. e*n + 2n - 1.
-    The two velocity-direction endpoint values (full indices 0 and n*N) are
-    dropped, which keeps the ordering, so local p <= q maps to i <= j.  Each
-    element contributes its symmetric part.
-    """
-    kd = 2 * n - 1
-    full = n * np.arange(N)[:, None] + np.arange(2 * n)[None, :]
-    kept = (full != 0) & (full != n * N)
-    reduced = full - (full > 0) - (full > n * N)
-    p, q = np.triu_indices(2 * n)
-    used = kept[:, p] & kept[:, q]
-    i, j = reduced[:, p][used], reduced[:, q][used]
-    vals = (0.5 * (local + local.transpose(0, 2, 1)))[:, p, q][used]
-    band = np.zeros((kd + 1, n * (N + 1) - 2))
-    np.add.at(band, (kd + i - j, j), vals)
-    band.flags.writeable = False
+
+def _band(blocks):
+    """LAPACK upper band storage of the form with node blocks ``blocks``, its
+    two constrained values dropped: entry (i, j), ``j - kd <= i <= j``, at
+    ``band[kd + i - j, j]`` for the half-bandwidth ``kd = 2n - 1``.  A new
+    Fortran-ordered array, which ``dsbgv`` may overwrite."""
+    diag, off = blocks
+    nodes, n = diag.shape[:2]
+    full = np.arange(nodes * n).reshape(nodes, n)
+    last = n * (nodes - 1)
+    # the index of each node value in the reduced form, -1 where it is dropped
+    reduced = np.where((full == 0) | (full == last), -1, full - (full > 0) - (full > last))
+    band = np.zeros((2 * n, nodes * n - 2), order="F")
+    for block, i, j in ((diag, reduced[:, :, None], reduced[:, None, :]),
+                        (off, reduced[:-1, :, None], reduced[1:, None, :])):
+        i, j = np.broadcast_arrays(i, j)
+        upper = (i >= 0) & (i <= j)          # a dropped j = -1 fails i <= j
+        band[2 * n - 1 + i[upper] - j[upper], j[upper]] = block[upper]
     return band
 
 
@@ -364,7 +382,7 @@ def assemble_index_form(spec: ManifoldSpec, frame: JacobiFrame, mesh_size) -> In
     shape-operator terms of both endpoints enter with the sign that makes a
     flat-disk diameter have exactly one negative direction.  The P1 basis
     makes both matrices block-tridiagonal with n x n blocks, so they are
-    stored as bands of half-bandwidth 2n - 1.
+    stored as their node blocks.
     """
     if mesh_size < MIN_MESH_SIZE:
         raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
@@ -396,8 +414,7 @@ def assemble_index_form(spec: ManifoldSpec, frame: JacobiFrame, mesh_size) -> In
     stiffness[0, :n, :n] += B0
     stiffness[-1, n:, n:] += B1
 
-    return IndexFormMatrix(_element_band(stiffness, n, N), _element_band(mass, n, N),
-                           n, B0, B1)
+    return IndexFormMatrix(_node_blocks(stiffness, n), _node_blocks(mass, n), n, B0, B1)
 
 
 def _arrival_tangent_frame(spec, frame, q):
@@ -419,8 +436,6 @@ _DOUBLE = ctypes.POINTER(ctypes.c_double)
 _ROUTINES = {
     # jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info
     "dsbgv": "cciiidididdidi",
-    # uplo, n, kd, ab, ldab, info
-    "dpbtrf": "ciidii",
 }
 
 
@@ -491,65 +506,19 @@ def _lapack(name, *args):
     return info.value
 
 
-def _band_shape(mat: IndexFormMatrix):
-    """(rows, dof) of the stiffness band, which the mass band must share."""
-    rows, dof = mat.stiffness_band.shape
-    if mat.mass_band.shape != (rows, dof):
-        raise ValueError(f"mass band shape {mat.mass_band.shape} does not match "
-                         f"stiffness band shape {mat.stiffness_band.shape}")
-    return rows, dof
-
-
 def index_form_eigenvalues(mat: IndexFormMatrix):
     """Full ascending spectrum of stiffness x = lambda mass x (LAPACK dsbgv)."""
-    rows, dof = _band_shape(mat)
-    # dsbgv overwrites both bands; Fortran order makes column j the j-th column
-    ab = np.array(mat.stiffness_band, dtype=np.float64, order="F")
-    bb = np.array(mat.mass_band, dtype=np.float64, order="F")
-    w = np.empty(dof)
-    z = np.empty(1)                  # eigenvectors are not computed
-    work = np.empty(3 * dof)
+    ab, bb = _band(mat.stiffness_blocks), _band(mat.mass_blocks)
+    if ab.shape != bb.shape:
+        raise ValueError(f"mass band shape {bb.shape} does not match "
+                         f"stiffness band shape {ab.shape}")
+    rows, dof = ab.shape
+    w, z, work = np.empty(dof), np.empty(1), np.empty(3 * dof)   # z: no eigenvectors
     info = _lapack("dsbgv", b"N", b"U", dof, rows - 1, rows - 1, ab, rows, bb, rows, w, z, 1,
                    work)
     if info != 0:
         raise RuntimeError(f"indefinite assembly error (dsbgv info={info})")
     return w
-
-
-def _check_mass_definite(mat: IndexFormMatrix):
-    """Raise the assembly error unless the mass band has a Cholesky factor
-    (LAPACK dpbtrf, on a copy of the read-only band), which Sylvester's law of
-    inertia needs."""
-    rows, dof = mat.mass_band.shape
-    info = _lapack("dpbtrf", b"U", dof, rows - 1, np.array(mat.mass_band, dtype=np.float64,
-                                                           order="F"), rows)
-    if info != 0:
-        raise RuntimeError(f"indefinite assembly error (dpbtrf info={info})")
-
-
-def _node_blocks(band, n):
-    """Diagonal (N + 1, n, n) and superdiagonal (N, n, n) node blocks of the
-    upper bands ``band`` (..., 2n, dof) of the reduced form, stacked over the
-    leading axes. The two velocity-direction endpoint values that the reduced
-    form drops come back as decoupled unit rows, which add 1 to the count of
-    positive eigenvalues and change no other count."""
-    kd, dof = band.shape[-2] - 1, band.shape[-1]
-    nodes = (dof + 2) // n
-    last = n * (nodes - 1)
-    full = np.arange(nodes * n).reshape(nodes, n)
-    kept = (full != 0) & (full != last)
-    reduced = full - (full > 0) - (full > last)
-
-    def gather(i, j, used):
-        # entries i <= j of the reduced form where used, zero elsewhere
-        return np.where(used, band[..., kd + np.where(used, i - j, 0), np.where(used, j, 0)], 0.0)
-
-    i, j = reduced[:, :, None], reduced[:, None, :]
-    diag = gather(np.minimum(i, j), np.maximum(i, j), kept[:, :, None] & kept[:, None, :])
-    diag[..., [0, -1], 0, 0] = 1.0
-    off = gather(reduced[:-1, :, None], reduced[1:, None, :],
-                 kept[:-1, :, None] & kept[1:, None, :])
-    return diag, off
 
 
 def _inertia_counts(mats, neg_tol):
@@ -558,14 +527,24 @@ def _inertia_counts(mats, neg_tol):
 
     Each inertia comes from an unpivoted block LDL^T of the block-tridiagonal
     form over its n x n node blocks, O(dof n^2), with the eigenvalues of the
-    pivot blocks taken at the end; the forms, of one band shape, and both
-    shifts are factored together. A form gets None where one of its pivot
-    blocks is singular to rounding or not finite, which leaves its count
-    undecided.
+    pivot blocks taken at the end; the forms, of one node-block shape, both
+    shifts and M itself are factored together.  The two constrained values
+    come back as decoupled unit rows, which add 1 to the count of positive
+    eigenvalues and change no other count.  A pivot of M that is not positive
+    definite raises the assembly error; a form gets None where one of its
+    other pivots is singular to rounding or not finite, which leaves its
+    count undecided.
     """
-    shifted = np.stack([mat.stiffness_band + shift * mat.mass_band
-                        for mat in mats for shift in (neg_tol, -neg_tol)])
-    diag, off = (b.swapaxes(0, 1) for b in _node_blocks(shifted, mats[0].dimension))
+    diag, off = (np.stack([form for mat in mats
+                           for s, m in [(mat.stiffness_blocks[k], mat.mass_blocks[k])]
+                           for form in (s + neg_tol * m, s - neg_tol * m, m)])
+                 for k in (0, 1))
+    nodes, n = diag.shape[1:3]
+    # each form's floor from its two shifted forms, before the unit rows go in
+    scale = np.maximum(np.abs(diag).max(axis=(1, 2, 3)), np.abs(off).max(axis=(1, 2, 3)))
+    floors = (n * nodes - 2) * np.finfo(float).eps * scale.reshape(-1, 3)[:, :2].max(axis=1)
+    diag[:, [0, -1], 0, 0] = 1.0
+    diag, off = diag.swapaxes(0, 1), off.swapaxes(0, 1)
     pivots = np.empty_like(diag)
     pivot = pivots[0] = diag[0]
     try:
@@ -573,12 +552,12 @@ def _inertia_counts(mats, neg_tol):
             pivot = pivots[e + 1] = diag[e + 1] - bt @ _solve(pivot, b)
     except np.linalg.LinAlgError:
         # a singular pivot block: count each form alone, so only its own falls back
-        if len(mats) == 1:
-            return [None]
-        return [_inertia_counts([mat], neg_tol)[0] for mat in mats]
+        return [None] if len(mats) == 1 else [_inertia_counts([m], neg_tol)[0] for m in mats]
     counts = []
-    for form, bands in zip(np.split(pivots, len(mats), axis=1), np.split(shifted, len(mats))):
-        floor = bands.shape[-1] * np.finfo(float).eps * np.abs(bands).max()
+    for form, floor in zip(np.split(pivots, len(mats), axis=1), floors):
+        if not (np.all(np.isfinite(form[:, 2])) and np.all(np.linalg.eigvalsh(form[:, 2]) > 0)):
+            raise RuntimeError("indefinite assembly error (mass not positive definite)")
+        form = form[:, :2]
         eigs = np.linalg.eigvalsh(form) if np.all(np.isfinite(form)) else None  # (nodes, 2, n)
         if eigs is None or np.any(np.abs(eigs) <= floor):
             counts.append(None)
@@ -592,14 +571,15 @@ def morse_indices_quadratic(mats, neg_tol=NEG_EIG_TOL):
     """Index and nullity estimate of each discretized form (mass-normalized):
     its generalized eigenvalues below -neg_tol and those within neg_tol of 0.
 
-    The forms must share one band shape. They are counted together by
-    inertia, without the spectrum; where the pivots leave a count undecided,
-    the full spectrum of that form counts it.
+    The forms, and each form's stiffness and mass, must share one node-block
+    shape.  They are counted together by inertia, without the spectrum;
+    where the pivots leave a count undecided, the full spectrum of that form
+    counts it.
     """
-    if len({_band_shape(mat) for mat in mats}) > 1:
-        raise ValueError("forms counted together must share one band shape")
-    for mat in mats:
-        _check_mass_definite(mat)
+    if len({(diag.shape, off.shape) for mat in mats
+            for diag, off in (mat.stiffness_blocks, mat.mass_blocks)}) > 1:
+        raise ValueError("forms counted together, and each form's stiffness and mass, "
+                         "must share one node-block shape")
     counts = _inertia_counts(mats, neg_tol) if mats else []
     for i, mat in enumerate(mats):
         if counts[i] is None:

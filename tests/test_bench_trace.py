@@ -43,3 +43,19 @@ def test_traced_certify_finds_every_name(tmp_path):
     assert code == 0
     assert tracer.counts["geometry.christoffel_raw.calls"] > 0
     assert zollab.engine.christoffel_raw is zollab.geometry.christoffel_raw
+
+
+def test_traced_jacobi_reads_the_index_form(tmp_path):
+    # spans.py reads the dof of each assembled form from its dense view
+    tracer = Tracer()
+    uninstall = install(tracer)
+    try:
+        code, _ = zollab.cli.run(
+            RunManifest(manifold={"catalog": "flat_disk", "params": {}},
+                        analyses=("certify", "jacobi")),
+            out_dir=str(tmp_path), quiet=True)
+    finally:
+        uninstall()
+    assert code == 0
+    assert tracer.counts["jacobi.index_dof"] == 512          # 2 (256 + 1) - 2
+    assert tracer.counts["jacobi.assembled.calls"] == 3

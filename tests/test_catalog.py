@@ -90,6 +90,11 @@ class TestMappingTorus:
         assert make_example("solid_torus", rotation=0.7).dimension == 3
         assert isometry_residual(make_example("spherical_cap"), identity_isometry(2)) == 0.0
 
+    def test_nan_residual_is_no_isometry(self):
+        # NaN > tol is False: a NaN rotation must not pass for an isometry
+        with pytest.raises(ValueError, match=r"not an isometry .*\(residual nan\)"):
+            mapping_torus(make_example("flat_disk"), rotation_isometry(float("nan")))
+
     def test_annotation_lift(self):
         disk = make_example("flat_disk")
         torus = mapping_torus(disk, rotation_isometry(2 * np.pi / 5))
@@ -111,7 +116,7 @@ class TestMappingTorus:
     def test_twisted_deck_rotates(self):
         alpha = 2 * np.pi / 5
         torus = make_example("solid_torus", rotation=alpha)
-        hi = next(d for d in torus.deck_maps if d.name == "torus+")
+        hi = next(d for d in torus.deck_maps if d.name == "torus2+")
         x = np.array([0.5, 0.0, 1.0])
         y = hi.apply_point(x)
         assert y[2] == pytest.approx(0.0, abs=1e-12)

@@ -223,8 +223,8 @@ def test_deck_maps_are_the_closure_arithmetic(rng):
         (moebius, "twist+", lambda x: 3.0 - x[..., 1], lambda x: flip(x, 0) - e_moebius,
          d_moebius),
         (moebius, "twist-", lambda x: x[..., 1], lambda x: flip(x, 0) + e_moebius, d_moebius),
-        (torus, "torus+", lambda x: 1.0 - x[..., 2], lambda x: tau(x, rot.T, -1.0), d_up),
-        (torus, "torus-", lambda x: x[..., 2], lambda x: tau(x, rot, 1.0), d_down),
+        (torus, "torus2+", lambda x: 1.0 - x[..., 2], lambda x: tau(x, rot.T, -1.0), d_up),
+        (torus, "torus2-", lambda x: x[..., 2], lambda x: tau(x, rot, 1.0), d_down),
         (slab, "ft0+", lambda x: 2.0 - x[..., 0], lambda x: flip(x, 2) - e_slab, d_slab),
         (slab, "ft0-", lambda x: x[..., 0], lambda x: flip(x, 2) + e_slab, d_slab),
     ]
@@ -280,18 +280,20 @@ class TestNormalsAndDecks:
     @pytest.mark.parametrize("key", sorted(DECK_CASES))
     def test_deck_isometry_and_inverse(self, key, rng):
         # every deck is an isometry, keeps b (identifications never cross the
-        # boundary) and is undone by its partner, the other map of its pair (a
-        # tower of mapping tori has a torus pair per level)
+        # boundary) and is undone by its partner, the other map of its pair,
+        # found by name (a tower of mapping tori has a torus pair per level,
+        # named by its axis)
         spec = deck_case(key)
         lo, hi = spec.domain[:, 0], spec.domain[:, 1]
         xs = lo + rng.random((100, spec.dimension)) * (hi - lo)
-        assert spec.deck_maps
+        by_name = {deck.name: deck for deck in spec.deck_maps}
+        assert spec.deck_maps and len(by_name) == len(spec.deck_maps)
         for i, deck in enumerate(spec.deck_maps):
             assert np.all(deck_isometry_residual(spec, deck, xs) <= 1e-10)
             ys = deck.apply_point(xs)
             assert np.all(np.abs(spec.boundary.value(ys) - spec.boundary.value(xs)) <= 1e-10)
-            partner = spec.deck_maps[i ^ 1]
-            assert partner.name == deck.name[:-1] + "+-"[deck.name.endswith("+")]
+            partner = by_name[deck.name[:-1] + "+-"[deck.name.endswith("+")]]
+            assert partner is spec.deck_maps[i ^ 1] and partner.axis == deck.axis
             assert np.all(np.linalg.norm(partner.apply_point(ys) - xs, axis=-1) <= 1e-12)
 
 

@@ -1,4 +1,5 @@
-"""Band storage and the LAPACK band solve of the discretized index form.
+"""Node-block storage, inertia counts and the LAPACK band solve of the
+discretized index form.
 
 The dense generalized ``scipy.linalg.eigh`` on the expanded matrices is the
 reference; it lives here only.
@@ -16,9 +17,11 @@ import zollab.jacobi as jacobi
 import zollab.verifier as verifier
 from zollab.jacobi import (
     NEG_EIG_TOL,
+    IndexFormMatrix,
+    _band,
     _band_to_dense,
-    _element_band,
     _inertia_counts,
+    _node_blocks,
     assemble_index_form,
     index_form_eigenvalues,
     index_form_spectrum,
@@ -49,7 +52,41 @@ def _dense_eigenvalues(mat):
     return sla.eigh(mat.stiffness, mat.mass, eigvals_only=True)
 
 
-def test_element_band_matches_dense_scatter(rng):
+def _element_band(local, n, N):
+    """The band of the reduced form scattered from the element matrices one
+    entry at a time (``np.add.at``): the reference for ``_band`` of the node
+    blocks. Element e couples full indices e*n .. e*n + 2n - 1; the full
+    indices 0 and n*N are dropped, and each element enters with its
+    symmetric part."""
+    kd = 2 * n - 1
+    full = n * np.arange(N)[:, None] + np.arange(2 * n)[None, :]
+    kept = (full != 0) & (full != n * N)
+    reduced = full - (full > 0) - (full > n * N)
+    p, q = np.triu_indices(2 * n)
+    used = kept[:, p] & kept[:, q]
+    i, j = reduced[:, p][used], reduced[:, q][used]
+    vals = (0.5 * (local + local.transpose(0, 2, 1)))[:, p, q][used]
+    band = np.zeros((kd + 1, n * (N + 1) - 2))
+    np.add.at(band, (kd + i - j, j), vals)
+    return band
+
+
+@pytest.mark.parametrize("n,N", [(2, 16), (3, 5), (3, 64)])
+def test_node_blocks_band_is_the_element_scatter(n, N, rng):
+    # signed zeros included: each entry is summed from 0.0 as np.add.at sums it
+    local = rng.standard_normal((N, 2 * n, 2 * n))
+    local[rng.random(local.shape) < 0.2] = -0.0
+    diag, off = _node_blocks(local, n)
+    assert diag.shape == (N + 1, n, n) and off.shape == (N, n, n)
+    assert not diag.flags.writeable and not off.flags.writeable
+    assert not diag[[0, -1], 0].any() and not diag[[0, -1], :, 0].any()
+    assert not off[0, 0].any() and not off[-1, :, 0].any()
+    band = _band((diag, off))
+    assert band.flags.f_contiguous and band.flags.writeable
+    assert band.tobytes() == _element_band(local, n, N).tobytes()
+
+
+def test_node_blocks_match_dense_scatter(rng):
     # reference: dense assembly of the element matrices, the two velocity
     # endpoint values dropped, then symmetrized
     n, N = 3, 5
@@ -63,9 +100,8 @@ def test_element_band_matches_dense_scatter(rng):
     dense = dense[np.ix_(keep, keep)]
     dense = 0.5 * (dense + dense.T)
 
-    band = _element_band(local, n, N)
+    band = _band(_node_blocks(local, n))
     assert band.shape == (2 * n, dof - 2)
-    assert not band.flags.writeable
     i, j = np.nonzero(dense)
     assert np.max(j - i) == 2 * n - 1          # every block-tridiagonal entry is kept
     assert np.abs(_band_to_dense(band) - dense).max() <= 1e-15 * np.abs(dense).max()
@@ -76,7 +112,7 @@ def test_band_spectrum_matches_dense(key, specs, frames):
     mat = _assemble(key, 128, specs, frames)
     band = index_form_eigenvalues(mat)
     dense = _dense_eigenvalues(mat)
-    assert band.shape == dense.shape == (mat.stiffness_band.shape[1],)
+    assert band.shape == dense.shape == (mat.stiffness.shape[0],)
     assert np.all(np.diff(band) >= 0.0)
     assert np.abs(band - dense).max() <= 1e-12 * np.abs(dense).max()
     assert np.array_equal(index_form_spectrum(mat, 8), band[:8])
@@ -108,7 +144,7 @@ def test_inertia_counts_match_dsbgv(mesh, catalog_sweeps):
                                   mesh)
         expected = _spectrum_counts(mat)
         assert _inertia_counts([mat], NEG_EIG_TOL) == [expected], name
-        groups.setdefault(mat.stiffness_band.shape, []).append((mat, expected))
+        groups.setdefault(mat.stiffness_blocks[0].shape, []).append((mat, expected))
     assert len(groups) == 2                     # dimensions 2 and 3
     for group in groups.values():
         mats, expected = map(list, zip(*group))
@@ -123,7 +159,8 @@ def test_singular_pivot_falls_back_to_the_spectrum(specs, frames):
     # S = -tol M makes S + tol M vanish: every pivot of that form is singular,
     # and only that form of a batch is counted from its spectrum
     mat = _assemble("flat_disk", 64, specs, frames)
-    shifted = dataclasses.replace(mat, stiffness_band=-NEG_EIG_TOL * mat.mass_band)
+    shifted = dataclasses.replace(mat, stiffness_blocks=tuple(
+        -NEG_EIG_TOL * b for b in mat.mass_blocks))
     assert _inertia_counts([shifted], NEG_EIG_TOL) == [None]
     assert _inertia_counts([mat, shifted], NEG_EIG_TOL) == [_spectrum_counts(mat), None]
     assert morse_indices_quadratic([mat, shifted]) == [_spectrum_counts(mat),
@@ -131,10 +168,24 @@ def test_singular_pivot_falls_back_to_the_spectrum(specs, frames):
     assert "eigenvalues" in vars(shifted)
 
 
+def test_inertia_floor_leaves_the_mass_out():
+    # one pivot of S + tol M is 1e-14: above dof eps times the shifted forms'
+    # largest entry (3e-3), below dof eps times M's (1e3), so the count is
+    # decided only while M stays out of the floor
+    n, N = 2, 16
+    diag = np.tile(2e-3 * np.eye(n), (N + 1, 1, 1))
+    diag[5, 1, 1] = -1e-3 + 1e-14
+    mass = np.tile(1e3 * np.eye(n), (N + 1, 1, 1))
+    diag[[0, -1], 0, 0] = mass[[0, -1], 0, 0] = 0.0
+    off = np.zeros((N, n, n))
+    mat = IndexFormMatrix((diag, off), (mass, off), n, None, None)
+    assert _inertia_counts([mat], NEG_EIG_TOL) == [_spectrum_counts(mat)] == [(0, 1)]
+
+
 def test_forms_counted_together_share_a_shape(specs, frames):
     small = _assemble("flat_disk", 64, specs, frames)
     large = _assemble("flat_disk", 128, specs, frames)
-    with pytest.raises(ValueError, match="one band shape"):
+    with pytest.raises(ValueError, match="one node-block shape"):
         morse_indices_quadratic([small, large])
 
 
@@ -143,20 +194,49 @@ def test_spectrum_solved_once_and_read_only(specs, frames):
     morse_index_quadratic(mat)
     assert mat.eigenvalues is mat.eigenvalues
     assert not mat.eigenvalues.flags.writeable
-    assert not mat.stiffness_band.flags.writeable
+    assert not any(b.flags.writeable for b in mat.stiffness_blocks + mat.mass_blocks)
+
+
+def _broken_masses(mat):
+    """The form with its mass negated, zero, NaN, and with one indefinite node
+    block, and the message each raises: M's own pivots decide, or, where one
+    of them is exactly singular, dsbgv's factorization of M."""
+    diag, off = mat.mass_blocks
+    indefinite = diag.copy()
+    indefinite[5] = np.diag(np.arange(mat.dimension) - 0.5)
+    pivots = r"mass not positive definite"
+    return [(tuple(-b for b in mat.mass_blocks), pivots),
+            (tuple(np.zeros_like(b) for b in mat.mass_blocks), r"dsbgv info=\d+"),
+            (tuple(np.full_like(b, np.nan) for b in mat.mass_blocks), pivots),
+            ((indefinite, off), pivots)]
+
+
+def _assert_broken_masses_raise(mat):
+    for mass, message in _broken_masses(mat):
+        broken = dataclasses.replace(mat, mass_blocks=mass)
+        with pytest.raises(RuntimeError, match=rf"^indefinite assembly error \({message}\)$"):
+            morse_index_quadratic(broken)
+        with pytest.raises(RuntimeError, match=rf"^indefinite assembly error \({message}\)$"):
+            morse_indices_quadratic([mat, broken])
 
 
 def test_mass_not_positive_definite_raises(specs, frames):
-    mat = _assemble("flat_disk", 64, specs, frames)
-    broken = dataclasses.replace(mat, mass_band=-mat.mass_band)
-    with pytest.raises(RuntimeError, match=r"^indefinite assembly error \(dpbtrf info=1\)$"):
-        morse_index_quadratic(broken)
+    _assert_broken_masses_raise(_assemble("flat_disk", 64, specs, frames))
+
+
+def test_mass_not_positive_definite_raises_with_the_fallback(specs, frames, monkeypatch):
+    _scipy_fallback(monkeypatch)
+    _assert_broken_masses_raise(_assemble("flat_disk", 64, specs, frames))
 
 
 def test_mismatched_band_shapes_rejected(specs, frames):
+    # one form whose mass blocks are one node short of its stiffness blocks
     mat = _assemble("flat_disk", 64, specs, frames)
+    short = dataclasses.replace(mat, mass_blocks=tuple(b[1:] for b in mat.mass_blocks))
     with pytest.raises(ValueError, match="band shape"):
-        index_form_eigenvalues(dataclasses.replace(mat, mass_band=mat.mass_band[1:]))
+        index_form_eigenvalues(short)
+    with pytest.raises(ValueError, match="one node-block shape"):
+        morse_index_quadratic(short)
 
 
 def test_cap_mesh_convergence(specs, frames):
@@ -172,33 +252,54 @@ def test_cap_mesh_convergence(specs, frames):
 
 
 @pytest.fixture(scope="module")
-def ball3_index_forms():
-    """The three index forms the ball3-index workload's seed-1 run assembles."""
+def ball3_index_run():
+    """The three index forms the ball3-index workload's seed-1 run assembles,
+    and the element matrices and node blocks of each of their stiffness and
+    mass assemblies."""
     manifest, _ = generate("ball3-index", 1)
-    mats = []
+    mats, blocks = [], []
 
     def kept(*args):
         mats.append(assemble_index_form(*args))
         return mats[-1]
 
+    def recorded(local, n):
+        blocks.append((local, n, _node_blocks(local, n)))
+        return blocks[-1][2]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, "assemble_index_form", kept)
+        mp.setattr(jacobi, "_node_blocks", recorded)
         verifier.certify(load_manifold(manifest["manifold"]), manifest["launches"],
                          analyses=("certify", "jacobi"), mesh_size=manifest["mesh_size"])
-    assert len(mats) == 3
-    return mats
+    assert len(mats) == 3 and len(blocks) == 6
+    return mats, blocks
+
+
+@pytest.fixture(scope="module")
+def ball3_index_forms(ball3_index_run):
+    return ball3_index_run[0]
+
+
+def test_ball3_index_forms_band_is_the_element_scatter(ball3_index_run):
+    mats, blocks = ball3_index_run
+    assert [b for mat in mats for b in (mat.stiffness_blocks, mat.mass_blocks)] == \
+        [b for _, _, b in blocks]
+    for local, n, node_blocks in blocks:
+        assert _band(node_blocks).tobytes() == _element_band(local, n, len(local)).tobytes()
 
 
 def _lapack_outcomes(mats):
-    """Each form's dsbgv spectrum, and dpbtrf's info on its mass band and on
-    the negated one, with the LAPACK routines bound now."""
+    """Each form's dsbgv spectrum, and dsbgv's info with its mass negated,
+    with the LAPACK routines bound now."""
     out = []
     for mat in mats:
-        broken = dataclasses.replace(mat, mass_band=-mat.mass_band)
-        rows, dof = mat.mass_band.shape
-        infos = [jacobi._lapack("dpbtrf", b"U", dof, rows - 1, np.asfortranarray(m.mass_band),
-                                rows) for m in (mat, broken)]
-        out.append((index_form_eigenvalues(mat).tobytes(), infos))
+        broken = dataclasses.replace(mat, mass_blocks=tuple(-b for b in mat.mass_blocks))
+        try:
+            index_form_eigenvalues(broken)
+        except RuntimeError as exc:
+            info = str(exc)
+        out.append((index_form_eigenvalues(mat).tobytes(), info))
     return out
 
 
@@ -214,7 +315,7 @@ def test_numpy_openblas_is_the_scipy_binding_bit_for_bit(ball3_index_forms, monk
     ours = _lapack_outcomes(ball3_index_forms)
     _scipy_fallback(monkeypatch)
     assert _lapack_outcomes(ball3_index_forms) == ours
-    assert all(infos[0] == 0 and infos[1] > 0 for _, infos in ours)
+    assert all(info.startswith("indefinite assembly error (dsbgv info=") for _, info in ours)
 
 
 def test_forced_fallback_gives_the_same_spectrum(ball3_index_forms, monkeypatch):
@@ -224,6 +325,7 @@ def test_forced_fallback_gives_the_same_spectrum(ball3_index_forms, monkeypatch)
     assert jacobi._LAPACK[1] is ctypes.c_int           # scipy's table, LP64
     assert index_form_eigenvalues(mat).tobytes() == want[0].tobytes()
     assert morse_index_quadratic(mat) == want[1]
-    broken = dataclasses.replace(mat, mass_band=-mat.mass_band)
-    with pytest.raises(RuntimeError, match=r"^indefinite assembly error \(dpbtrf info=1\)$"):
+    broken = dataclasses.replace(mat, mass_blocks=tuple(-b for b in mat.mass_blocks))
+    with pytest.raises(RuntimeError, match=r"^indefinite assembly error \(mass not positive "
+                                           r"definite\)$"):
         morse_index_quadratic(broken)

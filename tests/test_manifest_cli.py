@@ -191,7 +191,7 @@ class TestCLI:
         path = sweep.paths[0]
         frame = integrate_jacobi_frame(spec, path, rtol=tol.rtol, atol=tol.atol)
         mat = assemble_index_form(spec, frame, manifest.mesh_size)
-        dof = mat.stiffness_band.shape[1]
+        dof = mat.stiffness.shape[0]
 
         rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
         assert rows.shape == (dof, 2)
@@ -433,6 +433,18 @@ class TestCLI:
         ({"inline": {"deck_maps": [{"kind": "flip_translation", "axis": 1, "period": 1.0,
                                     "flip_axis": 1}]}},
          "deck map flip_axis must differ from its axis 1"),
+        # a catalog parameter of another type than its default's would run
+        # another example (n 2.5 as 2, true as 1), a NaN rotation certified
+        ({"manifold": {"catalog": "solid_torus", "params": {"rotation": float("nan")}}},
+         "parameter 'rotation' of 'solid_torus' must be a finite number, not nan"),
+        ({"manifold": {"catalog": "euclidean_ball", "params": {"n": 2.5}}},
+         "parameter 'n' of 'euclidean_ball' must be an integer, not 2.5"),
+        ({"manifold": {"catalog": "euclidean_ball", "params": {"n": True}}},
+         "parameter 'n' of 'euclidean_ball' must be an integer, not True"),
+        ({"manifold": {"catalog": "flat_disk", "params": {"radius": "1"}}},
+         "parameter 'radius' of 'flat_disk' must be a finite number, not '1'"),
+        ({"manifold": {"catalog": "flat_disk", "params": {"radius": True}}},
+         "parameter 'radius' of 'flat_disk' must be a finite number, not True"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))
