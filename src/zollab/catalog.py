@@ -6,8 +6,9 @@ harness as ground truth.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import Optional
 
@@ -160,14 +161,75 @@ def sphere_patch_periodic(dim):
 # ---------------------------------------------------------------------------
 # catalog constructors
 
-def flat_disk(radius=1.0):
+CATALOG = {}        # name: (constructor, {parameter: default})
+
+
+def _parameters(name, params):
+    """The example's defaults updated with ``params``, each of the type of its
+    default: an integer that is not a bool where the default is an integer,
+    a finite real number where it is a float."""
+    defaults = CATALOG[name][1]
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ExampleParameterError(
+            f"unknown parameters {sorted(unknown)} for {name!r}; schema: {sorted(defaults)}")
+    for key, value in params.items():
+        if isinstance(defaults[key], int):
+            kind, ok = "an integer", isinstance(value, Integral)
+        else:
+            kind, ok = "a finite number", isinstance(value, Real) and math.isfinite(value)
+        if isinstance(value, bool) or not ok:
+            raise ExampleParameterError(
+                f"parameter {key!r} of {name!r} must be {kind}, not {value!r}")
+    return dict(defaults, **params)
+
+
+def _example(**defaults):
+    """Register the constructor in ``CATALOG`` under its name, with its
+    parameters' defaults in the order of its arguments. Every call, direct or
+    through ``make_example``, takes the defaults and checks of ``_parameters``."""
+    def register(build):
+        name = build.__name__
+
+        @functools.wraps(build)
+        def example(*args, **params):
+            given = dict(zip(defaults, args))
+            if len(args) > len(defaults) or given.keys() & params.keys():
+                raise TypeError(f"{name}() takes each of {list(defaults)} once")
+            return build(**_parameters(name, dict(given, **params)))
+
+        CATALOG[name] = (example, defaults)
+        return example
+    return register
+
+
+def catalog_names():
+    return sorted(CATALOG)
+
+
+def make_example(name, **params):
+    """Instantiate a catalog example by name with keyword parameters."""
+    if name not in CATALOG:
+        raise KeyError(f"unknown catalog example {name!r}; known: {', '.join(catalog_names())}")
+    return CATALOG[name][0](**params)
+
+
+def example_manifest(name, **params):
+    """Manifest fragment reproducing a catalog example."""
+    defaults = CATALOG[name][1]
+    return {"catalog": name, "params": {k: float(v) if isinstance(defaults[k], float) else v
+                                        for k, v in _parameters(name, params).items()}}
+
+
+@_example(radius=1.0)
+def flat_disk(radius):
     if radius <= 0:
         raise ExampleParameterError("parameter violates example validity: radius must be > 0")
-    return euclidean_ball(2, radius, name=f"flat_disk(L={radius:g})")
+    return replace(euclidean_ball(2, radius), name=f"flat_disk(L={radius:g})")
 
 
-def euclidean_ball(n, radius=1.0, name=None):
-    n = int(n)
+@_example(n=3, radius=1.0)
+def euclidean_ball(n, radius):
     if n < 1 or radius <= 0:
         raise ExampleParameterError("parameter violates example validity: need n >= 1, radius > 0")
     r = float(radius)
@@ -181,7 +243,7 @@ def euclidean_ball(n, radius=1.0, name=None):
                                  lambda u, _n=n, _r=r: sphere_points(u, _n, _r),
                                  sphere_patch_periodic(n))]
     return ManifoldSpec(
-        name=name or f"euclidean_ball(n={n},L={r:g})",
+        name=f"euclidean_ball(n={n},L={r:g})",
         metric=euclidean_metric(n),
         boundary=ball_boundary(n, r),
         domain=np.array([[-2.0 * r, 2.0 * r]] * n),
@@ -195,7 +257,8 @@ def euclidean_ball(n, radius=1.0, name=None):
     )
 
 
-def flat_band(half_length=1.0, circumference=2.0 * np.pi):
+@_example(half_length=1.0, circumference=2.0 * np.pi)
+def flat_band(half_length, circumference):
     if half_length <= 0 or circumference <= 0:
         raise ExampleParameterError("parameter violates example validity: positive sizes required")
     L, C = float(half_length), float(circumference)
@@ -219,7 +282,8 @@ def flat_band(half_length=1.0, circumference=2.0 * np.pi):
     )
 
 
-def flat_moebius(width=1.0, twist_length=3.0):
+@_example(width=1.0, twist_length=3.0)
+def flat_moebius(width, twist_length):
     if width <= 0 or twist_length <= 0:
         raise ExampleParameterError("parameter violates example validity: positive sizes required")
     w, c = float(width), float(twist_length)
@@ -245,9 +309,9 @@ def flat_moebius(width=1.0, twist_length=3.0):
     )
 
 
-def spherical_cap(radius=np.pi / 6.0, dim=2):
-    L = float(radius)
-    n = int(dim)
+@_example(radius=np.pi / 6.0, dim=2)
+def spherical_cap(radius, dim):
+    L, n = float(radius), dim
     if not (0.0 < L < np.pi / 2.0):
         raise ExampleParameterError("parameter violates example validity: need 0 < L < pi/2")
     if n < 2:
@@ -270,7 +334,8 @@ def spherical_cap(radius=np.pi / 6.0, dim=2):
     )
 
 
-def spherical_band(max_latitude=np.pi / 6.0):
+@_example(max_latitude=np.pi / 6.0)
+def spherical_band(max_latitude):
     th = float(max_latitude)
     if not (0.0 < th < np.pi / 2.0):
         raise ExampleParameterError("parameter violates example validity: need 0 < theta0 < pi/2")
@@ -297,7 +362,8 @@ def spherical_band(max_latitude=np.pi / 6.0):
     )
 
 
-def ellipse(a=2.0, b=1.0):
+@_example(a=2.0, b=1.0)
+def ellipse(a, b):
     if a <= 0 or b <= 0 or abs(a - b) < 1e-12:
         raise ExampleParameterError(
             "parameter violates example validity: need a, b > 0 and a != b (non-Zoll control)")
@@ -402,7 +468,6 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
         lambda x: np.concatenate([base_boundary.gradient(x[..., :n]),
                                   np.zeros(x.shape[:-1] + (1,))], axis=-1),
         lambda x: _lift_hessian(base_boundary, x[:n], n),
-        eps=base_boundary.eps,
     )
 
     # the base decks glue the same faces of the leading coordinates; the tau
@@ -447,16 +512,17 @@ def _lift_hessian(base_boundary, x, n):
     return h
 
 
-def solid_torus(radius=1.0, rotation=0.0):
+@_example(radius=1.0, rotation=0.0)
+def solid_torus(radius, rotation):
     """Mapping torus of a flat disk, optionally twisted by a rotation."""
     base = flat_disk(radius)
     iso = rotation_isometry(rotation) if rotation else identity_isometry(2)
     return mapping_torus(base, iso, name=f"solid_torus(L={radius:g},alpha={rotation:g})")
 
 
-def index_ladder(n, k, rotation=0.0):
+@_example(n=3, k=1, rotation=0.0)
+def index_ladder(n, k, rotation):
     """An n-dimensional certified example of index k (2 <= n <= 5)."""
-    n, k = int(n), int(k)
     if n > 5:
         raise ExampleParameterError("desk-scale cap: index_ladder supports n <= 5")
     if n < 2 or not (0 <= k <= n - 1):
@@ -471,59 +537,4 @@ def index_ladder(n, k, rotation=0.0):
         if rotation and base.dimension == 2 and step == 0:
             iso = rotation_isometry(rotation)
         base = mapping_torus(base, iso)
-    base.name = f"index_ladder(n={n},k={k})"
-    return base
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-CATALOG = {
-    "flat_disk": (flat_disk, {"radius": 1.0}),
-    "flat_band": (flat_band, {"half_length": 1.0, "circumference": 2.0 * np.pi}),
-    "flat_moebius": (flat_moebius, {"width": 1.0, "twist_length": 3.0}),
-    "spherical_cap": (spherical_cap, {"radius": np.pi / 6.0, "dim": 2}),
-    "spherical_band": (spherical_band, {"max_latitude": np.pi / 6.0}),
-    "euclidean_ball": (euclidean_ball, {"n": 3, "radius": 1.0}),
-    "ellipse": (ellipse, {"a": 2.0, "b": 1.0}),
-    "solid_torus": (solid_torus, {"radius": 1.0, "rotation": 0.0}),
-    "index_ladder": (index_ladder, {"n": 3, "k": 1, "rotation": 0.0}),
-}
-
-
-def catalog_names():
-    return sorted(CATALOG)
-
-
-def _parameters(name, params):
-    """The example's defaults updated with ``params``, each of the type of its
-    default: an integer that is not a bool where the default is an integer,
-    a finite real number where it is a float."""
-    defaults = CATALOG[name][1]
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ExampleParameterError(
-            f"unknown parameters {sorted(unknown)} for {name!r}; schema: {sorted(defaults)}")
-    for key, value in params.items():
-        if isinstance(defaults[key], int):
-            kind, ok = "an integer", isinstance(value, Integral)
-        else:
-            kind, ok = "a finite number", isinstance(value, Real) and math.isfinite(value)
-        if isinstance(value, bool) or not ok:
-            raise ExampleParameterError(
-                f"parameter {key!r} of {name!r} must be {kind}, not {value!r}")
-    return dict(defaults, **params)
-
-
-def make_example(name, **params):
-    """Instantiate a catalog example by name with keyword parameters."""
-    if name not in CATALOG:
-        raise KeyError(f"unknown catalog example {name!r}; known: {', '.join(catalog_names())}")
-    return CATALOG[name][0](**_parameters(name, params))
-
-
-def example_manifest(name, **params):
-    """Manifest fragment reproducing a catalog example."""
-    defaults = CATALOG[name][1]
-    return {"catalog": name, "params": {k: float(v) if isinstance(defaults[k], float) else v
-                                        for k, v in _parameters(name, params).items()}}
+    return replace(base, name=f"index_ladder(n={n},k={k})")

@@ -806,24 +806,24 @@ class LaunchSet:
     strategy: str
 
 
-def _grid_sides(m, d):
-    """Sides of the grid ``_uniform_grid`` lays on a patch of dimension d >= 2
-    when asked for m points; their product need not be m."""
-    sides = [max(1, int(round(m ** (1.0 / d))))] * d
-    # adjust the last side so the product lands near m
-    prod = int(np.prod(sides[:-1]))
-    sides[-1] = max(1, m // prod)
-    return sides
-
-
-def _uniform_grid(m, d):
+def launch_params(d, m, strategy="uniform", seed=0):
+    """Parameters (k, d) of the launches on a boundary patch of dimension d
+    asked for m > 0 of them: the one point of a patch with d = 0, else the
+    cell centres of a uniform grid, or the first m points of a Halton
+    sequence scrambled by ``seed``. A grid on d >= 2 axes has sides near
+    m ** (1/d), so k need not be m."""
     if d == 0:
         return np.zeros((1, 0))
-    if d == 1:
-        return ((np.arange(m) + 0.5) / m).reshape(-1, 1)
-    axes = [(np.arange(s) + 0.5) / s for s in _grid_sides(m, d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([a.ravel() for a in mesh], axis=1)
+    if strategy == "uniform":
+        side = max(1, int(round(m ** (1.0 / d))))
+        # the last side makes the product land near m
+        sides = [side] * (d - 1) + [max(1, m // side ** (d - 1))]
+        mesh = np.meshgrid(*[(np.arange(s) + 0.5) / s for s in sides], indexing="ij")
+        return np.stack([a.ravel() for a in mesh], axis=1)
+    if strategy == "low-discrepancy":
+        from scipy.stats import qmc  # slow to import, and only this strategy uses it
+        return qmc.Halton(d=d, seed=seed).random(m)
+    raise ValueError(f"unknown sampling strategy {strategy!r}")
 
 
 def _patch_shares(spec: ManifoldSpec, count):
@@ -843,17 +843,8 @@ def launch_count(spec: ManifoldSpec, count, strategy="uniform"):
     It differs from ``count`` where a uniform grid cannot hold a patch's share
     exactly (patches of dimension >= 2) and where a patch is a single point.
     """
-    total = 0
-    for patch, m in zip(spec.boundary_patches, _patch_shares(spec, count)):
-        if m == 0:
-            continue
-        if patch.param_dim == 0:
-            total += 1
-        elif strategy == "uniform" and patch.param_dim >= 2:
-            total += int(np.prod(_grid_sides(m, patch.param_dim)))
-        else:
-            total += m
-    return total
+    return sum(len(launch_params(patch.param_dim, m, strategy))
+               for patch, m in zip(spec.boundary_patches, _patch_shares(spec, count)) if m)
 
 
 def nearest_exact_launch_counts(spec: ManifoldSpec, count, strategy="uniform"):
@@ -878,16 +869,7 @@ def sample_boundary(spec: ManifoldSpec, count, strategy="uniform", seed=0):
     for pid, (patch, m) in enumerate(zip(spec.boundary_patches, _patch_shares(spec, count))):
         if m == 0:
             continue
-        if patch.param_dim == 0:
-            u = np.zeros((1, 0))
-        elif strategy == "uniform":
-            u = _uniform_grid(m, patch.param_dim)
-        elif strategy == "low-discrepancy":
-            from scipy.stats import qmc  # slow to import, and only this strategy uses it
-            sampler = qmc.Halton(d=patch.param_dim, seed=seed + 7919 * pid)
-            u = sampler.random(m)
-        else:
-            raise ValueError(f"unknown sampling strategy {strategy!r}")
+        u = launch_params(patch.param_dim, m, strategy, seed + 7919 * pid)
         p = project_to_boundary(spec, patch.points(u))
         off = ~spec.boundary.on_boundary(p)
         p[off] = project_to_boundary(spec, p[off])

@@ -142,11 +142,12 @@ class BoundaryChart:
     of them, each row bit-equal to its point's; ``hessian_fn`` takes a point.
     """
 
-    def __init__(self, value_fn, gradient_fn, hessian_fn=None, eps=BOUNDARY_EPS):
+    eps = BOUNDARY_EPS       # |b| <= eps is on the boundary
+
+    def __init__(self, value_fn, gradient_fn, hessian_fn=None):
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
         self._hessian_fn = hessian_fn
-        self.eps = float(eps)
 
     def value(self, x):
         """b at a chart point (a float), or the (m,) array of it at a stack of points."""

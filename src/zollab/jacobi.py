@@ -430,34 +430,22 @@ def _arrival_tangent_frame(spec, frame, q):
     return gram_schmidt(g, np.array(rows))
 
 
-_DOUBLE = ctypes.POINTER(ctypes.c_double)
-# the arguments of the LAPACK routines used, each passed by reference: c a
-# character, i an integer, d an array of doubles; info is the last
-_ROUTINES = {
-    # jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info
-    "dsbgv": "cciiidididdidi",
-}
-
-
 def _numpy_openblas():
-    """{name: address} of the routines in the OpenBLAS bundled with numpy's
-    wheel, which numpy has already loaded: ILP64, with the full LAPACK as
-    ``scipy_<name>_64_``. None where it is not there (another wheel, a source
-    build) or lacks one of them."""
+    """Address of ``dsbgv`` in the OpenBLAS bundled with numpy's wheel, which
+    numpy has already loaded: ILP64, as ``scipy_dsbgv_64_``. None where it is
+    not there (another wheel, a source build) or lacks the symbol."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
         try:
-            lib = ctypes.CDLL(path)
-            return {name: ctypes.cast(getattr(lib, f"scipy_{name}_64_"), ctypes.c_void_p).value
-                    for name in _ROUTINES}
+            return ctypes.cast(ctypes.CDLL(path).scipy_dsbgv_64_, ctypes.c_void_p).value
         except (OSError, AttributeError):
             continue
     return None
 
 
 def _scipy_cython_lapack():
-    """{name: address} of the routines in the function table scipy exports
-    for Cython callers; scipy is imported only here."""
+    """Address of ``dsbgv`` in the function table scipy exports for Cython
+    callers; scipy is imported only here."""
     from scipy.linalg import cython_lapack
 
     get_name = ctypes.pythonapi.PyCapsule_GetName
@@ -466,44 +454,27 @@ def _scipy_cython_lapack():
     get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
     get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
     get_pointer.restype = ctypes.c_void_p
-    capsules = cython_lapack.__pyx_capi__
-    return {name: get_pointer(capsules[name], get_name(capsules[name])) for name in _ROUTINES}
+    capsule = cython_lapack.__pyx_capi__["dsbgv"]
+    return get_pointer(capsule, get_name(capsule))
 
 
 def _bind_lapack():
-    """The routines from numpy's OpenBLAS where it has them, else from scipy:
-    {name: function}, their integer type, and whether the length of each
-    character argument follows the others. numpy's are the Fortran symbols,
-    which take both: 64-bit integers and the lengths; scipy's table takes
-    C ints and no lengths."""
-    addresses, integer, lengths = _numpy_openblas(), ctypes.c_int64, True
-    if addresses is None:
-        addresses, integer, lengths = _scipy_cython_lapack(), ctypes.c_int, False
-    kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer), "d": _DOUBLE}
-    functions = {}
-    for name, signature in _ROUTINES.items():
-        argtypes = [kinds[k] for k in signature]
-        if lengths:
-            argtypes += [ctypes.c_size_t] * signature.count("c")
-        functions[name] = ctypes.CFUNCTYPE(None, *argtypes)(addresses[name])
-    return functions, integer, lengths
+    """``dsbgv`` from numpy's OpenBLAS where it has it, else from scipy: the
+    function, its integer type and the arguments that follow ``info``.
+    numpy's is the Fortran symbol, which takes 64-bit integers and, last, the
+    lengths of its two character arguments; scipy's table takes C ints and
+    no lengths."""
+    address, integer, lengths = _numpy_openblas(), ctypes.c_int64, (1, 1)
+    if address is None:
+        address, integer, lengths = _scipy_cython_lapack(), ctypes.c_int, ()
+    c, i = ctypes.c_char_p, ctypes.POINTER(integer)
+    d = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+    # jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, info
+    argtypes = [c, c, i, i, i, d, i, d, i, d, d, i, d, i] + [ctypes.c_size_t] * len(lengths)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address), integer, lengths
 
 
 _LAPACK = _bind_lapack()
-
-
-def _lapack(name, *args):
-    """LAPACK routine ``name`` called on ``args``, all its arguments but
-    ``info``, which it returns: bytes for characters, Python ints for
-    integers, float64 arrays (Fortran-ordered) for arrays."""
-    functions, integer, lengths = _LAPACK
-    info = integer(0)
-    refs = [a if isinstance(a, bytes) else
-            ctypes.byref(integer(a)) if isinstance(a, int) else
-            a.ctypes.data_as(_DOUBLE) for a in args]
-    chars = [len(a) for a in args if isinstance(a, bytes)] if lengths else []
-    functions[name](*refs, ctypes.byref(info), *chars)
-    return info.value
 
 
 def index_form_eigenvalues(mat: IndexFormMatrix):
@@ -514,10 +485,12 @@ def index_form_eigenvalues(mat: IndexFormMatrix):
                          f"stiffness band shape {ab.shape}")
     rows, dof = ab.shape
     w, z, work = np.empty(dof), np.empty(1), np.empty(3 * dof)   # z: no eigenvectors
-    info = _lapack("dsbgv", b"N", b"U", dof, rows - 1, rows - 1, ab, rows, bb, rows, w, z, 1,
-                   work)
-    if info != 0:
-        raise RuntimeError(f"indefinite assembly error (dsbgv info={info})")
+    dsbgv, integer, lengths = _LAPACK
+    info = integer(0)
+    dsbgv(b"N", b"U", integer(dof), integer(rows - 1), integer(rows - 1), ab, integer(rows),
+          bb, integer(rows), w, z, integer(1), work, info, *lengths)
+    if info.value != 0:
+        raise RuntimeError(f"indefinite assembly error (dsbgv info={info.value})")
     return w
 
 

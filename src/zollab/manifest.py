@@ -154,7 +154,7 @@ def expression_metric(entries, n):
     return MetricField(n, jet, name="expression")
 
 
-def expression_boundary(expr_str, n, eps=1e-12):
+def expression_boundary(expr_str, n):
     """BoundaryChart from one expression in x0..x{n-1} (b > 0 inside); its
     value and gradient take a point or a stack of points."""
     import sympy as sp
@@ -164,24 +164,17 @@ def expression_boundary(expr_str, n, eps=1e-12):
     gradient = _entries_function(xs, [b.diff(x) for x in xs])
     hessian = _entries_function(xs, [b.diff(xi).diff(xj) for xi in xs for xj in xs])
     return BoundaryChart(lambda x: value(x)[..., 0], gradient,
-                         lambda x: hessian(x).reshape(n, n), eps=eps)
+                         lambda x: hessian(x).reshape(n, n))
 
 
 def expression_patch(point_exprs, dim, name="patch", periodic=None):
-    """BoundaryPatch from chart-coordinate expressions in u0..u{dim-1}."""
+    """BoundaryPatch from chart-coordinate expressions in u0..u{dim-1}; a
+    patch of dimension 0 is the one point they give at u0 = 0."""
     import sympy as sp
     us = sp.symbols(f"u0:{max(dim, 1)}", real=True)
-    fns = [sp.lambdify(us, _parse(e, us), modules="numpy") for e in point_exprs]
-
-    def sample(params):
-        params = np.atleast_2d(np.asarray(params, dtype=float))
-        cols = []
-        for fn in fns:
-            vals = fn(*[params[:, i] for i in range(max(dim, 1))])
-            cols.append(np.broadcast_to(np.asarray(vals, dtype=float), (params.shape[0],)))
-        return np.stack(cols, axis=1)
-
-    return BoundaryPatch(name, dim, sample, None if periodic is None else tuple(periodic))
+    point = _entries_function(us, [_parse(e, us) for e in point_exprs])
+    return BoundaryPatch(name, dim, lambda u: point(u if dim else np.zeros((len(u), 1))),
+                         None if periodic is None else tuple(periodic))
 
 
 def _is_integer(value):

@@ -20,9 +20,9 @@ from .engine import (
     GRAZING_TOL,
     LaunchSet,
     SweepResult,
-    _uniform_grid,
     first_return_map,
     launch_count,
+    launch_params,
     nearest_exact_launch_counts,
     sample_boundary,
 )
@@ -453,7 +453,7 @@ def _structured_sweep(spec: ManifoldSpec, pid, n_side, tol: Tolerances, check):
     ``pid`` (of dimension d >= 1), its paths in the C order of the grid; the
     ``check`` that needs every launch back fails where one does not return."""
     patch = spec.boundary_patches[pid]
-    params = _uniform_grid(n_side ** patch.param_dim, patch.param_dim)
+    params = launch_params(patch.param_dim, n_side ** patch.param_dim)
     pts = patch.points(params)
     ls = LaunchSet(pts, np.full(len(pts), pid), [u.copy() for u in params], "uniform")
     sweep = first_return_map(spec, ls, rtol=tol.rtol, atol=tol.atol, grazing_tol=tol.grazing)

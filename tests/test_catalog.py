@@ -6,7 +6,9 @@ from zollab.catalog import (
     ExampleParameterError,
     Isometry,
     catalog_names,
+    euclidean_ball,
     example_manifest,
+    flat_disk,
     identity_isometry,
     index_ladder,
     isometry_residual,
@@ -27,6 +29,22 @@ class TestParameterValidation:
     def test_band_positive_sizes(self):
         with pytest.raises(ExampleParameterError):
             make_example("flat_band", half_length=-1.0)
+
+    @pytest.mark.parametrize("build,args", [(euclidean_ball, (2.5,)),
+                                            (index_ladder, (4.7, 1.2)),
+                                            (flat_disk, (float("nan"),))])
+    def test_direct_calls_check_as_make_example(self, build, args):
+        # these built a 2-ball, a 4-dimensional index-1 ladder and flat_disk(L=nan)
+        with pytest.raises(ExampleParameterError):
+            build(*args)
+
+    def test_direct_calls_bind_each_parameter_once(self):
+        assert flat_disk().name == "flat_disk(L=1)"
+        assert index_ladder(4, 1).name == "index_ladder(n=4,k=1)"
+        assert euclidean_ball(3, radius=2.0).name == "euclidean_ball(n=3,L=2)"
+        for args, kwargs in (((1.0, 2.0), {}), ((1.0,), {"radius": 2.0})):
+            with pytest.raises(TypeError):
+                flat_disk(*args, **kwargs)
 
     def test_ellipse_needs_distinct_axes(self):
         with pytest.raises(ExampleParameterError):

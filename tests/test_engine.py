@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -31,6 +32,7 @@ from zollab.engine import (
     geodesic_rhs,
     integrate_flow,
     launch_count,
+    launch_params,
     lockstep_flows,
     nearest_exact_launch_counts,
     project_to_boundary,
@@ -57,6 +59,18 @@ from zollab.verifier import Tolerances, certify
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 from workloads import _inline_cap, generate  # noqa: E402
+
+# an inline segment [-1, 1], whose two boundary patches are points
+INLINE_SEGMENT = {"inline": {
+    "name": "inline-segment",
+    "dimension": 1,
+    "metric": {"kind": "expression", "entries": [["1"]]},
+    "boundary": {"expression": "(1 - x0**2)/2"},
+    "domain": {"lo": [-2.0], "hi": [2.0]},
+    "boundary_patches": [{"name": "right", "dim": 0, "point": ["1"]},
+                         {"name": "left", "dim": 0, "point": ["-1"]}],
+    "annotations": {"zoll": True, "half_length": 1.0, "components": 2},
+}}
 
 
 def unit_speed_drift(path):
@@ -782,6 +796,30 @@ def test_no_return_recorded_with_its_launch_point():
     assert str(info.value) == sweep.errors[0][1]
 
 
+def reference_uniform_grid(m, d):
+    """The uniform launch grid on d >= 1 axes, written apart from engine: the
+    cell centres of one axis, or of a meshgrid with sides near m ** (1/d)."""
+    if d == 1:
+        return ((np.arange(m) + 0.5) / m).reshape(-1, 1)
+    sides = [max(1, int(round(m ** (1.0 / d))))] * d
+    prod = int(np.prod(sides[:-1]))
+    sides[-1] = max(1, m // prod)
+    axes = [(np.arange(s) + 0.5) / s for s in sides]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([a.ravel() for a in mesh], axis=1)
+
+
+def reference_patch_points(point_exprs, params):
+    """Points of an inline patch in u0 as one lambdify per chart coordinate
+    gives them, each called on the parameter column."""
+    import sympy as sp
+    u0 = sp.Symbol("u0", real=True)
+    fns = [sp.lambdify([u0], sp.sympify(e, locals={"u0": u0, "pi": sp.pi}), modules="numpy")
+           for e in point_exprs]
+    return np.stack([np.broadcast_to(np.asarray(fn(params[:, 0]), dtype=float), (len(params),))
+                     for fn in fns], axis=1)
+
+
 class TestLaunchSets:
     def test_projection_and_counts(self, specs):
         for key in ["flat_disk", "flat_band", "solid_torus"]:
@@ -806,7 +844,8 @@ class TestLaunchSets:
     def test_launch_count_is_what_sample_boundary_gives(self, specs):
         ball1 = make_example("euclidean_ball", n=1)
         for spec in (specs["euclidean_ball3"], specs["solid_torus"], specs["flat_band"],
-                     make_example("index_ladder", n=4, k=1), ball1):
+                     make_example("index_ladder", n=4, k=1), ball1,
+                     load_manifold(INLINE_SEGMENT)):
             for count in range(1, 140, 3):
                 for strategy in ("uniform", "low-discrepancy"):
                     got = len(sample_boundary(spec, count, strategy=strategy).points)
@@ -821,6 +860,42 @@ class TestLaunchSets:
             assert launch_count(ball, asked, "low-discrepancy") == asked
         # a pair of point patches gives two launches whatever is asked
         assert nearest_exact_launch_counts(make_example("euclidean_ball", n=1), 40) == (2, None)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_uniform_launch_params_are_the_grid_reference(self, d):
+        # the grids of sample_boundary and of the structured sweeps (n_side ** d)
+        for m in range(1, 601):
+            got, want = launch_params(d, m), reference_uniform_grid(m, d)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), m
+
+    def test_point_patches_launch_once(self):
+        assert launch_params(0, 40).shape == (1, 0)
+        spec = load_manifold(INLINE_SEGMENT)
+        ls = sample_boundary(spec, 8)
+        assert ls.points.tolist() == [[1.0], [-1.0]]
+        assert ls.patch_ids.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_inline_cap_rim_is_the_lambdify_reference(self, seed):
+        # the rim points of the inline-cap-sweep workload, compiled with the
+        # metric's printer, against one lambdify per coordinate
+        manifold = generate("inline-cap-sweep", seed)[0]["manifold"]
+        patch = load_manifold(manifold).boundary_patches[0]
+        for u in (launch_params(1, 512), launch_params(1, 64, "low-discrepancy", seed)):
+            want = reference_patch_points(manifold["inline"]["boundary_patches"][0]["point"], u)
+            assert patch.points(u).tobytes() == want.tobytes()
+
+    def test_inline_patch_powers_are_scalar(self, rng):
+        # each row of a stack is the point taken alone, and each power is libm's
+        patch = load_manifold({"inline": dict(
+            INLINE_CYLINDER["inline"],
+            boundary_patches=[{"name": "curve", "dim": 1, "point": ["u0**2", "2*u0**3 - u0"]}],
+        )}).boundary_patches[0]
+        u = rng.random((257, 1))
+        stack = patch.points(u)
+        for row, (x,) in zip(stack, u):
+            assert row.tobytes() == patch.points([[x]])[0].tobytes()
+            assert row.tolist() == [math.pow(x, 2), 2 * math.pow(x, 3) - x]
 
     def test_newton_projection(self, specs):
         disk = specs["flat_disk"]

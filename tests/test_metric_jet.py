@@ -9,12 +9,14 @@ not merely close values, so every comparison here is exact.
 """
 import ast
 import inspect
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import zollab
 import zollab.engine as engine
 import zollab.manifest as manifest
 from zollab.catalog import CATALOG, make_example
@@ -275,6 +277,19 @@ def test_inline_jet_evaluates_each_distinct_power_once(key, rng, monkeypatch):
         powers.clear()
         metric.jet(x)
         assert len(powers) == want
+
+
+def test_no_module_calls_lambdify():
+    # inline metrics, boundaries and patches compile through one printer
+    # (manifest._entries_function); lambdify's array powers round differently
+    for path in pathlib.Path(zollab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                assert "lambdify" not in {alias.name for alias in node.names}, path.name
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                assert name != "lambdify", path.name
 
 
 def test_metric_without_jet_stacks_matrix_and_derivative(rng):

@@ -7,9 +7,11 @@ from scipy.sparse.csgraph import connected_components as csgraph_components
 
 import zollab.rk45
 import zollab.verifier as verifier
+from test_engine import concentric_annulus
 from zollab.catalog import make_example
 from zollab.engine import first_return_map, sample_boundary
 from zollab.geometry import QuotientCloud, metric_norm
+from zollab.manifest import load_manifold
 from zollab.verifier import (
     LaunchCountError,
     Tolerances,
@@ -164,6 +166,18 @@ class TestBoundaryComponents:
         comp = boundary_components(specs["spherical_band"], sweep.launch_set)
         d = intercomponent_distance(specs["spherical_band"], sweep.launch_set, comp.labels)
         assert d == pytest.approx(np.pi / 3, abs=1e-7)
+
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 1.0])
+    def test_intercomponent_distance_concentric_annulus(self, r):
+        # components that are curved in the chart; certify leaves the distance
+        # None on inline charts. The radial chords between the circles are
+        # the shortest segments, of length 3 - r
+        spec = load_manifold(concentric_annulus(r, 1))
+        launches = sample_boundary(spec, 64)
+        comp = boundary_components(spec, launches)
+        assert comp.count == 2
+        d = intercomponent_distance(spec, launches, comp.labels)
+        assert d == pytest.approx(3 - r, abs=1e-12)
 
 
 def _graphs():
