@@ -134,11 +134,6 @@ def sphere_points(u, dim, radius):
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     m = u.shape[0]
-    if dim == 1:
-        return np.full((m, 1), radius)
-    if dim == 2:
-        th = 2.0 * np.pi * u[:, 0]
-        return radius * np.stack([np.cos(th), np.sin(th)], axis=1)
     # angles ordered azimuth-last so axis 0 is the periodic one in dim 3
     polar = np.pi * u[:, 1: dim - 1]
     phi = 2.0 * np.pi * u[:, 0]
@@ -152,10 +147,11 @@ def sphere_points(u, dim, radius):
     return radius * pts
 
 
-def sphere_patch_periodic(dim):
-    if dim <= 1:
-        return ()
-    return (True,) + (False,) * (dim - 2)
+def sphere_patch(name, n, radius):
+    """The sphere |x| = radius of R^n as one boundary patch of dimension n - 1,
+    its first parameter axis (the azimuth) periodic."""
+    return BoundaryPatch(name, n - 1, lambda u: sphere_points(u, n, radius),
+                         (True,) + (False,) * (n - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +226,19 @@ def flat_disk(radius):
 
 @_example(n=3, radius=1.0)
 def euclidean_ball(n, radius):
-    if n < 1 or radius <= 0:
-        raise ExampleParameterError("parameter violates example validity: need n >= 1, radius > 0")
+    if n < 2 or radius <= 0:
+        raise ExampleParameterError("parameter violates example validity: need n >= 2, radius > 0")
     r = float(radius)
-    if n == 1:
-        patches = [
-            BoundaryPatch("right", 0, lambda u, _r=r: np.full((max(len(np.atleast_2d(u)), 1), 1), _r), ()),
-            BoundaryPatch("left", 0, lambda u, _r=r: np.full((max(len(np.atleast_2d(u)), 1), 1), -_r), ()),
-        ]
-    else:
-        patches = [BoundaryPatch("sphere", n - 1,
-                                 lambda u, _n=n, _r=r: sphere_points(u, _n, _r),
-                                 sphere_patch_periodic(n))]
     return ManifoldSpec(
         name=f"euclidean_ball(n={n},L={r:g})",
         metric=euclidean_metric(n),
         boundary=ball_boundary(n, r),
         domain=np.array([[-2.0 * r, 2.0 * r]] * n),
         deck_maps=[],
-        boundary_patches=patches,
+        boundary_patches=[sphere_patch("sphere", n, r)],
         scale_hint=2.0 * r,
         annotations={"zoll": True, "half_length": r, "index": n - 1,
-                     "components": 1 if n >= 2 else 2,
-                     "soul_dim": 0 if n >= 2 else None, "dimension": n},
+                     "components": 1, "soul_dim": 0},
         chart_notes="Cartesian chart; b = (L^2 - |x|^2)/(2L).",
     )
 
@@ -277,7 +263,7 @@ def flat_band(half_length, circumference):
         boundary_patches=patches,
         scale_hint=2.0 * L,
         annotations={"zoll": True, "half_length": L, "index": 0,
-                     "components": 2, "soul_dim": None, "dimension": 2},
+                     "components": 2, "soul_dim": None},
         chart_notes="Flat chart (t, s), t across the band, s periodic with period C.",
     )
 
@@ -304,7 +290,7 @@ def flat_moebius(width, twist_length):
         boundary_patches=[BoundaryPatch("rim", 1, rim, (True,))],
         scale_hint=2.0 * w,
         annotations={"zoll": True, "half_length": w, "index": 0,
-                     "components": 1, "soul_dim": 1, "dimension": 2},
+                     "components": 1, "soul_dim": 1},
         chart_notes="Flat chart (x, t), x in [-w, w], t glued with a flip after period c.",
     )
 
@@ -323,12 +309,10 @@ def spherical_cap(radius, dim):
         boundary=ball_boundary(n, rc),
         domain=np.array([[-3.0 * rc, 3.0 * rc]] * n),
         deck_maps=[],
-        boundary_patches=[BoundaryPatch("rim", n - 1,
-                                        lambda u, _n=n, _r=rc: sphere_points(u, _n, _r),
-                                        sphere_patch_periodic(n))],
+        boundary_patches=[sphere_patch("rim", n, rc)],
         scale_hint=2.0 * L,
         annotations={"zoll": True, "half_length": L, "index": n - 1,
-                     "components": 1, "soul_dim": 0, "dimension": n},
+                     "components": 1, "soul_dim": 0},
         chart_notes="Stereographic chart of the unit sphere; cap of geodesic radius L "
                     "is the chart ball of radius tan(L/2).",
     )
@@ -357,7 +341,7 @@ def spherical_band(max_latitude):
         ],
         scale_hint=2.0 * th,
         annotations={"zoll": True, "half_length": th, "index": 0,
-                     "components": 2, "soul_dim": None, "dimension": 2},
+                     "components": 2, "soul_dim": None},
         chart_notes="(latitude, longitude) chart of the unit sphere, longitude periodic.",
     )
 
@@ -390,7 +374,7 @@ def ellipse(a, b):
         deck_maps=[],
         boundary_patches=[BoundaryPatch("rim", 1, rim, (True,))],
         scale_hint=2.0 * min(a, b),
-        annotations={"zoll": False, "dimension": 2},
+        annotations={"zoll": False},
         chart_notes="Cartesian chart; flat metric; non-Zoll refutation control.",
     )
 
@@ -423,11 +407,9 @@ def isometry_residual(base: ManifoldSpec, iso: Isometry):
     of A^T g(Ax) A from g(x), of the inverse applied to Ax from x, and of b(Ax)
     from b(x), for A = ``iso.matrix``."""
     rng = np.random.default_rng(0)
-    pts = []
-    for patch in base.boundary_patches:
-        u = rng.random((max(40 // max(len(base.boundary_patches), 1), 4), patch.param_dim))
-        pts.append(patch.points(u if patch.param_dim else np.zeros((1, 0))))
-    x = np.concatenate(pts)
+    per = max(40 // max(len(base.boundary_patches), 1), 4)
+    x = np.concatenate([patch.points(rng.random((per, patch.param_dim)))
+                        for patch in base.boundary_patches])
     A = iso.matrix
     y = np.matmul(A, x[..., None])[..., 0]
     metric = np.linalg.norm(A.T @ base.metric.matrix(y) @ A - base.metric.matrix(x),
@@ -451,7 +433,6 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
         raise ValueError(
             f"mapping torus rejected: {iso.name} is not an isometry of {base.name!r} "
             f"(residual {res:.3e})")
-    m = n + 1
     base_metric = base.metric
 
     def jet(x, _bm=base_metric, _n=n):
@@ -460,7 +441,7 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
         out[..., :_n + 1, :_n, :_n] = _bm.jet(x[..., :_n])
         return out
 
-    metric = MetricField(m, jet, name=f"{base.metric.name}+dt^2")
+    metric = MetricField(n + 1, jet, name=f"{base.metric.name}+dt^2")
 
     base_boundary = base.boundary
     boundary = BoundaryChart(
@@ -488,7 +469,6 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
 
     domain = np.vstack([base.domain, [-0.3, 1.3]])
     ann = dict(base.annotations)
-    ann["dimension"] = m
     if ann.get("soul_dim") is not None:
         ann["soul_dim"] = ann["soul_dim"] + 1
     torus_name = name or f"mapping_torus({base.name},{iso.name})"
@@ -522,19 +502,24 @@ def solid_torus(radius, rotation):
 
 @_example(n=3, k=1, rotation=0.0)
 def index_ladder(n, k, rotation):
-    """An n-dimensional certified example of index k (2 <= n <= 5)."""
+    """An n-dimensional certified example of index k (2 <= n <= 5): the n-ball,
+    the flat Moebius band, or iterated mapping tori of the (k + 1)-ball, or of
+    the flat band [0, 2] x S^1 for k = 0. A ``rotation`` twists the first
+    torus over the 2-ball, so it needs k = 1 and n >= 3."""
     if n > 5:
         raise ExampleParameterError("desk-scale cap: index_ladder supports n <= 5")
     if n < 2 or not (0 <= k <= n - 1):
         raise ExampleParameterError("parameter violates example validity: need 2 <= n, 0 <= k <= n-1")
+    if rotation and not (k == 1 and n >= 3):
+        raise ExampleParameterError("parameter violates example validity: "
+                                    "a rotation needs k = 1 and n >= 3")
     if k == n - 1:
         return euclidean_ball(n, 1.0)
     if n == 2 and k == 0:
         return flat_moebius(1.0, 3.0)
-    base = euclidean_ball(k + 1, 1.0)
-    for step in range(n - 1 - k):
-        iso = None
-        if rotation and base.dimension == 2 and step == 0:
-            iso = rotation_isometry(rotation)
-        base = mapping_torus(base, iso)
-    return replace(base, name=f"index_ladder(n={n},k={k})")
+    base = flat_band(1.0, 1.0) if k == 0 else euclidean_ball(k + 1, 1.0)
+    for step in range(n - base.dimension):
+        twist = rotation and step == 0      # k = 1: the first torus is over the 2-ball
+        base = mapping_torus(base, rotation_isometry(rotation) if twist else None)
+    alpha = f",alpha={rotation:g}" if rotation else ""
+    return replace(base, name=f"index_ladder(n={n},k={k}{alpha})")

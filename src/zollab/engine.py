@@ -41,7 +41,9 @@ import numpy.ma  # noqa: F401
 
 from . import rk45
 from .geometry import (
+    ChartError,
     ManifoldSpec,
+    check_regular_boundary,
     christoffel_raw,
     inward_unit_normal,
     metric_inner,
@@ -55,6 +57,9 @@ DEFAULT_ATOL = 1e-12
 GRAZING_TOL = 1e-6
 MAX_CHUNKS = 400
 DIP_SAMPLES = 32             # samples of a step polynomial that may hide a dip of b
+MAX_STEP_SCALE = 0.25        # largest integration step, times spec.scale_hint
+RETURN_HORIZON_SCALE = 50.0  # time a launch has to come back, times spec.scale_hint
+SAMPLING_STRATEGIES = ("uniform", "low-discrepancy")
 
 
 class NoReturnError(RuntimeError):
@@ -382,7 +387,7 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
     """
     y = np.asarray(y0, dtype=float).copy()
     t = 0.0
-    max_step = 0.25 * spec.scale_hint
+    max_step = MAX_STEP_SCALE * spec.scale_hint
     log = _StepLog(len(y))
     crossings, nfev = [], 0
     all_events, all_tags = _event_functions(spec, detect_boundary)
@@ -550,7 +555,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     if not np.all(T_end > 0):
         # solve_ivp would integrate backwards, or take one step of length 0
         raise ValueError(f"t_end must be positive, not {t_end!r}")
-    max_step = 0.25 * spec.scale_hint
+    max_step = MAX_STEP_SCALE * spec.scale_hint
     rtol, atol = rk45.validate_tol(rtol, atol, N)
 
     # the flows' event functions, their values at each flow's last step end
@@ -741,24 +746,27 @@ class GeodesicPath:
 
 
 def project_to_boundary(spec: ManifoldSpec, p):
-    """One Newton step onto b = 0 from a point (n,) or each row of a stack (cleans up round-off)."""
+    """One Newton step onto b = 0 from a point (n,) or each row of a stack (cleans
+    up round-off); ``ChartError`` names the first point where grad b vanishes."""
     p = np.asarray(p, dtype=float)
     db = spec.boundary.gradient(p)
-    return p - np.asarray(spec.boundary.value(p))[..., None] * db / row_dot(db, db)[..., None]
+    sq = row_dot(db, db)
+    check_regular_boundary(spec, p, np.sqrt(sq))
+    return p - np.asarray(spec.boundary.value(p))[..., None] * db / sq[..., None]
 
 
 def _shoot_all(spec: ManifoldSpec, points, t_max, rtol, atol, grazing_tol):
     """The geodesic paths from the boundary points (m, n), projected onto b = 0, that come
     back before t_max, and (index, message) of each one that does not."""
     if t_max is None:
-        t_max = 50.0 * spec.scale_hint
+        t_max = RETURN_HORIZON_SCALE * spec.scale_hint
     n = spec.dimension
     if not len(points):
         return [], []
     launch_points = project_to_boundary(spec, points)
     off = ~spec.boundary.on_boundary(launch_points)
     if off.any():
-        raise ValueError(f"launch point {launch_points[np.argmax(off)]} "
+        raise ChartError(f"launch point {launch_points[np.argmax(off)]} "
                          f"not on the boundary of {spec.name!r}")
     y0 = np.concatenate([launch_points, inward_unit_normal(spec, launch_points)], axis=1)
     flows = lockstep_flows(spec, geodesic_rhs(spec), y0, t_max, vector_blocks=[(n, n, 1)],
@@ -807,13 +815,10 @@ class LaunchSet:
 
 
 def launch_params(d, m, strategy="uniform", seed=0):
-    """Parameters (k, d) of the launches on a boundary patch of dimension d
-    asked for m > 0 of them: the one point of a patch with d = 0, else the
-    cell centres of a uniform grid, or the first m points of a Halton
-    sequence scrambled by ``seed``. A grid on d >= 2 axes has sides near
-    m ** (1/d), so k need not be m."""
-    if d == 0:
-        return np.zeros((1, 0))
+    """Parameters (k, d) of the launches on a boundary patch of dimension d >= 1
+    asked for m > 0 of them: the cell centres of a uniform grid, or the first
+    m points of a Halton sequence scrambled by ``seed``. A grid on d >= 2 axes
+    has sides near m ** (1/d), so k need not be m."""
     if strategy == "uniform":
         side = max(1, int(round(m ** (1.0 / d))))
         # the last side makes the product land near m
@@ -838,11 +843,8 @@ def _patch_shares(spec: ManifoldSpec, count):
 
 
 def launch_count(spec: ManifoldSpec, count, strategy="uniform"):
-    """Number of launches ``sample_boundary`` gives when asked for ``count``.
-
-    It differs from ``count`` where a uniform grid cannot hold a patch's share
-    exactly (patches of dimension >= 2) and where a patch is a single point.
-    """
+    """Number of launches ``sample_boundary`` gives when asked for ``count``; it
+    differs where a uniform grid cannot hold a patch's share (dimension >= 2)."""
     return sum(len(launch_params(patch.param_dim, m, strategy))
                for patch, m in zip(spec.boundary_patches, _patch_shares(spec, count)) if m)
 

@@ -17,8 +17,8 @@ BOUNDARY_EPS = 1e-12
 
 
 class ChartError(ValueError):
-    """Raised where a chart is not a Riemannian chart: its metric is not
-    positive definite at a point a run reaches."""
+    """Raised where a chart fails at a point a run reaches: its metric is not
+    positive definite, b = 0 is no regular level set, or a launch is off b = 0."""
 
 
 class DegenerateMetricError(ChartError):
@@ -77,7 +77,7 @@ class MetricField:
     Parameters
     ----------
     dimension : int
-        Chart dimension n >= 2 (1 allowed internally for interval factors).
+        Chart dimension n >= 2.
     jet_fn : callable
         Maps a chart point (a float array (n,)) to the (n + 1, n, n) stack
         ``[g, d_0 g, ..., d_{n-1} g]``, d_l g[i, j] = d g_ij / d x^l, with every
@@ -497,9 +497,8 @@ def inward_unit_normal(spec: ManifoldSpec, p):
     """Unit inward-pointing normal at a boundary point (n,), or the (m, n)
     stack of them at a stack of points: the metric gradient of b over its
     g-norm, with one metric evaluation. Where g(grad, grad) < 0 (the metric is
-    not positive definite) it raises ``ChartError``, and where the gradient
-    vanishes ``ValueError``, naming the point; in a stack, the first such
-    point."""
+    not positive definite) or the gradient vanishes, it raises ``ChartError``
+    naming the point; in a stack, the first such point."""
     p = np.asarray(p, dtype=float)
     return _unit_normal(spec, p, spec.metric.matrix(p))
 
@@ -513,11 +512,18 @@ def _unit_normal(spec: ManifoldSpec, p, g):
         raise ChartError(f"metric of {spec.name!r} is not positive definite at "
                          f"{points[np.argmax(sq < 0)]}")
     nrm = np.sqrt(sq)
-    vanishes = nrm <= 1e-12
-    if np.any(vanishes):
-        raise ValueError(f"boundary gradient vanishes at "
-                         f"{points[np.argmax(vanishes)]} (not a regular value)")
+    check_regular_boundary(spec, p, nrm)
     return grad / nrm[..., None]
+
+
+def check_regular_boundary(spec: ManifoldSpec, p, norms):
+    """Raise ``ChartError`` naming the first point of p, (n,) or (m, n), where
+    the norm of grad b, ``norms``, is at most 1e-12: b = 0 is not regular there."""
+    vanishes = norms <= 1e-12
+    if np.any(vanishes):
+        raise ChartError(f"boundary gradient vanishes at "
+                         f"{p.reshape(-1, p.shape[-1])[np.argmax(vanishes)]} "
+                         f"(not a regular value of b on {spec.name!r})")
 
 
 def second_fundamental_form(spec: ManifoldSpec, p):

@@ -23,6 +23,7 @@ from .catalog import (
     make_example,
     stereographic_sphere_metric,
 )
+from .engine import SAMPLING_STRATEGIES
 from .geometry import (
     BoundaryChart,
     BoundaryPatch,
@@ -32,9 +33,7 @@ from .geometry import (
     scalar_pow,
 )
 from .jacobi import MIN_MESH_SIZE
-from .verifier import Tolerances
-
-_ALLOWED_ANALYSES = {"certify", "jacobi", "soul", "fibers", "splitting", "slices", "all"}
+from .verifier import ALL_ANALYSES, Tolerances
 
 
 class ManifestError(ValueError):
@@ -168,12 +167,10 @@ def expression_boundary(expr_str, n):
 
 
 def expression_patch(point_exprs, dim, name="patch", periodic=None):
-    """BoundaryPatch from chart-coordinate expressions in u0..u{dim-1}; a
-    patch of dimension 0 is the one point they give at u0 = 0."""
+    """BoundaryPatch from chart-coordinate expressions in u0..u{dim-1}."""
     import sympy as sp
-    us = sp.symbols(f"u0:{max(dim, 1)}", real=True)
-    point = _entries_function(us, [_parse(e, us) for e in point_exprs])
-    return BoundaryPatch(name, dim, lambda u: point(u if dim else np.zeros((len(u), 1))),
+    us = sp.symbols(f"u0:{dim}", real=True)
+    return BoundaryPatch(name, dim, _entries_function(us, [_parse(e, us) for e in point_exprs]),
                          None if periodic is None else tuple(periodic))
 
 
@@ -237,7 +234,7 @@ _ANNOTATION_TYPES = {
     "half_length": ("a positive number",
                     lambda v: _is_number(v) and v > 0 and math.isfinite(v)),
     **{key: ("a non-negative integer", lambda v: _is_integer(v) and v >= 0)
-       for key in ("index", "components", "soul_dim", "dimension")},
+       for key in ("index", "components", "soul_dim")},
 }
 
 
@@ -295,8 +292,8 @@ def load_manifold(doc) -> ManifoldSpec:
     _known_keys(doc, ("inline",), "inline manifold")
     inline = _known_keys(_require_object("inline", doc["inline"]), _INLINE_KEYS, "inline chart")
     n = inline.get("dimension")
-    if not (_is_integer(n) and n >= 1):
-        raise ManifestError(f"dimension must be a positive integer, not {n!r}")
+    if not (_is_integer(n) and n >= 2):
+        raise ManifestError(f"dimension must be an integer >= 2, not {n!r}")
     metric_doc = _require_object("metric", _entry(inline, "metric", "inline"))
     kind = metric_doc.get("kind")
     _known_keys(metric_doc, ("kind", "name" if kind == "builtin" else "entries"), "metric")
@@ -332,8 +329,8 @@ def load_manifold(doc) -> ManifoldSpec:
     for i, pdoc in enumerate(_list(inline, "boundary_patches", "inline chart")):
         _known_keys(_require_object("boundary patch", pdoc), _PATCH_KEYS, "boundary patch")
         dim = pdoc.get("dim", 1)
-        if not (_is_integer(dim) and 0 <= dim < n):
-            raise ManifestError(f"patch dim must be an integer in 0..{n - 1}, not {dim!r}")
+        if not (_is_integer(dim) and 1 <= dim < n):
+            raise ManifestError(f"patch dim must be an integer in 1..{n - 1}, not {dim!r}")
         if not (isinstance(_entry(pdoc, "point", "boundary patch"), list)
                 and len(pdoc["point"]) == n):
             raise ManifestError(f"patch point must be a list of {n} expressions")
@@ -385,7 +382,7 @@ class RunManifest:
         self.analyses = tuple(self.analyses)
         if not isinstance(self.out_dir, str):
             raise ManifestError(f"out_dir must be a string, not {self.out_dir!r}")
-        bad = set(self.analyses) - _ALLOWED_ANALYSES
+        bad = set(self.analyses) - {*ALL_ANALYSES, "all"}
         if bad:
             raise ManifestError(f"unknown analyses {sorted(bad)}")
         for key in ("launches", "seed", "mesh_size"):
@@ -404,7 +401,7 @@ class RunManifest:
                 raise ManifestError(f"tolerance {key!r} must be a positive number, not {val!r}")
             if not math.isfinite(val):
                 raise ManifestError(f"tolerance {key!r} must be finite, not {val!r}")
-        if self.strategy not in ("uniform", "low-discrepancy"):
+        if self.strategy not in SAMPLING_STRATEGIES:
             raise ManifestError(f"unknown strategy {self.strategy!r}")
 
     @classmethod

@@ -35,6 +35,7 @@ from .geometry import (
     metric_norm,
 )
 from .jacobi import (
+    NEG_EIG_TOL,
     IndexFormMatrix,
     arrival_degeneracy_form,
     assemble_index_form,
@@ -68,7 +69,7 @@ class Tolerances:
     atol: float = DEFAULT_ATOL
     refute_factor: float = 10.0       # failures beyond this multiple refute
     grazing: float = GRAZING_TOL
-    neg_eig: float = 1e-6
+    neg_eig: float = NEG_EIG_TOL
     cluster_radius_rel: float = 1e-4  # midpoint clustering, relative to L
     pca_rel: float = 0.2
     pca_floor_rel: float = 1e-4       # absolute PCA floor, relative to L
@@ -138,7 +139,7 @@ class BoundaryComponents:
 
 
 def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
-                        arrivals=None, link_factor=3.0):
+                        arrivals=None, link_factor=Tolerances.link_factor):
     """Partition boundary samples into connected components, and pair each
     component with those that ``arrivals``, {launch index: arrival point} of
     the launches that returned, reach.
@@ -450,7 +451,7 @@ class SplittingResult:
 
 def _structured_sweep(spec: ManifoldSpec, pid, n_side, tol: Tolerances, check):
     """The sweep of a uniform grid of n_side ** d launches on boundary patch
-    ``pid`` (of dimension d >= 1), its paths in the C order of the grid; the
+    ``pid`` (of dimension d), its paths in the C order of the grid; the
     ``check`` that needs every launch back fails where one does not return."""
     patch = spec.boundary_patches[pid]
     params = launch_params(patch.param_dim, n_side ** patch.param_dim)
@@ -479,8 +480,6 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
     cross_res = 0.0
     n_launch = 0
     for pid, patch in enumerate(spec.boundary_patches):
-        if patch.param_dim == 0:
-            continue
         shape = (n_side,) * patch.param_dim
         sweep = _structured_sweep(spec, pid, n_side, tol, "splitting")
         n_launch += len(sweep.paths)

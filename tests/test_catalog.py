@@ -16,7 +16,9 @@ from zollab.catalog import (
     mapping_torus,
     rotation_isometry,
 )
+from zollab.engine import nearest_exact_launch_counts
 from zollab.manifest import load_manifold
+from zollab.verifier import MIN_LAUNCHES
 
 
 class TestParameterValidation:
@@ -117,7 +119,7 @@ class TestMappingTorus:
         disk = make_example("flat_disk")
         torus = mapping_torus(disk, rotation_isometry(2 * np.pi / 5))
         ann = torus.annotations
-        assert ann["dimension"] == 3
+        assert torus.dimension == 3
         assert ann["half_length"] == 1.0
         assert ann["index"] == 1
         assert ann["components"] == 1
@@ -154,12 +156,39 @@ class TestIndexLadder:
         assert index_ladder(3, 2).name.startswith("euclidean_ball(n=3")
         assert index_ladder(3, 1).dimension == 3
 
+    @pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (3, 2), (4, 0)])
+    def test_rotation_needs_a_torus_over_the_disk(self, n, k):
+        # these built the untwisted ladder, the rotation dropped
+        with pytest.raises(ExampleParameterError, match="a rotation needs k = 1 and n >= 3"):
+            index_ladder(n, k, rotation=0.7)
+
+    def test_twisted_ladder_is_named(self):
+        twisted = index_ladder(3, 1, rotation=0.7)
+        assert twisted.name == "index_ladder(n=3,k=1,alpha=0.7)"
+        assert index_ladder(3, 1).name == "index_ladder(n=3,k=1)"
+        # its torus deck rotates the disk
+        hi = next(d for d in twisted.deck_maps if d.name == "torus2+")
+        y = hi.apply_point(np.array([0.5, 0.0, 1.0]))
+        assert np.allclose(y[:2], [0.5 * np.cos(0.7), -0.5 * np.sin(0.7)])
+
     @pytest.mark.parametrize("n,k", [(n, k) for n in (2, 3, 4) for k in range(n)])
     def test_annotations_consistent(self, n, k):
         spec = index_ladder(n, k)
-        assert spec.annotations["dimension"] == n == spec.dimension
+        assert spec.dimension == n
         assert spec.annotations["index"] == k
         assert spec.annotations["half_length"] == 1.0
+
+
+@pytest.mark.parametrize("name,params", [(name, {}) for name in sorted(CATALOG)]
+                         + [("index_ladder", {"n": n, "k": k})
+                            for n in range(2, 6) for k in range(n)])
+def test_every_catalog_chart_can_be_certified(name, params):
+    # a point patch launches once whatever share it is asked for, so no
+    # count of at least MIN_LAUNCHES would be exact
+    spec = make_example(name, **params)
+    assert spec.dimension >= 2
+    assert all(patch.param_dim >= 1 for patch in spec.boundary_patches)
+    assert nearest_exact_launch_counts(spec, MIN_LAUNCHES - 1)[1] is not None
 
 
 class TestManifestFragments:

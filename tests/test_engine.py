@@ -60,19 +60,6 @@ from zollab.verifier import Tolerances, certify
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 from workloads import _inline_cap, generate  # noqa: E402
 
-# an inline segment [-1, 1], whose two boundary patches are points
-INLINE_SEGMENT = {"inline": {
-    "name": "inline-segment",
-    "dimension": 1,
-    "metric": {"kind": "expression", "entries": [["1"]]},
-    "boundary": {"expression": "(1 - x0**2)/2"},
-    "domain": {"lo": [-2.0], "hi": [2.0]},
-    "boundary_patches": [{"name": "right", "dim": 0, "point": ["1"]},
-                         {"name": "left", "dim": 0, "point": ["-1"]}],
-    "annotations": {"zoll": True, "half_length": 1.0, "components": 2},
-}}
-
-
 def unit_speed_drift(path):
     """Largest |g(v, v) - 1| over the integration steps of a path."""
     g = path.spec.metric.matrix(path.points)
@@ -842,10 +829,8 @@ class TestLaunchSets:
             sample_boundary(specs["flat_disk"], 32, strategy="bogus")
 
     def test_launch_count_is_what_sample_boundary_gives(self, specs):
-        ball1 = make_example("euclidean_ball", n=1)
         for spec in (specs["euclidean_ball3"], specs["solid_torus"], specs["flat_band"],
-                     make_example("index_ladder", n=4, k=1), ball1,
-                     load_manifold(INLINE_SEGMENT)):
+                     make_example("index_ladder", n=4, k=1)):
             for count in range(1, 140, 3):
                 for strategy in ("uniform", "low-discrepancy"):
                     got = len(sample_boundary(spec, count, strategy=strategy).points)
@@ -858,8 +843,6 @@ class TestLaunchSets:
             assert launch_count(ball, asked) == got
             assert nearest_exact_launch_counts(ball, asked) == near
             assert launch_count(ball, asked, "low-discrepancy") == asked
-        # a pair of point patches gives two launches whatever is asked
-        assert nearest_exact_launch_counts(make_example("euclidean_ball", n=1), 40) == (2, None)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_uniform_launch_params_are_the_grid_reference(self, d):
@@ -867,13 +850,6 @@ class TestLaunchSets:
         for m in range(1, 601):
             got, want = launch_params(d, m), reference_uniform_grid(m, d)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), m
-
-    def test_point_patches_launch_once(self):
-        assert launch_params(0, 40).shape == (1, 0)
-        spec = load_manifold(INLINE_SEGMENT)
-        ls = sample_boundary(spec, 8)
-        assert ls.points.tolist() == [[1.0], [-1.0]]
-        assert ls.patch_ids.tolist() == [0, 1]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_inline_cap_rim_is_the_lambdify_reference(self, seed):

@@ -265,6 +265,32 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith(message)
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("boundary,rim,message", [
+        # b = 0 on the unit circle, where grad b vanishes too
+        ("(1 - x0**2 - x1**2)**3", "", "error: boundary gradient vanishes at "
+         "[0.99879546 0.04906767] (not a regular value of b on 'unit-disk')"),
+        # a rim of radius 2 around the unit circle: the Newton steps stop short
+        ("(1 - x0**2 - x1**2)/2", "2*", "error: launch point [0.99909997 0.04908263] "
+                                        "not on the boundary of 'unit-disk'"),
+    ])
+    def test_irregular_or_missed_boundary_exits_run_failed(self, boundary, rim, message,
+                                                           tmp_path, capsys):
+        # one error line, exit 3, no report; a warning would fail the test
+        doc = {"inline": {
+            "name": "unit-disk", "dimension": 2,
+            "metric": {"kind": "expression", "entries": [["1", "0"], ["0", "1"]]},
+            "boundary": {"expression": boundary},
+            "domain": {"lo": [-3.0, -3.0], "hi": [3.0, 3.0]},
+            "boundary_patches": [{"name": "rim", "dim": 1, "periodic": [True],
+                                  "point": [f"{rim}cos(2*pi*u0)", f"{rim}sin(2*pi*u0)"]}],
+            "scale_hint": 2.0}}
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"manifold": doc, "launches": 64,
+                                     "out_dir": str(tmp_path / "out")}))
+        assert main(["certify", "--manifest", str(mpath)]) == zollab.cli.RUN_FAILED
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("case,message", [
         # a translation of period 0.02 along the tilted geodesics, which cross
         # it about 100 times between the two sides
@@ -319,8 +345,8 @@ class TestCLI:
         ({"point": "u0(2)"}, "cannot parse expression 'u0(2)'"),
         ({"point": "f(u0)"}, "'f(u0)' is not an expression in u0"),
         ({"entries": [["1", "0"]]}, "metric entries must be a 2 x 2 nested list"),
-        ({"inline": {"dimension": "abc"}}, "dimension must be a positive integer, not 'abc'"),
-        ({"inline": {"dimension": 2.5}}, "dimension must be a positive integer, not 2.5"),
+        ({"inline": {"dimension": "abc"}}, "dimension must be an integer >= 2, not 'abc'"),
+        ({"inline": {"dimension": 2.5}}, "dimension must be an integer >= 2, not 2.5"),
         ({"inline": {"domain": {"lo": [-1.0], "hi": [3.0, 1.5]}}},
          "domain lo must be a list of 2 numbers"),
         ({"inline": {"deck_maps": [{"kind": "translation", "axis": 5, "period": 1.0}]}},
@@ -333,7 +359,7 @@ class TestCLI:
         ({"seed": -1, "strategy": "low-discrepancy"}, "seed must be non-negative, not -1"),
         ({"inline": {"scale_hint": "abc"}}, "scale_hint must be a positive number, not 'abc'"),
         ({"inline": {"boundary_patches": [{"dim": "abc", "point": ["0", "u0"]}]}},
-         "patch dim must be an integer in 0..1, not 'abc'"),
+         "patch dim must be an integer in 1..1, not 'abc'"),
         ({"inline": {"boundary_patches": [{"dim": 1, "point": ["u0"]}]}},
          "patch point must be a list of 2 expressions"),
         ({"tolerances": {"length_rel": True}},
@@ -423,8 +449,8 @@ class TestCLI:
          "annotation 'components' must be a non-negative integer, not -1"),
         ({"inline": {"annotations": {"soul_dim": None}}},
          "annotation 'soul_dim' must be a non-negative integer, not None"),
-        ({"inline": {"annotations": {"dimension": "2"}}},
-         "annotation 'dimension' must be a non-negative integer, not '2'"),
+        ({"inline": {"annotations": {"components": True}}},
+         "annotation 'components' must be a non-negative integer, not True"),
         # a number JSON reads back as inf would run on NaN arithmetic
         ({"inline": {"scale_hint": float("inf")}}, "scale_hint must be a positive number, not inf"),
         ({"inline": {"deck_maps": [{"kind": "translation", "axis": 1, "period": float("inf")}]}},
@@ -445,6 +471,12 @@ class TestCLI:
          "parameter 'radius' of 'flat_disk' must be a finite number, not '1'"),
         ({"manifold": {"catalog": "flat_disk", "params": {"radius": True}}},
          "parameter 'radius' of 'flat_disk' must be a finite number, not True"),
+        # a chart of dimension 1 or a point patch: no launch count is exact
+        ({"inline": {"dimension": 1}}, "dimension must be an integer >= 2, not 1"),
+        ({"inline": {"boundary_patches": [{"dim": 0, "point": ["0", "u0"]}]}},
+         "patch dim must be an integer in 1..1, not 0"),
+        ({"manifold": {"catalog": "euclidean_ball", "params": {"n": 1}}},
+         "parameter violates example validity: need n >= 2, radius > 0"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))
