@@ -268,7 +268,8 @@ def _add_common(p):
 
 
 def _manifests_from_args(args, default_analyses):
-    manifests = []
+    manifests = [RunManifest.from_dict(dict(d, mesh_size=512, analyses=["all"]))
+                 for d in DEFAULT_MATRIX if getattr(args, "catalog_defaults", False)]
     if args.example:
         manifests.append(RunManifest(manifold={"catalog": args.example, "params": {}},
                                      analyses=default_analyses))
@@ -299,7 +300,7 @@ def main(argv=None):
     p_mat = sub.add_parser("matrix", help="theorem-check matrix over manifests")
     _add_common(p_mat)
     p_mat.add_argument("--catalog-defaults", action="store_true",
-                       help="run the built-in example matrix")
+                       help="run the built-in example matrix, with the other flags applied")
 
     args = parser.parse_args(argv)
     if args.verb is None:
@@ -326,13 +327,7 @@ def main(argv=None):
 
     try:
         if args.verb == "matrix":
-            if args.catalog_defaults:
-                manifests = [RunManifest.from_dict(dict(d, mesh_size=512,
-                                                        analyses=["all"]))
-                             for d in DEFAULT_MATRIX]
-            else:
-                manifests = _manifests_from_args(args, ("all",))
-            code, _ = theorem_matrix(manifests, out_dir=args.out)
+            code, _ = theorem_matrix(_manifests_from_args(args, ("all",)), out_dir=args.out)
             return code
 
         default_analyses = ("certify",) if args.verb == "certify" else ("all",)

@@ -76,9 +76,15 @@ class IntegrationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # chunked event-driven integration
 
+def _step_states(steps, rows, t):
+    """(k, N) states at the times t (k,) on the steps ``rows`` (k,) of the
+    stacked step table ``steps`` = (Q, y_old, t_old, h)."""
+    return rk45.dense_states(*(a[rows] for a in steps), t)
+
+
 class _FlowTable:
     """The step tables of flows, concatenated: the states of many flows, each
-    at its own time, read with one ``rk45.dense_states`` call."""
+    at its own time, read off one step table."""
 
     def __init__(self, flows):
         self.steps = tuple(map(np.concatenate, zip(*(flow.steps for flow in flows))))
@@ -91,14 +97,23 @@ class _FlowTable:
         self.t_first = np.array([flow.times[0] for flow in flows])
         self.t_last = np.array([flow.times[-1] for flow in flows])
 
-    def states(self, flows, t):
-        """(k, N) state of flow ``flows[i]`` at t[i], for the index and time
-        arrays (k,); row i is bit-equal to ``state_at(t[i])`` of its flow, whose
-        step it takes as ``FlowResult._pieces`` does."""
+    def rows(self, flows, t):
+        """The step of flow ``flows[i]`` at t[i] (index and time arrays (k,)),
+        its row in ``steps``, and t clipped to the flow.
+
+        scipy's dense output of a chunk takes the last step that starts before
+        t (the first step if none does). Chunks are contiguous and each step
+        starts where the one before it ended, so that is the last step of the
+        whole flow that starts before t clipped to the flow.
+        """
         t = np.minimum(np.maximum(t, self.t_first[flows]), self.t_last[flows])
         before = np.sum(self.starts[flows] < t[:, None], axis=1)
-        step = self.first[flows] + np.maximum(before - 1, 0)
-        return rk45.dense_states(*(a[step] for a in self.steps), t)
+        return self.first[flows] + np.maximum(before - 1, 0), t
+
+    def states(self, flows, t):
+        """(k, N) state of flow ``flows[i]`` at t[i]."""
+        rows, t = self.rows(flows, t)
+        return _step_states(self.steps, rows, t)
 
 
 @dataclass
@@ -122,18 +137,9 @@ class FlowResult:
     def grazing(self):
         return bool(self.grazing_times)
 
-    def _pieces(self, t):
-        """Pieces of the step each time of t (k,) falls in, and t clipped to the flow.
-
-        scipy's dense output of a chunk takes the last step that starts before
-        t (the first step if none does). Chunks are contiguous and each step
-        starts where the one before it ended, so that is the last step of the
-        whole flow that starts before t clipped to the flow.
-        """
-        Q, y_old, t_old, h = self.steps
-        t = np.minimum(np.maximum(t, self.times[0]), self.times[-1])
-        step = np.maximum(np.searchsorted(t_old, t) - 1, 0)
-        return Q[step], y_old[step], t_old[step], h[step], t
+    @cached_property
+    def _table(self):
+        return _FlowTable([self])
 
     def state_at(self, t):
         """State at time t, or the (k, len(y)) states at the times of an array (k,).
@@ -143,7 +149,8 @@ class FlowResult:
         polynomials are evaluated here.
         """
         t = np.asarray(t, dtype=float)
-        return rk45.dense_states(*self._pieces(t.reshape(-1))).reshape(t.shape + (-1,))
+        return self._table.states(np.zeros(t.size, dtype=int),
+                                  t.reshape(-1)).reshape(t.shape + (-1,))
 
 
 def geodesic_rhs(spec: ManifoldSpec):
@@ -261,34 +268,14 @@ def _hides_dip(g0, g1):
     return (g0[1] * g1[1] > 0) & ((g1[0] - g0[0]) * g0[1] < 0)
 
 
-def _step_state(piece):
-    """The polynomials of steps, piece = (Q, y_old, t_old, h) of one step or
-    of a stack of them (a leading axis on each): ``state(t, rows)``, the
-    states (k, N) at the times t (k,) on the steps ``rows`` (k,) of the stack,
-    or the state (N,) at a time; ``rows`` defaults to the first step."""
-    # C-ordered, so both steppers' copies of a step give the same bits
-    step = [np.array(a, dtype=float, order="C") for a in piece]
-    if step[2].ndim == 0:
-        step = [a[None] for a in step]
-
-    def state(t, rows=0):
-        t = np.asarray(t, dtype=float)
-        rows = np.broadcast_to(rows, t.shape).reshape(-1)
-        return rk45.dense_states(*(a[rows] for a in step), t.reshape(-1)).reshape(t.shape + (-1,))
-
-    return state
-
-
-def _event_roots(events, active, state, lo, hi, rows=0):
+def _event_roots(events, active, steps, rows, lo, hi):
     """Row i: the time in [lo[i], hi[i]] where ``events[active[i]]`` vanishes
-    on the step ``rows[i]`` of ``state`` (``_step_state``), found as scipy's
-    ``solve_event_equation`` finds it (``brentq``, xtol = rtol = 4 eps), for
-    every row at once; each event is evaluated on its rows' states together."""
-    active = np.asarray(active)
-    lo, hi, rows = (np.broadcast_to(v, active.shape) for v in (lo, hi, rows))
-
+    on the step ``rows[i]`` of the step table ``steps`` (all (k,) arrays),
+    found as scipy's ``solve_event_equation`` finds it (``brentq``, xtol =
+    rtol = 4 eps), for every row at once; each event is evaluated on its rows'
+    states together."""
     def f(t, i):
-        y = state(t, rows[i])
+        y = _step_states(steps, rows[i], t)
         values = np.empty(len(i))
         for e in np.unique(active[i]):
             on = active[i] == e
@@ -319,22 +306,21 @@ def _first_terminal(terminal, active, roots):
     return order[:np.flatnonzero(terminal[active[order]])[0] + 1]
 
 
-def _hidden_dips(spec, steps):
-    """Where b has its local minimum inside each of the steps (Q, y_old, t_old,
-    h), stacked, and whether b < 0 there, sought on the step polynomial: the
-    least b of ``DIP_SAMPLES`` + 1 even samples, refined by bounded Brent
-    (``minimize_bounded``) between the samples next to it; every step at
-    once."""
-    m = len(steps[2])
+def _hidden_dips(spec, steps, rows):
+    """Where b has its local minimum inside each of the steps ``rows`` of the
+    step table ``steps``, and whether b < 0 there, sought on the step
+    polynomial: the least b of ``DIP_SAMPLES`` + 1 even samples, refined by
+    bounded Brent (``minimize_bounded``) between the samples next to it; every
+    step at once."""
+    m = len(rows)
     if not m:
         return np.empty(0), np.empty(0, dtype=bool)
     n = spec.dimension
-    state = _step_state(steps)
 
-    def b_at(t, rows):
-        return spec.boundary.value(state(t, rows)[:, :n])
+    def b_at(t, i):
+        return spec.boundary.value(_step_states(steps, rows[i], t)[:, :n])
 
-    ts = steps[2][:, None] + steps[3][:, None] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
+    ts = steps[2][rows, None] + steps[3][rows, None] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
     j = np.argmin(b_at(ts.ravel(), np.repeat(np.arange(m), DIP_SAMPLES + 1)).reshape(ts.shape),
                   axis=1)
     every = np.arange(m)
@@ -349,15 +335,16 @@ def _cut_at_exit(flow, spec, t_dip):
     """The flow cut where b first vanishes on the step of the candidate t_dip,
     between the step's start and t_dip, found as an event's root is."""
     n = spec.dimension
-    piece = [a[0] for a in flow._pieces(np.array([t_dip]))[:4]]
-    state = _step_state(piece)
-    start = float(piece[2])
-    if not spec.boundary.value(state(start)[:n]) > 0:
+    t_dip = np.array([t_dip])
+    row, _ = flow._table.rows(np.zeros(1, dtype=int), t_dip)
+    start = flow.steps[2][row]
+    if not spec.boundary.value(_step_states(flow.steps, row, start)[0, :n]) > 0:
         # only a launch step starts on the boundary
         raise IntegrationError(f"geodesic leaves {spec.name!r} within its first step")
     hit = _event_functions(spec, True)[0][0]
-    t_exit = float(_event_roots([hit], [0], state, start, t_dip)[0])
-    y_exit = state(t_exit)
+    t_exit = _event_roots([hit], np.zeros(1, dtype=int), flow.steps, row, start, t_dip)
+    y_exit = _step_states(flow.steps, row, t_exit)[0]
+    t_exit = float(t_exit[0])
     kept = flow.times < t_exit
     return replace(flow, times=np.append(flow.times[kept], t_exit),
                    states=np.vstack([flow.states[kept], y_exit]),
@@ -493,7 +480,7 @@ class _StepLog:
         final = np.append(chunk[1:] != chunk[:-1], True)  # each chunk's last step
         hides[final & stopped[chunk]] = False
         searched = np.flatnonzero(hides)
-        x, dip = _hidden_dips(spec, (Q[searched], y_old[searched], t_old[searched], h[searched]))
+        x, dip = _hidden_dips(spec, (Q, y_old, t_old, h), searched)
         graze_chunk, grazes = map(np.concatenate, zip(*self.grazes))
         candidate_flow = np.concatenate([flow_of[graze_chunk], flow_of[chunk[searched[dip]]]])
         candidates = np.concatenate([grazes, x[dip]])
@@ -648,9 +635,9 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
             # the roots of every fired (geodesic, event) pair, found together,
             # and the ones handle_events keeps: a step's one event, or of
             # several, those in time order up to the first terminal one
-            state = _step_state((Q, y, t, h))
-            roots = _event_roots(events, fired_event, state, t[fired_row], t_new[fired_row],
-                                 fired_row)
+            step = (Q, y, t, h)
+            roots = _event_roots(events, fired_event, step, fired_row, t[fired_row],
+                                 t_new[fired_row])
             count = np.bincount(fired_row)
             kept = count[fired_row] == 1
             for j in np.flatnonzero(count > 1):
@@ -664,7 +651,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
             if stops.size:
                 t_stop, y_stop = t_new.copy(), y_new.copy()
                 t_stop[stops] = roots[ends]
-                y_stop[stops] = state(t_stop[stops], stops)
+                y_stop[stops] = _step_states(step, stops, t_stop[stops])
         stopped = stop_event >= 0
         # solve_ivp drops a step that ends where the one before it did
         logged = ~(stopped & (t_stop == t) & (t != T_open[acc]))

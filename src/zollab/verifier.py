@@ -346,23 +346,12 @@ def soul_dimension_check(cloud: SoulCloud, dimension, index):
 # ---------------------------------------------------------------------------
 # fiber structure of the midpoint projection
 
-@dataclass
-class FiberSummary:
-    kind: str                     # "two-fold-cover" or "sphere-bundle"
-    cluster_sizes: list[int]
-    partner_residual: Optional[float]
-    nontrivial: Optional[bool]
-    loop_transport_used: bool
-    fiber_dimension: Optional[int]
-    cluster_count: int
-    diagnostics: list[str] = field(default_factory=list)
-
-
 def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
                    tol: Tolerances, components: Optional[BoundaryComponents] = None,
                    clusters=None):
     """Cluster the returned launches by midpoint and test the structure of the
-    fibers; ``clusters`` defaults to ``midpoint_clusters`` of the sweep."""
+    fibers; ``clusters`` defaults to ``midpoint_clusters`` of the sweep.
+    Returns the report's ``fibers`` entry and the diagnostics."""
     paths = sweep.paths
     if not paths:
         raise ValueError("no fibers: no launch returned")
@@ -370,6 +359,7 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
     _, labels = clusters or midpoint_clusters(spec, sweep, tol)
     n_clusters = labels.max() + 1
     sizes = [int(np.sum(labels == c)) for c in range(n_clusters)]
+    counts = {"cluster_count": int(n_clusters), "cluster_sizes_minmax": [min(sizes), max(sizes)]}
     diagnostics = []
 
     if index == 0:
@@ -385,8 +375,9 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
         images = QuotientCloud(spec, [p.arrival_point for p in paths]).nearest_image(launches, src)
         partner_residual = float(np.max(_norm(images - launches), initial=0.0))
         nontrivial, used_walk = _covering_nontrivial(spec, sweep, labels, components)
-        return FiberSummary("two-fold-cover", sizes, partner_residual, nontrivial,
-                            used_walk, None, int(n_clusters), diagnostics)
+        return {"kind": "two-fold-cover", **counts, "partner_residual": partner_residual,
+                "nontrivial_cover": nontrivial, "loop_transport_used": used_walk,
+                "fiber_dimension": None}, diagnostics
 
     # index > 0: per-cluster dimension from tangent-projected local PCA
     dims = []
@@ -406,8 +397,9 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
                            (images - pts[:, None])[..., None])[..., 0]
         dims.append(int(round(float(np.median(_local_pca(coords, tol.pca_rel, floor)[0])))))
     fiber_dim = int(round(float(np.median(dims)))) if dims else None
-    return FiberSummary("sphere-bundle", sizes, None, None, False, fiber_dim,
-                        int(n_clusters), diagnostics)
+    return {"kind": "sphere-bundle", **counts, "partner_residual": None,
+            "nontrivial_cover": None, "loop_transport_used": False,
+            "fiber_dimension": fiber_dim}, diagnostics
 
 
 def _covering_nontrivial(spec, sweep, labels, components):
@@ -442,13 +434,6 @@ def _covering_nontrivial(spec, sweep, labels, components):
 # ---------------------------------------------------------------------------
 # metric splitting along the geodesic flow
 
-@dataclass
-class SplittingResult:
-    max_unit_residual: float
-    max_cross_residual: float
-    n_launches: int
-
-
 def _structured_sweep(spec: ManifoldSpec, pid, n_side, tol: Tolerances, check):
     """The sweep of a uniform grid of n_side ** d launches on boundary patch
     ``pid`` (of dimension d), its paths in the C order of the grid; the
@@ -470,7 +455,8 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
     Along each swept geodesic, the flow direction must stay g-unit and
     g-orthogonal to the finite-difference variation across neighboring
     launches; residuals are taken over a parameter grid bounded away from
-    the midpoint by 5 percent of the half-length.
+    the midpoint by 5 percent of the half-length. Returns the report's
+    ``splitting`` entry.
     """
     tol = tol or Tolerances()
     if t_fracs is None:
@@ -514,23 +500,17 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
                 if ok.any():
                     cross = np.abs(metric_inner(g[has][ok], v[has][ok], dvec[ok])) / norm[ok]
                     cross_res = max(cross_res, float(cross.max()))
-    return SplittingResult(unit_res, cross_res, n_launch)
+    return {"max_unit_residual": unit_res, "max_cross_residual": cross_res,
+            "n_launches": n_launch}
 
 
 # ---------------------------------------------------------------------------
 # slice symmetry and distances
 
-@dataclass
-class SliceCheck:
-    t: float
-    hausdorff: float
-    max_distance_residual: float
-    passed: bool
-
-
 def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
                          tol: Optional[Tolerances] = None):
-    """Verify the forward and mirrored slices coincide and sit at distance t."""
+    """Verify the forward and mirrored slices coincide and sit at distance t:
+    the report's ``slices`` entry for t, but its ``t_over_L``."""
     tol = tol or Tolerances()
     L = sweep.half_length
     if not (0.0 < t <= L + 1e-12):
@@ -544,7 +524,8 @@ def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
     estimates = nearest_boundary_distance(spec, sweep, A[spot], tol)
     worst = max([0.0] + [abs(d - t) for d in estimates if d is not None])
     passed = hausdorff <= SLICE_HAUSDORFF_REL * L and worst <= SLICE_DISTANCE_REL * L
-    return SliceCheck(float(t), float(hausdorff), float(worst), bool(passed))
+    return {"hausdorff": float(hausdorff), "max_distance_residual": float(worst),
+            "passed": bool(passed)}
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +587,11 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
             n_index_spots=6) -> ZollReport:
     """Sweep the boundary-orthogonal geodesics once and read every check off it.
 
-    Stages run in order, each filling its own fields of the report. ``n_launches``
-    must be at least ``MIN_LAUNCHES`` and a count that ``sample_boundary`` gives
-    exactly with ``strategy``; otherwise ``LaunchCountError`` names the nearest
-    counts it gives.
+    Stages run in order, each filling its own fields of the report; the
+    fibers, splitting and slices entries are what their functions return.
+    ``n_launches`` must be at least ``MIN_LAUNCHES`` and a count that
+    ``sample_boundary`` gives exactly with ``strategy``; otherwise
+    ``LaunchCountError`` names the nearest counts it gives.
     """
     if n_launches < MIN_LAUNCHES:
         raise LaunchCountError(
@@ -643,11 +625,21 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
             if "soul" in analyses:
                 _soul(report, spec, tol, clusters)
             if fibers:
-                _fibers(report, spec, tol, components, clusters)
+                report.fibers, diagnostics = fiber_analysis(spec, sweep, report.index_focal,
+                                                            tol, components, clusters)
+                report.diagnostics.extend(diagnostics)
             if "splitting" in analyses:
-                _splitting(report, spec, tol)
+                # metric splitting along the flow, on its own structured launch grids
+                report.splitting = splitting_residual(
+                    spec, n_side=16 if spec.dimension <= 2 else 8, tol=tol)
             if "slices" in analyses:
-                _slices(report, spec, tol)
+                # slices at t = L/4, L/2, 3L/4 against their mirrors at 2L - t, which
+                # coincide as clouds because the launch set covers every component;
+                # t_over_L is the fraction itself, which t / L need not round back to
+                report.slices = [
+                    {"t_over_L": frac,
+                     **slice_distance_check(spec, sweep, frac * report.half_length, tol)}
+                    for frac in (0.25, 0.5, 0.75)]
     _ground_truth(report, spec)
     return report
 
@@ -672,16 +664,17 @@ def _verdict(report: ZollReport, tol: Tolerances):
         return
     ratios = [report.length_spread_rel / tol.length_rel,
               report.orthogonality_max / tol.orthogonality]
+    factor = max(1.0, tol.refute_factor)
     if report.grazing_count:
         report.verdict = "refuted"
         report.reason = "tangential approach to the boundary"
-    elif max(ratios) > max(1.0, tol.refute_factor):
+    elif max(ratios) > factor:
         report.verdict = "refuted"
         report.reason = ("length spread" if ratios[0] >= ratios[1]
-                         else "non-orthogonal arrival") + " beyond 10x tolerance"
+                         else "non-orthogonal arrival") + f" beyond {factor:g}x tolerance"
     elif max(ratios) > 1.0:
         report.verdict = "inconclusive"
-        report.reason = "violations within 10x tolerance band"
+        report.reason = f"violations within {factor:g}x tolerance band"
 
 
 def _components(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
@@ -772,46 +765,6 @@ def _soul(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, clusters):
             report.diagnostics.append("soul dimension mismatch: "
                                       f"estimated {check['estimated']}, "
                                       f"expected {check['expected']}")
-
-
-def _fibers(report: ZollReport, spec: ManifoldSpec, tol: Tolerances,
-            components: BoundaryComponents, clusters):
-    """Fiber structure of the midpoint projection at the focal index."""
-    fib = fiber_analysis(spec, report.sweep, report.index_focal, tol, components, clusters)
-    report.fibers = {
-        "kind": fib.kind,
-        "cluster_count": fib.cluster_count,
-        "cluster_sizes_minmax": [int(min(fib.cluster_sizes)), int(max(fib.cluster_sizes))],
-        "partner_residual": fib.partner_residual,
-        "nontrivial_cover": fib.nontrivial,
-        "loop_transport_used": fib.loop_transport_used,
-        "fiber_dimension": fib.fiber_dimension,
-    }
-    report.diagnostics.extend(fib.diagnostics)
-
-
-def _splitting(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
-    """Metric splitting along the flow, on its own structured launch grids."""
-    split = splitting_residual(spec, n_side=16 if spec.dimension <= 2 else 8, tol=tol)
-    report.splitting = {
-        "max_unit_residual": float(split.max_unit_residual),
-        "max_cross_residual": float(split.max_cross_residual),
-        "n_launches": int(split.n_launches),
-    }
-
-
-def _slices(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
-    """Slices at t = L/4, L/2, 3L/4 against their mirrors at 2L - t, which coincide
-    as clouds because the launch set covers every boundary component."""
-    report.slices = []
-    for frac in (0.25, 0.5, 0.75):
-        check = slice_distance_check(spec, report.sweep, frac * report.half_length, tol)
-        report.slices.append({
-            "t_over_L": frac,
-            "hausdorff": check.hausdorff,
-            "max_distance_residual": check.max_distance_residual,
-            "passed": check.passed,
-        })
 
 
 def annotation_checks(report: ZollReport, annotations):

@@ -181,30 +181,31 @@ def test_c08_fiber_structure(specs, sweeps):
     # Moebius, N = 128: 64 partner pairs and a nontrivial two-fold cover
     mo = specs["flat_moebius"]
     mo_sweep = first_return_map(mo, sample_boundary(mo, 128, seed=0))
-    fib = fiber_analysis(mo, mo_sweep, 0, TOL)
+    fib, _ = fiber_analysis(mo, mo_sweep, 0, TOL)
     L = float(np.mean(mo_sweep.return_times) / 2.0)
-    assert fib.cluster_count == 64
-    assert set(fib.cluster_sizes) == {2}
-    assert fib.partner_residual <= TOL.partner_rel * L
-    assert fib.nontrivial is True
+    assert fib["cluster_count"] == 64
+    assert fib["cluster_sizes_minmax"] == [2, 2]
+    assert fib["partner_residual"] <= TOL.partner_rel * L
+    assert fib["nontrivial_cover"] is True
 
     # disk, N = 128: one cluster, the whole boundary circle, PCA dimension 1
     disk = specs["flat_disk"]
     disk_sweep = first_return_map(disk, sample_boundary(disk, 128, seed=0))
-    fib_d = fiber_analysis(disk, disk_sweep, 1, TOL)
-    assert fib_d.cluster_count == 1
-    assert fib_d.cluster_sizes == [128]
-    assert fib_d.fiber_dimension == 1
+    fib_d, _ = fiber_analysis(disk, disk_sweep, 1, TOL)
+    assert fib_d["cluster_count"] == 1
+    assert fib_d["cluster_sizes_minmax"] == [128, 128]
+    assert fib_d["fiber_dimension"] == 1
 
     # solid torus: circle fibers over a one-dimensional soul
     st = specs["solid_torus"]
-    fib_t = fiber_analysis(st, sweeps["solid_torus"], 1, TOL)
-    assert fib_t.fiber_dimension == 1
+    fib_t, _ = fiber_analysis(st, sweeps["solid_torus"], 1, TOL)
+    assert fib_t["fiber_dimension"] == 1
     cloud = build_soul(st, sweeps["solid_torus"], TOL)
     assert cloud.dimension_estimate == 1
     _announce(8, "fiber structure of the midpoint projection", True,
-              f"moebius pairs={fib.cluster_count}, disk fiber dim={fib_d.fiber_dimension}, "
-              f"torus fiber dim={fib_t.fiber_dimension}")
+              f"moebius pairs={fib['cluster_count']}, "
+              f"disk fiber dim={fib_d['fiber_dimension']}, "
+              f"torus fiber dim={fib_t['fiber_dimension']}")
 
 
 def test_c09_metric_splitting(specs):
@@ -214,9 +215,9 @@ def test_c09_metric_splitting(specs):
         n_side = 16 if spec.dimension <= 2 else 8
         res = splitting_residual(spec, n_side=n_side,
                                  t_fracs=[0.05, 0.25, 0.5, 0.75, 0.95])
-        assert res.max_unit_residual <= 1e-6, (key, res.max_unit_residual)
-        assert res.max_cross_residual <= 1e-6, (key, res.max_cross_residual)
-        worst = max(worst, res.max_unit_residual, res.max_cross_residual)
+        assert res["max_unit_residual"] <= 1e-6, (key, res["max_unit_residual"])
+        assert res["max_cross_residual"] <= 1e-6, (key, res["max_cross_residual"])
+        worst = max(worst, res["max_unit_residual"], res["max_cross_residual"])
     th = np.pi / 6
     for frac in (0.25, 0.5, 0.75):
         t = frac * th
@@ -234,9 +235,9 @@ def test_c10_slice_symmetry(specs, sweeps):
         L = float(np.mean(sweep.return_times) / 2.0)
         for frac in (0.25, 0.5, 0.75):
             chk = slice_distance_check(specs[key], sweep, frac * L, TOL)
-            assert chk.hausdorff <= 1e-6 * L, (key, frac, chk.hausdorff)
-            assert chk.passed, (key, frac)
-            worst = max(worst, chk.hausdorff / L)
+            assert chk["hausdorff"] <= 1e-6 * L, (key, frac, chk["hausdorff"])
+            assert chk["passed"], (key, frac)
+            worst = max(worst, chk["hausdorff"] / L)
     _announce(10, "slice symmetry Sigma_t = Sigma_{2L-t}", True,
               f"worst Hausdorff/L {worst:.2e}")
 

@@ -26,7 +26,7 @@ from zollab.engine import (
     _event_functions,
     _event_roots,
     _first_terminal,
-    _step_state,
+    _step_states,
     arrival_orthogonality,
     first_return_map,
     geodesic_rhs,
@@ -423,6 +423,41 @@ def test_hole_crossings_return_as_arrivals():
     assert len(sweep.paths) == 64
 
 
+def test_reading_a_cut_flow(monkeypatch):
+    # the flows of the annulus at scale_hint 12 that a hidden dip cut at the
+    # hole: at their exit and past it, a flow's state is its event state, and
+    # the sweep's stacked reads of them are their own
+    spec = load_manifold(concentric_annulus(0.5, 12.0))
+    dips, cuts = [], []
+    hidden_dips, cut_at_exit = zollab.engine._hidden_dips, zollab.engine._cut_at_exit
+
+    def recording_dips(*args):
+        x, dip = hidden_dips(*args)
+        dips.extend(x[dip].tolist())
+        return x, dip
+
+    def recording_cut(flow, spec_, t_dip):
+        cut = cut_at_exit(flow, spec_, t_dip)
+        if t_dip in dips:
+            cuts.append(cut)
+        return cut
+
+    monkeypatch.setattr(zollab.engine, "_hidden_dips", recording_dips)
+    monkeypatch.setattr(zollab.engine, "_cut_at_exit", recording_cut)
+    sweep = first_return_map(spec, sample_boundary(spec, 64))
+    assert len(cuts) == 32  # every outer launch
+    for flow in cuts:
+        later = flow.event_time + np.array([0.0, 1e-12, 0.5, 100.0])
+        assert all(flow.state_at(t).tobytes() == flow.event_state.tobytes() for t in later)
+        assert all(y.tobytes() == flow.event_state.tobytes() for y in flow.state_at(later))
+    cut_ids = {id(flow) for flow in cuts}
+    index, times = map(np.array, zip(*[
+        (i, t) for i, path in enumerate(sweep.paths) if id(path.flow) in cut_ids
+        for t in np.append(path.flow.steps[2], path.return_time)]))
+    for i, t, y in zip(index, times, sweep.states_at(times, index)):
+        assert y.tobytes() == sweep.paths[i].flow.state_at(t).tobytes()
+
+
 def reference_grazing_and_exit(spec, chunks, grazing_tol):
     """Grazing times and exit time of a flow from its ``solve_ivp`` chunks.
     Each tangency candidate is checked through a scalar call of the
@@ -673,11 +708,13 @@ def test_initial_steps_are_select_initial_step(N, rng):
                      "d1, d2 <= 1e-15", "h1 from d1, d2", "max_step"}
 
 
-def _kept_events(events, terminal, active, state, t_old, t):
-    """The events ``active`` that fire in a step from t_old to t with
-    polynomial ``state``, and their roots, as the lockstep stepper keeps them
-    for one step: ``_event_roots`` on the step, then ``_first_terminal``."""
-    roots = _event_roots(events, active, state, t_old, t)
+def _kept_events(events, terminal, active, step, t_old, t):
+    """The events ``active`` that fire in a step from t_old to t, the one row
+    of the step table ``step``, and their roots, as the lockstep stepper keeps
+    them for one step: ``_event_roots`` on the step, then ``_first_terminal``."""
+    k = len(active)
+    roots = _event_roots(events, active, step, np.zeros(k, dtype=int), np.full(k, t_old),
+                         np.full(k, t))
     kept = _first_terminal(terminal, active, roots)
     return active[kept], roots[kept]
 
@@ -709,14 +746,15 @@ def test_kept_events_are_handle_events(rng):
         count[want] += 1
         want_kept, want_roots, terminate = handle_events(
             sol, events, want, count, max_events, t_old, t)
-        state = _step_state((Q, y_old, t_old, t - t_old))
+        step = tuple(np.array([a]) for a in (Q, y_old, t_old, t - t_old))
         kept, roots = _kept_events(events, terminal, np.flatnonzero(
-            _active_events(g, g_new, direction)), state, t_old, t)
+            _active_events(g, g_new, direction)), step, t_old, t)
         assert kept.tobytes() == want_kept.tobytes()
         assert roots.tobytes() == np.asarray(want_roots).tobytes()
         assert terminal[kept[-1]] == terminate
         if terminate:
-            assert state(roots[-1]).tobytes() == sol(want_roots[-1]).tobytes()
+            stop = _step_states(step, np.zeros(1, dtype=int), roots[-1:])[0]
+            assert stop.tobytes() == sol(want_roots[-1]).tobytes()
         seen.add(tuple(tags[e][0] for e in want))
     # terminal plus graze, two terminal, and all three
     assert {("boundary", "graze"), ("boundary", "deck"), ("graze", "deck"),

@@ -11,7 +11,13 @@ import zollab.cli
 import zollab.engine
 import zollab.jacobi
 from zollab.cli import main, run, theorem_matrix, theorem_rows
-from zollab.engine import first_return_map, sample_boundary, shoot
+from zollab.engine import (
+    first_return_map,
+    launch_count,
+    nearest_exact_launch_counts,
+    sample_boundary,
+    shoot,
+)
 from zollab.jacobi import assemble_index_form, index_form_spectrum, integrate_jacobi_frame
 from zollab.manifest import (
     ManifestError,
@@ -540,6 +546,32 @@ class TestCLI:
         fails = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("FAIL")]
         assert len(fails) == 1 and "refutation_control" in fails[0]
+
+    def test_catalog_defaults_take_the_flags(self, tmp_path, capsys):
+        # the built-in matrix goes through the flags as --manifest does: at
+        # their default values they change nothing, a length tolerance no
+        # spread meets fails constant_length, and 32 launches are no count the
+        # 3-ball's sampling gives exactly
+        runs = []
+        for flags in ([], ["--seed", "0", "--tol-len", "1e-8", "--tol-orth", "1e-7"]):
+            out = tmp_path / f"run{len(runs)}"
+            assert main(["matrix", "--catalog-defaults", "--out", str(out)] + flags) == 0
+            runs.append((capsys.readouterr().out, (out / "matrix.json").read_text()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].endswith("\n69/69 checks passed\n")
+
+        assert main(["matrix", "--catalog-defaults", "--tol-len", "1e-30"]) == 1
+        fails = [line.split()[2] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        assert fails and set(fails) == {"constant_length"}
+
+        assert main(["matrix", "--catalog-defaults", "--launches", "32"]) == 2
+        ball = load_manifold(zollab.cli.DEFAULT_MATRIX[5]["manifold"])
+        below, above = nearest_exact_launch_counts(ball, 32)
+        assert below < 32
+        assert capsys.readouterr().err == (
+            f"error: uniform sampling of {ball.name} gives {launch_count(ball, 32)} launches "
+            f"when asked for 32; nearest counts it gives exactly: {above}\n")
 
     def test_matrix_rows_and_exit(self, tmp_path):
         manifest = {"manifold": {"catalog": "flat_moebius", "params": {}},

@@ -100,6 +100,15 @@ class TestCertifyVerdicts:
         assert rep.verdict == "refuted"
         assert rep.reason == "non-orthogonal arrival beyond 10x tolerance"
 
+    # the ellipse a = 1 + 1e-6, b = 1 breaks the length tolerance about 100 times over
+    @pytest.mark.parametrize("factor,verdict,reason", [
+        (1e6, "inconclusive", "violations within 1e+06x tolerance band"),
+        (1.5, "refuted", "length spread beyond 1.5x tolerance")])
+    def test_reason_states_the_refute_factor(self, factor, verdict, reason):
+        rep = certify(make_example("ellipse", a=1.0 + 1e-6, b=1.0), 64,
+                      Tolerances(refute_factor=factor))
+        assert (rep.verdict, rep.reason) == (verdict, reason)
+
     # the detection floor: the ellipse a = 1 + eps, b = 1 has a length spread
     # of about eps and arrival angles of about 2 eps, so at the default
     # tolerances (1e-8, 1e-7) it is refuted from 3e-7 up and certified from 1e-8
@@ -305,50 +314,52 @@ class TestFibers:
         fibs = [fiber_analysis(el, sweep, 0, Tolerances(), components)
                 for components in (None, comps)]
         assert fibs[0] == fibs[1]
-        assert fibs[0].cluster_count == sum(fibs[0].cluster_sizes) == 52
-        assert fibs[0].loop_transport_used and fibs[0].nontrivial is False
+        fib, _ = fibs[0]
+        # 52 clusters of one launch each: every returned launch is in one
+        assert fib["cluster_count"] == 52 and fib["cluster_sizes_minmax"] == [1, 1]
+        assert fib["loop_transport_used"] and fib["nontrivial_cover"] is False
         lost = first_return_map(el, sample_boundary(el, 8), t_max=1.5)
         assert not lost.paths
         with pytest.raises(ValueError, match="no launch returned"):
             fiber_analysis(el, lost, 0, Tolerances())
 
     def test_moebius_pairs(self, specs, sweeps):
-        fib = fiber_analysis(specs["flat_moebius"], sweeps["flat_moebius"], 0,
-                             Tolerances())
-        assert fib.kind == "two-fold-cover"
-        assert fib.cluster_count == 32
-        assert set(fib.cluster_sizes) == {2}
-        assert fib.partner_residual <= 1e-7
-        assert fib.nontrivial is True
-        assert fib.loop_transport_used
+        fib, _ = fiber_analysis(specs["flat_moebius"], sweeps["flat_moebius"], 0,
+                                Tolerances())
+        assert fib["kind"] == "two-fold-cover"
+        assert fib["cluster_count"] == 32
+        assert fib["cluster_sizes_minmax"] == [2, 2]
+        assert fib["partner_residual"] <= 1e-7
+        assert fib["nontrivial_cover"] is True
+        assert fib["loop_transport_used"]
 
     def test_band_pairs_trivial_cover(self, specs, sweeps):
         sweep = sweeps["flat_band"]
         comp = boundary_components(specs["flat_band"], sweep.launch_set,
                                    {p.index: p.arrival_point for p in sweep.paths})
-        fib = fiber_analysis(specs["flat_band"], sweep, 0, Tolerances(), comp)
-        assert set(fib.cluster_sizes) == {2}
-        assert fib.nontrivial is False
+        fib, _ = fiber_analysis(specs["flat_band"], sweep, 0, Tolerances(), comp)
+        assert fib["cluster_sizes_minmax"] == [2, 2]
+        assert fib["nontrivial_cover"] is False
 
     def test_disk_single_circle_fiber(self, specs, sweeps):
-        fib = fiber_analysis(specs["flat_disk"], sweeps["flat_disk"], 1, Tolerances())
-        assert fib.kind == "sphere-bundle"
-        assert fib.cluster_count == 1
-        assert fib.cluster_sizes == [64]
-        assert fib.fiber_dimension == 1
+        fib, _ = fiber_analysis(specs["flat_disk"], sweeps["flat_disk"], 1, Tolerances())
+        assert fib["kind"] == "sphere-bundle"
+        assert fib["cluster_count"] == 1
+        assert fib["cluster_sizes_minmax"] == [64, 64]
+        assert fib["fiber_dimension"] == 1
 
     def test_solid_torus_circle_fibers(self, specs, sweeps):
-        fib = fiber_analysis(specs["solid_torus"], sweeps["solid_torus"], 1,
-                             Tolerances())
-        assert fib.fiber_dimension == 1
-        assert fib.cluster_count == 16
-        assert set(fib.cluster_sizes) == {16}
+        fib, _ = fiber_analysis(specs["solid_torus"], sweeps["solid_torus"], 1,
+                                Tolerances())
+        assert fib["fiber_dimension"] == 1
+        assert fib["cluster_count"] == 16
+        assert fib["cluster_sizes_minmax"] == [16, 16]
 
     def test_ball_sphere_fiber(self, specs, sweeps):
-        fib = fiber_analysis(specs["euclidean_ball3"], sweeps["euclidean_ball3"], 2,
-                             Tolerances())
-        assert fib.cluster_count == 1
-        assert fib.fiber_dimension == 2
+        fib, _ = fiber_analysis(specs["euclidean_ball3"], sweeps["euclidean_ball3"], 2,
+                                Tolerances())
+        assert fib["cluster_count"] == 1
+        assert fib["fiber_dimension"] == 2
 
 
 def slice_circumference(spec, t, n_side=64):
@@ -373,8 +384,8 @@ class TestSplitting:
                                            ("spherical_cap", 1e-7)])
     def test_residuals(self, key, limit, specs):
         res = splitting_residual(specs[key], n_side=16)
-        assert res.max_unit_residual <= limit
-        assert res.max_cross_residual <= limit
+        assert res["max_unit_residual"] <= limit
+        assert res["max_cross_residual"] <= limit
 
     def test_spherical_band_circumference(self, specs):
         th = np.pi / 6
@@ -402,7 +413,7 @@ class TestSlices:
         L = float(np.mean(sweep.return_times) / 2.0)
         for frac in [0.25, 0.5, 0.75]:
             chk = slice_distance_check(spec, sweep, frac * L)
-            assert chk.passed, (key, frac, chk)
+            assert chk["passed"], (key, frac, chk)
 
     def test_slice_parameter_validation(self, specs, sweeps):
         with pytest.raises(ValueError, match="slice parameter"):
@@ -428,6 +439,26 @@ class TestReportStructure:
         assert doc["ground_truth"]["all_match"]
         # stable field order for byte-identical serialization
         assert list(doc)[:4] == ["name", "verdict", "reason", "n_launches"]
+
+
+    @pytest.mark.parametrize("name,params,kind", [("flat_moebius", {}, "two-fold-cover"),
+                                                  ("euclidean_ball", {"n": 3}, "sphere-bundle")])
+    def test_report_entries_are_what_the_analyses_return(self, name, params, kind):
+        spec = make_example(name, **params)
+        tol = Tolerances()
+        rep = certify(spec, 64, tol, analyses=("all",))
+        sweep = rep.sweep
+        components = boundary_components(spec, sweep.launch_set,
+                                         {p.index: p.arrival_point for p in sweep.paths},
+                                         link_factor=tol.link_factor)
+        fibers, diagnostics = fiber_analysis(spec, sweep, rep.index_focal, tol, components)
+        assert rep.fibers == fibers and fibers["kind"] == kind
+        assert set(diagnostics) <= set(rep.diagnostics)
+        assert rep.splitting == splitting_residual(
+            spec, n_side=16 if spec.dimension <= 2 else 8, tol=tol)
+        assert rep.slices == [
+            {"t_over_L": frac, **slice_distance_check(spec, sweep, frac * rep.half_length, tol)}
+            for frac in (0.25, 0.5, 0.75)]
 
 
 def min_geodesic_separation(spec, sweep, stride=4):
