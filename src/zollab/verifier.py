@@ -509,8 +509,8 @@ def splitting_residual(spec: ManifoldSpec, n_side=16, t_fracs=None,
 
 def slice_distance_check(spec: ManifoldSpec, sweep: SweepResult, t,
                          tol: Optional[Tolerances] = None):
-    """Verify the forward and mirrored slices coincide and sit at distance t:
-    the report's ``slices`` entry for t, but its ``t_over_L``."""
+    """Verify the forward and mirrored slices coincide and sit at distance t.
+    Returns the report's ``slices`` entry for t without its ``t_over_L``."""
     tol = tol or Tolerances()
     L = sweep.half_length
     if not (0.0 < t <= L + 1e-12):
