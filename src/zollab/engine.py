@@ -3,26 +3,27 @@
 Geodesics are launched along the inward unit normal and integrated with an
 adaptive embedded Runge-Kutta pair, whose dense output a flow keeps once, as
 the table of its steps' polynomials (``FlowResult.steps``). Boundary returns
-are located by bracketed root refinement on them. A local minimum of b where
-b < 0 inside a step, found by a tangency event or, in a step whose ends do
-not show it, on the step polynomial, cuts the flow at the exit it proves.
-Exits through deck faces of the fundamental domain are handled by
-teleporting the state.
+are located by bracketed root refinement on them. Every step whose ends show
+a local minimum of b inside it (from b and db/dt there) is searched for it
+on its step polynomial; each minimum is a tangency candidate, and the first
+where b < 0 cuts the flow at the exit it proves. Exits through deck faces of
+the fundamental domain are handled by teleporting the state.
 
 Every run integrates through ``lockstep_flows``, which steps a stack of
 states together: the launches of a sweep, or the Jacobi frames of the
 ``jacobi`` analysis. Everything it does is done on stacks: the steps and
 initial steps of scipy's RK45, as ``zollab.rk45`` copies them; which events
-a chunk watches and which fire in a step; the roots of every fired event of
-an iteration, found together on the step polynomials by the stacked
-``brentq`` of ``zollab.scalar``; and its record of the chunks, a log of
-arrays appended once per iteration. ``integrate_flow`` integrates one state
+a chunk watches and which fire in a step (all are terminal, so a step keeps
+its earliest root); the roots of every fired event of an iteration, found
+together on the step polynomials by the stacked ``brentq`` of
+``zollab.scalar``; and its record of the chunks, a log of arrays appended
+once per iteration. ``integrate_flow`` integrates one state
 with scipy's ``solve_ivp``, imported on its first call so that a run loads
 no scipy; it is the one-state reference the tests compare
 ``lockstep_flows`` against, flow by flow and bit for bit. Both keep their
 chunks in the same record, ``_StepLog``, which stitches every flow at the
-end: one sort of the log, one search for the dips of b hidden inside steps,
-and each flow's exit cut.
+end: one sort of the log, one search for the local minima of b inside the
+flagged steps, and each flow's exit cut.
 
 A sweep (``first_return_map``) keeps one record per returned geodesic, its
 ``GeodesicPath``, which reads everything it reports off its flow; a launch
@@ -56,7 +57,7 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 GRAZING_TOL = 1e-6
 MAX_CHUNKS = 400
-DIP_SAMPLES = 32             # samples of a step polynomial that may hide a dip of b
+DIP_SAMPLES = 32             # samples of a step polynomial that holds a dip of b
 MAX_STEP_SCALE = 0.25        # largest integration step, times spec.scale_hint
 RETURN_HORIZON_SCALE = 50.0  # time a launch has to come back, times spec.scale_hint
 SAMPLING_STRATEGIES = ("uniform", "low-discrepancy")
@@ -174,9 +175,10 @@ def geodesic_rhs(spec: ManifoldSpec):
 
 
 def _event_functions(spec, detect_boundary):
-    """Event functions of a flow and their tags: b and db/dt where boundary
-    returns are detected, then every deck face. Each takes a state (N,) or a
-    stack of states (m, N), each row bit-equal to its state alone."""
+    """Event functions of a flow and their tags: b where boundary returns are
+    detected, then every deck face. Each takes a state (N,) or a stack of
+    states (m, N), each row bit-equal to its state alone. Every one is
+    terminal and fires as it falls through 0 (``terminal``, ``direction``)."""
     n = spec.dimension
     boundary = spec.boundary
     events = []
@@ -188,13 +190,6 @@ def _event_functions(spec, detect_boundary):
         hit.direction = -1
         events.append(hit)
         tags.append(("boundary", None))
-
-        def graze(t_, y_):
-            return row_dot(boundary.gradient(y_[..., :n]), y_[..., n:2 * n])
-        graze.terminal = False
-        graze.direction = 1
-        events.append(graze)
-        tags.append(("graze", None))
 
     for deck in spec.deck_maps:
         def face_ev(t_, y_, _d=deck):
@@ -260,12 +255,18 @@ def _chunk_end(spec, t_stop, fired, crossings, vector_blocks, detect_boundary):
     return "deck", t_stop, y_new
 
 
-def _hides_dip(g0, g1):
-    """Whether a step can hide a dip of b from the tangency event: db/dt has one
-    sign at both of its ends and b changes the other way, so b has a local
-    minimum inside it. g0 and g1, the event values at the step's ends, start
-    with b and db/dt; for stacks of them, (b, db/dt) columns, one flag per step."""
-    return (g0[1] * g1[1] > 0) & ((g1[0] - g0[0]) * g0[1] < 0)
+def _slope(spec, y):
+    """db/dt of a flow at the state y (N,), or at each row of a stack (m, N)."""
+    n = spec.dimension
+    return row_dot(spec.boundary.gradient(y[..., :n]), y[..., n:2 * n])
+
+
+def _holds_dip(b0, s0, b1, s1):
+    """Whether a step, where b and db/dt are b0 and s0 at its start and b1 and
+    s1 at its end, holds a local minimum of b: db/dt rises through 0 (a value
+    0 at either end counts), or keeps one sign while b changes the other way.
+    Elementwise, one flag per step of stacks of them."""
+    return ((s0 <= 0) & (s1 >= 0)) | ((s0 * s1 > 0) & ((b1 - b0) * s0 < 0))
 
 
 def _event_roots(events, active, steps, rows, lo, hi):
@@ -285,36 +286,21 @@ def _event_roots(events, active, steps, rows, lo, hi):
     return require(*brentq(f, lo, hi, xtol=4 * rk45.EPS, rtol=4 * rk45.EPS))
 
 
-def _active_events(g, g_new, direction):
-    """(m, k) flags of the events whose values change sign from g to g_new
-    (m, k) in their direction, 1 or -1 each: row by row, the events scipy's
-    ``find_active_events`` finds (a value 0 at either end counts)."""
-    up = (g <= 0) & (g_new >= 0)
-    down = (g >= 0) & (g_new <= 0)
-    return np.where(direction > 0, up, down)
-
-
-def _first_terminal(terminal, active, roots):
-    """Positions in ``active`` (event indices, ascending) of the events that
-    fire in one step, where their ``roots`` are, as scipy's ``handle_events``
-    keeps them: all of them where none is terminal, else in time order up to
-    the first terminal one. (A terminal event ends its chunk, so it has
-    reached its count exactly where it is active.)"""
-    if not terminal[active].any():
-        return np.arange(len(active))
-    order = np.argsort(roots)
-    return order[:np.flatnonzero(terminal[active[order]])[0] + 1]
+def _active_events(g, g_new):
+    """(m, k) flags of the events whose values fall through 0 from g to g_new
+    (m, k): row by row, the events scipy's ``find_active_events`` finds for
+    direction -1 (a value 0 at either end counts)."""
+    return (g >= 0) & (g_new <= 0)
 
 
 def _hidden_dips(spec, steps, rows):
     """Where b has its local minimum inside each of the steps ``rows`` of the
-    step table ``steps``, and whether b < 0 there, sought on the step
-    polynomial: the least b of ``DIP_SAMPLES`` + 1 even samples, refined by
-    bounded Brent (``minimize_bounded``) between the samples next to it; every
-    step at once."""
+    step table ``steps``, sought on the step polynomial: the least b of
+    ``DIP_SAMPLES`` + 1 even samples, refined by bounded Brent
+    (``minimize_bounded``) between the samples next to it; every step at once."""
     m = len(rows)
     if not m:
-        return np.empty(0), np.empty(0, dtype=bool)
+        return np.empty(0)
     n = spec.dimension
 
     def b_at(t, i):
@@ -325,10 +311,10 @@ def _hidden_dips(spec, steps, rows):
                   axis=1)
     every = np.arange(m)
     end = ts[:, -1]
-    x, fun = minimize_bounded(b_at, ts[every, np.maximum(j - 1, 0)],
-                              ts[every, np.minimum(j + 1, DIP_SAMPLES)],
-                              xatol=4 * rk45.EPS * np.where(end > 1.0, end, 1.0))
-    return x, fun < 0
+    x, _ = minimize_bounded(b_at, ts[every, np.maximum(j - 1, 0)],
+                            ts[every, np.minimum(j + 1, DIP_SAMPLES)],
+                            xatol=4 * rk45.EPS * np.where(end > 1.0, end, 1.0))
+    return x
 
 
 def _cut_at_exit(flow, spec, t_dip):
@@ -369,8 +355,8 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
     leading n entries of the state are always the chart position.
 
     Each ``solve_ivp`` call is one chunk of a ``_StepLog``, which stitches the
-    flow as it does those of ``lockstep_flows``; its samples, steps, tangency
-    roots and the steps that may hide a dip are read off scipy's output.
+    flow as it does those of ``lockstep_flows``; its samples, steps and the
+    steps that hold a dip of b are read off scipy's output.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = 0.0
@@ -393,21 +379,19 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
                                           for p in sol.sol.interpolants])))
         chunk = log.open(np.zeros(1, dtype=int), np.array([t]), y[None])
         rows = np.repeat(chunk, len(sol.t) - 1)
-        hides = np.zeros(len(rows), dtype=bool)
+        holds = np.zeros(len(rows), dtype=bool)
         if detect_boundary:
-            # b and db/dt at each sample, as the lockstep stepper has them; a
-            # terminal event cut the last step short, so its end values do not count
-            g = np.array([[event(t_, y_) for event in events[:2]]
-                          for t_, y_ in zip(sol.t, sol.y.T)]).T
-            hides = _hides_dip(g[:, :-1], g[:, 1:])
-            if sol.status == 1:
-                hides[-1:] = False
-            log.grazes.append((np.repeat(chunk, len(sol.t_events[1])), sol.t_events[1]))
+            # b and db/dt at each sample, as the lockstep stepper has them
+            b, slope = np.array([(all_events[0](t_, y_), _slope(spec, y_))
+                                 for t_, y_ in zip(sol.t, sol.y.T)]).T
+            holds = _holds_dip(b[:-1], slope[:-1], b[1:], slope[1:])
         log.samples.append((rows, sol.t[1:], sol.y.T[1:]))
-        log.steps.append((rows, *steps, hides))
-        # a terminal event ends its chunk, so only the one that fired has a root
+        log.steps.append((rows, *steps, holds))
+        if sol.status == 1:
+            log.stopped.append(chunk)
+        # every event is terminal, so only the one that ended the chunk has a root
         fired = next(((tag, y_e[-1].copy()) for tag, y_e in zip(tags, sol.y_events)
-                      if tag[0] != "graze" and len(y_e)), None)
+                      if len(y_e)), None)
         status, t, y = _chunk_end(spec, float(sol.t[-1]), fired, crossings, vector_blocks,
                                   detect_boundary)
         if status != "deck":
@@ -430,11 +414,12 @@ def _by_flow(parts, flow_of):
 
 class _StepLog:
     """The record of a run's flows, as arrays: the flow of each chunk,
-    numbered as they open, and the samples, steps and tangency roots of the
-    chunks, each row tagged with its chunk and appended in time order. Each
-    integrator appends to it as it goes, ``lockstep_flows`` once per iteration
-    and ``integrate_flow`` once per ``solve_ivp`` call, and ``stitch`` makes
-    the flows of it at the end."""
+    numbered as they open, and the samples and steps of the chunks, each row
+    tagged with its chunk and appended in time order, each step with whether
+    its end values show a local minimum of b inside it. Each integrator
+    appends to it as it goes, ``lockstep_flows`` once per iteration and
+    ``integrate_flow`` once per ``solve_ivp`` call, and ``stitch`` makes the
+    flows of it at the end."""
 
     def __init__(self, N):
         self.count = 0
@@ -442,7 +427,6 @@ class _StepLog:
         self.samples = []             # (chunk, t, y): chunk openings and step ends
         self.steps = [(np.empty(0, dtype=int), np.empty((0, N, rk45.P.shape[1])),
                        np.empty((0, N)), np.empty(0), np.empty(0), np.empty(0, dtype=bool))]
-        self.grazes = [(np.empty(0, dtype=int), np.empty(0))]
         self.stopped = [np.empty(0, dtype=int)]  # chunks a terminal event ended
 
     def open(self, flows, t, y):
@@ -459,36 +443,30 @@ class _StepLog:
         time, event state) says, with the deck ``crossings[i]`` and ``nfev[i]``
         right-hand-side evaluations. A stable sort by flow puts the log in
         (flow, chunk) order, so each ``FlowResult`` is a slice of it, and one
-        ``_hidden_dips`` call searches the steps flagged as hiding a dip; in a
-        chunk a terminal event ended, the end values of the last step do not
-        count, so it is not searched (the stopped step, or the step before it
-        where the stopped one was dropped).
+        ``_hidden_dips`` call finds the local minimum of b in every flagged
+        step, in that order. In a chunk a terminal event ended, the end values
+        of the last step do not count, so it is not searched (the stopped
+        step, or the step before it where the stopped one was dropped).
 
-        A tangency candidate (a root of db/dt, or a hidden dip: a local minimum
-        of b) is grazing where |b| < grazing_tol. The first where b < 0 proves
-        that the flow left M inside its step, and ``_cut_at_exit`` ends the
-        flow there; ``nfev`` and ``n_steps`` still count the integration past
-        the exit. The first error in flow order is raised: ``errors[i]``, or
-        ``_cut_at_exit``'s.
+        Every such minimum is a tangency candidate, grazing where
+        |b| < grazing_tol. The first where b < 0 proves that the flow left M
+        inside its step, and ``_cut_at_exit`` ends the flow there; ``nfev``
+        and ``n_steps`` still count the integration past the exit. The first
+        error in flow order is raised: ``errors[i]``, or ``_cut_at_exit``'s.
         """
         n = spec.dimension
         flow_of = np.concatenate(self.flows)
         sample_chunk, times, states = _by_flow(self.samples, flow_of)
-        chunk, Q, y_old, t_old, h, hides = _by_flow(self.steps, flow_of)
+        chunk, Q, y_old, t_old, h, holds = _by_flow(self.steps, flow_of)
         stopped = np.zeros(self.count, dtype=bool)
         stopped[np.concatenate(self.stopped)] = True
         final = np.append(chunk[1:] != chunk[:-1], True)  # each chunk's last step
-        hides[final & stopped[chunk]] = False
-        searched = np.flatnonzero(hides)
-        x, dip = _hidden_dips(spec, (Q, y_old, t_old, h), searched)
-        graze_chunk, grazes = map(np.concatenate, zip(*self.grazes))
-        candidate_flow = np.concatenate([flow_of[graze_chunk], flow_of[chunk[searched[dip]]]])
-        candidates = np.concatenate([grazes, x[dip]])
-        order = np.lexsort((candidates, candidate_flow))
-        candidate_flow, candidates = candidate_flow[order], candidates[order]
+        holds[final & stopped[chunk]] = False
+        searched = np.flatnonzero(holds)
+        candidates = _hidden_dips(spec, (Q, y_old, t_old, h), searched)
         sample_first, step_first, candidate_first = (
             np.searchsorted(f, np.arange(len(endings) + 1)).tolist()
-            for f in (flow_of[sample_chunk], flow_of[chunk], candidate_flow))
+            for f in (flow_of[sample_chunk], flow_of[chunk], flow_of[chunk[searched]]))
 
         flows = []
         for i, (ending, error) in enumerate(zip(endings, errors)):
@@ -524,11 +502,11 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     done on stacks. Each iteration tries one step of every running flow,
     evaluates the events at the ends of the accepted steps, locates the
     fired ones, and appends the accepted rows to a ``_StepLog``; Python
-    loops only over rows where several events fire or a chunk ends. The
-    chunks that open together, the launches and the flows restarting after
-    deck crossings of one iteration, take their right-hand side, events and
-    initial steps (``rk45.initial_steps``) in one call each. The log is
-    stitched into flows once, at the end (``_StepLog.stitch``).
+    loops only over rows where a chunk ends. The chunks that open together,
+    the launches and the flows restarting after deck crossings of one
+    iteration, take their right-hand side, events and initial steps
+    (``rk45.initial_steps``) in one call each. The log is stitched into flows
+    once, at the end (``_StepLog.stitch``).
 
     ``rhs`` must take a stack (m, N) and give each row what it gives that
     state alone; it gets no stage times, so the equation must be
@@ -545,17 +523,16 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     max_step = MAX_STEP_SCALE * spec.scale_hint
     rtol, atol = rk45.validate_tol(rtol, atol, N)
 
-    # the flows' event functions, their values at each flow's last step end
-    # (G), and the events each flow's chunk watches (W)
+    # the flows' event functions, their values (G) and db/dt (S) at each
+    # flow's last step end, and the events each flow's chunk watches (W)
     events, tags = _event_functions(spec, detect_boundary)
-    direction = np.array([event.direction for event in events])
-    terminal = np.array([event.terminal for event in events], dtype=bool)
     log = _StepLog(N)
     endings, errors = [None] * m, [None] * m
     crossings = [[] for _ in range(m)]
     T = np.zeros(m)
     F = np.empty((m, N))
     G = np.empty((m, len(events)))
+    S = np.empty(m)
     W = np.empty((m, len(events)), dtype=bool)
     H = np.empty(m)
     chunk = np.empty(m, dtype=int)      # each flow's open chunk
@@ -567,6 +544,8 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         y = Y[rows]
         F[rows] = rhs(None, y)
         G[rows] = _event_values(events, y)
+        if detect_boundary:
+            S[rows] = _slope(spec, y)
         W[rows] = _watched_events(spec, y, G[rows], tags)
         H[rows], probed = rk45.initial_steps(rhs, y, F[rows], T_end[rows] - T[rows],
                                              max_step, rtol, atol)
@@ -619,12 +598,16 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         F[acc] = K[ok, -1]
         fresh[acc] = True
         Q = np.matmul(K[ok].swapaxes(1, 2), rk45.P)
-        # the events of every accepted geodesic at its step end, and the
-        # watched ones that fire in its step
+        # the events of every accepted geodesic at its step end, whether its
+        # step holds a local minimum of b, and the watched events that fire in it
         g, g_new = G[acc], _event_values(events, y_new)
         G[acc] = g_new
-        hides_dip = _hides_dip(g.T, g_new.T) if detect_boundary else np.zeros(len(acc), bool)
-        active = _active_events(g, g_new, direction) & W[acc]
+        holds = np.zeros(len(acc), dtype=bool)
+        if detect_boundary:
+            s, s_new = S[acc], _slope(spec, y_new)
+            S[acc] = s_new
+            holds = _holds_dip(g[:, 0], s, g_new[:, 0], s_new)
+        active = _active_events(g, g_new) & W[acc]
 
         # each step's sample: its end, or where the terminal event that ends
         # its chunk fired (``stop_event``, the event's index, -1 for none)
@@ -632,32 +615,25 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         stop_event = np.full(len(acc), -1)
         fired_row, fired_event = np.nonzero(active)
         if fired_row.size:
-            # the roots of every fired (geodesic, event) pair, found together,
-            # and the ones handle_events keeps: a step's one event, or of
-            # several, those in time order up to the first terminal one
+            # the roots of every fired (geodesic, event) pair, found together;
+            # every event is terminal, so handle_events keeps the earliest
+            # root of a step, the lower event index on a tie
             step = (Q, y, t, h)
             roots = _event_roots(events, fired_event, step, fired_row, t[fired_row],
                                  t_new[fired_row])
-            count = np.bincount(fired_row)
-            kept = count[fired_row] == 1
-            for j in np.flatnonzero(count > 1):
-                own = np.flatnonzero(fired_row == j)
-                kept[own[_first_terminal(terminal, fired_event[own], roots[own])]] = True
-            ends = kept & terminal[fired_event]
-            grazes = kept & ~terminal[fired_event]
-            log.grazes.append((chunk[acc[fired_row[grazes]]], roots[grazes]))
-            stops = fired_row[ends]
-            stop_event[stops] = fired_event[ends]
-            if stops.size:
-                t_stop, y_stop = t_new.copy(), y_new.copy()
-                t_stop[stops] = roots[ends]
-                y_stop[stops] = _step_states(step, stops, t_stop[stops])
+            order = np.lexsort((roots, fired_row))
+            first = order[np.append(True, np.diff(fired_row[order]) != 0)]
+            stops = fired_row[first]
+            stop_event[stops] = fired_event[first]
+            t_stop, y_stop = t_new.copy(), y_new.copy()
+            t_stop[stops] = roots[first]
+            y_stop[stops] = _step_states(step, stops, t_stop[stops])
         stopped = stop_event >= 0
         # solve_ivp drops a step that ends where the one before it did
         logged = ~(stopped & (t_stop == t) & (t != T_open[acc]))
         log.samples.append((chunk[acc[logged]], t_stop[logged], y_stop[logged]))
         log.steps.append((chunk[acc[logged]], Q[logged], y[logged], t[logged], h[logged],
-                          hides_dip[logged]))
+                          holds[logged]))
         log.stopped.append(chunk[acc[stopped]])
 
         ending = np.flatnonzero(stopped | (t_new - T_end[acc] >= 0))

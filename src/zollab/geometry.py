@@ -326,13 +326,8 @@ class QuotientCloud:
     ``images[i, 0]`` is point i itself. The distance from cloud point i to a
     chart point y is the smallest chart distance from an image of i to y.
     Queries against q chart points are vectorized over blocks of cloud points,
-    one image slot at a time, so they take O(m k n + m q) memory.
-
-    ``distances``, ``pairwise`` and ``nearest`` reduce with
-    ``np.linalg.norm(..., axis=-1)``, ``nearest_image`` and ``hausdorff`` with
-    1-d norms (see ``_norm``). The two differ in the last bits, and on uniform
-    launch grids some pairs sit exactly at the linking radius, so each query
-    keeps one fixed expression.
+    one image slot at a time, so they take O(m k n + m q) memory. Every
+    distance is a ``_norm``.
     """
 
     def __init__(self, spec: ManifoldSpec, points):
@@ -343,8 +338,9 @@ class QuotientCloud:
     def __len__(self):
         return len(self.points)
 
-    def _distances(self, queries, norm):
-        """(m, q) smallest distance from any image of each point to each query."""
+    def distances(self, queries):
+        """(m, q) quotient distance from each cloud point to each query point:
+        the smallest distance from any image of the point to the query."""
         q = np.asarray(queries, dtype=float).reshape(-1, self.points.shape[1])
         D = np.full((len(self), len(q)), np.inf)
         rows = max(1, _BLOCK_NUMBERS // max(q.size, 1))
@@ -352,7 +348,7 @@ class QuotientCloud:
             block = D[lo:lo + rows]
             for j in range(self.images.shape[1]):
                 diff = self.images[lo:lo + rows, j, None, :] - q[None, :, :]
-                np.minimum(block, norm(diff), out=block)
+                np.minimum(block, _norm(diff), out=block)
         return D
 
     def nearest_image(self, center, index=slice(None)):
@@ -365,10 +361,6 @@ class QuotientCloud:
         d = _norm(imgs - np.expand_dims(np.asarray(center, dtype=float), -2))
         j = np.argmin(d, axis=-1)
         return np.take_along_axis(imgs, j[..., None, None], axis=-2)[..., 0, :]
-
-    def distances(self, queries):
-        """(m, q) quotient distance from each cloud point to each query point."""
-        return self._distances(queries, lambda diff: np.linalg.norm(diff, axis=-1))
 
     def pairwise(self):
         """Symmetric (m, m) matrix of quotient distances between cloud points."""
@@ -383,7 +375,7 @@ class QuotientCloud:
 
     def hausdorff(self, other):
         """Hausdorff distance between this cloud and the chart points ``other``."""
-        D = self._distances(other, _norm)
+        D = self.distances(other)
         return max(float(D.min(axis=1).max()), float(D.min(axis=0).max()))
 
 

@@ -149,6 +149,10 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
     boundary patch are linked a priori, since a patch is a connected
     parametrized piece by construction (point linking alone fragments
     anisotropic launch grids).
+
+    A component of several patches that only h_link joins gets a diagnostic:
+    one whose patches stay apart when linked only by pairs of samples within
+    twice the largest nearest-neighbour spacing inside a patch.
     """
     cloud = QuotientCloud(spec, launch_set.points)
     D = cloud.pairwise()
@@ -163,6 +167,20 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
     if count > 2:
         diagnostics.append("contradiction with the two-component bound "
                            f"({count} classes found)")
+    for c in range(count):
+        members = np.flatnonzero(labels == c)
+        patches = np.unique(launch_set.patch_ids[members])
+        if len(patches) < 2:
+            continue
+        own, d = same_patch[np.ix_(members, members)], D[np.ix_(members, members)]
+        spacing = float(np.where(own, d, np.inf).min(axis=1).max())
+        parts, part = connected_components(own | (d <= 2 * spacing))
+        if parts > 1:
+            names = ", ".join(repr(spec.boundary_patches[p].name) for p in patches)
+            gap = float(d[part[:, None] != part[None, :]].min())
+            diagnostics.append(f"boundary component {c} joins patches {names} across a gap "
+                               f"of {gap:.4g}, more than twice the {spacing:.4g} sample "
+                               "spacing inside a patch")
 
     pairing = {}
     pairing_ok = True
@@ -262,7 +280,7 @@ def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances, n_distan
     if len(reps) == 1:
         local_dims, spectra = [0], []
         d_hat = 0
-        diameter = float(np.max(np.linalg.norm(mids - reps[0], axis=1))) if len(mids) else 0.0
+        diameter = float(np.max(_norm(mids - reps[0]))) if len(mids) else 0.0
     else:
         if len(reps) < SOUL_NEIGHBORS + 1:
             raise ValueError(f"undersampled soul: {len(reps)} distinct midpoints "

@@ -120,8 +120,8 @@ def boundary_kernels(spec, rng, points):
     """(kernel, stacks) pairs for the boundary value, its gradient, the gradient
     along vectors, the inward unit normal, the Newton projection onto b = 0 and
     the boundary test, and every deck face and deck map, at the points and at
-    their projections. Along vectors, a point takes the 1-d ``@`` of the
-    graze event and a stack the ``row_dot`` of lockstep shooting."""
+    their projections. Along vectors, a point takes the 1-d ``@`` and a stack
+    the ``row_dot`` that gives db/dt at step ends (``engine._slope``)."""
     boundary = spec.boundary
 
     def along(x, v):

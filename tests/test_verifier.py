@@ -134,6 +134,22 @@ class TestBoundaryComponents:
         assert comp.count == expected
         assert comp.pairing_ok
 
+    @pytest.mark.parametrize("launches", [32, 48, 64])
+    def test_a_merge_across_a_gap_is_named(self, launches):
+        # the circles of spherical_band are 1.047 apart; at 32 launches the
+        # linking radius, 3 x 0.393, joins them into one component, and the
+        # report names the gap the merge spans
+        rep = certify(make_example("spherical_band"), launches)
+        merges = [d for d in rep.diagnostics if "across a gap" in d]
+        if launches == 32:
+            assert rep.component_count == 1
+            assert merges == ["boundary component 0 joins patches 'south', 'north' across a "
+                              "gap of 1.047, more than twice the 0.3927 sample spacing inside "
+                              "a patch"]
+        else:
+            assert rep.component_count == 2
+            assert not merges
+
     def test_band_involution_swaps_classes(self, specs, sweeps):
         sweep = sweeps["flat_band"]
         arrivals = {p.index: p.arrival_point for p in sweep.paths}
