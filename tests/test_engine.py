@@ -356,9 +356,9 @@ def test_tangencies_do_not_depend_on_the_step_size(grazing_tol, count):
     for scale_hint in (6.0, 12.0):
         spec = eccentric_annulus(scale_hint)
         sweeps.append(first_return_map(spec, sample_boundary(spec, 64), grazing_tol=grazing_tol))
-    coarse, fine = ([path.grazing for path in sweep.paths] for sweep in sweeps)
-    assert sum(coarse) == count
-    assert coarse == fine
+    fine, coarse = ([path.grazing for path in sweep.paths] for sweep in sweeps)
+    assert sum(fine) == count
+    assert fine == coarse
     assert np.max(np.abs(sweeps[0].return_times - sweeps[1].return_times)) <= 1e-12
 
 
