@@ -29,8 +29,8 @@ from .manifest import ManifestError, RunManifest, load_manifold
 from .verifier import LaunchCountError, Tolerances, annotation_checks, certify
 
 # Not called here: bench/spans.py looks these names up on this module to time
-# any recomputation the CLI does after certify (it does none; the one spectrum
-# of a run is solved where spectrum.csv is written, from the report's form).
+# any recomputation the CLI does after certify (it does none; spectrum.csv is
+# the report form's spectrum, whose solve certify started).
 from .jacobi import assemble_index_form, index_form_spectrum, integrate_jacobi_frame  # noqa: F401
 from .verifier import build_soul  # noqa: F401
 
@@ -91,7 +91,8 @@ def _run_spec(spec, manifest: RunManifest, analyses, out_dir, quiet):
                 for p in report.soul_cloud.points:
                     f.write(",".join(f"{c:.17g}" for c in p) + "\n")
         if report.index_form is not None:
-            # the one full spectrum of the run, solved here
+            # the one full spectrum of the run: certify started its solve on a
+            # worker thread when it assembled the form; this read waits for it
             with open(os.path.join(out, "spectrum.csv"), "w", encoding="utf-8") as f:
                 f.write("index,eigenvalue\n")
                 for i, ev in enumerate(report.index_form.eigenvalues):

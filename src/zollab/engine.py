@@ -36,9 +36,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-# the first call of np.unique (or np.setdiff1d) imports numpy.ma, 13 ms; at
-# import, it is set-up time, not a run's
-import numpy.ma  # noqa: F401
 
 from . import rk45
 from .geometry import (
@@ -278,7 +275,7 @@ def _event_roots(events, active, steps, rows, lo, hi):
     def f(t, i):
         y = _step_states(steps, rows[i], t)
         values = np.empty(len(i))
-        for e in np.unique(active[i]):
+        for e in np.flatnonzero(np.bincount(active[i])):
             on = active[i] == e
             values[on] = events[e](None, y[on])
         return values
@@ -658,7 +655,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         if restarts:
             open_chunks(np.array(restarts))
         if done:
-            run = np.setdiff1d(run, done)
+            run = np.delete(run, np.searchsorted(run, done))   # run is sorted
 
     return log.stitch(spec, endings, crossings, nfev, errors, grazing_tol)
 

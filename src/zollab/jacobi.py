@@ -12,8 +12,8 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -301,6 +301,10 @@ def _band_to_dense(band):
     return dense
 
 
+# makes the check and the start of a form's spectrum solve one step
+_SPECTRUM_START = threading.Lock()
+
+
 @dataclass
 class IndexFormMatrix:
     """Discretized index form, stiffness and mass as node blocks.
@@ -317,6 +321,8 @@ class IndexFormMatrix:
     dimension: int
     boundary_block_launch: np.ndarray
     boundary_block_arrival: np.ndarray
+    # the solve of ``eigenvalues`` once started: (worker thread, its error, read)
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def stiffness(self):
@@ -328,10 +334,43 @@ class IndexFormMatrix:
         """Dense copy of the mass matrix, for inspection and reference solves."""
         return _band_to_dense(_band(self.mass_blocks))
 
-    @cached_property
+    def _start_spectrum(self):
+        """Start the ``dsbgv`` solve of the spectrum on a worker thread, once,
+        whichever threads ask.
+
+        The bands and LAPACK's output and work arrays are made here, on the
+        calling thread, so the worker makes only the ``dsbgv`` call, which
+        ctypes makes without the GIL.  Its error is kept for the reader.  The
+        thread is not a daemon: interpreter exit waits for the one solve.
+        """
+        with _SPECTRUM_START:
+            if self._spectrum is None:
+                call, read = _dsbgv_solve(self)
+                error = []
+
+                def solve():
+                    try:
+                        call()
+                    except Exception as exc:  # raised where the spectrum is read
+                        error.append(exc)
+
+                worker = threading.Thread(target=solve, name="index-form spectrum",
+                                          daemon=False)
+                worker.start()
+                self._spectrum = worker, error, read
+        return self._spectrum
+
+    @property
     def eigenvalues(self):
-        """Full ascending generalized spectrum (read-only), solved on first use."""
-        eigs = index_form_eigenvalues(self)
+        """Full ascending generalized spectrum (read-only).  Its solve runs on
+        a worker thread from the first ``_start_spectrum``, which ``certify``
+        makes for the form the report keeps as soon as it is assembled, or
+        else this read; the read waits for it and raises its error."""
+        worker, error, read = self._start_spectrum()
+        worker.join()
+        if error:
+            raise error[0]
+        eigs = read()
         eigs.flags.writeable = False
         return eigs
 
@@ -477,8 +516,11 @@ def _bind_lapack():
 _LAPACK = _bind_lapack()
 
 
-def index_form_eigenvalues(mat: IndexFormMatrix):
-    """Full ascending spectrum of stiffness x = lambda mass x (LAPACK dsbgv)."""
+def _dsbgv_solve(mat: IndexFormMatrix):
+    """The LAPACK ``dsbgv`` solve of the full ascending spectrum of
+    stiffness x = lambda mass x, made ready: ``call()`` makes only the
+    ``dsbgv`` call, on the new bands and arrays made here, and ``read()``
+    then returns the eigenvalues or raises the assembly error of its info."""
     ab, bb = _band(mat.stiffness_blocks), _band(mat.mass_blocks)
     if ab.shape != bb.shape:
         raise ValueError(f"mass band shape {bb.shape} does not match "
@@ -487,11 +529,26 @@ def index_form_eigenvalues(mat: IndexFormMatrix):
     w, z, work = np.empty(dof), np.empty(1), np.empty(3 * dof)   # z: no eigenvectors
     dsbgv, integer, lengths = _LAPACK
     info = integer(0)
-    dsbgv(b"N", b"U", integer(dof), integer(rows - 1), integer(rows - 1), ab, integer(rows),
-          bb, integer(rows), w, z, integer(1), work, info, *lengths)
-    if info.value != 0:
-        raise RuntimeError(f"indefinite assembly error (dsbgv info={info.value})")
-    return w
+    args = (b"N", b"U", integer(dof), integer(rows - 1), integer(rows - 1), ab, integer(rows),
+            bb, integer(rows), w, z, integer(1), work, info, *lengths)
+
+    def call():
+        dsbgv(*args)
+
+    def read():
+        if info.value != 0:
+            raise RuntimeError(f"indefinite assembly error (dsbgv info={info.value})")
+        return w
+
+    return call, read
+
+
+def index_form_eigenvalues(mat: IndexFormMatrix):
+    """Full ascending spectrum of stiffness x = lambda mass x (LAPACK dsbgv),
+    solved on the calling thread."""
+    call, read = _dsbgv_solve(mat)
+    call()
+    return read()
 
 
 def _inertia_counts(mats, neg_tol):

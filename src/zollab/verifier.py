@@ -84,6 +84,17 @@ class Tolerances:
 # ---------------------------------------------------------------------------
 # point-cloud clustering modulo deck maps
 
+def _median(values):
+    """``np.median`` of a non-empty 1-d sequence, bit for bit, without the
+    NaN check through ``numpy.ma`` that loads that module: the middle value
+    of the sorted values, or the mean of the two middle ones; NaN if any is."""
+    s = np.sort(np.asarray(values, dtype=float))
+    mid = len(s) // 2
+    if np.isnan(s[-1]):
+        return float("nan")
+    return float(s[mid]) if len(s) % 2 else float((s[mid - 1] + s[mid]) / 2)
+
+
 def connected_components(adj):
     """The number of connected components of the undirected graph with the
     symmetric boolean adjacency matrix ``adj`` (m, m), and the component of
@@ -108,8 +119,10 @@ def connected_components(adj):
             if np.array_equal(jumped, root):
                 break
             root = jumped
-    roots, labels = np.unique(root, return_inverse=True)
-    return len(roots), labels
+    # the roots renumbered 0, 1, ... in their order
+    is_root = np.zeros(len(adj), dtype=bool)
+    is_root[root] = True
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
 
 
 def _cluster_points(spec, pts, radius):
@@ -157,7 +170,7 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
     cloud = QuotientCloud(spec, launch_set.points)
     D = cloud.pairwise()
     np.fill_diagonal(D, np.inf)  # a sample is no neighbour of itself
-    h_link = link_factor * float(np.median(D.min(axis=1)))
+    h_link = link_factor * _median(D.min(axis=1))
     adj = (D <= h_link)
     same_patch = launch_set.patch_ids[:, None] == launch_set.patch_ids[None, :]
     count, labels = connected_components(adj | same_patch)
@@ -169,7 +182,7 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
                            f"({count} classes found)")
     for c in range(count):
         members = np.flatnonzero(labels == c)
-        patches = np.unique(launch_set.patch_ids[members])
+        patches = np.flatnonzero(np.bincount(launch_set.patch_ids[members]))
         if len(patches) < 2:
             continue
         own, d = same_patch[np.ix_(members, members)], D[np.ix_(members, members)]
@@ -190,7 +203,7 @@ def boundary_components(spec: ManifoldSpec, launch_set: LaunchSet,
         nearest, _ = cloud.nearest(np.array(list(arrivals.values())))
         targets = labels[nearest]
         for c in range(count):
-            pairing[c] = np.unique(targets[sources == c]).tolist()
+            pairing[c] = np.flatnonzero(np.bincount(targets[sources == c])).tolist()
             pairing_ok = pairing_ok and len(pairing[c]) <= 1
     return BoundaryComponents(labels, int(count), sizes, pairing_ok,
                               pairing, diagnostics)
@@ -288,7 +301,7 @@ def build_soul(spec: ManifoldSpec, sweep: SweepResult, tol: Tolerances, n_distan
         images, D = _neighbourhoods(QuotientCloud(spec, reps), SOUL_NEIGHBORS)
         dims, s = _local_pca(images, tol.pca_rel, tol.pca_floor_rel * L)
         local_dims, spectra = dims.tolist(), list(s)
-        d_hat = int(round(float(np.median(local_dims))))
+        d_hat = int(round(_median(local_dims)))
         diameter = float(D.max())
 
     m = len(sweep.paths)
@@ -413,8 +426,8 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
         images, _ = _neighbourhoods(QuotientCloud(spec, pts), kf)
         coords = np.matmul(to_tangent[members][:, None],
                            (images - pts[:, None])[..., None])[..., 0]
-        dims.append(int(round(float(np.median(_local_pca(coords, tol.pca_rel, floor)[0])))))
-    fiber_dim = int(round(float(np.median(dims)))) if dims else None
+        dims.append(int(round(_median(_local_pca(coords, tol.pca_rel, floor)[0]))))
+    fiber_dim = int(round(_median(dims))) if dims else None
     return {"kind": "sphere-bundle", **counts, "partner_residual": None,
             "nontrivial_cover": None, "loop_transport_used": False,
             "fiber_dimension": fiber_dim}, diagnostics
@@ -585,8 +598,8 @@ class ZollReport:
     diagnostics: list = field(default_factory=list)
     tolerances: dict = field(default_factory=dict)
     # intermediates kept for the artifacts, not part of report.json: the
-    # index form of the first returned geodesic, whose spectrum is solved
-    # only where it is written, the soul cloud and the launch sweep
+    # index form of the first returned geodesic, whose spectrum solves on a
+    # worker thread from its assembly on, the soul cloud and the launch sweep
     index_form: Optional[IndexFormMatrix] = field(default=None, repr=False, compare=False,
                                                   metadata={"artifact": True})
     soul_cloud: Optional[SoulCloud] = field(default=None, repr=False, compare=False,
@@ -729,6 +742,11 @@ def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, 
     arrival_norm = 0.0
     frames = integrate_jacobi_frames(spec, [paths[int(i)] for i in spots],
                                      rtol=tol.rtol, atol=tol.atol)
+    # the form the report keeps first: its spectrum solves on a worker thread
+    # while the rest of this analysis, and the later ones, run
+    mats = [assemble_index_form(spec, frame, mesh_size) for frame in frames[:1]]
+    for mat in mats:
+        mat._start_spectrum()
     for frame in frames:
         record = focal_instants(frame)
         focal_indices.append(morse_index_focal(record))
@@ -746,7 +764,7 @@ def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, 
     report.focal_multiplicities = focal_mults
     report.arrival_form_norm = arrival_norm
 
-    mats = [assemble_index_form(spec, frame, mesh_size) for frame in frames[:3]]
+    mats += [assemble_index_form(spec, frame, mesh_size) for frame in frames[1:3]]
     counts = morse_indices_quadratic(mats, neg_tol=tol.neg_eig)
     quad_vals = [kq for kq, _ in counts]
     nullities = [nq for _, nq in counts]

@@ -8,6 +8,7 @@ import ctypes
 import dataclasses
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy import linalg as sla
 
 import zollab.jacobi as jacobi
 import zollab.verifier as verifier
+from zollab.cli import run
 from zollab.jacobi import (
     NEG_EIG_TOL,
     IndexFormMatrix,
@@ -29,7 +31,7 @@ from zollab.jacobi import (
     morse_index_quadratic,
     morse_indices_quadratic,
 )
-from zollab.manifest import load_manifold
+from zollab.manifest import RunManifest, load_manifold
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 from workloads import generate  # noqa: E402
@@ -152,7 +154,7 @@ def test_inertia_counts_match_dsbgv(mesh, catalog_sweeps):
         assert _inertia_counts(mats, NEG_EIG_TOL) == expected
         assert morse_indices_quadratic(mats) == expected
         assert [morse_index_quadratic(mat) for mat in mats] == expected
-        assert not any("eigenvalues" in vars(mat) for mat in mats)  # no spectrum solved
+        assert all(mat._spectrum is None for mat in mats)  # no spectrum solve started
 
 
 def test_singular_pivot_falls_back_to_the_spectrum(specs, frames):
@@ -165,7 +167,7 @@ def test_singular_pivot_falls_back_to_the_spectrum(specs, frames):
     assert _inertia_counts([mat, shifted], NEG_EIG_TOL) == [_spectrum_counts(mat), None]
     assert morse_indices_quadratic([mat, shifted]) == [_spectrum_counts(mat),
                                                        _spectrum_counts(shifted)]
-    assert "eigenvalues" in vars(shifted)
+    assert shifted._spectrum is not None
 
 
 def test_inertia_floor_leaves_the_mass_out():
@@ -227,6 +229,105 @@ def test_mass_not_positive_definite_raises(specs, frames):
 def test_mass_not_positive_definite_raises_with_the_fallback(specs, frames, monkeypatch):
     _scipy_fallback(monkeypatch)
     _assert_broken_masses_raise(_assemble("flat_disk", 64, specs, frames))
+
+
+def _started_pair(mat, mass):
+    """Two copies of ``mat`` with mass blocks ``mass``, each with its solve started."""
+    pair = [dataclasses.replace(mat, mass_blocks=mass) for _ in range(2)]
+    for form in pair:
+        form._start_spectrum()
+    return pair
+
+
+def test_failing_solve_raises_where_it_is_read(specs, frames, monkeypatch):
+    # a solve that fails on the worker thread raises, where and whenever the
+    # spectrum is read, what the calling thread's solve raises; one never
+    # read leaves no unhandled thread exception, and no thread, behind
+    mat = _assemble("flat_disk", 64, specs, frames)
+    threads = set(threading.enumerate())
+    for mass, _ in _broken_masses(mat):
+        with pytest.raises(RuntimeError) as main_thread:
+            index_form_eigenvalues(dataclasses.replace(mat, mass_blocks=mass))
+        assert str(main_thread.value).startswith("indefinite assembly error (dsbgv info=")
+        read, unread = _started_pair(mat, mass)
+        for _ in range(2):
+            with pytest.raises(RuntimeError) as raised:
+                read.eigenvalues
+            assert str(raised.value) == str(main_thread.value)
+        _join(unread)
+
+    # a dsbgv call that raises instead: its exception, at the read
+    def raising(*args):
+        raise ctypes.ArgumentError("argument 6: wrong type")
+
+    monkeypatch.setattr(jacobi, "_LAPACK", (raising, *jacobi._LAPACK[1:]))
+    read, unread = _started_pair(mat, mat.mass_blocks)
+    with pytest.raises(ctypes.ArgumentError, match="^argument 6: wrong type$"):
+        read.eigenvalues
+    _join(unread)
+    assert set(threading.enumerate()) == threads
+
+
+def _join(mat):
+    worker = mat._spectrum[0]
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+
+
+def test_concurrent_first_reads_share_one_solve(specs, frames, monkeypatch):
+    # readers racing to start the spectrum of one fresh form, with threads
+    # switched as often as the interpreter allows: one dsbgv call, one array
+    mat = _assemble("flat_disk", 64, specs, frames)
+    dsbgv, integer, lengths = jacobi._LAPACK
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        dsbgv(*args)
+
+    monkeypatch.setattr(jacobi, "_LAPACK", (counted, integer, lengths))
+    for _ in range(4):
+        form, reads = dataclasses.replace(mat), []
+        readers = [threading.Thread(target=lambda: reads.append(form.eigenvalues))
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(reads) == 8 and all(eigs is reads[0] for eigs in reads)
+    assert len(calls) == 4
+
+
+def test_report_spectrum_is_the_spectrum(tmp_path, monkeypatch):
+    # the ball3-index seed-1 run: certify starts the report form's solve on a
+    # worker thread; it is the spectrum the calling thread solves, read once
+    # and kept, from the run's one dsbgv call, and no thread outlives the run
+    manifest, _ = generate("ball3-index", 1)
+    dsbgv, integer, lengths = jacobi._LAPACK
+    callers = []
+
+    def counted(*args):
+        callers.append(threading.get_ident())
+        dsbgv(*args)
+
+    monkeypatch.setattr(jacobi, "_LAPACK", (counted, integer, lengths))
+    threads = set(threading.enumerate())
+    code, report = run(RunManifest.from_dict(manifest), out_dir=str(tmp_path), quiet=True)
+    assert code == 0
+    assert set(threading.enumerate()) == threads
+    eigs = report.index_form.eigenvalues
+    assert report.index_form.eigenvalues is eigs and not eigs.flags.writeable
+    assert len(callers) == 1 and callers[0] != threading.get_ident()
+    monkeypatch.undo()
+    assert eigs.tobytes() == index_form_eigenvalues(report.index_form).tobytes()
+    rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 1], eigs)
 
 
 def test_mismatched_band_shapes_rejected(specs, frames):

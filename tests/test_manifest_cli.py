@@ -694,3 +694,26 @@ def test_runs_load_no_scipy(tmp_path):
                                          "soul.csv", "spectrum.csv"}),
                             ("inline", {"report.json", "geodesics.csv", "sweep.json"})):
         assert set(os.listdir(tmp_path / name)) == artifacts
+
+
+def test_catalog_workload_runs_load_no_numpy_ma(tmp_path):
+    # np.unique, np.setdiff1d and np.median look numpy.ma up, which imports
+    # it; the package calls none of them, so seed 1 of the ball3-index and
+    # torus-quotient benchmark workloads, artifacts written, leave it unloaded
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    code = ("import sys, zollab.cli\n"
+            f"sys.path.insert(0, {bench!r})\n"
+            "from workloads import generate\n"
+            "from zollab.manifest import RunManifest\n"
+            "for name in ('ball3-index', 'torus-quotient'):\n"
+            "    manifest = RunManifest.from_dict(generate(name, 1)[0])\n"
+            f"    code, _ = zollab.cli.run(manifest, out_dir={str(tmp_path)!r} + '/' + name,\n"
+            "                             quiet=True)\n"
+            "    assert code == 0, name\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(zollab.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout == "False\n"
