@@ -402,13 +402,25 @@ def rotation_isometry(alpha):
     return Isometry(f"rotation({alpha:g})", rot, rot.T)
 
 
+def _weyl_points(count, dim):
+    """The points k (sqrt 2, sqrt 3, sqrt 5, ...) mod 1, k = 1..count, with the
+    square roots of the first ``dim`` primes: equidistributed in [0, 1)^dim,
+    since those roots and 1 are linearly independent over the rationals."""
+    primes = []
+    k = 2
+    while len(primes) < dim:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return np.outer(np.arange(1, count + 1), np.sqrt(primes)) % 1.0
+
+
 def isometry_residual(base: ManifoldSpec, iso: Isometry):
-    """Worst deviation, over about 40 boundary points x drawn with a fixed seed,
-    of A^T g(Ax) A from g(x), of the inverse applied to Ax from x, and of b(Ax)
-    from b(x), for A = ``iso.matrix``."""
-    rng = np.random.default_rng(0)
+    """Worst deviation, over about 40 boundary points x at parameters of a
+    Weyl sequence, of A^T g(Ax) A from g(x), of the inverse applied to Ax from
+    x, and of b(Ax) from b(x), for A = ``iso.matrix``."""
     per = max(40 // max(len(base.boundary_patches), 1), 4)
-    x = np.concatenate([patch.points(rng.random((per, patch.param_dim)))
+    x = np.concatenate([patch.points(_weyl_points(per, patch.param_dim))
                         for patch in base.boundary_patches])
     A = iso.matrix
     y = np.matmul(A, x[..., None])[..., 0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,16 +57,24 @@ def _central_difference(f, x):
 # C pow on finite values, faster, but raises where pow overflows or has no
 # real value, and handles non-finite values itself.
 _SCALAR_POW = np.frompyfunc(lambda a, b: np.float64(a) ** b, 2, 1)
-_LIBM_POW = np.frompyfunc(math.pow, 2, 1)
 
 
 def scalar_pow(a, b):
     """``a ** b`` elementwise, bit for bit what a numpy scalar ``**`` gives per value."""
     if isinstance(a, float) and isinstance(b, (int, float)):
         return np.float64(a) ** b
-    if np.isfinite(a).all() and np.isfinite(b).all():
+    a = np.asarray(a, dtype=float)
+    if isinstance(b, (int, float)):
+        finite, exponents = math.isfinite(b), repeat(b)
+    else:
+        b = np.asarray(b, dtype=float)
+        if b.shape != a.shape:
+            a, b = np.broadcast_arrays(a, b)
+        finite, exponents = np.isfinite(b).all(), b.ravel().tolist()
+    if finite and np.isfinite(a).all():
         try:
-            return np.asarray(_LIBM_POW(a, b), dtype=float)
+            return np.fromiter(map(math.pow, a.ravel().tolist(), exponents), float,
+                               a.size).reshape(a.shape)
         except (ValueError, OverflowError):
             pass
     return np.asarray(_SCALAR_POW(a, b), dtype=float)

@@ -483,6 +483,27 @@ class TestCLI:
          "patch dim must be an integer in 1..1, not 0"),
         ({"manifold": {"catalog": "euclidean_ball", "params": {"n": 1}}},
          "parameter violates example validity: need n >= 2, radius > 0"),
+        # an expression, or a derivative of one, that has no numpy code, calls
+        # a name numpy does not define or a math function, which takes no
+        # stack of points: refused at load, not at the first call of its code
+        ({"boundary": "x0*(2 - x0)/2 + LambertW(x1)/100"}, "boundary entry "
+         "x0*(2 - x0)/2 + LambertW(x1)/100 needs 'LambertW', which numpy does not define"),
+        ({"point": "besselj(1, u0)"}, "patch 'bottom' point entry besselj(1, u0) needs "
+                                      "'besselj', which numpy does not define"),
+        ({"entries": [["1 + gamma(x0 + 3)/100", "0"], ["0", "1"]]},
+         "metric jet entry gamma(x0 + 3)/100 + 1 needs math.gamma, which takes no arrays"),
+        ({"entries": [["1 + loggamma(x0 + 3)/100", "0"], ["0", "1"]]},
+         "metric jet entry loggamma(x0 + 3)/100 + 1 needs math.lgamma, which takes no arrays"),
+        ({"boundary": "x0*(2 - x0)/2 + sign(x1)/100"}, "boundary gradient entry "
+         "DiracDelta(x1)/50 needs 'DiracDelta', which numpy does not define"),
+        ({"boundary": "x0*(2 - x0)/2 + Heaviside(x1)/100"}, "boundary gradient entry "
+         "DiracDelta(x1)/100 needs 'DiracDelta', which numpy does not define"),
+        ({"boundary": "x0*(2 - x0)/2 + floor(x1)/100"},
+         "boundary gradient entry Derivative(floor(x1), x1)/100 has no numpy code"),
+        ({"entries": [["1 + zeta(x0 + 3)/100", "0"], ["0", "1"]]}, "metric jet entry "
+         "Subs(Derivative(zeta(_xi_1), _xi_1), _xi_1, x0 + 3)/100 has no numpy code"),
+        ({"boundary": "x0*(2 - x0)/2 + erf(x1)/100"}, "boundary entry "
+         "x0*(2 - x0)/2 + erf(x1)/100 needs math.erf, which takes no arrays"),
     ])
     def test_malformed_manifest_usage_error(self, edit, message, tmp_path, capsys):
         inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))
@@ -500,6 +521,19 @@ class TestCLI:
         mpath.write_text(json.dumps(doc) if text is None else text)
         assert main(["analyze", "--manifest", str(mpath)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unusable_hessian_is_refused_on_certify(self, tmp_path, capsys):
+        # certify never reads the boundary Hessian, but every compiled entry
+        # is checked at load: |x1|'s second derivative is a DiracDelta
+        inline = json.loads(json.dumps(INLINE_CYLINDER["inline"]))
+        inline["boundary"]["expression"] = "x0*(2 - x0)/2 + Abs(x1)/100"
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"manifold": {"inline": inline}, "launches": 32,
+                                     "out_dir": str(tmp_path / "out")}))
+        assert main(["certify", "--manifest", str(mpath)]) == zollab.cli.USAGE_ERROR
+        assert capsys.readouterr().err == ("error: boundary Hessian entry DiracDelta(x1)/50 "
+                                           "needs 'DiracDelta', which numpy does not define\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--seed", "-1"], "seed must be non-negative, not -1"),
@@ -696,24 +730,29 @@ def test_runs_load_no_scipy(tmp_path):
         assert set(os.listdir(tmp_path / name)) == artifacts
 
 
-def test_catalog_workload_runs_load_no_numpy_ma(tmp_path):
+def test_workload_runs_load_no_unused_numpy_module(tmp_path):
     # np.unique, np.setdiff1d and np.median look numpy.ma up, which imports
-    # it; the package calls none of them, so seed 1 of the ball3-index and
-    # torus-quotient benchmark workloads, artifacts written, leave it unloaded
+    # it; np.random draws the mapping torus's isometry points; lambdify's
+    # numpy namespace star-imports numpy, whose __all__ names numpy.ma,
+    # numpy.f2py, numpy.testing (and through it unittest) and numpy.random.
+    # The package does none of them, so seed 1 of each benchmark workload,
+    # set up and run with artifacts written, leaves all of them unloaded
     bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
     code = ("import sys, zollab.cli\n"
             f"sys.path.insert(0, {bench!r})\n"
-            "from workloads import generate\n"
+            "from workloads import WORKLOADS, generate\n"
             "from zollab.manifest import RunManifest\n"
-            "for name in ('ball3-index', 'torus-quotient'):\n"
+            "for name in WORKLOADS:\n"
             "    manifest = RunManifest.from_dict(generate(name, 1)[0])\n"
             f"    code, _ = zollab.cli.run(manifest, out_dir={str(tmp_path)!r} + '/' + name,\n"
             "                             quiet=True)\n"
             "    assert code == 0, name\n"
-            "print('numpy.ma' in sys.modules)\n")
+            "print(sorted(set(sys.modules) & {'numpy.ma', 'numpy.f2py', 'numpy.testing',\n"
+            "                                 'numpy.random', 'unittest'}))\n")
     src = os.path.dirname(os.path.dirname(zollab.cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=300)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
+    assert sorted(os.listdir(tmp_path)) == ["ball3-index", "inline-cap-sweep", "torus-quotient"]

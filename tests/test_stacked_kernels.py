@@ -87,8 +87,11 @@ def point_kernels(metric, rng, points):
 
 @pytest.mark.parametrize("exponent", [2, 3, -1, -2, 7, 0.5, -0.2, 1.5, 2.5])
 def test_scalar_pow_is_the_numpy_scalar_power(exponent, rng):
+    # negative bases (no real value at 0.5, 1.5), zeros, overflow, subnormal
+    # bases and bases whose powers are subnormal
     finite = np.concatenate([rng.uniform(-3.0, 3.0, 400), rng.lognormal(0.0, 30.0, 400),
-                             [0.0, -0.0, 1e300, -1e300, 1e-300, 5e-324]])
+                             [0.0, -0.0, 1e300, -1e300, 1e-300, 5e-324, -5e-324, 1e-310,
+                              -2.2e-308, 1e-160, -1e-160, 3e-155]])
     special = np.array([np.inf, -np.inf, np.nan, 2.0])
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
@@ -97,6 +100,27 @@ def test_scalar_pow_is_the_numpy_scalar_power(exponent, rng):
             assert scalar_pow(base, exponent).tobytes() == want.tobytes()
             for a, w in zip(base[::37], want[::37]):
                 assert np.float64(scalar_pow(np.float64(a), exponent)).tobytes() == w.tobytes()
+
+
+def test_scalar_pow_takes_exponent_arrays(rng):
+    # an exponent per value, bases and exponents broadcast against each other,
+    # one-element stacks: each value is the numpy scalar power of its pair
+    base = np.concatenate([rng.uniform(-3.0, 3.0, 60), [0.0, -0.0, 1e-310, 1e300, -2.0]])
+    exps = np.array([2, 3, -1, -2, 0.5, 1.5, 1 / 3, 0.0, np.inf, np.nan])
+    per_value = rng.choice(exps, base.size)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        grid = scalar_pow(base[:, None], exps)
+        assert grid.shape == (base.size, exps.size)
+        assert grid.tobytes() == np.array([[np.float64(a) ** b for b in exps]
+                                           for a in base]).tobytes()
+        want = np.array([np.float64(a) ** b for a, b in zip(base, per_value)])
+        assert scalar_pow(base, per_value).tobytes() == want.tobytes()
+        for a, b, w in zip(base, per_value, want):
+            assert scalar_pow(np.array([a]), b).tobytes() == w.tobytes()
+            assert scalar_pow(np.array([a]), np.array([b])).tobytes() == w.tobytes()
+        assert scalar_pow(2, base[:5]).tobytes() == np.array(
+            [np.float64(2.0) ** b for b in base[:5]]).tobytes()
 
 
 @pytest.mark.parametrize("name,params", CATALOG_CASES,
