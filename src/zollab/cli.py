@@ -44,7 +44,8 @@ def _load_spec(manifest: RunManifest):
     try:
         return load_manifold(manifest.manifold)
     except (KeyError, ManifestError, ExampleParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return None
 
 

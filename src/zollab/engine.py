@@ -1,13 +1,13 @@
 """Geodesic shooting from the boundary with first-return event detection.
 
 Geodesics are launched along the inward unit normal and integrated with an
-adaptive embedded Runge-Kutta pair, whose dense output a flow keeps once, as
-the table of its steps' polynomials (``FlowResult.steps``). Boundary returns
-are located by bracketed root refinement on them. Every step whose ends show
-a local minimum of b inside it (from b and db/dt there) is searched for it
-on its step polynomial; each minimum is a tangency candidate, and the first
-where b < 0 cuts the flow at the exit it proves. Exits through deck faces of
-the fundamental domain are handled by teleporting the state.
+adaptive embedded Runge-Kutta pair, whose dense output an integration keeps
+once, as one table of step polynomials its flows share. Boundary returns are
+located by bracketed root refinement on them. Every step whose two samples
+show a local minimum of b between them (from b and db/dt there) is searched
+for it on its step polynomial; each minimum is a tangency candidate, and the
+first where b < 0 cuts the flow at the exit it proves. Exits through deck
+faces of the fundamental domain are handled by teleporting the state.
 
 Every run integrates through ``lockstep_flows``, which steps a stack of
 states together: the launches of a sweep, or the Jacobi frames of the
@@ -20,9 +20,10 @@ together on the step polynomials by the stacked ``brentq`` of
 once per iteration. ``integrate_flow`` integrates one state
 with scipy's ``solve_ivp``, imported on its first call so that a run loads
 no scipy; it is the one-state reference the tests compare
-``lockstep_flows`` against, flow by flow and bit for bit. Both keep their
-chunks in the same record, ``_StepLog``, which stitches every flow at the
-end: one sort of the log, one search for the local minima of b inside the
+``lockstep_flows`` against, flow by flow and bit for bit. Both log only the
+samples and steps RK45 gives, in one record, ``_StepLog``, whose ``stitch``
+makes every flow at the end: one sort of the log into one step table, the
+flags of every step from its samples, one search for the minima of b in the
 flagged steps, and each flow's exit cut.
 
 A sweep (``first_return_map``) keeps one record per returned geodesic, its
@@ -32,7 +33,6 @@ that does not return keeps only its index and error message.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -81,19 +81,23 @@ def _step_states(steps, rows, t):
 
 
 class _FlowTable:
-    """The step tables of flows, concatenated: the states of many flows, each
-    at its own time, read off one step table."""
+    """The step table of one integration's flows: the polynomials ``steps`` =
+    (Q, y_old, t_old, h) of every step, sorted by flow, flow i's steps in the
+    ``count[i]`` rows from ``first[i]`` and its time range [t_first[i],
+    t_last[i]]; the states of many flows, each at its own time, read off it
+    in one call."""
 
-    def __init__(self, flows):
-        self.steps = tuple(map(np.concatenate, zip(*(flow.steps for flow in flows))))
-        counts = [len(flow.steps[2]) for flow in flows]
-        self.first = np.cumsum([0] + counts[:-1])
+    def __init__(self, steps, flow_of_step, t_first, t_last):
+        self.steps = steps
+        for a in steps:
+            a.flags.writeable = False
+        self.first = np.searchsorted(flow_of_step, np.arange(len(t_first)))
+        self.count = np.diff(np.append(self.first, len(flow_of_step)))
         # each flow's step start times, padded with inf
-        self.starts = np.full((len(flows), max(counts, default=0)), np.inf)
-        for k, flow in enumerate(flows):
-            self.starts[k, :counts[k]] = flow.steps[2]
-        self.t_first = np.array([flow.times[0] for flow in flows])
-        self.t_last = np.array([flow.times[-1] for flow in flows])
+        self.starts = np.full((len(t_first), self.count.max(initial=0)), np.inf)
+        row = np.arange(len(flow_of_step)) - self.first[flow_of_step]
+        self.starts[flow_of_step, row] = steps[2]
+        self.t_first, self.t_last = t_first, t_last
 
     def rows(self, flows, t):
         """The step of flow ``flows[i]`` at t[i] (index and time arrays (k,)),
@@ -116,13 +120,15 @@ class _FlowTable:
 
 @dataclass
 class FlowResult:
-    """A flow's samples, step table and events, its chunks stitched in time
-    order. ``nfev`` and ``n_steps`` count all the integration done, past the
-    exit of a flow cut at a boundary crossing (``_StepLog.stitch``) too."""
+    """A flow's samples, steps and events, its chunks stitched in time order:
+    flow ``index`` of the step ``table`` its integration shares. ``nfev`` and
+    ``n_steps`` count all the integration done, past the exit of a flow cut
+    at a boundary crossing (``_StepLog.stitch``) too."""
 
     times: np.ndarray            # stitched sample times
     states: np.ndarray           # (k, len(y)) stitched samples
-    steps: tuple                 # (Q, y_old, t_old, h) polynomial of every step, stacked
+    table: _FlowTable            # the step table of the flow's integration
+    index: int                   # the flow's index in it
     status: str                  # "boundary" | "t_end"
     event_time: Optional[float]
     event_state: Optional[np.ndarray]
@@ -135,9 +141,12 @@ class FlowResult:
     def grazing(self):
         return bool(self.grazing_times)
 
-    @cached_property
-    def _table(self):
-        return _FlowTable([self])
+    @property
+    def steps(self):
+        """(Q, y_old, t_old, h) polynomial of every step of the flow: a
+        read-only view of its rows of ``table``."""
+        first = self.table.first[self.index]
+        return tuple(a[first:first + self.table.count[self.index]] for a in self.table.steps)
 
     def state_at(self, t):
         """State at time t, or the (k, len(y)) states at the times of an array (k,).
@@ -147,8 +156,8 @@ class FlowResult:
         polynomials are evaluated here.
         """
         t = np.asarray(t, dtype=float)
-        return self._table.states(np.zeros(t.size, dtype=int),
-                                  t.reshape(-1)).reshape(t.shape + (-1,))
+        return self.table.states(np.full(t.size, self.index),
+                                 t.reshape(-1)).reshape(t.shape + (-1,))
 
 
 def geodesic_rhs(spec: ManifoldSpec):
@@ -252,12 +261,6 @@ def _chunk_end(spec, t_stop, fired, crossings, vector_blocks, detect_boundary):
     return "deck", t_stop, y_new
 
 
-def _slope(spec, y):
-    """db/dt of a flow at the state y (N,), or at each row of a stack (m, N)."""
-    n = spec.dimension
-    return row_dot(spec.boundary.gradient(y[..., :n]), y[..., n:2 * n])
-
-
 def _holds_dip(b0, s0, b1, s1):
     """Whether a step, where b and db/dt are b0 and s0 at its start and b1 and
     s1 at its end, holds a local minimum of b: db/dt rises through 0 (a value
@@ -290,11 +293,12 @@ def _active_events(g, g_new):
     return (g >= 0) & (g_new <= 0)
 
 
-def _hidden_dips(spec, steps, rows):
-    """Where b has its local minimum inside each of the steps ``rows`` of the
-    step table ``steps``, sought on the step polynomial: the least b of
-    ``DIP_SAMPLES`` + 1 even samples, refined by bounded Brent
-    (``minimize_bounded``) between the samples next to it; every step at once."""
+def _hidden_dips(spec, steps, rows, spans):
+    """Where b has its local minimum on each of the steps ``rows`` of the step
+    table ``steps``, between its start and the ``spans`` after it, sought on
+    the step polynomial: the least b of ``DIP_SAMPLES`` + 1 even samples,
+    refined by bounded Brent (``minimize_bounded``) between the samples next
+    to it; every step at once."""
     m = len(rows)
     if not m:
         return np.empty(0)
@@ -303,7 +307,7 @@ def _hidden_dips(spec, steps, rows):
     def b_at(t, i):
         return spec.boundary.value(_step_states(steps, rows[i], t)[:, :n])
 
-    ts = steps[2][rows, None] + steps[3][rows, None] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
+    ts = steps[2][rows, None] + spans[:, None] * np.linspace(0.0, 1.0, DIP_SAMPLES + 1)
     j = np.argmin(b_at(ts.ravel(), np.repeat(np.arange(m), DIP_SAMPLES + 1)).reshape(ts.shape),
                   axis=1)
     every = np.arange(m)
@@ -316,22 +320,26 @@ def _hidden_dips(spec, steps, rows):
 
 def _cut_at_exit(flow, spec, t_dip):
     """The flow cut where b first vanishes on the step of the candidate t_dip,
-    between the step's start and t_dip, found as an event's root is."""
+    between the step's start and t_dip, found as an event's root is. The
+    flow's range in its table ends there: its steps that start before the
+    exit, up to the exit."""
     n = spec.dimension
+    table, i = flow.table, flow.index
     t_dip = np.array([t_dip])
-    row, _ = flow._table.rows(np.zeros(1, dtype=int), t_dip)
-    start = flow.steps[2][row]
-    if not spec.boundary.value(_step_states(flow.steps, row, start)[0, :n]) > 0:
+    row, _ = table.rows(np.array([i]), t_dip)
+    start = table.steps[2][row]
+    if not spec.boundary.value(_step_states(table.steps, row, start)[0, :n]) > 0:
         # only a launch step starts on the boundary
         raise IntegrationError(f"geodesic leaves {spec.name!r} within its first step")
     hit = _event_functions(spec, True)[0][0]
-    t_exit = _event_roots([hit], np.zeros(1, dtype=int), flow.steps, row, start, t_dip)
-    y_exit = _step_states(flow.steps, row, t_exit)[0]
+    t_exit = _event_roots([hit], np.zeros(1, dtype=int), table.steps, row, start, t_dip)
+    y_exit = _step_states(table.steps, row, t_exit)[0]
     t_exit = float(t_exit[0])
+    table.count[i] = np.count_nonzero(table.starts[i] < t_exit)
+    table.t_last[i] = t_exit
     kept = flow.times < t_exit
     return replace(flow, times=np.append(flow.times[kept], t_exit),
                    states=np.vstack([flow.states[kept], y_exit]),
-                   steps=tuple(a[flow.steps[2] < t_exit] for a in flow.steps),
                    status="boundary", event_time=t_exit, event_state=y_exit,
                    deck_crossings=[c for c in flow.deck_crossings if c[0] < t_exit])
 
@@ -352,8 +360,8 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
     leading n entries of the state are always the chart position.
 
     Each ``solve_ivp`` call is one chunk of a ``_StepLog``, which stitches the
-    flow as it does those of ``lockstep_flows``; its samples, steps and the
-    steps that hold a dip of b are read off scipy's output.
+    flow as it does those of ``lockstep_flows``; its samples and steps are
+    read off scipy's output.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = 0.0
@@ -374,18 +382,10 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
         # the one place scipy's interpolants are read
         steps = tuple(map(np.array, zip(*[(p.Q, p.y_old, p.t_old, p.h)
                                           for p in sol.sol.interpolants])))
-        chunk = log.open(np.zeros(1, dtype=int), np.array([t]), y[None])
-        rows = np.repeat(chunk, len(sol.t) - 1)
-        holds = np.zeros(len(rows), dtype=bool)
-        if detect_boundary:
-            # b and db/dt at each sample, as the lockstep stepper has them
-            b, slope = np.array([(all_events[0](t_, y_), _slope(spec, y_))
-                                 for t_, y_ in zip(sol.t, sol.y.T)]).T
-            holds = _holds_dip(b[:-1], slope[:-1], b[1:], slope[1:])
+        rows = np.repeat(log.open(np.zeros(1, dtype=int), np.array([t]), y[None]),
+                         len(sol.t) - 1)
         log.samples.append((rows, sol.t[1:], sol.y.T[1:]))
-        log.steps.append((rows, *steps, holds))
-        if sol.status == 1:
-            log.stopped.append(chunk)
+        log.steps.append((rows, *steps))
         # every event is terminal, so only the one that ended the chunk has a root
         fired = next(((tag, y_e[-1].copy()) for tag, y_e in zip(tags, sol.y_events)
                       if len(y_e)), None)
@@ -393,7 +393,7 @@ def integrate_flow(spec, rhs, y0, t_end, *, vector_blocks, detect_boundary=True,
                                   detect_boundary)
         if status != "deck":
             return log.stitch(spec, [(status, t, y)], [crossings], [nfev], [None],
-                              grazing_tol)[0]
+                              detect_boundary, grazing_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +411,18 @@ def _by_flow(parts, flow_of):
 
 class _StepLog:
     """The record of a run's flows, as arrays: the flow of each chunk,
-    numbered as they open, and the samples and steps of the chunks, each row
-    tagged with its chunk and appended in time order, each step with whether
-    its end values show a local minimum of b inside it. Each integrator
-    appends to it as it goes, ``lockstep_flows`` once per iteration and
-    ``integrate_flow`` once per ``solve_ivp`` call, and ``stitch`` makes the
-    flows of it at the end."""
+    numbered as they open, and the samples and step polynomials of the
+    chunks, each row tagged with its chunk and appended in time order. Each
+    integrator appends what RK45 gives as it goes, ``lockstep_flows`` once
+    per iteration and ``integrate_flow`` once per ``solve_ivp`` call, and
+    ``stitch`` makes the flows of it at the end."""
 
     def __init__(self, N):
         self.count = 0
         self.flows = []
         self.samples = []             # (chunk, t, y): chunk openings and step ends
         self.steps = [(np.empty(0, dtype=int), np.empty((0, N, rk45.P.shape[1])),
-                       np.empty((0, N)), np.empty(0), np.empty(0), np.empty(0, dtype=bool))]
-        self.stopped = [np.empty(0, dtype=int)]  # chunks a terminal event ended
+                       np.empty((0, N)), np.empty(0), np.empty(0))]
 
     def open(self, flows, t, y):
         """Open a chunk of each of the ``flows`` at the times t and states y,
@@ -435,52 +433,60 @@ class _StepLog:
         self.samples.append((chunks, t, y))
         return chunks
 
-    def stitch(self, spec, endings, crossings, nfev, errors, grazing_tol):
+    def stitch(self, spec, endings, crossings, nfev, errors, detect_boundary, grazing_tol):
         """The flows of the log: flow i ends as ``endings[i]`` (status, event
         time, event state) says, with the deck ``crossings[i]`` and ``nfev[i]``
         right-hand-side evaluations. A stable sort by flow puts the log in
-        (flow, chunk) order, so each ``FlowResult`` is a slice of it, and one
-        ``_hidden_dips`` call finds the local minimum of b in every flagged
-        step, in that order. In a chunk a terminal event ended, the end values
-        of the last step do not count, so it is not searched (the stopped
-        step, or the step before it where the stopped one was dropped).
+        (flow, chunk) order, and every flow reads its steps off the one
+        ``_FlowTable`` of the sorted steps.
 
-        Every such minimum is a tangency candidate, grazing where
-        |b| < grazing_tol. The first where b < 0 proves that the flow left M
-        inside its step, and ``_cut_at_exit`` ends the flow there; ``nfev``
-        and ``n_steps`` still count the integration past the exit. The first
-        error in flow order is raised: ``errors[i]``, or ``_cut_at_exit``'s.
+        Where boundary returns are detected, each step's ends are its own
+        sample and the one before it in its chunk; a step that a terminal
+        event stopped ends at the event's root. A step whose ends show a
+        local minimum of b (``_holds_dip`` on b and db/dt there) is searched
+        for it from its start to its end, all flagged steps by one
+        ``_hidden_dips`` call. Every such minimum is a tangency candidate,
+        grazing where |b| < grazing_tol. The first where b < 0 proves that
+        the flow left M inside its step, and ``_cut_at_exit`` ends the flow
+        there; ``nfev`` and ``n_steps`` still count the integration past the
+        exit. The first error in flow order is raised: ``errors[i]``, or
+        ``_cut_at_exit``'s.
         """
-        n = spec.dimension
+        n, m = spec.dimension, len(endings)
         flow_of = np.concatenate(self.flows)
         sample_chunk, times, states = _by_flow(self.samples, flow_of)
-        chunk, Q, y_old, t_old, h, holds = _by_flow(self.steps, flow_of)
-        stopped = np.zeros(self.count, dtype=bool)
-        stopped[np.concatenate(self.stopped)] = True
-        final = np.append(chunk[1:] != chunk[:-1], True)  # each chunk's last step
-        holds[final & stopped[chunk]] = False
-        searched = np.flatnonzero(holds)
-        candidates = _hidden_dips(spec, (Q, y_old, t_old, h), searched)
-        sample_first, step_first, candidate_first = (
-            np.searchsorted(f, np.arange(len(endings) + 1)).tolist()
-            for f in (flow_of[sample_chunk], flow_of[chunk], flow_of[chunk[searched]]))
+        chunk, *steps = _by_flow(self.steps, flow_of)
+        steps, step_flow = tuple(steps), flow_of[chunk]
+        sample_first = np.searchsorted(flow_of[sample_chunk], np.arange(m + 1))
+        table = _FlowTable(steps, step_flow, times[sample_first[:-1]], times[sample_first[1:] - 1])
+        searched, candidates, b = np.empty(0, dtype=int), np.empty(0), np.empty(0)
+        if detect_boundary:
+            # b and db/dt at every sample; each step's end sample is one of
+            # those that open no chunk, and the sample before it its start
+            end = np.flatnonzero(np.append(False, sample_chunk[1:] == sample_chunk[:-1]))
+            x, v = states[:, :n], states[:, n:2 * n]
+            b_end, slope = spec.boundary.value(x), row_dot(spec.boundary.gradient(x), v)
+            searched = np.flatnonzero(_holds_dip(b_end[end - 1], slope[end - 1],
+                                                 b_end[end], slope[end]))
+            candidates = _hidden_dips(spec, steps, searched,
+                                      times[end[searched]] - steps[2][searched])
+            b = spec.boundary.value(table.states(step_flow[searched], candidates)[:, :n])
+        candidate_first = np.searchsorted(step_flow[searched], np.arange(m + 1)).tolist()
 
         flows = []
         for i, (ending, error) in enumerate(zip(endings, errors)):
             if error is not None:
                 raise error
             samples = slice(sample_first[i], sample_first[i + 1])
-            rows = slice(step_first[i], step_first[i + 1])
-            flow = FlowResult(times[samples], states[samples],
-                              (Q[rows], y_old[rows], t_old[rows], h[rows]), *ending, [],
-                              crossings[i], int(nfev[i]), rows.stop - rows.start)
-            tg = candidates[candidate_first[i]:candidate_first[i + 1]]
-            if tg.size:
-                b = spec.boundary.value(flow.state_at(tg)[:, :n])
-                exits = np.flatnonzero(b < 0)
+            flow = FlowResult(times[samples], states[samples], table, i, *ending, [],
+                              crossings[i], int(nfev[i]), int(table.count[i]))
+            lo, hi = candidate_first[i], candidate_first[i + 1]
+            if hi > lo:
+                tg, b_tg = candidates[lo:hi], b[lo:hi]
+                exits = np.flatnonzero(b_tg < 0)
                 # the exit's own tangency counts, whichever side of b = 0 rounding puts it
-                last = exits[0] + 1 if exits.size else len(b)
-                flow.grazing_times = tg[:last][np.abs(b[:last]) < grazing_tol].tolist()
+                last = exits[0] + 1 if exits.size else len(b_tg)
+                flow.grazing_times = tg[:last][np.abs(b_tg[:last]) < grazing_tol].tolist()
                 if exits.size:
                     flow = _cut_at_exit(flow, spec, float(tg[exits[0]]))
             flows.append(flow)
@@ -520,8 +526,8 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     max_step = MAX_STEP_SCALE * spec.scale_hint
     rtol, atol = rk45.validate_tol(rtol, atol, N)
 
-    # the flows' event functions, their values (G) and db/dt (S) at each
-    # flow's last step end, and the events each flow's chunk watches (W)
+    # the flows' event functions, their values (G) at each flow's last step
+    # end, and the events each flow's chunk watches (W)
     events, tags = _event_functions(spec, detect_boundary)
     log = _StepLog(N)
     endings, errors = [None] * m, [None] * m
@@ -529,7 +535,6 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
     T = np.zeros(m)
     F = np.empty((m, N))
     G = np.empty((m, len(events)))
-    S = np.empty(m)
     W = np.empty((m, len(events)), dtype=bool)
     H = np.empty(m)
     chunk = np.empty(m, dtype=int)      # each flow's open chunk
@@ -541,8 +546,6 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         y = Y[rows]
         F[rows] = rhs(None, y)
         G[rows] = _event_values(events, y)
-        if detect_boundary:
-            S[rows] = _slope(spec, y)
         W[rows] = _watched_events(spec, y, G[rows], tags)
         H[rows], probed = rk45.initial_steps(rhs, y, F[rows], T_end[rows] - T[rows],
                                              max_step, rtol, atol)
@@ -595,15 +598,10 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         F[acc] = K[ok, -1]
         fresh[acc] = True
         Q = np.matmul(K[ok].swapaxes(1, 2), rk45.P)
-        # the events of every accepted geodesic at its step end, whether its
-        # step holds a local minimum of b, and the watched events that fire in it
+        # the events of every accepted geodesic at its step end, and the
+        # watched events that fire in it
         g, g_new = G[acc], _event_values(events, y_new)
         G[acc] = g_new
-        holds = np.zeros(len(acc), dtype=bool)
-        if detect_boundary:
-            s, s_new = S[acc], _slope(spec, y_new)
-            S[acc] = s_new
-            holds = _holds_dip(g[:, 0], s, g_new[:, 0], s_new)
         active = _active_events(g, g_new) & W[acc]
 
         # each step's sample: its end, or where the terminal event that ends
@@ -629,9 +627,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         # solve_ivp drops a step that ends where the one before it did
         logged = ~(stopped & (t_stop == t) & (t != T_open[acc]))
         log.samples.append((chunk[acc[logged]], t_stop[logged], y_stop[logged]))
-        log.steps.append((chunk[acc[logged]], Q[logged], y[logged], t[logged], h[logged],
-                          holds[logged]))
-        log.stopped.append(chunk[acc[stopped]])
+        log.steps.append((chunk[acc[logged]], Q[logged], y[logged], t[logged], h[logged]))
 
         ending = np.flatnonzero(stopped | (t_new - T_end[acc] >= 0))
         if not ending.size:
@@ -657,7 +653,7 @@ def lockstep_flows(spec: ManifoldSpec, rhs, y0, t_end, *, vector_blocks, detect_
         if done:
             run = np.delete(run, np.searchsorted(run, done))   # run is sorted
 
-    return log.stitch(spec, endings, crossings, nfev, errors, grazing_tol)
+    return log.stitch(spec, endings, crossings, nfev, errors, detect_boundary, grazing_tol)
 
 
 def _apply_deck_to_state(deck, y, n, vector_blocks):
@@ -858,18 +854,17 @@ class SweepResult:
         rt = self.return_times
         return float(rt.mean() / 2.0) if rt.size else None
 
-    @cached_property
-    def _table(self):
-        return _FlowTable([p.flow for p in self.paths])
-
     def states_at(self, t, paths=None):
         """(k, 2n) position and velocity of the returned geodesics of the index
         array ``paths`` (k,), every one by default, at t, a time or one time
-        per geodesic; row i is bit-equal to its own ``state_at``."""
+        per geodesic, read off the sweep's one step table; row i is bit-equal
+        to its own ``state_at``."""
         if not self.paths:
             return np.empty((0, 2 * self.spec.dimension))
-        paths = np.arange(len(self.paths)) if paths is None else np.asarray(paths)
-        return self._table.states(paths, np.broadcast_to(np.asarray(t, dtype=float), paths.shape))
+        flows = np.array([path.flow.index for path in self.paths])
+        flows = flows if paths is None else flows[np.asarray(paths)]
+        return self.paths[0].flow.table.states(
+            flows, np.broadcast_to(np.asarray(t, dtype=float), flows.shape))
 
     @property
     def midpoints(self):

@@ -16,7 +16,7 @@ from scipy.optimize import brentq, minimize_scalar
 import zollab.engine
 from test_manifest_cli import INLINE_CYLINDER, tilted_strip
 from zollab import cli
-from zollab.catalog import catalog_names, make_example
+from zollab.catalog import Isometry, catalog_names, flat_band, make_example, mapping_torus
 from zollab.engine import (
     GRAZING_TOL,
     IntegrationError,
@@ -46,6 +46,7 @@ from zollab.geometry import (
     ManifoldSpec,
     MetricField,
     QuotientCloud,
+    deck_pair,
     inward_unit_normal,
     metric_inner,
     metric_norm,
@@ -476,10 +477,11 @@ def reference_grazing_and_exit(spec, chunks, grazing_tol):
     """Grazing times and exit time of a flow from its ``solve_ivp`` chunks.
     A step holds a tangency candidate where, from b and db/dt at its ends,
     db/dt rises through 0 (a value 0 at either end counts) or keeps its sign
-    while b changes the other way; the last step of a chunk a terminal event
-    stopped does not count. The candidate is the least b on the step's
-    ``RkDenseOutput``: the least of 33 even samples, refined by scipy's
-    bounded ``minimize_scalar`` between the samples next to it. Each is
+    while b changes the other way; a step's ends are its two samples, so the
+    last step of a chunk a terminal event stopped ends at the event's root.
+    The candidate is the least b on the step's ``RkDenseOutput`` up to that
+    end: the least of 33 even samples, refined by scipy's bounded
+    ``minimize_scalar`` between the samples next to it. Each is
     checked through a scalar call of the chunk's ``OdeSolution``, in time
     order up to the first where b < 0; the exit is the root of b on that
     step's interpolant, between its start and the candidate."""
@@ -490,8 +492,7 @@ def reference_grazing_and_exit(spec, chunks, grazing_tol):
         ends = sol.y.T
         b = [spec.boundary.value(y[:n]) for y in ends]
         slope = [row_dot(spec.boundary.gradient(y[:n]), y[n:2 * n]) for y in ends]
-        steps = sol.sol.interpolants[:-1] if sol.status == 1 else sol.sol.interpolants
-        for k, step in enumerate(steps):
+        for k, step in enumerate(sol.sol.interpolants):
             rises = slope[k] <= 0 <= slope[k + 1]
             dips = slope[k] * slope[k + 1] > 0 and (b[k + 1] - b[k]) * slope[k] < 0
             if not (rises or dips):
@@ -500,7 +501,7 @@ def reference_grazing_and_exit(spec, chunks, grazing_tol):
             def b_at(t, step=step):
                 return spec.boundary.value(step(t)[:n])
 
-            ts = step.t_old + step.h * np.linspace(0.0, 1.0, 33)
+            ts = step.t_old + (sol.t[k + 1] - step.t_old) * np.linspace(0.0, 1.0, 33)
             j = int(np.argmin([b_at(t) for t in ts]))
             tg = minimize_scalar(b_at, bounds=(ts[max(j - 1, 0)], ts[min(j + 1, 32)]),
                                  method="bounded",
@@ -641,6 +642,111 @@ def test_lockstep_flows_bit_equal_to_integrate_flow(name):
     if name.startswith("concentric_annulus"):
         # flows cut at a hole crossing were integrated past it
         assert sum(f.n_steps > len(f.steps[0]) for f in flows) == 32
+
+
+def holed_cylinder():
+    """A flat cylinder, x1 glued to x1 + 4, with the disk of radius 0.5 about
+    (0, 2) taken out. At ``scale_hint`` 40 a line up the cylinder from
+    x1 = 0.7 takes one step from t = 0.47 to the deck face x1 = 4, which
+    stops it at t = 3.3 after it has passed the hole."""
+    centre = np.array([0.0, 2.0])
+
+    def b_value(x):
+        return row_dot(x - centre, x - centre) - 0.25
+
+    def b_grad(x):
+        return 2.0 * (x - centre)
+
+    return ManifoldSpec(
+        name="holed-cylinder",
+        metric=flat_metric(2),
+        boundary=BoundaryChart(b_value, b_grad),
+        domain=np.array([[-3.0, 3.0], [0.0, 4.0]]),
+        deck_maps=deck_pair("wrap", 1, 4.0),
+        scale_hint=40.0,
+    )
+
+
+@pytest.mark.parametrize("x0", [0.45, 0.5 + 1e-7])
+def test_a_stopped_step_is_searched_up_to_its_root(x0):
+    # a minimum of b before the deck-face root that stops a step is a
+    # tangency candidate: the line x0 = 0.45 leaves M through the hole, and
+    # the line x0 = 0.5 + 1e-7 grazes it at t = 1.3
+    spec = holed_cylinder()
+    y0 = np.array([x0, 0.7, 0.0, 1.0])
+    rhs = geodesic_rhs(spec)
+    got = lockstep_flows(spec, rhs, y0[None], 20.0, vector_blocks=[(2, 2, 1)])[0]
+    want = integrate_flow(spec, rhs, y0, 20.0, vector_blocks=[(2, 2, 1)])
+    assert got.status == want.status
+    for field in ("times", "states", "event_time", "event_state"):
+        assert np.asarray(getattr(got, field)).tobytes() == \
+            np.asarray(getattr(want, field)).tobytes(), field
+    assert_steps_bit_equal(got, want)
+    assert np.array(got.grazing_times).tobytes() == np.array(want.grazing_times).tobytes()
+    if x0 < 0.5:
+        assert got.status == "boundary" and not got.deck_crossings
+        assert got.event_time == pytest.approx(1.3 - math.sqrt(0.25 - x0 ** 2), abs=1e-12)
+        assert got.event_time == pytest.approx(1.0821, abs=1e-4)
+        assert not got.grazing_times
+    else:
+        assert got.status == "t_end"
+        assert got.grazing_times[0] == pytest.approx(1.3, abs=1e-9)
+        # the step that holds the tangency is the one the face x1 = 4 stopped
+        t_old = got.steps[2]
+        k = np.searchsorted(t_old, 1.3) - 1
+        assert t_old[k] < 1.3 and t_old[k + 1] == got.deck_crossings[0][0] == pytest.approx(3.3)
+
+
+def test_flows_of_one_integration_share_one_step_table():
+    # every flow of a lockstep_flows call, cut at an exit or not, reads its
+    # steps as a read-only view of its rows of one table, which the sweep's
+    # stacked reads read too
+    spec = load_manifold(concentric_annulus(0.5, 12.0))
+    n = spec.dimension
+    sweep = first_return_map(spec, sample_boundary(spec, 64))
+    flows = [path.flow for path in sweep.paths]
+    table = flows[0].table
+    assert all(flow.table is table for flow in flows)
+    assert [flow.index for flow in flows] == [path.index for path in sweep.paths]
+    assert sum(flow.n_steps > len(flow.steps[0]) for flow in flows) == 32
+    for flow in flows:
+        for piece in flow.steps:
+            assert piece.base is not None and not piece.flags.writeable
+        assert np.all(flow.steps[2] < flow.event_time)
+    assert sweep.states_at(sweep.return_times).tobytes() == \
+        np.array([flow.event_state for flow in flows]).tobytes()
+    y0 = np.array([flow.states[0] for flow in flows])
+    again = lockstep_flows(spec, geodesic_rhs(spec), y0, 50.0 * spec.scale_hint,
+                           vector_blocks=[(n, n, 1)])
+    assert len({id(flow.table) for flow in again}) == 1
+    assert again[0].table is not table
+
+
+def test_a_corner_exit_applies_a_second_deck_map():
+    # on the mapping torus of the flat band by the flip x1 -> -x1, each tau
+    # crossing maps x1 = 0.3 to -0.3, below the face x1 = 0, so the wrap deck
+    # applies too; the lockstep flow is integrate_flow's bit for bit
+    spec = mapping_torus(flat_band(1, 1), Isometry("flip", np.diag([1.0, -1.0]),
+                                                   np.diag([1.0, -1.0])))
+    y0 = np.array([1.0, 0.3, 0.2, 0.0, 0.0, 1.0])
+    applied = []
+    apply_deck = zollab.engine._apply_deck_to_state
+
+    def recording_apply(deck, *args):
+        applied.append(deck.name)
+        return apply_deck(deck, *args)
+
+    rhs = geodesic_rhs(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zollab.engine, "_apply_deck_to_state", recording_apply)
+        got = lockstep_flows(spec, rhs, y0[None], 3.0, vector_blocks=[(3, 3, 1)])[0]
+    assert applied == ["torus2+", "wrap-"] * 3
+    assert [name for _, name in got.deck_crossings] == ["torus2+"] * 3
+    assert got.states[-1] == pytest.approx([1.0, 0.7, 0.2, 0.0, 0.0, 1.0], abs=1e-12)
+    want = integrate_flow(spec, rhs, y0, 3.0, vector_blocks=[(3, 3, 1)])
+    for field in ("times", "states"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert_steps_bit_equal(got, want)
 
 
 @pytest.mark.parametrize("case", ["crossings", "flip"])

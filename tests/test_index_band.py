@@ -184,6 +184,24 @@ def test_inertia_floor_leaves_the_mass_out():
     assert _inertia_counts([mat], NEG_EIG_TOL) == [_spectrum_counts(mat)] == [(0, 1)]
 
 
+def test_inertia_floor_leaves_a_count_to_the_spectrum():
+    # one pivot of S + tol M is 1e-18, within the floor of dof eps times the
+    # shifted forms' largest entry (2e-17): the count is left undecided, and
+    # the form is counted from its spectrum
+    n, N = 2, 16
+    diag = np.tile(2e-3 * np.eye(n), (N + 1, 1, 1))
+    mass = np.tile(1e3 * np.eye(n), (N + 1, 1, 1))
+    diag[5, 1, 1] = -NEG_EIG_TOL * mass[5, 1, 1] + 1e-18
+    assert 0.0 < diag[5, 1, 1] + NEG_EIG_TOL * mass[5, 1, 1] < 2e-18
+    diag[[0, -1], 0, 0] = mass[[0, -1], 0, 0] = 0.0
+    off = np.zeros((N, n, n))
+    mat = IndexFormMatrix((diag, off), (mass, off), n, None, None)
+    assert _inertia_counts([mat], NEG_EIG_TOL) == [None]
+    assert mat._spectrum is None
+    assert morse_indices_quadratic([mat]) == [_spectrum_counts(mat)] == [(0, 1)]
+    assert mat._spectrum is not None
+
+
 def test_forms_counted_together_share_a_shape(specs, frames):
     small = _assemble("flat_disk", 64, specs, frames)
     large = _assemble("flat_disk", 128, specs, frames)

@@ -241,8 +241,13 @@ class TestCLI:
         assert run(RunManifest(manifold=doc), out_dir="", quiet=True) == (2, None)
         assert "gives 0 launches when asked for 64" in capsys.readouterr().err
 
-    def test_unknown_example_usage_error(self):
+    def test_unknown_example_usage_error(self, capsys):
         assert main(["certify", "--example", "wormhole"]) == 2
+        # the message itself, not the repr a KeyError's str() gives
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown catalog example 'wormhole'; known: ellipse, euclidean_ball, "
+            "flat_band, flat_disk, flat_moebius, index_ladder, solid_torus, spherical_band, "
+            "spherical_cap"]
 
     @pytest.mark.parametrize("g11,message", [
         # indefinite on part of the rim: the launch normals name the metric

@@ -145,7 +145,8 @@ def boundary_kernels(spec, rng, points):
     along vectors, the inward unit normal, the Newton projection onto b = 0 and
     the boundary test, and every deck face and deck map, at the points and at
     their projections. Along vectors, a point takes the 1-d ``@`` and a stack
-    the ``row_dot`` that gives db/dt at step ends (``engine._slope``)."""
+    the ``row_dot`` that gives db/dt at the samples of a flow
+    (``engine._StepLog.stitch``)."""
     boundary = spec.boundary
 
     def along(x, v):

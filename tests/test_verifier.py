@@ -339,6 +339,21 @@ class TestFibers:
         with pytest.raises(ValueError, match="no launch returned"):
             fiber_analysis(el, lost, 0, Tolerances())
 
+    def test_cover_of_a_boundary_without_loops(self):
+        # the boundary tori of index_ladder(3, 0) have two-parameter patches,
+        # so no loop is walked: the cover is trivial where the components are
+        # given and show two, and undecided where they are not
+        spec = make_example("index_ladder", n=3, k=0)
+        sweep = first_return_map(spec, sample_boundary(spec, 64))
+        comps = boundary_components(spec, sweep.launch_set,
+                                    {p.index: p.arrival_point for p in sweep.paths})
+        assert comps.count == 2
+        for components, nontrivial in ((None, None), (comps, False)):
+            fib, _ = fiber_analysis(spec, sweep, 0, Tolerances(), components)
+            assert fib["kind"] == "two-fold-cover"
+            assert fib["nontrivial_cover"] is nontrivial
+            assert fib["loop_transport_used"] is False
+
     def test_moebius_pairs(self, specs, sweeps):
         fib, _ = fiber_analysis(specs["flat_moebius"], sweeps["flat_moebius"], 0,
                                 Tolerances())
