@@ -77,7 +77,7 @@ def ball_boundary(n, radius):
     return BoundaryChart(
         lambda x: (r * r - row_dot(x, x)) / (2.0 * r),
         lambda x: -x / r,
-        lambda x: -np.eye(n) / r,
+        _constant_hessian(-np.eye(n) / r),
     )
 
 
@@ -88,9 +88,16 @@ def _axis_gradient(x, axis, value):
     return g
 
 
+def _constant_hessian(h):
+    """Hessian function giving the matrix h at a point, and a stack of it at a stack."""
+    return lambda x: np.broadcast_to(h, x.shape[:-1] + h.shape)
+
+
 def slab_boundary(n, axis, length):
     """b = t (length - t) / length along one chart axis, zero at t in {0, length}."""
     L = float(length)
+    hessian = np.zeros((n, n))
+    hessian[axis, axis] = -2.0 / L
 
     def value(x):
         t = x[..., axis]
@@ -99,17 +106,14 @@ def slab_boundary(n, axis, length):
     def gradient(x):
         return _axis_gradient(x, axis, 1.0 - 2.0 * x[..., axis] / L)
 
-    def hessian(x):
-        h = np.zeros((n, n))
-        h[axis, axis] = -2.0 / L
-        return h
-
-    return BoundaryChart(value, gradient, hessian)
+    return BoundaryChart(value, gradient, _constant_hessian(hessian))
 
 
 def symmetric_slab_boundary(n, axis, half_width):
     """b = (w^2 - x^2) / (2w) along one axis, zero at x = +-w."""
     w = float(half_width)
+    hessian = np.zeros((n, n))
+    hessian[axis, axis] = -1.0 / w
 
     def value(x):
         return (w * w - scalar_pow(x[..., axis], 2)) / (2.0 * w)
@@ -117,12 +121,7 @@ def symmetric_slab_boundary(n, axis, half_width):
     def gradient(x):
         return _axis_gradient(x, axis, -x[..., axis] / w)
 
-    def hessian(x):
-        h = np.zeros((n, n))
-        h[axis, axis] = -1.0 / w
-        return h
-
-    return BoundaryChart(value, gradient, hessian)
+    return BoundaryChart(value, gradient, _constant_hessian(hessian))
 
 
 def sphere_points(u, dim, radius):
@@ -359,9 +358,6 @@ def ellipse(a, b):
     def gradient(x):
         return np.stack([-x[..., 0] / a ** 2, -x[..., 1] / b ** 2], axis=-1)
 
-    def hessian(x):
-        return np.diag([-1.0 / a ** 2, -1.0 / b ** 2])
-
     def rim(u, _a=a, _b=b):
         th = 2.0 * np.pi * np.atleast_2d(u)[:, 0]
         return np.stack([_a * np.cos(th), _b * np.sin(th)], axis=1)
@@ -369,7 +365,8 @@ def ellipse(a, b):
     return ManifoldSpec(
         name=f"ellipse(a={a:g},b={b:g})",
         metric=euclidean_metric(2),
-        boundary=BoundaryChart(value, gradient, hessian),
+        boundary=BoundaryChart(value, gradient,
+                               _constant_hessian(np.diag([-1.0 / a ** 2, -1.0 / b ** 2]))),
         domain=np.array([[-2.0 * a, 2.0 * a], [-2.0 * b, 2.0 * b]]),
         deck_maps=[],
         boundary_patches=[BoundaryPatch("rim", 1, rim, (True,))],
@@ -460,7 +457,7 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
         lambda x: base_boundary.value(x[..., :n]),
         lambda x: np.concatenate([base_boundary.gradient(x[..., :n]),
                                   np.zeros(x.shape[:-1] + (1,))], axis=-1),
-        lambda x: _lift_hessian(base_boundary, x[:n], n),
+        lambda x: _lift_hessian(base_boundary, x[..., :n], n),
     )
 
     # the base decks glue the same faces of the leading coordinates; the tau
@@ -499,8 +496,8 @@ def mapping_torus(base: ManifoldSpec, iso: Optional[Isometry] = None, name=None)
 
 
 def _lift_hessian(base_boundary, x, n):
-    h = np.zeros((n + 1, n + 1))
-    h[:n, :n] = base_boundary.hessian(x)
+    h = np.zeros(x.shape[:-1] + (n + 1, n + 1))
+    h[..., :n, :n] = base_boundary.hessian(x)
     return h
 
 

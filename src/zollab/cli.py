@@ -8,9 +8,10 @@ Verbs:
 
 Exit codes: 0 = verdict matches the example's ground truth (certified, or
 refuted where the annotation says non-Zoll); 1 = contradiction with the
-ground truth or a failed check; 2 = usage error; 3 = the run failed (the
-chart is not a Riemannian chart where the run reached, or the integration
-failed), with no verdict.
+ground truth, a failed check or an inconclusive verdict; 2 = usage error,
+an unusable path among them; 3 = the run failed (the chart is not a
+Riemannian chart where the run reached, or the integration failed), with no
+verdict.
 """
 from __future__ import annotations
 
@@ -103,11 +104,10 @@ def _run_spec(spec, manifest: RunManifest, analyses, out_dir, quiet):
         print(f"{spec.name}: verdict={report.verdict}"
               + (f" (reason: {report.reason})" if report.reason else ""))
 
-    if report.ground_truth is not None:
-        code = 0 if report.ground_truth["all_match"] else CHECK_FAILED
-    else:
-        code = 0 if report.verdict == "certified" else CHECK_FAILED
-    return code, report
+    # an inconclusive verdict matches no ground truth, though no check applies to it
+    matches = (report.ground_truth["all_match"] if report.ground_truth is not None
+               else report.verdict == "certified")
+    return (0 if matches and report.verdict != "inconclusive" else CHECK_FAILED), report
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +309,25 @@ def main(argv=None):
         parser.print_help()
         return USAGE_ERROR
 
-    if args.verb == "catalog":
-        for name in catalog_names():
-            _, defaults = CATALOG[name]
-            params = ", ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                               for k, v in defaults.items())
-            print(f"{name}({params})")
-        if args.emit_manifests:
-            os.makedirs(args.emit_manifests, exist_ok=True)
-            for name in catalog_names():
-                doc = RunManifest(manifold=example_manifest(name),
-                                  analyses=("all",)).to_dict()
-                path = os.path.join(args.emit_manifests, f"{name}.json")
-                with open(path, "w", encoding="utf-8") as f:
-                    json.dump(doc, f, indent=2)
-                    f.write("\n")
-            print(f"wrote {len(catalog_names())} manifests to {args.emit_manifests}")
-        return 0
-
     try:
+        if args.verb == "catalog":
+            for name in catalog_names():
+                _, defaults = CATALOG[name]
+                params = ", ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+                                   for k, v in defaults.items())
+                print(f"{name}({params})")
+            if args.emit_manifests:
+                os.makedirs(args.emit_manifests, exist_ok=True)
+                for name in catalog_names():
+                    doc = RunManifest(manifold=example_manifest(name),
+                                      analyses=("all",)).to_dict()
+                    path = os.path.join(args.emit_manifests, f"{name}.json")
+                    with open(path, "w", encoding="utf-8") as f:
+                        json.dump(doc, f, indent=2)
+                        f.write("\n")
+                print(f"wrote {len(catalog_names())} manifests to {args.emit_manifests}")
+            return 0
+
         if args.verb == "matrix":
             code, _ = theorem_matrix(_manifests_from_args(args, ("all",)), out_dir=args.out)
             return code
@@ -343,7 +343,7 @@ def main(argv=None):
             code, _ = run(m, analyses=analyses, out_dir=m.out_dir)
             worst = max(worst, code)
         return worst
-    except (ManifestError, FileNotFoundError, KeyError) as exc:
+    except (ManifestError, OSError, KeyError) as exc:   # OSError: an unusable path
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

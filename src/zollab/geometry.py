@@ -146,9 +146,9 @@ class MetricField:
 class BoundaryChart:
     """Defining function of the boundary: b > 0 inside, b = 0 on the boundary.
 
-    ``value_fn`` and ``gradient_fn`` map a chart point (n,) to b and its
-    gradient (n,), and a stack of points (m, n) to the (m,) and (m, n) stacks
-    of them, each row bit-equal to its point's; ``hessian_fn`` takes a point.
+    ``value_fn``, ``gradient_fn`` and ``hessian_fn`` map a chart point (n,) to
+    b, its gradient (n,) and Hessian (n, n), and a stack of points (m, n) to
+    the stacks of them, each row bit-equal to its point's.
     """
 
     eps = BOUNDARY_EPS       # |b| <= eps is on the boundary
@@ -169,12 +169,13 @@ class BoundaryChart:
         return np.asarray(self._gradient_fn(np.asarray(x, dtype=float)), dtype=float)
 
     def hessian(self, x):
+        """Symmetrized Hessian of b at a chart point (n, n), or the (m, n, n) stack of them."""
         x = np.asarray(x, dtype=float)
         if self._hessian_fn is not None:
             h = np.asarray(self._hessian_fn(x), dtype=float)
         else:
             h = _central_difference(self.gradient, x)
-        return 0.5 * (h + h.T)
+        return 0.5 * (h + h.swapaxes(-1, -2))
 
     def on_boundary(self, x):
         """Whether |b| <= eps at a chart point, or the (m,) array of it at a stack."""
@@ -427,7 +428,7 @@ def gram_schmidt(g_matrix, vectors):
 # ---------------------------------------------------------------------------
 # core differential-geometry operations
 
-def _raise_singular(err, flag):
+def _raise_singular(_err, _flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
@@ -531,21 +532,25 @@ def second_fundamental_form(spec: ManifoldSpec, p):
     """Second fundamental form of the boundary w.r.t. the inward normal.
 
     Returns an (n, n) symmetric matrix S meant to be contracted with vectors
-    tangent to the boundary: S(u, w) = u^T S w.  Sign convention: the boundary
-    circle of a flat disk of radius L has S(u, u) = +1/L for unit tangent u.
+    tangent to the boundary: S(u, w) = u^T S w, or their (m, n, n) stack at a
+    stack of points (m, n).  Sign convention: the boundary circle of a flat
+    disk of radius L has S(u, u) = +1/L for unit tangent u.  A point off the
+    boundary raises ``NotBoundaryPointError``; in a stack, the first one.
     """
     p = np.asarray(p, dtype=float)
-    if not spec.boundary.on_boundary(p):
-        raise NotBoundaryPointError(f"not a boundary point: {p} (b={spec.boundary.value(p)})")
+    off = ~spec.boundary.on_boundary(p)
+    if np.any(off):
+        q = p.reshape(-1, p.shape[-1])[np.argmax(off)]
+        raise NotBoundaryPointError(f"not a boundary point: {q} (b={spec.boundary.value(q)})")
     g = spec.metric.matrix(p)
     db = spec.boundary.gradient(p)
     hess = spec.boundary.hessian(p)
     gamma = christoffel_raw(spec.metric, p)
     # covariant Hessian of b, then normalized by |grad b|_g
-    cov_hess = hess - np.einsum("kij,k->ij", gamma, db)
-    grad = np.linalg.solve(g, db)
+    cov_hess = hess - np.einsum("...kij,...k->...ij", gamma, db)
+    grad = np.linalg.solve(g, db[..., None])[..., 0]
     nrm = metric_norm(g, grad)
-    return -cov_hess / nrm
+    return -cov_hess / nrm[..., None, None]
 
 
 def boundary_tangent_basis(spec: ManifoldSpec, p):

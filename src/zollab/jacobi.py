@@ -13,6 +13,7 @@ import ctypes
 import glob
 import os
 import threading
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ from .geometry import (
     gram_schmidt,
     inward_unit_normal,
     metric_inner,
+    row_dot,
     second_fundamental_form,
 )
 from .scalar import CONVERGED, brentq, minimize_bounded
@@ -64,6 +66,12 @@ def curvature_frame_matrix(metric, x, v, E, gamma=None):
     return 0.5 * (K + K.swapaxes(-1, -2))
 
 
+# a frame at its return time R: E, Y and Y' there, the point q that
+# project_to_boundary takes x(R) to, and the metric g, the inward unit normal
+# nu and the second fundamental form S at q
+FrameArrival = namedtuple("FrameArrival", "E Y Yp q g nu S")
+
+
 @dataclass
 class JacobiFrame:
     """Fundamental Jacobi solutions along a geodesic, in a parallel frame.
@@ -76,6 +84,7 @@ class JacobiFrame:
     path: GeodesicPath
     flow: object
     shape_launch: np.ndarray    # (n-1, n-1) in the launch tangent frame
+    arrival: FrameArrival
 
     @property
     def spec(self):
@@ -92,23 +101,28 @@ class JacobiFrame:
     def blocks_at(self, t):
         """x, v, E, Y, Y' at time t, or stacked along the leading axis for an
         array of times."""
-        n = self.dimension
-        y = self.flow.state_at(t)
-        lead = y.shape[:-1]
-        x = y[..., :n]
-        v = y[..., n:2 * n]
-        E = y[..., 2 * n:2 * n + n * n].reshape(lead + (n, n))
-        Y = y[..., 2 * n + n * n:2 * n + 2 * n * n].reshape(lead + (n, n))
-        Yp = y[..., 2 * n + 2 * n * n:].reshape(lead + (n, n))
-        return x, v, E, Y, Yp
+        return _blocks(self.flow.state_at(t), self.dimension)
 
     def jacobi_block(self, t):
         return self.blocks_at(t)[3]
 
 
-def _padded_shape_matrix(shape_sub, n):
-    S = np.zeros((n, n))
-    S[1:, 1:] = shape_sub
+def _blocks(y, n):
+    """x, v, E, Y, Y' of a frame state, or stacked for a stack of them."""
+    lead = y.shape[:-1]
+    x = y[..., :n]
+    v = y[..., n:2 * n]
+    E = y[..., 2 * n:2 * n + n * n].reshape(lead + (n, n))
+    Y = y[..., 2 * n + n * n:2 * n + 2 * n * n].reshape(lead + (n, n))
+    Yp = y[..., 2 * n + 2 * n * n:].reshape(lead + (n, n))
+    return x, v, E, Y, Yp
+
+
+def _padded_shape_matrix(shape_sub):
+    """Shape operators (..., n-1, n-1) bordered by zeros for the velocity direction."""
+    n = shape_sub.shape[-1] + 1
+    S = np.zeros(shape_sub.shape[:-2] + (n, n))
+    S[..., 1:, 1:] = shape_sub
     return S
 
 
@@ -127,10 +141,7 @@ def jacobi_rhs(spec: ManifoldSpec):
 
     def rhs(t, y):
         lead = y.shape[:-1]
-        x = y[..., :n]
-        v = y[..., n:2 * n]
-        E = y[..., 2 * n:2 * n + n * n].reshape(lead + (n, n))
-        Y = y[..., 2 * n + n * n:2 * n + 2 * n * n].reshape(lead + (n, n))
+        x, v, E, Y, _ = _blocks(y, n)
         gamma = christoffel_raw(metric, x)
         K = curvature_frame_matrix(metric, x, v, E, gamma)
         out = np.empty_like(y)
@@ -146,45 +157,53 @@ def jacobi_rhs(spec: ManifoldSpec):
     return rhs
 
 
-def _frame_start(spec: ManifoldSpec, path: GeodesicPath):
-    """Initial state of the frame along a path, and the launch shape operator
-    in the boundary tangent frame."""
+def _frame_start(paths):
+    """Initial states (m, 2n + 3n^2) of the frames along the paths of one spec
+    and their launch shape operators (m, n-1, n-1) in the boundary tangent
+    frames, from one stacked call of each boundary kernel."""
+    spec = paths[0].spec
     n = spec.dimension
-    p = path.launch_point
-    v0 = path.launch_velocity
+    p = np.array([path.launch_point for path in paths])
+    v0 = np.array([path.launch_velocity for path in paths])
 
-    tangent = boundary_tangent_basis(spec, p)          # rows (n-1, n)
-    E0 = np.column_stack([v0] + [tangent[i] for i in range(n - 1)])
-    shape_sub = tangent @ second_fundamental_form(spec, p) @ tangent.T
-    S0 = _padded_shape_matrix(shape_sub, n)
+    tangent = boundary_tangent_basis(spec, p)          # rows (m, n-1, n)
+    E0 = np.concatenate([v0[:, :, None], tangent.swapaxes(-1, -2)], axis=-1)
+    shape_sub = tangent @ second_fundamental_form(spec, p) @ tangent.swapaxes(-1, -2)
+    S0 = _padded_shape_matrix(shape_sub)
 
-    Y0 = np.zeros((n, n))
-    Yp0 = np.zeros((n, n))
-    for a in range(n - 1):
-        Y0[a + 1, a] = 1.0
-        Yp0[:, a] = -S0[:, a + 1]
-    Yp0[0, n - 1] = 1.0
-    return np.concatenate([p, v0, E0.ravel(), Y0.ravel(), Yp0.ravel()]), shape_sub
+    Y0 = np.broadcast_to(np.eye(n, k=-1), S0.shape)
+    Yp0 = np.zeros_like(S0)
+    Yp0[..., :n - 1] = -S0[..., 1:]
+    Yp0[:, 0, n - 1] = 1.0
+    starts = [p, v0] + [block.reshape(len(paths), n * n) for block in (E0, Y0, Yp0)]
+    return np.concatenate(starts, axis=1), shape_sub
 
 
-def integrate_jacobi_frames(spec: ManifoldSpec, paths, rtol=DEFAULT_RTOL,
-                            atol=DEFAULT_ATOL) -> list[JacobiFrame]:
-    """The parallel frame and the fundamental Jacobi solutions along each path,
-    all frames stepped together up to their own return times."""
+def integrate_jacobi_frames(paths, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> list[JacobiFrame]:
+    """The parallel frame and the fundamental Jacobi solutions along each path
+    of one spec, stepped together up to their own return times, and their
+    arrival records, one stacked call for each part."""
     if not paths:
         return []
-    y0, shapes = zip(*(_frame_start(spec, path) for path in paths))
-    flows = lockstep_flows(spec, jacobi_rhs(spec), y0, [path.return_time for path in paths],
+    spec = paths[0].spec
+    y0, shapes = _frame_start(paths)
+    R = np.array([path.return_time for path in paths])
+    flows = lockstep_flows(spec, jacobi_rhs(spec), y0, R,
                            vector_blocks=frame_vector_blocks(spec.dimension),
                            detect_boundary=False, rtol=rtol, atol=atol)
-    return [JacobiFrame(path, flow, shape_sub)
-            for path, flow, shape_sub in zip(paths, flows, shapes)]
+    x, _, E, Y, Yp = _blocks(flows[0].table.states(np.array([f.index for f in flows]), R),
+                             spec.dimension)
+    q = project_to_boundary(spec, x)
+    ends = zip(E, Y, Yp, q, spec.metric.matrix(q), inward_unit_normal(spec, q),
+               second_fundamental_form(spec, q))
+    return [JacobiFrame(path, flow, shape_sub, FrameArrival(*end))
+            for path, flow, shape_sub, end in zip(paths, flows, shapes, ends)]
 
 
-def integrate_jacobi_frame(spec: ManifoldSpec, path: GeodesicPath,
-                           rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> JacobiFrame:
+def integrate_jacobi_frame(path: GeodesicPath, rtol=DEFAULT_RTOL,
+                           atol=DEFAULT_ATOL) -> JacobiFrame:
     """Integrate the parallel frame and the fundamental Jacobi solutions."""
-    frame, = integrate_jacobi_frames(spec, [path], rtol, atol)
+    frame, = integrate_jacobi_frames([path], rtol, atol)
     return frame
 
 
@@ -207,8 +226,7 @@ class FocalRecord:
 def _scaled_block(frame: JacobiFrame, t):
     """J-block with the t*gamma' column rescaled by 1/t (rank unchanged), at a
     time or stacked for an array of times."""
-    Y = frame.jacobi_block(t)
-    Y = Y.copy()
+    Y = frame.jacobi_block(t).copy()
     scale = np.maximum(np.abs(t), 1e-12 * frame.return_time)
     Y[..., :, -1] /= np.expand_dims(scale, -1)
     return Y
@@ -224,33 +242,33 @@ def focal_instants(frame: JacobiFrame) -> FocalRecord:
     smin = s[:, -1]
     smax = s[:, 0]
 
-    # sustained rank loss violates isolation of focal instants
+    # sustained rank loss violates isolation of focal instants: the run of
+    # rank-deficient scan points ending at each point, 0 where it has full rank
     below = smin < RANK_DROP_TOL * np.maximum(smax, 1e-300)
-    run = 0
-    for flag in below:
-        run = run + 1 if flag else 0
-        if run * (ts[1] - ts[0]) > 1e-2 * R:
-            raise DegenerateFamilyError("degenerate family (violates isolation)")
+    scan = np.arange(FOCAL_SCAN)
+    run = scan - np.maximum.accumulate(np.where(below, -1, scan))
+    if np.any(run * (ts[1] - ts[0]) > 1e-2 * R):
+        raise DegenerateFamilyError("degenerate family (violates isolation)")
 
-    candidates = []
-    for i in range(FOCAL_SCAN - 1):
-        if dets[i] == 0.0 or np.sign(dets[i]) != np.sign(dets[i + 1]):
-            candidates.append((max(i - 1, 0), min(i + 1, FOCAL_SCAN - 1), "det"))
+    # candidates: where det vanishes or changes sign to the next point, then
+    # at the local minima of smin below the gate, each in scan order
+    crossing = np.flatnonzero((dets[:-1] == 0.0) | (np.sign(dets[:-1]) != np.sign(dets[1:])))
     gate = 0.05
-    for i in range(1, FOCAL_SCAN - 1):
-        if smin[i] <= smin[i - 1] and smin[i] <= smin[i + 1] and smin[i] < gate * smax[i]:
-            candidates.append((i - 1, i + 1, "min"))
+    inner = smin[1:-1]
+    minimum = 1 + np.flatnonzero((inner <= smin[:-2]) & (inner <= smin[2:])
+                                 & (inner < gate * smax[1:-1]))
 
     # each candidate refined in its bracket: by the root of det where det
     # changes sign across it, else (or where brentq fails on a flat
     # high-multiplicity zero) by the least singular value; all together
-    if not candidates:
+    if not (crossing.size or minimum.size):
         return FocalRecord()
-    lo, hi, kind = (np.array(c) for c in zip(*candidates))
+    lo = np.concatenate([np.maximum(crossing - 1, 0), minimum - 1])
+    hi = np.concatenate([crossing, minimum]) + 1
     a, b = ts[lo], ts[hi]
     t_star = np.full(len(a), np.nan)
-    det = np.flatnonzero((kind == "det") & (np.sign(dets[lo]) != np.sign(dets[hi]))
-                         & (dets[lo] != 0.0))
+    det = np.flatnonzero((np.arange(len(lo)) < crossing.size)
+                         & (np.sign(dets[lo]) != np.sign(dets[hi])) & (dets[lo] != 0.0))
     roots, flag = brentq(lambda t, rows: np.linalg.det(_scaled_block(frame, t)),
                          a[det], b[det], xtol=1e-13 * R, maxiter=200)
     t_star[det] = np.where(flag == CONVERGED, roots, np.nan)
@@ -259,10 +277,8 @@ def focal_instants(frame: JacobiFrame) -> FocalRecord:
         lambda t, rows: np.linalg.svd(_scaled_block(frame, t), compute_uv=False)[:, -1] ** 2,
         a[rest], b[rest], xatol=1e-13 * R)[0]
     singular = np.linalg.svd(_scaled_block(frame, t_star), compute_uv=False)
-    refined = [(float(t), s) for t, s in zip(t_star, singular)
-               if s[-1] < RANK_DROP_TOL * s[0]]
-
-    refined.sort(key=lambda item: item[0])
+    refined = sorted(((float(t), s) for t, s in zip(t_star, singular)
+                      if s[-1] < RANK_DROP_TOL * s[0]), key=lambda item: item[0])
     merged = []
     for t_star, s in refined:
         if merged and abs(t_star - merged[-1][0]) < ISOLATION_WINDOW * R:
@@ -413,7 +429,7 @@ def _band(blocks):
     return band
 
 
-def assemble_index_form(spec: ManifoldSpec, frame: JacobiFrame, mesh_size) -> IndexFormMatrix:
+def assemble_index_form(frame: JacobiFrame, mesh_size) -> IndexFormMatrix:
     """Piecewise-linear discretization of the second variation of energy.
 
     The geodesic is parametrized on [0, 1]; basis fields live in the parallel
@@ -425,7 +441,7 @@ def assemble_index_form(spec: ManifoldSpec, frame: JacobiFrame, mesh_size) -> In
     """
     if mesh_size < MIN_MESH_SIZE:
         raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
-    n = spec.dimension
+    n = frame.dimension
     N = int(mesh_size)
     R = frame.return_time
     h = 1.0 / N
@@ -439,34 +455,22 @@ def assemble_index_form(spec: ManifoldSpec, frame: JacobiFrame, mesh_size) -> In
     gauss_nodes = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
     gauss_w = np.array([0.5, 0.5])
     x, v, E, _, _ = frame.blocks_at(((np.arange(N)[:, None] + gauss_nodes) * h * R).ravel())
-    K = (curvature_frame_matrix(spec.metric, x, v, E) * (R * R)).reshape(N, 2, n, n)
+    K = (curvature_frame_matrix(frame.spec.metric, x, v, E) * (R * R)).reshape(N, 2, n, n)
     shapes = np.stack([1.0 - gauss_nodes, gauss_nodes])        # shapes[a, g]
     weights = np.einsum("g,ag,bg->gab", gauss_w * h, shapes, shapes)
     stiffness += np.einsum("gab,egij->eaibj", weights, K).reshape(N, 2 * n, 2 * n)
 
-    # shape-operator boundary terms (launch and arrival both contribute -R*S)
-    B0 = -R * _padded_shape_matrix(frame.shape_launch, n)
-    q = project_to_boundary(spec, frame.blocks_at(R)[0])
-    basis_q = _arrival_tangent_frame(spec, frame, q)
-    shape_q = basis_q @ second_fundamental_form(spec, q) @ basis_q.T
-    B1 = -R * _padded_shape_matrix(shape_q, n)
+    # shape-operator boundary terms (launch and arrival both contribute -R*S),
+    # the arrival's in frame columns 1.. projected tangent and re-orthonormalized
+    end = frame.arrival
+    columns = end.E[:, 1:].T
+    basis_q = gram_schmidt(end.g, columns - metric_inner(end.g, columns, end.nu)[:, None] * end.nu)
+    B0 = -R * _padded_shape_matrix(frame.shape_launch)
+    B1 = -R * _padded_shape_matrix(basis_q @ end.S @ basis_q.T)
     stiffness[0, :n, :n] += B0
     stiffness[-1, n:, n:] += B1
 
     return IndexFormMatrix(_node_blocks(stiffness, n), _node_blocks(mass, n), n, B0, B1)
-
-
-def _arrival_tangent_frame(spec, frame, q):
-    """Frame columns 1.. at arrival, projected tangent and re-orthonormalized."""
-    n = spec.dimension
-    _, _, E, _, _ = frame.blocks_at(frame.return_time)
-    g = spec.metric.matrix(q)
-    nu = inward_unit_normal(spec, q)
-    rows = []
-    for a in range(1, n):
-        u = E[:, a] - metric_inner(g, E[:, a], nu) * nu
-        rows.append(u)
-    return gram_schmidt(g, np.array(rows))
 
 
 def _numpy_openblas():
@@ -632,36 +636,29 @@ def index_form_spectrum(mat: IndexFormMatrix, n_lowest=8):
 # ---------------------------------------------------------------------------
 # degeneracy form at the arrival endpoint
 
-def arrival_degeneracy_form(spec: ManifoldSpec, frame: JacobiFrame):
+def arrival_degeneracy_form(frame: JacobiFrame):
     """Bilinear form measuring failure of the arrival boundary condition.
 
     Restricted to Jacobi solutions whose value at the return time is tangent
     to the boundary; it vanishes identically when every such solution also
     satisfies the arrival slope condition (maximal degeneracy).
     """
-    n = frame.dimension
-    x, v, E, Y, Yp = frame.blocks_at(frame.return_time)
-    q = project_to_boundary(spec, x)
-    g = spec.metric.matrix(q)
-    nu = inward_unit_normal(spec, q)
-    S_full = second_fundamental_form(spec, q)
+    end = frame.arrival
+    g, nu, E, Y = end.g, end.nu, end.E, end.Y
 
     # coefficient combinations alpha with g(J_alpha(R), nu) = 0
-    c = np.array([metric_inner(g, E[:, a], nu) for a in range(n)])
-    row = c @ Y
-    norm_row = np.linalg.norm(row)
-    if norm_row < 1e-8 * max(np.linalg.norm(Y), 1.0):
+    row = metric_inner(g, E.T, nu) @ Y
+    if np.linalg.norm(row) < 1e-8 * max(np.linalg.norm(Y), 1.0):
         raise MaximalDegeneracyError("contradiction with maximal degeneracy")
     _, _, vt = np.linalg.svd(row.reshape(1, -1))
     basis = vt[1:].T              # (n, n-1) null-space basis
 
-    A = np.zeros((n - 1, n - 1))
-    J = E @ (Y @ basis)           # chart values at R, columns
-    Jp = E @ (Yp @ basis)
-    for i in range(n - 1):
-        Ji = J[:, i] - metric_inner(g, J[:, i], nu) * nu
-        for j in range(n - 1):
-            Jj = J[:, j] - metric_inner(g, J[:, j], nu) * nu
-            # arrival velocity is the outward normal: S_{gamma'(R)} = -S_nu
-            A[i, j] = -float(Ji @ S_full @ Jj) + metric_inner(g, Jp[:, i], J[:, j])
-    return A
+    # the solutions' chart values at R as rows, and their tangent parts
+    J = (E @ (Y @ basis)).T
+    Jp = (E @ (end.Yp @ basis)).T
+    tangent = J - metric_inner(g, J, nu)[:, None] * nu
+    # entry (i, j) as the 1-d products of its pair: (tangent_i @ S) @ tangent_j;
+    # arrival velocity is the outward normal: S_{gamma'(R)} = -S_nu
+    shaped = (tangent[:, None, :] @ end.S)[:, 0]
+    curved = row_dot(shaped[:, None, :], tangent[None, :, :])
+    return -curved + metric_inner(g, Jp[:, None, :], J[None, :, :])

@@ -225,7 +225,7 @@ def expression_metric(entries, n):
 
 def expression_boundary(expr_str, n):
     """BoundaryChart from one expression in x0..x{n-1} (b > 0 inside); its
-    value and gradient take a point or a stack of points."""
+    value, gradient and Hessian take a point or a stack of points."""
     import sympy as sp
     xs = sp.symbols(f"x0:{n}", real=True)
     b = _parse(expr_str, xs)
@@ -234,7 +234,7 @@ def expression_boundary(expr_str, n):
     hessian = _entries_function(xs, [b.diff(xi).diff(xj) for xi in xs for xj in xs],
                                "boundary Hessian")
     return BoundaryChart(lambda x: value(x)[..., 0], gradient,
-                         lambda x: hessian(x).reshape(n, n))
+                         lambda x: hessian(x).reshape(x.shape[:-1] + (n, n)))
 
 
 def expression_patch(point_exprs, dim, name="patch", periodic=None):

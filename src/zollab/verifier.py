@@ -405,7 +405,7 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
         launches = np.array([p.launch_point for p in paths])[dst]
         images = QuotientCloud(spec, [p.arrival_point for p in paths]).nearest_image(launches, src)
         partner_residual = float(np.max(_norm(images - launches), initial=0.0))
-        nontrivial, used_walk = _covering_nontrivial(spec, sweep, labels, components)
+        nontrivial, used_walk = _covering_nontrivial(sweep, labels, components)
         return {"kind": "two-fold-cover", **counts, "partner_residual": partner_residual,
                 "nontrivial_cover": nontrivial, "loop_transport_used": used_walk,
                 "fiber_dimension": None}, diagnostics
@@ -433,7 +433,7 @@ def fiber_analysis(spec: ManifoldSpec, sweep: SweepResult, index,
             "fiber_dimension": fiber_dim}, diagnostics
 
 
-def _covering_nontrivial(spec, sweep, labels, components):
+def _covering_nontrivial(sweep, labels, components):
     """Walk boundary loops and watch when the midpoint cluster first recurs.
 
     Revisiting the starting cluster strictly before the loop closes witnesses
@@ -649,7 +649,7 @@ def certify(spec: ManifoldSpec, n_launches=64, tolerances: Optional[Tolerances] 
         components = _components(report, spec, tol)
         if report.verdict != "refuted":
             if "jacobi" in analyses:
-                _jacobi(report, spec, tol, mesh_size, n_index_spots)
+                _jacobi(report, tol, mesh_size, n_index_spots)
             fibers = "fibers" in analyses and report.index_focal is not None
             clusters = (midpoint_clusters(spec, sweep, tol)
                         if "soul" in analyses or fibers else None)
@@ -731,7 +731,7 @@ def _components(report: ZollReport, spec: ManifoldSpec, tol: Tolerances):
     return comps
 
 
-def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, n_spots):
+def _jacobi(report: ZollReport, tol: Tolerances, mesh_size, n_spots):
     """Morse index two ways: focal instants on up to ``n_spots`` evenly spaced
     returned geodesics, the index form on the first three of them."""
     paths = report.sweep.paths
@@ -740,11 +740,11 @@ def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, 
     focal_resid = 0.0
     focal_mults = []
     arrival_norm = 0.0
-    frames = integrate_jacobi_frames(spec, [paths[int(i)] for i in spots],
+    frames = integrate_jacobi_frames([paths[int(i)] for i in spots],
                                      rtol=tol.rtol, atol=tol.atol)
     # the form the report keeps first: its spectrum solves on a worker thread
     # while the rest of this analysis, and the later ones, run
-    mats = [assemble_index_form(spec, frame, mesh_size) for frame in frames[:1]]
+    mats = [assemble_index_form(frame, mesh_size) for frame in frames[:1]]
     for mat in mats:
         mat._start_spectrum()
     for frame in frames:
@@ -754,7 +754,7 @@ def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, 
         for inst in record.instants:
             focal_resid = max(focal_resid, abs(inst.time - frame.return_time / 2.0))
             focal_mults.append(inst.multiplicity)
-        A = arrival_degeneracy_form(spec, frame)
+        A = arrival_degeneracy_form(frame)
         arrival_norm = max(arrival_norm, float(np.linalg.norm(A)))
     if len(set(focal_indices)) > 1:
         report.diagnostics.append(
@@ -764,7 +764,7 @@ def _jacobi(report: ZollReport, spec: ManifoldSpec, tol: Tolerances, mesh_size, 
     report.focal_multiplicities = focal_mults
     report.arrival_form_norm = arrival_norm
 
-    mats += [assemble_index_form(spec, frame, mesh_size) for frame in frames[1:3]]
+    mats += [assemble_index_form(frame, mesh_size) for frame in frames[1:3]]
     counts = morse_indices_quadratic(mats, neg_tol=tol.neg_eig)
     quad_vals = [kq for kq, _ in counts]
     nullities = [nq for _, nq in counts]

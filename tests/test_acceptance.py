@@ -53,12 +53,12 @@ def _announce(num, label, passed, detail=""):
 
 
 @pytest.fixture(scope="module")
-def frames(specs, sweeps):
+def frames(sweeps):
     out = {}
     for key in CERTIFIED_KEYS:
         paths = sweeps[key].paths
         spots = np.linspace(0, len(paths) - 1, 3).astype(int)
-        out[key] = [(paths[i], integrate_jacobi_frame(specs[key], paths[i]))
+        out[key] = [(paths[i], integrate_jacobi_frame(paths[i]))
                     for i in spots]
     return out
 
@@ -110,14 +110,13 @@ def test_c03_component_bound(specs, sweeps):
     _announce(3, "boundary component count and two-component distance", True)
 
 
-def test_c04_morse_index_two_ways(specs, sweeps):
+def test_c04_morse_index_two_ways(sweeps):
     details = []
     for key in CERTIFIED_KEYS:
         t0 = time.perf_counter()
-        spec = specs[key]
-        frame = integrate_jacobi_frame(spec, sweeps[key].paths[0])
+        frame = integrate_jacobi_frame(sweeps[key].paths[0])
         k_focal = morse_index_focal(focal_instants(frame))
-        mat = assemble_index_form(spec, frame, 256)
+        mat = assemble_index_form(frame, 256)
         k_quad, _ = morse_index_quadratic(mat, neg_tol=1e-6)
         elapsed = time.perf_counter() - t0
         assert k_focal == k_quad == EXPECTED_INDEX[key], (key, k_focal, k_quad)
@@ -154,11 +153,11 @@ def test_c06_maximal_degeneracy(specs, frames):
         spec = specs[key]
         n = spec.dimension
         for rec, frame in frames[key]:
-            mat = assemble_index_form(spec, frame, 512)
+            mat = assemble_index_form(frame, 512)
             _, nullity = morse_index_quadratic(mat, neg_tol=1e-6)
             assert nullity >= n - 1, (key, nullity, n - 1)
             worst_null[key] = nullity
-            a_norm = float(np.linalg.norm(arrival_degeneracy_form(spec, frame)))
+            a_norm = float(np.linalg.norm(arrival_degeneracy_form(frame)))
             assert a_norm <= 1e-6, (key, a_norm)
             worst_a = max(worst_a, a_norm)
     _announce(6, "maximal degeneracy: nullity >= n-1 at mesh 512, arrival form ~ 0",

@@ -52,7 +52,7 @@ from zollab.geometry import (
     metric_norm,
     row_dot,
 )
-from zollab.jacobi import _frame_start, frame_vector_blocks, jacobi_rhs
+from zollab.jacobi import integrate_jacobi_frames
 from zollab.manifest import RunManifest, load_manifold
 from zollab.rk45 import initial_steps
 from zollab.verifier import Tolerances, certify
@@ -950,12 +950,10 @@ def test_lockstep_evaluates_the_metric_on_stacks_only(case, catalog_sweeps, monk
         flows = lockstep_flows(spec, geodesic_rhs(spec), y0, t_end, vector_blocks=[(n, n, 1)])
         assert sum(len(flow.deck_crossings) for flow in flows) > 0
     else:
-        spec, sweep = catalog_sweeps["euclidean_ball"]
-        # each frame's start is taken at its launch point alone
-        y0 = [_frame_start(spec, path)[0] for path in sweep.paths]
+        # the frames' starts and arrival records are stacked too
+        _, sweep = catalog_sweeps["euclidean_ball"]
         monkeypatch.setattr(MetricField, "jet", counted_jet)
-        lockstep_flows(spec, jacobi_rhs(spec), y0, sweep.return_times,
-                       vector_blocks=frame_vector_blocks(spec.dimension), detect_boundary=False)
+        integrate_jacobi_frames(sweep.paths)
     assert one_point and not any(one_point)
 
 

@@ -41,13 +41,13 @@ CERTIFIED_KEYS = ["flat_disk", "flat_band", "flat_moebius", "spherical_cap",
 
 
 @pytest.fixture(scope="module")
-def frames(specs, sweeps):
-    return {key: integrate_jacobi_frame(specs[key], sweeps[key].paths[0])
+def frames(sweeps):
+    return {key: integrate_jacobi_frame(sweeps[key].paths[0])
             for key in CERTIFIED_KEYS}
 
 
-def _assemble(key, mesh, specs, frames):
-    return assemble_index_form(specs[key], frames[key], mesh)
+def _assemble(key, mesh, frames):
+    return assemble_index_form(frames[key], mesh)
 
 
 def _dense_eigenvalues(mat):
@@ -110,8 +110,8 @@ def test_node_blocks_match_dense_scatter(rng):
 
 
 @pytest.mark.parametrize("key", ["flat_disk", "spherical_cap", "euclidean_ball3"])
-def test_band_spectrum_matches_dense(key, specs, frames):
-    mat = _assemble(key, 128, specs, frames)
+def test_band_spectrum_matches_dense(key, frames):
+    mat = _assemble(key, 128, frames)
     band = index_form_eigenvalues(mat)
     dense = _dense_eigenvalues(mat)
     assert band.shape == dense.shape == (mat.stiffness.shape[0],)
@@ -121,8 +121,8 @@ def test_band_spectrum_matches_dense(key, specs, frames):
 
 
 @pytest.mark.parametrize("key", CERTIFIED_KEYS)
-def test_index_counts_match_dense(key, specs, frames):
-    mat = _assemble(key, 256, specs, frames)
+def test_index_counts_match_dense(key, frames):
+    mat = _assemble(key, 256, frames)
     dense = _dense_eigenvalues(mat)
     expected = (int(np.sum(dense < -NEG_EIG_TOL)), int(np.sum(np.abs(dense) <= NEG_EIG_TOL)))
     assert morse_index_quadratic(mat) == expected
@@ -142,8 +142,7 @@ def test_inertia_counts_match_dsbgv(mesh, catalog_sweeps):
     for name, (spec, sweep) in catalog_sweeps.items():
         if not spec.annotations.get("zoll"):
             continue
-        mat = assemble_index_form(spec, integrate_jacobi_frame(spec, sweep.paths[0]),
-                                  mesh)
+        mat = assemble_index_form(integrate_jacobi_frame(sweep.paths[0]), mesh)
         expected = _spectrum_counts(mat)
         assert _inertia_counts([mat], NEG_EIG_TOL) == [expected], name
         groups.setdefault(mat.stiffness_blocks[0].shape, []).append((mat, expected))
@@ -157,10 +156,10 @@ def test_inertia_counts_match_dsbgv(mesh, catalog_sweeps):
         assert all(mat._spectrum is None for mat in mats)  # no spectrum solve started
 
 
-def test_singular_pivot_falls_back_to_the_spectrum(specs, frames):
+def test_singular_pivot_falls_back_to_the_spectrum(frames):
     # S = -tol M makes S + tol M vanish: every pivot of that form is singular,
     # and only that form of a batch is counted from its spectrum
-    mat = _assemble("flat_disk", 64, specs, frames)
+    mat = _assemble("flat_disk", 64, frames)
     shifted = dataclasses.replace(mat, stiffness_blocks=tuple(
         -NEG_EIG_TOL * b for b in mat.mass_blocks))
     assert _inertia_counts([shifted], NEG_EIG_TOL) == [None]
@@ -202,15 +201,15 @@ def test_inertia_floor_leaves_a_count_to_the_spectrum():
     assert mat._spectrum is not None
 
 
-def test_forms_counted_together_share_a_shape(specs, frames):
-    small = _assemble("flat_disk", 64, specs, frames)
-    large = _assemble("flat_disk", 128, specs, frames)
+def test_forms_counted_together_share_a_shape(frames):
+    small = _assemble("flat_disk", 64, frames)
+    large = _assemble("flat_disk", 128, frames)
     with pytest.raises(ValueError, match="one node-block shape"):
         morse_indices_quadratic([small, large])
 
 
-def test_spectrum_solved_once_and_read_only(specs, frames):
-    mat = _assemble("flat_disk", 64, specs, frames)
+def test_spectrum_solved_once_and_read_only(frames):
+    mat = _assemble("flat_disk", 64, frames)
     morse_index_quadratic(mat)
     assert mat.eigenvalues is mat.eigenvalues
     assert not mat.eigenvalues.flags.writeable
@@ -240,13 +239,13 @@ def _assert_broken_masses_raise(mat):
             morse_indices_quadratic([mat, broken])
 
 
-def test_mass_not_positive_definite_raises(specs, frames):
-    _assert_broken_masses_raise(_assemble("flat_disk", 64, specs, frames))
+def test_mass_not_positive_definite_raises(frames):
+    _assert_broken_masses_raise(_assemble("flat_disk", 64, frames))
 
 
-def test_mass_not_positive_definite_raises_with_the_fallback(specs, frames, monkeypatch):
+def test_mass_not_positive_definite_raises_with_the_fallback(frames, monkeypatch):
     _scipy_fallback(monkeypatch)
-    _assert_broken_masses_raise(_assemble("flat_disk", 64, specs, frames))
+    _assert_broken_masses_raise(_assemble("flat_disk", 64, frames))
 
 
 def _started_pair(mat, mass):
@@ -257,11 +256,11 @@ def _started_pair(mat, mass):
     return pair
 
 
-def test_failing_solve_raises_where_it_is_read(specs, frames, monkeypatch):
+def test_failing_solve_raises_where_it_is_read(frames, monkeypatch):
     # a solve that fails on the worker thread raises, where and whenever the
     # spectrum is read, what the calling thread's solve raises; one never
     # read leaves no unhandled thread exception, and no thread, behind
-    mat = _assemble("flat_disk", 64, specs, frames)
+    mat = _assemble("flat_disk", 64, frames)
     threads = set(threading.enumerate())
     for mass, _ in _broken_masses(mat):
         with pytest.raises(RuntimeError) as main_thread:
@@ -292,10 +291,10 @@ def _join(mat):
     assert not worker.is_alive()
 
 
-def test_concurrent_first_reads_share_one_solve(specs, frames, monkeypatch):
+def test_concurrent_first_reads_share_one_solve(frames, monkeypatch):
     # readers racing to start the spectrum of one fresh form, with threads
     # switched as often as the interpreter allows: one dsbgv call, one array
-    mat = _assemble("flat_disk", 64, specs, frames)
+    mat = _assemble("flat_disk", 64, frames)
     dsbgv, integer, lengths = jacobi._LAPACK
     calls = []
 
@@ -348,9 +347,9 @@ def test_report_spectrum_is_the_spectrum(tmp_path, monkeypatch):
     assert np.array_equal(rows[:, 1], eigs)
 
 
-def test_mismatched_band_shapes_rejected(specs, frames):
+def test_mismatched_band_shapes_rejected(frames):
     # one form whose mass blocks are one node short of its stiffness blocks
-    mat = _assemble("flat_disk", 64, specs, frames)
+    mat = _assemble("flat_disk", 64, frames)
     short = dataclasses.replace(mat, mass_blocks=tuple(b[1:] for b in mat.mass_blocks))
     with pytest.raises(ValueError, match="band shape"):
         index_form_eigenvalues(short)
@@ -358,11 +357,11 @@ def test_mismatched_band_shapes_rejected(specs, frames):
         morse_index_quadratic(short)
 
 
-def test_cap_mesh_convergence(specs, frames):
+def test_cap_mesh_convergence(frames):
     # P1 elements: the low eigenvalues converge at O(h^2), and the cap's
     # kernel eigenvalue reaches the 1e-6 window only at mesh 512
     eigs = {mesh: np.array(index_form_spectrum(
-                _assemble("spherical_cap", mesh, specs, frames), 8))
+                _assemble("spherical_cap", mesh, frames), 8))
             for mesh in (128, 256, 512)}
     order = np.log2(np.abs(eigs[128] - eigs[256]) / np.abs(eigs[256] - eigs[512]))
     assert np.all((order >= 1.9) & (order <= 2.1)), order

@@ -195,8 +195,8 @@ class TestCLI:
                                    seed=manifest.seed)
         sweep = first_return_map(spec, launches, rtol=tol.rtol, atol=tol.atol)
         path = sweep.paths[0]
-        frame = integrate_jacobi_frame(spec, path, rtol=tol.rtol, atol=tol.atol)
-        mat = assemble_index_form(spec, frame, manifest.mesh_size)
+        frame = integrate_jacobi_frame(path, rtol=tol.rtol, atol=tol.atol)
+        mat = assemble_index_form(frame, manifest.mesh_size)
         dof = mat.stiffness.shape[0]
 
         rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
@@ -220,6 +220,20 @@ class TestCLI:
         mpath = tmp_path / "m.json"
         mpath.write_text(json.dumps(manifest))
         assert main(["certify", "--manifest", str(mpath)]) == 1
+
+    def test_inconclusive_verdict_exits_one(self, tmp_path, capsys):
+        # the ellipse a = 1 + 1e-7 is inconclusive at 64 launches (the
+        # refutation floor); its non-Zoll annotation has no check that applies
+        # to that verdict, and the run still fails, as an unannotated one does
+        doc = {"manifold": {"catalog": "ellipse", "params": {"a": 1.0 + 1e-7, "b": 1.0}},
+               "launches": 64, "out_dir": str(tmp_path / "out")}
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        assert main(["certify", "--manifest", str(mpath)]) == zollab.cli.CHECK_FAILED
+        assert "verdict=inconclusive" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["verdict"] == "inconclusive"
+        assert rep["ground_truth"] == {"expected_zoll": False, "checks": {}, "all_match": True}
 
     def test_low_launch_count_usage_error(self):
         assert main(["certify", "--example", "flat_disk", "--launches", "8"]) == 2
@@ -556,6 +570,24 @@ class TestCLI:
         mpath.write_text(json.dumps(doc))
         assert main(["certify", "--manifest", str(mpath)] + flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,path", [
+        (["certify", "--manifest"], "dir"),
+        (["certify", "--example", "flat_disk", "--launches", "32", "--out"], "file"),
+        (["analyze", "--example", "flat_disk", "--launches", "32", "--out"], "file"),
+        (["matrix", "--example", "flat_disk", "--launches", "32", "--out"], "file"),
+        (["catalog", "--emit-manifests"], "file"),
+    ], ids=["manifest-dir", "certify-out-file", "analyze-out-file", "matrix-out-file",
+            "emit-manifests-file"])
+    def test_unusable_path_usage_error(self, argv, path, tmp_path, capsys):
+        # a directory where a manifest is read, an existing file where an
+        # output directory is made
+        target = tmp_path / path
+        target.mkdir() if path == "dir" else target.write_text("kept\n")
+        assert main(argv + [str(target)]) == zollab.cli.USAGE_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(target) in err[0]
+        assert target.is_dir() if path == "dir" else target.read_text() == "kept\n"
 
     def test_no_arguments_usage_error(self, capsys):
         assert main([]) == 2

@@ -44,3 +44,23 @@ def test_every_private_helper_is_referenced():
             and not any(stmt.name in refs for other, s, refs in statements
                         if (other, s) != (name, stmt))]
     assert not dead, f"private definitions nothing refers to: {dead}"
+
+
+def _unread_parameters(function):
+    """The parameters of a function that its body never reads; names that
+    start with ``_`` are exempt."""
+    args = function.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+              + [a for a in (args.vararg, args.kwarg) if a is not None]]
+    read = {n.id for stmt in function.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [p for p in params if not p.startswith("_") and p not in read]
+
+
+def test_every_private_function_reads_its_parameters():
+    unread = [f"{name}:{stmt.name}({', '.join(params)})"
+              for name, tree in TREES.items() for stmt in tree.body
+              if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+              and not stmt.name.startswith("__")
+              for params in [_unread_parameters(stmt)] if params]
+    assert not unread, f"private functions with parameters they never read: {unread}"

@@ -36,6 +36,7 @@ from zollab.geometry import (
     metric_norm,
     row_dot,
     scalar_pow,
+    second_fundamental_form,
 )
 from zollab.jacobi import (
     _frame_start,
@@ -141,11 +142,12 @@ def test_inline_kernels_stack(key, rng):
 
 
 def boundary_kernels(spec, rng, points):
-    """(kernel, stacks) pairs for the boundary value, its gradient, the gradient
-    along vectors, the inward unit normal, the Newton projection onto b = 0 and
-    the boundary test, and every deck face and deck map, at the points and at
-    their projections. Along vectors, a point takes the 1-d ``@`` and a stack
-    the ``row_dot`` that gives db/dt at the samples of a flow
+    """(kernel, stacks) pairs for the boundary value, its gradient and Hessian,
+    the gradient along vectors, the inward unit normal, the Newton projection
+    onto b = 0 and the boundary test, and every deck face and deck map, at the
+    points and at their projections, and the second fundamental form at the
+    projections. Along vectors, a point takes the 1-d ``@`` and a stack the
+    ``row_dot`` that gives db/dt at the samples of a flow
     (``engine._StepLog.stitch``)."""
     boundary = spec.boundary
 
@@ -159,7 +161,9 @@ def boundary_kernels(spec, rng, points):
         near = project_to_boundary(spec, near)
     points = np.concatenate([points, near])
     v = rng.normal(size=points.shape)
-    return ([(boundary.value, (points,)), (boundary.gradient, (points,)), (along, (points, v)),
+    return ([(boundary.value, (points,)), (boundary.gradient, (points,)),
+             (boundary.hessian, (points,)), (along, (points, v)),
+             (lambda x: second_fundamental_form(spec, x), (near,)),
              (lambda x: inward_unit_normal(spec, x), (points,)),
              (lambda x: boundary_tangent_basis(spec, x), (points,)),
              (lambda x: project_to_boundary(spec, x), (points,)),
@@ -321,13 +325,13 @@ def test_dense_output_stacks(name, params, launch, rng, chunks_of):
     p = spec.boundary_patches[0].points([[0.3] * spec.boundary_patches[0].param_dim])[0] \
         if launch is None else np.array(launch)
     path = shoot(spec, p)
-    frame = integrate_jacobi_frame(spec, path)
+    frame = integrate_jacobi_frame(path)
     # the chunks of the same flows integrated by integrate_flow, which the
     # lockstep flows equal bit for bit
     _, path_chunks = chunks_of(spec, geodesic_rhs(spec),
                                np.concatenate([path.launch_point, path.launch_velocity]),
                                50.0 * spec.scale_hint, vector_blocks=[(n, n, 1)])
-    _, frame_chunks = chunks_of(spec, jacobi_rhs(spec), _frame_start(spec, path)[0],
+    _, frame_chunks = chunks_of(spec, jacobi_rhs(spec), _frame_start([path])[0][0],
                                 path.return_time, vector_blocks=frame_vector_blocks(n),
                                 detect_boundary=False)
     for flow, chunks in ((path.flow, path_chunks), (frame.flow, frame_chunks)):
